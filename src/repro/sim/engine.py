@@ -59,6 +59,8 @@ from repro.sim.events import (
 
 ProcessBody = Generator[Event, Any, Any]
 
+_INF = float("inf")
+
 #: Set to force every new :class:`Engine` onto the historical
 #: single-heap scheduler (A/B debugging of queue-order issues).
 LEGACY_HEAP_ENV = "REPRO_LEGACY_HEAP"
@@ -371,31 +373,19 @@ class Engine:
         finally:
             self._running = False
 
-    def _next_time(self) -> Optional[float]:
-        """The earliest queued timestamp, or None when drained."""
-        if self._legacy:
-            return self._lheap[0][0] if self._lheap else None
-        return self._theap[0] if self._theap else None
-
     def _drain_window(self, incl: float, bound: float,
-                      deadline: Optional[float],
                       stop_event: Optional[Event]) -> bool:
-        """Dispatch local records with ``t <= incl`` or ``t < bound``.
+        """Dispatch queued records with ``t <= incl`` or ``t < bound``.
 
-        One domain's slice of a conservative multi-domain round (see
-        ``sim/domains.py``): the inclusive leg is the world's global
-        lower-bound timestamp, the exclusive leg is this domain's
-        channel-derived safe bound.  Dispatch within the window is
-        byte-identical to :meth:`_run_calendar` — same batched buckets,
-        same jump table, same partial-bucket requeue — so per-domain
-        order matches the single-engine order exactly.  Returns True
-        when ``stop_event`` fired mid-drain.
+        The one dispatch loop of the calendar queue.  A plain engine's
+        ``run`` is a single window up to its deadline, if any
+        (:meth:`_run_calendar`); a clock domain gets one window per
+        conservative step (see ``sim/domains.py``): the inclusive leg is
+        the world's global lower-bound timestamp, the exclusive leg adds
+        this domain's lookahead.  Per-domain order therefore *is* the
+        single-engine order.  Returns True when ``stop_event`` fired
+        mid-drain.
         """
-        if self._legacy:
-            raise SimulationError(
-                "clock domains require the calendar-queue scheduler "
-                "(REPRO_LEGACY_HEAP is incompatible with World)"
-            )
         buckets = self._buckets
         theap = self._theap
         check = self._check_clock
@@ -403,69 +393,6 @@ class Engine:
             t = theap[0]
             if t > incl and t >= bound:
                 return False
-            if deadline is not None and t > deadline:
-                return False
-            if check and t < self._now:
-                raise SimulationError(
-                    f"clock went backwards in domain {self.name!r}: "
-                    f"record at t={t!r} behind now={self._now!r}"
-                )
-            self._now = t
-            bucket = buckets[t]
-            i = 0
-            n = len(bucket)
-            try:
-                if stop_event is None:
-                    while i < n:
-                        kind, target, payload = bucket[i]
-                        i += 1
-                        if kind == K_RESUME:
-                            target._resume(payload)
-                        elif kind == K_FIRE:
-                            target._fire(True, payload)
-                        elif kind == K_CALL1:
-                            target(payload)
-                        elif kind == K_STEP:
-                            target._step(None, payload)
-                        else:
-                            target()
-                        n = len(bucket)
-                else:
-                    while i < n:
-                        kind, target, payload = bucket[i]
-                        i += 1
-                        if kind == K_RESUME:
-                            target._resume(payload)
-                        elif kind == K_FIRE:
-                            target._fire(True, payload)
-                        elif kind == K_CALL1:
-                            target(payload)
-                        elif kind == K_STEP:
-                            target._step(None, payload)
-                        else:
-                            target()
-                        if stop_event._fired:
-                            return True
-                        n = len(bucket)
-            finally:
-                self._n_executed += i
-                if i < len(bucket):
-                    buckets[t] = bucket[i:]
-                else:
-                    del buckets[t]
-                    heapq.heappop(theap)
-        return False
-
-    def _run_calendar(self, deadline: Optional[float],
-                      stop_event: Optional[Event]) -> Any:
-        buckets = self._buckets
-        theap = self._theap
-        check = self._check_clock
-        while theap:
-            t = theap[0]
-            if deadline is not None and t > deadline:
-                self._now = deadline
-                return None
             if check and t < self._now:
                 raise SimulationError(
                     f"clock went backwards in {self.name!r}: "
@@ -510,9 +437,7 @@ class Engine:
                         else:
                             target()
                         if stop_event._fired:
-                            if not stop_event._ok:
-                                raise stop_event._value
-                            return stop_event._value
+                            return True
                         n = len(bucket)
             finally:
                 # Consumed records leave the bucket even on an early
@@ -524,6 +449,16 @@ class Engine:
                 else:
                     del buckets[t]
                     heapq.heappop(theap)
+        return False
+
+    def _run_calendar(self, deadline: Optional[float],
+                      stop_event: Optional[Event]) -> Any:
+        """A plain engine's run: one drain window, up to the deadline."""
+        limit = _INF if deadline is None else deadline
+        if self._drain_window(limit, limit, stop_event):
+            if not stop_event._ok:
+                raise stop_event._value
+            return stop_event._value
         if stop_event is not None and not stop_event._fired:
             raise DeadlockError(
                 f"event queue drained at t={self._now:g} but "

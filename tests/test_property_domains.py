@@ -20,6 +20,12 @@ identical program three ways:
 All three must agree on everything observable.  The program is built as
 a seed-derived op list first and interpreted second, so the only
 variable between runs is the scheduling substrate.
+
+Two more shapes ride the same interpreter: a **hub-and-spoke**
+request/response world (the fleet's gateway/agent control plane — the
+spokes only ever speak when spoken to, so the hub must be bounded by
+the round trip through *idle* peers) and an **acyclic pipeline** (the
+first stage has no incoming channel, hence an unbounded window).
 """
 
 from __future__ import annotations
@@ -41,7 +47,7 @@ OP_KINDS = ["timeout", "timeout", "acquire", "send", "recv",
             "anyof", "allof", "xint"]
 
 
-def build_topology(seed: int) -> dict:
+def build_topology(seed: int, shape: str = "ring") -> dict:
     """A deterministic random topology + program.
 
     Channel latencies are drawn from a continuous range well off the
@@ -51,16 +57,29 @@ def build_topology(seed: int) -> dict:
     never sit on a workload's round-number grid anyway.
     """
     rng = random.Random(seed)
-    n_machines = rng.randrange(2, 5)
-    # Directed ring both ways, plus a few random extra channel pairs.
     pairs = set()
-    for i in range(n_machines):
-        pairs.add((i, (i + 1) % n_machines))
-        pairs.add(((i + 1) % n_machines, i))
-    for _ in range(rng.randrange(0, n_machines)):
-        a, b = rng.sample(range(n_machines), 2)
-        pairs.add((a, b))
+    if shape == "ring":
+        n_machines = rng.randrange(2, 5)
+        # Directed ring both ways, plus a few random extra channel pairs.
+        for i in range(n_machines):
+            pairs.add((i, (i + 1) % n_machines))
+            pairs.add(((i + 1) % n_machines, i))
+        for _ in range(rng.randrange(0, n_machines)):
+            a, b = rng.sample(range(n_machines), 2)
+            pairs.add((a, b))
+    elif shape == "hub":
+        n_machines = rng.randrange(3, 6)
+        for i in range(1, n_machines):
+            pairs.add((0, i))
+            pairs.add((i, 0))
+    else:  # "pipeline": stage i feeds stage i + 1, nothing flows back
+        n_machines = rng.randrange(3, 5)
+        for i in range(n_machines - 1):
+            pairs.add((i, i + 1))
     channels = {p: rng.uniform(2e-6, 9e-6) for p in sorted(pairs)}
+    if shape == "hub":
+        return {"n_machines": n_machines, "channels": channels,
+                "machines": _hub_program(rng, n_machines)}
     out_of = {m: sorted(d for (s, d) in channels if s == m)
               for m in range(n_machines)}
     into = {m: sorted(s for (s, d) in channels if d == m)
@@ -70,11 +89,16 @@ def build_topology(seed: int) -> dict:
     for m in range(n_machines):
         n_procs = rng.randrange(2, 4)
         capacity = rng.randrange(1, 3)
+        # A pipeline's end stages lack one direction; every ring machine
+        # has both, so the ring soups draw from the full list.
+        kinds = [k for k in OP_KINDS
+                 if (out_of[m] or k not in ("send", "xint"))
+                 and (into[m] or k != "recv")]
         procs = []
         for _ in range(n_procs):
             steps = []
             for _ in range(rng.randrange(2, 6)):
-                kind = rng.choice(OP_KINDS)
+                kind = rng.choice(kinds)
                 if kind == "timeout":
                     steps.append(("timeout", rng.choice(DELAYS)))
                 elif kind == "acquire":
@@ -103,6 +127,31 @@ def build_topology(seed: int) -> dict:
                          "procs": procs})
     return {"n_machines": n_machines, "channels": channels,
             "machines": machines}
+
+
+def _hub_program(rng: random.Random, n_machines: int) -> list:
+    """Request/response: hub clients call spokes, spokes only answer."""
+    calls = {spoke: 0 for spoke in range(1, n_machines)}
+    clients = []
+    for _ in range(rng.randrange(2, 4)):
+        steps = []
+        for _ in range(rng.randrange(2, 6)):
+            if rng.random() < 0.7:
+                spoke = rng.randrange(1, n_machines)
+                calls[spoke] += 1
+                steps.append(("call", spoke, rng.randrange(100),
+                              rng.choice(DELAYS), rng.uniform(1e-7, 9e-7)))
+            else:
+                steps.append(("timeout", rng.choice(DELAYS)))
+        clients.append(steps)
+    machines = [{"capacity": 1, "procs": clients}]
+    for spoke in range(1, n_machines):
+        # One server per spoke, answering exactly the calls aimed at it
+        # (a spoke nobody calls stays idle for the whole run).
+        machines.append({"capacity": 1, "procs": [[
+            ("serve", 0, calls[spoke], rng.choice(DELAYS),
+             rng.uniform(1e-7, 9e-7))]]})
+    return machines
 
 
 def run_topology(topo: dict, mode: str) -> tuple:
@@ -173,6 +222,19 @@ def run_topology(topo: dict, mode: str) -> tuple:
                     if target is not None:
                         chans[(m, dst)].interrupt(target)
                     tr.append(("x", i, eng.now))
+                elif kind == "call":
+                    _, dst, token, delay, jitter = step
+                    yield eng.timeout(delay + jitter)
+                    chans[(m, dst)].send((m, p, i, token))
+                    reply = yield chans[(dst, m)].recv()
+                    tr.append(("c", i, eng.now, reply))
+                elif kind == "serve":
+                    _, peer, n_calls, service, jitter = step
+                    for _ in range(n_calls):
+                        req = yield chans[(peer, m)].recv()
+                        yield eng.timeout(service + jitter)
+                        chans[(m, peer)].send(("re", req))
+                        tr.append(("v", i, eng.now, req))
                 elif kind == "anyof":
                     idx, _ = yield eng.any_of(
                         [eng.timeout(d) for d in step[1]])
@@ -222,6 +284,29 @@ def test_multi_domain_matches_single(seed):
     assert multi[2] == pytest.approx(single[2], abs=0.0), \
         "multi-domain frontier clock diverged"
     assert multi[3:] == single[3:], "multi-domain event counts diverged"
+
+
+@pytest.mark.parametrize("shape", ["hub", "pipeline"])
+@pytest.mark.parametrize("seed", range(24))
+def test_shaped_topology_matches_single(seed, shape):
+    topo = build_topology(seed, shape)
+    single = run_topology(topo, "single")
+    multi = run_topology(topo, "multi")
+    assert multi[0] == single[0], f"{shape} trace diverged"
+    assert multi[1] == single[1], f"{shape} completion state diverged"
+    assert multi[2] == pytest.approx(single[2], abs=0.0), \
+        f"{shape} frontier clock diverged"
+    assert multi[3:] == single[3:], f"{shape} event counts diverged"
+
+
+def test_hub_spokes_answer_every_call():
+    """Sanity: the hub soups really are request/response traffic."""
+    topo = build_topology(3, "hub")
+    traces, finished, _, _, _ = run_topology(topo, "multi")
+    calls = [e for tr in traces.values() for e in tr if e[0] == "c"]
+    served = [e for tr in traces.values() for e in tr if e[0] == "v"]
+    assert calls and len(calls) == len(served)
+    assert all(done == (True, True) for done in finished.values())
 
 
 @pytest.mark.parametrize("seed", [2, 9])

@@ -37,7 +37,7 @@ def test_self_channel_rejected():
 
 
 @pytest.mark.parametrize("latency", [0.0, -1e-6, float("nan"),
-                                     MIN_LOOKAHEAD / 2])
+                                     float("inf"), MIN_LOOKAHEAD / 2])
 def test_channel_latency_must_be_lookahead(latency):
     world, a, b = two_domains()
     with pytest.raises(InvalidValueError):
@@ -117,6 +117,28 @@ def test_negative_send_delay_rejected():
         ch.send("x", delay=-1.0)
 
 
+@pytest.mark.parametrize("delay", [float("inf"), float("nan")])
+@pytest.mark.parametrize("local", [False, True])
+def test_non_finite_send_delay_rejected(delay, local):
+    """An infinite delay used to park the message forever while run()
+    reported "drained"; a NaN one surfaced later, far from the send, as
+    "cannot schedule in the past".  Both are refused at the send site."""
+    world, a, b = two_domains()
+    ch = (DomainChannel.local(a, 1e-6) if local
+          else world.channel(a, b, 1e-6))
+    target = Event(ch.dst)
+    proc = ch.dst.spawn(_advance(ch.dst, 1.0))
+    for emit in (lambda: ch.send("x", delay=delay),
+                 lambda: ch.post(print, "x", delay=delay),
+                 lambda: ch.fire(target, "x", delay=delay),
+                 lambda: ch.interrupt(proc, delay=delay)):
+        with pytest.raises(InvalidValueError):
+            emit()
+    assert ch.messages_sent == 0
+    world.run()
+    assert not target.triggered
+
+
 def test_post_runs_in_destination_domain():
     world, a, b = two_domains()
     ch = world.channel(a, b, 5e-6)
@@ -186,6 +208,34 @@ def test_cancel_in_flight_drops_message():
     # The first (cancelled) message never lands; the receiver sees the
     # second one, a full second later.
     assert got == {"val": "kept", "t": pytest.approx(1.0 + 5e-6, abs=0)}
+
+
+def test_cancel_after_direct_delivery_drops_at_arrival():
+    """A sent message sits in the destination's calendar right away;
+    the sender can still abort it, and the drop happens at — not before
+    — the arrival instant."""
+    world, a, b = two_domains()
+    ch = world.channel(a, b, 5e-6)
+    got = []
+
+    def sender():
+        yield a.timeout(1.0)
+        msg = ch.send("doomed", delay=1.0)
+        assert b.events_pending == 2  # the receiver's first step + it
+        yield a.timeout(0.5)
+        assert msg.cancel() is True
+
+    def receiver():
+        got.append((yield ch.recv()))
+
+    a.spawn(sender())
+    b.spawn(receiver())
+    world.run()
+    assert got == []
+    assert b.events_pending == 0
+    # The dropped record was still dispatched: b's clock reached the
+    # arrival instant before the run re-joined the clocks there.
+    assert world.now == pytest.approx(2.0 + 5e-6, abs=0)
 
 
 def test_cancel_after_delivery_fails():
@@ -468,6 +518,151 @@ def test_rounds_and_skew_accounting():
     assert world.rounds >= 1
     # a ran to 2.0 while b stopped at the 1.0+5us arrival.
     assert world.skew_max > 0.0
+
+
+# --- the min-timestamp-first schedule, by call counts ----------------------------
+
+
+@pytest.fixture
+def drains(monkeypatch):
+    """Names of the domains ``_drain_window`` was called on, in order."""
+    calls = []
+    inner = Engine._drain_window
+
+    def counting(self, *args):
+        calls.append(self.name)
+        return inner(self, *args)
+
+    monkeypatch.setattr(Engine, "_drain_window", counting)
+    return calls
+
+
+def _ping_pong(world, a, b, volleys=20):
+    there = world.channel(a, b, 5e-6)
+    back = world.channel(b, a, 5e-6)
+
+    def server():
+        for _ in range(volleys):
+            yield back.recv()
+            yield a.timeout(0.25)
+            there.send("ping")
+
+    def client():
+        for _ in range(volleys):
+            back.send("pong")
+            yield there.recv()
+            yield b.timeout(0.5)
+
+    a.spawn(server())
+    b.spawn(client())
+
+
+def test_idle_and_drained_domains_cost_no_drain_calls(drains):
+    small = World()
+    _ping_pong(small, small.domain("a"), small.domain("b"))
+    small.run()
+    baseline = len(drains)
+    assert baseline > 40
+
+    big = World()
+    a, b = big.domain("a"), big.domain("b")
+    idle = [big.domain(f"idle{i}") for i in range(15)]
+    spent = [big.domain(f"spent{i}") for i in range(15)]
+    for i, dom in enumerate(spent):
+        # Fully connected to the talkers, so they are bounded like them.
+        big.channel(a, dom, 5e-6)
+        big.channel(dom, b, 5e-6)
+        dom.spawn(_advance(dom, 0.1 * i))
+    for dom in idle:
+        big.channel(dom, a, 5e-6)
+    big.run()  # the spent domains run dry here
+    del drains[:]
+    _ping_pong(big, a, b)
+    big.run()
+    assert len(drains) == baseline
+    assert set(drains) == {"a", "b"}
+
+
+def test_one_domain_world_runs_in_one_drain_call(drains):
+    world = World()
+    dom = world.domain("only")
+
+    def ticker():
+        for _ in range(50):
+            yield dom.timeout(0.5)
+
+    dom.spawn(ticker())
+    world.run()
+    assert drains == ["only"]
+    assert dom.now == 25.0 and world.rounds == 1
+
+
+def test_domains_tied_at_lbts_run_in_domain_order(drains):
+    world = World()
+    doms = [world.domain(n) for n in "abc"]
+    for i, dom in enumerate(doms):
+        world.channel(dom, doms[(i + 1) % 3], 5e-6)
+        dom.spawn(_advance(dom, 1.0))
+    doms[1].spawn(_advance(doms[1], 0.5))
+    world.run()
+    # t=0: everyone's first step; t=0.5: b alone; t=1.0: everyone again.
+    assert drains == ["a", "b", "c", "b", "a", "b", "c"]
+    assert world.rounds == 3
+
+
+def test_channel_added_between_runs_is_honoured():
+    world, a, b = two_domains()
+    log = []
+
+    def ticks(n):
+        for _ in range(n):
+            log.append(("tick", b.now))
+            yield b.timeout(0.1)
+
+    def send_after(ch, delay, value):
+        yield a.timeout(delay)
+        ch.send(value)
+
+    def receiver(ch):
+        log.append(((yield ch.recv()), b.now))
+
+    b.spawn(ticks(3))
+    world.run()  # no channel yet: b is unbounded
+    t0 = world.now
+    assert a.now == b.now == t0
+
+    # A stale "unbounded" window would run all of b's ticks before a's
+    # send and trip the conservative-violation check.
+    slow = world.channel(a, b, 0.25)
+    b.spawn(ticks(6))
+    b.spawn(receiver(slow))
+    a.spawn(send_after(slow, 0.15, "slow"))
+    world.run()
+    assert ("slow", pytest.approx(t0 + 0.15 + 0.25, abs=0)) in log
+    t1 = world.now
+
+    # Same again with a *shorter* second channel: a stale 0.25 s window
+    # would carry b past the arrival of a message sent over it.
+    fast = world.channel(a, b, 0.01)
+    b.spawn(ticks(4))
+    b.spawn(receiver(fast))
+    a.spawn(send_after(fast, 0.15, "fast"))
+    world.run()
+    assert ("fast", pytest.approx(t1 + 0.15 + 0.01, abs=0)) in log
+    times = [t for _, t in log]
+    assert times == sorted(times)
+
+
+def test_conservative_violation_checked_at_send():
+    world, a, b = two_domains()
+    ch = world.channel(a, b, 5e-6)
+    # Stopping on an event leaves the clocks apart (no quiescent
+    # re-join): b is at 3.0 while a never left 0.0.
+    world.run(b.spawn(_advance(b, 3.0)))
+    assert (a.now, b.now) == (0.0, 3.0)
+    with pytest.raises(SimulationError, match="conservative violation"):
+        ch.send("late")
+    assert ch.messages_sent == 0 and b.events_pending == 0
 
 
 # --- clock monotonicity assertion (satellite) -----------------------------------

@@ -85,6 +85,12 @@ CHAOS_OVERHEAD_TOLERANCE = 0.02
 #: the hash cache + dirty-extent sizing it sat at ~0.83).
 WALL_RATIO_TOLERANCE = 0.30
 
+#: Sharding the token ring into one clock domain per machine may cost at
+#: most this fraction of single-engine events/s (the ``domains`` gate).
+#: A same-process ratio, so machine speed cancels out: 0.58-0.66 under
+#: the per-round floor/fixpoint loop, ~0.75 on the min-timestamp-first one.
+DOMAINS_RATIO_FLOOR = 0.5
+
 
 def load_committed(path: Path = COMMITTED_REPORT) -> dict:
     """The checked-in baseline report ({} when absent/unreadable)."""
@@ -461,11 +467,12 @@ def _domains_scenario(multi: bool, n_machines: int = 4,
 def bench_domains(repeats: int = 10) -> dict:
     """Single- vs multi-domain scheduler throughput (``--section domains``).
 
-    Record-only: the conservative loop runs its domains *sequentially*
-    on one core, so multi-domain mode buys isolation and per-machine
-    clocks, not parallel speedup — the events/s ratio here is the honest
-    price of the round/floor bookkeeping.  ``effective_cpus`` is
-    recorded so a future parallel executor has a baseline to beat.
+    The conservative loop runs its domains *sequentially* on one core,
+    so multi-domain mode buys isolation and per-machine clocks, not
+    parallel speedup — the events/s ratio here is the price of one
+    drain window per domain per distinct timestamp, gated at
+    :data:`DOMAINS_RATIO_FLOOR`.  ``effective_cpus`` is recorded so a
+    future parallel executor has a baseline to beat.
     """
     from repro.parallel.engine import effective_cpu_count
 
@@ -489,13 +496,16 @@ def bench_domains(repeats: int = 10) -> dict:
 
     single_eps = throughput(multi=False)
     multi_eps = throughput(multi=True)
+    ratio = multi_eps / single_eps
     return {
         "n_machines": 4,
         "scenario_events": events_single,
         "virtual_end_identical": True,
         "single_domain_events_per_s": single_eps,
         "multi_domain_events_per_s": multi_eps,
-        "multi_vs_single": multi_eps / single_eps,
+        "multi_vs_single": ratio,
+        "floor": DOMAINS_RATIO_FLOOR,
+        "within_floor": ratio >= DOMAINS_RATIO_FLOOR,
         "effective_cpus": effective_cpu_count(),
         "note": ("multi-domain mode executes domains sequentially under "
                  "the conservative sync loop; it does not use more than "
@@ -957,7 +967,6 @@ def main(argv: list[str] | None = None) -> int:
             return 1
         return 0
     if args.section == "domains":
-        # Record-only: no regression gate until domains run in parallel.
         row = bench_domains()
         _print_domains(row)
         if args.out:
@@ -965,6 +974,11 @@ def main(argv: list[str] | None = None) -> int:
                 json.dump({"schema": "bench-wallclock/v1",
                            "domains": row}, fh, indent=2, sort_keys=True)
                 fh.write("\n")
+        if not row["within_floor"] and not args.no_regress_check:
+            print(f"REGRESSION: multi-domain events/s is "
+                  f"{row['multi_vs_single']:.2f}x single-engine, below the "
+                  f"{DOMAINS_RATIO_FLOOR:.2f}x floor", file=sys.stderr)
+            return 1
         return 0
     if args.section == "fleet":
         # Record-only: the virtual-time results are deterministic; the
