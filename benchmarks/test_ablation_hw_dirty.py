@@ -11,7 +11,7 @@ recopy-side difference.
 import pytest
 
 from repro import units
-from repro.core.protocols.hw_dirty import checkpoint_recopy_hw
+from repro.core.protocols import registry
 from repro.core.quiesce import resume
 from repro.experiments.harness import ExperimentResult, build_world, setup_app
 from repro.tasks.fault_tolerance import EXPERIMENT_CHUNK
@@ -52,9 +52,10 @@ def run() -> ExperimentResult:
     setup_app(world, warm=1)
 
     def hw_driver(eng):
-        handle = eng.spawn(checkpoint_recopy_hw(
-            eng, world.process, phos.medium, phos.criu, keep_stopped=True,
-            chunk_bytes=EXPERIMENT_CHUNK,
+        protocol = registry.create("hw-dirty", keep_stopped=True,
+                                   chunk_bytes=EXPERIMENT_CHUNK)
+        handle = eng.spawn(protocol.checkpoint(
+            eng, process=world.process, medium=phos.medium, criu=phos.criu,
         ))
         eng.spawn(world.workload.run(STEPS_DURING))
         t_mark = {}
@@ -64,9 +65,9 @@ def run() -> ExperimentResult:
             t_mark["end"] = eng.now
 
         eng.spawn(watch(eng))
-        image, recopied = yield handle
+        yield handle
         resume([world.process])
-        return recopied
+        return protocol.last_recopied_bytes
 
     hw_bytes = eng.run_process(hw_driver(eng))
     result.add(tracker="hw-dirty-bits", recopied_gb=hw_bytes / units.GB,

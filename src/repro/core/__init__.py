@@ -9,10 +9,12 @@ This package is the paper's primary contribution:
 * :mod:`repro.core.validation` — twin-kernel cache plus violation
   handling (Fig. 6);
 * :mod:`repro.core.protocols` — soft copy-on-write (§4.2), soft recopy
-  (§4.3), concurrent on-demand restore (§6), and the stop-the-world
-  baseline protocol;
-* :mod:`repro.core.engine` — the checkpoint data mover with coordinated
-  CPU→GPU ordering and prioritized application PCIe transfer (§5);
+  (§4.3) and the delta/streaming protocols built on its skeleton,
+  concurrent on-demand restore (§6), and the stop-the-world baseline
+  protocol — all reached through ``protocols.registry``;
+* :mod:`repro.core.engine` — :class:`~repro.core.engine.DataMover`,
+  one run's config-bound data movers with coordinated CPU→GPU ordering
+  and prioritized application PCIe transfer (§5);
 * :mod:`repro.core.context_pool` / :mod:`repro.core.daemon` — the
   context pool and the PHOS OS service (§3, §6);
 * :mod:`repro.core.frequency` / :mod:`repro.core.sdk` — the optimal

@@ -282,10 +282,7 @@ class Phos:
             ctx = getattr(protocol, "last_context", None)
             session = getattr(ctx, "session", None)
             if session is not None:
-                try:
-                    session.abort(f"process {process.name!r} killed")
-                except TypeError:
-                    session.abort()  # RestoreSession.abort() takes no reason
+                session.abort(f"process {process.name!r} killed")
             if handle is not None and not handle.triggered:
                 try:
                     handle.interrupt(teardown)

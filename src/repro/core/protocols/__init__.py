@@ -14,12 +14,13 @@ Every protocol is a phase-structured subclass of
   start time;
 * ``recopy`` — :mod:`repro.core.protocols.recopy`: soft recopy
   checkpoint (§4.3): image equals a stop-the-world checkpoint at the
-  end time;
+  end time; also the concurrent-copy → re-quiesce → recopy skeleton
+  the other t2-cut protocols subclass;
 * ``hw-dirty`` — :mod:`repro.core.protocols.hw_dirty`: the §9
   hypothetical hardware-dirty-bit recopy (no speculation frontend);
-* ``incremental`` — :mod:`repro.core.protocols.incremental`: delta
-  checkpoints against a parent image (chunk-level dedup, cost scales
-  with dirty bytes);
+* ``incremental`` — :mod:`repro.core.protocols.incremental`: recopy
+  plus a delta seal — checkpoints against a parent image (chunk-level
+  dedup, cost scales with dirty bytes);
 * ``continuous`` — :mod:`repro.core.protocols.continuous`: a streamed
   chain of incremental checkpoints committed to the DRAM tier per
   round, with asynchronous tiered write-behind (DRAM → SSD → remote);
@@ -27,8 +28,9 @@ Every protocol is a phase-structured subclass of
   concurrent on-demand restore (§6) with rollback-to-stop-world on
   mis-speculation.
 
-The legacy free functions (``checkpoint_cow`` & co.) remain as thin
-wrappers over the protocol classes.
+There are no per-protocol free functions: callers instantiate a
+protocol through :func:`registry.create` and drive its ``checkpoint``
+/ ``restore`` generator, exactly as the daemon does.
 """
 
 from repro.core.protocols import registry
@@ -40,19 +42,12 @@ from repro.core.protocols.base import (
     ProtocolContext,
 )
 from repro.core.protocols.continuous import ContinuousCheckpoint, StreamSummary
-from repro.core.protocols.cow import CowCheckpoint, checkpoint_cow
-from repro.core.protocols.hw_dirty import HwDirtyCheckpoint, checkpoint_recopy_hw
-from repro.core.protocols.incremental import (
-    IncrementalCheckpoint,
-    checkpoint_incremental,
-)
-from repro.core.protocols.recopy import RecopyCheckpoint, checkpoint_recopy
-from repro.core.protocols.restore import ConcurrentRestore, restore_concurrent, restore_stop_world
-from repro.core.protocols.stop_world import (
-    StopWorldCheckpoint,
-    StopWorldRestore,
-    checkpoint_stop_world,
-)
+from repro.core.protocols.cow import CowCheckpoint
+from repro.core.protocols.hw_dirty import HwDirtyCheckpoint
+from repro.core.protocols.incremental import IncrementalCheckpoint
+from repro.core.protocols.recopy import RecopyCheckpoint
+from repro.core.protocols.restore import ConcurrentRestore
+from repro.core.protocols.stop_world import StopWorldCheckpoint, StopWorldRestore
 
 __all__ = [
     "CHECKPOINT_PHASES",
@@ -70,11 +65,4 @@ __all__ = [
     "StopWorldRestore",
     "HwDirtyCheckpoint",
     "ConcurrentRestore",
-    "checkpoint_cow",
-    "checkpoint_incremental",
-    "checkpoint_recopy",
-    "checkpoint_recopy_hw",
-    "checkpoint_stop_world",
-    "restore_concurrent",
-    "restore_stop_world",
 ]

@@ -19,8 +19,8 @@ factors that skeleton out:
   hooks (``phase_admit``, ``phase_plan``, ``phase_transfer``,
   ``phase_validate``, ``phase_commit``/``phase_abort``); the drivers
   :meth:`Protocol.checkpoint` and :meth:`Protocol.restore` sequence
-  them inside the protocol's obs span and hand each run a shared
-  :class:`~repro.core.transfer.TransferPlanner`.
+  them inside the protocol's obs span and hand each run one
+  config-bound :class:`~repro.core.engine.DataMover`.
 
 Concrete protocols register themselves by name in
 :mod:`repro.core.protocols.registry`; the daemon, SDK, CLI, tasks and
@@ -35,9 +35,9 @@ from dataclasses import dataclass, field
 from typing import Any, ClassVar, Optional
 
 from repro import chaos, obs, units
+from repro.core.engine import DataMover
 from repro.core.quiesce import quiesce, resume
-from repro.core.session import COW_POOL_BYTES
-from repro.core.transfer import TransferPlanner
+from repro.core.session import COW_POOL_BYTES, BufState, CheckpointSession
 from repro.errors import CheckpointError, ReproError, SimulationError
 
 #: The declarative phase sequence of a checkpoint protocol run.
@@ -190,7 +190,6 @@ class ProtocolContext:
 
     engine: Any
     config: ProtocolConfig
-    planner: TransferPlanner
     medium: Any
     criu: Any
     name: str = ""
@@ -210,7 +209,6 @@ class ProtocolContext:
     gpu_indices: Any = None
     context_pool: Any = None
     frontend_mode: str = "lfc"
-    context_requirements: Any = None
     #: Baseline cost model resolved for this run (stop-the-world).
     baseline: Any = None
     #: Scratch space for protocol-specific state.
@@ -220,12 +218,17 @@ class ProtocolContext:
     #: ones so no orphaned generator keeps holding DMA engines or
     #: priority-resource slots; ``Phos.kill`` cancels them too.
     workers: list = field(default_factory=list)
+    #: The run's data movers, sharing ``workers`` so the streams they
+    #: spawn are cancellable on teardown too.
+    mover: DataMover = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.mover = DataMover(self.engine, self.config, self.tracer,
+                               self.workers)
 
     def spawn_worker(self, gen, name: str):
         """Spawn a child simulation process and track it for teardown."""
-        proc = self.engine.spawn(gen, name=name)
-        self.workers.append(proc)
-        return proc
+        return self.mover.spawn(gen, name)
 
 
 class Protocol:
@@ -250,6 +253,10 @@ class Protocol:
     #: (speculation-based protocols do; stop-the-world and the
     #: hardware-dirty-bit hypothetical do not).
     needs_frontend: ClassVar[bool] = False
+    #: :class:`~repro.core.session.CheckpointSession` mode the plan
+    #: phase opens ("cow" / "recopy"); None = the protocol runs without
+    #: a speculation session.
+    session_mode: ClassVar[Optional[str]] = None
     #: One-line description for ``phos protocols`` and the docs.
     summary: ClassVar[str] = ""
 
@@ -277,7 +284,7 @@ class Protocol:
 
     # -- drivers -------------------------------------------------------------------
     def checkpoint(self, engine, *, process, medium, criu, frontend=None,
-                   name: str = "", tracer=None, planner=None):
+                   name: str = "", tracer=None):
         """Start a checkpoint run; returns the phase-driver generator.
 
         The generator's result is ``(image, session_or_None)``.
@@ -297,16 +304,13 @@ class Protocol:
         ctx = ProtocolContext(
             engine=engine, config=self.config, medium=medium, criu=criu,
             name=name, tracer=tracer, process=process, frontend=frontend,
-            planner=planner or TransferPlanner(engine, self.config, tracer),
         )
-        ctx.planner.workers = ctx.workers
         self.last_context = ctx
         return self._run_checkpoint(ctx)
 
     def restore(self, engine, image, machine, gpu_indices, medium, criu, *,
                 name: str = "restored", context_pool=None,
-                frontend_mode: str = "lfc", context_requirements=None,
-                tracer=None, planner=None):
+                frontend_mode: str = "lfc", tracer=None):
         """Start a restore run; returns the phase-driver generator.
 
         The generator's result is ``(process, frontend_or_None,
@@ -322,10 +326,7 @@ class Protocol:
             name=name, tracer=tracer, image=image, machine=machine,
             gpu_indices=gpu_indices, context_pool=context_pool,
             frontend_mode=frontend_mode,
-            context_requirements=context_requirements,
-            planner=planner or TransferPlanner(engine, self.config, tracer),
         )
-        ctx.planner.workers = ctx.workers
         self.last_context = ctx
         return self._run_restore(ctx)
 
@@ -504,7 +505,11 @@ class Protocol:
         return attrs
 
     def phase_admit(self, ctx: ProtocolContext):
-        """Gate the run (e.g. wait for an in-flight restore)."""
+        """Gate the run: speculating checkpoints wait out a restore."""
+        # A checkpoint of a partially-restored process would capture
+        # not-yet-loaded buffers; wait for any in-flight restore first.
+        if self.needs_frontend and ctx.frontend.restore_session is not None:
+            yield ctx.frontend.restore_session.done
 
     def phase_quiesce(self, ctx: ProtocolContext):
         """Stop the process; records the cut time ``ctx.t_quiesce``."""
@@ -512,7 +517,23 @@ class Protocol:
         ctx.t_quiesce = ctx.engine.now
 
     def phase_plan(self, ctx: ProtocolContext):
-        """Record metadata, build the session/copy plan, resume."""
+        """Record metadata; speculating protocols open the session
+        (``session_mode``), inherit from the parent, and resume."""
+        record_modules(ctx.image, ctx.process)
+        if self.session_mode is None:
+            return
+        ctx.session = CheckpointSession(
+            ctx.engine, self.session_mode, ctx.image, self.config.cow_pool_bytes
+        )
+        ctx.frontend.begin_checkpoint(
+            ctx.session, hot_order=ctx.mover.copy_order(self.session_mode)
+        )
+        self.inherit_parent(ctx)
+        resume([ctx.process])
+
+    def inherit_parent(self, ctx: ProtocolContext) -> None:
+        """Plan-phase hook: skip buffers a parent image already holds
+        (runs quiesced, after the session opened)."""
 
     def phase_transfer(self, ctx: ProtocolContext):
         """Move the data (usually concurrently with execution)."""
@@ -522,8 +543,14 @@ class Protocol:
         return True
 
     def phase_commit(self, ctx: ProtocolContext):
-        """Finalize and return the run's result."""
-        raise NotImplementedError
+        """Finalize the image at its cut time (``t_image``, else the
+        quiesce point) and resume unless ``keep_stopped``."""
+        ctx.image.finalize(
+            ctx.t_quiesce if ctx.t_image is None else ctx.t_image
+        )
+        if not self.config.keep_stopped:
+            resume([ctx.process])
+        return ctx.image, ctx.session
 
     def phase_abort(self, ctx: ProtocolContext):
         """Mis-speculation recovery (only protocols that can abort)."""
@@ -543,3 +570,39 @@ def record_modules(image, process) -> None:
         "gpu_indices": list(process.gpu_indices),
         "cpu_pages": process.host.memory.n_pages,
     }
+
+
+def mark_unchanged(frontend, session, parent,
+                   copy_records: bool = False) -> dict[int, set[int]]:
+    """Mark parent-clean buffers DONE; returns the reused ids per GPU.
+
+    A buffer is skipped only when its layout matches the parent's
+    record and the frontend has not seen it written since the parent's
+    checkpoint time.  Soundness rests on the write-heat history, which
+    validated speculation keeps honest inside checkpoint windows (and
+    ``always_instrument`` extends to all execution); validator-reported
+    hidden writes update the history, so such buffers are never
+    skipped.  With ``copy_records`` (CoW, whose image is cut at t1) the
+    parent's record is inherited into the image with no data movement;
+    in recopy mode a write landing *after* this marking re-dirties the
+    buffer (DONE buffers stay dirty-tracked) and the final recopy pass
+    recaptures it.
+    """
+    cutoff = parent.checkpoint_time
+    reused: dict[int, set[int]] = {}
+    for gpu_index, plan in session.plan.items():
+        parent_records = parent.gpu_buffers.get(gpu_index, {})
+        ids = reused[gpu_index] = set()
+        for buf in plan:
+            record = parent_records.get(buf.id)
+            if record is None or record.addr != buf.addr or record.size != buf.size:
+                continue  # layout changed: full capture for this buffer
+            history = frontend.write_history.get(buf.id)
+            if history is not None and history[1] > cutoff:
+                continue  # written since the parent: must be re-captured
+            if copy_records:
+                session.image.add_gpu_buffer(gpu_index, record)
+            session.set_state(buf, BufState.DONE)
+            session.stats.bytes_skipped_incremental += buf.size
+            ids.add(buf.id)
+    return reused

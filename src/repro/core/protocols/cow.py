@@ -10,29 +10,18 @@ falls back to a stop-the-world retry for liveness.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro import obs
-from repro.core.frontend import PhosFrontend
+from repro.core.protocols import registry
 from repro.core.protocols.base import (
     RETRY_SUPPORTS,
     Protocol,
-    ProtocolConfig,
     ProtocolContext,
-    record_modules,
+    mark_unchanged,
 )
-from repro.core.protocols.registry import register
-from repro.core.protocols.stop_world import checkpoint_stop_world
-from repro.core.quiesce import resume
-from repro.core.session import COW_POOL_BYTES, CheckpointSession
-from repro.cpu.criu import CriuEngine
-from repro.sim.engine import Engine
-from repro.sim.trace import Tracer
 from repro.storage.image import CheckpointImage
-from repro.storage.media import Medium
 
 
-@register
+@registry.register
 class CowCheckpoint(Protocol):
     """Soft CoW: concurrent copy, image cut at the quiesce time t1."""
 
@@ -44,37 +33,29 @@ class CowCheckpoint(Protocol):
         "parent",
     }) | RETRY_SUPPORTS
     needs_frontend = True
+    session_mode = "cow"
     summary = ("concurrent copy isolated by CoW guards; image equals a "
                "stop-the-world checkpoint at t1 (§4.2)")
 
     def prepare(self, ctx: ProtocolContext) -> None:
         ctx.image = CheckpointImage(name=ctx.name or f"cow-{ctx.process.name}")
 
-    def phase_admit(self, ctx: ProtocolContext):
-        # A checkpoint of a partially-restored process would capture
-        # not-yet-loaded buffers; wait for any in-flight restore first.
-        if ctx.frontend.restore_session is not None:
-            yield ctx.frontend.restore_session.done
-
-    def phase_plan(self, ctx: ProtocolContext) -> None:
-        record_modules(ctx.image, ctx.process)
-        ctx.session = CheckpointSession(
-            ctx.engine, "cow", ctx.image, self.config.cow_pool_bytes
-        )
-        # Coordinated copy ordering (§5): write-hot buffers first, so the
-        # imminent writes find them already checkpointed (no CoW needed).
-        ctx.frontend.begin_checkpoint(
-            ctx.session, hot_order=ctx.planner.copy_order(self.name)
-        )
-        if self.config.parent is not None:
-            _inherit_unchanged(ctx.frontend, ctx.session, self.config.parent)
-        resume([ctx.process])
+    def inherit_parent(self, ctx: ProtocolContext) -> None:
+        # ``parent`` enables *incremental* checkpointing (the GPU analog
+        # of CRIU's incremental dump, which the paper enables for the CPU
+        # side): a buffer unwritten since the parent's t1 inherits the
+        # parent's record with no data movement.
+        parent = self.config.parent
+        if parent is not None:
+            parent.require_finalized()
+            mark_unchanged(ctx.frontend, ctx.session, parent,
+                           copy_records=True)
 
     def phase_transfer(self, ctx: ProtocolContext):
         # Concurrent copy, CoW-isolated.
         try:
             with obs.span("copy"):
-                yield from ctx.planner.copy_all(
+                yield from ctx.mover.copy_all(
                     ctx.session, ctx.process, ctx.medium, ctx.criu
                 )
         finally:
@@ -82,88 +63,32 @@ class CowCheckpoint(Protocol):
             # kill) may race this finally with the driver's recovery.
             if ctx.frontend.ckpt_session is ctx.session:
                 ctx.frontend.end_checkpoint()
-            _release_shadows(ctx.session, ctx.process)
+            # Free any shadows an aborted copy phase left behind, through
+            # the protocol engine's idempotent teardown helper, so a
+            # teardown racing this cleanup never double-frees or
+            # double-credits the CoW pool.
+            self._release_session_memory(ctx.session, ctx.process)
 
     def phase_validate(self, ctx: ProtocolContext) -> bool:
         return not ctx.session.aborted
 
     def phase_abort(self, ctx: ProtocolContext):
-        # Liveness fallback (§4.2): discard, retry stop-the-world.
+        # Liveness fallback (§4.2): discard, retry stop-the-world.  The
+        # returned image comes from the retry; ``session.aborted`` tells
+        # the caller.
         session = ctx.session
         if ctx.tracer:
             ctx.tracer.mark("cow-abort", reason=session.abort_reason)
         obs.counter("cow/abort",
                     reason=session.abort_reason or "unknown").inc()
-        retry = yield from checkpoint_stop_world(
-            ctx.engine, ctx.process, ctx.medium, ctx.criu,
+        retry, _ = yield from registry.create("stop-world").checkpoint(
+            ctx.engine, process=ctx.process, medium=ctx.medium, criu=ctx.criu,
             name=f"{ctx.image.name}-retry", tracer=ctx.tracer,
         )
         return retry, session
 
     def phase_commit(self, ctx: ProtocolContext):
+        # The process has been running since the plan phase: nothing to
+        # resume, and the image is cut at the quiesce point.
         ctx.image.finalize(ctx.t_quiesce)
         return ctx.image, ctx.session
-
-
-def checkpoint_cow(engine: Engine, frontend: PhosFrontend, medium: Medium,
-                   criu: CriuEngine, name: str = "",
-                   coordinated: bool = True, prioritized: bool = True,
-                   cow_pool_bytes: int = COW_POOL_BYTES,
-                   chunk_bytes: Optional[int] = None,
-                   parent: Optional[CheckpointImage] = None,
-                   tracer: Optional[Tracer] = None):
-    """Generator: one CoW checkpoint of the frontend's process.
-
-    Returns ``(image, session)``.  On mis-speculation abort, the
-    returned image comes from the stop-the-world retry and
-    ``session.aborted`` is True.
-
-    ``parent`` enables *incremental* checkpointing (the GPU analog of
-    CRIU's incremental dump, which the paper enables for the CPU side):
-    a buffer the frontend has not seen written since the parent's
-    checkpoint time inherits the parent's record with no data movement.
-    Soundness rests on the write-heat history, which validated
-    speculation keeps honest inside checkpoint windows (and
-    ``always_instrument`` extends to all execution); validator-reported
-    hidden writes update the history, so such buffers are never skipped.
-    """
-    protocol = CowCheckpoint(ProtocolConfig(
-        coordinated=coordinated, prioritized=prioritized,
-        cow_pool_bytes=cow_pool_bytes, chunk_bytes=chunk_bytes,
-        parent=parent,
-    ))
-    return protocol.checkpoint(
-        engine, process=frontend.process, frontend=frontend, medium=medium,
-        criu=criu, name=name, tracer=tracer,
-    )
-
-
-def _inherit_unchanged(frontend: PhosFrontend, session: CheckpointSession,
-                       parent: CheckpointImage) -> None:
-    """Copy parent records for buffers unwritten since the parent's t1."""
-    from repro.core.session import BufState
-
-    parent.require_finalized()
-    cutoff = parent.checkpoint_time
-    for gpu_index, plan in session.plan.items():
-        parent_records = parent.gpu_buffers.get(gpu_index, {})
-        for buf in plan:
-            record = parent_records.get(buf.id)
-            if record is None or record.addr != buf.addr or record.size != buf.size:
-                continue  # layout changed: full copy for this buffer
-            history = frontend.write_history.get(buf.id)
-            if history is not None and history[1] > cutoff:
-                continue  # written since the parent: must be re-captured
-            session.image.add_gpu_buffer(gpu_index, record)
-            session.set_state(buf, BufState.DONE)
-            session.stats.bytes_skipped_incremental += buf.size
-
-
-def _release_shadows(session: CheckpointSession, process) -> None:
-    """Free any shadows left behind by an aborted copy phase.
-
-    Delegates to the protocol engine's idempotent teardown helper so a
-    teardown racing this phase-level cleanup (chaos kill, daemon kill)
-    never double-frees or double-credits the CoW pool.
-    """
-    Protocol._release_session_memory(session, process)

@@ -20,25 +20,16 @@ as ``hw-dirty``, so the daemon/SDK/CLI can run the ablation directly.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro import obs
-from repro.api.runtime import GpuProcess
 from repro.core.protocols.base import (
     RETRY_SUPPORTS,
     Protocol,
-    ProtocolConfig,
     ProtocolContext,
-    record_modules,
 )
 from repro.core.protocols.registry import register
 from repro.core.quiesce import quiesce, resume
-from repro.cpu.criu import CriuEngine
 from repro.gpu.dma import Direction
-from repro.sim.engine import Engine
-from repro.sim.trace import Tracer
 from repro.storage.image import CheckpointImage, GpuBufferRecord
-from repro.storage.media import Medium
 
 
 @register
@@ -62,7 +53,7 @@ class HwDirtyCheckpoint(Protocol):
     def phase_plan(self, ctx: ProtocolContext) -> None:
         # Clear every dirty bit at the (quiesced) cut, then resume: any
         # later write re-sets its buffer's bit for the recopy pass.
-        record_modules(ctx.image, ctx.process)
+        super().phase_plan(ctx)
         for gpu_index in ctx.process.gpu_indices:
             for buf in ctx.process.runtime.allocations[gpu_index]:
                 buf.hw_dirty = False
@@ -87,10 +78,8 @@ class HwDirtyCheckpoint(Protocol):
                     # are captured by this copy; writes during/after
                     # re-set the bit and trigger the recopy pass.
                     buf.hw_dirty = False
-                yield from ctx.planner.move(
-                    gpu, ctx.medium, buf.size, Direction.D2H,
-                    bandwidth=gpu.spec.pcie_bw,
-                )
+                yield from ctx.mover.move(gpu, ctx.medium, buf.size,
+                                          Direction.D2H)
                 ctx.image.add_gpu_buffer(gpu_index, GpuBufferRecord(
                     buffer_id=buf.id, addr=buf.addr, size=buf.size,
                     data=buf.snapshot(), tag=buf.tag,
@@ -113,15 +102,13 @@ class HwDirtyCheckpoint(Protocol):
             for i in process.gpu_indices
         ]
         yield engine.all_of(recopies)
+        ctx.t_image = engine.now
 
     def phase_commit(self, ctx: ProtocolContext):
-        ctx.image.finalize(ctx.engine.now)
         obs.counter("hw-dirty/recopied-bytes").inc(
             ctx.extras["recopied_bytes"]
         )
-        if not self.config.keep_stopped:
-            resume([ctx.process])
-        return ctx.image, None
+        return super().phase_commit(ctx)
 
     @property
     def last_recopied_bytes(self) -> int:
@@ -129,24 +116,3 @@ class HwDirtyCheckpoint(Protocol):
         if self.last_context is None:
             return 0
         return self.last_context.extras.get("recopied_bytes", 0)
-
-
-def checkpoint_recopy_hw(engine: Engine, process: GpuProcess, medium: Medium,
-                         criu: CriuEngine, name: str = "",
-                         keep_stopped: bool = False,
-                         chunk_bytes: Optional[int] = None,
-                         tracer: Optional[Tracer] = None):
-    """Generator: a recopy checkpoint driven by hardware dirty bits.
-
-    Returns ``(image, recopied_bytes)``.  Requires no PHOS frontend at
-    all — the hypothetical hardware provides the write set.
-    """
-    protocol = HwDirtyCheckpoint(ProtocolConfig(
-        keep_stopped=keep_stopped, chunk_bytes=chunk_bytes,
-    ))
-    gen = protocol.checkpoint(
-        engine, process=process, medium=medium, criu=criu, name=name,
-        tracer=tracer,
-    )
-    image, _session = yield from gen
-    return image, protocol.last_recopied_bytes

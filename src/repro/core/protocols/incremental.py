@@ -17,23 +17,13 @@ image as ``parent`` gets first-full-then-delta for free.
 
 from __future__ import annotations
 
-from typing import Optional
-
-from repro import obs
-from repro.core.frontend import PhosFrontend
 from repro.core.protocols.base import (
     RETRY_SUPPORTS,
-    Protocol,
-    ProtocolConfig,
     ProtocolContext,
-    record_modules,
+    mark_unchanged,
 )
+from repro.core.protocols.recopy import RecopyCheckpoint
 from repro.core.protocols.registry import register
-from repro.core.quiesce import quiesce, resume
-from repro.core.session import BufState, CheckpointSession
-from repro.cpu.criu import CriuEngine
-from repro.sim.engine import Engine
-from repro.sim.trace import Tracer
 from repro.storage.delta import (
     CHUNK_BYTES,
     DeltaImage,
@@ -41,22 +31,18 @@ from repro.storage.delta import (
     materialize,
     seal_delta,
 )
-from repro.storage.image import CheckpointImage
-from repro.storage.media import Medium
 
 
 @register
-class IncrementalCheckpoint(Protocol):
+class IncrementalCheckpoint(RecopyCheckpoint):
     """Delta checkpoint: skip parent-clean buffers, store changed chunks."""
 
     name = "incremental"
-    kind = "checkpoint"
     aliases = ("delta",)
     supports = frozenset({
         "coordinated", "prioritized", "chunk_bytes", "content_chunk_bytes",
         "keep_stopped", "bandwidth_scale", "parent",
     }) | RETRY_SUPPORTS
-    needs_frontend = True
     summary = ("recopy-style concurrent copy that skips buffers unwritten "
                "since the parent image and stores only changed chunks "
                "(content-addressed dedup); image equals a stop-the-world "
@@ -74,14 +60,7 @@ class IncrementalCheckpoint(Protocol):
             chunk_bytes=self.config.content_chunk_bytes or CHUNK_BYTES,
         )
 
-    def phase_admit(self, ctx: ProtocolContext):
-        # A checkpoint of a partially-restored process would capture
-        # not-yet-loaded buffers; wait for any in-flight restore first.
-        if ctx.frontend.restore_session is not None:
-            yield ctx.frontend.restore_session.done
-
     def phase_plan(self, ctx: ProtocolContext) -> None:
-        record_modules(ctx.image, ctx.process)
         parent = self.config.parent
         if parent is not None:
             # Materialize the parent chain once, up front (host-side
@@ -91,34 +70,43 @@ class IncrementalCheckpoint(Protocol):
             catalog = getattr(ctx.medium, "images", None)
             resolve = catalog.lookup if catalog is not None else None
             ctx.extras["parent_full"] = materialize(parent, resolve=resolve)
-        ctx.session = CheckpointSession(ctx.engine, "recopy", ctx.image)
-        ctx.frontend.begin_checkpoint(
-            ctx.session, hot_order=ctx.planner.copy_order(self.name)
-        )
-        if parent is not None:
-            ctx.extras["reused"] = _mark_unchanged(
-                ctx.frontend, ctx.session, ctx.extras["parent_full"]
-            )
-        ctx.extras["sizer"] = self._dirty_sizer(ctx)
-        resume([ctx.process])
+        super().phase_plan(ctx)
 
-    def _dirty_sizer(self, ctx: ProtocolContext):
+    def inherit_parent(self, ctx: ProtocolContext) -> None:
+        parent_full = ctx.extras.get("parent_full")
+        if parent_full is not None:
+            ctx.extras["reused"] = mark_unchanged(
+                ctx.frontend, ctx.session, parent_full
+            )
+
+    def copy_hooks(self, ctx: ProtocolContext):
+        parent_full = ctx.extras.get("parent_full")
+        if parent_full is None:
+            return None, None  # chain root: plain dump, whole buffers
+        parent_id = self.config.parent.id
+
+        def cpu_dump(host, image, medium):
+            return ctx.criu.dump_delta(host, image, medium,
+                                       parent_full.cpu_pages,
+                                       parent_id=parent_id)
+
+        return cpu_dump, self._dirty_sizer(ctx, parent_full)
+
+    def _dirty_sizer(self, ctx: ProtocolContext, parent_full):
         """The dirty-scaled transfer hook for this run, or None.
 
         With a parent whose epoch the hash cache still tracks, a
         captured buffer ships only the chunk-aligned spans of its
         pending dirty ranges (validated by an on-device hash scan at
-        HBM bandwidth — see ``copy_gpu_buffers``); any layout change or
+        HBM bandwidth — see ``DataMover._ship``); any layout change or
         epoch mismatch falls back to the full-buffer move.  Chain roots
         (no parent) always ship everything.
         """
-        parent = self.config.parent
-        parent_full = ctx.extras.get("parent_full")
         cache = getattr(ctx.frontend, "hash_cache", None)
-        if parent is None or parent_full is None or cache is None:
+        if cache is None:
             return None
         cb = ctx.image.chunk_bytes
-        parent_id = parent.id
+        parent_id = self.config.parent.id
 
         def sizer(gpu_index, buf):
             prec = parent_full.gpu_buffers.get(gpu_index, {}).get(buf.id)
@@ -137,53 +125,6 @@ class IncrementalCheckpoint(Protocol):
 
         return sizer
 
-    def phase_transfer(self, ctx: ProtocolContext):
-        engine, session, process = ctx.engine, ctx.session, ctx.process
-        parent_full = ctx.extras.get("parent_full")
-        sizer = ctx.extras.get("sizer")
-        cpu_dump = None
-        if parent_full is not None:
-            parent_id = self.config.parent.id
-
-            def cpu_dump(host, image, medium):
-                return ctx.criu.dump_delta(host, image, medium,
-                                           parent_full.cpu_pages,
-                                           parent_id=parent_id)
-        try:
-            with obs.span("copy"):
-                yield from ctx.planner.copy_all(
-                    session, process, ctx.medium, ctx.criu,
-                    cpu_dump=cpu_dump, sizer=sizer,
-                )
-            # Re-quiesce (writes during the drain still tracked; writes
-            # to a skipped buffer re-dirty it and force its recapture).
-            session.final_quiesce_start = engine.now
-            yield from quiesce(engine, [process], ctx.tracer)
-        finally:
-            # Guarded for idempotence against a racing teardown.
-            if ctx.frontend.ckpt_session is session:
-                ctx.frontend.end_checkpoint()
-        ctx.t_image = engine.now
-        with obs.span("recopy"):
-            dirty_pages = process.host.memory.dirty_pages()
-            yield from ctx.criu.recopy_dirty(process.host, ctx.image,
-                                             ctx.medium, dirty_pages)
-            recopies = [
-                ctx.spawn_worker(
-                    ctx.planner.recopy_dirty(
-                        session, process.machine.gpu(gpu_index), ctx.medium,
-                        sizer=sizer,
-                    ),
-                    name=f"recopy-gpu{gpu_index}",
-                )
-                for gpu_index in session.plan
-            ]
-            yield engine.all_of(recopies)
-            for gpu_index in session.plan:
-                # Buffers freed during the window do not exist at t2.
-                for buf_id in session.freed_ids[gpu_index]:
-                    ctx.image.gpu_buffers.get(gpu_index, {}).pop(buf_id, None)
-
     def phase_commit(self, ctx: ProtocolContext):
         session = ctx.session
         freed = {
@@ -193,61 +134,4 @@ class IncrementalCheckpoint(Protocol):
         seal_delta(ctx.image, ctx.extras.get("parent_full"),
                    reused=ctx.extras.get("reused"), freed=freed,
                    cache=getattr(ctx.frontend, "hash_cache", None))
-        ctx.image.finalize(ctx.t_image)
-        if not self.config.keep_stopped:
-            resume([ctx.process])
-        return ctx.image, ctx.session
-
-
-def _mark_unchanged(frontend: PhosFrontend, session: CheckpointSession,
-                    parent_full: CheckpointImage) -> dict[int, set[int]]:
-    """Mark parent-clean buffers DONE; returns the reused ids per GPU.
-
-    Same soundness argument as CoW's incremental inheritance: the
-    write-heat history is kept honest by validated speculation inside
-    checkpoint windows, and validator-reported hidden writes update it,
-    so a buffer is only skipped when it provably matches the parent.  A
-    write landing *after* this marking re-dirties the buffer (DONE
-    buffers stay dirty-tracked in recopy mode) and the final recopy
-    pass recaptures it.
-    """
-    cutoff = parent_full.checkpoint_time
-    reused: dict[int, set[int]] = {}
-    for gpu_index, plan in session.plan.items():
-        parent_records = parent_full.gpu_buffers.get(gpu_index, {})
-        ids: set[int] = set()
-        for buf in plan:
-            record = parent_records.get(buf.id)
-            if record is None or record.addr != buf.addr or record.size != buf.size:
-                continue  # layout changed: full capture for this buffer
-            history = frontend.write_history.get(buf.id)
-            if history is not None and history[1] > cutoff:
-                continue  # written since the parent: must be re-captured
-            session.set_state(buf, BufState.DONE)
-            session.stats.bytes_skipped_incremental += buf.size
-            ids.add(buf.id)
-        reused[gpu_index] = ids
-    return reused
-
-
-def checkpoint_incremental(engine: Engine, frontend: PhosFrontend,
-                           medium: Medium, criu: CriuEngine, name: str = "",
-                           parent: Optional[CheckpointImage] = None,
-                           coordinated: bool = True, prioritized: bool = True,
-                           keep_stopped: bool = False,
-                           bandwidth_scale: float = 1.0,
-                           chunk_bytes: Optional[int] = None,
-                           tracer: Optional[Tracer] = None):
-    """Generator: one incremental checkpoint.  Returns ``(image, session)``.
-
-    ``parent=None`` produces a self-contained chain root.
-    """
-    protocol = IncrementalCheckpoint(ProtocolConfig(
-        parent=parent, coordinated=coordinated, prioritized=prioritized,
-        keep_stopped=keep_stopped, bandwidth_scale=bandwidth_scale,
-        chunk_bytes=chunk_bytes,
-    ))
-    return protocol.checkpoint(
-        engine, process=frontend.process, frontend=frontend, medium=medium,
-        criu=criu, name=name, tracer=tracer,
-    )
+        return super().phase_commit(ctx)

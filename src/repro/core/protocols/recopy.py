@@ -4,29 +4,26 @@ Guarantee: the final image matches a stop-the-world checkpoint taken at
 the *end* of the copy phase ``t2`` — the freshest possible state, which
 live migration requires.  Four phases: quiesce, concurrent copy with
 dirty tracking, re-quiesce, recopy of the dirty buffers and CPU pages.
+
+:class:`RecopyCheckpoint` is also the skeleton every t2-cut protocol
+retrofits: a subclass overrides the image factory (:meth:`prepare`),
+the plan-phase :meth:`~repro.core.protocols.base.Protocol.inherit_parent`,
+the CPU-dump/sizer pair (:meth:`copy_hooks`) and seals its image in
+``phase_commit`` before the shared finalize — ``incremental`` is
+exactly that.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro import obs
-from repro.core.frontend import PhosFrontend
 from repro.core.protocols.base import (
     RETRY_SUPPORTS,
     Protocol,
-    ProtocolConfig,
     ProtocolContext,
-    record_modules,
 )
 from repro.core.protocols.registry import register
-from repro.core.quiesce import quiesce, resume
-from repro.core.session import CheckpointSession
-from repro.cpu.criu import CriuEngine
-from repro.sim.engine import Engine
-from repro.sim.trace import Tracer
+from repro.core.quiesce import quiesce
 from repro.storage.image import CheckpointImage
-from repro.storage.media import Medium
 
 
 @register
@@ -41,6 +38,7 @@ class RecopyCheckpoint(Protocol):
         "bandwidth_scale", "precopy_rounds",
     }) | RETRY_SUPPORTS
     needs_frontend = True
+    session_mode = "recopy"
     summary = ("concurrent copy with dirty tracking, re-quiesce, recopy "
                "the delta; image equals a stop-the-world checkpoint at "
                "t2 (§4.3)")
@@ -50,35 +48,26 @@ class RecopyCheckpoint(Protocol):
             name=ctx.name or f"recopy-{ctx.process.name}"
         )
 
-    def phase_admit(self, ctx: ProtocolContext):
-        # A checkpoint of a partially-restored process would capture
-        # not-yet-loaded buffers; wait for any in-flight restore first.
-        if ctx.frontend.restore_session is not None:
-            yield ctx.frontend.restore_session.done
-
-    def phase_plan(self, ctx: ProtocolContext) -> None:
-        record_modules(ctx.image, ctx.process)
-        ctx.session = CheckpointSession(ctx.engine, "recopy", ctx.image)
-        # §5's coordination for recopy is the CPU-before-GPU ordering in
-        # the planner's copy_all; buffer-level reordering does not pay
-        # off when write periods are shorter than the copy window (a
-        # buffer gets re-dirtied regardless of where in the window it is
-        # copied) — copy_order() returns None here.
-        ctx.frontend.begin_checkpoint(
-            ctx.session, hot_order=ctx.planner.copy_order(self.name)
-        )
-        resume([ctx.process])
+    def copy_hooks(self, ctx: ProtocolContext):
+        """``(cpu_dump, sizer)`` overrides for the movers (None = the
+        plain tracked CPU dump / whole-buffer moves)."""
+        return None, None
 
     def phase_transfer(self, ctx: ProtocolContext):
         engine, session, process = ctx.engine, ctx.session, ctx.process
+        cpu_dump, sizer = self.copy_hooks(ctx)
         # Concurrent copy with dirty tracking, then (optionally) the
         # iterative pre-copy rounds, then the final quiesce + recopy.
         try:
             with obs.span("copy"):
-                yield from ctx.planner.copy_all(
-                    session, process, ctx.medium, ctx.criu
+                yield from ctx.mover.copy_all(
+                    session, process, ctx.medium, ctx.criu,
+                    cpu_dump=cpu_dump, sizer=sizer,
                 )
-            # Iterative concurrent pre-copy rounds (§4.3 extension).
+            # Iterative concurrent pre-copy rounds (the §4.3 extension: "we
+            # can also iteratively do the concurrent recopy similar to
+            # CPU-based protocols [14]"): each round moves the current
+            # dirty delta while the application keeps dirtying.
             prev_bytes = None
             by_id = {
                 gpu_index: {b.id: b for b in session.plan[gpu_index]}
@@ -97,23 +86,28 @@ class RecopyCheckpoint(Protocol):
                 if round_bytes == 0:
                     break
                 if prev_bytes is not None and round_bytes >= 0.8 * prev_bytes:
-                    break  # the delta stopped shrinking: quiesce now
+                    # The delta stopped shrinking: quiesce now, so a
+                    # write-heavy steady state does not loop pointlessly.
+                    break
                 prev_bytes = round_bytes
                 for gpu_index in session.plan:
                     session.dirty[gpu_index] -= snapshot[gpu_index]
                 with obs.span("precopy-round", bytes=round_bytes):
                     passes = [
                         ctx.spawn_worker(
-                            ctx.planner.recopy_dirty(
+                            ctx.mover.recopy_dirty(
                                 session, process.machine.gpu(gpu_index),
                                 ctx.medium, dirty_ids=snapshot[gpu_index],
+                                sizer=sizer,
                             ),
                             name=f"precopy-gpu{gpu_index}",
                         )
                         for gpu_index in session.plan
                     ]
                     yield engine.all_of(passes)
-            # Re-quiesce (writes during the drain still tracked).
+            # Re-quiesce (writes during the drain still tracked; writes
+            # to a parent-skipped buffer re-dirty it and force its
+            # recapture).
             session.final_quiesce_start = engine.now
             yield from quiesce(engine, [process], ctx.tracer)
         finally:
@@ -131,8 +125,9 @@ class RecopyCheckpoint(Protocol):
             # concurrently.
             recopies = [
                 ctx.spawn_worker(
-                    ctx.planner.recopy_dirty(
+                    ctx.mover.recopy_dirty(
                         session, process.machine.gpu(gpu_index), ctx.medium,
+                        sizer=sizer,
                     ),
                     name=f"recopy-gpu{gpu_index}",
                 )
@@ -145,42 +140,3 @@ class RecopyCheckpoint(Protocol):
                     ctx.image.gpu_buffers.get(gpu_index, {}).pop(buf_id, None)
         if span is not None:
             ctx.tracer.end(span)
-
-    def phase_commit(self, ctx: ProtocolContext):
-        ctx.image.finalize(ctx.t_image)
-        if not self.config.keep_stopped:
-            resume([ctx.process])
-        return ctx.image, ctx.session
-
-
-def checkpoint_recopy(engine: Engine, frontend: PhosFrontend, medium: Medium,
-                      criu: CriuEngine, name: str = "",
-                      coordinated: bool = True, prioritized: bool = True,
-                      keep_stopped: bool = False,
-                      bandwidth_scale: float = 1.0,
-                      chunk_bytes: Optional[int] = None,
-                      precopy_rounds: int = 0,
-                      tracer: Optional[Tracer] = None):
-    """Generator: one recopy checkpoint.  Returns ``(image, session)``.
-
-    With ``keep_stopped=True`` the process is left quiesced after the
-    final recopy — live migration resumes it on the target node
-    instead.
-
-    ``precopy_rounds`` enables the iterative extension §4.3 mentions
-    ("we can also iteratively do the concurrent recopy similar to
-    CPU-based protocols [14]"): up to that many extra *concurrent*
-    recopy rounds run before the final quiesce, each moving the current
-    dirty delta while the application keeps dirtying; rounds stop early
-    once the delta stops shrinking, so a write-heavy steady state does
-    not loop pointlessly.
-    """
-    protocol = RecopyCheckpoint(ProtocolConfig(
-        coordinated=coordinated, prioritized=prioritized,
-        keep_stopped=keep_stopped, bandwidth_scale=bandwidth_scale,
-        chunk_bytes=chunk_bytes, precopy_rounds=max(0, precopy_rounds),
-    ))
-    return protocol.checkpoint(
-        engine, process=frontend.process, frontend=frontend, medium=medium,
-        criu=criu, name=name, tracer=tracer,
-    )

@@ -23,19 +23,19 @@ from repro.core.frontend import PhosFrontend
 from repro.core.protocols.base import (
     RETRY_SUPPORTS,
     Protocol,
-    ProtocolConfig,
     ProtocolContext,
 )
 from repro.errors import ContextCreationError
 from repro.core.protocols.registry import register
-from repro.core.protocols.stop_world import realloc_image_buffers, restore_stop_world
+from repro.core.protocols.stop_world import (
+    blank_process,
+    context_requirements,
+    realloc_image_buffers,
+)
 from repro.core.quiesce import quiesce, resume
 from repro.core.session import RestoreSession, RestoreState
-from repro.cpu.criu import CriuEngine
-from repro.gpu.context import ContextRequirements
 from repro.sim.engine import Engine
 from repro.sim.trace import Tracer
-from repro.storage.image import CheckpointImage
 from repro.storage.media import Medium
 
 
@@ -57,13 +57,7 @@ class ConcurrentRestore(Protocol):
         ctx.image.require_finalized()
 
     def phase_admit(self, ctx: ProtocolContext) -> None:
-        image = ctx.image
-        n_pages = (max(image.cpu_pages) + 1) if image.cpu_pages else 1
-        ctx.process = GpuProcess(
-            ctx.engine, ctx.machine, name=ctx.name,
-            gpu_indices=ctx.gpu_indices, cpu_pages=n_pages,
-            cpu_page_size=image.cpu_page_size,
-        )
+        ctx.process = blank_process(ctx)
         ctx.frontend = PhosFrontend(
             ctx.engine, ctx.process,
             mode="ipc" if ctx.context_pool is not None else ctx.frontend_mode,
@@ -82,10 +76,7 @@ class ConcurrentRestore(Protocol):
         ctx_span = tracer.begin("context-setup") if tracer else None
 
         def setup_one(gpu_index):
-            reqs = ContextRequirements(
-                n_modules=len(image.gpu_modules.get(gpu_index, [])),
-                nccl_gpus=len(gpu_indices) if len(gpu_indices) > 1 else 0,
-            )
+            reqs = context_requirements(ctx, gpu_index)
 
             def acquire_ctx():
                 # Graceful pool degradation: a failed pool acquire falls
@@ -106,7 +97,7 @@ class ConcurrentRestore(Protocol):
                 )
                 return created
 
-            context = yield from ctx.planner.retry.run(
+            context = yield from ctx.mover.retry.run(
                 engine, acquire_ctx, site="ctx-setup"
             )
             ctx.process.runtime.adopt_context(gpu_index, context)
@@ -144,16 +135,16 @@ class ConcurrentRestore(Protocol):
         else:
             for gpu_index in ctx.gpu_indices:
                 ctx.spawn_worker(
-                    ctx.planner.load_gpu(
+                    ctx.mover.load_gpu(
                         session, ctx.machine.gpu(gpu_index), ctx.medium
                     ),
                     name=f"restore-load-gpu{gpu_index}",
                 )
         # 3. CPU state: lazy (on-demand) restore so the CPU can run now.
         with obs.span("cpu-lazy-restore"):
-            cpu_session = yield from _drive(ctx.criu.restore(
+            cpu_session = yield from ctx.criu.restore(
                 ctx.image, ctx.process.host, ctx.medium, on_demand=True
-            ))
+            )
         ctx.process.runtime.lazy_cpu_session = cpu_session
         # 4. Watch for mis-speculation rollback, and drop interception
         #    once everything is resident (twins stop running — §4.1's
@@ -170,37 +161,10 @@ class ConcurrentRestore(Protocol):
         return ctx.process, ctx.frontend, ctx.session
 
 
-def restore_concurrent(engine: Engine, image: CheckpointImage, machine,
-                       gpu_indices: list[int], medium: Medium,
-                       criu: CriuEngine, name: str = "restored",
-                       context_pool=None, frontend_mode: str = "lfc",
-                       skip_data_copy: bool = False,
-                       tracer: Optional[Tracer] = None):
-    """Generator: set up the environment and start the concurrent restore.
-
-    Returns ``(process, frontend, session)`` as soon as the process can
-    run — data keeps streaming in the background; ``session.done``
-    fires when everything is resident.  ``skip_data_copy=True`` marks
-    all buffers restored immediately (GPU-direct migration already
-    placed the data in device memory).
-    """
-    protocol = ConcurrentRestore(ProtocolConfig(skip_data_copy=skip_data_copy))
-    return protocol.restore(
-        engine, image, machine, gpu_indices, medium, criu, name=name,
-        context_pool=context_pool, frontend_mode=frontend_mode, tracer=tracer,
-    )
-
-
 def _finish_watch(session: RestoreSession, frontend: PhosFrontend):
     yield session.done
     if frontend.restore_session is session:
         frontend.end_restore()
-
-
-def _drive(gen):
-    """Run a sub-generator to completion, forwarding its events."""
-    result = yield from gen
-    return result
 
 
 def _rollback_watch(engine: Engine, session: RestoreSession,
@@ -232,7 +196,3 @@ def _rollback_watch(engine: Engine, session: RestoreSession,
     resume([process])
     if not session.done.triggered:
         session.done.succeed()
-
-
-# re-exported convenience
-__all__ = ["ConcurrentRestore", "restore_concurrent", "restore_stop_world"]

@@ -14,28 +14,46 @@ frontend: the process is stopped, so there is nothing to validate.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro import chaos, obs
 from repro.api.runtime import GpuProcess
 from repro.core.protocols.base import (
     RETRY_SUPPORTS,
     Protocol,
-    ProtocolConfig,
     ProtocolContext,
-    record_modules,
 )
 from repro.core.protocols.registry import register
-from repro.core.quiesce import resume
-from repro.cpu.criu import CriuEngine
 from repro.gpu.context import ContextRequirements
-from repro.gpu.cost_model import PHOS_SPEC, BaselineSpec
+from repro.gpu.cost_model import PHOS_SPEC
 from repro.gpu.dma import CHECKPOINT_PRIORITY, Direction
-from repro.sim.engine import Engine
 from repro.sim.resources import acquired
-from repro.sim.trace import Tracer
 from repro.storage.image import CheckpointImage, GpuBufferRecord
-from repro.storage.media import Medium
+
+
+def _bulk_move(ctx: ProtocolContext, gpu, nbytes: int, direction: Direction,
+               site: str):
+    """Generator: one whole-buffer move at the baseline's data-path cost.
+
+    The system's per-buffer bookkeeping overhead, then the buffer as one
+    DMA submission at its effective PCIe rate, restarted per the run's
+    retry policy.
+    """
+    bandwidth = ctx.baseline.effective_pcie_bw(gpu.spec)
+    dma = gpu.dma.for_direction(direction)
+    flow = (ctx.medium.write_flow if direction is Direction.D2H
+            else ctx.medium.read_flow)
+
+    def attempt():
+        if chaos._injector is not None:
+            chaos._injector.trip("dma-error")
+        req = yield from acquired(dma, priority=CHECKPOINT_PRIORITY)
+        try:
+            yield from flow(nbytes, rate_cap=bandwidth)
+        finally:
+            dma.release(req)
+
+    if ctx.baseline.buffer_overhead > 0:
+        yield ctx.engine.timeout(ctx.baseline.buffer_overhead)
+    yield from ctx.mover.retry.run(ctx.engine, attempt, site=site)
 
 
 @register
@@ -59,13 +77,27 @@ class StopWorldCheckpoint(Protocol):
     def span_attrs(self, ctx: ProtocolContext) -> dict:
         return {"image": ctx.image.name, "system": ctx.baseline.name}
 
-    def phase_plan(self, ctx: ProtocolContext) -> None:
-        record_modules(ctx.image, ctx.process)
-
     def phase_transfer(self, ctx: ProtocolContext):
         engine, process, tracer = ctx.engine, ctx.process, ctx.tracer
         span = (tracer.begin("stop-world-copy", system=ctx.baseline.name)
                 if tracer else None)
+
+        def copy_one_gpu(gpu_index):
+            gpu = process.machine.gpu(gpu_index)
+            moved_counter = obs.counter(
+                f"dma/{gpu.dma.for_direction(Direction.D2H).name}/bytes",
+                priority=CHECKPOINT_PRIORITY, cls="bulk",
+                direction=Direction.D2H.value,
+            )
+            for buf in list(process.runtime.allocations[gpu_index]):
+                yield from _bulk_move(ctx, gpu, buf.size, Direction.D2H,
+                                      "sw-ckpt")
+                moved_counter.inc(buf.size)
+                ctx.image.add_gpu_buffer(gpu_index, GpuBufferRecord(
+                    buffer_id=buf.id, addr=buf.addr, size=buf.size,
+                    data=buf.snapshot(), tag=buf.tag,
+                ))
+
         with obs.span("copy"):
             # CPU state: the process is stopped, so a plain dump is
             # consistent.
@@ -73,73 +105,12 @@ class StopWorldCheckpoint(Protocol):
                                              ctx.medium)
             # Each GPU copies over its own PCIe link concurrently.
             copies = [
-                ctx.spawn_worker(
-                    _copy_gpu_stopped(engine, process, gpu_index, ctx.image,
-                                      ctx.medium, ctx.baseline,
-                                      retry=ctx.planner.retry),
-                    name=f"sw-ckpt-gpu{gpu_index}",
-                )
-                for gpu_index in process.gpu_indices
+                ctx.spawn_worker(copy_one_gpu(i), name=f"sw-ckpt-gpu{i}")
+                for i in process.gpu_indices
             ]
             yield engine.all_of(copies)
         if span is not None:
             tracer.end(span)
-
-    def phase_commit(self, ctx: ProtocolContext):
-        ctx.image.finalize(ctx.t_quiesce)
-        if not self.config.keep_stopped:
-            resume([ctx.process])
-        return ctx.image, None
-
-
-def checkpoint_stop_world(engine: Engine, process: GpuProcess,
-                          medium: Medium, criu: CriuEngine,
-                          baseline: Optional[BaselineSpec] = None,
-                          name: str = "", keep_stopped: bool = False,
-                          tracer: Optional[Tracer] = None):
-    """Generator: quiesce, copy everything, resume.  Returns the image."""
-    protocol = StopWorldCheckpoint(ProtocolConfig(
-        baseline=baseline, keep_stopped=keep_stopped,
-    ))
-    image, _session = yield from protocol.checkpoint(
-        engine, process=process, medium=medium, criu=criu, name=name,
-        tracer=tracer,
-    )
-    return image
-
-
-def _copy_gpu_stopped(engine, process, gpu_index, image, medium, baseline,
-                      retry=None):
-    gpu = process.machine.gpu(gpu_index)
-    bandwidth = baseline.effective_pcie_bw(gpu.spec)
-    dma = gpu.dma.for_direction(Direction.D2H)
-    moved_counter = obs.counter(
-        f"dma/{dma.name}/bytes", priority=CHECKPOINT_PRIORITY, cls="bulk",
-        direction=Direction.D2H.value,
-    )
-
-    def move_one(buf):
-        if chaos._injector is not None:
-            chaos._injector.trip("dma-error")
-        req = yield from acquired(dma, priority=CHECKPOINT_PRIORITY)
-        try:
-            yield from medium.write_flow(buf.size, rate_cap=bandwidth)
-        finally:
-            dma.release(req)
-        moved_counter.inc(buf.size)
-
-    for buf in list(process.runtime.allocations[gpu_index]):
-        if baseline.per_buffer_overhead > 0:
-            yield engine.timeout(baseline.per_buffer_overhead)
-        if retry is None:
-            yield from move_one(buf)
-        else:
-            yield from retry.run(engine, lambda b=buf: move_one(b),
-                                 site="sw-ckpt")
-        image.add_gpu_buffer(gpu_index, GpuBufferRecord(
-            buffer_id=buf.id, addr=buf.addr, size=buf.size,
-            data=buf.snapshot(), tag=buf.tag,
-        ))
 
 
 @register
@@ -162,34 +133,19 @@ class StopWorldRestore(Protocol):
         return {"image": ctx.image.name, "system": ctx.baseline.name}
 
     def phase_admit(self, ctx: ProtocolContext) -> None:
-        image = ctx.image
-        n_pages = (max(image.cpu_pages) + 1) if image.cpu_pages else 1
-        ctx.process = GpuProcess(
-            ctx.engine, ctx.machine, name=ctx.name,
-            gpu_indices=ctx.gpu_indices, cpu_pages=n_pages,
-            cpu_page_size=image.cpu_page_size,
-        )
+        ctx.process = blank_process(ctx)
 
     def phase_plan(self, ctx: ProtocolContext):
         engine, image, tracer = ctx.engine, ctx.image, ctx.tracer
-        gpu_indices = ctx.gpu_indices
         ctx_span = (tracer.begin("context-create", system=ctx.baseline.name)
                     if tracer else None)
 
         def create_one(gpu_index):
-            reqs = ctx.context_requirements or ContextRequirements(
-                n_modules=len(image.gpu_modules.get(gpu_index, [])),
-                nccl_gpus=len(gpu_indices) if len(gpu_indices) > 1 else 0,
-            )
-
-            def attempt():
-                created = yield from ctx.process.runtime.create_context(
-                    gpu_index, reqs
-                )
-                return created
-
-            context = yield from ctx.planner.retry.run(
-                engine, attempt, site="ctx-create"
+            reqs = context_requirements(ctx, gpu_index)
+            context = yield from ctx.mover.retry.run(
+                engine,
+                lambda: ctx.process.runtime.create_context(gpu_index, reqs),
+                site="ctx-create",
             )
             context.loaded_modules.update(image.gpu_modules.get(gpu_index, []))
 
@@ -197,7 +153,7 @@ class StopWorldRestore(Protocol):
         with obs.span("context-create"):
             creations = [
                 ctx.spawn_worker(create_one(i), name=f"ctx-create-gpu{i}")
-                for i in gpu_indices
+                for i in ctx.gpu_indices
             ]
             yield engine.all_of(creations)
         if ctx_span is not None:
@@ -205,41 +161,24 @@ class StopWorldRestore(Protocol):
 
     def phase_transfer(self, ctx: ProtocolContext):
         engine, image, tracer = ctx.engine, ctx.image, ctx.tracer
-        gpu_indices, medium, baseline = ctx.gpu_indices, ctx.medium, ctx.baseline
-        copy_span = (tracer.begin("restore-copy", system=baseline.name)
+        copy_span = (tracer.begin("restore-copy", system=ctx.baseline.name)
                      if tracer else None)
-        buffers = realloc_image_buffers(ctx.process, image, gpu_indices)
+        buffers = realloc_image_buffers(ctx.process, image, ctx.gpu_indices)
 
         def load_one_gpu(gpu_index):
             gpu = ctx.machine.gpu(gpu_index)
-            bandwidth = baseline.effective_pcie_bw(gpu.spec)
-            dma = gpu.dma.for_direction(Direction.H2D)
-
-            def fetch_one(record):
-                if chaos._injector is not None:
-                    chaos._injector.trip("dma-error")
-                req = yield from acquired(dma, priority=CHECKPOINT_PRIORITY)
-                try:
-                    yield from medium.read_flow(record.size,
-                                                rate_cap=bandwidth)
-                finally:
-                    dma.release(req)
-
             for buf, record in buffers[gpu_index]:
-                if baseline.per_buffer_overhead > 0:
-                    yield engine.timeout(baseline.per_buffer_overhead)
-                yield from ctx.planner.retry.run(
-                    engine, lambda r=record: fetch_one(r), site="sw-restore"
-                )
+                yield from _bulk_move(ctx, gpu, record.size, Direction.H2D,
+                                      "sw-restore")
                 buf.load_bytes(record.data)
 
         with obs.span("copy"):
             loads = [
                 ctx.spawn_worker(load_one_gpu(i), name=f"sw-restore-gpu{i}")
-                for i in gpu_indices
+                for i in ctx.gpu_indices
             ]
             yield engine.all_of(loads)
-            yield from ctx.criu.restore(image, ctx.process.host, medium)
+            yield from ctx.criu.restore(image, ctx.process.host, ctx.medium)
         if copy_span is not None:
             tracer.end(copy_span)
 
@@ -247,24 +186,25 @@ class StopWorldRestore(Protocol):
         return ctx.process, None, None
 
 
-def restore_stop_world(engine: Engine, image: CheckpointImage, machine,
-                       gpu_indices: list[int], medium: Medium,
-                       criu: CriuEngine, name: str = "restored",
-                       baseline: Optional[BaselineSpec] = None,
-                       context_requirements: Optional[ContextRequirements] = None,
-                       tracer: Optional[Tracer] = None):
-    """Generator: the full restoration barrier, then a runnable process.
-
-    Creates contexts from scratch (the §2.3 barrier), re-creates the
-    buffer layout, loads all data, restores CPU state.  Returns the new
-    process; the caller rebinds and resumes the workload.
-    """
-    protocol = StopWorldRestore(ProtocolConfig(baseline=baseline))
-    process, _frontend, _session = yield from protocol.restore(
-        engine, image, machine, gpu_indices, medium, criu, name=name,
-        context_requirements=context_requirements, tracer=tracer,
+def blank_process(ctx: ProtocolContext) -> GpuProcess:
+    """The empty process a restore fills, sized from the image."""
+    image = ctx.image
+    n_pages = (max(image.cpu_pages) + 1) if image.cpu_pages else 1
+    return GpuProcess(
+        ctx.engine, ctx.machine, name=ctx.name,
+        gpu_indices=ctx.gpu_indices, cpu_pages=n_pages,
+        cpu_page_size=image.cpu_page_size,
     )
-    return process
+
+
+def context_requirements(ctx: ProtocolContext,
+                         gpu_index: int) -> ContextRequirements:
+    """What one GPU's context must provide for the image's process."""
+    n_gpus = len(ctx.gpu_indices)
+    return ContextRequirements(
+        n_modules=len(ctx.image.gpu_modules.get(gpu_index, [])),
+        nccl_gpus=n_gpus if n_gpus > 1 else 0,
+    )
 
 
 def realloc_image_buffers(process: GpuProcess, image: CheckpointImage,

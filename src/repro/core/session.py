@@ -156,7 +156,7 @@ class CheckpointSession:
             self.dirty[gpu_index].add(buf.id)
             self.stats.dirty_marks += 1
 
-    def abort(self, reason: str) -> None:
+    def abort(self, reason: str = "") -> None:
         if not self.aborted:
             self.aborted = True
             self.abort_reason = reason
@@ -207,6 +207,7 @@ class RestoreSession:
         #: On-demand requests per GPU (kernels are waiting on these).
         self.demand: dict[int, deque[Buffer]] = {}
         self.aborted = False
+        self.abort_reason = ""
         self.abort_event: Event = engine.event(name="restore-abort")
         self.rolled_back = False
         self.stall_time = 0.0
@@ -242,10 +243,11 @@ class RestoreSession:
         if ev is not None:
             ev.succeed()
 
-    def abort(self) -> None:
+    def abort(self, reason: str = "") -> None:
         """Signal mis-speculation; the rollback watcher takes over."""
         if not self.aborted:
             self.aborted = True
+            self.abort_reason = reason
             self.abort_event.succeed()
 
     def request(self, gpu_index: int, buf: Buffer) -> None:

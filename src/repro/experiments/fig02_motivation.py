@@ -8,7 +8,7 @@ paper measures 3.1 s of context creation vs ~1.7-2.2 s of copy).
 
 from __future__ import annotations
 
-from repro.baselines.singularity import singularity_checkpoint, singularity_restore
+from repro import baselines
 from repro.cluster import Machine
 from repro.experiments.harness import ExperimentResult, build_world, setup_app
 
@@ -28,14 +28,15 @@ def run() -> ExperimentResult:
 
     def driver(eng):
         t0 = eng.now
-        image = yield from singularity_checkpoint(
-            eng, world.process, phos.medium, phos.criu, tracer=phos.tracer
+        image = yield from baselines.checkpoint(
+            "singularity", eng, world.process, phos.medium, phos.criu,
+            tracer=phos.tracer,
         )
         ckpt = eng.now - t0
         t1 = eng.now
         target = Machine(eng, name="target", n_gpus=world.spec.n_gpus)
-        yield from singularity_restore(
-            eng, image, target, list(range(world.spec.n_gpus)),
+        yield from baselines.restore(
+            "singularity", eng, image, target, list(range(world.spec.n_gpus)),
             phos.medium, phos.criu, tracer=phos.tracer,
         )
         restore = eng.now - t1

@@ -12,7 +12,7 @@ Llama2-13B training.  Three variants:
 
 from __future__ import annotations
 
-from repro.baselines.singularity import singularity_checkpoint
+from repro import baselines
 from repro.experiments.harness import (
     ExperimentResult,
     build_world,
@@ -47,8 +47,8 @@ def _measure(system: str, prioritized: bool = True, steps: int = 3):
                 world.process, mode="cow",
                 config=experiment_config(prioritized=prioritized))
         else:
-            handle = eng.spawn(singularity_checkpoint(
-                eng, world.process, phos.medium, phos.criu,
+            handle = eng.spawn(baselines.checkpoint(
+                system, eng, world.process, phos.medium, phos.criu,
                 tracer=phos.tracer))
         t1 = eng.now
         yield from world.workload.run(steps)

@@ -10,9 +10,8 @@ paper measures the recopied volume dropping from 50 to 27 GB per GPU
 
 from __future__ import annotations
 
-from repro import units
-from repro.baselines.singularity import singularity_checkpoint
-from repro.core.transfer import EXPERIMENT_CHUNK
+from repro import baselines, units
+from repro.core.engine import EXPERIMENT_CHUNK
 from repro.experiments.harness import (
     ExperimentResult,
     build_world,
@@ -57,8 +56,9 @@ def _measure_singularity():
 
     def driver(eng):
         t0 = eng.now
-        yield from singularity_checkpoint(
-            eng, world.process, phos.medium, phos.criu, tracer=phos.tracer
+        yield from baselines.checkpoint(
+            "singularity", eng, world.process, phos.medium, phos.criu,
+            tracer=phos.tracer,
         )
         return eng.now - t0
 

@@ -8,9 +8,9 @@ layers run, later layers' buffers stream in the background.
 
 from __future__ import annotations
 
+from repro import baselines
 from repro.cluster import Machine
 from repro.core.daemon import Phos
-from repro.baselines.singularity import singularity_restore
 from repro.experiments.harness import (
     ExperimentResult,
     build_world,
@@ -81,8 +81,8 @@ def _measure_singularity() -> dict:
 
     def sing_driver(eng):
         t0 = eng.now
-        process = yield from singularity_restore(
-            eng, image, worker, list(range(world.spec.n_gpus)),
+        process = yield from baselines.restore(
+            "singularity", eng, image, worker, list(range(world.spec.n_gpus)),
             phos2.medium, phos2.criu, tracer=phos2.tracer,
         )
         resume_at = eng.now

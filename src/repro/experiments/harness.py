@@ -16,7 +16,7 @@ from repro.apps.specs import get_spec
 from repro.cluster import Machine
 from repro.core.daemon import Phos
 from repro.core.protocols import ProtocolConfig
-from repro.core.transfer import EXPERIMENT_CHUNK
+from repro.core.engine import EXPERIMENT_CHUNK
 from repro.sim import Engine
 
 #: When True (``phos ... --obs``), every :func:`build_world` installs an
@@ -27,6 +27,10 @@ OBSERVE = False
 #: Observers created by :func:`build_world` while :data:`OBSERVE` was on,
 #: as ``(label, observer)`` pairs in creation order.
 collected_observers: list[tuple[str, "obs.Observer"]] = []
+
+#: The observer the latest :func:`build_world` installed (None when that
+#: world is unobserved), so the next world can retire it.
+_installed: Optional["obs.Observer"] = None
 
 #: When set, every experiment world runs as a (one-domain)
 #: ``sim.domains.World`` instead of a plain ``Engine``, exercising the
@@ -62,7 +66,7 @@ def run_cells(runner, cells, jobs=None, label: str = "") -> list:
 def experiment_config(**tunables) -> ProtocolConfig:
     """A :class:`ProtocolConfig` tuned for full-scale experiment runs.
 
-    Defaults ``chunk_bytes`` to :data:`~repro.core.transfer
+    Defaults ``chunk_bytes`` to :data:`~repro.core.engine
     .EXPERIMENT_CHUNK` (coarser DMA chunks, 8x fewer sim events);
     any explicit tunable overrides it.
     """
@@ -176,15 +180,21 @@ def build_world(spec_name: str, use_pool: bool = False,
 
     ``observe`` switches the observability layer on for this world
     (default: the module-level :data:`OBSERVE` flag, set by ``--obs``).
-    The observer stays installed — later worlds replace it, which is
-    fine because the simulator runs one world at a time; each world
-    keeps its own handle in ``world.observer``.
+    The observer stays installed until the next world is built — an
+    observed world replaces it, an unobserved one retires it (it would
+    stamp the new world's spans with the old engine's clock); each world
+    keeps its own handle in ``world.observer``.  An observer the caller
+    installed itself is left alone.
     """
+    global _installed
     engine = _new_engine()
     observer = None
     if OBSERVE if observe is None else observe:
         observer = obs.install(engine)
         collected_observers.append((spec_name, observer))
+    elif _installed is not None and obs.active() is _installed:
+        obs.uninstall()
+    _installed = observer
     spec = get_spec(spec_name)
     machine = Machine(engine, n_gpus=spec.n_gpus)
     phos = Phos(engine, machine, use_context_pool=use_pool)

@@ -146,7 +146,8 @@ class BaselineSpec:
 
     name: str
     copy_efficiency: float
-    per_buffer_overhead: float = 0.0
+    #: Per-buffer bookkeeping cost paid before each buffer's copy.
+    buffer_overhead: float = 0.0
     context_reuse: bool = False
 
     def effective_pcie_bw(self, spec: GpuSpec) -> float:
@@ -157,6 +158,6 @@ SINGULARITY_SPEC = BaselineSpec(name="singularity", copy_efficiency=1.0)
 CUDA_CHECKPOINT_SPEC = BaselineSpec(
     name="cuda-checkpoint",
     copy_efficiency=0.12,
-    per_buffer_overhead=0.4 * units.MSEC,
+    buffer_overhead=0.4 * units.MSEC,
 )
 PHOS_SPEC = BaselineSpec(name="phos", copy_efficiency=1.0)

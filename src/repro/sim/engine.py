@@ -30,9 +30,8 @@ table on the kind constants from :mod:`repro.sim.events`.
 
 FIFO-within-timestamp is exact: bucket append order is scheduling
 order, which is precisely the ``(when, seq)`` order of the historical
-single-heap scheduler.  ``Engine(legacy_heap=True)`` (or
-``REPRO_LEGACY_HEAP=1``) keeps that historical heap as a reference
-implementation; ``tests/test_property_scheduler.py`` drives random
+single-heap scheduler.  ``Engine(legacy_heap=True)`` keeps that
+historical heap as a reference implementation; ``tests/test_property_scheduler.py`` drives random
 event soups through both and asserts identical firing order.
 """
 
@@ -60,10 +59,6 @@ from repro.sim.events import (
 ProcessBody = Generator[Event, Any, Any]
 
 _INF = float("inf")
-
-#: Set to force every new :class:`Engine` onto the historical
-#: single-heap scheduler (A/B debugging of queue-order issues).
-LEGACY_HEAP_ENV = "REPRO_LEGACY_HEAP"
 
 #: Set to assert, on every dispatched timestamp, that the clock never
 #: moves backwards — a regression guard for the multi-domain
@@ -187,16 +182,13 @@ class Engine:
     The engine is single-threaded and deterministic: events scheduled for
     the same timestamp run in FIFO scheduling order.
 
-    ``legacy_heap=True`` (or ``REPRO_LEGACY_HEAP=1``) selects the
-    historical ``(when, seq, record)`` heapq scheduler — one pop per
-    record, no buckets — kept as the order-semantics reference for the
-    calendar queue's property tests.
+    ``legacy_heap=True`` selects the historical ``(when, seq, record)``
+    heapq scheduler — one pop per record, no buckets — kept as the
+    order-semantics reference for the calendar queue's property tests.
     """
 
-    def __init__(self, legacy_heap: Optional[bool] = None) -> None:
+    def __init__(self, legacy_heap: bool = False) -> None:
         self._now = 0.0
-        if legacy_heap is None:
-            legacy_heap = bool(os.environ.get(LEGACY_HEAP_ENV))
         self._legacy = legacy_heap
         #: Human label; a ClockDomain overrides it with the domain name.
         self.name = "engine"

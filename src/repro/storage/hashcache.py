@@ -24,7 +24,7 @@ recopy pass uses).  At the next seal:
 
 The pending ranges also drive *transfer* sizing: a delta checkpoint
 ships only the chunk-aligned dirty spans of each captured buffer after
-an on-device hash scan (see ``copy_gpu_buffers``), which is what moves
+an on-device hash scan (see ``DataMover._ship``), which is what moves
 the wall-clock cost to O(dirty).
 
 ``REPRO_NO_HASHCACHE=1`` is the kill switch: it disables hash

@@ -16,23 +16,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro import obs, units
+from repro import baselines, obs, units
 from repro.apps.base import provision
 from repro.apps.specs import get_spec
-from repro.baselines.cuda_checkpoint import (
-    cuda_checkpoint_checkpoint,
-    cuda_checkpoint_restore,
-)
-from repro.baselines.singularity import singularity_checkpoint, singularity_restore
 from repro.cluster import Machine
 from repro.core.daemon import Phos
+from repro.core.engine import EXPERIMENT_CHUNK
 from repro.core.frequency import optimal_frequency, wasted_gpu_hours
 from repro.core.protocols import ProtocolConfig
-from repro.core.transfer import EXPERIMENT_CHUNK
 from repro.errors import CheckpointError, InvalidValueError
 from repro.sim import Engine
 
-SYSTEMS = ("phos", "singularity", "cuda-checkpoint")
+SYSTEMS = ("phos", *baselines.SYSTEMS)
 
 __all__ = ["SYSTEMS", "EXPERIMENT_CHUNK", "FtMeasurement",
            "measure_checkpoint_overhead", "measure_restore_time",
@@ -75,7 +70,7 @@ def measure_checkpoint_overhead(system: str, spec_name: str,
     if system not in SYSTEMS:
         raise InvalidValueError(f"unknown system {system!r}")
     spec = get_spec(spec_name)
-    if system == "cuda-checkpoint" and spec.n_gpus > 1:
+    if not baselines.supports(system, spec.n_gpus):
         return FtMeasurement(system=system, app=spec_name, iter_time=0.0,
                              checkpoint_stall=0.0, supported=False)
     eng, machine, phos, process, workload, spec = _world(spec_name)
@@ -91,12 +86,10 @@ def measure_checkpoint_overhead(system: str, spec_name: str,
             handle = phos.checkpoint(
                 process, mode="cow",
                 config=ProtocolConfig(chunk_bytes=chunk_bytes))
-        elif system == "singularity":
-            handle = eng.spawn(singularity_checkpoint(
-                eng, process, phos.medium, phos.criu, tracer=phos.tracer))
         else:
-            handle = eng.spawn(cuda_checkpoint_checkpoint(
-                eng, process, phos.medium, phos.criu, tracer=phos.tracer))
+            handle = eng.spawn(baselines.checkpoint(
+                system, eng, process, phos.medium, phos.criu,
+                tracer=phos.tracer))
         t1 = eng.now
         yield from workload.run(span_iters)
         elapsed = eng.now - t1
@@ -120,7 +113,7 @@ def measure_restore_time(system: str, spec_name: str,
                          chunk_bytes: int = EXPERIMENT_CHUNK) -> float:
     """Time from restore request until the app completes a full step."""
     spec = get_spec(spec_name)
-    if system == "cuda-checkpoint" and spec.n_gpus > 1:
+    if not baselines.supports(system, spec.n_gpus):
         return float("nan")
     eng, machine, phos, process, workload, spec = _world(spec_name)
     use_pool = system == "phos"
@@ -143,14 +136,10 @@ def measure_restore_time(system: str, spec_name: str,
                 image, gpu_indices=list(range(spec.n_gpus)), concurrent=True
             )
             new_process, _frontend, session = result
-        elif system == "singularity":
-            new_process = yield from singularity_restore(
-                eng, image, phos_dst.machine, list(range(spec.n_gpus)),
-                phos_dst.medium, phos_dst.criu)
         else:
-            new_process = yield from cuda_checkpoint_restore(
-                eng, image, phos_dst.machine, list(range(spec.n_gpus)),
-                phos_dst.medium, phos_dst.criu)
+            new_process = yield from baselines.restore(
+                system, eng, image, phos_dst.machine,
+                list(range(spec.n_gpus)), phos_dst.medium, phos_dst.criu)
         workload.bind_restored(new_process)
         yield from workload.run(1)
         obs.record("task/restore-time", t0, system=system, app=spec_name)

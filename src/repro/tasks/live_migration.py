@@ -18,14 +18,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro import obs, units
+from repro import baselines, obs, units
 from repro.apps.base import provision
 from repro.apps.specs import get_spec
-from repro.baselines.cuda_checkpoint import (
-    cuda_checkpoint_checkpoint,
-    cuda_checkpoint_restore,
-)
-from repro.baselines.singularity import singularity_checkpoint, singularity_restore
 from repro.cluster import Cluster
 from repro.core.daemon import Phos
 from repro.core.protocols import ProtocolConfig
@@ -82,7 +77,7 @@ def migrate(system: str, spec_name: str, warm_steps: int = 2,
                 "system='phos'; the baselines run inline on one engine"
             )
         return _migrate_phos_domains(spec_name, spec, warm_steps, chunk_bytes)
-    if system == "cuda-checkpoint" and spec.n_gpus > 1:
+    if not baselines.supports(system, spec.n_gpus):
         return MigrationResult(system=system, app=spec_name, downtime=float("nan"),
                                total_time=float("nan"), supported=False)
     eng = Engine()
@@ -125,26 +120,14 @@ def migrate(system: str, spec_name: str, warm_steps: int = 2,
             new_process = result[0]
         else:
             stop_time = eng.now
-            if system == "singularity":
-                image = yield from singularity_checkpoint(
-                    eng, process, rdma, phos_src.criu, keep_stopped=True,
-                    tracer=phos_src.tracer,
-                )
-                new_process = yield from singularity_restore(
-                    eng, image, dst, list(range(spec.n_gpus)),
-                    dst.dram, phos_dst.criu,
-                )
-            elif system == "cuda-checkpoint":
-                image = yield from cuda_checkpoint_checkpoint(
-                    eng, process, rdma, phos_src.criu, keep_stopped=True,
-                    tracer=phos_src.tracer,
-                )
-                new_process = yield from cuda_checkpoint_restore(
-                    eng, image, dst, list(range(spec.n_gpus)),
-                    dst.dram, phos_dst.criu,
-                )
-            else:
-                raise InvalidValueError(f"unknown system {system!r}")
+            image = yield from baselines.checkpoint(
+                system, eng, process, rdma, phos_src.criu, keep_stopped=True,
+                tracer=phos_src.tracer,
+            )
+            new_process = yield from baselines.restore(
+                system, eng, image, dst, list(range(spec.n_gpus)),
+                dst.dram, phos_dst.criu,
+            )
         workload.bind_restored(new_process)
         # Downtime ends when the process can execute again; the step
         # after merely validates that it actually does.

@@ -15,11 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro import obs
+from repro import baselines, obs
 from repro.apps.base import provision
 from repro.apps.specs import get_spec
-from repro.baselines.cuda_checkpoint import cuda_checkpoint_restore
-from repro.baselines.singularity import singularity_restore
 from repro.cluster import Machine
 from repro.core.daemon import Phos
 from repro.core.protocols import ProtocolConfig
@@ -71,7 +69,7 @@ def cold_start(system: str, spec_name: str, n_requests: int = 8,
         raise InvalidValueError(
             f"chunk_bytes must be positive, got {chunk_bytes}"
         )
-    if system == "cuda-checkpoint" and spec.n_gpus > 1:
+    if not baselines.supports(system, spec.n_gpus):
         return ColdStartResult(system=system, app=spec_name,
                                end_to_end=float("nan"), exec_time=float("nan"),
                                supported=False)
@@ -105,18 +103,11 @@ def cold_start(system: str, spec_name: str, n_requests: int = 8,
                 concurrent=True, machine=worker,
             )
             new_process = result[0]
-        elif system == "singularity":
-            new_process = yield from singularity_restore(
-                eng, image, worker, list(range(spec.n_gpus)),
-                phos_worker.medium, phos_worker.criu,
-            )
-        elif system == "cuda-checkpoint":
-            new_process = yield from cuda_checkpoint_restore(
-                eng, image, worker, list(range(spec.n_gpus)),
-                phos_worker.medium, phos_worker.criu,
-            )
         else:
-            raise InvalidValueError(f"unknown system {system!r}")
+            new_process = yield from baselines.restore(
+                system, eng, image, worker, list(range(spec.n_gpus)),
+                phos_worker.medium, phos_worker.criu,
+            )
         t_exec = eng.now
         workload.bind_restored(new_process)
         yield from workload.run(n_requests)

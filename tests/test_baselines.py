@@ -2,12 +2,8 @@
 
 import pytest
 
+from repro import baselines
 from repro.api.runtime import GpuProcess
-from repro.baselines.cuda_checkpoint import (
-    cuda_checkpoint_checkpoint,
-    cuda_checkpoint_restore,
-)
-from repro.baselines.singularity import singularity_checkpoint, singularity_restore
 from repro.cluster import Machine
 from repro.cpu.criu import CriuEngine
 from repro.errors import CheckpointError
@@ -33,8 +29,8 @@ def test_singularity_checkpoint_is_consistent():
     def driver(eng):
         yield from app.setup()
         yield from app.run(2)
-        image = yield from singularity_checkpoint(
-            eng, process, machine.dram, criu
+        image = yield from baselines.checkpoint(
+            "singularity", eng, process, machine.dram, criu
         )
         # Quiesced for the whole copy: image == state at completion.
         expected, _ = snapshot_process(process)
@@ -51,12 +47,12 @@ def test_singularity_roundtrip():
     def driver(eng):
         yield from app.setup()
         yield from app.run(2)
-        image = yield from singularity_checkpoint(
-            eng, process, machine.dram, criu
+        image = yield from baselines.checkpoint(
+            "singularity", eng, process, machine.dram, criu
         )
         target = Machine(eng, name="t", n_gpus=1)
-        restored = yield from singularity_restore(
-            eng, image, target, [0], machine.dram, criu
+        restored = yield from baselines.restore(
+            "singularity", eng, image, target, [0], machine.dram, criu
         )
         return image, restored
 
@@ -69,7 +65,7 @@ def test_singularity_roundtrip():
 def test_cuda_checkpoint_slower_than_singularity():
     from repro.units import MIB
 
-    def timed(fn):
+    def timed(system):
         eng, machine, criu, process, _ = make_world()
         app = ToyApp(process, buf_size=64 * MIB)  # data-path bound
 
@@ -77,13 +73,14 @@ def test_cuda_checkpoint_slower_than_singularity():
             yield from app.setup()
             yield from app.run(1)
             t0 = eng.now
-            yield from fn(eng, process, machine.dram, criu)
+            yield from baselines.checkpoint(system, eng, process,
+                                            machine.dram, criu)
             return eng.now - t0
 
         return eng.run_process(driver(eng))
 
-    sing = timed(singularity_checkpoint)
-    cuda = timed(cuda_checkpoint_checkpoint)
+    sing = timed("singularity")
+    cuda = timed("cuda-checkpoint")
     assert cuda > 3 * sing  # orders-of-magnitude data-path gap
 
 
@@ -94,7 +91,8 @@ def test_cuda_checkpoint_rejects_multi_gpu():
     process = GpuProcess(eng, machine, name="multi", gpu_indices=[0, 1])
 
     def driver(eng):
-        yield from cuda_checkpoint_checkpoint(eng, process, machine.dram, criu)
+        yield from baselines.checkpoint("cuda-checkpoint", eng, process,
+                                        machine.dram, criu)
 
     with pytest.raises(CheckpointError, match="distributed"):
         eng.run_process(driver(eng))
@@ -104,8 +102,8 @@ def test_cuda_checkpoint_rejects_multi_gpu():
 
         image = CheckpointImage()
         image.finalize(0.0)
-        yield from cuda_checkpoint_restore(eng, image, machine, [0, 1],
-                                           machine.dram, criu)
+        yield from baselines.restore("cuda-checkpoint", eng, image, machine,
+                                     [0, 1], machine.dram, criu)
 
     with pytest.raises(CheckpointError, match="distributed"):
         eng.run_process(driver2(eng))
@@ -116,13 +114,13 @@ def test_restore_pays_context_creation():
 
     def driver(eng):
         yield from app.setup()
-        image = yield from singularity_checkpoint(
-            eng, process, machine.dram, criu
+        image = yield from baselines.checkpoint(
+            "singularity", eng, process, machine.dram, criu
         )
         target = Machine(eng, name="t", n_gpus=1)
         t0 = eng.now
-        yield from singularity_restore(eng, image, target, [0],
-                                       machine.dram, criu)
+        yield from baselines.restore("singularity", eng, image, target, [0],
+                                     machine.dram, criu)
         return eng.now - t0
 
     elapsed = eng.run_process(driver(eng))

@@ -102,7 +102,7 @@ def test_baseline_specs_order():
     spec = GpuSpec()
     assert (CUDA_CHECKPOINT_SPEC.effective_pcie_bw(spec)
             < SINGULARITY_SPEC.effective_pcie_bw(spec))
-    assert CUDA_CHECKPOINT_SPEC.per_buffer_overhead > 0
+    assert CUDA_CHECKPOINT_SPEC.buffer_overhead > 0
 
 
 # --- context costs ----------------------------------------------------------------------

@@ -318,6 +318,38 @@ def test_kill_without_inflight_work_still_works():
     assert machine.gpu(0).memory.used == 0
 
 
+def test_kill_during_concurrent_restore_aborts_session_and_workers():
+    """Killing a process whose restore is still streaming aborts the
+    restore session (same ``abort(reason)`` signature as a checkpoint
+    session) and cancels its background loader and watches."""
+    eng, machine, phos, process, _ = make_world()
+    app = ToyApp(process, buf_size=256 * MIB, kernel_flops=1e9)
+
+    def driver(eng):
+        yield from app.setup()
+        yield from app.run(1)
+        image, _ = yield phos.checkpoint(process, mode="cow")
+        machine2 = Machine(eng, name="m2", n_gpus=1)
+        phos2 = Phos(eng, machine2, use_context_pool=False)
+        restored, _frontend, session = yield from phos2.restore(
+            image, machine=machine2)
+        assert not session.done.triggered  # data still streaming in
+        (_handle, protocol), = phos2._inflight[restored.id]
+        workers = list(protocol.last_context.workers)
+        assert any(not w.triggered for w in workers)
+        phos2.kill(restored)
+        return machine2, phos2, session, workers
+
+    machine2, phos2, session, workers = eng.run_process(driver(eng))
+    eng.run()
+    assert session.aborted
+    assert "killed" in session.abort_reason
+    assert all(w.triggered for w in workers)
+    assert phos2._inflight == {}
+    assert machine2.gpu(0).memory.used == 0
+    assert_no_dma_leaks(machine2)
+
+
 # -- daemon API fixes --------------------------------------------------------------
 
 def test_restore_rejects_explicit_empty_gpu_indices():

@@ -1,5 +1,9 @@
 """Unit tests for the experiment harness and fast experiment sanity."""
 
+import pytest
+
+from repro import obs
+from repro.experiments import harness
 from repro.experiments.harness import (
     ExperimentResult,
     build_world,
@@ -63,3 +67,46 @@ def test_build_world_with_pool_boots_daemon():
     world = build_world("resnet152-infer", use_pool=True)
     assert world.phos.pool is not None
     assert world.phos.pool.prefilled
+
+
+@pytest.mark.parametrize("how", ["arg", "flag"])
+def test_unobserved_world_retires_previous_worlds_observer(how, monkeypatch):
+    """A world built without observation must not inherit the previous
+    world's observer: it would stamp spans with another engine's clock
+    ("span ... ends before it starts")."""
+    try:
+        if how == "flag":
+            monkeypatch.setattr(harness, "OBSERVE", True)
+            first = build_world("resnet152-infer")
+            monkeypatch.setattr(harness, "OBSERVE", False)
+        else:
+            first = build_world("resnet152-infer", observe=True)
+        assert obs.active() is first.observer
+        second = build_world("resnet152-infer")
+        assert second.observer is None
+        assert obs.active() is None
+        # The first engine's clock still reads 0: any span the second
+        # world closed against it would end before it started.
+        setup_app(second, warm=1)
+
+        def driver(eng):
+            image, session = yield second.phos.checkpoint(second.process)
+            return image
+
+        assert second.engine.run_process(driver(second.engine)).finalized
+    finally:
+        obs.uninstall()
+        harness.collected_observers.clear()
+
+
+def test_build_world_leaves_a_callers_own_observer_installed():
+    """Only the harness's own observers are retired: a caller that arms
+    one observer across many worlds (the bench's counters pass) keeps it."""
+    from repro.sim import Engine
+
+    mine = obs.install(Engine())
+    try:
+        build_world("resnet152-infer")
+        assert obs.active() is mine
+    finally:
+        obs.uninstall()

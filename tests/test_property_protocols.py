@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from repro.api.runtime import GpuProcess
 from repro.cluster import Machine
 from repro.core.daemon import Phos
-from repro.core.protocols.recopy import checkpoint_recopy
 from repro.core.quiesce import quiesce, resume
 from repro.gpu.context import GpuContext
 from repro.gpu.cost_model import KernelCost
@@ -143,10 +142,7 @@ def test_recopy_image_always_equals_t2_state(ops, cost_scale):
 
     def driver(eng):
         yield from setup_gen()
-        frontend = phos.frontend_of(process)
-        handle = eng.spawn(checkpoint_recopy(
-            eng, frontend, phos.medium, phos.criu, keep_stopped=True,
-        ))
+        handle = phos.checkpoint(process, mode="recopy", keep_stopped=True)
         for op in ops:
             yield from apply_op(rt, bufs, op, cost)()
         image, session = yield handle

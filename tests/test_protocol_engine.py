@@ -144,6 +144,9 @@ def test_config_rejects_unknown_tunables():
     # Pre-copy rounds only exist in the recopy protocol.
     ("stop-world", {"precopy_rounds": 2}),
     ("hw-dirty", {"cow_pool_bytes": 4 * MIB}),
+    # incremental subclasses the recopy skeleton but declares its own
+    # tunables: the inherited pre-copy loop stays unreachable.
+    ("incremental", {"precopy_rounds": 1}),
 ])
 def test_unsupported_combination_rejected_at_construction(mode, bad):
     with pytest.raises(CheckpointError, match="does not support"):
@@ -282,6 +285,53 @@ def test_restore_protocols_roundtrip(mode):
     assert expected == got
 
 
+# -- composition: incremental is recopy + a delta seal ------------------------------
+
+def _t2_checkpoint(mode):
+    """One t2-cut checkpoint of the toy app while it keeps iterating."""
+    eng, machine, phos, process, _ = make_world()
+    app = ToyApp(process, buf_size=64 * MIB, kernel_flops=1e9)
+
+    def driver(eng):
+        yield from app.setup()
+        yield from app.run(2)
+        handle = phos.checkpoint(process, mode=mode)
+        runner = eng.spawn(app.run(6, start=2))
+        image, session = yield handle
+        yield runner
+        return image, session
+
+    image, session = eng.run_process(driver(eng))
+    eng.run()
+    return phos, image, session
+
+
+def test_incremental_without_parent_is_recopy_plus_seal():
+    """A chain-root ``incremental`` run is the recopy skeleton with a
+    delta seal at commit: same final quiesce, same cut time, same bytes,
+    and the same ``recopy`` phase row in the report."""
+    from repro.core.report import checkpoint_report
+    from repro.storage.delta import materialize
+
+    r_phos, r_image, r_session = _t2_checkpoint("recopy")
+    d_phos, d_image, d_session = _t2_checkpoint("incremental")
+    assert r_session.stats.bytes_recopied > 0  # the recopy pass did work
+    assert d_session.final_quiesce_start == r_session.final_quiesce_start
+    assert d_image.checkpoint_time == r_image.checkpoint_time
+    full = materialize(d_image)
+    assert image_gpu_state(full) == image_gpu_state(r_image)
+    assert full.cpu_pages == r_image.cpu_pages
+
+    def recopy_rows(phos, image, session):
+        report = checkpoint_report(image, session, tracer=phos.tracer)
+        return [line for line in report.splitlines()
+                if line.split()[:1] == ["recopy"]]
+
+    rows = recopy_rows(r_phos, r_image, r_session)
+    assert len(rows) == 1
+    assert recopy_rows(d_phos, d_image, d_session) == rows
+
+
 # -- hw-dirty reachability (daemon, SDK, CLI) --------------------------------------
 
 def test_hw_dirty_restorable_through_daemon():
@@ -334,6 +384,41 @@ def test_cli_accepts_every_registered_mode():
         parser.parse_args(["checkpoint", "--mode", "quantum"])
 
 
+#: ``phos protocols`` as of the longhand protocol modules: (kind, name)
+#: -> (aliases, supported config fields).  Restructuring the classes
+#: must not move it.
+PROTOCOL_TABLE = {
+    ("checkpoint", "continuous"): (
+        "-", "bandwidth_scale, chunk_bytes, content_chunk_bytes, "
+        "coordinated, drain_depth, drain_tiers, interval, max_retries, "
+        "parent, prioritized, retry_backoff, rounds"),
+    ("checkpoint", "cow"): (
+        "copy-on-write, soft-cow",
+        "chunk_bytes, coordinated, cow_pool_bytes, max_retries, parent, "
+        "prioritized, retry_backoff"),
+    ("checkpoint", "hw-dirty"): (
+        "hw-recopy, hw_dirty",
+        "chunk_bytes, keep_stopped, max_retries, retry_backoff"),
+    ("checkpoint", "incremental"): (
+        "delta", "bandwidth_scale, chunk_bytes, content_chunk_bytes, "
+        "coordinated, keep_stopped, max_retries, parent, prioritized, "
+        "retry_backoff"),
+    ("checkpoint", "recopy"): (
+        "soft-recopy", "bandwidth_scale, chunk_bytes, coordinated, "
+        "keep_stopped, max_retries, precopy_rounds, prioritized, "
+        "retry_backoff"),
+    ("checkpoint", "stop-world"): (
+        "stop-the-world, stop_world",
+        "baseline, keep_stopped, max_retries, retry_backoff"),
+    ("restore", "concurrent"): (
+        "concurrent-restore, on-demand", "bandwidth_scale, chunk_bytes, "
+        "max_retries, prioritized, retry_backoff, skip_data_copy"),
+    ("restore", "stop-world"): (
+        "stop-the-world, stop_world",
+        "baseline, max_retries, retry_backoff"),
+}
+
+
 def test_cli_protocols_subcommand_lists_table():
     buf = io.StringIO()
     with redirect_stdout(buf):
@@ -344,6 +429,11 @@ def test_cli_protocols_subcommand_lists_table():
         assert name in out
     assert " -> ".join(CHECKPOINT_PHASES) in out
     assert " -> ".join(RESTORE_PHASES) in out
+    rows = [line for line in out.splitlines()[1:] if not line.startswith(" ")]
+    assert rows == [
+        f"{kind:11s} {name:11s} {aliases:28s} {fields}"
+        for (kind, name), (aliases, fields) in PROTOCOL_TABLE.items()
+    ]
 
 
 # -- abort-path resource accounting ------------------------------------------------

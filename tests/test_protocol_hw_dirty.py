@@ -2,7 +2,7 @@
 
 from repro.api.runtime import GpuProcess
 from repro.cluster import Machine
-from repro.core.protocols.hw_dirty import checkpoint_recopy_hw
+from repro.core.protocols import registry
 from repro.core.quiesce import resume
 from repro.cpu.criu import CriuEngine
 from repro.gpu.context import GpuContext
@@ -47,17 +47,18 @@ def test_hw_recopy_image_equals_t2_state():
     def driver(eng):
         yield from app.setup()
         yield from app.run(2)
-        handle = eng.spawn(checkpoint_recopy_hw(
-            eng, process, machine.dram, criu, keep_stopped=True,
+        protocol = registry.create("hw-dirty", keep_stopped=True)
+        handle = eng.spawn(protocol.checkpoint(
+            eng, process=process, medium=machine.dram, criu=criu,
         ))
         runner = eng.spawn(app.run(8, start=2))
-        image, recopied = yield handle
+        image, _session = yield handle
         state["gpu"], _ = snapshot_process(process)
         resume([process])
         yield runner
-        return image, recopied
+        return image
 
-    image, recopied = eng.run_process(driver(eng))
+    image = eng.run_process(driver(eng))
     eng.run()
     got = image_gpu_state(image)
     assert set(got) == set(state["gpu"])
@@ -73,13 +74,14 @@ def test_hw_recopy_needs_no_frontend():
 
     def driver(eng):
         yield from app.setup()
-        image, recopied = yield from checkpoint_recopy_hw(
-            eng, process, machine.dram, criu
+        image, session = yield from registry.create("hw-dirty").checkpoint(
+            eng, process=process, medium=machine.dram, criu=criu,
         )
-        return image, recopied
+        return image, session
 
-    image, recopied = eng.run_process(driver(eng))
+    image, session = eng.run_process(driver(eng))
     assert image.finalized
+    assert session is None
 
 
 def test_hw_and_soft_recopy_agree_on_dirty_volume():
@@ -112,14 +114,15 @@ def test_hw_and_soft_recopy_agree_on_dirty_volume():
         def driver(eng):
             yield from app.setup()
             yield from app.run(2)
-            handle = eng.spawn(checkpoint_recopy_hw(
-                eng, process, machine.dram, criu, keep_stopped=True,
+            protocol = registry.create("hw-dirty", keep_stopped=True)
+            handle = eng.spawn(protocol.checkpoint(
+                eng, process=process, medium=machine.dram, criu=criu,
             ))
             runner = eng.spawn(app.run(8, start=2))
-            image, recopied = yield handle
+            yield handle
             resume([process])
             yield runner
-            return recopied
+            return protocol.last_recopied_bytes
 
         result = eng.run_process(driver(eng))
         eng.run()

@@ -8,7 +8,6 @@ process is quiesced.
 from repro.api.runtime import GpuProcess
 from repro.cluster import Machine
 from repro.core.daemon import Phos
-from repro.core.protocols.recopy import checkpoint_recopy
 from repro.core.quiesce import resume
 from repro.gpu.context import GpuContext
 from repro.gpu.cost_model import KernelCost
@@ -38,11 +37,8 @@ def run_recopy(eng, phos, process, app, warm_iters=2, post_iters=10,
     def driver(eng):
         yield from app.setup()
         yield from app.run(warm_iters)
-        frontend = phos.frontend_of(process)
-        handle = eng.spawn(checkpoint_recopy(
-            eng, frontend, phos.medium, phos.criu,
-            keep_stopped=True, tracer=phos.tracer, **kwargs,
-        ))
+        handle = phos.checkpoint(process, mode="recopy",
+                                 keep_stopped=True, **kwargs)
         runner = eng.spawn(app.run(post_iters, start=warm_iters))
         if extra is not None:
             eng.spawn(extra(eng))
@@ -126,10 +122,7 @@ def test_recopy_drops_buffers_freed_during_window():
         yield from app.run(1)
         doomed = app.bufs.pop("out")
         state["addr"] = doomed.addr
-        frontend = phos.frontend_of(process)
-        handle = eng.spawn(checkpoint_recopy(
-            eng, frontend, phos.medium, phos.criu, keep_stopped=True,
-        ))
+        handle = phos.checkpoint(process, mode="recopy", keep_stopped=True)
         yield from process.runtime.free(0, doomed)
         image, session = yield handle
         resume([process])

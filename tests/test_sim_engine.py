@@ -417,10 +417,14 @@ def test_events_executed_equals_scheduled_when_drained(eng):
 @pytest.mark.parametrize("how", ["arg", "env"])
 def test_legacy_heap_mode_matches(how, monkeypatch):
     if how == "env":
+        # The retired REPRO_LEGACY_HEAP switch is ignored: only the
+        # explicit argument selects the reference heap.
         monkeypatch.setenv("REPRO_LEGACY_HEAP", "1")
         eng = Engine()
+        assert not eng._legacy
     else:
         eng = Engine(legacy_heap=True)
+        assert eng._legacy
     order = []
 
     def worker(eng, name, delay):
