@@ -32,12 +32,22 @@ Instruction summary (registers are ``r0..r31``; values are 64-bit ints):
 ``CHK`` never appears in application programs — it is inserted by the
 validator instrumentation pass (:mod:`repro.gpu.instrument`), producing
 the "twin kernel" of Fig. 6 in the paper.
+
+Execution never looks at :class:`Instr` objects.  :attr:`Program.decoded`
+is the program as a list of plain ``(code, rd, ra, rb, x)`` tuples —
+``code`` one of the ``OP_*`` ints below, ``x`` the immediate, the
+resolved branch-target pc, the global symbol or a ``CHK``'s
+:class:`AccessKind` — built once on first use and read by both the
+interpreter and the plan tracer.  Its one invariant: **a ``Program`` is
+immutable once launched** (the plan cache and the twin memo hanging off
+the same object already assume it).
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Optional
 
 from repro.errors import IsaError
@@ -47,7 +57,13 @@ NUM_REGS = 32
 
 
 class Op(enum.Enum):
-    """Opcodes of the mini ISA."""
+    """Opcodes of the mini ISA; ``op.code`` numbers them in definition order."""
+
+    def __new__(cls, mnemonic: str) -> "Op":
+        op = object.__new__(cls)
+        op._value_ = mnemonic
+        op.code = len(cls.__members__)
+        return op
 
     SETI = "seti"
     ARG = "arg"
@@ -72,9 +88,25 @@ class Op(enum.Enum):
     EXIT = "exit"
 
 
+#: ``Op.X.code`` as module constants, for int dispatch over decoded tuples.
+#: Dispatch tests three runs of them as ranges: ``OP_ADD..OP_MUL``,
+#: ``OP_BLT..OP_BNE`` (compare-and-branch) and ``OP_BLT..OP_JMP`` (branches).
+(OP_SETI, OP_ARG, OP_TID, OP_NTID, OP_MOV, OP_ADD, OP_SUB, OP_MUL, OP_MOD,
+ OP_ADDI, OP_MULI, OP_LDG, OP_STG, OP_GLOB, OP_BLT, OP_BGE, OP_BEQ, OP_BNE,
+ OP_JMP, OP_CHK, OP_EXIT) = range(len(Op))
+
+_MASK64 = (1 << 64) - 1
+
 #: Access kinds used by ``CHK``'s ``imm`` field.
 CHK_READ = 0
 CHK_WRITE = 1
+
+
+class AccessKind(enum.Enum):
+    """Kind of a recorded global-memory access."""
+
+    READ = "read"
+    WRITE = "write"
 
 
 @dataclass(frozen=True)
@@ -121,11 +153,10 @@ class Program:
         if self.instrs[-1].op is not Op.EXIT:
             raise IsaError(f"kernel {self.name!r} must end with EXIT")
         for pc, ins in enumerate(self.instrs):
-            if ins.label is not None and ins.op in _BRANCH_OPS:
-                if ins.label not in self.labels:
-                    raise IsaError(
-                        f"kernel {self.name!r} pc={pc}: undefined label {ins.label!r}"
-                    )
+            if OP_BLT <= ins.op.code <= OP_JMP and ins.label not in self.labels:
+                raise IsaError(
+                    f"kernel {self.name!r} pc={pc}: undefined label {ins.label!r}"
+                )
             if ins.op is Op.GLOB and ins.sym not in self.globals_:
                 raise IsaError(
                     f"kernel {self.name!r} pc={pc}: undefined global {ins.sym!r}"
@@ -141,6 +172,30 @@ class Program:
         """True when the program reads module globals (speculation hazard)."""
         return any(ins.op is Op.GLOB for ins in self.instrs)
 
+    @cached_property
+    def decoded(self) -> list[tuple]:
+        """The body as ``(code, rd, ra, rb, x)`` tuples (see module docstring).
+
+        Branch targets are resolved to pcs and a ``SETI`` immediate is
+        wrapped to 64 bits here, so no executed instruction pays for it.
+        """
+        labels = self.labels
+        table = []
+        for ins in self.instrs:
+            code = ins.op.code
+            if OP_BLT <= code <= OP_JMP:
+                x = labels[ins.label]
+            elif code == OP_GLOB:
+                x = ins.sym
+            elif code == OP_CHK:
+                x = AccessKind.WRITE if ins.imm == CHK_WRITE else AccessKind.READ
+            elif code == OP_SETI:
+                x = ins.imm & _MASK64
+            else:
+                x = ins.imm
+            table.append((code, ins.rd, ins.ra, ins.rb, x))
+        return table
+
     def with_instrs(self, instrs: list[Instr], labels: dict[str, int], *, instrumented: bool) -> "Program":
         """A copy of this program with a rewritten body (used by instrumentation)."""
         return Program(
@@ -154,9 +209,6 @@ class Program:
 
     def __len__(self) -> int:
         return len(self.instrs)
-
-
-_BRANCH_OPS = {Op.BLT, Op.BGE, Op.BEQ, Op.BNE, Op.JMP}
 
 
 class ProgramBuilder:
@@ -279,6 +331,7 @@ def remap_labels(instrs: list[Instr], old_to_new: dict[int, int], labels: dict[s
 
 
 __all__ = [
+    "AccessKind",
     "CHK_READ",
     "CHK_WRITE",
     "Instr",

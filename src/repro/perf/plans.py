@@ -16,8 +16,10 @@ How a plan is built
 ``try_fast_run`` keys a per-``Program`` cache by ``(n_threads,
 len(args))`` plus a *specialization signature*: the values of the
 arguments that feed branch conditions or MOD divisors (discovered
-during tracing).  On a miss, the launch is traced symbolically,
-vectorized over threads:
+during tracing).  On a miss, the launch is traced symbolically over
+:attr:`Program.decoded` — the same pre-decoded table the interpreter
+runs, so there is one decode and the two tiers cannot disagree about an
+operand — vectorized over threads:
 
 * every register holds a concrete value (int, or a uint64 vector over
   tids), an affine form ``c0 + Σ ci·arg_i + ct·tid`` when one exists,
@@ -28,8 +30,10 @@ vectorized over threads:
   values provably follow the traced path);
 * LDG/STG/CHK addresses must be untainted and affine;
 * anything else — GLOB, tainted/divergent branches, tainted addresses
-  or divisors, out-of-range immediates, step-budget overruns — aborts
-  the trace and the launch falls back to the interpreter.
+  or divisors, out-of-range arguments, step-budget overruns — aborts
+  the trace and the launch falls back to the interpreter, counted in
+  ``perf/plan_cache/fallback`` under the labels of docs/performance.md's
+  "Fallback taxonomy".
 
 The traced access sites are then grouped by pc.  A pc that executed
 ``k`` times (an affine loop) must show a constant per-iteration address
@@ -72,13 +76,14 @@ Equivalence guarantees (enforced, not assumed):
 
 from __future__ import annotations
 
-import os
-from typing import Optional
-
 import numpy as np
 
 from repro import obs
-from repro.gpu.isa import CHK_WRITE, NUM_REGS, Op, Program
+from repro.gpu.isa import (
+    NUM_REGS, OP_ADD, OP_ADDI, OP_ARG, OP_BEQ, OP_BGE, OP_BLT, OP_BNE, OP_CHK,
+    OP_EXIT, OP_GLOB, OP_JMP, OP_LDG, OP_MOD, OP_MOV, OP_MUL, OP_MULI, OP_NTID,
+    OP_SETI, OP_STG, OP_SUB, OP_TID, AccessKind, Program,
+)
 from repro.gpu.memory import WORD, DeviceMemory
 
 _MASK64 = (1 << 64) - 1
@@ -230,10 +235,12 @@ def _leaf(v: _V, sig: set):
     return _CVec(v.conc)
 
 
+_BIN_NAME = {OP_ADD: "add", OP_SUB: "sub", OP_MUL: "mul"}
+
+
 def _trace(program: Program, args, n_threads: int, max_steps: int) -> _Trace:
     """Symbolically execute ``program`` lockstep over all threads."""
-    instrs = program.instrs
-    labels = program.labels
+    table = program.decoded
     nargs = len(args)
     tidv = np.arange(n_threads, dtype=np.uint64)
     sig: set[int] = set()
@@ -247,47 +254,30 @@ def _trace(program: Program, args, n_threads: int, max_steps: int) -> _Trace:
     while True:
         if steps >= cap:
             raise _Abort("step-budget")
-        ins = instrs[pc]
+        code, rd, ra, rb, x = table[pc]
         steps += 1
-        op = ins.op
-        if op is Op.EXIT:
-            break
-        elif op is Op.SETI:
-            imm = ins.imm
-            if imm < 0 or imm > _MASK64:
-                raise _Abort("imm-out-of-range")
-            regs[ins.rd] = _V(conc=imm, aff=_Aff(imm), deps=_NO_DEPS)
-        elif op is Op.ARG:
-            idx = ins.imm
-            if not 0 <= idx < nargs:
+        if code == OP_ARG:
+            if not 0 <= x < nargs:
                 raise _Abort("arg-index")
-            val = int(args[idx])
+            val = int(args[x])
             if val < 0 or val > _MASK64:
                 raise _Abort("arg-out-of-range")
-            used_args.add(idx)
-            regs[ins.rd] = _V(conc=val, aff=_Aff(0, ((idx, 1),)),
-                              deps=frozenset((idx,)))
-        elif op is Op.TID:
-            regs[ins.rd] = _V(conc=tidv, aff=_Aff(ct=1), deps=_NO_DEPS)
-        elif op is Op.NTID:
-            regs[ins.rd] = _V(conc=n_threads, aff=_Aff(n_threads),
-                              deps=_NO_DEPS)
-        elif op is Op.MOV:
-            regs[ins.rd] = regs[ins.ra]
-        elif op in (Op.ADD, Op.SUB, Op.MUL):
-            a, b = regs[ins.ra], regs[ins.rb]
+            used_args.add(x)
+            regs[rd] = _V(conc=val, aff=_Aff(0, ((x, 1),)),
+                          deps=frozenset((x,)))
+        elif OP_ADD <= code <= OP_MUL:
+            a, b = regs[ra], regs[rb]
             if a.expr is not None or b.expr is not None:
-                name = {Op.ADD: "add", Op.SUB: "sub", Op.MUL: "mul"}[op]
-                regs[ins.rd] = _V(expr=_Bin(name, _leaf(a, sig),
-                                            _leaf(b, sig)))
+                regs[rd] = _V(expr=_Bin(_BIN_NAME[code], _leaf(a, sig),
+                                        _leaf(b, sig)))
             else:
                 ca, cb = a.conc, b.conc
                 both_int = type(ca) is int and type(cb) is int
-                if op is Op.ADD:
+                if code == OP_ADD:
                     conc = (ca + cb) & _MASK64 if both_int else ca + cb
                     aff = _aff_add(a.aff, b.aff) \
                         if a.aff is not None and b.aff is not None else None
-                elif op is Op.SUB:
+                elif code == OP_SUB:
                     conc = (ca - cb) & _MASK64 if both_int else ca - cb
                     aff = _aff_sub(a.aff, b.aff) \
                         if a.aff is not None and b.aff is not None else None
@@ -299,9 +289,85 @@ def _trace(program: Program, args, n_threads: int, max_steps: int) -> _Trace:
                             aff = _aff_scale(b.aff, a.aff.c0)
                         elif _aff_is_const(b.aff):
                             aff = _aff_scale(a.aff, b.aff.c0)
-                regs[ins.rd] = _V(conc=conc, aff=aff, deps=a.deps | b.deps)
-        elif op is Op.MOD:
-            a, b = regs[ins.ra], regs[ins.rb]
+                regs[rd] = _V(conc=conc, aff=aff, deps=a.deps | b.deps)
+        elif code == OP_CHK:
+            a = regs[ra]
+            if a.aff is None:
+                raise _Abort("addr-not-affine")
+            kind = "cw" if x is AccessKind.WRITE else "cr"
+            sites.append(_Site(len(sites), pc, kind, a.aff))
+        elif code == OP_MULI:
+            a = regs[ra]
+            if a.expr is not None:
+                regs[rd] = _V(expr=_Bin("mul", a.expr, _Aff(x & _MASK64)))
+            else:
+                ca = a.conc
+                conc = (ca * x) & _MASK64 if type(ca) is int \
+                    else ca * np.uint64(x & _MASK64)
+                aff = _aff_scale(a.aff, x) if a.aff is not None else None
+                regs[rd] = _V(conc=conc, aff=aff, deps=a.deps)
+        elif code == OP_LDG:
+            a = regs[ra]
+            if a.aff is None:
+                raise _Abort("addr-not-affine")
+            site = _Site(len(sites), pc, "r", a.aff)
+            sites.append(site)
+            regs[rd] = _V(expr=_Load(site))
+        elif OP_BLT <= code <= OP_BNE:
+            a, b = regs[ra], regs[rb]
+            if a.expr is not None or b.expr is not None:
+                raise _Abort("tainted-branch")
+            sig.update(a.deps)
+            sig.update(b.deps)
+            ca, cb = a.conc, b.conc
+            if code == OP_BLT:
+                taken = ca < cb
+            elif code == OP_BGE:
+                taken = ca >= cb
+            elif code == OP_BEQ:
+                taken = ca == cb
+            else:
+                taken = ca != cb
+            if type(ca) is not int or type(cb) is not int:
+                # A per-tid vector: the branch must go one way for all.
+                if taken.all():
+                    taken = True
+                elif taken.any():
+                    raise _Abort("divergent-branch")
+                else:
+                    taken = False
+            if taken:
+                pc = x
+                continue
+        elif code == OP_TID:
+            regs[rd] = _V(conc=tidv, aff=_Aff(ct=1), deps=_NO_DEPS)
+        elif code == OP_EXIT:
+            break
+        elif code == OP_STG:
+            a, b = regs[ra], regs[rb]
+            if a.aff is None:
+                raise _Abort("addr-not-affine")
+            sites.append(_Site(len(sites), pc, "w", a.aff, _leaf(b, sig)))
+        elif code == OP_SETI:
+            regs[rd] = _V(conc=x, aff=_Aff(x), deps=_NO_DEPS)
+        elif code == OP_ADDI:
+            a = regs[ra]
+            if a.expr is not None:
+                regs[rd] = _V(expr=_Bin("add", a.expr, _Aff(x & _MASK64)))
+            else:
+                ca = a.conc
+                conc = (ca + x) & _MASK64 if type(ca) is int \
+                    else ca + np.uint64(x & _MASK64)
+                aff = _Aff(a.aff.c0 + x, a.aff.coeffs, a.aff.ct) \
+                    if a.aff is not None else None
+                regs[rd] = _V(conc=conc, aff=aff, deps=a.deps)
+        elif code == OP_JMP:
+            pc = x
+            continue
+        elif code == OP_MOV:
+            regs[rd] = regs[ra]
+        elif code == OP_MOD:
+            a, b = regs[ra], regs[rb]
             if b.expr is not None:
                 raise _Abort("tainted-divisor")
             sig.update(b.deps)
@@ -309,80 +375,17 @@ def _trace(program: Program, args, n_threads: int, max_steps: int) -> _Trace:
             if (cb == 0) if type(cb) is int else bool((cb == 0).any()):
                 raise _Abort("zero-divisor")
             if a.expr is not None:
-                regs[ins.rd] = _V(expr=_Bin("mod", a.expr, _leaf(b, sig)))
+                regs[rd] = _V(expr=_Bin("mod", a.expr, _leaf(b, sig)))
             else:
-                regs[ins.rd] = _V(conc=a.conc % cb, aff=None,
-                                  deps=a.deps | b.deps)
-        elif op is Op.ADDI:
-            a = regs[ins.ra]
-            if a.expr is not None:
-                regs[ins.rd] = _V(expr=_Bin("add", a.expr,
-                                            _Aff(ins.imm & _MASK64)))
-            else:
-                ca = a.conc
-                conc = (ca + ins.imm) & _MASK64 if type(ca) is int \
-                    else ca + np.uint64(ins.imm & _MASK64)
-                aff = _Aff(a.aff.c0 + ins.imm, a.aff.coeffs, a.aff.ct) \
-                    if a.aff is not None else None
-                regs[ins.rd] = _V(conc=conc, aff=aff, deps=a.deps)
-        elif op is Op.MULI:
-            a = regs[ins.ra]
-            if a.expr is not None:
-                regs[ins.rd] = _V(expr=_Bin("mul", a.expr,
-                                            _Aff(ins.imm & _MASK64)))
-            else:
-                ca = a.conc
-                conc = (ca * ins.imm) & _MASK64 if type(ca) is int \
-                    else ca * np.uint64(ins.imm & _MASK64)
-                aff = _aff_scale(a.aff, ins.imm) if a.aff is not None else None
-                regs[ins.rd] = _V(conc=conc, aff=aff, deps=a.deps)
-        elif op is Op.LDG:
-            a = regs[ins.ra]
-            if a.aff is None:
-                raise _Abort("addr-not-affine")
-            site = _Site(len(sites), pc, "r", a.aff)
-            sites.append(site)
-            regs[ins.rd] = _V(expr=_Load(site))
-        elif op is Op.STG:
-            a, b = regs[ins.ra], regs[ins.rb]
-            if a.aff is None:
-                raise _Abort("addr-not-affine")
-            sites.append(_Site(len(sites), pc, "w", a.aff, _leaf(b, sig)))
-        elif op is Op.GLOB:
+                regs[rd] = _V(conc=a.conc % cb, aff=None,
+                              deps=a.deps | b.deps)
+        elif code == OP_NTID:
+            regs[rd] = _V(conc=n_threads, aff=_Aff(n_threads),
+                          deps=_NO_DEPS)
+        elif code == OP_GLOB:
             raise _Abort("glob")
-        elif op is Op.CHK:
-            a = regs[ins.ra]
-            if a.aff is None:
-                raise _Abort("addr-not-affine")
-            kind = "cw" if ins.imm == CHK_WRITE else "cr"
-            sites.append(_Site(len(sites), pc, kind, a.aff))
-        elif op in (Op.BLT, Op.BGE, Op.BEQ, Op.BNE):
-            a, b = regs[ins.ra], regs[ins.rb]
-            if a.expr is not None or b.expr is not None:
-                raise _Abort("tainted-branch")
-            sig.update(a.deps)
-            sig.update(b.deps)
-            ca, cb = a.conc, b.conc
-            if type(ca) is int and type(cb) is int:
-                taken = {Op.BLT: ca < cb, Op.BGE: ca >= cb,
-                         Op.BEQ: ca == cb, Op.BNE: ca != cb}[op]
-            else:
-                arr = {Op.BLT: lambda: ca < cb, Op.BGE: lambda: ca >= cb,
-                       Op.BEQ: lambda: ca == cb, Op.BNE: lambda: ca != cb}[op]()
-                if arr.all():
-                    taken = True
-                elif not arr.any():
-                    taken = False
-                else:
-                    raise _Abort("divergent-branch")
-            if taken:
-                pc = labels[ins.label]
-                continue
-        elif op is Op.JMP:
-            pc = labels[ins.label]
-            continue
         else:
-            raise _Abort(f"op-{op.name.lower()}")
+            raise _Abort(f"op-{code}")
         pc += 1
     if steps > max_steps:
         raise _Abort("step-budget")
@@ -681,8 +684,7 @@ def _bind_and_run(plan: _Plan, program: Program, args, n_threads: int,
             mat = _group_mat(cg, args)
             lo = int(mat.min())
             hi = int(mat.max())
-            kind = interp.AccessKind.WRITE if cg.kind == "cw" \
-                else interp.AccessKind.READ
+            kind = AccessKind.WRITE if cg.kind == "cw" else AccessKind.READ
             if not validation.covers(kind, lo, hi):
                 return None
 
@@ -709,8 +711,6 @@ def _bind_and_run(plan: _Plan, program: Program, args, n_threads: int,
 # the cache + entry point
 # --------------------------------------------------------------------------
 
-_MISSING = object()
-
 _stats = {"hit": 0, "miss": 0, "fallback": 0}
 
 
@@ -722,15 +722,6 @@ def plan_cache_stats() -> dict[str, int]:
 def reset_plan_cache_stats() -> None:
     for key in _stats:
         _stats[key] = 0
-
-
-def _static_reject(program: Program) -> bool:
-    for ins in program.instrs:
-        if ins.op is Op.GLOB:
-            return True
-        if ins.op is Op.SETI and (ins.imm < 0 or ins.imm > _MASK64):
-            return True
-    return False
 
 
 def try_fast_run(program: Program, args, n_threads: int, memory,
@@ -748,10 +739,13 @@ def try_fast_run(program: Program, args, n_threads: int, memory,
     key = (n_threads, len(args))
     entry = cache.get(key)
     if entry is None:
-        entry = {"dead": _static_reject(program), "sig": None, "plans": {}}
+        # "dead" and the values of "plans" remember *why* no plan exists,
+        # as the (reason, abort) labels every later launch is counted under.
+        entry = {"dead": ("static", "glob") if program.uses_globals else None,
+                 "sig": None, "plans": {}}
         cache[key] = entry
     if entry["dead"]:
-        _note_fallback("static")
+        _note_fallback(*entry["dead"])
         return None
 
     sig = entry["sig"]
@@ -763,29 +757,28 @@ def try_fast_run(program: Program, args, n_threads: int, memory,
         except (IndexError, TypeError, ValueError):
             _note_fallback("sig-args")
             return None
-        cached = entry["plans"].get(sig_key, _MISSING)
-        if cached is None:
-            _note_fallback("cached-abort")
+        plan = entry["plans"].get(sig_key)
+        if type(plan) is tuple:
+            _note_fallback(*plan)
             return None
-        if cached is not _MISSING:
-            plan = cached
 
     if plan is None:
         _stats["miss"] += 1
         obs.counter("perf/plan_cache/miss").inc()
+        why = None
         try:
             trace = _trace(program, args, n_threads, max_steps)
             plan = _compile(trace, n_threads)
-        except _Abort:
-            trace = plan = None
-        except Exception:
-            trace = plan = None
-        if plan is None:
+        except _Abort as exc:
+            why = ("trace-abort", exc.reason)
+        except Exception as exc:
+            why = ("trace-error", type(exc).__name__)
+        if why is not None:
             if sig is None:
-                entry["dead"] = True
+                entry["dead"] = why
             else:
-                entry["plans"][sig_key] = None
-            _note_fallback("trace-abort")
+                entry["plans"][sig_key] = why
+            _note_fallback(*why)
             return None
         new_sig = tuple(sorted(trace.sig))
         if sig is None:
@@ -806,6 +799,7 @@ def try_fast_run(program: Program, args, n_threads: int, memory,
     return run
 
 
-def _note_fallback(reason: str) -> None:
+def _note_fallback(reason: str, abort: str = "") -> None:
+    """Count one launch handed back; labels per docs/performance.md."""
     _stats["fallback"] += 1
-    obs.counter("perf/plan_cache/fallback", reason=reason).inc()
+    obs.counter("perf/plan_cache/fallback", reason=reason, abort=abort).inc()

@@ -1,0 +1,156 @@
+"""The reference interpreter: the enum-dispatch loop, kept as the oracle.
+
+Until PR 14 this loop *was* ``repro.gpu.interpreter._run_thread``.  The
+production loop now runs over :attr:`Program.decoded` (plain tuples, int
+opcodes, branch targets resolved at decode time); this copy stays here,
+outside ``src/``, reading :class:`Instr` fields and label strings
+directly, so the differential suites (``test_property_interpreter.py``,
+``test_perf_fastpath.py``) can demand that both produce the same bytes,
+logs, steps, violations and faults.  It is the old loop verbatim with
+one change: ``SETI`` wraps its immediate to 64 bits, the bug the same PR
+fixed.  Do not optimise it.
+"""
+
+from __future__ import annotations
+
+from typing import Optional
+
+from repro.errors import IsaError, KernelFault
+from repro.gpu.interpreter import (
+    AccessKind,
+    AccessRecord,
+    KernelRun,
+    ValidationState,
+    _record,
+)
+from repro.gpu.isa import CHK_WRITE, NUM_REGS, Op, Program
+
+_MASK64 = (1 << 64) - 1
+
+
+def run_kernel_reference(
+    program: Program,
+    args: list[int],
+    n_threads: int,
+    memory,
+    validation: Optional[ValidationState] = None,
+    record_accesses: bool = True,
+    max_steps: int = 100_000,
+    detailed: bool = False,
+) -> KernelRun:
+    """``run_kernel(..., force_interpret=True)`` on the reference loop."""
+    if program.instrumented and validation is None:
+        raise KernelFault(
+            f"instrumented kernel {program.name!r} launched without a "
+            "validation descriptor"
+        )
+    if n_threads <= 0:
+        raise KernelFault(f"kernel {program.name!r}: n_threads must be positive")
+    run = KernelRun(program=program, n_threads=n_threads, detailed=detailed)
+    for tid in range(n_threads):
+        run_thread_reference(
+            program, args, tid, n_threads, memory, validation, run, max_steps,
+            record_accesses,
+        )
+    return run
+
+
+def run_thread_reference(
+    program: Program,
+    args: list[int],
+    tid: int,
+    n_threads: int,
+    memory,
+    validation: Optional[ValidationState],
+    run: KernelRun,
+    max_steps: int,
+    record: bool,
+) -> None:
+    regs = [0] * NUM_REGS
+    pc = 0
+    steps = 0
+    instrs = program.instrs
+    labels = program.labels
+    detailed = run.detailed and record
+    read_log = run.read_log
+    write_log = run.write_log
+    while True:
+        if steps >= max_steps:
+            raise KernelFault(
+                f"kernel {program.name!r} thread {tid}: exceeded "
+                f"{max_steps} steps (runaway loop?)"
+            )
+        ins = instrs[pc]
+        steps += 1
+        op = ins.op
+        if op is Op.EXIT:
+            break
+        elif op is Op.SETI:
+            regs[ins.rd] = ins.imm & _MASK64
+        elif op is Op.ARG:
+            if not 0 <= ins.imm < len(args):
+                raise KernelFault(
+                    f"kernel {program.name!r}: ARG index {ins.imm} out of "
+                    f"range for {len(args)} arguments"
+                )
+            regs[ins.rd] = int(args[ins.imm])
+        elif op is Op.TID:
+            regs[ins.rd] = tid
+        elif op is Op.NTID:
+            regs[ins.rd] = n_threads
+        elif op is Op.MOV:
+            regs[ins.rd] = regs[ins.ra]
+        elif op is Op.ADD:
+            regs[ins.rd] = (regs[ins.ra] + regs[ins.rb]) & _MASK64
+        elif op is Op.SUB:
+            regs[ins.rd] = (regs[ins.ra] - regs[ins.rb]) & _MASK64
+        elif op is Op.MUL:
+            regs[ins.rd] = (regs[ins.ra] * regs[ins.rb]) & _MASK64
+        elif op is Op.MOD:
+            if regs[ins.rb] == 0:
+                raise KernelFault(f"kernel {program.name!r}: modulo by zero")
+            regs[ins.rd] = regs[ins.ra] % regs[ins.rb]
+        elif op is Op.ADDI:
+            regs[ins.rd] = (regs[ins.ra] + ins.imm) & _MASK64
+        elif op is Op.MULI:
+            regs[ins.rd] = (regs[ins.ra] * ins.imm) & _MASK64
+        elif op is Op.LDG:
+            addr = regs[ins.ra]
+            regs[ins.rd] = memory.load_word(addr)
+            if record:
+                _record(read_log, pc, addr)
+                if detailed:
+                    run.accesses.append(
+                        AccessRecord(addr, AccessKind.READ, tid, pc))
+        elif op is Op.STG:
+            addr = regs[ins.ra]
+            memory.store_word(addr, regs[ins.rb])
+            if record:
+                _record(write_log, pc, addr)
+                if detailed:
+                    run.accesses.append(
+                        AccessRecord(addr, AccessKind.WRITE, tid, pc))
+        elif op is Op.GLOB:
+            regs[ins.rd] = program.globals_[ins.sym]
+        elif op is Op.CHK:
+            if validation is not None:
+                kind = AccessKind.WRITE if ins.imm == CHK_WRITE else AccessKind.READ
+                validation.check(program.name, regs[ins.ra], kind, tid)
+        elif op in (Op.BLT, Op.BGE, Op.BEQ, Op.BNE):
+            a, b = regs[ins.ra], regs[ins.rb]
+            taken = {
+                Op.BLT: a < b,
+                Op.BGE: a >= b,
+                Op.BEQ: a == b,
+                Op.BNE: a != b,
+            }[op]
+            if taken:
+                pc = labels[ins.label]
+                continue
+        elif op is Op.JMP:
+            pc = labels[ins.label]
+            continue
+        else:  # pragma: no cover - exhaustive over Op
+            raise IsaError(f"unhandled opcode {op}")
+        pc += 1
+    run.steps += steps

@@ -2,9 +2,13 @@
 
 import pytest
 
+from repro import obs
+from repro.apps import suites as suites_mod
 from repro.apps.suites import build_suites, run_speculation_study
 from repro.core.tracker import BufferTable
 from repro.gpu.memory import DeviceMemory
+from repro.perf.plans import plan_cache_stats, reset_plan_cache_stats
+from repro.sim import Engine
 from repro.units import GIB
 
 
@@ -61,3 +65,44 @@ def test_failing_kernel_uses_module_global(rows):
     others = [k for s in suites for k in s.kernels
               if s.name != "rodinia" and k.program.uses_globals]
     assert others == []
+
+
+def test_study_launch_traffic_by_tier():
+    """Which tier serves the study's 5041 launches, and why not a plan.
+
+    ISSUE 14 sized the interpreter's slow path on these numbers (35 % of
+    launches) and the bench's ``spec_validate`` workload is 4 x this
+    study, so a plan-compiler change that moves launches between tiers
+    should show up here as a diff, not as an unexplained bench shift.
+    """
+    observer = obs.install(Engine())
+    try:
+        reset_plan_cache_stats()
+        run_speculation_study()
+        stats = plan_cache_stats()
+    finally:
+        obs.uninstall()
+    assert stats == {"hit": 3265, "miss": 803, "fallback": 1776}
+    # Every launch ends as one or the other; a miss is counted on top.
+    assert stats["hit"] + stats["fallback"] == 5041
+
+    fallbacks = {(c.labels["reason"], c.labels["abort"]): c.value
+                 for c in observer.metrics.find("perf/plan_cache/fallback")}
+    assert fallbacks == {
+        ("static", "glob"): 20,                     # the one legacy Rodinia kernel
+        ("trace-abort", "addr-not-affine"): 898,    # gather / scatter
+        ("trace-abort", "divergent-branch"): 858,   # partial_fill / reduce_sum
+    }
+    # ... which is exactly the launches of those kernel shapes.
+    suites, _ = build_suites(DeviceMemory(capacity=1 * GIB), BufferTable(0))
+    by_shape = dict.fromkeys(("gather", "scatter", "partial_fill",
+                              "reduce_sum", "legacy"), 0)
+    for suite in suites:
+        for i, kernel in enumerate(suite.kernels):
+            shape = "legacy" if kernel.program.uses_globals else \
+                suites_mod._SHAPES[i % len(suites_mod._SHAPES)].__name__[6:]
+            if shape in by_shape:
+                by_shape[shape] += suite.instances_per_kernel
+    assert by_shape["legacy"] == 20
+    assert by_shape["gather"] + by_shape["scatter"] == 898
+    assert by_shape["partial_fill"] + by_shape["reduce_sum"] == 858

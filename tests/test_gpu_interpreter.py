@@ -190,3 +190,25 @@ def test_arithmetic_wraps_64_bits(mem):
     y = mem.alloc(64)
     run_kernel(b.build(), [y.addr], n_threads=1, memory=mem)
     assert y.load_word(y.addr) == 0
+
+
+@pytest.mark.parametrize("force_interpret", [True, False])
+def test_seti_immediate_wraps_64_bits(mem, force_interpret):
+    """``seti r, -1`` holds 2**64 - 1 on both tiers: it stores as that,
+    and unsigned ``5 < r`` is true (unwrapped, ``5 < -1`` took the other
+    arm and stored 0)."""
+    from repro.perf.plans import plan_cache_stats
+
+    b = ProgramBuilder("seti_wrap", "void seti_wrap(long* y)")
+    b.arg(0, 0).tid(1).muli(1, 1, 8).add(0, 0, 1)
+    b.seti(2, -1).seti(3, 5).seti(4, 0)
+    b.bge(3, 2, "store")
+    b.mov(4, 2)
+    b.label("store").stg(0, 4).exit()
+    y = mem.alloc(64)
+    hits = plan_cache_stats()["hit"]
+    run_kernel(b.build(), [y.addr], n_threads=2, memory=mem,
+               force_interpret=force_interpret)
+    assert words(y, 2) == [2**64 - 1, 2**64 - 1]
+    # The plan tier really served the fast launch (no guard rejects it).
+    assert plan_cache_stats()["hit"] - hits == (0 if force_interpret else 1)

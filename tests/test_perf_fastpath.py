@@ -39,6 +39,8 @@ from repro.gpu.program import (
 from repro.gpu.ranges import RangeSet
 from repro.sim.engine import Engine
 from repro.units import MIB
+from tests import test_property_interpreter as fuzz
+from tests.reference_interpreter import run_kernel_reference
 
 N_WORDS = 32
 
@@ -110,8 +112,12 @@ def _run_one(program, make_args, n_threads, seed, force, validation_ranges):
         else:  # "partial": a hole over part of the write target
             rs = RangeSet([(lo, hi - 8 * (N_WORDS // 2))])
         validation = ValidationState(read_ranges=rs, write_ranges=rs)
-    run = run_kernel(prog, args, n_threads, mem,
-                     validation=validation, force_interpret=force)
+    if force == "reference":
+        run = run_kernel_reference(prog, args, n_threads, mem,
+                                   validation=validation)
+    else:
+        run = run_kernel(prog, args, n_threads, mem,
+                         validation=validation, force_interpret=force)
     words = [
         tuple(b.load_word(b.addr + 8 * i) for i in range(N_WORDS))
         for b in bufs
@@ -131,18 +137,63 @@ def _run_one(program, make_args, n_threads, seed, force, validation_ranges):
 
 @pytest.mark.parametrize("validation_ranges", [None, "full", "partial"])
 def test_differential_fuzz_interpreter_vs_plan(validation_ranges):
-    """Random kernels: the plan path must match the interpreter exactly."""
+    """Random kernels: the plan path must match the interpreter exactly.
+
+    Both tiers read ``Program.decoded``, so the enum-dispatch oracle in
+    ``tests/reference_interpreter.py`` (which does not) is the third side.
+    """
     for seed in range(60):
         rng = random.Random(10_000 + seed)
         program, make_args, n_threads = _scenario(rng)
-        slow = _run_one(program, make_args, n_threads, seed,
-                        force=True, validation_ranges=validation_ranges)
-        fast = _run_one(program, make_args, n_threads, seed,
-                        force=False, validation_ranges=validation_ranges)
-        assert fast == slow, (
+        slow, fast, oracle = (
+            _run_one(program, make_args, n_threads, seed,
+                     force=force, validation_ranges=validation_ranges)
+            for force in (True, False, "reference"))
+        assert fast == slow == oracle, (
             f"fast path diverged on seed={seed} kernel={program.name} "
             f"validation={validation_ranges}"
         )
+
+
+def _launch_outcome(launch, runner, **kw):
+    """A whole ``run_kernel``-level launch of a property-suite program."""
+    mem, bufs, validation = fuzz.fresh_state(launch)
+    out = {"fault": None}
+    try:
+        run = runner(launch.program, launch.args, launch.n_threads, mem,
+                     validation=validation, record_accesses=launch.record,
+                     max_steps=launch.max_steps, **kw)
+        out.update(steps=run.steps, written=run.written_addrs(),
+                   read=run.read_addrs(),
+                   write_ranges=list(run.write_ranges()),
+                   read_ranges=list(run.read_ranges()))
+    except Exception as exc:  # the fault is part of the observable result
+        out["fault"] = (type(exc), str(exc))
+    out["bytes"] = [b.snapshot() for b in bufs]
+    out["dirty"] = [b.hw_dirty for b in bufs]
+    out["violations"] = None if validation is None else validation.violations
+    return out
+
+
+def test_differential_fuzz_random_programs_tracer_vs_oracle():
+    """The property suite's random programs, offered to the plan tier.
+
+    The tracer walks the same decoded table as the interpreter; whatever
+    it does with a program — serve it from a plan, abort and hand it
+    back, or let it fault — the launch must be indistinguishable from
+    the oracle's.
+    """
+    from repro.perf.plans import plan_cache_stats, reset_plan_cache_stats
+
+    reset_plan_cache_stats()
+    for seed in range(2000):
+        launch = fuzz.random_launch(random.Random(seed))
+        fast = _launch_outcome(launch, run_kernel)
+        assert fast == _launch_outcome(launch, run_kernel_reference), seed
+        # Same program object again: the cached plan / remembered abort.
+        assert fast == _launch_outcome(launch, run_kernel), seed
+    stats = plan_cache_stats()
+    assert stats["hit"] >= 300 and stats["fallback"] >= 300, stats
 
 
 def test_fastpath_env_kill_switch(monkeypatch):
