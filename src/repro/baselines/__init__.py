@@ -52,26 +52,26 @@ def _config(system: str, n_gpus: int, **tunables) -> ProtocolConfig:
 
 
 def checkpoint(system: str, engine, process, medium, criu, name: str = "",
-               keep_stopped: bool = False, tracer=None):
+               keep_stopped: bool = False):
     """Generator: a stop-the-world checkpoint by ``system``; returns the image."""
     protocol = registry.create("stop-world", _config(
         system, len(process.gpu_indices), keep_stopped=keep_stopped,
     ))
     image, _session = yield from protocol.checkpoint(
         engine, process=process, medium=medium, criu=criu,
-        name=name or f"{system}-{process.name}", tracer=tracer,
+        name=name or f"{system}-{process.name}",
     )
     return image
 
 
 def restore(system: str, engine, image, machine, gpu_indices, medium, criu,
-            name: str = "", tracer=None):
+            name: str = ""):
     """Generator: ``system``'s restore (context barrier + bulk copy);
     returns the new process."""
     protocol = registry.create("stop-world", kind="restore",
                                config=_config(system, len(gpu_indices)))
     process, _frontend, _session = yield from protocol.restore(
         engine, image, machine, gpu_indices, medium, criu,
-        name=name or f"{system}-restored", tracer=tracer,
+        name=name or f"{system}-restored",
     )
     return process

@@ -27,13 +27,14 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro import units
+from repro import obs, units
 from repro.apps.base import provision
 from repro.apps.specs import APP_SPECS, get_spec
 from repro.cluster import Machine
 from repro.core.daemon import Phos
 from repro.core.protocols import registry
 from repro.sim import Engine
+from repro.tasks.fault_tolerance import SYSTEMS
 
 _EXPERIMENTS = {
     "fig02": "repro.experiments.fig02_motivation",
@@ -141,8 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("migrate", help="live-migrate an app between machines")
     p.add_argument("--app", default="resnet152-train", choices=sorted(APP_SPECS))
-    p.add_argument("--system", default="phos",
-                   choices=("phos", "singularity", "cuda-checkpoint"))
+    p.add_argument("--system", default="phos", choices=SYSTEMS)
     p.add_argument("--clock-domains", action="store_true",
                    help="shard source and target machines into separate "
                         "clock domains (phos only)")
@@ -183,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="N",
                    help="run several seeds and add pooled seed=all rows")
     p.add_argument("--system", action="append", default=None,
-                   choices=("phos", "singularity", "cuda-checkpoint"),
+                   choices=SYSTEMS,
                    help="restrict the system axis (repeatable; "
                         "default: all three)")
     p.add_argument("--duration", type=float, default=60.0,
@@ -271,8 +271,6 @@ def cmd_checkpoint(args) -> int:
     engine = Engine()
     observer = None
     if args.obs or args.obs_json:
-        from repro import obs
-
         observer = obs.install(engine)
     spec = get_spec(args.app)
     machine = Machine(engine, n_gpus=spec.n_gpus)
@@ -317,8 +315,11 @@ def cmd_checkpoint(args) -> int:
         session = result[1] if isinstance(result, tuple) else None
         return baseline / args.steps, max(0.0, stall), image, session
 
-    iter_s, stall, image, session = engine.run_process(driver(engine))
-    engine.run()
+    # The report's phase breakdown reads the run's span tree: the
+    # observer's under --obs, a metrics-free one otherwise.
+    with obs.timeline(engine) as spans:
+        iter_s, stall, image, session = engine.run_process(driver(engine))
+        engine.run()
     from repro.core.report import checkpoint_report
 
     print(f"app={args.app} mode={mode}")
@@ -328,13 +329,11 @@ def cmd_checkpoint(args) -> int:
         # ``session`` is the stream summary, not a copy session.
         from repro.core.report import stream_report
 
-        print(checkpoint_report(image, None, phos.tracer))
+        print(checkpoint_report(image, None, spans))
         print(stream_report(session))
     else:
-        print(checkpoint_report(image, session, phos.tracer))
+        print(checkpoint_report(image, session, spans))
     if observer is not None:
-        from repro import obs
-
         _emit_obs(observer, label=f"{args.app} {args.mode}",
                   json_path=args.obs_json)
         obs.uninstall()
@@ -345,8 +344,6 @@ def cmd_restore(args) -> int:
     engine = Engine()
     observer = None
     if args.obs or args.obs_json:
-        from repro import obs
-
         observer = obs.install(engine)
     spec = get_spec(args.app)
     machine = Machine(engine, n_gpus=spec.n_gpus)
@@ -382,8 +379,6 @@ def cmd_restore(args) -> int:
     print(f"  time until runnable          : {units.fmt_seconds(resume_t)}")
     print(f"  restore + 2 steps, end-to-end: {units.fmt_seconds(total_t)}")
     if observer is not None:
-        from repro import obs
-
         _emit_obs(observer, label=f"{args.app} restore {kind}",
                   json_path=args.obs_json)
         obs.uninstall()
@@ -446,7 +441,7 @@ def cmd_fleet(args) -> int:
     systems = tuple(args.system) if args.system else None
     result = fig_fleet.run(
         kinds=(args.trace,), seeds=seeds,
-        systems=systems or ("phos", "singularity", "cuda-checkpoint"),
+        systems=systems or SYSTEMS,
         duration=args.duration, rate=args.rate,
         n_machines=args.machines, n_gpus=args.gpus,
         pool_capacity=args.pool_size, queue_cap=args.queue_cap,
@@ -471,7 +466,6 @@ def cmd_bench(args) -> int:
         print(module.run().format())
         _report_parallel(args)
         return 0
-    from repro import obs
     from repro.experiments import harness
 
     harness.OBSERVE = True

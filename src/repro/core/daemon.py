@@ -1,8 +1,9 @@
 """The PHOS OS service (§3): the backend that orchestrates C/R.
 
-:class:`Phos` owns the CRIU engine, the checkpoint media, the context
-pool, and the tracer; it attaches frontends to processes and exposes
-the high-level operations the command-line tool and SDK call:
+:class:`Phos` owns the CRIU engine, the checkpoint media and the
+context pool; it attaches frontends to processes and exposes the
+high-level operations the command-line tool and SDK call (their phases
+land in whichever :mod:`repro.obs` span tree is recording):
 
 * ``checkpoint(process, mode=...)`` — any checkpoint protocol in the
   registry (``cow``, ``recopy``, ``stop-world``, ``hw-dirty``),
@@ -35,7 +36,6 @@ from repro.core.quiesce import quiesce
 from repro.cpu.criu import CriuEngine
 from repro.errors import CheckpointError, InvalidValueError, ReproError, SimulationError
 from repro.sim.engine import Engine, Process
-from repro.sim.trace import Tracer
 from repro.storage.image import CheckpointImage
 from repro.storage.media import Medium
 
@@ -60,7 +60,6 @@ class Phos:
         self.machine = machine
         self.medium = medium or machine.dram
         self.criu = CriuEngine(engine)
-        self.tracer = Tracer(engine)
         self.pool: Optional[ContextPool] = (
             ContextPool(engine, machine, contexts_per_gpu=contexts_per_gpu)
             if use_context_pool else None
@@ -139,7 +138,7 @@ class Phos:
         medium = medium or self.medium
         gen = protocol.checkpoint(
             self.engine, process=process, frontend=frontend, medium=medium,
-            criu=self.criu, name=name, tracer=self.tracer,
+            criu=self.criu, name=name,
         )
         logger.info("checkpoint requested: process=%s mode=%s medium=%s t=%g",
                     process.name, protocol.name, medium.name, self.engine.now)
@@ -213,7 +212,7 @@ class Phos:
                                 prioritized=prioritized)
 
         def orchestrate():
-            yield from quiesce(self.engine, processes, self.tracer)
+            yield from quiesce(self.engine, processes)
             # Each per-process CoW re-quiesces individually; the global
             # barrier above already made the cut consistent, so the
             # per-process quiesce is a no-op time-wise (CPU stopped,
@@ -227,7 +226,6 @@ class Phos:
                         self.engine, process=process, frontend=frontend,
                         medium=medium, criu=self.criu,
                         name=f"{name}-{process.name}" if name else "",
-                        tracer=self.tracer,
                     ),
                     name=f"phos-ckpt-{process.name}",
                 )
@@ -359,7 +357,7 @@ class Phos:
                 else None)
         process, frontend, session = yield from protocol.restore(
             self.engine, image, machine, gpu_indices, medium, self.criu,
-            name=name, context_pool=pool, tracer=self.tracer,
+            name=name, context_pool=pool,
         )
         if frontend is not None:
             self.frontends[process.id] = frontend

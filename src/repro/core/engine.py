@@ -2,8 +2,8 @@
 
 :class:`DataMover` binds one protocol run's tunables — a
 :class:`~repro.core.protocols.base.ProtocolConfig`, its retry policy,
-the tracer and the run's worker list — to the movers, so a protocol
-phase just says *what* to move:
+and the run's worker list — to the movers, so a protocol phase just
+says *what* to move:
 
 Checkpoint side:
 
@@ -54,11 +54,10 @@ EXPERIMENT_CHUNK = 32 * units.MIB
 class DataMover:
     """One protocol run's data movers, bound to its config and teardown list."""
 
-    def __init__(self, engine, config: "ProtocolConfig", tracer,
+    def __init__(self, engine, config: "ProtocolConfig",
                  workers: list) -> None:
         self.engine = engine
         self.config = config
-        self.tracer = tracer
         #: The run's transient-failure policy (DMA moves restarted up to
         #: ``config.max_retries`` times with exponential backoff).
         self.retry = RetryPolicy(config.max_retries, config.retry_backoff)
@@ -198,8 +197,6 @@ class DataMover:
         shadows' CoW pool quota, which keeps the small on-device pool from
         blocking concurrent writers (§4.2).  ``sizer``: see :meth:`_ship`.
         """
-        tracer = self.tracer
-        span = tracer.begin("gpu-copy", gpu=gpu.index) if tracer else None
         with obs.span("gpu-copy", gpu=gpu.index):
             plan = session.plan[gpu.index]
             shadow_queue = session.shadow_ready[gpu.index]
@@ -269,8 +266,6 @@ class DataMover:
             for buf in session.deferred_frees.get(gpu.index, ()):
                 gpu.memory.free(buf)
             session.deferred_frees[gpu.index] = []
-        if span is not None:
-            tracer.end(span)
 
     def recopy_dirty(self, session: CheckpointSession, gpu: Gpu, medium: Medium,
                      dirty_ids: Optional[set[int]] = None, sizer=None):
@@ -282,14 +277,12 @@ class DataMover:
         set keeps collecting re-dirtied buffers while this pass runs
         concurrently with the application.
         """
-        tracer = self.tracer
-        span = tracer.begin("gpu-recopy", gpu=gpu.index) if tracer else None
-        with obs.span("gpu-recopy", gpu=gpu.index) as ospan:
+        with obs.span("gpu-recopy", gpu=gpu.index) as span:
             by_id = {buf.id: buf for buf in session.plan[gpu.index]}
             if dirty_ids is None:
                 dirty_ids = session.dirty[gpu.index]
                 session.dirty[gpu.index] = set()
-            ospan.attrs["dirty"] = len(dirty_ids)
+            span.attrs["dirty"] = len(dirty_ids)
             for buf_id in sorted(dirty_ids):
                 buf = by_id.get(buf_id)
                 if buf is None or buf_id in session.freed_ids.get(gpu.index, ()):
@@ -303,8 +296,6 @@ class DataMover:
                 )
                 session.image.add_gpu_buffer(gpu.index, record)
                 session.stats.bytes_recopied += move_bytes
-        if span is not None:
-            tracer.end(span)
 
     def copy_all(self, session: CheckpointSession, process, medium: Medium,
                  criu, cpu_dump=None, sizer=None):
@@ -315,7 +306,7 @@ class DataMover:
         (the incremental protocol passes a parent-aware delta dump);
         the default follows the session mode.
         """
-        engine, tracer = self.engine, self.tracer
+        engine = self.engine
         dump = cpu_dump
         if dump is None:
             dump = (criu.dump_cow if session.mode == "cow" else criu.dump_tracked)
@@ -334,11 +325,8 @@ class DataMover:
             ]
 
         if self.config.coordinated:
-            cpu_span = tracer.begin("cpu-copy") if tracer else None
             with obs.span("cpu-copy"):
                 cpu_result = yield from cpu_stream()
-            if cpu_span is not None:
-                tracer.end(cpu_span)
             yield engine.all_of(gpu_streams())
         else:
             cpu_proc = self.spawn(cpu_stream(), name="ckpt-cpu")
@@ -352,8 +340,6 @@ class DataMover:
 
         On-demand requests (kernels stalled on a buffer) jump the queue.
         """
-        tracer = self.tracer
-        span = tracer.begin("gpu-load", gpu=gpu.index) if tracer else None
         with obs.span("gpu-load", gpu=gpu.index):
             pairs = {buf.id: (buf, record) for buf, record in session.plan[gpu.index]}
             order = [buf for buf, _ in session.plan[gpu.index]]
@@ -384,7 +370,5 @@ class DataMover:
                 buf.load_bytes(record.data)
                 session.set_state(buf, RestoreState.RESTORED)
                 session.fire_event(buf)
-        if span is not None:
-            tracer.end(span)
         if session.all_restored() and not session.done.triggered:
             session.done.succeed()

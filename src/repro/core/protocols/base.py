@@ -193,7 +193,6 @@ class ProtocolContext:
     medium: Any
     criu: Any
     name: str = ""
-    tracer: Any = None
     # checkpoint side
     process: Any = None
     frontend: Any = None
@@ -223,8 +222,7 @@ class ProtocolContext:
     mover: DataMover = field(init=False)
 
     def __post_init__(self) -> None:
-        self.mover = DataMover(self.engine, self.config, self.tracer,
-                               self.workers)
+        self.mover = DataMover(self.engine, self.config, self.workers)
 
     def spawn_worker(self, gen, name: str):
         """Spawn a child simulation process and track it for teardown."""
@@ -284,7 +282,7 @@ class Protocol:
 
     # -- drivers -------------------------------------------------------------------
     def checkpoint(self, engine, *, process, medium, criu, frontend=None,
-                   name: str = "", tracer=None):
+                   name: str = ""):
         """Start a checkpoint run; returns the phase-driver generator.
 
         The generator's result is ``(image, session_or_None)``.
@@ -303,14 +301,14 @@ class Protocol:
             )
         ctx = ProtocolContext(
             engine=engine, config=self.config, medium=medium, criu=criu,
-            name=name, tracer=tracer, process=process, frontend=frontend,
+            name=name, process=process, frontend=frontend,
         )
         self.last_context = ctx
         return self._run_checkpoint(ctx)
 
     def restore(self, engine, image, machine, gpu_indices, medium, criu, *,
                 name: str = "restored", context_pool=None,
-                frontend_mode: str = "lfc", tracer=None):
+                frontend_mode: str = "lfc"):
         """Start a restore run; returns the phase-driver generator.
 
         The generator's result is ``(process, frontend_or_None,
@@ -323,7 +321,7 @@ class Protocol:
             )
         ctx = ProtocolContext(
             engine=engine, config=self.config, medium=medium, criu=criu,
-            name=name, tracer=tracer, image=image, machine=machine,
+            name=name, image=image, machine=machine,
             gpu_indices=gpu_indices, context_pool=context_pool,
             frontend_mode=frontend_mode,
         )
@@ -513,7 +511,7 @@ class Protocol:
 
     def phase_quiesce(self, ctx: ProtocolContext):
         """Stop the process; records the cut time ``ctx.t_quiesce``."""
-        yield from quiesce(ctx.engine, [ctx.process], ctx.tracer)
+        yield from quiesce(ctx.engine, [ctx.process])
         ctx.t_quiesce = ctx.engine.now
 
     def phase_plan(self, ctx: ProtocolContext):

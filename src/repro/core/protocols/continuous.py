@@ -113,7 +113,7 @@ class ContinuousCheckpoint(Protocol):
                     image, session = yield from inner.checkpoint(
                         engine, process=ctx.process, frontend=ctx.frontend,
                         medium=ctx.medium, criu=ctx.criu,
-                        name=f"{name}@{r}", tracer=ctx.tracer,
+                        name=f"{name}@{r}",
                     )
                     ctx.image, ctx.session = image, session
                     stream.images.append(image)

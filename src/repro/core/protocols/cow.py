@@ -77,13 +77,11 @@ class CowCheckpoint(Protocol):
         # returned image comes from the retry; ``session.aborted`` tells
         # the caller.
         session = ctx.session
-        if ctx.tracer:
-            ctx.tracer.mark("cow-abort", reason=session.abort_reason)
         obs.counter("cow/abort",
                     reason=session.abort_reason or "unknown").inc()
         retry, _ = yield from registry.create("stop-world").checkpoint(
             ctx.engine, process=ctx.process, medium=ctx.medium, criu=ctx.criu,
-            name=f"{ctx.image.name}-retry", tracer=ctx.tracer,
+            name=f"{ctx.image.name}-retry",
         )
         return retry, session
 

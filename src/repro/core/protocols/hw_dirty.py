@@ -92,7 +92,7 @@ class HwDirtyCheckpoint(Protocol):
         ]
         yield engine.all_of(copies)
         # Re-quiesce, then recopy the buffers the hardware marked.
-        yield from quiesce(engine, [process], ctx.tracer)
+        yield from quiesce(engine, [process])
         dirty_pages = process.host.memory.dirty_pages()
         yield from ctx.criu.recopy_dirty(process.host, ctx.image, ctx.medium,
                                          dirty_pages)

@@ -109,14 +109,13 @@ class RecopyCheckpoint(Protocol):
             # to a parent-skipped buffer re-dirty it and force its
             # recapture).
             session.final_quiesce_start = engine.now
-            yield from quiesce(engine, [process], ctx.tracer)
+            yield from quiesce(engine, [process])
         finally:
             # Guarded for idempotence against a racing teardown.
             if ctx.frontend.ckpt_session is session:
                 ctx.frontend.end_checkpoint()
         ctx.t_image = engine.now
         # Recopy dirty GPU buffers and dirty CPU pages, stopped.
-        span = ctx.tracer.begin("recopy") if ctx.tracer else None
         with obs.span("recopy"):
             dirty_pages = process.host.memory.dirty_pages()
             yield from ctx.criu.recopy_dirty(process.host, ctx.image,
@@ -138,5 +137,3 @@ class RecopyCheckpoint(Protocol):
                 # Buffers freed during the window do not exist at t2.
                 for buf_id in session.freed_ids[gpu_index]:
                     ctx.image.gpu_buffers.get(gpu_index, {}).pop(buf_id, None)
-        if span is not None:
-            ctx.tracer.end(span)

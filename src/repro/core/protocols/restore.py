@@ -15,8 +15,6 @@ image and finish with a stop-the-world reload.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro import obs
 from repro.api.runtime import GpuProcess
 from repro.core.frontend import PhosFrontend
@@ -35,7 +33,6 @@ from repro.core.protocols.stop_world import (
 from repro.core.quiesce import quiesce, resume
 from repro.core.session import RestoreSession, RestoreState
 from repro.sim.engine import Engine
-from repro.sim.trace import Tracer
 from repro.storage.media import Medium
 
 
@@ -69,11 +66,10 @@ class ConcurrentRestore(Protocol):
     # gpu-load spans.
 
     def phase_plan(self, ctx: ProtocolContext):
-        engine, image, tracer = ctx.engine, ctx.image, ctx.tracer
+        engine, image = ctx.engine, ctx.image
         gpu_indices, context_pool = ctx.gpu_indices, ctx.context_pool
         # 1. Execution environment: pooled contexts bypass the creation
         #    barrier; otherwise pay the full §2.3 cost.
-        ctx_span = tracer.begin("context-setup") if tracer else None
 
         def setup_one(gpu_index):
             reqs = context_requirements(ctx, gpu_index)
@@ -109,8 +105,6 @@ class ConcurrentRestore(Protocol):
                 for i in gpu_indices
             ]
             yield engine.all_of(setups)
-        if ctx_span is not None:
-            tracer.end(ctx_span)
         # 2. Buffer layout (addresses must match the checkpointed
         #    process).
         pairs_by_gpu = realloc_image_buffers(ctx.process, image, gpu_indices)
@@ -150,8 +144,7 @@ class ConcurrentRestore(Protocol):
         #    once everything is resident (twins stop running — §4.1's
         #    "not invoked without checkpoint").
         ctx.spawn_worker(
-            _rollback_watch(engine, session, ctx.process, ctx.medium,
-                            ctx.tracer),
+            _rollback_watch(engine, session, ctx.process, ctx.medium),
             name="restore-rollback-watch",
         )
         ctx.spawn_worker(_finish_watch(session, ctx.frontend),
@@ -168,19 +161,15 @@ def _finish_watch(session: RestoreSession, frontend: PhosFrontend):
 
 
 def _rollback_watch(engine: Engine, session: RestoreSession,
-                    process: GpuProcess, medium: Medium,
-                    tracer: Optional[Tracer]):
+                    process: GpuProcess, medium: Medium):
     """Roll back to the image and reload stop-the-world on abort (§6)."""
     yield engine.any_of([session.done, session.abort_event])
     if not session.aborted or session.rolled_back:
         return
-    if tracer:
-        tracer.mark("restore-rollback")
     obs.counter("restore/rollback").inc()
-    yield from quiesce(engine, [process], tracer)
+    yield from quiesce(engine, [process])
     # Reload every buffer from the image (discarding partial execution),
     # paying a full stop-the-world copy.
-    span = tracer.begin("rollback-reload") if tracer else None
     with obs.span("rollback-reload"):
         for gpu_index, pairs in session.plan.items():
             gpu = process.machine.gpu(gpu_index)
@@ -190,8 +179,6 @@ def _rollback_watch(engine: Engine, session: RestoreSession,
                 buf.load_bytes(record.data)
                 session.set_state(buf, RestoreState.RESTORED)
                 session.fire_event(buf)
-    if span is not None:
-        tracer.end(span)
     session.rolled_back = True
     resume([process])
     if not session.done.triggered:

@@ -78,9 +78,7 @@ class StopWorldCheckpoint(Protocol):
         return {"image": ctx.image.name, "system": ctx.baseline.name}
 
     def phase_transfer(self, ctx: ProtocolContext):
-        engine, process, tracer = ctx.engine, ctx.process, ctx.tracer
-        span = (tracer.begin("stop-world-copy", system=ctx.baseline.name)
-                if tracer else None)
+        engine, process = ctx.engine, ctx.process
 
         def copy_one_gpu(gpu_index):
             gpu = process.machine.gpu(gpu_index)
@@ -109,8 +107,6 @@ class StopWorldCheckpoint(Protocol):
                 for i in process.gpu_indices
             ]
             yield engine.all_of(copies)
-        if span is not None:
-            tracer.end(span)
 
 
 @register
@@ -136,9 +132,7 @@ class StopWorldRestore(Protocol):
         ctx.process = blank_process(ctx)
 
     def phase_plan(self, ctx: ProtocolContext):
-        engine, image, tracer = ctx.engine, ctx.image, ctx.tracer
-        ctx_span = (tracer.begin("context-create", system=ctx.baseline.name)
-                    if tracer else None)
+        engine, image = ctx.engine, ctx.image
 
         def create_one(gpu_index):
             reqs = context_requirements(ctx, gpu_index)
@@ -156,13 +150,9 @@ class StopWorldRestore(Protocol):
                 for i in ctx.gpu_indices
             ]
             yield engine.all_of(creations)
-        if ctx_span is not None:
-            tracer.end(ctx_span)
 
     def phase_transfer(self, ctx: ProtocolContext):
-        engine, image, tracer = ctx.engine, ctx.image, ctx.tracer
-        copy_span = (tracer.begin("restore-copy", system=ctx.baseline.name)
-                     if tracer else None)
+        engine, image = ctx.engine, ctx.image
         buffers = realloc_image_buffers(ctx.process, image, ctx.gpu_indices)
 
         def load_one_gpu(gpu_index):
@@ -179,8 +169,6 @@ class StopWorldRestore(Protocol):
             ]
             yield engine.all_of(loads)
             yield from ctx.criu.restore(image, ctx.process.host, ctx.medium)
-        if copy_span is not None:
-            tracer.end(copy_span)
 
     def phase_commit(self, ctx: ProtocolContext):
         return ctx.process, None, None

@@ -11,22 +11,19 @@ barrier runs over RDMA.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Iterable
 
 from repro import obs, units
 from repro.api.runtime import GpuProcess
 from repro.sim.engine import Engine
-from repro.sim.trace import Tracer
 
 #: Fixed cost of coordinating a (possibly distributed) quiesce barrier.
 QUIESCE_COORDINATION = 4 * units.MSEC
 
 
-def quiesce(engine: Engine, processes: Iterable[GpuProcess],
-            tracer: Optional[Tracer] = None):
+def quiesce(engine: Engine, processes: Iterable[GpuProcess]):
     """Generator: stop CPUs, then drain every GPU the processes touch."""
     processes = list(processes)
-    span = tracer.begin("quiesce") if tracer else None
     with obs.span("quiesce", processes=len(processes)):
         for proc in processes:
             proc.runtime.stop_cpu()
@@ -36,8 +33,6 @@ def quiesce(engine: Engine, processes: Iterable[GpuProcess],
         for proc in processes:
             for gpu_index in proc.gpu_indices:
                 yield from proc.machine.gpu(gpu_index).synchronize()
-    if span is not None:
-        tracer.end(span)
 
 
 def resume(processes: Iterable[GpuProcess]) -> None:

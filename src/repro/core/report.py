@@ -2,7 +2,8 @@
 
 Used by the CLI and handy in notebooks: renders a
 :class:`~repro.core.session.CheckpointSession`'s statistics, an image's
-inventory, and a tracer's phase breakdown as aligned text.
+inventory, and a :mod:`repro.obs` span tree's phase breakdown as
+aligned text.
 """
 
 from __future__ import annotations
@@ -11,14 +12,18 @@ from typing import Optional
 
 from repro import units
 from repro.core.session import CheckpointSession, RestoreSession
-from repro.sim.trace import Tracer
+from repro.obs import SpanTracer
 from repro.storage.image import CheckpointImage
 
 
 def checkpoint_report(image: CheckpointImage,
                       session: Optional[CheckpointSession] = None,
-                      tracer: Optional[Tracer] = None) -> str:
-    """A multi-line summary of one completed checkpoint."""
+                      spans: Optional[SpanTracer] = None) -> str:
+    """A multi-line summary of one completed checkpoint.
+
+    ``spans`` is the tree the run was recorded in (an observer's, or an
+    ``obs.timeline`` block's); its closed spans are totalled by name.
+    """
     from repro.storage.delta import DeltaImage
 
     lines = [f"checkpoint report: {image.name}"]
@@ -61,8 +66,11 @@ def checkpoint_report(image: CheckpointImage,
                          f"pool waits {s.cow_pool_waits}")
         if s.violations_handled:
             lines.append(f"  validator events   : {s.violations_handled}")
-    if tracer is not None:
-        phases = tracer.breakdown()
+    if spans is not None:
+        phases: dict[str, float] = {}
+        for node in spans.iter_nodes():
+            if node.end is not None:
+                phases[node.name] = phases.get(node.name, 0.0) + node.duration
         if phases:
             lines.append("  phase breakdown    :")
             for label, total in sorted(phases.items(), key=lambda kv: -kv[1]):

@@ -8,7 +8,7 @@ paper measures 3.1 s of context creation vs ~1.7-2.2 s of copy).
 
 from __future__ import annotations
 
-from repro import baselines
+from repro import baselines, obs
 from repro.cluster import Machine
 from repro.experiments.harness import ExperimentResult, build_world, setup_app
 
@@ -30,23 +30,23 @@ def run() -> ExperimentResult:
         t0 = eng.now
         image = yield from baselines.checkpoint(
             "singularity", eng, world.process, phos.medium, phos.criu,
-            tracer=phos.tracer,
         )
         ckpt = eng.now - t0
         t1 = eng.now
         target = Machine(eng, name="target", n_gpus=world.spec.n_gpus)
         yield from baselines.restore(
             "singularity", eng, image, target, list(range(world.spec.n_gpus)),
-            phos.medium, phos.criu, tracer=phos.tracer,
+            phos.medium, phos.criu,
         )
         restore = eng.now - t1
         return ckpt, restore
 
-    ckpt, restore = eng.run_process(driver(eng))
-    context_s = phos.tracer.total("context-create")
-    restore_copy_s = phos.tracer.total("restore-copy")
-    ckpt_copy_s = phos.tracer.total("stop-world-copy")
-    quiesce_s = phos.tracer.total("quiesce")
+    with obs.timeline(eng) as spans:
+        ckpt, restore = eng.run_process(driver(eng))
+    context_s = spans.total("context-create")
+    restore_copy_s = spans.total("restore/stop-world/copy")
+    ckpt_copy_s = spans.total("checkpoint/stop-world/copy")
+    quiesce_s = spans.total("quiesce")
     result.add(phase="checkpoint: quiesce", seconds=quiesce_s,
                paper_seconds=0.01)
     result.add(phase="checkpoint: copy GPU+CPU data", seconds=ckpt_copy_s,

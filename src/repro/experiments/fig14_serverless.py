@@ -18,11 +18,11 @@ from __future__ import annotations
 
 from repro import stats
 from repro.experiments.harness import ExperimentResult
+from repro.tasks.fault_tolerance import SYSTEMS
 from repro.tasks.serverless import cold_start
 
 APPS = ("resnet152-infer", "sd-infer", "llama2-13b-infer",
         "llama3-70b-infer")
-SYSTEMS = ("phos", "singularity", "cuda-checkpoint")
 
 
 def run(apps=APPS, n_requests: int = 8) -> ExperimentResult:

@@ -12,7 +12,7 @@ Llama2-13B training.  Three variants:
 
 from __future__ import annotations
 
-from repro import baselines
+from repro import baselines, obs
 from repro.experiments.harness import (
     ExperimentResult,
     build_world,
@@ -48,8 +48,7 @@ def _measure(system: str, prioritized: bool = True, steps: int = 3):
                 config=experiment_config(prioritized=prioritized))
         else:
             handle = eng.spawn(baselines.checkpoint(
-                system, eng, world.process, phos.medium, phos.criu,
-                tracer=phos.tracer))
+                system, eng, world.process, phos.medium, phos.criu))
         t1 = eng.now
         yield from world.workload.run(steps)
         stall = (eng.now - t1) - steps * base
@@ -57,8 +56,9 @@ def _measure(system: str, prioritized: bool = True, steps: int = 3):
         session = result[1] if system == "phos" else None
         return base, max(0.0, stall), session
 
-    base, stall, session = eng.run_process(driver(eng))
-    quiesce_s = phos.tracer.total("quiesce")
+    with obs.timeline(eng) as spans:
+        base, stall, session = eng.run_process(driver(eng))
+    quiesce_s = spans.total("quiesce")
     cow_stall = session.stats.cow_stall_time if session else 0.0
     attributed = None
     if world.observer is not None and system == "phos":

@@ -10,7 +10,7 @@ paper measures the recopied volume dropping from 50 to 27 GB per GPU
 
 from __future__ import annotations
 
-from repro import baselines, units
+from repro import baselines, obs, units
 from repro.core.engine import EXPERIMENT_CHUNK
 from repro.experiments.harness import (
     ExperimentResult,
@@ -39,10 +39,11 @@ def _measure_recopy(coordinated: bool, steps_during: int = 80):
         yield runner
         return session
 
-    session = eng.run_process(driver(eng))
-    eng.run()
-    recopy_s = phos.tracer.total("gpu-recopy") / world.spec.n_gpus
-    quiesce_s = phos.tracer.total("quiesce")
+    with obs.timeline(eng) as spans:
+        session = eng.run_process(driver(eng))
+        eng.run()
+    recopy_s = spans.total("gpu-recopy") / world.spec.n_gpus
+    quiesce_s = spans.total("quiesce")
     recopied_gb_per_gpu = (
         session.stats.bytes_recopied / world.spec.n_gpus / units.GB
     )
@@ -58,7 +59,6 @@ def _measure_singularity():
         t0 = eng.now
         yield from baselines.checkpoint(
             "singularity", eng, world.process, phos.medium, phos.criu,
-            tracer=phos.tracer,
         )
         return eng.now - t0
 

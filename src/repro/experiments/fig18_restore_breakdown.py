@@ -8,7 +8,7 @@ layers run, later layers' buffers stream in the background.
 
 from __future__ import annotations
 
-from repro import baselines
+from repro import baselines, obs
 from repro.cluster import Machine
 from repro.core.daemon import Phos
 from repro.experiments.harness import (
@@ -64,9 +64,10 @@ def _measure_phos() -> dict:
         return (resume_at - t0, first_tok - t0, done - t0,
                 session.stall_time)
 
-    resume_s, first_s, total_s, stall_s = eng.run_process(phos_driver(eng))
-    eng.run()
-    ctx_s = phos2.tracer.total("context-setup")
+    with obs.timeline(eng) as spans:
+        resume_s, first_s, total_s, stall_s = eng.run_process(phos_driver(eng))
+        eng.run()
+    ctx_s = spans.total("context-setup")
     return dict(variant="phos-concurrent", context_s=ctx_s,
                 time_to_resume_s=resume_s, first_token_s=first_s,
                 n_tokens_total_s=total_s, restore_stall_s=stall_s)
@@ -83,7 +84,7 @@ def _measure_singularity() -> dict:
         t0 = eng.now
         process = yield from baselines.restore(
             "singularity", eng, image, worker, list(range(world.spec.n_gpus)),
-            phos2.medium, phos2.criu, tracer=phos2.tracer,
+            phos2.medium, phos2.criu,
         )
         resume_at = eng.now
         world.workload.bind_restored(process)
@@ -92,10 +93,11 @@ def _measure_singularity() -> dict:
         yield from world.workload.run(TOKENS - 1)
         return resume_at - t0, first_tok - t0, eng.now - t0
 
-    resume_s, first_s, total_s = eng.run_process(sing_driver(eng))
-    eng.run()
+    with obs.timeline(eng) as spans:
+        resume_s, first_s, total_s = eng.run_process(sing_driver(eng))
+        eng.run()
     return dict(variant="singularity-stop-world",
-                context_s=phos2.tracer.total("context-create"),
+                context_s=spans.total("context-create"),
                 time_to_resume_s=resume_s, first_token_s=first_s,
                 n_tokens_total_s=total_s, restore_stall_s=None)
 

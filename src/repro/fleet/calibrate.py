@@ -27,9 +27,8 @@ from typing import Iterable, Optional
 from repro import units
 from repro.apps.specs import get_spec
 from repro.errors import InvalidValueError
-
-#: Systems the fleet can serve a trace with (Fig. 14's comparison set).
-SYSTEMS = ("phos", "singularity", "cuda-checkpoint")
+# ``SYSTEMS``: what the fleet can serve a trace with (Fig. 14's set).
+from repro.tasks.fault_tolerance import SYSTEMS
 
 
 @dataclass(frozen=True)

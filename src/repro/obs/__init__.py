@@ -15,10 +15,21 @@ installed these return shared null objects, so the disabled-mode cost
 is one global read and a no-op call — tier-1 benchmark shapes are
 unchanged.
 
-At most one observer is active at a time (the simulator is
-single-threaded); installing a new one replaces the old, and
-experiment code keeps per-world observers by holding the returned
-handle (see ``experiments/harness.py``).
+Two things are active at a time (the simulator is single-threaded):
+the *observer* (:func:`active`; metrics) and the *span tracer* that
+:func:`span`/:func:`record` write to.  :func:`install`,
+:func:`uninstall` and :func:`observed` move both; a consumer that only
+needs the phase timeline (the breakdown figures, ``phos checkpoint``'s
+report) asks for one with :func:`timeline`, which moves only the
+second — metrics stay off, and a caller's own observer keeps counting::
+
+    with obs.timeline(engine) as spans:
+        ...run a checkpoint...
+    spans.total("quiesce")
+
+Installing a new observer replaces the old, and experiment code keeps
+per-world observers by holding the returned handle (see
+``experiments/harness.py``).
 """
 
 from __future__ import annotations
@@ -38,7 +49,7 @@ from repro.obs.spans import NULL_SPAN, SpanNode, SpanTracer
 __all__ = [
     "Counter", "Gauge", "TimeWeightedHistogram", "Registry",
     "SpanNode", "SpanTracer", "Observer",
-    "install", "uninstall", "active", "enabled", "observed",
+    "install", "uninstall", "active", "enabled", "observed", "timeline",
     "counter", "gauge", "histogram", "span", "record",
 ]
 
@@ -51,41 +62,28 @@ class Observer:
         self.metrics = Registry(engine)
         self.spans = SpanTracer(engine)
 
-    # Convenience delegates -------------------------------------------------------
-    def counter(self, name: str, **labels) -> Counter:
-        return self.metrics.counter(name, **labels)
-
-    def gauge(self, name: str, **labels) -> Gauge:
-        return self.metrics.gauge(name, **labels)
-
-    def histogram(self, name: str, bounds=None, **labels) -> TimeWeightedHistogram:
-        return self.metrics.histogram(name, bounds=bounds, **labels)
-
-    def span(self, name: str, parent: Optional[SpanNode] = None, **attrs):
-        return self.spans.span(name, parent=parent, **attrs)
-
-    def record(self, name: str, start: float, end: Optional[float] = None,
-               parent: Optional[SpanNode] = None, **attrs) -> SpanNode:
-        return self.spans.record(name, start, end=end, parent=parent, **attrs)
-
 
 _current: Optional[Observer] = None
+#: Where :func:`span`/:func:`record` write: the installed observer's
+#: ``spans``, or a :func:`timeline` block's tree.
+_spans: Optional[SpanTracer] = None
 
 
 def install(observer_or_engine) -> Observer:
     """Activate an observer (or build one for an engine) globally."""
-    global _current
+    global _current, _spans
     if isinstance(observer_or_engine, Observer):
         _current = observer_or_engine
     else:
         _current = Observer(observer_or_engine)
+    _spans = _current.spans
     return _current
 
 
 def uninstall() -> Optional[Observer]:
     """Deactivate the current observer; returns it for inspection."""
-    global _current
-    observer, _current = _current, None
+    global _current, _spans
+    observer, _current, _spans = _current, None, None
     return observer
 
 
@@ -101,13 +99,35 @@ def enabled() -> bool:
 @contextlib.contextmanager
 def observed(engine):
     """Install a fresh observer for the duration of a block."""
-    global _current
-    previous = _current
+    global _current, _spans
+    previous = _current, _spans
     observer = install(engine)
     try:
         yield observer
     finally:
-        _current = previous
+        _current, _spans = previous
+
+
+@contextlib.contextmanager
+def timeline(engine):
+    """Record spans on ``engine``'s clock for the duration of a block.
+
+    Yields the :class:`SpanTracer` the block's phases land in and puts
+    back whatever was recording before on exit.  The observer is left
+    alone: :func:`active` and every metric behave as outside the block.
+    When the installed observer is already bound to ``engine`` its own
+    tree is yielded, so an observed run keeps one tree.
+    """
+    global _spans
+    if _current is not None and _current.engine is engine:
+        spans = _current.spans
+    else:
+        spans = SpanTracer(engine)
+    previous, _spans = _spans, spans
+    try:
+        yield spans
+    finally:
+        _spans = previous
 
 
 # -- module-level fast paths (near-zero cost when disabled) ----------------------
@@ -130,15 +150,15 @@ def histogram(name: str, bounds=None, **labels):
 
 
 def span(name: str, parent: Optional[SpanNode] = None, **attrs):
-    cur = _current
+    cur = _spans
     if cur is None:
         return NULL_SPAN
-    return cur.spans.span(name, parent=parent, **attrs)
+    return cur.span(name, parent=parent, **attrs)
 
 
 def record(name: str, start: float, end: Optional[float] = None,
            parent: Optional[SpanNode] = None, **attrs):
-    cur = _current
+    cur = _spans
     if cur is None:
         return None
-    return cur.spans.record(name, start, end=end, parent=parent, **attrs)
+    return cur.record(name, start, end=end, parent=parent, **attrs)

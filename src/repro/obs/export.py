@@ -1,6 +1,6 @@
 """Reports from an :class:`~repro.obs.Observer`: JSON and aligned text.
 
-Three consumers, three shapes:
+Four consumers, four shapes:
 
 * :func:`snapshot` / :func:`to_json` — the full machine-readable dump
   (schema in ``docs/observability.md``);
@@ -10,7 +10,9 @@ Three consumers, three shapes:
 * :func:`dma_report` — per-priority-class DMA engine occupancy, bytes
   moved, and queue depth, the numbers behind the §5 starvation story;
 * :func:`render` — all of the above as one human-readable block (what
-  ``phos bench --obs`` prints).
+  ``phos bench --obs`` prints);
+* :func:`chrome_trace` — a span tree (an observer's, or an
+  ``obs.timeline`` block's) as Chrome trace events.
 
 The text paths import the experiment harness lazily: ``repro.obs`` is
 imported by low-level modules (``sim.resources``, ``gpu.dma``) and a
@@ -23,7 +25,7 @@ import json
 from typing import TYPE_CHECKING, Optional
 
 from repro import units
-from repro.obs import Observer
+from repro.obs import Observer, SpanTracer
 from repro.obs.metrics import Gauge, TimeWeightedHistogram
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -43,6 +45,25 @@ def to_json(observer: Observer, indent: Optional[int] = 2) -> str:
     return json.dumps(snapshot(observer), indent=indent, sort_keys=False)
 
 
+def chrome_trace(spans: SpanTracer) -> list[dict]:
+    """The closed spans of a tree in Chrome trace-event format.
+
+    Dump with ``json.dump(chrome_trace(spans), f)`` and open in
+    ``chrome://tracing`` / Perfetto.  Virtual seconds map to trace
+    microseconds; every span becomes a complete ('X') event on the
+    track of its ``gpu`` attribute, with its attributes in ``args``.
+    """
+    events = [
+        {"name": node.name, "ph": "X", "pid": 1,
+         "tid": node.attrs.get("gpu", 0),
+         "ts": node.start * 1e6, "dur": node.duration * 1e6,
+         "args": dict(node.attrs)}
+        for node in spans.iter_nodes() if node.end is not None
+    ]
+    events.sort(key=lambda e: e["ts"])
+    return events
+
+
 def phase_report(observer: Observer, exp_id: str = "obs-phases",
                  title: str = "phase breakdown") -> "ExperimentResult":
     """Span durations aggregated by path (one row per phase)."""
@@ -53,7 +74,10 @@ def phase_report(observer: Observer, exp_id: str = "obs-phases",
         columns=["phase", "count", "total_s", "mean_s", "share_pct"],
     )
     totals = observer.spans.phase_totals()
-    top_level = sum(t for path, (_, t) in totals.items() if "/" not in path)
+    # Root names themselves contain "/" (``checkpoint/recopy``), so the
+    # denominator comes from the tree, not from the shape of the path.
+    top_level = sum(root.duration for root in observer.spans.roots
+                    if root.end is not None)
     for path in sorted(totals):
         count, total = totals[path]
         result.add(
@@ -193,8 +217,11 @@ def counters_report(observer: Observer, exp_id: str = "obs-counters",
     for entry in observer.metrics.snapshot()["counters"]:
         from repro.obs.metrics import render_name
 
+        # Counts print as integers (the table formatter gives every
+        # float below 100 decimals).
+        value = entry["value"]
         result.add(counter=render_name(entry["name"], entry["labels"]),
-                   value=entry["value"])
+                   value=int(value) if float(value).is_integer() else value)
     return result
 
 

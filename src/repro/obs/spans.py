@@ -82,23 +82,23 @@ class SpanNode:
 class _SpanContext:
     """Context-manager handle for one span (usable across yields)."""
 
-    __slots__ = ("_tracer", "_name", "_attrs", "_parent", "node")
+    __slots__ = ("_spans", "_name", "_attrs", "_parent", "node")
 
-    def __init__(self, tracer: "SpanTracer", name: str,
+    def __init__(self, spans: "SpanTracer", name: str,
                  parent: Optional[SpanNode], attrs: dict) -> None:
-        self._tracer = tracer
+        self._spans = spans
         self._name = name
         self._attrs = attrs
         self._parent = parent
         self.node: Optional[SpanNode] = None
 
     def __enter__(self) -> SpanNode:
-        self.node = self._tracer.begin(self._name, parent=self._parent,
-                                       **self._attrs)
+        self.node = self._spans.begin(self._name, parent=self._parent,
+                                      **self._attrs)
         return self.node
 
     def __exit__(self, exc_type, exc, tb) -> bool:
-        self._tracer.end(self.node)
+        self._spans.end(self.node)
         return False
 
 

@@ -26,7 +26,6 @@ from repro.sim.domains import ClockDomain, DomainChannel, World
 from repro.sim.engine import Engine, Process
 from repro.sim.events import AllOf, AnyOf, Event, Timeout
 from repro.sim.resources import PriorityResource, Resource, Store
-from repro.sim.trace import Span, Tracer
 
 __all__ = [
     "AllOf",
@@ -38,9 +37,7 @@ __all__ = [
     "PriorityResource",
     "Process",
     "Resource",
-    "Span",
     "Store",
     "Timeout",
-    "Tracer",
     "World",
 ]

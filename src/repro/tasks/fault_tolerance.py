@@ -88,8 +88,7 @@ def measure_checkpoint_overhead(system: str, spec_name: str,
                 config=ProtocolConfig(chunk_bytes=chunk_bytes))
         else:
             handle = eng.spawn(baselines.checkpoint(
-                system, eng, process, phos.medium, phos.criu,
-                tracer=phos.tracer))
+                system, eng, process, phos.medium, phos.criu))
         t1 = eng.now
         yield from workload.run(span_iters)
         elapsed = eng.now - t1

@@ -122,7 +122,6 @@ def migrate(system: str, spec_name: str, warm_steps: int = 2,
             stop_time = eng.now
             image = yield from baselines.checkpoint(
                 system, eng, process, rdma, phos_src.criu, keep_stopped=True,
-                tracer=phos_src.tracer,
             )
             new_process = yield from baselines.restore(
                 system, eng, image, dst, list(range(spec.n_gpus)),

@@ -4,12 +4,14 @@ import json
 
 import pytest
 
+from repro import obs
 from repro.api.runtime import GpuProcess
 from repro.cluster import Machine
 from repro.core.daemon import Phos
 from repro.core.report import checkpoint_report, restore_report
 from repro.gpu.context import GpuContext
-from repro.sim import Tracer
+from repro.obs import SpanTracer
+from repro.obs.export import chrome_trace
 
 from tests.toyapp import ToyApp
 
@@ -40,8 +42,9 @@ def run_checkpoint(eng, phos, process, mode="cow"):
 
 def test_checkpoint_report_renders_core_facts(eng, world):
     machine, phos, process = world
-    image, session = run_checkpoint(eng, phos, process)
-    text = checkpoint_report(image, session, phos.tracer)
+    with obs.timeline(eng) as spans:
+        image, session = run_checkpoint(eng, phos, process)
+    text = checkpoint_report(image, session, spans)
     assert image.name in text
     assert "GPU state" in text and "buffers" in text
     assert "protocol           : cow" in text
@@ -89,29 +92,29 @@ def test_restore_report(eng, world):
 
 
 def test_chrome_trace_export(eng):
-    tracer = Tracer(eng)
+    spans = SpanTracer(eng)
 
     def proc(eng):
-        span = tracer.begin("copy", gpu=3)
-        yield eng.timeout(2.0)
-        tracer.end(span)
-        tracer.mark("done", reason="test")
+        with spans.span("copy", gpu=3):
+            yield eng.timeout(2.0)
+        spans.record("done", eng.now, reason="test")
 
     eng.run_process(proc(eng))
-    events = tracer.to_chrome_trace()
+    events = chrome_trace(spans)
     assert len(events) == 2
     json.dumps(events)  # serializable
-    complete = next(e for e in events if e["ph"] == "X")
-    assert complete["name"] == "copy"
+    assert {e["ph"] for e in events} == {"X"}
+    complete = next(e for e in events if e["name"] == "copy")
     assert complete["dur"] == pytest.approx(2e6)
     assert complete["tid"] == 3
-    instant = next(e for e in events if e["ph"] == "i")
+    instant = next(e for e in events if e["name"] == "done")
+    assert instant["dur"] == 0 and instant["ts"] == pytest.approx(2e6)
     assert instant["args"]["reason"] == "test"
     # Sorted by timestamp.
     assert [e["ts"] for e in events] == sorted(e["ts"] for e in events)
 
 
 def test_chrome_trace_skips_open_spans(eng):
-    tracer = Tracer(eng)
-    tracer.begin("never-closed")
-    assert tracer.to_chrome_trace() == []
+    spans = SpanTracer(eng)
+    spans.begin("never-closed")
+    assert chrome_trace(spans) == []

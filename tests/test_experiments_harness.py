@@ -1,5 +1,7 @@
 """Unit tests for the experiment harness and fast experiment sanity."""
 
+from pathlib import Path
+
 import pytest
 
 from repro import obs
@@ -11,6 +13,8 @@ from repro.experiments.harness import (
     run_steps,
     setup_app,
 )
+
+GOLDENS = Path(__file__).parent / "goldens"
 
 
 def test_experiment_result_add_and_column():
@@ -110,3 +114,50 @@ def test_build_world_leaves_a_callers_own_observer_installed():
         assert obs.active() is mine
     finally:
         obs.uninstall()
+
+
+class _CountersOnly:
+    """The span side of the bench counters pass's observer: one observer
+    spans every world, so it has no clock to stamp spans with."""
+
+    def span(self, name, parent=None, **attrs):
+        return obs.NULL_SPAN
+
+    def record(self, name, start, end=None, parent=None, **attrs):
+        return None
+
+
+def _golden_row(fig: str, variant: str) -> dict:
+    lines = (GOLDENS / f"{fig}.txt").read_text().splitlines()
+    columns = lines[1].split()
+    (cells,) = [line.split() for line in lines[3:]
+                if line.split()[:1] == [variant]]
+    return dict(zip(columns, cells))
+
+
+@pytest.mark.parametrize("fig,module,variant,counter", [
+    ("fig17", "fig17_recopy_breakdown", "phos-recopy", "phos/checkpoints"),
+    ("fig16", "fig16_cow_breakdown", "phos-cow", "cow/shadow-copies"),
+], ids=["fig17-phos-recopy", "fig16-phos-cow"])
+def test_figure_cell_keeps_a_callers_counters_only_observer(
+        fig, module, variant, counter):
+    """A breakdown cell records its phase timeline beside the caller's
+    observer, never in place of it: the row is the golden one and the
+    caller's counters still see the whole cell."""
+    import importlib
+
+    from repro.sim import Engine
+
+    mod = importlib.import_module(f"repro.experiments.{module}")
+    (cell,) = [c for c in mod.cells() if c.key[0] == variant]
+    mine = obs.Observer(Engine())
+    mine.spans = _CountersOnly()
+    obs.install(mine)
+    try:
+        (row,) = mod.run_cell(cell)
+        assert obs.active() is mine
+    finally:
+        obs.uninstall()
+    golden = _golden_row(fig, variant)
+    assert {col: harness._fmt(row[col]) for col in golden} == golden
+    assert sum(c.value for c in mine.metrics.find(counter)) > 0

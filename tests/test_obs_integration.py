@@ -124,3 +124,28 @@ def test_render_produces_full_report(cow_run):
     assert "span tree" in text
     assert "checkpoint/cow" in text
     assert "DMA engine arbitration" in text
+
+
+def test_phase_report_shares_are_relative_to_root_spans(cow_run):
+    """Root names contain "/" (``checkpoint/cow``): every root still
+    counts towards the denominator of its own share."""
+    world, _, _ = cow_run
+    report = export.phase_report(world.observer)
+    roots = {root.name for root in world.observer.spans.roots}
+    assert "checkpoint/cow" in roots
+    shares = {row["phase"]: row["share_pct"] for row in report.rows}
+    assert all(shares[name] <= 100.0 for name in roots)
+    assert sum(shares[name] for name in roots) == pytest.approx(100.0)
+
+
+def test_counters_report_prints_counts_as_integers(cow_run):
+    world, _, _ = cow_run
+    report = export.counters_report(world.observer)
+    values = {row["counter"]: row["value"] for row in report.rows}
+    assert values["phos/checkpoints{mode=cow}"] == 1
+    assert isinstance(values["phos/checkpoints{mode=cow}"], int)
+    (line,) = [ln for ln in report.format().splitlines()
+               if ln.startswith("phos/checkpoints{mode=cow}")]
+    assert line.split() == ["phos/checkpoints{mode=cow}", "1"]
+    overhead = values["validator/overhead-seconds{gpu=0}"]
+    assert isinstance(overhead, float) and not overhead.is_integer()

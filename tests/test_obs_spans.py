@@ -135,3 +135,69 @@ def test_null_span_is_reusable_and_silent(eng):
     # Attrs written inside the block do not leak into the next use.
     with obs.span("b") as sp2:
         assert sp2.attrs == {}
+
+
+# -- obs.timeline: spans without metrics -----------------------------------------
+
+def test_timeline_records_spans_and_leaves_the_observer_off(eng):
+    with obs.timeline(eng) as spans:
+        assert obs.active() is None and not obs.enabled()
+        with obs.span("quiesce"):
+            advance(eng, 2.0)
+        obs.counter("ignored").inc()
+    assert spans.total("quiesce") == pytest.approx(2.0)
+    assert obs.span("after") is obs.NULL_SPAN
+
+
+def test_timeline_restores_previous_tracer_after_exception(eng):
+    with obs.timeline(eng) as outer:
+        with pytest.raises(RuntimeError):
+            with obs.timeline(Engine()):
+                raise RuntimeError("cell failed")
+        with obs.span("after"):
+            pass
+    assert [n.name for n in outer.roots] == ["after"]
+    assert obs.span("outside") is obs.NULL_SPAN
+
+
+def test_nested_timelines_on_two_engines_keep_two_trees(eng):
+    other = Engine()
+    with obs.timeline(eng) as first:
+        with obs.span("a"):
+            advance(eng, 1.0)
+            with obs.timeline(other) as second:
+                with obs.span("b"):
+                    advance(other, 5.0)
+            obs.record("c", start=0.5)
+    assert [n.path() for n in first.iter_nodes()] == ["a", "a/c"]
+    assert [n.path() for n in second.iter_nodes()] == ["b"]
+    assert second.total("b") == pytest.approx(5.0)  # the other clock
+
+
+def test_timeline_under_an_observer_of_the_engine_yields_its_tree(eng):
+    from repro.obs import export
+
+    with obs.observed(eng) as observer:
+        with obs.timeline(eng) as spans:
+            assert spans is observer.spans
+            assert obs.active() is observer
+            with obs.span("checkpoint/cow"):
+                with obs.span("quiesce"):
+                    advance(eng, 1.0)
+        # Still the observer's tree after the block.
+        with obs.span("gpu-copy"):
+            advance(eng, 1.0)
+    phases = export.phase_report(observer).column("phase")
+    assert phases == ["checkpoint/cow", "checkpoint/cow/quiesce", "gpu-copy"]
+    assert obs.active() is None and obs.span("x") is obs.NULL_SPAN
+
+
+def test_timeline_on_another_engine_gives_the_observer_its_tree_back(eng):
+    """An observer bound to a different engine keeps ``active()`` during
+    the block and gets its own span tree back afterwards."""
+    observer = obs.install(eng)
+    with obs.timeline(Engine()) as spans:
+        assert obs.active() is observer and spans is not observer.spans
+    with obs.span("back"):
+        pass
+    assert [n.name for n in observer.spans.roots] == ["back"]

@@ -18,6 +18,7 @@ from pathlib import Path
 
 import pytest
 
+from repro import obs
 from repro.api.runtime import GpuProcess
 from repro.cluster import Machine
 from repro.core.cli import build_parser, main as cli_main
@@ -301,9 +302,10 @@ def _t2_checkpoint(mode):
         yield runner
         return image, session
 
-    image, session = eng.run_process(driver(eng))
-    eng.run()
-    return phos, image, session
+    with obs.timeline(eng) as spans:
+        image, session = eng.run_process(driver(eng))
+        eng.run()
+    return spans, image, session
 
 
 def test_incremental_without_parent_is_recopy_plus_seal():
@@ -313,8 +315,8 @@ def test_incremental_without_parent_is_recopy_plus_seal():
     from repro.core.report import checkpoint_report
     from repro.storage.delta import materialize
 
-    r_phos, r_image, r_session = _t2_checkpoint("recopy")
-    d_phos, d_image, d_session = _t2_checkpoint("incremental")
+    r_spans, r_image, r_session = _t2_checkpoint("recopy")
+    d_spans, d_image, d_session = _t2_checkpoint("incremental")
     assert r_session.stats.bytes_recopied > 0  # the recopy pass did work
     assert d_session.final_quiesce_start == r_session.final_quiesce_start
     assert d_image.checkpoint_time == r_image.checkpoint_time
@@ -322,14 +324,14 @@ def test_incremental_without_parent_is_recopy_plus_seal():
     assert image_gpu_state(full) == image_gpu_state(r_image)
     assert full.cpu_pages == r_image.cpu_pages
 
-    def recopy_rows(phos, image, session):
-        report = checkpoint_report(image, session, tracer=phos.tracer)
+    def recopy_rows(spans, image, session):
+        report = checkpoint_report(image, session, spans)
         return [line for line in report.splitlines()
                 if line.split()[:1] == ["recopy"]]
 
-    rows = recopy_rows(r_phos, r_image, r_session)
+    rows = recopy_rows(r_spans, r_image, r_session)
     assert len(rows) == 1
-    assert recopy_rows(d_phos, d_image, d_session) == rows
+    assert recopy_rows(d_spans, d_image, d_session) == rows
 
 
 # -- hw-dirty reachability (daemon, SDK, CLI) --------------------------------------
