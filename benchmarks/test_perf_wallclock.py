@@ -42,17 +42,6 @@ def test_dma_coalescing_saves_events_with_identical_virtual_time():
     assert result["event_reduction"] > 5.0
 
 
-def test_calendar_queue_keeps_up_with_legacy_heap():
-    """Machine-independent engine regression gate: the calendar queue
-    and the legacy single-heap reference run the same workload in the
-    same process, so their ratio cancels out runner speed.  A calendar
-    regression (or an accidental slow path in dispatch) drags the ratio
-    down; >15% behind the reference scheduler fails."""
-    result = bench_events(repeats=4)
-    assert result["calendar_vs_heap"] > 0.85
-    assert result["legacy_heap_events_per_s"] > 0
-
-
 def test_quick_bench_writes_report(tmp_path):
     report = run_bench(quick=True, jobs=2)
     out = tmp_path / "BENCH_wallclock.json"

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import cProfile
 import io
-import os
 import pstats
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -31,22 +30,6 @@ collected_observers: list[tuple[str, "obs.Observer"]] = []
 #: The observer the latest :func:`build_world` installed (None when that
 #: world is unobserved), so the next world can retire it.
 _installed: Optional["obs.Observer"] = None
-
-#: When set, every experiment world runs as a (one-domain)
-#: ``sim.domains.World`` instead of a plain ``Engine``, exercising the
-#: multi-domain conservative loop on the exact golden workloads.  The
-#: goldens are bit-identical either way — that equivalence is the CI
-#: gate for the clock-domain machinery.
-CLOCK_DOMAINS_ENV = "REPRO_CLOCK_DOMAINS"
-
-
-def _new_engine() -> Engine:
-    """A fresh engine, honouring :data:`CLOCK_DOMAINS_ENV`."""
-    if os.environ.get(CLOCK_DOMAINS_ENV):
-        from repro.sim.domains import World as SimWorld
-
-        return SimWorld().domain("node0")
-    return Engine()
 
 
 def run_cells(runner, cells, jobs=None, label: str = "") -> list:
@@ -187,7 +170,7 @@ def build_world(spec_name: str, use_pool: bool = False,
     installed itself is left alone.
     """
     global _installed
-    engine = _new_engine()
+    engine = Engine()
     observer = None
     if OBSERVE if observe is None else observe:
         observer = obs.install(engine)

@@ -48,38 +48,16 @@ Fallback path
 The pool is skipped — cells run serially, in declared order, in this
 process — whenever any of these hold:
 
-* resolved ``jobs <= 1`` or there is at most one cell;
-* ``REPRO_NO_PARALLEL=1`` (determinism debugging: one process, one
-  thread, breakpoints work);
+* resolved ``jobs <= 1`` (the default — also the determinism-debugging
+  mode: one process, one thread, breakpoints work) or there is at most
+  one cell;
 * this process *is* a pool worker (no nested pools);
 * ``serial_only=True`` was passed (the harness does this when ``--obs``
   is active, because observers live in-process);
-* the runner or a cell fails to pickle, or the pool cannot be created;
-* the **auto-serial projection** (below) predicts the pool cannot beat
-  serial for this run.
+* the runner or a cell fails to pickle, or the pool cannot be created.
 
-Every fallback bumps the ``parallel/fallback`` obs counter with a
-``reason`` label.
-
-Auto-serial projection
-----------------------
-
-Every ``run_cells`` call records the mean per-cell wall time under its
-label (an exponentially weighted average across runs, serial and pool
-alike).  When history exists, the next run projects both modes::
-
-    serial ≈ mean_cell · n_cells
-    pool   ≈ mean_cell · n_cells / min(jobs, effective CPUs)
-             + dispatch cost · n_cells  (+ pool spawn cost when cold)
-
-and takes the pool only when serial is projected at least
-:data:`AUTO_MARGIN` slower.  On a box whose CPU affinity mask is
-smaller than ``--jobs`` (CI runners, cgroup-limited containers) this
-is what stops the pool from *losing* to serial on compute-bound
-figures.  ``REPRO_PARALLEL_AUTO=0`` disables the projection (tests
-asserting pool behavior pin this).  Sleep-bound workloads do scale
-past the CPU count; the projection is deliberately conservative for
-the compute-bound experiment cells this engine exists for.
+Otherwise ``jobs=N`` means N workers.  Every fallback bumps the
+``parallel/fallback`` obs counter with a ``reason`` label.
 
 Failure surfacing
 -----------------
@@ -103,50 +81,26 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 from repro import obs
-from repro.errors import ReproError
+from repro.errors import InvalidValueError, ReproError
+from repro.parallel import worker
 
 #: Environment variable naming the default worker count (``--jobs``
-#: beats it; absent/unparsable means 1 = serial).
+#: beats it; absent or empty means 1 = serial).
 JOBS_ENV = "REPRO_JOBS"
-
-#: Set to ``1`` to force the in-process serial fallback everywhere.
-NO_PARALLEL_ENV = "REPRO_NO_PARALLEL"
-
-#: Present (with any value) inside pool workers; guards nested pools.
-WORKER_ENV = "REPRO_PARALLEL_WORKER"
-
-#: Set to ``0`` to disable the history-based auto-serial projection.
-AUTO_ENV = "REPRO_PARALLEL_AUTO"
 
 #: Target chunks per worker: small enough to amortize dispatch, large
 #: enough that stragglers still rebalance across the pool.
 CHUNKS_PER_WORKER = 4
 
-#: Measured per-cell pool dispatch cost (submit + pickle + IPC + merge
-#: bookkeeping) on the reference container; feeds the projection only.
-DISPATCH_COST_S = 0.002
-
-#: Cold-start cost of spawning a fresh pool of workers (interpreter
-#: start + imports per worker, overlapped across workers).
-POOL_SPAWN_S = 1.0
-
-#: Serial must project at least this much slower before the pool is
-#: taken — the pool has to *win*, not tie.
-AUTO_MARGIN = 1.2
-
 #: Process-wide default set by ``phos ... --jobs`` (None → environment).
 _default_jobs: Optional[int] = None
-
-#: EWMA of mean per-cell wall seconds, keyed by run label.  Fed by
-#: every run (serial and pool) and read by the auto-serial projection.
-_cell_cost: dict[str, float] = {}
 
 
 def effective_cpu_count() -> int:
     """CPUs this process may actually run on (affinity-aware).
 
     ``os.cpu_count()`` reports the machine; cgroup/affinity-limited
-    containers often get far fewer.  Speedup projections must use this
+    containers often get far fewer.  Speedup expectations must use this
     number — a 4-worker pool on a 1-CPU allowance runs compute-bound
     cells sequentially anyway.
     """
@@ -234,10 +188,16 @@ def resolve_jobs(jobs: Optional[int] = None) -> int:
     if _default_jobs is not None:
         return max(1, int(_default_jobs))
     env = os.environ.get(JOBS_ENV, "")
-    try:
-        return max(1, int(env))
-    except ValueError:
+    if not env:
         return 1
+    try:
+        n = int(env)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise InvalidValueError(
+            f"{JOBS_ENV}={env!r} is not an integer >= 1")
+    return n
 
 
 # --------------------------------------------------------------------------
@@ -266,8 +226,6 @@ def _get_pool(max_workers: int) -> ProcessPoolExecutor:
     key = (max_workers, _env_signature())
     pool = _pools.get(key)
     if pool is None:
-        from repro.parallel import worker
-
         pool = ProcessPoolExecutor(
             max_workers=max_workers,
             mp_context=multiprocessing.get_context("spawn"),
@@ -322,33 +280,6 @@ def _run_serial(runner, cells: Sequence[Cell], stats: PoolRunStats) -> list:
     return results
 
 
-def _record_cost(label: str, stats: PoolRunStats) -> None:
-    """Fold this run's mean per-cell wall into the cost history."""
-    if not stats.cell_wall_s:
-        return
-    mean = sum(stats.cell_wall_s) / len(stats.cell_wall_s)
-    prev = _cell_cost.get(label)
-    _cell_cost[label] = mean if prev is None else 0.5 * prev + 0.5 * mean
-
-
-def _auto_serial_reason(label: str, n_cells: int, max_workers: int) -> str:
-    """``"auto"`` when the projection says the pool cannot win."""
-    if os.environ.get(AUTO_ENV, "1") == "0":
-        return ""
-    hist = _cell_cost.get(label)
-    if hist is None:
-        return ""  # first sighting of this label: let the pool try
-    eff = min(max_workers, effective_cpu_count())
-    pool_cached = (max_workers, _env_signature()) in _pools
-    projected_serial = hist * n_cells
-    projected_pool = (hist * n_cells / eff
-                      + DISPATCH_COST_S * n_cells
-                      + (0.0 if pool_cached else POOL_SPAWN_S))
-    if projected_serial < projected_pool * AUTO_MARGIN:
-        return "auto"
-    return ""
-
-
 def run_cells(runner: Callable[[Cell], object], cells: Sequence[Cell],
               jobs: Optional[int] = None, label: str = "",
               serial_only: bool = False) -> list:
@@ -372,21 +303,29 @@ def run_cells(runner: Callable[[Cell], object], cells: Sequence[Cell],
     reason = ""
     if serial_only:
         reason = "serial-only"
-    elif os.environ.get(NO_PARALLEL_ENV):
-        reason = "env"
-    elif os.environ.get(WORKER_ENV):
+    elif worker.in_worker:
         reason = "nested"
     elif n <= 1 or len(cells) <= 1:
         reason = "jobs"
     elif not _picklable(runner, cells):
         reason = "pickle"
-    else:
-        reason = _auto_serial_reason(label, len(cells), n)
 
     t0 = time.perf_counter()
-    if reason:
-        if reason not in ("jobs",):
-            obs.counter("parallel/fallback", reason=reason).inc()
+    # Size the executor by the resolved job count, not the cell count:
+    # workers spawn lazily, and a jobs-keyed pool is shared across every
+    # figure in a bench session (warm Program/plan caches included).
+    max_workers = n
+    pool = None
+    if not reason:
+        try:
+            pool = _get_pool(max_workers)
+        except OSError as exc:  # pragma: no cover - resource exhaustion
+            reason = f"pool: {exc}"
+
+    if pool is None:
+        if reason != "jobs":
+            obs.counter("parallel/fallback",
+                        reason=reason.partition(":")[0]).inc()
         stats.fallback_reason = reason
         try:
             results = _run_serial(runner, cells, stats)
@@ -394,28 +333,8 @@ def run_cells(runner: Callable[[Cell], object], cells: Sequence[Cell],
             stats.wall_s = time.perf_counter() - t0
             stats.utilization = 1.0 if stats.wall_s else 0.0
             stats.workers_used = 1
-            _record_cost(label, stats)
             _record_obs(stats)
         return results
-
-    # Size the executor by the resolved job count, not the cell count:
-    # workers spawn lazily, and a jobs-keyed pool is shared across every
-    # figure in a bench session (warm Program/plan caches included).
-    max_workers = n
-    try:
-        pool = _get_pool(max_workers)
-    except OSError as exc:  # pragma: no cover - resource exhaustion
-        obs.counter("parallel/fallback", reason="pool").inc()
-        stats.fallback_reason = f"pool: {exc}"
-        results = _run_serial(runner, cells, stats)
-        stats.wall_s = time.perf_counter() - t0
-        stats.utilization = 1.0 if stats.wall_s else 0.0
-        stats.workers_used = 1
-        _record_cost(label, stats)
-        _record_obs(stats)
-        return results
-
-    from repro.parallel import worker
 
     stats.mode = "pool"
     stats.jobs = max_workers
@@ -481,7 +400,6 @@ def run_cells(runner: Callable[[Cell], object], cells: Sequence[Cell],
         busy = sum(stats.cell_wall_s)
         if stats.wall_s > 0 and max_workers > 0:
             stats.utilization = busy / (stats.wall_s * max_workers)
-        _record_cost(label, stats)
         _record_obs(stats)
     return results
 

@@ -4,9 +4,9 @@ Each worker is a **spawned** interpreter: nothing leaks in from the
 parent except the environment and the pickled ``(runner, cell)``
 pairs.  :func:`init_worker` runs once per worker process and
 
-* marks the process as a worker (``REPRO_PARALLEL_WORKER=1``) so a
-  runner that itself calls :func:`repro.parallel.run_cells` degrades
-  to serial instead of nesting pools;
+* marks the process as a worker (:data:`in_worker`) so a runner that
+  itself calls :func:`repro.parallel.run_cells` degrades to serial
+  instead of nesting pools;
 * enables the warm :class:`~repro.gpu.isa.Program` cache
   (:func:`repro.apps.base.enable_program_cache`): consecutive cells on
   the same worker rebuild identical kernel binaries, so sharing the
@@ -21,7 +21,6 @@ executor round-trip are paid once per chunk instead of once per cell.
 A cell that raises stops the chunk (mirroring the serial fail-fast)
 and ships a pickle-safe rendition of the exception plus its index, so
 the parent can attribute the failure to the exact declared cell.
-:func:`invoke` is the single-cell form, kept for direct callers.
 """
 
 from __future__ import annotations
@@ -32,37 +31,17 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional
 
+#: True only inside a pool worker (set by :func:`init_worker` in the
+#: spawned interpreter); ``run_cells`` reads it to refuse nested pools.
+in_worker = False
+
 
 def init_worker() -> None:
-    os.environ[
-        "REPRO_PARALLEL_WORKER"
-    ] = "1"  # literal: engine.WORKER_ENV (kept import-light for spawn)
+    global in_worker
+    in_worker = True
     from repro.apps import base
 
     base.enable_program_cache()
-
-
-@dataclass
-class CellOutcome:
-    """One executed cell: its result plus worker-side accounting."""
-
-    result: object
-    wall_s: float
-    warm_hits: int
-    pid: int
-
-
-def invoke(runner, cell) -> CellOutcome:
-    """Run one cell in this worker; called via ``pool.submit``."""
-    from repro.apps import base
-
-    hits0 = base.program_cache_hits()
-    t0 = time.perf_counter()
-    result = runner(cell)
-    wall = time.perf_counter() - t0
-    return CellOutcome(result=result, wall_s=wall,
-                       warm_hits=base.program_cache_hits() - hits0,
-                       pid=os.getpid())
 
 
 @dataclass

@@ -285,7 +285,7 @@ class ClockDomain(Engine):
     """
 
     def __init__(self, world: "World", name: str) -> None:
-        super().__init__(legacy_heap=False)
+        super().__init__()
         self.name = name
         self.world = world
         self._world = world

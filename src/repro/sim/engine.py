@@ -30,16 +30,15 @@ table on the kind constants from :mod:`repro.sim.events`.
 
 FIFO-within-timestamp is exact: bucket append order is scheduling
 order, which is precisely the ``(when, seq)`` order of the historical
-single-heap scheduler.  ``Engine(legacy_heap=True)`` keeps that
-historical heap as a reference implementation; ``tests/test_property_scheduler.py`` drives random
-event soups through both and asserts identical firing order.
+single-heap scheduler.  That heap survives only as the test oracle
+``tests/reference_engine.py``; ``tests/test_property_scheduler.py``
+drives random event soups through both and asserts identical firing
+order.
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
-import os
 from typing import Any, Callable, Generator, Optional
 
 from repro.errors import DeadlockError, SimulationError
@@ -59,13 +58,6 @@ from repro.sim.events import (
 ProcessBody = Generator[Event, Any, Any]
 
 _INF = float("inf")
-
-#: Set to assert, on every dispatched timestamp, that the clock never
-#: moves backwards — a regression guard for the multi-domain
-#: conservative sync loop (see ``sim/domains.py``).  Off by default:
-#: the calendar heap already guarantees monotone pops, so the check
-#: only pays for itself when hunting a sync bug.
-CHECK_CLOCK_ENV = "REPRO_CHECK_CLOCK"
 
 
 class Process(Event):
@@ -181,15 +173,10 @@ class Engine:
 
     The engine is single-threaded and deterministic: events scheduled for
     the same timestamp run in FIFO scheduling order.
-
-    ``legacy_heap=True`` selects the historical ``(when, seq, record)``
-    heapq scheduler — one pop per record, no buckets — kept as the
-    order-semantics reference for the calendar queue's property tests.
     """
 
-    def __init__(self, legacy_heap: bool = False) -> None:
+    def __init__(self) -> None:
         self._now = 0.0
-        self._legacy = legacy_heap
         #: Human label; a ClockDomain overrides it with the domain name.
         self.name = "engine"
         #: The World this engine belongs to as a ClockDomain, or None
@@ -198,14 +185,10 @@ class Engine:
         #: Extra labels merged into obs metrics minted against this
         #: engine ({"domain": name} on a ClockDomain, {} otherwise).
         self._obs_labels: dict = {}
-        self._check_clock = bool(os.environ.get(CHECK_CLOCK_ENV))
         #: Calendar level 1: exact timestamp -> FIFO record bucket.
         self._buckets: dict[float, list] = {}
         #: Calendar level 2: heap of distinct timestamps with buckets.
         self._theap: list[float] = []
-        #: Legacy reference queue: (when, seq, kind, target, payload).
-        self._lheap: list[tuple] = []
-        self._seq = itertools.count()
         #: Total records ever pushed onto the event queue.
         self._n_scheduled = 0
         #: Records actually dispatched by run().  Differs from
@@ -239,8 +222,6 @@ class Engine:
     @property
     def events_pending(self) -> int:
         """Records currently waiting in the queue."""
-        if self._legacy:
-            return len(self._lheap)
         return sum(len(b) for b in self._buckets.values())
 
     # -- factory helpers -----------------------------------------------------
@@ -282,9 +263,6 @@ class Engine:
         if when < self._now or when != when:  # second clause: NaN guard
             raise SimulationError(f"cannot schedule in the past ({when} < {self._now})")
         self._n_scheduled += 1
-        if self._legacy:
-            heapq.heappush(self._lheap, (when, next(self._seq), kind, target, payload))
-            return
         b = self._buckets.get(when)
         if b is None:
             self._buckets[when] = [(kind, target, payload)]
@@ -308,14 +286,6 @@ class Engine:
                 f"event homed in domain {self.name!r}; hand the completion "
                 "off through a DomainChannel"
             )
-        if self._legacy:
-            now = self._now
-            for cb in cbs:
-                if isinstance(cb, Event):
-                    self._push(now, K_RESUME, cb, event)
-                else:
-                    self._push(now, K_CALL1, cb, event)
-            return
         now = self._now
         b = self._buckets.get(now)
         if b is None:
@@ -359,9 +329,20 @@ class Engine:
                 raise SimulationError(f"deadline {deadline} is in the past")
         self._running = True
         try:
-            if self._legacy:
-                return self._run_legacy(deadline, stop_event)
-            return self._run_calendar(deadline, stop_event)
+            # A plain engine's run is one drain window, up to the deadline.
+            limit = _INF if deadline is None else deadline
+            if self._drain_window(limit, limit, stop_event):
+                if not stop_event._ok:
+                    raise stop_event._value
+                return stop_event._value
+            if stop_event is not None and not stop_event._fired:
+                raise DeadlockError(
+                    f"event queue drained at t={self._now:g} but "
+                    f"{stop_event.name!r} never fired"
+                )
+            if deadline is not None:
+                self._now = deadline
+            return None
         finally:
             self._running = False
 
@@ -370,22 +351,23 @@ class Engine:
         """Dispatch queued records with ``t <= incl`` or ``t < bound``.
 
         The one dispatch loop of the calendar queue.  A plain engine's
-        ``run`` is a single window up to its deadline, if any
-        (:meth:`_run_calendar`); a clock domain gets one window per
-        conservative step (see ``sim/domains.py``): the inclusive leg is
-        the world's global lower-bound timestamp, the exclusive leg adds
-        this domain's lookahead.  Per-domain order therefore *is* the
+        ``run`` is a single window up to its deadline, if any; a clock
+        domain gets one window per conservative step (see
+        ``sim/domains.py``): the inclusive leg is the world's global
+        lower-bound timestamp, the exclusive leg adds this domain's
+        lookahead.  Per-domain order therefore *is* the
         single-engine order.  Returns True when ``stop_event`` fired
         mid-drain.
         """
         buckets = self._buckets
         theap = self._theap
-        check = self._check_clock
         while theap:
             t = theap[0]
             if t > incl and t >= bound:
                 return False
-            if check and t < self._now:
+            # Defence in depth: _push and ClockDomain._accept already
+            # reject past timestamps, so only a forged record gets here.
+            if t < self._now:
                 raise SimulationError(
                     f"clock went backwards in {self.name!r}: "
                     f"record at t={t!r} behind now={self._now!r}"
@@ -442,63 +424,6 @@ class Engine:
                     del buckets[t]
                     heapq.heappop(theap)
         return False
-
-    def _run_calendar(self, deadline: Optional[float],
-                      stop_event: Optional[Event]) -> Any:
-        """A plain engine's run: one drain window, up to the deadline."""
-        limit = _INF if deadline is None else deadline
-        if self._drain_window(limit, limit, stop_event):
-            if not stop_event._ok:
-                raise stop_event._value
-            return stop_event._value
-        if stop_event is not None and not stop_event._fired:
-            raise DeadlockError(
-                f"event queue drained at t={self._now:g} but "
-                f"{stop_event.name!r} never fired"
-            )
-        if deadline is not None:
-            self._now = deadline
-        return None
-
-    def _run_legacy(self, deadline: Optional[float],
-                    stop_event: Optional[Event]) -> Any:
-        heap = self._lheap
-        check = self._check_clock
-        while heap:
-            when = heap[0][0]
-            if deadline is not None and when > deadline:
-                self._now = deadline
-                return None
-            when, _, kind, target, payload = heapq.heappop(heap)
-            if check and when < self._now:
-                raise SimulationError(
-                    f"clock went backwards in {self.name!r}: "
-                    f"record at t={when!r} behind now={self._now!r}"
-                )
-            self._now = when
-            self._n_executed += 1
-            if kind == K_RESUME:
-                target._resume(payload)
-            elif kind == K_FIRE:
-                target._fire(True, payload)
-            elif kind == K_CALL1:
-                target(payload)
-            elif kind == K_STEP:
-                target._step(None, payload)
-            else:
-                target()
-            if stop_event is not None and stop_event._fired:
-                if not stop_event._ok:
-                    raise stop_event._value
-                return stop_event._value
-        if stop_event is not None and not stop_event._fired:
-            raise DeadlockError(
-                f"event queue drained at t={self._now:g} but "
-                f"{stop_event.name!r} never fired"
-            )
-        if deadline is not None:
-            self._now = deadline
-        return None
 
     def run_process(self, body: ProcessBody, name: str = "") -> Any:
         """Spawn ``body`` and run the engine until it finishes."""

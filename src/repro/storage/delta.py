@@ -258,8 +258,7 @@ def seal_delta(image: DeltaImage,
     state size.  A valid entry can never change the sealed bytes: clean
     chunks are byte-identical to the parent by construction (dirty
     tracking over-approximates writes), so the cached hash *is* the
-    recomputed hash.  ``REPRO_NO_HASHCACHE=1`` disables consumption
-    (every chunk is rehashed) without disabling bookkeeping.
+    recomputed hash.  A lookup that misses rehashes every chunk.
     """
     if image.sealed:
         raise TornImageError(f"delta image {image.name!r} sealed twice")
@@ -267,7 +266,7 @@ def seal_delta(image: DeltaImage,
     reused = reused or {}
     freed = freed or {}
     parent_hash_cache: dict[tuple[int, int], list[bytes]] = {}
-    use_cache = cache is not None and cache.enabled and image.parent_id is not None
+    use_cache = cache is not None and image.parent_id is not None
     n_hit = n_miss = rehash_bytes = 0
 
     def parent_record(gpu: int, buf_id: int):

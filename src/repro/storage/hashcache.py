@@ -27,28 +27,19 @@ ships only the chunk-aligned dirty spans of each captured buffer after
 an on-device hash scan (see ``DataMover._ship``), which is what moves
 the wall-clock cost to O(dirty).
 
-``REPRO_NO_HASHCACHE=1`` is the kill switch: it disables hash
-*consumption* (every seal rehashes everything) while bookkeeping
-continues, so images and virtual timings are byte-identical with the
-cache on or off — the differential suite in
-``tests/test_property_hashcache.py`` asserts exactly that.
+"Cache off" is every :meth:`BufferHashCache.valid_entry` lookup
+missing: every seal rehashes everything while bookkeeping continues,
+and images and virtual timings are byte-identical either way — the
+differential suite in ``tests/test_property_hashcache.py`` patches
+``valid_entry`` to miss and asserts exactly that.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.gpu.ranges import RangeSet
-
-#: Kill switch: when set (non-empty), cached hashes are never consumed.
-KILL_SWITCH_ENV = "REPRO_NO_HASHCACHE"
-
-
-def hash_cache_enabled() -> bool:
-    """True unless ``REPRO_NO_HASHCACHE`` is set in the environment."""
-    return not os.environ.get(KILL_SWITCH_ENV)
 
 
 @dataclass
@@ -71,11 +62,6 @@ class BufferHashCache:
 
     def __init__(self) -> None:
         self.entries: dict[int, HashCacheEntry] = {}
-
-    # -- configuration -------------------------------------------------------
-    @property
-    def enabled(self) -> bool:
-        return hash_cache_enabled()
 
     # -- dirty feed (frontend write tracking) --------------------------------
     def note_write(self, buffer_id: int, start: int, end: int) -> None:

@@ -5,9 +5,8 @@ Two layers of coverage:
 * **Engine unit tests** — declared-order merge under out-of-order
   completion, failed cells surfacing as :class:`CellError` with their
   cell key (runner exceptions *and* dead workers, which must break the
-  pool instead of hanging the merge), the ``REPRO_NO_PARALLEL``/
-  pickling/nested-worker fallbacks, job resolution precedence, and the
-  warm ``Program`` cache.
+  pool instead of hanging the merge), the pickling/nested-worker
+  fallbacks, job resolution precedence, and the warm ``Program`` cache.
 * **Figure golden bit-identity** — the four goldened figures must
   format identically at ``--jobs 1`` (in-process serial) and
   ``--jobs 4`` (spawned pool).  CI re-runs these with
@@ -24,14 +23,11 @@ from pathlib import Path
 import pytest
 
 from repro import parallel
+from repro.errors import InvalidValueError
 from repro.parallel import Cell, CellError
 from repro.parallel import engine as parallel_engine
-from repro.parallel.engine import (
-    AUTO_ENV,
-    JOBS_ENV,
-    NO_PARALLEL_ENV,
-    WORKER_ENV,
-)
+from repro.parallel import worker as parallel_worker
+from repro.parallel.engine import JOBS_ENV
 
 GOLDENS = Path(__file__).parent / "goldens"
 
@@ -61,6 +57,12 @@ def die_cell(cell: Cell):
     return cell.key
 
 
+def nesting_cell(cell: Cell) -> tuple:
+    inner = parallel.run_cells(echo_cell, [Cell("in", (i,)) for i in range(2)],
+                               jobs=2)
+    return len(inner), parallel.last_run_stats().fallback_reason
+
+
 def image_id_cell(cell: Cell) -> tuple:
     # Hold the worker long enough that both pool workers mint ids
     # concurrently (each spawned worker restarts the module counter).
@@ -81,17 +83,7 @@ def _pool_cleanup():
 
 @pytest.fixture
 def no_env(monkeypatch):
-    for var in (JOBS_ENV, NO_PARALLEL_ENV, WORKER_ENV):
-        monkeypatch.delenv(var, raising=False)
-    # Pin the auto-serial projection off and forget cost history: tests
-    # below assert *pool* behavior with deliberately tiny cells, which
-    # the projection would rightly route to serial.
-    monkeypatch.setenv(AUTO_ENV, "0")
-    saved = dict(parallel_engine._cell_cost)
-    parallel_engine._cell_cost.clear()
-    yield
-    parallel_engine._cell_cost.clear()
-    parallel_engine._cell_cost.update(saved)
+    monkeypatch.delenv(JOBS_ENV, raising=False)
 
 
 # -- job resolution ---------------------------------------------------------------
@@ -106,8 +98,15 @@ def test_resolve_jobs_precedence(no_env, monkeypatch):
         assert parallel.resolve_jobs(5) == 5    # explicit beats both
     finally:
         parallel.set_default_jobs(None)
-    monkeypatch.setenv(JOBS_ENV, "banana")
-    assert parallel.resolve_jobs() == 1
+    monkeypatch.setenv(JOBS_ENV, "")
+    assert parallel.resolve_jobs() == 1         # empty == unset
+    # A typo must not run serial in silence.
+    for bad in ("banana", "-3", "0", "2.5"):
+        monkeypatch.setenv(JOBS_ENV, bad)
+        with pytest.raises(InvalidValueError) as err:
+            parallel.resolve_jobs()
+        assert JOBS_ENV in str(err.value) and repr(bad) in str(err.value)
+    assert parallel.resolve_jobs(2) == 2        # explicit never reads it
 
 
 # -- merge order ------------------------------------------------------------------
@@ -174,16 +173,6 @@ def test_image_ids_unique_across_pool_workers(no_env):
 
 # -- fallbacks --------------------------------------------------------------------
 
-def test_no_parallel_env_forces_serial(no_env, monkeypatch):
-    monkeypatch.setenv(NO_PARALLEL_ENV, "1")
-    cells = [Cell("t", (i,)) for i in range(3)]
-    results = parallel.run_cells(echo_cell, cells, jobs=4)
-    assert [r[1] for r in results] == [(0,), (1,), (2,)]
-    stats = parallel.last_run_stats()
-    assert stats.mode == "serial"
-    assert stats.fallback_reason == "env"
-
-
 def test_unpicklable_runner_falls_back_to_serial(no_env):
     captured = []
 
@@ -199,11 +188,20 @@ def test_unpicklable_runner_falls_back_to_serial(no_env):
 
 
 def test_worker_processes_never_nest_pools(no_env, monkeypatch):
-    monkeypatch.setenv(WORKER_ENV, "1")
+    monkeypatch.setattr(parallel_worker, "in_worker", True)
     results = parallel.run_cells(echo_cell, [Cell("t", (i,)) for i in range(2)],
                                  jobs=4)
     assert len(results) == 2
     assert parallel.last_run_stats().fallback_reason == "nested"
+
+
+def test_spawned_workers_mark_themselves(no_env):
+    # The real channel, not the patched attribute: init_worker runs in
+    # the spawned interpreter, so a runner that fans out again is serial.
+    results = parallel.run_cells(nesting_cell,
+                                 [Cell("t", (i,)) for i in range(2)], jobs=2)
+    assert parallel.last_run_stats().mode == "pool"
+    assert results == [(2, "nested")] * 2
 
 
 def test_serial_only_flag_pins_observed_runs(no_env):
@@ -211,52 +209,6 @@ def test_serial_only_flag_pins_observed_runs(no_env):
                                  jobs=4, serial_only=True)
     assert len(results) == 2
     assert parallel.last_run_stats().fallback_reason == "serial-only"
-
-
-# -- auto-serial projection -------------------------------------------------------
-
-def test_auto_serial_skips_pool_for_tiny_cells(no_env, monkeypatch):
-    """With history saying cells are dispatch-cost-sized, the projection
-    keeps the run serial even though jobs and cell count allow a pool."""
-    monkeypatch.setenv(AUTO_ENV, "1")
-    parallel_engine._cell_cost["t"] = 1e-4  # far below DISPATCH_COST_S
-    results = parallel.run_cells(echo_cell, [Cell("t", (i,)) for i in range(4)],
-                                 jobs=4)
-    assert [r[1] for r in results] == [(i,) for i in range(4)]
-    stats = parallel.last_run_stats()
-    assert stats.mode == "serial"
-    assert stats.fallback_reason == "auto"
-
-
-def test_auto_serial_lets_big_cells_use_the_pool(no_env, monkeypatch):
-    """History of heavy cells projects a pool win → no fallback."""
-    monkeypatch.setenv(AUTO_ENV, "1")
-    monkeypatch.setattr(parallel_engine, "effective_cpu_count", lambda: 8)
-    parallel_engine._cell_cost["t"] = 30.0  # pretend cells take 30s each
-    results = parallel.run_cells(echo_cell, [Cell("t", (i,)) for i in range(4)],
-                                 jobs=4)
-    assert len(results) == 4
-    assert parallel.last_run_stats().mode == "pool"
-
-
-def test_auto_serial_first_run_has_no_history(no_env, monkeypatch):
-    monkeypatch.setenv(AUTO_ENV, "1")
-    results = parallel.run_cells(echo_cell, [Cell("t", (i,)) for i in range(4)],
-                                 jobs=2)
-    assert len(results) == 4
-    assert parallel.last_run_stats().mode == "pool"  # optimistic first try
-    # ... and the run itself seeded the history for next time.
-    assert "t" in parallel_engine._cell_cost
-
-
-def test_every_run_updates_cost_history(no_env):
-    parallel.run_cells(echo_cell, [Cell("hist", (i,)) for i in range(3)],
-                       jobs=1)
-    first = parallel_engine._cell_cost["hist"]
-    assert first >= 0.0
-    parallel.run_cells(echo_cell, [Cell("hist", (i,)) for i in range(3)],
-                       jobs=1)
-    assert "hist" in parallel_engine._cell_cost  # EWMA folded, not replaced
 
 
 # -- batched dispatch -------------------------------------------------------------

@@ -13,8 +13,8 @@ identical program three ways:
 
 * ``single``  — one plain :class:`Engine`, channels in degenerate
   (same-engine) mode;
-* ``world1``  — a one-domain :class:`World` (the golden-figure
-  configuration behind ``REPRO_CLOCK_DOMAINS=1``);
+* ``world1``  — a one-domain :class:`World` (the configuration the
+  ``-domain`` golden-figure cases in ``test_protocol_engine.py`` run);
 * ``multi``   — one :class:`ClockDomain` per machine.
 
 All three must agree on everything observable.  The program is built as

@@ -1,12 +1,15 @@
 """Differential property test: calendar queue vs. the legacy heap.
 
 The calendar-queue scheduler (PR 7) claims *exact* order equivalence
-with the historical single-heap scheduler: FIFO within a timestamp,
-timestamps in order, callbacks deferred to the queue — so every golden
-stays bit-identical.  This suite generates random event soups —
-timeouts with heavy same-timestamp collisions, ``AnyOf``/``AllOf``
-fan-ins, cross-process interrupts, process joins — executes each soup
-once per scheduler, and asserts the *complete firing trace* (not just
+with the historical single-heap scheduler (kept as the oracle in
+``tests/reference_engine.py``): FIFO within a timestamp, timestamps in
+order, callbacks deferred to the queue — so every golden stays
+bit-identical.  This suite generates random event soups — timeouts
+with heavy same-timestamp collisions, ``AnyOf``/``AllOf`` fan-ins,
+several processes waiting on one shared timeout (a waiter batch),
+plain scheduled calls landing in the same buckets, an event fired from
+outside the loop after the queue drained, cross-process interrupts,
+process joins — executes each soup once per scheduler, and asserts the *complete firing trace* (not just
 the final state) is identical.
 
 The soup is built as a seed-derived op list first and interpreted
@@ -22,13 +25,18 @@ import pytest
 
 from repro.sim import Engine
 from repro.sim.engine import Interrupt
+from tests.reference_engine import HeapEngine
 
 #: Deliberately few distinct delays: collisions (many records in one
 #: timestamp bucket) are the interesting case for the calendar queue.
 DELAYS = [0.0, 0.25, 0.5, 0.5, 1.0, 1.0, 2.0]
 
+#: Soup-wide timeouts any process may wait on: the only events here
+#: that collect several waiters, so firing one queues a *batch*.
+SHARED_DELAYS = [0.5, 1.0, 2.0]
+
 OP_KINDS = ["timeout", "timeout", "timeout", "anyof", "allof",
-            "interrupt", "waitproc"]
+            "interrupt", "waitproc", "shared", "call", "late"]
 
 
 def build_ops(seed: int, n_procs: int = 6, max_steps: int = 5) -> list:
@@ -47,17 +55,25 @@ def build_ops(seed: int, n_procs: int = 6, max_steps: int = 5) -> list:
             elif kind == "interrupt":
                 steps.append(("interrupt", rng.randrange(n_procs),
                               rng.choice(DELAYS)))
+            elif kind == "shared":
+                steps.append(("shared", rng.randrange(len(SHARED_DELAYS))))
+            elif kind == "call":
+                steps.append(("call", rng.choice(DELAYS)))
+            elif kind == "late":
+                steps.append(("late",))
             else:
                 steps.append(("waitproc", rng.randrange(n_procs)))
         ops.append(steps)
     return ops
 
 
-def run_soup(ops: list, legacy: bool) -> tuple:
+def run_soup(ops: list, engine_cls: type) -> tuple:
     """Interpret the op list; return (trace, final clock, counters)."""
-    eng = Engine(legacy_heap=legacy)
+    eng = engine_cls()
     trace: list = []
     procs: list = []
+    shared = [eng.timeout(d, value=k) for k, d in enumerate(SHARED_DELAYS)]
+    late = eng.event("late")
 
     def body(pid: int, steps: list):
         for i, step in enumerate(steps):
@@ -80,6 +96,20 @@ def run_soup(ops: list, legacy: bool) -> tuple:
                     if target != pid and not procs[target].triggered:
                         procs[target].interrupt()
                     trace.append(("int", pid, i, eng.now, target))
+                elif step[0] == "shared":
+                    val = yield shared[step[1]]
+                    trace.append(("sh", pid, i, eng.now, val))
+                elif step[0] == "call":
+                    # A hand-rolled timeout: a K_CALL1 record among the
+                    # real timeouts' K_FIRE ones, same wakeup cascade.
+                    done = eng.event()
+                    eng._schedule_call(eng.now + step[1], done.succeed,
+                                       (pid, i))
+                    val = yield done
+                    trace.append(("call", pid, i, eng.now, val))
+                elif step[0] == "late":
+                    val = yield late
+                    trace.append(("late", pid, i, eng.now, val))
                 else:
                     _, target = step
                     if target == pid:
@@ -94,6 +124,10 @@ def run_soup(ops: list, legacy: bool) -> tuple:
     for pid, steps in enumerate(ops):
         procs.append(eng.spawn(body(pid, steps), name=f"p{pid}"))
     eng.run()
+    # Fired from outside the loop, at a time with no bucket: the waiter
+    # batch has to open one, and the second run has to find it.
+    late.succeed("late")
+    eng.run()
     finished = tuple(p.triggered for p in procs)
     return (trace, eng.now, eng.events_scheduled, eng.events_executed,
             finished)
@@ -102,8 +136,8 @@ def run_soup(ops: list, legacy: bool) -> tuple:
 @pytest.mark.parametrize("seed", range(20))
 def test_calendar_queue_matches_legacy_heap(seed):
     ops = build_ops(seed)
-    calendar = run_soup(ops, legacy=False)
-    heap = run_soup(ops, legacy=True)
+    calendar = run_soup(ops, Engine)
+    heap = run_soup(ops, HeapEngine)
     assert calendar[0] == heap[0], "firing order diverged"
     assert calendar[1:] == heap[1:], "final clock or counters diverged"
 
@@ -112,8 +146,7 @@ def test_calendar_queue_matches_legacy_heap(seed):
 def test_soup_is_actually_colliding(seed):
     """Sanity: the generator produces the same-timestamp collisions the
     suite exists to cover (guards against a silently-weakened soup)."""
-    trace, _, scheduled, executed, _ = run_soup(build_ops(seed),
-                                                legacy=False)
+    trace, _, scheduled, executed, _ = run_soup(build_ops(seed), Engine)
     times = [entry[3] for entry in trace]
     assert len(times) != len(set(times)), "no same-timestamp collisions"
     assert executed == scheduled

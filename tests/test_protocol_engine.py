@@ -532,13 +532,27 @@ def test_fig11_reduced_matches_golden():
     assert got.rstrip("\n") == _golden("fig11_reduced")
 
 
+def _one_domain_world():
+    from repro.sim.domains import World
+
+    return World().domain("node0")
+
+
+@pytest.mark.parametrize("new_engine", [Engine, _one_domain_world],
+                         ids=["engine", "domain"])
 @pytest.mark.parametrize("fig,module", [
     ("fig16", "repro.experiments.fig16_cow_breakdown"),
     ("fig17", "repro.experiments.fig17_recopy_breakdown"),
     ("fig18", "repro.experiments.fig18_restore_breakdown"),
 ])
-def test_breakdown_figures_match_golden(fig, module):
+def test_breakdown_figures_match_golden(fig, module, new_engine, monkeypatch):
+    """Same bytes on a plain engine and with every ``build_world`` engine
+    a one-domain ``World`` on the conservative loop (fig11 builds its
+    engines in ``tasks/`` and has no domain case)."""
     import importlib
 
+    from repro.experiments import harness
+
+    monkeypatch.setattr(harness, "Engine", new_engine)
     got = importlib.import_module(module).run().format()
     assert got.rstrip("\n") == _golden(fig)

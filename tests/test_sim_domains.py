@@ -668,8 +668,7 @@ def test_conservative_violation_checked_at_send():
 # --- clock monotonicity assertion (satellite) -----------------------------------
 
 
-def test_check_clock_accepts_normal_runs(monkeypatch):
-    monkeypatch.setenv("REPRO_CHECK_CLOCK", "1")
+def test_check_clock_accepts_normal_runs():
     eng = Engine()
 
     def body():
@@ -680,10 +679,9 @@ def test_check_clock_accepts_normal_runs(monkeypatch):
     assert eng.run_process(body()) == 1.0
 
 
-def test_check_clock_catches_backwards_time(monkeypatch):
+def test_check_clock_catches_backwards_time():
     from repro.sim.events import K_CALL1
 
-    monkeypatch.setenv("REPRO_CHECK_CLOCK", "1")
     eng = Engine()
     eng.run_process(_advance(eng, 1.0))
     # Forge a record behind the clock (bypassing _push's own guard).

@@ -5,6 +5,7 @@ import pytest
 from repro.errors import DeadlockError, SimulationError
 from repro.sim import Engine
 from repro.sim.engine import Interrupt
+from tests.reference_engine import HeapEngine
 
 
 @pytest.fixture
@@ -412,19 +413,13 @@ def test_events_executed_equals_scheduled_when_drained(eng):
     assert eng.events_pending == 0
 
 
-# -- legacy heap reference mode ---------------------------------------------------
+# -- legacy heap reference (tests/reference_engine.py) ---------------------------
 
-@pytest.mark.parametrize("how", ["arg", "env"])
-def test_legacy_heap_mode_matches(how, monkeypatch):
-    if how == "env":
-        # The retired REPRO_LEGACY_HEAP switch is ignored: only the
-        # explicit argument selects the reference heap.
-        monkeypatch.setenv("REPRO_LEGACY_HEAP", "1")
-        eng = Engine()
-        assert not eng._legacy
-    else:
-        eng = Engine(legacy_heap=True)
-        assert eng._legacy
+# A single case: the "arg" id keeps the name this test has in suite
+# listings (its "env" sibling went with the switch it exercised).
+@pytest.mark.parametrize("how", ["arg"])
+def test_legacy_heap_mode_matches(how):
+    eng = HeapEngine()
     order = []
 
     def worker(eng, name, delay):

@@ -151,13 +151,8 @@ def bench_interpreter(repeats: int = 200) -> dict:
     return out
 
 
-def _dma_scenario(use_legacy_loop: bool,
-                  legacy_heap: bool = False) -> tuple[float, int]:
-    """One contended bulk-copy scenario; returns (virtual end, events).
-
-    ``legacy_heap`` runs the same scenario on the engine's reference
-    single-heap scheduler (the pre-calendar-queue order semantics).
-    """
+def _dma_scenario(use_legacy_loop: bool) -> tuple[float, int]:
+    """One contended bulk-copy scenario; returns (virtual end, events)."""
     from repro import units
     from repro.gpu.dma import (
         APP_PRIORITY,
@@ -184,7 +179,7 @@ def _dma_scenario(use_legacy_loop: bool,
             moved += step
         return moved
 
-    eng = Engine(legacy_heap=legacy_heap)
+    eng = Engine()
     dma = DmaEngineSet(eng, "bench-gpu", 1)
 
     def bulk():
@@ -214,41 +209,21 @@ def _dma_scenario(use_legacy_loop: bool,
 
 
 def bench_events(repeats: int = 20) -> dict:
-    """Scheduler events/second and the DMA coalescing event ratio.
-
-    Also measures the same workload on the engine's legacy single-heap
-    reference scheduler: ``calendar_vs_heap`` is a machine-independent
-    in-process A/B of the calendar queue against the old order-semantics
-    implementation (the CI regression gate uses this ratio, which is
-    stable across runner hardware where absolute events/s is not).
-    """
+    """Scheduler events/second and the DMA coalescing event ratio."""
     end_fast, events_fast = _dma_scenario(use_legacy_loop=False)
     end_legacy, events_legacy = _dma_scenario(use_legacy_loop=True)
-    end_heap, events_heap = _dma_scenario(use_legacy_loop=True,
-                                          legacy_heap=True)
-    if end_fast != end_legacy or end_heap != end_legacy:
+    if end_fast != end_legacy:
         raise AssertionError(
-            f"scenario diverged: {end_fast!r} / {end_legacy!r} / {end_heap!r}")
-    if events_heap != events_legacy:
-        raise AssertionError(
-            f"schedulers executed different event counts: "
-            f"{events_heap} != {events_legacy}")
+            f"scenario diverged: {end_fast!r} / {end_legacy!r}")
 
-    def throughput(legacy_heap: bool) -> float:
-        t0 = time.perf_counter()
-        total_events = 0
-        for _ in range(repeats):
-            _, n = _dma_scenario(use_legacy_loop=True,
-                                 legacy_heap=legacy_heap)
-            total_events += n
-        return total_events / (time.perf_counter() - t0)
-
-    events_per_s = throughput(legacy_heap=False)
-    heap_events_per_s = throughput(legacy_heap=True)
+    t0 = time.perf_counter()
+    total_events = 0
+    for _ in range(repeats):
+        _, n = _dma_scenario(use_legacy_loop=True)
+        total_events += n
+    events_per_s = total_events / (time.perf_counter() - t0)
     return {
         "events_per_s": events_per_s,
-        "legacy_heap_events_per_s": heap_events_per_s,
-        "calendar_vs_heap": events_per_s / heap_events_per_s,
         "scenario_events_coalesced": events_fast,
         "scenario_events_per_chunk_loop": events_legacy,
         "event_reduction": events_legacy / events_fast,
@@ -871,10 +846,8 @@ def check_regressions(report: dict, committed: dict,
     """Tracked figures whose serial wall regressed > tolerance.
 
     Also gates the engine events/s microbench the same way: a >15%
-    drop against the committed report fails (meaningful on the machine
-    that produced the committed numbers; CI runners additionally use
-    the machine-independent ``calendar_vs_heap`` gate in
-    ``benchmarks/test_perf_wallclock.py``).
+    drop against the committed report fails (meaningful only on the
+    machine that produced the committed numbers).
     """
     failures = []
     baseline = committed.get("experiments", {})
@@ -1017,8 +990,7 @@ def main(argv: list[str] | None = None) -> int:
     print(f"interpreter : {interp['interpreter_instrs_per_s'] / 1e6:.2f} M instr/s")
     print(f"fast path   : {interp['fastpath_instrs_per_s'] / 1e6:.2f} M instr/s "
           f"({interp['speedup_plain']:.1f}x, twin {interp['speedup_twin']:.1f}x)")
-    print(f"engine      : {eng['events_per_s'] / 1e3:.0f} K events/s "
-          f"({eng['calendar_vs_heap']:.2f}x vs legacy heap), "
+    print(f"engine      : {eng['events_per_s'] / 1e3:.0f} K events/s, "
           f"DMA coalescing {eng['event_reduction']:.1f}x fewer events")
     for name, row in report["experiments"].items():
         print(f"{name:12s}: {row['wall_s']:.2f}s wall "
