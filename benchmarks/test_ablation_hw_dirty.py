@@ -11,7 +11,7 @@ recopy-side difference.
 import pytest
 
 from repro import units
-from repro.core.protocols import registry
+from repro.core.protocols import ProtocolConfig, registry
 from repro.core.quiesce import resume
 from repro.experiments.harness import ExperimentResult, build_world, setup_app
 from repro.tasks.fault_tolerance import EXPERIMENT_CHUNK
@@ -34,9 +34,10 @@ def run() -> ExperimentResult:
     setup_app(world, warm=1)
 
     def soft_driver(eng):
-        handle = phos.checkpoint(world.process, mode="recopy",
-                                 keep_stopped=True,
-                                 chunk_bytes=EXPERIMENT_CHUNK)
+        handle = phos.checkpoint(
+            world.process, mode="recopy",
+            config=ProtocolConfig(keep_stopped=True,
+                                  chunk_bytes=EXPERIMENT_CHUNK))
         eng.spawn(world.workload.run(STEPS_DURING))
         image, session = yield handle
         downtime = eng.now - session.final_quiesce_start
@@ -52,8 +53,10 @@ def run() -> ExperimentResult:
     setup_app(world, warm=1)
 
     def hw_driver(eng):
-        protocol = registry.create("hw-dirty", keep_stopped=True,
-                                   chunk_bytes=EXPERIMENT_CHUNK)
+        protocol = registry.create(
+            "hw-dirty",
+            config=ProtocolConfig(keep_stopped=True,
+                                  chunk_bytes=EXPERIMENT_CHUNK))
         handle = eng.spawn(protocol.checkpoint(
             eng, process=world.process, medium=phos.medium, criu=phos.criu,
         ))

@@ -9,6 +9,7 @@ the minimum checkpoint interval) as a function of the medium.
 
 import pytest
 
+from repro.core.protocols import ProtocolConfig
 from repro.experiments.harness import ExperimentResult, build_world, setup_app
 from repro.storage.media import DramMedia, RemoteDramMedia, SsdMedia
 from repro.tasks.fault_tolerance import EXPERIMENT_CHUNK
@@ -34,9 +35,9 @@ def run() -> ExperimentResult:
             t0 = eng.now
             yield from world.workload.run(2)
             base = (eng.now - t0) / 2
-            handle = phos.checkpoint(world.process, mode="cow",
-                                     medium=medium,
-                                     chunk_bytes=EXPERIMENT_CHUNK)
+            handle = phos.checkpoint(
+                world.process, mode="cow", medium=medium,
+                config=ProtocolConfig(chunk_bytes=EXPERIMENT_CHUNK))
             t1 = eng.now
             yield from world.workload.run(4)
             stall = (eng.now - t1) - 4 * base

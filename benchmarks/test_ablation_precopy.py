@@ -9,6 +9,7 @@ workloads whose write rate is below the copy bandwidth.
 import pytest
 
 from repro import units
+from repro.core.protocols import ProtocolConfig
 from repro.experiments.harness import ExperimentResult, build_world, setup_app
 from repro.tasks.fault_tolerance import EXPERIMENT_CHUNK
 
@@ -28,9 +29,10 @@ def run() -> ExperimentResult:
 
         def driver(eng):
             handle = phos.checkpoint(
-                world.process, mode="recopy", keep_stopped=True,
-                precopy_rounds=rounds, chunk_bytes=EXPERIMENT_CHUNK,
-            )
+                world.process, mode="recopy",
+                config=ProtocolConfig(keep_stopped=True,
+                                      precopy_rounds=rounds,
+                                      chunk_bytes=EXPERIMENT_CHUNK))
             eng.spawn(world.workload.run(100))
             image, session = yield handle
             downtime = eng.now - session.final_quiesce_start

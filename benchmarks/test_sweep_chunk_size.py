@@ -9,6 +9,7 @@ monolithic (Fig. 16b) regime.
 import pytest
 
 from repro import units
+from repro.core.protocols import ProtocolConfig
 from repro.experiments.harness import (
     ExperimentResult,
     build_world,
@@ -31,8 +32,9 @@ def run_cell(cell: Cell) -> list[dict]:
         t0 = eng.now
         yield from world.workload.run(2)
         base = (eng.now - t0) / 2
-        handle = phos.checkpoint(world.process, mode="cow",
-                                 chunk_bytes=chunk)
+        handle = phos.checkpoint(
+            world.process, mode="cow",
+            config=ProtocolConfig(chunk_bytes=chunk))
         t1 = eng.now
         yield from world.workload.run(2)
         stall = (eng.now - t1) - 2 * base

@@ -10,6 +10,7 @@ training-iteration write pattern.
 import pytest
 
 from repro import units
+from repro.core.protocols import ProtocolConfig
 from repro.experiments.harness import (
     ExperimentResult,
     build_world,
@@ -32,10 +33,11 @@ def run_cell(cell: Cell) -> list[dict]:
     def driver(eng):
         # Checkpoint uncoordinated so hot buffers are NOT drained
         # first — the shadow path gets exercised.
-        handle = phos.checkpoint(world.process, mode="cow",
-                                 coordinated=False,
-                                 cow_pool_bytes=pool,
-                                 chunk_bytes=EXPERIMENT_CHUNK)
+        handle = phos.checkpoint(
+            world.process, mode="cow",
+            config=ProtocolConfig(coordinated=False,
+                                  cow_pool_bytes=pool,
+                                  chunk_bytes=EXPERIMENT_CHUNK))
         yield from world.workload.run(2)
         image, session = yield handle
         return session

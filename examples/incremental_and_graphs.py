@@ -22,6 +22,7 @@ from repro.apps.base import provision
 from repro.apps.specs import get_spec
 from repro.cluster import Machine
 from repro.core.daemon import Phos
+from repro.core.protocols import ProtocolConfig
 from repro.gpu.cost_model import KernelCost
 from repro.gpu.program import build_inplace_add
 from repro.sim import Engine
@@ -54,8 +55,8 @@ def main() -> None:
             yield from workload.run(2)
             yield from rt.graph_launch(0, graph, sync=True)  # intercepted replay
             image, session = yield phos.checkpoint(
-                process, mode="cow", name=f"inc-{round_no}", parent=image
-            )
+                process, mode="cow", name=f"inc-{round_no}",
+                config=ProtocolConfig(parent=image))
             skipped = session.stats.bytes_skipped_incremental
             copied = session.stats.bytes_copied
             print(f"incremental #{round_no}  : "

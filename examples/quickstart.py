@@ -4,7 +4,8 @@ and verify the restored state byte-for-byte.
 
 This walks the core PHOS flow end to end on a small synthetic app:
 
-1. build a machine and attach the PHOS service;
+1. build a worker — a machine slot under the PHOS system — and launch
+   the application on it;
 2. run a GPU application (ResNet-training-shaped workload);
 3. take a *concurrent* soft copy-on-write checkpoint while the app keeps
    iterating — note how small the application stall is;
@@ -16,20 +17,17 @@ Run:  python examples/quickstart.py
 """
 
 from repro import units
-from repro.apps.base import provision
 from repro.apps.specs import get_spec
 from repro.cluster import Machine
-from repro.core.daemon import Phos
 from repro.sim import Engine
+from repro.tasks.worker import Worker
 
 
 def main() -> None:
     engine = Engine()
     spec = get_spec("resnet152-train")
-    machine = Machine(engine, name="node0", n_gpus=spec.n_gpus)
-    phos = Phos(engine, machine, use_context_pool=False)
-    process, workload = provision(engine, machine, spec)
-    phos.attach(process)
+    node0 = Worker(engine, Machine(engine, name="node0", n_gpus=spec.n_gpus))
+    workload = node0.launch(spec).workload
 
     report = {}
 
@@ -41,7 +39,7 @@ def main() -> None:
         yield from workload.run(2)
         iter_time = (engine.now - t0) / 2
         # -- concurrent checkpoint ------------------------------------------------
-        handle = phos.checkpoint(process, mode="cow", name="quickstart")
+        handle = node0.checkpoint("cow", name="quickstart")
         t1 = engine.now
         yield from workload.run(3)  # the app keeps running!
         stall = (engine.now - t1) - 3 * iter_time
@@ -56,23 +54,21 @@ def main() -> None:
     engine.run()
 
     # -- restore on another machine -----------------------------------------------
-    node1 = Machine(engine, name="node1", n_gpus=spec.n_gpus)
-    phos1 = Phos(engine, node1, use_context_pool=True)
-    engine.run_process(phos1.boot())
+    # A pooled worker boots its daemon (pre-fills the context pool) here.
+    node1 = Worker(engine, Machine(engine, name="node1", n_gpus=spec.n_gpus),
+                   use_pool=True)
 
     def restore_driver(engine):
         t0 = engine.now
-        process2, frontend, session = yield from phos1.restore(
-            image, gpu_indices=list(range(spec.n_gpus)), machine=node1
-        )
+        session = yield from node1.restore(image, workload)
         resume_t = engine.now - t0
-        workload.bind_restored(process2)
         yield from workload.run(2)  # compute while data streams in
         yield session.done
-        return process2, resume_t
+        return resume_t
 
-    process2, resume_t = engine.run_process(restore_driver(engine))
+    resume_t = engine.run_process(restore_driver(engine))
     engine.run()
+    process2 = node1.process
 
     # -- verify -----------------------------------------------------------------------
     by_addr = {b.addr: b for b in process2.runtime.allocations[0]}

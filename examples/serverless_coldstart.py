@@ -11,10 +11,10 @@ Run:  python examples/serverless_coldstart.py
 """
 
 from repro import units
+from repro.baselines import SYSTEMS
 from repro.tasks.serverless import cold_start
 
 APPS = ("resnet152-infer", "llama2-13b-infer")
-SYSTEMS = ("phos", "singularity", "cuda-checkpoint")
 
 
 def main() -> None:

@@ -3,13 +3,12 @@ and restore with validated speculation, on a simulated GPU substrate.
 
 Public entry points::
 
-    from repro import Engine, Machine, Phos, provision, get_spec
+    from repro import Engine, Machine, Worker, get_spec
 
     engine = Engine()
-    machine = Machine(engine, n_gpus=8)
-    phos = Phos(engine, machine)
-    process, workload = provision(engine, machine, get_spec("llama2-13b-train"))
-    phos.attach(process)
+    worker = Worker(engine, Machine(engine, n_gpus=8), system="phos")
+    worker.launch(get_spec("llama2-13b-train"))
+    handle = worker.checkpoint("cow")      # awaitable (image, session)
 
 See README.md for the full tour, DESIGN.md for the architecture, and
 EXPERIMENTS.md for the paper-vs-measured results.
@@ -24,6 +23,7 @@ __all__ = [
     "Machine",
     "Phos",
     "PhosSdk",
+    "Worker",
     "get_spec",
     "provision",
     "__version__",
@@ -44,6 +44,10 @@ def __getattr__(name):
         from repro.core.sdk import PhosSdk
 
         return PhosSdk
+    if name == "Worker":
+        from repro.tasks.worker import Worker
+
+        return Worker
     if name == "provision":
         from repro.apps.base import provision
 

@@ -43,33 +43,22 @@ KERNEL_THREADS = 8
 _OPAQUE_BUILDERS = [build_scale, build_inplace_add, build_axpy_into,
                     build_copy, build_fill]
 
-#: Warm per-process ``Program`` cache, installed by pool workers
-#: (:func:`repro.parallel.worker.init_worker`).  Off (None) by default:
-#: the serial path keeps its historical fresh-build behavior.  When on,
-#: identical kernel binaries are built once per process, so the
-#: compiled-plan cache attached to each ``Program`` survives across
-#: experiment cells on the same worker.  Result-invariant: plans
-#: re-prove their preconditions against the actual memory per launch.
-_program_cache: dict | None = None
+#: Warm per-process ``Program`` cache: identical kernel binaries are
+#: built once per process, so the compiled-plan cache attached to each
+#: ``Program`` survives across worlds (and across experiment cells on a
+#: pool worker).  Result-invariant: plans re-prove their preconditions
+#: against the actual memory per launch.
+_program_cache: dict = {}
 _program_cache_hits = 0
 
 
-def enable_program_cache() -> None:
-    """Switch on the per-process warm kernel-binary cache."""
-    global _program_cache
-    if _program_cache is None:
-        _program_cache = {}
-
-
 def program_cache_hits() -> int:
-    """Warm-cache hits in this process since :func:`enable_program_cache`."""
+    """Warm-cache hits in this process so far."""
     return _program_cache_hits
 
 
 def _build_program(builder, name: str):
     global _program_cache_hits
-    if _program_cache is None:
-        return builder(name=name)
     key = (builder.__name__, name)
     prog = _program_cache.get(key)
     if prog is None:

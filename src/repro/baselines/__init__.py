@@ -1,12 +1,17 @@
-"""Baseline C/R systems (§8): Singularity and cuda-checkpoint.
+"""The evaluated C/R systems (§8), one row each in :data:`SYSTEMS`.
 
-Both are stop-the-world systems — checkpoint and restore quiesce the
-process for the whole copy, and restore additionally pays the full
-context-creation barrier (§2.3).  They are the registry's ``stop-world``
-protocols under a different data-path cost model
-(:class:`~repro.gpu.cost_model.BaselineSpec`), looked up in
-:data:`SYSTEMS`:
+The paper compares three systems on *one* codebase; everything that
+distinguishes them lives in their row — the data-path cost model, the
+largest job they handle and whether they are concurrent — and
+:class:`repro.tasks.worker.Worker` is the only reader that turns a row
+into protocol calls.  A stop-the-world row checkpoints and restores by
+quiescing the process for the whole copy, and restore additionally pays
+the full context-creation barrier (§2.3): the registry's ``stop-world``
+protocols under the row's
+:class:`~repro.gpu.cost_model.BaselineSpec`.
 
+* **PHOS** — the concurrent system: speculation-validated protocols,
+  pooled contexts on restore, live pre-copy migration.
 * **Singularity** [63] — "We implemented Singularity — the
   state-of-the-art stop-the-world GPU C/R system — in our codebase ...
   we leverage pinned memory to achieve maximum data copy performance"
@@ -23,55 +28,52 @@ protocols under a different data-path cost model
 
 from __future__ import annotations
 
-from repro.core.protocols import ProtocolConfig, registry
-from repro.errors import CheckpointError, InvalidValueError
-from repro.gpu.cost_model import CUDA_CHECKPOINT_SPEC, SINGULARITY_SPEC
+from dataclasses import dataclass
+from typing import Optional
 
-#: ``{system name: cost model}`` of every baseline.
-SYSTEMS = {spec.name: spec for spec in (SINGULARITY_SPEC, CUDA_CHECKPOINT_SPEC)}
+from repro.errors import InvalidValueError
+from repro.gpu.cost_model import (
+    CUDA_CHECKPOINT_SPEC,
+    PHOS_SPEC,
+    SINGULARITY_SPEC,
+    BaselineSpec,
+)
 
-#: Systems that refuse distributed (multi-GPU) jobs.
-SINGLE_GPU_ONLY = frozenset({"cuda-checkpoint"})
-
-__all__ = ["SYSTEMS", "checkpoint", "restore", "supports"]
-
-
-def supports(system: str, n_gpus: int) -> bool:
-    """Whether ``system`` can checkpoint/restore an ``n_gpus`` job."""
-    return n_gpus <= 1 or system not in SINGLE_GPU_ONLY
+__all__ = ["SYSTEMS", "System", "get_system"]
 
 
-def _config(system: str, n_gpus: int, **tunables) -> ProtocolConfig:
-    if system not in SYSTEMS:
-        raise InvalidValueError(f"unknown system {system!r}")
-    if not supports(system, n_gpus):
-        raise CheckpointError(
-            f"{system} does not support distributed (multi-GPU) jobs"
+@dataclass(frozen=True)
+class System:
+    """What distinguishes one evaluated system from the others."""
+
+    name: str
+    #: Data-path cost model of its stop-the-world copies.
+    cost: BaselineSpec
+    #: Concurrent C/R: any registered protocol runs as requested,
+    #: restore draws pooled contexts, migration pre-copies live.  A row
+    #: without it stops the world for every operation.
+    concurrent: bool = False
+    #: Largest job (in GPUs) it checkpoints or restores; None = any.
+    max_gpus: Optional[int] = None
+
+    def supports(self, n_gpus: int) -> bool:
+        """Whether the system can checkpoint/restore an ``n_gpus`` job."""
+        return self.max_gpus is None or n_gpus <= self.max_gpus
+
+
+#: ``{system name: row}`` in the order the figures list them.
+SYSTEMS = {row.name: row for row in (
+    System("phos", PHOS_SPEC, concurrent=True),
+    System("singularity", SINGULARITY_SPEC),
+    System("cuda-checkpoint", CUDA_CHECKPOINT_SPEC, max_gpus=1),
+)}
+
+
+def get_system(name: str) -> System:
+    """The row called ``name``."""
+    row = SYSTEMS.get(name)
+    if row is None:
+        raise InvalidValueError(
+            f"unknown system {name!r}; expected one of {tuple(SYSTEMS)}"
         )
-    return ProtocolConfig(baseline=SYSTEMS[system], **tunables)
-
-
-def checkpoint(system: str, engine, process, medium, criu, name: str = "",
-               keep_stopped: bool = False):
-    """Generator: a stop-the-world checkpoint by ``system``; returns the image."""
-    protocol = registry.create("stop-world", _config(
-        system, len(process.gpu_indices), keep_stopped=keep_stopped,
-    ))
-    image, _session = yield from protocol.checkpoint(
-        engine, process=process, medium=medium, criu=criu,
-        name=name or f"{system}-{process.name}",
-    )
-    return image
-
-
-def restore(system: str, engine, image, machine, gpu_indices, medium, criu,
-            name: str = ""):
-    """Generator: ``system``'s restore (context barrier + bulk copy);
-    returns the new process."""
-    protocol = registry.create("stop-world", kind="restore",
-                               config=_config(system, len(gpu_indices)))
-    process, _frontend, _session = yield from protocol.restore(
-        engine, image, machine, gpu_indices, medium, criu,
-        name=name or f"{system}-restored",
-    )
-    return process
+    return row

@@ -35,7 +35,7 @@ from repro.api.runtime import GpuProcess
 from repro.chaos import FaultPlan, FaultSpec
 from repro.cluster import Machine
 from repro.core.daemon import Phos
-from repro.core.protocols import registry
+from repro.core.protocols import ProtocolConfig, registry
 from repro.core.protocols.base import CHECKPOINT_PHASES, RESTORE_PHASES
 from repro.errors import ReproError
 from repro.gpu.context import GpuContext
@@ -456,8 +456,9 @@ def _run_continuous_cell(protocol: str, plan: FaultPlan,
             try:
                 handle = world.phos.checkpoint(
                     world.process, mode=protocol, name="cell",
-                    rounds=3, interval=1e-3, drain_tiers=tiers,
-                )
+                    config=ProtocolConfig(rounds=3,
+                                          interval=1e-3,
+                                          drain_tiers=tiers))
                 try:
                     last, stream = yield handle
                 except ReproError as err:

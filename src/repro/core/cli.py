@@ -28,13 +28,12 @@ import argparse
 import sys
 
 from repro import obs, units
-from repro.apps.base import provision
 from repro.apps.specs import APP_SPECS, get_spec
+from repro.baselines import SYSTEMS
 from repro.cluster import Machine
-from repro.core.daemon import Phos
-from repro.core.protocols import registry
+from repro.core.protocols import ProtocolConfig, registry
 from repro.sim import Engine
-from repro.tasks.fault_tolerance import SYSTEMS
+from repro.tasks.worker import Worker
 
 _EXPERIMENTS = {
     "fig02": "repro.experiments.fig02_motivation",
@@ -273,10 +272,8 @@ def cmd_checkpoint(args) -> int:
     if args.obs or args.obs_json:
         observer = obs.install(engine)
     spec = get_spec(args.app)
-    machine = Machine(engine, n_gpus=spec.n_gpus)
-    phos = Phos(engine, machine, use_context_pool=False)
-    process, workload = provision(engine, machine, spec)
-    phos.attach(process)
+    worker = Worker(engine, Machine(engine, n_gpus=spec.n_gpus)).launch(spec)
+    workload = worker.workload
 
     if args.continuous:
         mode = "continuous"
@@ -291,28 +288,22 @@ def cmd_checkpoint(args) -> int:
         t0 = engine.now
         yield from workload.run(args.steps)
         baseline = engine.now - t0
-        parent = None
-        if args.incremental and not args.continuous:
-            # Chain root first; the measured checkpoint is the delta.
-            parent, _ = yield phos.checkpoint(
-                process, mode="incremental", name="chain-root"
-            )
-            yield from workload.run(args.steps)
+        config = None
         if args.continuous:
             # The stream takes its own chain root in round 0.
-            handle = phos.checkpoint(process, mode=mode,
-                                     rounds=args.rounds,
-                                     interval=args.interval)
-        elif parent is not None:
-            handle = phos.checkpoint(process, mode=mode, parent=parent)
-        else:
-            handle = phos.checkpoint(process, mode=mode)
+            config = ProtocolConfig(rounds=args.rounds,
+                                    interval=args.interval)
+        elif args.incremental:
+            # Chain root first; the measured checkpoint is the delta.
+            parent, _ = yield worker.checkpoint("incremental",
+                                                name="chain-root")
+            yield from workload.run(args.steps)
+            config = ProtocolConfig(parent=parent)
+        handle = worker.checkpoint(mode, config)
         t1 = engine.now
         yield from workload.run(args.steps)
         stall = (engine.now - t1) - baseline
-        result = yield handle
-        image = result[0] if isinstance(result, tuple) else result
-        session = result[1] if isinstance(result, tuple) else None
+        image, session = yield handle
         return baseline / args.steps, max(0.0, stall), image, session
 
     # The report's phase breakdown reads the run's span tree: the
@@ -346,29 +337,21 @@ def cmd_restore(args) -> int:
     if args.obs or args.obs_json:
         observer = obs.install(engine)
     spec = get_spec(args.app)
-    machine = Machine(engine, n_gpus=spec.n_gpus)
-    phos = Phos(engine, machine, use_context_pool=False)
-    process, workload = provision(engine, machine, spec)
-    phos.attach(process)
-    worker = Machine(engine, name="worker", n_gpus=spec.n_gpus)
+    source = Worker(engine, Machine(engine, n_gpus=spec.n_gpus)).launch(spec)
+    workload = source.workload
     use_pool = not args.no_pool and not args.stop_world
-    phos_worker = Phos(engine, worker, use_context_pool=use_pool)
-    if use_pool:
-        engine.run_process(phos_worker.boot())
+    target = Worker(engine, Machine(engine, name="worker", n_gpus=spec.n_gpus),
+                    use_pool=use_pool)
 
     def driver(engine):
         yield from workload.setup()
         yield from workload.run(1)
-        image, _ = yield phos.checkpoint(process, mode="cow")
+        image, _ = yield source.checkpoint()
         t0 = engine.now
-        result = yield from phos_worker.restore(
-            image, gpu_indices=list(range(spec.n_gpus)),
-            concurrent=not args.stop_world, machine=worker,
-            use_pool=use_pool,
-        )
-        new_process = result[0]
+        yield from target.restore(
+            image, workload,
+            mode="stop-world" if args.stop_world else "concurrent")
         resume_t = engine.now - t0
-        workload.bind_restored(new_process)
         yield from workload.run(2)
         return resume_t, engine.now - t0
 

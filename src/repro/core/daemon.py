@@ -16,8 +16,7 @@ land in whichever :mod:`repro.obs` span tree is recording):
   baselines / fallback).
 
 Dispatch goes through :mod:`repro.core.protocols.registry`; tunables
-travel as a typed :class:`~repro.core.protocols.base.ProtocolConfig`
-(or the legacy loose keywords, which are validated into one).
+travel as a typed :class:`~repro.core.protocols.base.ProtocolConfig`.
 """
 
 from __future__ import annotations
@@ -40,6 +39,43 @@ from repro.storage.image import CheckpointImage
 from repro.storage.media import Medium
 
 logger = logging.getLogger("repro.phos")
+
+
+def collect_cut(handles):
+    """Generator: wait out one consistent cut, all or nothing.
+
+    ``handles`` lists the cut's CoW runs as ``(process, medium, handle)``.
+    Every run is awaited individually (``all_of`` fails fast and would
+    leave siblings unaccounted).  A run that raised *or* whose session
+    aborted (its image is then a stop-the-world retry cut at a later
+    time) fails the cut: a partial or skewed set is not a consistent
+    cut and must never be restorable, so every image of it — the retry
+    image included — is revoked through its medium's catalog and a
+    :class:`CheckpointError` naming the failed process is raised.
+    Returns the ``(image, session)`` pairs in ``handles`` order.
+    """
+    failures = []
+    for process, _medium, handle in handles:
+        try:
+            _image, session = yield handle
+        except ReproError as err:
+            failures.append((process, err))
+        else:
+            if session.aborted:
+                failures.append((process, CheckpointError(
+                    f"checkpoint aborted: {session.abort_reason}")))
+    if failures:
+        for _process, medium, handle in handles:
+            if handle.ok:
+                medium.images.revoke(
+                    handle.value[0], reason="sibling process failed its "
+                                            "consistent checkpoint")
+        failed_names = ", ".join(p.name for p, _err in failures)
+        raise CheckpointError(
+            f"consistent checkpoint failed for process(es) "
+            f"{failed_names}: {failures[0][1]}"
+        ) from failures[0][1]
+    return [handle.value for _process, _medium, handle in handles]
 
 
 class Phos:
@@ -114,15 +150,13 @@ class Phos:
     # -- checkpoint ----------------------------------------------------------------
     def checkpoint(self, process: GpuProcess, mode: str = "cow",
                    name: str = "", medium: Optional[Medium] = None,
-                   config: Optional[ProtocolConfig] = None,
-                   **tunables) -> Process:
+                   config: Optional[ProtocolConfig] = None) -> Process:
         """Start a checkpoint; returns the (awaitable) background process.
 
         ``mode`` is a registry name or alias (``cow``, ``recopy``,
         ``stop-world``, ``hw-dirty``, ``incremental``); unknown names
         raise :class:`CheckpointError` listing the registered protocols.
-        Tunables travel as a :class:`ProtocolConfig` (``config=``) or
-        as loose keywords (``chunk_bytes=...``, ``parent=...``, …);
+        Tunables travel as a :class:`ProtocolConfig` (``config=``);
         combinations a protocol does not support are rejected eagerly.
 
         The result of the returned process is ``(image, session)``
@@ -132,7 +166,7 @@ class Phos:
         records; with ``mode="incremental"`` the result is a
         chunk-deduplicated :class:`~repro.storage.delta.DeltaImage`.
         """
-        protocol = registry.create(mode, config=config, **tunables)
+        protocol = registry.create(mode, config=config)
         frontend = (self.frontend_of(process) if protocol.needs_frontend
                     else self.frontends.get(process.id))
         medium = medium or self.medium
@@ -192,11 +226,7 @@ class Phos:
         checkpointed with CoW separately.  Result: list of
         ``(image, session)`` pairs.
 
-        All-or-nothing: if any per-process run fails, the surviving
-        siblings' already-committed images are revoked on the medium
-        (a partial set is not a consistent cut and must never be
-        restorable) and a :class:`CheckpointError` naming the failed
-        process is raised.
+        All-or-nothing (see :func:`collect_cut`).
         """
         processes = list(processes)
         if not processes:
@@ -217,48 +247,13 @@ class Phos:
             # barrier above already made the cut consistent, so the
             # per-process quiesce is a no-op time-wise (CPU stopped,
             # GPUs drained).  Resume happens inside each protocol run.
-            handles = []
-            for process in processes:
-                frontend = self.frontend_of(process)
-                protocol = registry.create("cow", config=config)
-                handle = self.engine.spawn(
-                    protocol.checkpoint(
-                        self.engine, process=process, frontend=frontend,
-                        medium=medium, criu=self.criu,
-                        name=f"{name}-{process.name}" if name else "",
-                    ),
-                    name=f"phos-ckpt-{process.name}",
-                )
-                self._register_inflight(process, handle, protocol)
-                handles.append((process, handle))
-            # Wait for every run individually (all_of fails fast and
-            # would leave siblings unaccounted), collecting failures.
-            results = []
-            failures = []
-            for process, handle in handles:
-                try:
-                    value = yield handle
-                except ReproError as err:
-                    failures.append((process, err))
-                else:
-                    results.append(value)
-            if failures:
-                catalog = getattr(medium, "images", None)
-                for image, _session in results:
-                    if catalog is not None:
-                        catalog.revoke(image, reason=(
-                            "sibling process failed its consistent "
-                            "checkpoint"
-                        ))
-                    else:
-                        image.revoke("sibling process failed its "
-                                     "consistent checkpoint")
-                failed_names = ", ".join(p.name for p, _err in failures)
-                raise CheckpointError(
-                    f"consistent checkpoint failed for process(es) "
-                    f"{failed_names}: {failures[0][1]}"
-                ) from failures[0][1]
-            return results
+            handles = [
+                (process, medium, self.checkpoint(
+                    process, mode="cow", medium=medium, config=config,
+                    name=f"{name}-{process.name}" if name else ""))
+                for process in processes
+            ]
+            return (yield from collect_cut(handles))
 
         return self.engine.spawn(orchestrate(), name="phos-ckpt-consistent")
 
@@ -305,7 +300,6 @@ class Phos:
                 name: str = "restored", medium: Optional[Medium] = None,
                 concurrent: bool = True, use_pool: Optional[bool] = None,
                 machine: Optional[Machine] = None,
-                skip_data_copy: bool = False,
                 mode: Optional[str] = None,
                 config: Optional[ProtocolConfig] = None):
         """Generator: restore a process from an image.
@@ -331,9 +325,7 @@ class Phos:
             # and hand the restore protocols a plain full image.  A
             # broken chain (cycle, missing or revoked parent, chunk
             # hash mismatch) fails here, before any state is touched.
-            catalog = getattr(medium, "images", None)
-            resolve = catalog.lookup if catalog is not None else None
-            image = materialize(image, resolve=resolve)
+            image = materialize(image, resolve=medium.images.lookup)
             obs.counter("storage/chain-restores",
                         **self.engine._obs_labels).inc()
         if gpu_indices is not None and len(gpu_indices) == 0:
@@ -345,8 +337,6 @@ class Phos:
             gpu_indices = list(image.context_meta.get("gpu_indices", [0]))
         if mode is None:
             mode = "concurrent" if concurrent else "stop-world"
-        if config is None and skip_data_copy:
-            config = ProtocolConfig(skip_data_copy=skip_data_copy)
         protocol = registry.create(mode, kind="restore", config=config)
         concurrent = protocol.name == "concurrent"
         logger.info("restore requested: image=%s gpus=%s concurrent=%s t=%g",

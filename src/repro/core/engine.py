@@ -60,7 +60,7 @@ class DataMover:
         self.config = config
         #: The run's transient-failure policy (DMA moves restarted up to
         #: ``config.max_retries`` times with exponential backoff).
-        self.retry = RetryPolicy(config.max_retries, config.retry_backoff)
+        self.retry = RetryPolicy(config.max_retries)
         #: Every simulation process this run spawned (the protocol
         #: context's teardown list), so a failed run can cancel its
         #: surviving siblings — ``all_of`` fails fast on the first error

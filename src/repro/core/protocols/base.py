@@ -23,8 +23,8 @@ factors that skeleton out:
   config-bound :class:`~repro.core.engine.DataMover`.
 
 Concrete protocols register themselves by name in
-:mod:`repro.core.protocols.registry`; the daemon, SDK, CLI, tasks and
-baselines all dispatch through that registry.
+:mod:`repro.core.protocols.registry`; the daemon, SDK, CLI and tasks all
+dispatch through that registry.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import inspect
 from dataclasses import dataclass, field
 from typing import Any, ClassVar, Optional
 
-from repro import chaos, obs, units
+from repro import chaos, obs
 from repro.core.engine import DataMover
 from repro.core.quiesce import quiesce, resume
 from repro.core.session import COW_POOL_BYTES, BufState, CheckpointSession
@@ -51,7 +51,7 @@ RESTORE_PHASES = ("admit", "plan", "transfer", "commit")
 
 #: Retry tunables every hardened protocol supports (unioned into each
 #: concrete protocol's ``supports`` so ``phos protocols`` lists them).
-RETRY_SUPPORTS = frozenset({"max_retries", "retry_backoff"})
+RETRY_SUPPORTS = frozenset({"max_retries"})
 
 
 @dataclass(frozen=True)
@@ -94,10 +94,6 @@ class ProtocolConfig:
     #: Transient-failure budget: how many times a failed DMA move or
     #: context creation is retried before the run aborts.
     max_retries: int = 2
-    #: Base backoff before the first retry; doubles per attempt, capped
-    #: at 32x (see :mod:`repro.core.retry`).  Only spent after a fault,
-    #: so fault-free runs are virtual-time identical at any setting.
-    retry_backoff: float = 1 * units.MSEC
     #: Content-address chunk of the delta image format (None = the
     #: :data:`repro.storage.delta.CHUNK_BYTES` default).  Power of two;
     #: distinct from ``chunk_bytes``, which is the DMA preemption chunk.
@@ -111,9 +107,6 @@ class ProtocolConfig:
     #: the DRAM-tier medium checkpoints commit to).  None = the default
     #: DRAM → SSD → remote stack.
     drain_tiers: Optional[Any] = None
-    #: ``continuous`` protocol: write-behind queue depth before
-    #: enqueueing a committed round backpressures the next one.
-    drain_depth: int = 2
 
     def __post_init__(self) -> None:
         if self.precopy_rounds < 0:
@@ -136,10 +129,6 @@ class ProtocolConfig:
             raise CheckpointError(
                 f"max_retries must be >= 0, got {self.max_retries}"
             )
-        if self.retry_backoff <= 0:
-            raise CheckpointError(
-                f"retry_backoff must be positive, got {self.retry_backoff}"
-            )
         ccb = self.content_chunk_bytes
         if ccb is not None and (ccb <= 0 or ccb & (ccb - 1)):
             raise CheckpointError(
@@ -152,27 +141,6 @@ class ProtocolConfig:
             )
         if self.rounds < 1:
             raise CheckpointError(f"rounds must be >= 1, got {self.rounds}")
-        if self.drain_depth < 1:
-            raise CheckpointError(
-                f"drain_depth must be >= 1, got {self.drain_depth}"
-            )
-
-    @classmethod
-    def field_names(cls) -> tuple[str, ...]:
-        return tuple(f.name for f in dataclasses.fields(cls))
-
-    @classmethod
-    def from_kwargs(cls, **kwargs) -> "ProtocolConfig":
-        """Build a config from loose keyword tunables (the legacy call
-        style of ``Phos.checkpoint``), rejecting unknown names."""
-        valid = set(cls.field_names())
-        unknown = sorted(set(kwargs) - valid)
-        if unknown:
-            raise CheckpointError(
-                f"unknown checkpoint tunable(s) {', '.join(unknown)}; "
-                f"valid ProtocolConfig fields: {', '.join(sorted(valid))}"
-            )
-        return cls(**kwargs)
 
     def tuned(self) -> dict[str, Any]:
         """The fields that deviate from their defaults."""
@@ -330,9 +298,8 @@ class Protocol:
 
     def _run_checkpoint(self, ctx: ProtocolContext):
         self.prepare(ctx)
-        catalog = getattr(ctx.medium, "images", None)
-        if catalog is not None:
-            catalog.stage(ctx.image)
+        catalog = ctx.medium.images
+        catalog.stage(ctx.image)
         committed = False
         try:
             with obs.span(f"checkpoint/{self.name}", **self.span_attrs(ctx)):
@@ -356,14 +323,13 @@ class Protocol:
             self._recover_failed_checkpoint(ctx, err)
             raise
         finally:
-            if catalog is not None:
-                if committed:
-                    catalog.commit(ctx.image)
-                else:
-                    catalog.discard(
-                        ctx.image,
-                        reason=f"{self.name} checkpoint did not commit",
-                    )
+            if committed:
+                catalog.commit(ctx.image)
+            else:
+                catalog.discard(
+                    ctx.image,
+                    reason=f"{self.name} checkpoint did not commit",
+                )
 
     def _run_restore(self, ctx: ProtocolContext):
         self.prepare(ctx)

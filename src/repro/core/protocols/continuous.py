@@ -59,8 +59,7 @@ class StreamSummary:
 
 #: Inner-round tunables forwarded to the incremental protocol.
 _INNER_FIELDS = ("coordinated", "prioritized", "chunk_bytes",
-                 "content_chunk_bytes", "bandwidth_scale", "max_retries",
-                 "retry_backoff")
+                 "content_chunk_bytes", "bandwidth_scale", "max_retries")
 
 
 @register
@@ -74,7 +73,6 @@ class ContinuousCheckpoint(Protocol):
     supports = frozenset({
         "coordinated", "prioritized", "chunk_bytes", "content_chunk_bytes",
         "bandwidth_scale", "parent", "interval", "rounds", "drain_tiers",
-        "drain_depth",
     }) | RETRY_SUPPORTS
     needs_frontend = True
     summary = ("streams a chain of dirty-scaled incremental checkpoints "
@@ -92,8 +90,7 @@ class ContinuousCheckpoint(Protocol):
                 "drain_tiers[0] must be the checkpoint medium itself "
                 "(the DRAM tier rounds commit to)"
             )
-        drainer = WriteBehindDrainer(engine, tiers, depth=cfg.drain_depth,
-                                     name=f"{name}-drain")
+        drainer = WriteBehindDrainer(engine, tiers, name=f"{name}-drain")
         drainer.start()
         stream = StreamSummary(tiers=[t.name for t in tiers])
         last = cfg.parent
@@ -121,7 +118,7 @@ class ContinuousCheckpoint(Protocol):
                     last = image
                     obs.counter("protocol/continuous-rounds").inc()
                     self._chaos_enter("validate", ctx)
-                    # Backpressure: blocks while `drain_depth` images
+                    # Backpressure: blocks while ``DRAIN_DEPTH`` images
                     # already wait on the slowest tier.
                     yield from drainer.enqueue(image)
                     self._chaos_enter("commit", ctx)

@@ -67,9 +67,8 @@ class IncrementalCheckpoint(RecopyCheckpoint):
             # work: the chunk index lives in daemon DRAM, no virtual
             # time).  A broken chain fails the run here, before any
             # data moves.
-            catalog = getattr(ctx.medium, "images", None)
-            resolve = catalog.lookup if catalog is not None else None
-            ctx.extras["parent_full"] = materialize(parent, resolve=resolve)
+            ctx.extras["parent_full"] = materialize(
+                parent, resolve=ctx.medium.images.lookup)
         super().phase_plan(ctx)
 
     def inherit_parent(self, ctx: ProtocolContext) -> None:

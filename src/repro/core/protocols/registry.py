@@ -1,7 +1,7 @@
 """The protocol registry: every C/R protocol, addressable by name.
 
-The daemon, SDK, CLI, tasks, baselines and experiment harness all
-dispatch protocols through this registry instead of hard-coded
+The daemon, SDK, CLI, tasks and experiment harness all dispatch
+protocols through this registry instead of hard-coded
 ``if/elif`` mode strings, so adding a protocol is: subclass
 :class:`~repro.core.protocols.base.Protocol`, decorate with
 :func:`register`, import the module from the package ``__init__``.
@@ -74,19 +74,10 @@ def get(name: str, kind: str = "checkpoint") -> type:
 
 
 def create(name: str, config: Optional[ProtocolConfig] = None,
-           kind: str = "checkpoint", **tunables) -> Protocol:
+           kind: str = "checkpoint") -> Protocol:
     """Instantiate a protocol by name.
 
-    Tunables may come as a ready :class:`ProtocolConfig` or as loose
-    keyword arguments (the legacy ``Phos.checkpoint`` call style), but
-    not both.  Config validation — universal value constraints and the
-    protocol's supported-field check — happens here, eagerly.
+    Config validation — universal value constraints and the protocol's
+    supported-field check — happens here, eagerly.
     """
-    cls = get(name, kind)
-    if tunables:
-        if config is not None:
-            raise CheckpointError(
-                "pass either a ProtocolConfig or keyword tunables, not both"
-            )
-        config = ProtocolConfig.from_kwargs(**tunables)
-    return cls(config)
+    return get(name, kind)(config)

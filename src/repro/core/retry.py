@@ -4,8 +4,8 @@ The hardened protocols treat two failure classes as *transient*: a DMA
 transfer erroring mid-flight (:class:`~repro.errors.DmaError`) and a
 GPU context creation failing (:class:`~repro.errors.ContextCreationError`).
 Both are retried up to ``ProtocolConfig.max_retries`` times with
-exponential backoff starting at ``ProtocolConfig.retry_backoff`` and
-capped at ``backoff * cap_factor``; anything past the budget propagates
+exponential backoff starting at :data:`BACKOFF` and capped at
+``backoff * cap_factor``; anything past the budget propagates
 and the protocol run aborts cleanly (staged image discarded, resources
 released).
 
@@ -19,8 +19,13 @@ from __future__ import annotations
 
 from typing import Callable
 
-from repro import obs
+from repro import obs, units
 from repro.errors import ContextCreationError, DmaError
+
+#: Base backoff before the first retry; doubles per attempt.  Only spent
+#: after a fault, so fault-free runs are virtual-time identical at any
+#: value.
+BACKOFF = 1 * units.MSEC
 
 #: Backoff ceiling as a multiple of the base backoff (2**5).
 CAP_FACTOR = 32
@@ -32,7 +37,7 @@ TRANSIENT = (DmaError, ContextCreationError)
 class RetryPolicy:
     """Bounded exponential-backoff retry for generator operations."""
 
-    def __init__(self, max_retries: int = 0, backoff: float = 0.0,
+    def __init__(self, max_retries: int = 0, backoff: float = BACKOFF,
                  retry_on: tuple = TRANSIENT,
                  cap_factor: int = CAP_FACTOR) -> None:
         self.max_retries = max_retries

@@ -42,12 +42,12 @@ class PhosSdk:
         return registry.names("checkpoint")
 
     def checkpoint(self, name: str = "", mode: str = "cow",
-                   config: Optional[ProtocolConfig] = None, **kwargs) -> bool:
+                   config: Optional[ProtocolConfig] = None) -> bool:
         """Asynchronously request a checkpoint.
 
         ``mode`` is any registered protocol name (see
         :meth:`protocols`); tunables go in ``config`` (a
-        :class:`ProtocolConfig`) or as loose keywords.
+        :class:`ProtocolConfig`).
 
         Returns True if a checkpoint was started; False if skipped
         because the previous one is still running (the SDK "will not
@@ -55,8 +55,8 @@ class PhosSdk:
         done" — we choose skipping over blocking, which is what a
         frequency-driven training loop wants).
 
-        With ``mode="incremental"`` and no explicit ``parent``, the
-        SDK chains onto its own most recent completed image: the first
+        With ``mode="incremental"`` and no ``config``, the SDK chains
+        onto its own most recent completed image: the first
         call produces a self-contained chain root, every later call a
         delta — exactly the first-full-then-delta loop a training job
         wants.
@@ -64,13 +64,12 @@ class PhosSdk:
         if self._inflight is not None and not self._inflight.triggered:
             self.checkpoints_skipped += 1
             return False
-        if (mode in ("incremental", "delta") and config is None
-                and "parent" not in kwargs):
+        if mode in ("incremental", "delta") and config is None:
             parent = self.last_image
             if parent is not None and not parent.revoked:
-                kwargs["parent"] = parent
+                config = ProtocolConfig(parent=parent)
         handle = self._phos.checkpoint(self._process, mode=mode, name=name,
-                                       config=config, **kwargs)
+                                       config=config)
         handle.add_callback(self._on_done)
         self._inflight = handle
         self.checkpoints_taken += 1

@@ -8,16 +8,17 @@ paper measures 3.1 s of context creation vs ~1.7-2.2 s of copy).
 
 from __future__ import annotations
 
-from repro import baselines, obs
+from repro import obs
 from repro.cluster import Machine
 from repro.experiments.harness import ExperimentResult, build_world, setup_app
+from repro.tasks.worker import Worker
 
 APP = "llama2-13b-infer"
 
 
 def run() -> ExperimentResult:
-    world = build_world(APP)
-    eng, phos = world.engine, world.phos
+    world = build_world(APP, system="singularity")
+    eng = world.engine
     setup_app(world)
     result = ExperimentResult(
         exp_id="fig02",
@@ -28,16 +29,12 @@ def run() -> ExperimentResult:
 
     def driver(eng):
         t0 = eng.now
-        image = yield from baselines.checkpoint(
-            "singularity", eng, world.process, phos.medium, phos.criu,
-        )
+        image, _ = yield world.checkpoint()
         ckpt = eng.now - t0
         t1 = eng.now
-        target = Machine(eng, name="target", n_gpus=world.spec.n_gpus)
-        yield from baselines.restore(
-            "singularity", eng, image, target, list(range(world.spec.n_gpus)),
-            phos.medium, phos.criu,
-        )
+        target = Worker(eng, Machine(eng, name="target",
+                                     n_gpus=world.spec.n_gpus), "singularity")
+        yield from target.restore(image)
         restore = eng.now - t1
         return ckpt, restore
 

@@ -9,10 +9,10 @@ overlapping the copy; cuda-checkpoint is orders of magnitude slower.
 
 from __future__ import annotations
 
+from repro.baselines import SYSTEMS
 from repro.experiments.harness import ExperimentResult, run_cells
 from repro.parallel import Cell
 from repro.tasks.fault_tolerance import (
-    SYSTEMS,
     measure_checkpoint_overhead,
     measure_restore_time,
 )

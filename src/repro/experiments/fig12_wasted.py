@@ -9,9 +9,9 @@ presentation.  cuda-checkpoint cannot checkpoint distributed jobs.
 
 from __future__ import annotations
 
+from repro.baselines import SYSTEMS
 from repro.experiments.harness import ExperimentResult
 from repro.tasks.fault_tolerance import (
-    SYSTEMS,
     measure_checkpoint_overhead,
     measure_restore_time,
     wasted_fraction,

@@ -10,7 +10,7 @@ downtime under PHOS vs 10.2 s under Singularity.
 from __future__ import annotations
 
 from repro.experiments.harness import ExperimentResult
-from repro.tasks.fault_tolerance import SYSTEMS
+from repro.baselines import SYSTEMS
 from repro.tasks.live_migration import migrate
 
 APPS = ("resnet152-train", "llama2-13b-infer", "llama2-13b-train",

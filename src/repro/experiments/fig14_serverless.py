@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from repro import stats
 from repro.experiments.harness import ExperimentResult
-from repro.tasks.fault_tolerance import SYSTEMS
+from repro.baselines import SYSTEMS
 from repro.tasks.serverless import cold_start
 
 APPS = ("resnet152-infer", "sd-infer", "llama2-13b-infer",

@@ -12,7 +12,7 @@ Llama2-13B training.  Three variants:
 
 from __future__ import annotations
 
-from repro import baselines, obs
+from repro import obs
 from repro.experiments.harness import (
     ExperimentResult,
     build_world,
@@ -34,26 +34,20 @@ VARIANTS = (
 
 
 def _measure(system: str, prioritized: bool = True, steps: int = 3):
-    world = build_world(APP)
-    eng, phos = world.engine, world.phos
+    world = build_world(APP, system=system)
+    eng = world.engine
     setup_app(world, warm=2)
 
     def driver(eng):
         t0 = eng.now
         yield from world.workload.run(steps)
         base = (eng.now - t0) / steps
-        if system == "phos":
-            handle = phos.checkpoint(
-                world.process, mode="cow",
-                config=experiment_config(prioritized=prioritized))
-        else:
-            handle = eng.spawn(baselines.checkpoint(
-                system, eng, world.process, phos.medium, phos.criu))
+        handle = world.checkpoint(
+            "cow", experiment_config(prioritized=prioritized))
         t1 = eng.now
         yield from world.workload.run(steps)
         stall = (eng.now - t1) - steps * base
-        result = yield handle
-        session = result[1] if system == "phos" else None
+        _image, session = yield handle
         return base, max(0.0, stall), session
 
     with obs.timeline(eng) as spans:
@@ -61,7 +55,7 @@ def _measure(system: str, prioritized: bool = True, steps: int = 3):
     quiesce_s = spans.total("quiesce")
     cow_stall = session.stats.cow_stall_time if session else 0.0
     attributed = None
-    if world.observer is not None and system == "phos":
+    if world.observer is not None and session is not None:
         # GPUs run in lockstep; the stall is the slowest per-GPU chain.
         attributed = max(
             sum(app_stall_components(world.observer, i).values())

@@ -10,7 +10,7 @@ paper measures the recopied volume dropping from 50 to 27 GB per GPU
 
 from __future__ import annotations
 
-from repro import baselines, obs, units
+from repro import obs, units
 from repro.core.engine import EXPERIMENT_CHUNK
 from repro.experiments.harness import (
     ExperimentResult,
@@ -26,14 +26,13 @@ APP = "llama3-70b-infer"
 
 def _measure_recopy(coordinated: bool, steps_during: int = 80):
     world = build_world(APP)
-    eng, phos = world.engine, world.phos
+    eng = world.engine
     setup_app(world, warm=2)
 
     def driver(eng):
-        handle = phos.checkpoint(
-            world.process, mode="recopy",
-            config=experiment_config(coordinated=coordinated,
-                                     chunk_bytes=2 * EXPERIMENT_CHUNK))
+        handle = world.checkpoint(
+            "recopy", experiment_config(coordinated=coordinated,
+                                        chunk_bytes=2 * EXPERIMENT_CHUNK))
         runner = eng.spawn(world.workload.run(steps_during))
         image, session = yield handle
         yield runner
@@ -51,19 +50,16 @@ def _measure_recopy(coordinated: bool, steps_during: int = 80):
 
 
 def _measure_singularity():
-    world = build_world(APP)
-    eng, phos = world.engine, world.phos
+    world = build_world(APP, system="singularity")
+    eng = world.engine
     setup_app(world, warm=1)
 
     def driver(eng):
         t0 = eng.now
-        yield from baselines.checkpoint(
-            "singularity", eng, world.process, phos.medium, phos.criu,
-        )
+        yield world.checkpoint()
         return eng.now - t0
 
-    downtime = eng.run_process(driver(eng))
-    return downtime
+    return eng.run_process(driver(eng))
 
 
 def cells() -> list[Cell]:

@@ -22,8 +22,8 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from repro import stats
+from repro.baselines import SYSTEMS
 from repro.experiments.harness import ExperimentResult, run_cells
-from repro.fleet.calibrate import SYSTEMS
 from repro.fleet.scheduler import FleetConfig, run_fleet
 from repro.fleet.traces import DEFAULT_WEIGHTS, TraceConfig, generate
 from repro.parallel import Cell

@@ -10,13 +10,12 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro import obs, parallel, units
-from repro.apps.base import provision
 from repro.apps.specs import get_spec
 from repro.cluster import Machine
-from repro.core.daemon import Phos
 from repro.core.protocols import ProtocolConfig
 from repro.core.engine import EXPERIMENT_CHUNK
 from repro.sim import Engine
+from repro.tasks.worker import Worker
 
 #: When True (``phos ... --obs``), every :func:`build_world` installs an
 #: observer for its engine and records it in :data:`collected_observers`
@@ -142,24 +141,11 @@ def fmt_time(t: float) -> str:
     return units.fmt_seconds(t)
 
 
-@dataclass
-class World:
-    """A ready experiment world: engine, machine, PHOS, app."""
-
-    engine: Engine
-    machine: Machine
-    phos: Phos
-    process: object
-    workload: object
-    spec: object
-    #: The observer installed for this world (None unless OBSERVE/observe).
-    observer: object = None
-
-
 def build_world(spec_name: str, use_pool: bool = False,
                 always_instrument: bool = False,
-                observe: Optional[bool] = None) -> World:
-    """One machine, one attached application process.
+                observe: Optional[bool] = None,
+                system: str = "phos") -> Worker:
+    """One machine under ``system``, one attached application process.
 
     ``observe`` switches the observability layer on for this world
     (default: the module-level :data:`OBSERVE` flag, set by ``--obs``).
@@ -179,18 +165,14 @@ def build_world(spec_name: str, use_pool: bool = False,
         obs.uninstall()
     _installed = observer
     spec = get_spec(spec_name)
-    machine = Machine(engine, n_gpus=spec.n_gpus)
-    phos = Phos(engine, machine, use_context_pool=use_pool)
-    if use_pool:
-        engine.run_process(phos.boot())
-    process, workload = provision(engine, machine, spec)
-    phos.attach(process, always_instrument=always_instrument)
-    return World(engine=engine, machine=machine, phos=phos,
-                 process=process, workload=workload, spec=spec,
-                 observer=observer)
+    world = Worker(engine, Machine(engine, n_gpus=spec.n_gpus), system,
+                   use_pool=use_pool)
+    world.launch(spec, always_instrument=always_instrument)
+    world.observer = observer
+    return world
 
 
-def run_steps(world: World, n: int, start: Optional[int] = None) -> float:
+def run_steps(world: Worker, n: int, start: Optional[int] = None) -> float:
     """Run n workload steps inline; returns elapsed virtual time."""
     eng = world.engine
 
@@ -202,7 +184,7 @@ def run_steps(world: World, n: int, start: Optional[int] = None) -> float:
     return eng.run_process(driver(eng))
 
 
-def setup_app(world: World, warm: int = 1) -> None:
+def setup_app(world: Worker, warm: int = 1) -> None:
     """Allocate buffers and warm the app (JIT/module loads)."""
     eng = world.engine
 

@@ -26,9 +26,8 @@ from typing import Iterable, Optional
 
 from repro import units
 from repro.apps.specs import get_spec
+from repro.baselines import get_system
 from repro.errors import InvalidValueError
-# ``SYSTEMS``: what the fleet can serve a trace with (Fig. 14's set).
-from repro.tasks.fault_tolerance import SYSTEMS
 
 
 @dataclass(frozen=True)
@@ -80,10 +79,7 @@ _migration_downtime: dict[str, float] = {}
 def profile(system: str, function: str, n_requests: int = 2,
             migration: bool = False) -> FunctionProfile:
     """Measure (or fetch from cache) one function's service profile."""
-    if system not in SYSTEMS:
-        raise InvalidValueError(
-            f"unknown system {system!r}; expected one of {SYSTEMS}"
-        )
+    get_system(system)  # rejects what the fleet cannot serve a trace with
     key = (system, function, n_requests)
     prof = _profiles.get(key)
     if prof is None:
@@ -128,7 +124,7 @@ def _measure(system: str, function: str, n_requests: int) -> FunctionProfile:
             image_bytes=0,
         )
     start_s = warm.end_to_end - warm.exec_time
-    if system == "phos":
+    if get_system(system).concurrent:
         nopool = cold_start(system, function, n_requests=n_requests,
                             use_pool=False)
         nopool_start_s = nopool.end_to_end - nopool.exec_time

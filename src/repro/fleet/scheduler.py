@@ -47,8 +47,9 @@ from typing import Optional
 
 from repro import stats, units
 from repro.cluster import Cluster
+from repro.baselines import get_system
 from repro.errors import InvalidValueError
-from repro.fleet.calibrate import SYSTEMS, FunctionProfile, profiles_for
+from repro.fleet.calibrate import FunctionProfile, profiles_for
 from repro.fleet.snapshots import SnapshotPool
 from repro.fleet.traces import Trace
 from repro.sim.domains import MIN_LOOKAHEAD, DomainChannel, World
@@ -85,7 +86,8 @@ class FleetConfig:
     recovery_s: float = 5.0
     #: Retry budget for invocations killed by machine failures.
     max_retries: int = 3
-    #: Migrate-for-packing (phos only; ignored for the baselines).
+    #: Migrate-for-packing (concurrent systems only; ignored for the
+    #: baselines — see :attr:`migrates`).
     migration: bool = True
     clock_domains: str = "single"
     #: Gateway <-> machine control-message latency (the clock-domain
@@ -93,10 +95,7 @@ class FleetConfig:
     control_latency_s: float = units.RDMA_LINK_LATENCY
 
     def __post_init__(self) -> None:
-        if self.system not in SYSTEMS:
-            raise InvalidValueError(
-                f"unknown system {self.system!r}; expected one of {SYSTEMS}"
-            )
+        get_system(self.system)
         if self.n_machines < 1:
             raise InvalidValueError(
                 f"a fleet needs at least one machine, got {self.n_machines}"
@@ -149,6 +148,11 @@ class FleetConfig:
                 f"{self.control_latency_s!r}; it is the clock-domain "
                 "lookahead and cannot be zero or negative"
             )
+
+    @property
+    def migrates(self) -> bool:
+        """Migration is on *and* the system can migrate live."""
+        return self.migration and get_system(self.system).concurrent
 
 
 @dataclass
@@ -289,8 +293,9 @@ class _MachineAgent:
         self.profiles = profiles
         self.inbox = inbox
         self.outbox = outbox
-        slots = (cfg.contexts_per_gpu * n_gpus
-                 if cfg.system == "phos" else 0)
+        #: Only a concurrent system keeps the §6 context pool.
+        self.pooled = get_system(cfg.system).concurrent
+        slots = cfg.contexts_per_gpu * n_gpus if self.pooled else 0
         self.pool = SnapshotPool(cfg.pool_capacity, name=name,
                                  context_slots=slots)
         #: request index -> (service process, expected completion time)
@@ -335,7 +340,7 @@ class _MachineAgent:
         warm = self.pool.lookup(function)
         fetch_s = 0.0 if warm else prof.fetch_s()
         pooled_ctx = False
-        if self.cfg.system == "phos" and self.pool.context_slots:
+        if self.pool.context_slots:
             pooled_ctx = self.pool.take_context()
             if pooled_ctx:
                 # The daemon re-creates the handed-out context in the
@@ -343,7 +348,7 @@ class _MachineAgent:
                 barrier = max(0.0, prof.nopool_start_s - prof.start_s)
                 self.engine.spawn(self._refill_context(barrier),
                                   name=f"{self.name}-ctx-refill")
-        start_s = prof.start_s if pooled_ctx or self.cfg.system != "phos" \
+        start_s = prof.start_s if pooled_ctx or not self.pooled \
             else prof.nopool_start_s
         restore_s = fetch_s + start_s
         service_s = restore_s + prof.exec_s
@@ -427,6 +432,7 @@ class _Gateway:
         self.engine = engine
         self.trace = trace
         self.cfg = cfg
+        self.migrates = cfg.migrates
         self.profiles = profiles
         self.agents = agents
         self.inboxes = inboxes
@@ -508,7 +514,7 @@ class _Gateway:
     def _plan_migration(self, head_k: int) -> bool:
         """Consolidate free GPUs for a stranded head by migrating the
         smallest strictly-smaller running victim."""
-        if not self.cfg.migration or self.cfg.system != "phos":
+        if not self.migrates:
             return False
         best = None  # (victim gpus, src, dst, victim idx)
         for src in range(len(self.agents)):
@@ -649,7 +655,7 @@ def run_fleet(trace: Trace, config: FleetConfig,
         profiles = profiles_for(
             config.system, trace.config.functions,
             n_requests=config.requests_per_call,
-            migration=config.migration and config.system == "phos")
+            migration=config.migrates)
     missing = [f for f in {r.function for r in trace.requests}
                if f not in profiles]
     if missing:

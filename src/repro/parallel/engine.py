@@ -22,12 +22,11 @@ The figure goldens under ``tests/goldens/`` pin this bit-for-bit at
 
 Workers are **spawn**-started (the portable, state-clean choice): each
 worker is a fresh interpreter that imports the runner by qualified
-name.  The worker initializer enables the per-worker warm
-:class:`~repro.gpu.isa.Program` cache (see
-:func:`repro.apps.base.enable_program_cache`) so consecutive cells on
-one worker reuse compiled kernel plans — a wall-clock optimization
-that is result-invariant because plans re-prove their preconditions
-against the actual memory at every bind.
+name.  The per-process warm :class:`~repro.gpu.isa.Program` cache
+(see :mod:`repro.apps.base`) lets consecutive cells on one worker
+reuse compiled kernel plans — a wall-clock optimization that is
+result-invariant because plans re-prove their preconditions against
+the actual memory at every bind.
 
 Batched dispatch
 ----------------

@@ -2,18 +2,16 @@
 
 Each worker is a **spawned** interpreter: nothing leaks in from the
 parent except the environment and the pickled ``(runner, cell)``
-pairs.  :func:`init_worker` runs once per worker process and
-
-* marks the process as a worker (:data:`in_worker`) so a runner that
-  itself calls :func:`repro.parallel.run_cells` degrades to serial
-  instead of nesting pools;
-* enables the warm :class:`~repro.gpu.isa.Program` cache
-  (:func:`repro.apps.base.enable_program_cache`): consecutive cells on
-  the same worker rebuild identical kernel binaries, so sharing the
-  ``Program`` objects lets the compiled-plan cache of PR 2 stay warm
-  across cells.  This is purely a wall-clock effect — plans re-prove
-  their bind-time preconditions against the actual device memory on
-  every launch, so results stay bit-identical.
+pairs.  :func:`init_worker` runs once per worker process and marks it
+as a worker (:data:`in_worker`) so a runner that itself calls
+:func:`repro.parallel.run_cells` degrades to serial instead of nesting
+pools.  Consecutive cells on the same worker rebuild identical kernel
+binaries; the warm :class:`~repro.gpu.isa.Program` cache in
+:mod:`repro.apps.base` shares them, so the compiled-plan cache of PR 2
+stays warm across cells (:attr:`BatchOutcome.warm_hits`).  This is
+purely a wall-clock effect — plans re-prove their bind-time
+preconditions against the actual device memory on every launch, so
+results stay bit-identical.
 
 :func:`invoke_batch` runs a contiguous *chunk* of cells sequentially
 and returns one compact :class:`BatchOutcome` — the runner and the
@@ -39,9 +37,6 @@ in_worker = False
 def init_worker() -> None:
     global in_worker
     in_worker = True
-    from repro.apps import base
-
-    base.enable_program_cache()
 
 
 @dataclass

@@ -50,6 +50,10 @@ from repro.storage.media import Medium
 #: Chaos protocol name for drainer phase entries.
 DRAIN_PROTOCOL = "continuous-drain"
 
+#: Committed images that may wait on the slowest tier before enqueueing
+#: the next one backpressures the stream.
+DRAIN_DEPTH = 2
+
 
 def payload_bytes(image: CheckpointImage) -> int:
     """The bytes a tier hop actually moves for ``image``.
@@ -122,7 +126,8 @@ class WriteBehindDrainer:
     drainer replicates each enqueued image to ``tiers[1:]`` in order.
     """
 
-    def __init__(self, engine, tiers: Sequence[Medium], depth: int = 2,
+    def __init__(self, engine, tiers: Sequence[Medium],
+                 depth: int = DRAIN_DEPTH,
                  name: str = "write-behind") -> None:
         if len(tiers) < 2:
             raise ReproError(

@@ -1,5 +1,14 @@
 """Downstream applications of C/R (§7): the end-to-end task drivers.
 
+Every task takes a ``system`` name and hands it to a
+:class:`~repro.tasks.worker.Worker` — the machine slot that builds the
+daemon and reads the system's :data:`repro.baselines.SYSTEMS` row — so
+no task forks on which system it measures.
+
+* :mod:`repro.tasks.worker` — the worker itself (``launch`` /
+  ``checkpoint`` / ``restore``, one shape for every system);
+* :mod:`repro.tasks.distributed` — one worker per machine and the
+  all-or-nothing consistent cut across them;
 * :mod:`repro.tasks.fault_tolerance` — periodic checkpointing at the
   optimal frequency, checkpoint-overhead and wasted-GPU-time metrics
   (Figs. 11a, 12);
@@ -19,6 +28,7 @@ from repro.tasks.fault_tolerance import (
 )
 from repro.tasks.live_migration import MigrationResult, migrate
 from repro.tasks.serverless import ColdStartResult, cold_start
+from repro.tasks.worker import Worker
 
 __all__ = [
     "ColdStartResult",
@@ -27,6 +37,7 @@ __all__ = [
     "FtMeasurement",
     "FtRunResult",
     "MigrationResult",
+    "Worker",
     "cold_start",
     "measure_checkpoint_overhead",
     "measure_restore_time",

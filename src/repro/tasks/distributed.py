@@ -23,14 +23,14 @@ from __future__ import annotations
 import numpy as np
 
 from repro import units
-from repro.apps.base import provision
 from repro.apps.specs import AppSpec, get_spec
 from repro.cluster import Cluster
-from repro.core.daemon import Phos
+from repro.core.daemon import collect_cut
 from repro.core.protocols import ProtocolConfig
 from repro.core.quiesce import quiesce
 from repro.errors import CheckpointError, InvalidValueError
 from repro.sim.engine import Engine
+from repro.tasks.worker import Worker
 
 #: One RDMA round-trip per machine joining the global quiesce barrier.
 CROSS_MACHINE_BARRIER_RTT = 10 * units.USEC
@@ -45,7 +45,7 @@ class DistributedJob:
         self.spec: AppSpec = get_spec(spec_name)
         if self.spec.kind != "train":
             raise InvalidValueError("distributed jobs are training jobs")
-        self.replicas: list = []   # (machine, phos, process, workload)
+        self.replicas: list[Worker] = []   # one per machine
         self.images: list = []     # latest consistent cut
         self.steps_done = 0
 
@@ -53,19 +53,14 @@ class DistributedJob:
     def setup(self):
         """Generator: provision and initialize one replica per machine."""
         for machine in self.cluster.machines:
-            phos = Phos(self.engine, machine, use_context_pool=False)
-            process, workload = provision(
-                self.engine, machine, self.spec,
-                name=f"{self.spec.name}@{machine.name}",
-            )
-            phos.attach(process)
-            self.replicas.append((machine, phos, process, workload))
-        for _, _, _, workload in self.replicas:
-            yield from workload.setup()
+            self.replicas.append(Worker(self.engine, machine).launch(
+                self.spec, name=f"{self.spec.name}@{machine.name}"))
+        for replica in self.replicas:
+            yield from replica.workload.setup()
 
     @property
     def processes(self):
-        return [proc for _, _, proc, _ in self.replicas]
+        return [replica.process for replica in self.replicas]
 
     # -- training ----------------------------------------------------------------
     def run_steps(self, n: int):
@@ -73,10 +68,10 @@ class DistributedJob:
         for _ in range(n):
             step_procs = [
                 self.engine.spawn(
-                    workload.run(1, start=self.steps_done),
-                    name=f"step-{machine.name}",
+                    replica.workload.run(1, start=self.steps_done),
+                    name=f"step-{replica.machine.name}",
                 )
-                for machine, _, _, workload in self.replicas
+                for replica in self.replicas
             ]
             yield self.engine.all_of(step_procs)
             yield from self._allreduce_across_machines()
@@ -92,11 +87,11 @@ class DistributedJob:
         if len(self.replicas) < 2:
             return
         grads = []
-        for _, _, _, workload in self.replicas:
-            gpu0 = workload.process.gpu_indices[0]
-            grads.append(workload.groups[gpu0]["grads"].buffers[0])
+        for replica in self.replicas:
+            gpu0 = replica.process.gpu_indices[0]
+            grads.append(replica.workload.groups[gpu0]["grads"].buffers[0])
         nbytes = grads[0].size
-        machines = [machine for machine, _, _, _ in self.replicas]
+        machines = [replica.machine for replica in self.replicas]
         n = len(machines)
         # Ring: each link moves 2(n-1)/n of the data.
         flows = []
@@ -134,22 +129,13 @@ class DistributedJob:
             CROSS_MACHINE_BARRIER_RTT * len(self.replicas)
         )
         yield from quiesce(self.engine, self.processes)
-        handles = [
-            phos.checkpoint(process, mode="cow",
-                            name=f"{name or 'dist'}-{machine.name}",
-                            config=config)
-            for machine, phos, process, _ in self.replicas
-        ]
-        results = yield self.engine.all_of(handles)
-        images = []
-        for image, session in results:
-            if session.aborted:
-                raise CheckpointError(
-                    f"replica checkpoint aborted: {session.abort_reason}"
-                )
-            images.append(image)
-        self.images = images
-        return images
+        results = yield from collect_cut([
+            (replica.process, replica.phos.medium, replica.checkpoint(
+                "cow", config, name=f"{name or 'dist'}-{replica.machine.name}"))
+            for replica in self.replicas
+        ])
+        self.images = [image for image, _session in results]
+        return self.images
 
     # -- failure recovery ----------------------------------------------------------
     def recover(self):
@@ -159,36 +145,22 @@ class DistributedJob:
             raise CheckpointError("no consistent checkpoint to recover from")
         # "PHOS stops all GPU processes" — the survivors quiesce, the
         # failed ones are gone; all device memory is reclaimed.
-        for i, (machine, phos, process, workload) in enumerate(self.replicas):
-            phos.kill(process)
-        new_replicas = []
-        restore_procs = []
-        for (machine, phos, _, workload), image in zip(self.replicas, self.images):
-            def one(machine=machine, phos=phos, workload=workload, image=image):
-                result = yield from phos.restore(
-                    image, gpu_indices=list(range(self.spec.n_gpus)),
-                    machine=machine, concurrent=True,
-                )
-                process, _, session = result
-                workload.bind_restored(process)
-                return machine, phos, process, workload, session
-
-            restore_procs.append(self.engine.spawn(one(), name="dist-restore"))
-        results = yield self.engine.all_of(restore_procs)
-        sessions = []
-        for machine, phos, process, workload, session in results:
-            new_replicas.append((machine, phos, process, workload))
-            sessions.append(session)
-        self.replicas = new_replicas
-        return sessions
+        for replica in self.replicas:
+            replica.phos.kill(replica.process)
+        restores = [
+            self.engine.spawn(replica.restore(image, replica.workload),
+                              name="dist-restore")
+            for replica, image in zip(self.replicas, self.images)
+        ]
+        return (yield self.engine.all_of(restores))
 
     # -- introspection -------------------------------------------------------------
     def replica_states(self) -> list[dict[str, bytes]]:
         """Functional snapshot of each replica's GPU state, by tag."""
         out = []
-        for _, _, process, _ in self.replicas:
+        for replica in self.replicas:
             state = {}
-            for gpu_index, bufs in process.runtime.allocations.items():
+            for gpu_index, bufs in replica.process.runtime.allocations.items():
                 for buf in bufs:
                     state[buf.tag] = buf.snapshot()
             out.append(state)

@@ -16,20 +16,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro import baselines, obs, units
-from repro.apps.base import provision
+from repro import obs, units
 from repro.apps.specs import get_spec
+from repro.baselines import get_system
 from repro.cluster import Machine
-from repro.core.daemon import Phos
 from repro.core.engine import EXPERIMENT_CHUNK
 from repro.core.frequency import optimal_frequency, wasted_gpu_hours
 from repro.core.protocols import ProtocolConfig
-from repro.errors import CheckpointError, InvalidValueError
+from repro.errors import CheckpointError
 from repro.sim import Engine
+from repro.tasks.worker import Worker
 
-SYSTEMS = ("phos", *baselines.SYSTEMS)
-
-__all__ = ["SYSTEMS", "EXPERIMENT_CHUNK", "FtMeasurement",
+__all__ = ["EXPERIMENT_CHUNK", "FtMeasurement",
            "measure_checkpoint_overhead", "measure_restore_time",
            "wasted_fraction"]
 
@@ -48,16 +46,6 @@ class FtMeasurement:
     supported: bool = True
 
 
-def _world(spec_name: str):
-    eng = Engine()
-    spec = get_spec(spec_name)
-    machine = Machine(eng, n_gpus=spec.n_gpus)
-    phos = Phos(eng, machine, use_context_pool=False)
-    process, workload = provision(eng, machine, spec)
-    phos.attach(process)
-    return eng, machine, phos, process, workload, spec
-
-
 def measure_checkpoint_overhead(system: str, spec_name: str,
                                 warm_iters: int = 2, span_iters: int = 3,
                                 chunk_bytes: int = EXPERIMENT_CHUNK) -> FtMeasurement:
@@ -67,13 +55,13 @@ def measure_checkpoint_overhead(system: str, spec_name: str,
     optimal timing §8.3 establishes.  ``span_iters`` iterations run
     while the checkpoint proceeds; stall = elapsed - baseline.
     """
-    if system not in SYSTEMS:
-        raise InvalidValueError(f"unknown system {system!r}")
     spec = get_spec(spec_name)
-    if not baselines.supports(system, spec.n_gpus):
+    if not get_system(system).supports(spec.n_gpus):
         return FtMeasurement(system=system, app=spec_name, iter_time=0.0,
                              checkpoint_stall=0.0, supported=False)
-    eng, machine, phos, process, workload, spec = _world(spec_name)
+    eng = Engine()
+    worker = Worker(eng, Machine(eng, n_gpus=spec.n_gpus), system).launch(spec)
+    workload = worker.workload
 
     def driver(eng):
         yield from workload.setup()
@@ -82,21 +70,14 @@ def measure_checkpoint_overhead(system: str, spec_name: str,
         yield from workload.run(span_iters)
         baseline = eng.now - t0
         # Checkpoint at the beginning of the next iteration.
-        if system == "phos":
-            handle = phos.checkpoint(
-                process, mode="cow",
-                config=ProtocolConfig(chunk_bytes=chunk_bytes))
-        else:
-            handle = eng.spawn(baselines.checkpoint(
-                system, eng, process, phos.medium, phos.criu))
+        handle = worker.checkpoint(
+            "cow", ProtocolConfig(chunk_bytes=chunk_bytes))
         t1 = eng.now
         yield from workload.run(span_iters)
         elapsed = eng.now - t1
-        result = yield handle
-        if system == "phos":
-            image, session = result
-            if session.aborted:
-                raise CheckpointError("unexpected CoW abort in experiment")
+        _image, session = yield handle
+        if session is not None and session.aborted:
+            raise CheckpointError("unexpected CoW abort in experiment")
         obs.record("task/checkpoint-stall", t1,
                    end=t1 + max(0.0, elapsed - baseline),
                    system=system, app=spec_name)
@@ -112,34 +93,21 @@ def measure_restore_time(system: str, spec_name: str,
                          chunk_bytes: int = EXPERIMENT_CHUNK) -> float:
     """Time from restore request until the app completes a full step."""
     spec = get_spec(spec_name)
-    if not baselines.supports(system, spec.n_gpus):
+    if not get_system(system).supports(spec.n_gpus):
         return float("nan")
-    eng, machine, phos, process, workload, spec = _world(spec_name)
-    use_pool = system == "phos"
-    if use_pool:
-        phos.pool = None  # keep the checkpoint-side service simple
-    phos_dst = Phos(eng, machine=Machine(eng, name="nodeR", n_gpus=spec.n_gpus),
-                    use_context_pool=use_pool)
-    if use_pool:
-        eng.run_process(phos_dst.boot())
+    eng = Engine()
+    source = Worker(eng, Machine(eng, n_gpus=spec.n_gpus)).launch(spec)
+    target = Worker(eng, Machine(eng, name="nodeR", n_gpus=spec.n_gpus),
+                    system, use_pool=True)
+    workload = source.workload
 
     def driver(eng):
         yield from workload.setup()
         yield from workload.run(1)
-        image, _ = yield phos.checkpoint(
-            process, mode="cow",
-            config=ProtocolConfig(chunk_bytes=chunk_bytes))
+        image, _ = yield source.checkpoint(
+            "cow", ProtocolConfig(chunk_bytes=chunk_bytes))
         t0 = eng.now
-        if system == "phos":
-            result = yield from phos_dst.restore(
-                image, gpu_indices=list(range(spec.n_gpus)), concurrent=True
-            )
-            new_process, _frontend, session = result
-        else:
-            new_process = yield from baselines.restore(
-                system, eng, image, phos_dst.machine,
-                list(range(spec.n_gpus)), phos_dst.medium, phos_dst.criu)
-        workload.bind_restored(new_process)
+        yield from target.restore(image, workload)
         yield from workload.run(1)
         obs.record("task/restore-time", t0, system=system, app=spec_name)
         return eng.now - t0

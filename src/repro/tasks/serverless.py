@@ -15,15 +15,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro import baselines, obs
-from repro.apps.base import provision
+from repro import obs
 from repro.apps.specs import get_spec
+from repro.baselines import get_system
 from repro.cluster import Machine
-from repro.core.daemon import Phos
 from repro.core.protocols import ProtocolConfig
 from repro.errors import InvalidValueError
 from repro.sim import Engine
 from repro.tasks.fault_tolerance import EXPERIMENT_CHUNK
+from repro.tasks.worker import Worker
 
 
 @dataclass
@@ -43,12 +43,12 @@ class ColdStartResult:
 
 def cold_start(system: str, spec_name: str, n_requests: int = 8,
                chunk_bytes: int = EXPERIMENT_CHUNK,
-               use_pool: bool | None = None) -> ColdStartResult:
+               use_pool: bool = True) -> ColdStartResult:
     """One serverless cold start: restore, then serve ``n_requests``.
 
-    ``use_pool`` overrides the worker daemon's context pool (default:
-    on exactly for ``system="phos"``); the fleet calibrator measures
-    the pool-miss path with ``use_pool=False``.
+    ``use_pool=False`` switches the worker daemon's context pool off
+    (only a concurrent system has one); the fleet calibrator measures
+    the pool-miss path with it.
 
     An *unsupported* combination (cuda-checkpoint with a multi-GPU
     function) returns ``supported=False`` with NaN timings — callers
@@ -69,47 +69,28 @@ def cold_start(system: str, spec_name: str, n_requests: int = 8,
         raise InvalidValueError(
             f"chunk_bytes must be positive, got {chunk_bytes}"
         )
-    if not baselines.supports(system, spec.n_gpus):
+    if not get_system(system).supports(spec.n_gpus):
         return ColdStartResult(system=system, app=spec_name,
                                end_to_end=float("nan"), exec_time=float("nan"),
                                supported=False)
-    if use_pool is None:
-        use_pool = system == "phos"
     eng = Engine()
-    machine = Machine(eng, n_gpus=spec.n_gpus)
-    phos = Phos(eng, machine, use_context_pool=False)
-    process, workload = provision(eng, machine, spec)
-    phos.attach(process)
-    # The restore target machine models a worker with a running PHOS
-    # daemon (pool pre-filled at boot, before any request arrives).
-    worker = Machine(eng, name="worker", n_gpus=spec.n_gpus)
-    phos_worker = Phos(eng, worker,
-                       use_context_pool=(system == "phos" and use_pool))
-    if system == "phos" and use_pool:
-        eng.run_process(phos_worker.boot())
+    source = Worker(eng, Machine(eng, n_gpus=spec.n_gpus)).launch(spec)
+    workload = source.workload
+    # The restore target machine models a worker with a running daemon
+    # (pool pre-filled at boot, before any request arrives).
+    target = Worker(eng, Machine(eng, name="worker", n_gpus=spec.n_gpus),
+                    system, use_pool=use_pool)
 
     def driver(eng):
         # Initialize the function up to its entry point, checkpoint it.
         yield from workload.setup()
         yield from workload.run(1)  # warm the runtime (JIT caches etc.)
-        image, _ = yield phos.checkpoint(
-            process, mode="cow",
-            config=ProtocolConfig(chunk_bytes=chunk_bytes))
+        image, _ = yield source.checkpoint(
+            "cow", ProtocolConfig(chunk_bytes=chunk_bytes))
         # A request arrives: cold-start from the checkpoint.
         t0 = eng.now
-        if system == "phos":
-            result = yield from phos_worker.restore(
-                image, gpu_indices=list(range(spec.n_gpus)),
-                concurrent=True, machine=worker,
-            )
-            new_process = result[0]
-        else:
-            new_process = yield from baselines.restore(
-                system, eng, image, worker, list(range(spec.n_gpus)),
-                phos_worker.medium, phos_worker.criu,
-            )
+        yield from target.restore(image, workload)
         t_exec = eng.now
-        workload.bind_restored(new_process)
         yield from workload.run(n_requests)
         t_end = eng.now
         obs.record("task/cold-start", t0, end=t_end,

@@ -23,6 +23,7 @@ from repro.cluster import Machine
 from repro.core.cli import main as cli_main
 from repro.core.context_pool import ContextPool
 from repro.core.daemon import Phos
+from repro.core.quiesce import quiesce
 from repro.core.retry import RetryPolicy
 from repro.errors import (
     CheckpointError,
@@ -421,6 +422,58 @@ def test_consistent_checkpoint_failure_names_process_and_revokes_siblings():
     assert "alpha" in str(err) or "beta" in str(err)
     # No image of the group survives as restorable: the failed run's
     # image was discarded and the surviving sibling's was revoked.
+    catalog = phos.medium.images
+    assert catalog.committed_images() == []
+    assert catalog.staged_images() == []
+    assert_no_dma_leaks(machine)
+
+
+def test_consistent_checkpoint_abort_fails_the_whole_cut():
+    """A mis-speculation on one process aborts *its* CoW run into a
+    stop-the-world retry cut later than its sibling's image: returned
+    as-is that is two restorable images from different instants.  The
+    cut must fail as a whole and leave nothing committed."""
+    from repro.gpu.cost_model import KernelCost
+    from repro.gpu.program import build_global_writer
+
+    eng = Engine()
+    machine = Machine(eng, n_gpus=2)
+    phos = Phos(eng, machine, use_context_pool=False)
+    procs, apps = [], []
+    for idx, name in enumerate(["p1", "p2"]):
+        p = GpuProcess(eng, machine, name=name, gpu_indices=[idx],
+                       cpu_pages=8)
+        p.runtime.adopt_context(idx, GpuContext(gpu_index=idx))
+        phos.attach(p)
+        procs.append(p)
+        apps.append(ToyApp(p, gpu_index=idx, buf_size=64 * MIB))
+
+    def driver(eng):
+        for app in apps:
+            yield from app.setup()
+            yield from app.run(1)
+        victim = apps[1]
+        sneaky = build_global_writer("sneaky", "hidden_out",
+                                     victim.bufs["out"].addr)
+        # Hold everything quiesced so the launch below blocks at the
+        # API gate until p2's CoW run resumes it, then writes ``out``
+        # through a pointer the argument list hides.
+        yield from quiesce(eng, procs)
+        handle = phos.checkpoint_consistent(procs, name="cut")
+        yield from victim.rt.launch_kernel(
+            1, sneaky, [victim.bufs["input"].addr, 8], 8,
+            cost=KernelCost(flops=1e9), sync=True,
+        )
+        try:
+            return (yield handle)
+        except CheckpointError as err:
+            return err
+
+    err = eng.run_process(driver(eng))
+    eng.run()
+    assert isinstance(err, CheckpointError), err
+    assert "consistent checkpoint failed for process(es) p2" in str(err)
+    assert "mis-speculated" in str(err)
     catalog = phos.medium.images
     assert catalog.committed_images() == []
     assert catalog.staged_images() == []

@@ -11,6 +11,7 @@ import json
 import pytest
 
 from repro import obs
+from repro.core.protocols import ProtocolConfig
 from repro.obs import export
 from repro.experiments.harness import build_world, setup_app
 from repro.tasks.fault_tolerance import EXPERIMENT_CHUNK
@@ -36,8 +37,9 @@ def cow_run():
         t0 = eng.now
         yield from world.workload.run(STEPS)
         base = (eng.now - t0) / STEPS
-        handle = phos.checkpoint(world.process, mode="cow",
-                                 chunk_bytes=EXPERIMENT_CHUNK)
+        handle = phos.checkpoint(
+            world.process, mode="cow",
+            config=ProtocolConfig(chunk_bytes=EXPERIMENT_CHUNK))
         t1 = eng.now
         yield from world.workload.run(STEPS)
         stall = (eng.now - t1) - STEPS * base

@@ -263,16 +263,6 @@ def test_program_cache_reuses_identical_binaries(monkeypatch):
     assert base.program_cache_hits() == 1
 
 
-def test_program_cache_off_by_default(monkeypatch):
-    from repro.apps import base
-
-    monkeypatch.setattr(base, "_program_cache", None)
-    from repro.gpu.program import build_copy
-
-    assert base._build_program(build_copy, "k0") \
-        is not base._build_program(build_copy, "k0")
-
-
 # -- figure golden bit-identity ---------------------------------------------------
 
 def _golden(name: str) -> str:

@@ -15,6 +15,7 @@ import random
 
 import pytest
 
+from repro.core.protocols import ProtocolConfig
 from repro.storage.delta import (
     DeltaImage,
     chunk_hashes,
@@ -244,11 +245,13 @@ def _protocol_chain():
         root, _ = yield phos.checkpoint(process, mode="incremental",
                                         name="root")
         yield from app.run(2, start=2)
-        d1, _ = yield phos.checkpoint(process, mode="incremental",
-                                      name="d1", parent=root)
+        d1, _ = yield phos.checkpoint(
+            process, mode="incremental", name="d1",
+            config=ProtocolConfig(parent=root))
         yield from app.run(2, start=4)
-        d2, _ = yield phos.checkpoint(process, mode="incremental",
-                                      name="d2", parent=d1)
+        d2, _ = yield phos.checkpoint(
+            process, mode="incremental", name="d2",
+            config=ProtocolConfig(parent=d1))
         return root, d1, d2
 
     images = eng.run_process(driver(eng))

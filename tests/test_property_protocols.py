@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from repro.api.runtime import GpuProcess
 from repro.cluster import Machine
 from repro.core.daemon import Phos
+from repro.core.protocols import ProtocolConfig
 from repro.core.quiesce import quiesce, resume
 from repro.gpu.context import GpuContext
 from repro.gpu.cost_model import KernelCost
@@ -142,7 +143,9 @@ def test_recopy_image_always_equals_t2_state(ops, cost_scale):
 
     def driver(eng):
         yield from setup_gen()
-        handle = phos.checkpoint(process, mode="recopy", keep_stopped=True)
+        handle = phos.checkpoint(
+            process, mode="recopy",
+            config=ProtocolConfig(keep_stopped=True))
         for op in ops:
             yield from apply_op(rt, bufs, op, cost)()
         image, session = yield handle

@@ -4,6 +4,7 @@ from repro.api.nccl import NcclCommunicator, nccl_allreduce, nccl_broadcast
 from repro.api.runtime import GpuProcess
 from repro.cluster import Machine
 from repro.core.daemon import Phos
+from repro.core.protocols import ProtocolConfig
 from repro.core.quiesce import quiesce
 from repro.gpu.context import GpuContext
 from repro.gpu.cost_model import KernelCost
@@ -90,7 +91,9 @@ def test_two_streams_racing_on_one_buffer_under_cow():
         yield from rt.memcpy_h2d(0, victim, payload=5, sync=True)
         yield from quiesce(eng, [process])
         expected = victim.snapshot()
-        handle = phos.checkpoint(process, mode="cow", coordinated=False)
+        handle = phos.checkpoint(
+            process, mode="cow",
+            config=ProtocolConfig(coordinated=False))
         s1 = process.default_stream(0)
         s2 = machine.gpu(0).create_stream("second")
         cost = KernelCost(flops=1e9)

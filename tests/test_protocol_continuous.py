@@ -42,8 +42,9 @@ def test_stream_commits_a_restorable_chain():
     def driver(eng):
         yield from app.setup()
         yield from app.run(2)
-        last, stream = yield phos.checkpoint(process, mode="continuous",
-                                             name="s", rounds=3)
+        last, stream = yield phos.checkpoint(
+            process, mode="continuous", name="s",
+            config=ProtocolConfig(rounds=3))
         expected, _cpu = snapshot_process(process)
         return last, stream, expected
 
@@ -66,8 +67,9 @@ def test_stream_replicates_to_lower_tiers():
     def driver(eng):
         yield from app.setup()
         yield from app.run(2)
-        return (yield phos.checkpoint(process, mode="continuous",
-                                      rounds=2, drain_tiers=tiers))
+        return (yield phos.checkpoint(
+            process, mode="continuous",
+            config=ProtocolConfig(rounds=2, drain_tiers=tiers)))
 
     last, stream = eng.run_process(driver(eng))
     eng.run()
@@ -87,8 +89,9 @@ def test_interval_paces_rounds():
         yield from app.setup()
         yield from app.run(1)
         t0 = eng.now
-        _, stream = yield phos.checkpoint(process, mode="continuous",
-                                          rounds=3, interval=0.5)
+        _, stream = yield phos.checkpoint(
+            process, mode="continuous",
+            config=ProtocolConfig(rounds=3, interval=0.5))
         return eng.now - t0, stream
 
     elapsed, stream = eng.run_process(driver(eng))
@@ -104,8 +107,9 @@ def test_deltas_are_dirty_scaled():
     def driver(eng):
         yield from app.setup()
         yield from app.run(2)
-        return (yield phos.checkpoint(process, mode="continuous",
-                                      rounds=3))
+        return (yield phos.checkpoint(
+            process, mode="continuous",
+            config=ProtocolConfig(rounds=3)))
 
     last, stream = eng.run_process(driver(eng))
     eng.run()
@@ -124,8 +128,9 @@ def test_drain_tiers_must_start_at_the_medium():
         yield from app.setup()
         yield from app.run(1)
         try:
-            yield phos.checkpoint(process, mode="continuous",
-                                  drain_tiers=other)
+            yield phos.checkpoint(
+                process, mode="continuous",
+                config=ProtocolConfig(drain_tiers=other))
         except ReproError as err:
             return str(err)
         return None
@@ -143,7 +148,9 @@ def test_reachable_from_the_sdk():
     def driver(eng):
         yield from app.setup()
         yield from app.run(1)
-        assert sdk.checkpoint(mode="continuous", rounds=2)
+        assert sdk.checkpoint(
+            mode="continuous",
+            config=ProtocolConfig(rounds=2))
         yield from sdk.wait_inflight()
         return sdk.last_image
 

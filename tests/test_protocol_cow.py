@@ -8,6 +8,7 @@ what the concurrently-running application does during the copy phase.
 from repro.api.runtime import GpuProcess
 from repro.cluster import Machine
 from repro.core.daemon import Phos
+from repro.core.protocols import ProtocolConfig
 from repro.core.quiesce import quiesce, resume
 from repro.gpu.context import GpuContext
 from repro.gpu.cost_model import KernelCost
@@ -44,7 +45,8 @@ def checkpoint_at_known_state(eng, phos, process, app, warm_iters, post_iters,
         # own quiesce then captures exactly this state as t1.
         yield from quiesce(eng, [process])
         state["gpu"], state["cpu"] = snapshot_process(process)
-        handle = phos.checkpoint(process, mode=mode, **ckpt_kwargs)
+        handle = phos.checkpoint(process, mode=mode,
+                                 config=ProtocolConfig(**ckpt_kwargs))
         # The protocol resumes the process; continue running meanwhile.
         yield from app.run(post_iters, start=warm_iters)
         image, session = yield handle

@@ -103,8 +103,15 @@ def test_unknown_restore_mode_rejected():
 
 
 def test_create_rejects_config_plus_tunables():
-    with pytest.raises(CheckpointError, match="either"):
+    """One call style: tunables travel in ``config=`` only — the loose
+    keyword path is gone from every entry point, not merely deprecated."""
+    with pytest.raises(TypeError, match="chunk_bytes"):
         registry.create("cow", config=ProtocolConfig(), chunk_bytes=MIB)
+    eng, machine, phos, process, app = make_world()
+    with pytest.raises(TypeError, match="chunk_bytes"):
+        phos.checkpoint(process, mode="cow", chunk_bytes=MIB)
+    with pytest.raises(TypeError, match="chunk_bytes"):
+        PhosSdk(phos, process).checkpoint(chunk_bytes=MIB)
 
 
 def test_every_protocol_declares_known_phases():
@@ -133,8 +140,8 @@ def test_config_rejects_bad_values(bad):
 
 
 def test_config_rejects_unknown_tunables():
-    with pytest.raises(CheckpointError, match="unknown checkpoint tunable"):
-        ProtocolConfig.from_kwargs(compression="zstd")
+    with pytest.raises(TypeError, match="compression"):
+        ProtocolConfig(compression="zstd")
 
 
 @pytest.mark.parametrize("mode,bad", [
@@ -151,15 +158,24 @@ def test_config_rejects_unknown_tunables():
 ])
 def test_unsupported_combination_rejected_at_construction(mode, bad):
     with pytest.raises(CheckpointError, match="does not support"):
-        registry.create(mode, **bad)
+        registry.create(mode, config=ProtocolConfig(**bad))
 
 
 def test_supported_combinations_accepted():
-    registry.create("cow", parent=None, chunk_bytes=MIB, cow_pool_bytes=MIB)
-    registry.create("recopy", keep_stopped=True, precopy_rounds=3,
-                    bandwidth_scale=0.5)
-    registry.create("stop-world", keep_stopped=True)
-    registry.create("hw-dirty", keep_stopped=True, chunk_bytes=MIB)
+    registry.create(
+        "cow",
+        config=ProtocolConfig(parent=None,
+                              chunk_bytes=MIB,
+                              cow_pool_bytes=MIB))
+    registry.create(
+        "recopy",
+        config=ProtocolConfig(keep_stopped=True,
+                              precopy_rounds=3,
+                              bandwidth_scale=0.5))
+    registry.create("stop-world", config=ProtocolConfig(keep_stopped=True))
+    registry.create(
+        "hw-dirty",
+        config=ProtocolConfig(keep_stopped=True, chunk_bytes=MIB))
 
 
 # -- conformance matrix: every protocol through the daemon -------------------------
@@ -392,32 +408,30 @@ def test_cli_accepts_every_registered_mode():
 PROTOCOL_TABLE = {
     ("checkpoint", "continuous"): (
         "-", "bandwidth_scale, chunk_bytes, content_chunk_bytes, "
-        "coordinated, drain_depth, drain_tiers, interval, max_retries, "
-        "parent, prioritized, retry_backoff, rounds"),
+        "coordinated, drain_tiers, interval, max_retries, "
+        "parent, prioritized, rounds"),
     ("checkpoint", "cow"): (
         "copy-on-write, soft-cow",
         "chunk_bytes, coordinated, cow_pool_bytes, max_retries, parent, "
-        "prioritized, retry_backoff"),
+        "prioritized"),
     ("checkpoint", "hw-dirty"): (
         "hw-recopy, hw_dirty",
-        "chunk_bytes, keep_stopped, max_retries, retry_backoff"),
+        "chunk_bytes, keep_stopped, max_retries"),
     ("checkpoint", "incremental"): (
         "delta", "bandwidth_scale, chunk_bytes, content_chunk_bytes, "
-        "coordinated, keep_stopped, max_retries, parent, prioritized, "
-        "retry_backoff"),
+        "coordinated, keep_stopped, max_retries, parent, prioritized"),
     ("checkpoint", "recopy"): (
         "soft-recopy", "bandwidth_scale, chunk_bytes, coordinated, "
-        "keep_stopped, max_retries, precopy_rounds, prioritized, "
-        "retry_backoff"),
+        "keep_stopped, max_retries, precopy_rounds, prioritized"),
     ("checkpoint", "stop-world"): (
         "stop-the-world, stop_world",
-        "baseline, keep_stopped, max_retries, retry_backoff"),
+        "baseline, keep_stopped, max_retries"),
     ("restore", "concurrent"): (
         "concurrent-restore, on-demand", "bandwidth_scale, chunk_bytes, "
-        "max_retries, prioritized, retry_backoff, skip_data_copy"),
+        "max_retries, prioritized, skip_data_copy"),
     ("restore", "stop-world"): (
         "stop-the-world, stop_world",
-        "baseline, max_retries, retry_backoff"),
+        "baseline, max_retries"),
 }
 
 

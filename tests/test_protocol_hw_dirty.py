@@ -2,7 +2,7 @@
 
 from repro.api.runtime import GpuProcess
 from repro.cluster import Machine
-from repro.core.protocols import registry
+from repro.core.protocols import ProtocolConfig, registry
 from repro.core.quiesce import resume
 from repro.cpu.criu import CriuEngine
 from repro.gpu.context import GpuContext
@@ -47,7 +47,9 @@ def test_hw_recopy_image_equals_t2_state():
     def driver(eng):
         yield from app.setup()
         yield from app.run(2)
-        protocol = registry.create("hw-dirty", keep_stopped=True)
+        protocol = registry.create(
+            "hw-dirty",
+            config=ProtocolConfig(keep_stopped=True))
         handle = eng.spawn(protocol.checkpoint(
             eng, process=process, medium=machine.dram, criu=criu,
         ))
@@ -97,7 +99,9 @@ def test_hw_and_soft_recopy_agree_on_dirty_volume():
         def driver(eng):
             yield from app.setup()
             yield from app.run(2)
-            handle = phos.checkpoint(process, mode="recopy", keep_stopped=True)
+            handle = phos.checkpoint(
+                process, mode="recopy",
+                config=ProtocolConfig(keep_stopped=True))
             runner = eng.spawn(app.run(8, start=2))
             image, session = yield handle
             resume([process])
@@ -114,7 +118,9 @@ def test_hw_and_soft_recopy_agree_on_dirty_volume():
         def driver(eng):
             yield from app.setup()
             yield from app.run(2)
-            protocol = registry.create("hw-dirty", keep_stopped=True)
+            protocol = registry.create(
+                "hw-dirty",
+                config=ProtocolConfig(keep_stopped=True))
             handle = eng.spawn(protocol.checkpoint(
                 eng, process=process, medium=machine.dram, criu=criu,
             ))

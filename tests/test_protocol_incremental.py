@@ -3,6 +3,7 @@
 from repro.api.runtime import GpuProcess
 from repro.cluster import Machine
 from repro.core.daemon import Phos
+from repro.core.protocols import ProtocolConfig
 from repro.core.quiesce import quiesce
 from repro.gpu.context import GpuContext
 from repro.gpu.cost_model import KernelCost
@@ -36,8 +37,9 @@ def test_incremental_image_equals_full_image():
         # Quiesce so both checkpoints capture the same t1.
         yield from quiesce(eng, [process])
         expected, _ = snapshot_process(process)
-        child, s1 = yield phos.checkpoint(process, mode="cow", name="inc",
-                                          parent=parent)
+        child, s1 = yield phos.checkpoint(
+            process, mode="cow", name="inc",
+            config=ProtocolConfig(parent=parent))
         return expected, child, s1
 
     expected, child, session = eng.run_process(driver(eng))
@@ -55,8 +57,9 @@ def test_incremental_skips_unwritten_buffers():
         yield from app.run(1)
         parent, _ = yield phos.checkpoint(process, mode="cow")
         yield from app.run(2, start=1)
-        child, session = yield phos.checkpoint(process, mode="cow",
-                                               parent=parent)
+        child, session = yield phos.checkpoint(
+            process, mode="cow",
+            config=ProtocolConfig(parent=parent))
         return parent, child, session
 
     parent, child, session = eng.run_process(driver(eng))
@@ -85,8 +88,9 @@ def test_incremental_faster_than_full():
             cost=KernelCost(flops=1e9), sync=True,
         )
         t1 = eng.now
-        child, session = yield phos.checkpoint(process, mode="cow",
-                                               parent=parent)
+        child, session = yield phos.checkpoint(
+            process, mode="cow",
+            config=ProtocolConfig(parent=parent))
         inc_time = eng.now - t1
         return full_time, inc_time, session
 
@@ -105,8 +109,9 @@ def test_written_buffers_are_recaptured():
         # Write `act` with new content via the API.
         yield from process.runtime.memcpy_h2d(0, app.bufs["act"], payload=77,
                                               sync=True)
-        child, session = yield phos.checkpoint(process, mode="cow",
-                                               parent=parent)
+        child, session = yield phos.checkpoint(
+            process, mode="cow",
+            config=ProtocolConfig(parent=parent))
         return parent, child
 
     parent, child = eng.run_process(driver(eng))
@@ -132,8 +137,9 @@ def test_layout_change_falls_back_to_full_copy():
         app.bufs["out"] = yield from process.runtime.malloc(0, 8192, tag="out")
         yield from process.runtime.memcpy_h2d(0, app.bufs["out"], payload=3,
                                               sync=True)
-        child, session = yield phos.checkpoint(process, mode="cow",
-                                               parent=parent)
+        child, session = yield phos.checkpoint(
+            process, mode="cow",
+            config=ProtocolConfig(parent=parent))
         yield from quiesce(eng, [process])
         expected, _ = snapshot_process(process)
         return expected, child
@@ -151,8 +157,9 @@ def test_chain_of_incrementals_stays_correct():
         image, _ = yield phos.checkpoint(process, mode="cow")
         for i in range(3):
             yield from app.run(1, start=i)
-            image, session = yield phos.checkpoint(process, mode="cow",
-                                                   parent=image)
+            image, session = yield phos.checkpoint(
+                process, mode="cow",
+                config=ProtocolConfig(parent=image))
             assert not session.aborted
         yield from quiesce(eng, [process])
         expected, _ = snapshot_process(process)

@@ -3,6 +3,7 @@
 from repro.api.runtime import GpuProcess
 from repro.cluster import Machine
 from repro.core.daemon import Phos
+from repro.core.protocols import ProtocolConfig
 from repro.core.quiesce import resume
 from repro.gpu.context import GpuContext
 from repro.sim import Engine
@@ -29,8 +30,10 @@ def run_recopy(precopy_rounds, post_iters=12):
     def driver(eng):
         yield from app.setup()
         yield from app.run(2)
-        handle = phos.checkpoint(process, mode="recopy", keep_stopped=True,
-                                 precopy_rounds=precopy_rounds)
+        handle = phos.checkpoint(
+            process, mode="recopy",
+            config=ProtocolConfig(keep_stopped=True,
+                                  precopy_rounds=precopy_rounds))
         runner = eng.spawn(app.run(post_iters, start=2))
         image, session = yield handle
         # t2: quiesced — capture the reference state.

@@ -8,6 +8,7 @@ process is quiesced.
 from repro.api.runtime import GpuProcess
 from repro.cluster import Machine
 from repro.core.daemon import Phos
+from repro.core.protocols import ProtocolConfig
 from repro.core.quiesce import resume
 from repro.gpu.context import GpuContext
 from repro.gpu.cost_model import KernelCost
@@ -37,8 +38,9 @@ def run_recopy(eng, phos, process, app, warm_iters=2, post_iters=10,
     def driver(eng):
         yield from app.setup()
         yield from app.run(warm_iters)
-        handle = phos.checkpoint(process, mode="recopy",
-                                 keep_stopped=True, **kwargs)
+        handle = phos.checkpoint(
+            process, mode="recopy",
+            config=ProtocolConfig(keep_stopped=True, **kwargs))
         runner = eng.spawn(app.run(post_iters, start=warm_iters))
         if extra is not None:
             eng.spawn(extra(eng))
@@ -122,7 +124,9 @@ def test_recopy_drops_buffers_freed_during_window():
         yield from app.run(1)
         doomed = app.bufs.pop("out")
         state["addr"] = doomed.addr
-        handle = phos.checkpoint(process, mode="recopy", keep_stopped=True)
+        handle = phos.checkpoint(
+            process, mode="recopy",
+            config=ProtocolConfig(keep_stopped=True))
         yield from process.runtime.free(0, doomed)
         image, session = yield handle
         resume([process])

@@ -385,6 +385,68 @@ def test_interrupt_with_custom_exception(eng):
     assert v.result == "aborted"
 
 
+# -- Process-level order semantics ------------------------------------------------
+#
+# Both live in ``Process`` itself, which every scheduler shares, so the
+# differential oracle (tests/reference_engine.py) cannot see them.  The
+# worker path depends on them: a baseline checkpoint is a spawned daemon
+# handle its driver yields — often after it already finished — where it
+# used to be an inline ``yield from``.
+
+@pytest.mark.parametrize("new_engine", [Engine, HeapEngine],
+                         ids=["calendar", "heap"])
+def test_yielding_an_already_fired_event_resumes_next_turn_not_inline(
+        new_engine):
+    """The wakeup is queued at ``now`` behind what is already scheduled
+    there — exactly where a callback on a not-yet-fired event would
+    have landed — instead of the generator being re-entered inline."""
+    eng = new_engine()
+    done = eng.event()
+    done.succeed("v")
+    eng.run()
+    order = []
+
+    def early(eng):
+        order.append("early:yield")
+        got = yield done
+        order.append(f"early:resumed:{got}@{eng.now}")
+
+    def late(eng):
+        order.append("late")
+        yield eng.timeout(0)
+
+    eng.spawn(early(eng))
+    eng.spawn(late(eng))
+    eng.run()
+    assert order == ["early:yield", "late", "early:resumed:v@0.0"]
+
+
+@pytest.mark.parametrize("new_engine", [Engine, HeapEngine],
+                         ids=["calendar", "heap"])
+def test_interrupt_queues_a_step_at_now_not_inline(new_engine):
+    """``interrupt`` returns before the victim runs: the throw is a
+    queued step at the current timestamp, so the interrupter's own turn
+    finishes first and the victim's handler sees the same ``now``."""
+    eng = new_engine()
+    order = []
+
+    def victim(eng):
+        try:
+            yield eng.timeout(10.0)
+        except Interrupt:
+            order.append(("victim:handler", eng.now))
+
+    def killer(eng, target):
+        yield eng.timeout(1.0)
+        target.interrupt()
+        order.append(("killer:after-call", eng.now))
+
+    target = eng.spawn(victim(eng))
+    eng.spawn(killer(eng, target))
+    eng.run()
+    assert order == [("killer:after-call", 1.0), ("victim:handler", 1.0)]
+
+
 # -- executed vs scheduled accounting ---------------------------------------------
 
 def test_events_executed_excludes_never_fired(eng):

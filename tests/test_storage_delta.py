@@ -17,6 +17,7 @@ from repro.api.runtime import GpuProcess
 from repro.chaos import FaultPlan, FaultSpec
 from repro.cluster import Machine
 from repro.core.daemon import Phos
+from repro.core.protocols import ProtocolConfig
 from repro.core.quiesce import quiesce
 from repro.core.sdk import PhosSdk
 from repro.errors import CheckpointError, TornImageError
@@ -266,7 +267,8 @@ def test_delta_chain_restore_bit_identical_to_full():
         for i in range(2):
             yield from app.run(1, start=1 + i)
             image, session = yield phos.checkpoint(
-                process, mode="incremental", name=f"d{i}", parent=image)
+                process, mode="incremental", name=f"d{i}",
+                config=ProtocolConfig(parent=image))
             assert not session.aborted
         yield from quiesce(eng, [process])
         expected, _ = snapshot_process(process)
@@ -292,8 +294,9 @@ def test_delta_stores_less_than_root():
         yield from app.run(2)
         root, _ = yield phos.checkpoint(process, mode="incremental")
         yield from app.run(1, start=2)
-        delta, session = yield phos.checkpoint(process, mode="incremental",
-                                               parent=root)
+        delta, session = yield phos.checkpoint(
+            process, mode="incremental",
+            config=ProtocolConfig(parent=root))
         return root, delta, session
 
     root, delta, session = eng.run_process(driver(eng))
@@ -314,8 +317,9 @@ def test_freed_buffer_absent_from_delta():
         root, _ = yield phos.checkpoint(process, mode="incremental")
         old = app.bufs.pop("out")
         yield from process.runtime.free(0, old)
-        delta, _ = yield phos.checkpoint(process, mode="incremental",
-                                         parent=root)
+        delta, _ = yield phos.checkpoint(
+            process, mode="incremental",
+            config=ProtocolConfig(parent=root))
         yield from quiesce(eng, [process])
         expected, _ = snapshot_process(process)
         return expected, root, delta
@@ -369,7 +373,9 @@ def test_crash_mid_delta_write_leaves_parent_restorable():
     catalog = phos.medium.images
     assert catalog.is_committed(parent)
 
-    protocol = registry.create("incremental", parent=parent)
+    protocol = registry.create(
+        "incremental",
+        config=ProtocolConfig(parent=parent))
     chaos.install(FaultPlan(faults=(
         FaultSpec(kind="crash-checkpointer", protocol="incremental",
                   phase="transfer"),
@@ -427,8 +433,9 @@ def chain(tmp_path):
         root, _ = yield phos.checkpoint(process, mode="incremental",
                                         name="root")
         yield from app.run(1, start=2)
-        delta, _ = yield phos.checkpoint(process, mode="incremental",
-                                         parent=root, name="delta")
+        delta, _ = yield phos.checkpoint(
+            process, mode="incremental", name="delta",
+            config=ProtocolConfig(parent=root))
         return root, delta
 
     root, delta = eng.run_process(driver(eng))

@@ -182,5 +182,3 @@ def test_continuous_config_validation():
         ProtocolConfig(rounds=0)
     with pytest.raises(CheckpointError, match="interval"):
         ProtocolConfig(interval=-1.0)
-    with pytest.raises(CheckpointError, match="drain_depth"):
-        ProtocolConfig(drain_depth=0)

@@ -124,3 +124,47 @@ def test_three_machine_job():
     states = job.replica_states()
     assert states[0]["g0:grads:0"] == states[1]["g0:grads:0"]
     assert states[1]["g0:grads:0"] == states[2]["g0:grads:0"]
+
+
+def test_aborted_replica_fails_the_cut_and_revokes_its_sibling():
+    """One replica mis-speculates during a cut: its CoW run aborts into
+    a stop-the-world retry taken later than the sibling's image.  The
+    cut fails as a whole — no image of it stays committed on any
+    machine — and the job keeps its previous consistent cut."""
+    from repro.core.quiesce import quiesce
+    from repro.gpu.cost_model import KernelCost
+    from repro.gpu.program import build_global_writer
+
+    eng, job = make_job()
+
+    def driver(eng):
+        yield from job.setup()
+        yield from job.run_steps(1)
+        good = list((yield from job.checkpoint_all(name="good")))
+        victim = job.replicas[1]
+        grads = victim.workload.groups[0]["grads"].buffers
+        sneaky = build_global_writer("sneaky", "hidden_out", grads[0].addr)
+        # Hold the job quiesced so the launch blocks at the API gate
+        # until the victim's CoW run resumes it, then writes a gradient
+        # buffer through a pointer the argument list hides.
+        yield from quiesce(eng, job.processes)
+        cut = eng.spawn(job.checkpoint_all(name="bad"))
+        yield from victim.process.runtime.launch_kernel(
+            0, sneaky, [grads[1].addr, 8], 8,
+            cost=KernelCost(flops=1e9), sync=True,
+        )
+        try:
+            yield cut
+        except CheckpointError as err:
+            return good, err
+        return good, None
+
+    good, err = eng.run_process(driver(eng))
+    eng.run()
+    assert err is not None
+    assert job.replicas[1].process.name in str(err)
+    assert job.replicas[0].process.name not in str(err)
+    assert job.images == good
+    for replica, image in zip(job.replicas, good):
+        assert replica.phos.medium.images.committed_images() == [image]
+        assert replica.phos.medium.images.staged_images() == []
