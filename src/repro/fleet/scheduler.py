@@ -32,6 +32,28 @@ Policies
   (snapshot-pool) restore on another machine, and the machine rejoins
   after ``recovery_s``.
 
+Control plane
+-------------
+
+Nothing that only waits for one instant is a process.  Both ends
+*subscribe* a message handler to their channel
+(:meth:`DomainChannel.subscribe` — the scheduler turn a ``recv()``
+listener would have run on, without the listener), and every wait is a
+timer record (:meth:`Engine.call_at`): the next arrival, an
+invocation's completion, a pooled context's background refill.  A
+request served on a pooled context is 7 scheduler records.  The one
+process per machine is the failure loop, a loop with state across its
+waits.
+
+An attempt (one ``serve`` or ``resume`` on one machine) ends with
+exactly one message — ``done``, ``failed`` or ``migrated`` — which
+carries what the machine decided when the attempt started (pool hit,
+pooled context, restore and cold-start time).  The agent's ``inflight``
+entry is the attempt's cancellation token: a failure or a
+``migrate-out`` preempts by removing it, and a completion record whose
+entry is gone says nothing, so two things landing on one instant can
+never both report the attempt.
+
 The report carries per-request records, P50/P99/P999 cold-start
 latency (via :mod:`repro.stats`, which refuses NaN), goodput, and a
 queue-depth time series.
@@ -43,24 +65,21 @@ import math
 import random
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional
 
 from repro import stats, units
 from repro.cluster import Cluster
 from repro.baselines import get_system
-from repro.errors import InvalidValueError
+from repro.errors import InvalidValueError, SimulationError
 from repro.fleet.calibrate import FunctionProfile, profiles_for
 from repro.fleet.snapshots import SnapshotPool
 from repro.fleet.traces import Trace
 from repro.sim.domains import MIN_LOOKAHEAD, DomainChannel, World
-from repro.sim.engine import Engine
+from repro.sim.engine import Engine, Interrupt
 
 #: Clock-domain shardings the fleet world supports.
 CLOCK_DOMAIN_MODES = ("single", "per-machine")
-
-
-class _Preempted(Exception):
-    """Thrown into a serving process on failure or migrate-out."""
 
 
 @dataclass(frozen=True)
@@ -162,8 +181,9 @@ class RequestRecord:
     index: int
     function: str
     arrival: float
-    #: "ok" | "rejected" | "unsupported" | "failed"
-    outcome: str = "ok"
+    #: "ok" | "rejected" | "unsupported" | "failed"; "pending" until
+    #: one of those is decided (never in a finished report).
+    outcome: str = "pending"
     machine: str = ""
     #: Dispatch time of the winning attempt (gateway clock).
     start: float = float("nan")
@@ -291,44 +311,44 @@ class _MachineAgent:
         self.name = name
         self.cfg = cfg
         self.profiles = profiles
-        self.inbox = inbox
         self.outbox = outbox
         #: Only a concurrent system keeps the §6 context pool.
         self.pooled = get_system(cfg.system).concurrent
         slots = cfg.contexts_per_gpu * n_gpus if self.pooled else 0
         self.pool = SnapshotPool(cfg.pool_capacity, name=name,
                                  context_slots=slots)
-        #: request index -> (service process, expected completion time)
+        #: request index -> (expected completion time, start report) of
+        #: the attempt in flight.  The entry *object* is the attempt's
+        #: identity: its completion record carries it and only counts
+        #: while it is still the one stored here, so a failure or a
+        #: migrate-out preempts an attempt by removing the entry.
         self.inflight: dict[int, tuple] = {}
         self.down = False
         self.failure_proc = None
+        inbox.subscribe(self.on_msg)
 
-    # -- the control loop ----------------------------------------------------
-    def listener(self):
-        while True:
-            msg = yield self.inbox.recv()
-            kind = msg[0]
-            if kind == "serve":
-                _, idx, function = msg
-                if self.down:
-                    self.outbox.send(("failed", idx))
-                else:
-                    self._start_serve(idx, function)
-            elif kind == "resume":
-                _, idx, function, delay_s = msg
-                if self.down:
-                    self.outbox.send(("failed", idx))
-                else:
-                    self._start_resume(idx, function, delay_s)
-            elif kind == "migrate-out":
-                _, idx = msg
-                self._migrate_out(idx)
-            elif kind == "stop":
-                if self.failure_proc is not None \
-                        and not self.failure_proc.triggered:
-                    self.failure_proc.interrupt(_Preempted("stop"))
-                self.outbox.send(("stopped",))
-                return
+    # -- the control plane ---------------------------------------------------
+    def on_msg(self, msg: tuple) -> None:
+        kind = msg[0]
+        if kind == "serve":
+            _, idx, function = msg
+            if self.down:
+                self.outbox.send(("failed", idx, None))
+            else:
+                self._start_serve(idx, function)
+        elif kind == "resume":
+            _, idx, delay_s = msg
+            if self.down:
+                self.outbox.send(("failed", idx, None))
+            else:
+                # A migrated-in invocation: downtime + remaining service.
+                self._run(idx, delay_s, None)
+        elif kind == "migrate-out":
+            self._migrate_out(msg[1])
+        elif kind == "stop":
+            if self.failure_proc is not None \
+                    and not self.failure_proc.triggered:
+                self.failure_proc.interrupt()
 
     # -- serving -------------------------------------------------------------
     def _start_serve(self, idx: int, function: str) -> None:
@@ -336,7 +356,6 @@ class _MachineAgent:
         expected completion time is known at dispatch (migration needs
         it to compute the remaining service on interrupt)."""
         prof = self.profiles[function]
-        now = self.engine.now
         warm = self.pool.lookup(function)
         fetch_s = 0.0 if warm else prof.fetch_s()
         pooled_ctx = False
@@ -346,8 +365,8 @@ class _MachineAgent:
                 # The daemon re-creates the handed-out context in the
                 # background (§6); the refill pays the creation barrier.
                 barrier = max(0.0, prof.nopool_start_s - prof.start_s)
-                self.engine.spawn(self._refill_context(barrier),
-                                  name=f"{self.name}-ctx-refill")
+                self.engine.call_at(self.engine.now + barrier,
+                                    self._refill_context)
         start_s = prof.start_s if pooled_ctx or not self.pooled \
             else prof.nopool_start_s
         restore_s = fetch_s + start_s
@@ -355,43 +374,37 @@ class _MachineAgent:
         if not warm:
             # The fetch+restore warmed this function's image.
             self.pool.insert(function)
-        self.outbox.send(("started", idx, {
-            "machine": self.name, "warm": warm, "pooled_ctx": pooled_ctx,
-            "restore_s": restore_s, "cold_start_s": service_s,
-        }))
-        proc = self.engine.spawn(self._serve(idx, service_s),
-                                 name=f"{self.name}-serve-{idx}")
-        self.inflight[idx] = (proc, now + service_s)
+        # The start report reaches the gateway on whichever message
+        # ends the attempt: (machine, warm, pooled_ctx, restore_s,
+        # cold_start_s) of RequestRecord.
+        self._run(idx, service_s,
+                  (self.name, warm, pooled_ctx, restore_s, service_s))
 
-    def _start_resume(self, idx: int, function: str, delay_s: float) -> None:
-        """A migrated-in invocation: downtime + remaining service."""
-        proc = self.engine.spawn(self._serve(idx, delay_s),
-                                 name=f"{self.name}-resume-{idx}")
-        self.inflight[idx] = (proc, self.engine.now + delay_s)
+    def _run(self, idx: int, service_s: float, started) -> None:
+        t_end = self.engine.now + service_s
+        entry = self.inflight[idx] = (t_end, started)
+        self.engine.call_at(t_end, self._served, (idx, entry))
 
-    def _serve(self, idx: int, service_s: float):
-        try:
-            yield self.engine.timeout(service_s)
-        except _Preempted:
-            return  # the interrupter owns the bookkeeping
-        self.inflight.pop(idx, None)
-        self.outbox.send(("done", idx, self.engine.now))
+    def _served(self, attempt: tuple) -> None:
+        idx, entry = attempt
+        if self.inflight.get(idx) is not entry:
+            return  # preempted; whoever removed the entry reported it
+        del self.inflight[idx]
+        self.outbox.send(("done", idx, self.engine.now, entry[1]))
 
-    def _refill_context(self, barrier_s: float):
-        yield self.engine.timeout(barrier_s)
+    def _refill_context(self, _arg) -> None:
         self.pool.refill_context()
 
     # -- migration -----------------------------------------------------------
     def _migrate_out(self, idx: int) -> None:
         entry = self.inflight.pop(idx, None)
-        if entry is None or self.down:
+        if entry is None:
             # Completed or failed while the command was in flight.
             self.outbox.send(("migrate-noop", idx))
             return
-        proc, t_end = entry
+        t_end, started = entry
         remaining = max(0.0, t_end - self.engine.now)
-        proc.interrupt(_Preempted("migrate"))
-        self.outbox.send(("migrated", idx, remaining))
+        self.outbox.send(("migrated", idx, remaining, started))
 
     # -- failures ------------------------------------------------------------
     def failure_loop(self, rng: random.Random):
@@ -406,15 +419,13 @@ class _MachineAgent:
                 # machine; it rejoins cold.
                 self.pool.clear()
                 self.outbox.send(("down",))
-                for idx, (proc, _t_end) in victims:
-                    if not proc.triggered:
-                        proc.interrupt(_Preempted("failure"))
-                    self.outbox.send(("failed", idx))
+                for idx, (_t_end, started) in victims:
+                    self.outbox.send(("failed", idx, started))
                 yield self.engine.timeout(self.cfg.recovery_s)
                 self.down = False
                 self.outbox.send(("up",))
-        except _Preempted:
-            return
+        except Interrupt:
+            return  # "stop": the run is over
 
 
 # --------------------------------------------------------------------------
@@ -428,6 +439,7 @@ class _Gateway:
                  profiles: dict[str, FunctionProfile],
                  agents: list[_MachineAgent],
                  inboxes: list[DomainChannel],
+                 outboxes: list[DomainChannel],
                  report: FleetReport) -> None:
         self.engine = engine
         self.trace = trace
@@ -450,14 +462,22 @@ class _Gateway:
         #: One migration in flight at a time:
         #: (victim index, src machine, dst machine).
         self.pending_migration: Optional[tuple[int, int, int]] = None
+        for m, outbox in enumerate(outboxes):
+            outbox.subscribe(partial(self.on_msg, m))
 
     # -- arrivals ------------------------------------------------------------
-    def arrivals(self):
-        for req in self.trace.requests:
-            delay = req.arrival - self.engine.now
+    def arrive(self, i: int) -> None:
+        """Admit every request due now, from ``i`` on; the next arrival
+        is one timer record, at the instant a ``Timeout`` would fire."""
+        requests = self.trace.requests
+        now = self.engine.now
+        while i < len(requests):
+            delay = requests[i].arrival - now
             if delay > 0:
-                yield self.engine.timeout(delay)
-            self._admit(req)
+                self.engine.call_at(now + delay, self.arrive, i)
+                return
+            self._admit(requests[i])
+            i += 1
         self.arrivals_done = True
         self._maybe_stop()
 
@@ -537,36 +557,18 @@ class _Gateway:
         return True
 
     # -- machine messages ----------------------------------------------------
-    def listener(self, m: int, ch: DomainChannel):
-        while True:
-            msg = yield ch.recv()
-            if msg[0] == "stopped":
-                return
-            self._on_msg(m, msg)
-
-    def _on_msg(self, m: int, msg: tuple) -> None:
+    def on_msg(self, m: int, msg: tuple) -> None:
         kind = msg[0]
-        if kind == "started":
-            _, idx, info = msg
-            rec = self.records[idx]
-            rec.machine = info["machine"]
-            rec.warm = info["warm"]
-            rec.pooled_ctx = info["pooled_ctx"]
-            rec.restore_s = info["restore_s"]
-            rec.cold_start_s = info["cold_start_s"]
-        elif kind == "done":
-            _, idx, t_done = msg
-            k = self.running[m].pop(idx, 0)
-            self.free[m] += k
-            rec = self.records[idx]
+        if kind == "done":
+            _, idx, t_done, started = msg
+            rec = self._attempt_ended(m, idx, started)
             rec.end = t_done
             rec.outcome = "ok"
             self.report.completed += 1
             self._finish_one()
         elif kind == "failed":
-            _, idx = msg
-            k = self.running[m].pop(idx, 0)
-            self.free[m] += k
+            _, idx, started = msg
+            self._attempt_ended(m, idx, started)
             self._retry_or_fail(idx)
         elif kind == "down":
             self.up[m] = False
@@ -575,12 +577,22 @@ class _Gateway:
             self.up[m] = True
             self._dispatch()
         elif kind == "migrated":
-            _, idx, remaining = msg
-            self._finish_migration(m, idx, remaining)
+            _, idx, remaining, started = msg
+            self._finish_migration(m, idx, remaining, started)
         elif kind == "migrate-noop":
-            _, idx = msg
             self.pending_migration = None
             self._dispatch()
+
+    def _attempt_ended(self, m: int, idx: int, started) -> RequestRecord:
+        """Every attempt ends with exactly one message from its machine
+        (``done``, ``failed`` or ``migrated``): apply the start report
+        it carries, then give the GPUs back."""
+        rec = self.records[idx]
+        if started is not None:
+            (rec.machine, rec.warm, rec.pooled_ctx, rec.restore_s,
+             rec.cold_start_s) = started
+        self.free[m] += self.running[m].pop(idx)
+        return rec
 
     def _retry_or_fail(self, idx: int) -> None:
         rec = self.records[idx]
@@ -597,13 +609,13 @@ class _Gateway:
         self._note_queue()
         self._dispatch()
 
-    def _finish_migration(self, src: int, idx: int, remaining: float) -> None:
+    def _finish_migration(self, src: int, idx: int, remaining: float,
+                          started) -> None:
         pending, self.pending_migration = self.pending_migration, None
         assert pending is not None and pending[0] == idx
         _, _, dst = pending
-        v = self.running[src].pop(idx, 0)
-        self.free[src] += v
-        rec = self.records[idx]
+        v = self.running[src][idx]
+        rec = self._attempt_ended(src, idx, started)
         if not self.up[dst] or self.free[dst] < v:
             # The destination failed (or filled) while the command was
             # in flight; treat the victim like a failure victim.
@@ -616,8 +628,7 @@ class _Gateway:
         rec.machine = self.agents[dst].name
         prof = self.profiles[rec.function]
         self.inboxes[dst].send(
-            ("resume", idx, rec.function,
-             prof.migration_downtime_s + remaining))
+            ("resume", idx, prof.migration_downtime_s + remaining))
         self._dispatch()
 
     # -- bookkeeping ---------------------------------------------------------
@@ -706,21 +717,25 @@ def run_fleet(trace: Trace, config: FleetConfig,
         outboxes.append(outbox)
 
     gateway = _Gateway(gw_engine, trace, config, profiles, agents,
-                       inboxes, report)
-    for m, agent in enumerate(agents):
-        agent.engine.spawn(agent.listener(), name=f"{agent.name}-agent")
-        gw_engine.spawn(gateway.listener(m, outboxes[m]),
-                        name=f"gw-listen-{agent.name}")
-        if config.failures_per_hour > 0:
+                       inboxes, outboxes, report)
+    if config.failures_per_hour > 0:
+        for m, agent in enumerate(agents):
             rng = random.Random(config.failure_seed * 1000003 + m)
             agent.failure_proc = agent.engine.spawn(
                 agent.failure_loop(rng), name=f"{agent.name}-failures")
-    gw_engine.spawn(gateway.arrivals(), name="gw-arrivals")
+    gw_engine.call_at(gw_engine.now, gateway.arrive, 0)
 
     if world is not None:
         world.run()
     else:
         gw_engine.run()
+    unsettled = [r.index for r in report.records if r.outcome == "pending"]
+    if unsettled or gateway.outstanding or gateway.queue:
+        raise SimulationError(
+            f"fleet drained at t={gw_engine.now:g} with requests "
+            f"{unsettled[:8]} undecided, {gateway.outstanding} outstanding "
+            f"and {len(gateway.queue)} queued"
+        )
 
     # -- fold agent-side state into the report -------------------------------
     for agent in agents:

@@ -20,7 +20,6 @@ counters labelled with the machine name.
 
 from __future__ import annotations
 
-import math
 from collections import OrderedDict
 
 from repro import obs
@@ -31,8 +30,7 @@ class SnapshotPool:
     """Bounded LRU pool of warm (DRAM-resident) snapshot images."""
 
     def __init__(self, capacity: int, name: str = "pool",
-                 context_slots: int = 0,
-                 context_refill_s: float = 0.0) -> None:
+                 context_slots: int = 0) -> None:
         if not isinstance(capacity, int) or isinstance(capacity, bool):
             raise InvalidValueError(
                 f"snapshot-pool capacity must be an int, got {capacity!r}"
@@ -45,10 +43,6 @@ class SnapshotPool:
             raise InvalidValueError(
                 f"context_slots must be >= 0, got {context_slots}"
             )
-        if math.isnan(context_refill_s) or context_refill_s < 0:
-            raise InvalidValueError(
-                f"context_refill_s must be >= 0, got {context_refill_s!r}"
-            )
         self.capacity = capacity
         self.name = name
         #: function name -> warm image marker, most-recently-used last.
@@ -59,7 +53,6 @@ class SnapshotPool:
         #: Pooled GPU contexts currently available on this machine.
         self.contexts_free = context_slots
         self.context_slots = context_slots
-        self.context_refill_s = context_refill_s
         self.context_hits = 0
         self.context_misses = 0
 

@@ -70,6 +70,7 @@ equivalence over randomized ring, hub-and-spoke and pipeline topologies.
 from __future__ import annotations
 
 import heapq
+from collections import deque
 from typing import Any, Callable, Optional
 
 from repro import obs
@@ -128,7 +129,11 @@ class ChannelMessage:
         self.delivered = True
         kind = self.kind
         if kind == _SEND:
-            self.channel._inbox.put(self.payload)
+            channel = self.channel
+            if channel._handler is None:
+                channel._inbox.put(self.payload)
+            else:
+                channel._arrived(self.payload)
         elif kind == _POST:
             self.target(self.payload)
         elif kind == _FIRE:
@@ -177,6 +182,11 @@ class DomainChannel:
         self.name = name or f"{src.name}->{dst.name}"
         self.kind = kind
         self._inbox = Store(dst, name=f"{self.name}-inbox")
+        #: Push-style receive (see :meth:`subscribe`): the handler and
+        #: the sent values it has not finished with.  Non-empty means a
+        #: wake-up record is queued (or running) for the head.
+        self._handler: Optional[Callable[[Any], None]] = None
+        self._pending: deque[Any] = deque()
         self.messages_sent = 0
 
     @classmethod
@@ -257,8 +267,49 @@ class DomainChannel:
         return self._emit(_INTERRUPT, process, exc, delay)
 
     # -- receiving -----------------------------------------------------------
+    def subscribe(self, handler: Callable[[Any], None]) -> None:
+        """Run ``handler(value)`` in the destination for every sent value.
+
+        The push-style twin of ``while True: handler((yield ch.recv()))``
+        and scheduled exactly like that listener process: an arrival
+        queues one wake-up record at ``now`` unless one is already
+        queued; the record hands over *one* value and re-queues itself
+        *after* the handler returns while more are pending.  Same-instant
+        arrivals on several channels into one engine are therefore served
+        one value per channel per turn, round robin, and records the
+        handler pushes run before this channel's next value — delivery
+        order is part of the contract.  Costs two bare records a message
+        and no ``Store``, ``Event`` or generator.
+        """
+        if self._handler is not None:
+            raise SimulationError(
+                f"channel {self.name!r} already has a subscriber")
+        if len(self._inbox) or self._inbox._getters:
+            raise SimulationError(
+                f"channel {self.name!r} is already received with recv(); "
+                "subscribe before any traffic")
+        self._handler = handler
+
+    def _arrived(self, value: Any) -> None:
+        if not self._pending:
+            dst = self.dst
+            dst._push(dst._now, K_CALL1, self._wake, None)
+        self._pending.append(value)
+
+    def _wake(self, _arg: Any) -> None:
+        pending = self._pending
+        self._handler(pending[0])
+        pending.popleft()
+        if pending:
+            dst = self.dst
+            dst._push(dst._now, K_CALL1, self._wake, None)
+
     def recv(self) -> Event:
         """An event (destination side) firing with the next sent value."""
+        if self._handler is not None:
+            raise SimulationError(
+                f"channel {self.name!r} has a subscriber; recv() would "
+                "steal its messages")
         world = self.world
         if world is not None:
             ex = world._executing

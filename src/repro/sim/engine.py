@@ -302,12 +302,15 @@ class Engine:
         """Generic escape hatch: run ``fn()`` at virtual time ``when``."""
         self._push(when, K_FN, fn, None)
 
-    def _schedule_call(self, when: float, fn, arg) -> None:
-        """Run ``fn(arg)`` at ``when`` without building a closure."""
-        self._push(when, K_CALL1, fn, arg)
+    def call_at(self, when: float, fn: Callable[[Any], None],
+                arg: Any = None) -> None:
+        """Run ``fn(arg)`` at virtual time ``when``: one bare record.
 
-    def _schedule_callback(self, event: Event, cb) -> None:
-        self._push(self._now, K_CALL1, cb, event)
+        The timer for a wake-up that runs one function — no process, no
+        event, no closure.  There is no cancel: pass a token in ``arg``
+        and have ``fn`` ignore a superseded one.
+        """
+        self._push(when, K_CALL1, fn, arg)
 
     # -- main loop ---------------------------------------------------------------
     def run(self, until: Optional[Event | float] = None) -> Any:

@@ -30,6 +30,22 @@ _flow_ids = itertools.count(1)
 _FINISH_EPS = 1e-3
 
 
+class _FlowDone(Event):
+    """A flow's completion event; like ``Timeout``, it formats its name
+    only when somebody asks (one is minted per DMA chunk)."""
+
+    __slots__ = ("link", "flow_id")
+
+    def __init__(self, link: "FluidLink", flow_id: int) -> None:
+        super().__init__(link.engine)
+        self.link = link
+        self.flow_id = flow_id
+
+    @property
+    def name(self) -> str:
+        return f"{self.link.name}-flow{self.flow_id}"
+
+
 class _Flow:
     def __init__(self, nbytes: float, weight: float, cap: Optional[float]) -> None:
         self.id = next(_flow_ids)
@@ -99,7 +115,7 @@ class FluidLink:
             yield engine.timeout(0.0)
             return
         f = _Flow(nbytes, weight, rate_cap)
-        f.done = engine.event(name=f"{self.name}-flow{f.id}")
+        f.done = _FlowDone(self, f.id)
         self._advance()
         self._flows.append(f)
         self._reschedule()
@@ -128,8 +144,24 @@ class FluidLink:
 
     def _recompute_rates(self) -> None:
         """Water-filling: capped flows first, remainder shared by weight."""
-        flows = list(self._flows)
+        flows = self._flows
+        if not flows:
+            return
         bw = self.bandwidth
+        cap = flows[0].cap
+        for f in flows:
+            if f.weight != 1.0 or f.cap != cap:
+                break
+        else:
+            # Uniform flows (the usual case): everyone gets the fair
+            # share or everyone is pinned at the one cap — the same
+            # floats the general loop below produces, in one pass.
+            rate = bw / len(flows)  # == bw * 1.0 / (the sum of n 1.0s)
+            if cap is not None and cap < rate:
+                rate = cap
+            for f in flows:
+                f.rate = rate
+            return
         # Iteratively pin flows whose fair share exceeds their cap.
         unpinned = flows
         while True:
@@ -154,9 +186,11 @@ class FluidLink:
     def _reschedule(self) -> None:
         """Retire finished flows, recompute rates, schedule the next completion."""
         finished = [f for f in self._flows if f.remaining <= _FINISH_EPS]
-        self._flows = [f for f in self._flows if f.remaining > _FINISH_EPS]
-        for f in finished:
-            f.done.succeed()
+        if finished:  # most calls are arrivals: nothing to retire
+            self._flows = [f for f in self._flows
+                           if f.remaining > _FINISH_EPS]
+            for f in finished:
+                f.done.succeed()
         if not self._flows:
             return
         self._recompute_rates()
@@ -171,9 +205,9 @@ class FluidLink:
                     f.remaining = 0.0
             self._reschedule()
             return
-        # _schedule_call ships the generation as the record payload, so
-        # every retimed completion avoids one closure allocation.
-        self.engine._schedule_call(
+        # call_at ships the generation as the record payload, so every
+        # retimed completion avoids one closure allocation.
+        self.engine.call_at(
             self.engine.now + next_dt, self._on_timer, generation
         )
 

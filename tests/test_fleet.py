@@ -9,11 +9,16 @@ bit-identical record stream — gateway and agents only ever talk through
 ``DomainChannel``s, so the event program cannot depend on the sharding.
 """
 
+import hashlib
 import math
+import random
+import types
+from collections import deque
 
 import pytest
 
-from repro.errors import InvalidValueError
+from repro.errors import InvalidValueError, SimulationError
+from repro.fleet import scheduler
 from repro.fleet.calibrate import FunctionProfile
 from repro.fleet.scheduler import FleetConfig, run_fleet
 from repro.fleet.snapshots import SnapshotPool
@@ -24,6 +29,8 @@ from repro.fleet.traces import (
     TraceRequest,
     generate,
 )
+from repro.sim import Engine
+from repro.sim.domains import DomainChannel
 
 # --------------------------------------------------------------------------
 # traces
@@ -96,8 +103,6 @@ def test_pool_validation():
         SnapshotPool(2.0)
     with pytest.raises(InvalidValueError):
         SnapshotPool(2, context_slots=-1)
-    with pytest.raises(InvalidValueError):
-        SnapshotPool(2, context_refill_s=float("nan"))
 
 
 def test_pool_lru_eviction():
@@ -402,3 +407,374 @@ def test_run_fleet_rejects_bad_inputs():
     with pytest.raises(InvalidValueError) as err:
         run_fleet(trace, FleetConfig(n_gpus=8), profiles=profiles)
     assert "never be placed" in str(err.value)
+
+
+# --------------------------------------------------------------------------
+# exactly one terminal message per attempt
+# --------------------------------------------------------------------------
+
+
+class ScriptedFailures:
+    """Stands in for ``random`` inside the scheduler: machine ``m``'s
+    failure loop draws ``script[m]`` in order, then never fails again."""
+
+    def __init__(self, script, failure_seed=1):
+        self.script = script
+        self.failure_seed = failure_seed
+
+    def Random(self, seed):
+        draws = iter(self.script.get(seed - self.failure_seed * 1000003, ()))
+        return types.SimpleNamespace(
+            expovariate=lambda rate: next(draws, 1e9))
+
+
+def assert_settled_once(report, n):
+    """Every request completed exactly once, on its first attempt."""
+    assert [r.outcome for r in report.records] == ["ok"] * n
+    assert report.completed == n
+    assert (report.retries, report.failed) == (0, 0)
+    assert all(r.retries == 0 and not math.isnan(r.end)
+               for r in report.records)
+
+
+@pytest.mark.parametrize("armed", ["at-start", "at-recovery"])
+@pytest.mark.parametrize("clock_domains", ["single", "per-machine"])
+def test_failure_tied_with_completion_ends_the_attempt_once(
+        monkeypatch, armed, clock_domains):
+    """Regression: a machine failure landing on the very instant an
+    invocation completes used to report the attempt twice — ``failed``
+    from the failure loop *and* ``done`` from the serve process, whose
+    resume was already queued ahead of the interrupt.  Request 0 got a
+    phantom retry and was counted complete twice, ``outstanding`` hit 0
+    early and the run stopped with request 1 still in flight.  The
+    failure's timer is always armed before the attempt it ties with
+    starts (at t = 0, or at the recovery that let the attempt start), so
+    the completion record wins the instant and the failure finds nothing
+    in flight."""
+    latency = 0.25
+    f = prof("f", start=0.125, exec_s=0.5, image=0)
+    service_s = (f.fetch_s() + f.start_s) + f.exec_s
+    if armed == "at-start":
+        first = 0.0
+        draws = [(first + latency) + service_s]
+    else:
+        # Down at 0.125, back at 0.375; request 0 arrives at 1.0 and
+        # the second failure lands on its completion.
+        first = 1.0
+        t_end = (first + latency) + service_s
+        draws = [0.125, t_end - 0.375]
+        assert 0.375 + draws[1] == t_end
+    monkeypatch.setattr(scheduler, "random", ScriptedFailures({0: draws}))
+    trace = make_trace([(first, "f"), (first + 5.0, "f")])
+    report = run_fleet(trace, FleetConfig(
+        n_machines=2, n_gpus=1, failures_per_hour=1.0, recovery_s=0.25,
+        control_latency_s=latency, clock_domains=clock_domains),
+        profiles={"f": f})
+    assert report.machine_failures == len(draws)
+    assert_settled_once(report, 2)
+    assert report.records[0].machine == "node0"
+    assert report.records[0].end == (first + latency) + service_s
+
+
+@pytest.mark.parametrize("clock_domains", ["single", "per-machine"])
+def test_migrate_out_tied_with_completion_ends_the_attempt_once(
+        clock_domains):
+    """The migration twin of the race above: a ``migrate-out`` command
+    delivered on the instant its victim completes (control latency 1.0,
+    service 0.5: sent at 0.5, lands at 1.5 == 1.0 + 0.5) used to answer
+    ``migrated`` and ``done`` both.  Now the completion wins, the
+    command finds nothing in flight and answers ``migrate-noop``."""
+    profiles = {
+        "victim": prof("victim", start=0.0, exec_s=0.5 - 5e-6, image=0),
+        "hold1": prof("hold1", exec_s=30.0),
+        "hold2": prof("hold2", n_gpus=2, exec_s=30.0),
+        "big2": prof("big2", n_gpus=2, exec_s=1.0),
+    }
+    victim = profiles["victim"]
+    assert (victim.fetch_s() + victim.start_s) + victim.exec_s == 0.5
+    # victim + hold1 leave one GPU free on node0, hold2 leaves one on
+    # node1: big2 is stranded, and moving the victim to node1 would
+    # make room for it on node0.
+    arrivals = [(0.0, "victim"), (0.0, "hold1"), (0.0, "hold2"),
+                (0.5, "big2")]
+    report = run_fleet(make_trace(arrivals), FleetConfig(
+        n_machines=2, n_gpus=3, control_latency_s=1.0,
+        clock_domains=clock_domains), profiles=profiles)
+    assert report.records[0].end == 1.5
+    assert report.records[0].machine == "node0"
+    assert report.migrations == 0
+    assert_settled_once(report, 4)
+    # The victim's completion freed the GPU the migration was after.
+    assert report.records[3].machine == "node0"
+
+
+def test_preempted_attempt_ignores_its_completion_record():
+    """The other order of the tie, at the agent: a zero-delay resume
+    starts and is caught by a machine failure on the same instant,
+    before its completion record runs.  The failure reports the attempt;
+    the completion record finds its entry gone and says nothing."""
+    eng = Engine()
+    inbox = DomainChannel.local(eng, 1.0, name="gw->node0")
+    outbox = DomainChannel.local(eng, 1.0, name="node0->gw")
+    sent = []
+    outbox.subscribe(sent.append)
+    cfg = FleetConfig(failures_per_hour=1.0, recovery_s=0.5)
+    agent = scheduler._MachineAgent(eng, "node0", 1, cfg, {}, inbox, outbox)
+    # Down at 0.25, back (and re-armed) at 0.75, down again at 1.25 —
+    # the instant the resume sent at 0.25 is delivered.
+    rng = ScriptedFailures({0: [0.25, 0.5]}).Random(1000003)
+    agent.failure_proc = eng.spawn(agent.failure_loop(rng))
+    eng.call_at(0.25, lambda _: inbox.send(("resume", 7, 0.0)))
+    eng.run(until=5.0)
+    assert sent == [("down",), ("up",), ("down",), ("failed", 7, None),
+                    ("up",)]
+    assert agent.inflight == {}
+
+
+def test_run_fleet_refuses_to_report_an_unfinished_run(monkeypatch):
+    """A completion that never reaches the gateway used to leave the
+    request reading ``outcome == "ok"`` with a NaN end (``"ok"`` was the
+    dataclass default); now the record stays ``pending`` and the run
+    raises instead of returning."""
+    monkeypatch.setattr(scheduler._MachineAgent, "_served",
+                        lambda self, attempt: None)
+    with pytest.raises(SimulationError) as err:
+        run_fleet(make_trace([(0.0, "f")]), FleetConfig(n_machines=1),
+                  profiles={"f": prof("f")})
+    assert "[0] undecided, 1 outstanding" in str(err.value)
+    assert scheduler.RequestRecord(0, "f", 0.0).outcome == "pending"
+
+
+# --------------------------------------------------------------------------
+# identity with the process-based scheduler, record budget, conservation
+# --------------------------------------------------------------------------
+
+#: SHA-256 of every record field, the queue-depth series and summary()
+#: of :func:`identity_cell`, as ``(single, per-machine)``, computed on
+#: the commit *before* listeners, serve/refill processes and the arrival
+#: process became handlers and timer records (PR 17, f4a087d).  A cell
+#: whose two digests differ has same-instant cross-domain collisions
+#: (two machines finishing identical work dispatched at one instant),
+#: the documented exception in ``sim/domains.py``; the pin holds there
+#: too, so the handlers keep the listeners' delivery order even in ties.
+IDENTITY_DIGESTS = {
+    ("phos", 1): (
+        "6cb1e6010764270de12485c0eec1525db90f2a5a319bb4fa862ff90dc695bc26",
+        "6cb1e6010764270de12485c0eec1525db90f2a5a319bb4fa862ff90dc695bc26"),
+    ("phos", 7): (
+        "5dbf2b4b6d9bd2ded3aa9fe877335cbc7f6ec1efe9dba1f1149fd86eefde68c6",
+        "5dbf2b4b6d9bd2ded3aa9fe877335cbc7f6ec1efe9dba1f1149fd86eefde68c6"),
+    ("phos", 23): (
+        "686b9dd724ab8032528e550e089017113777ff0af8e2b5e7a1893aea3b744667",
+        "686b9dd724ab8032528e550e089017113777ff0af8e2b5e7a1893aea3b744667"),
+    ("singularity", 1): (
+        "a7df8468d3f1cf377f38cb7096531c122b4d378af77bd3c69a507ad6c82a4822",
+        "01c88a359d48666b50c7ef673bb51e1ea676f8eff4102f22dd18365eb7fe1ee5"),
+    ("singularity", 7): (
+        "1c6a438bf5a1a1b52c9964a33c218d297f1b0310f46ac5885d993c445f895e0d",
+        "1c6a438bf5a1a1b52c9964a33c218d297f1b0310f46ac5885d993c445f895e0d"),
+    ("singularity", 23): (
+        "52a8ec896c7dd8aaf7c1c4c99385c9e8318faaeeff093f0389b985ba4a15848f",
+        "7fc1760ebe48baf5876067cf8b108edf5d534978291d1f3770e316fa12851d02"),
+    ("cuda-checkpoint", 1): (
+        "c8f480de6180c81c10c2be56ced59c73ea58b1a61686deda0ebb05bbcf6b0783",
+        "c8f480de6180c81c10c2be56ced59c73ea58b1a61686deda0ebb05bbcf6b0783"),
+    ("cuda-checkpoint", 7): (
+        "a45f31962d23210330d0a9d79a4da1277638c09fd57b838773b3898b2cf36cbb",
+        "a45f31962d23210330d0a9d79a4da1277638c09fd57b838773b3898b2cf36cbb"),
+    ("cuda-checkpoint", 23): (
+        "7655968c7c940cf2b63d72a324838022dbaf42448d1d6e3612b6cf78d69d54ec",
+        "1d38b9fa204b5140ac0fbe21c88f5677c13192df2fe60e5ea32efe8a1ddf4b35"),
+}
+
+
+def identity_cell(system, seed, clock_domains):
+    """4 000 bursty requests over three functions (one 2-GPU, so PHOS
+    migrates for packing; cuda-checkpoint refuses it) on 4 x 2 GPUs with
+    ~40 machine failures."""
+    concurrent = system == "phos"
+    profiles = {
+        "small": prof("small", start=0.05, nopool=1.5 if concurrent else None,
+                      exec_s=0.4, image=64 << 20, system=system),
+        "mid": prof("mid", start=0.12, nopool=2.5 if concurrent else None,
+                    exec_s=1.1, image=512 << 20, downtime=0.3, system=system),
+        "wide": prof("wide", n_gpus=2, start=0.2,
+                     nopool=3.0 if concurrent else None, exec_s=1.6,
+                     image=1 << 30, system=system,
+                     supported=system != "cuda-checkpoint"),
+    }
+    trace = generate(TraceConfig(kind="bursty", rate=4.0, duration=1000.0,
+                                 seed=seed, functions=tuple(profiles),
+                                 weights=(0.5, 0.3, 0.2)))
+    cfg = FleetConfig(system=system, n_machines=4, n_gpus=2, pool_capacity=2,
+                      contexts_per_gpu=1, queue_cap=16,
+                      failures_per_hour=40.0, failure_seed=seed,
+                      recovery_s=4.0, max_retries=2,
+                      clock_domains=clock_domains)
+    return run_fleet(trace, cfg, profiles=profiles)
+
+
+def digest(report):
+    h = hashlib.sha256()
+    for r in report.records:
+        h.update(repr(tuple(getattr(r, f) for f in RECORD_FIELDS)).encode())
+    h.update(repr(report.queue_depth).encode())
+    h.update(repr(report.summary()).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("system,seed", list(IDENTITY_DIGESTS))
+def test_reports_are_identical_to_the_process_based_scheduler(system, seed):
+    for mode, pinned in zip(("single", "per-machine"),
+                            IDENTITY_DIGESTS[system, seed]):
+        report = identity_cell(system, seed, mode)
+        assert 3700 < len(report.records) < 4200
+        assert report.machine_failures >= 3
+        assert report.retries > 0
+        assert (report.migrations > 0) == (system == "phos")
+        assert (report.unsupported > 0) == (system == "cuda-checkpoint")
+        assert digest(report) == pinned, mode
+
+
+@pytest.fixture
+def engines(monkeypatch):
+    """Every engine (clock domains included) built during the test."""
+    built = []
+    plain_init = Engine.__init__
+
+    def remembering_init(self):
+        plain_init(self)
+        built.append(self)
+
+    monkeypatch.setattr(Engine, "__init__", remembering_init)
+    return built
+
+
+@pytest.mark.parametrize("clock_domains", ["single", "per-machine"])
+@pytest.mark.parametrize("system,budget", [("phos", 7.5),
+                                           ("cuda-checkpoint", 6.0)])
+def test_scheduler_records_per_request_budget(engines, system, budget,
+                                              clock_domains):
+    """A served request is 6 scheduler records — its arrival timer, two
+    per control message (``serve`` out, one terminal message back) and
+    its completion timer — plus one for the pooled-context refill; a
+    refused one is its arrival alone.  The process-based scheduler
+    spent 13.9 (phos) / 10.9 (cuda-checkpoint) on this trace.  Counts
+    are exact and machine-independent."""
+    concurrent = system == "phos"
+    profiles = {f: prof(f, start=0.05 if concurrent else 6.0,
+                        nopool=2.0 if concurrent else None, exec_s=0.4,
+                        image=64 << 20, system=system) for f in ("a", "b")}
+    trace = generate(TraceConfig(kind="bursty", rate=4.0, duration=500.0,
+                                 seed=3, functions=("a", "b")))
+    cfg = dict(system=system, n_machines=4, clock_domains=clock_domains)
+
+    quiet = run_fleet(trace, FleetConfig(**cfg), profiles=profiles)
+    executed = sum(e.events_executed for e in engines)
+    assert (quiet.rejected > 0) == (not concurrent)  # the overloaded path
+    assert executed == (1 + len(trace) + 5 * quiet.completed
+                        + quiet.context_hits + 2 * cfg["n_machines"])
+    assert executed / len(trace) <= budget
+
+    del engines[:]
+    run_fleet(trace, FleetConfig(failures_per_hour=2.0, **cfg),
+              profiles=profiles)
+    assert sum(e.events_executed for e in engines) / len(trace) <= budget
+
+
+class _HeadOnlyQueue(deque):
+    """The gateway's queue, refusing to give up anything but its head."""
+
+    taken = None
+
+    def popleft(self):
+        self.taken = super().popleft()
+        return self.taken
+
+    def _refuse(self, *args):
+        raise AssertionError("the dispatcher reached past the queue head")
+
+    pop = remove = __delitem__ = _refuse
+
+
+@pytest.fixture
+def conserved(monkeypatch):
+    """Check the gateway's and the agents' books after every handler."""
+    gateway_cls, agent_cls = scheduler._Gateway, scheduler._MachineAgent
+
+    def gateway_books(gw):
+        n_gpus = gw.cfg.n_gpus
+        for m, running in enumerate(gw.running):
+            assert 0 <= gw.free[m] <= n_gpus
+            assert gw.free[m] == n_gpus - sum(running.values())
+
+    def agent_books(agent):
+        assert 0 <= agent.pool.contexts_free <= agent.pool.context_slots
+
+    def checked(cls, name, books):
+        plain = getattr(cls, name)
+
+        def wrapper(self, *args):
+            plain(self, *args)
+            books(self)
+
+        monkeypatch.setattr(cls, name, wrapper)
+
+    for name in ("arrive", "on_msg"):
+        checked(gateway_cls, name, gateway_books)
+    for name in ("on_msg", "_served", "_refill_context"):
+        checked(agent_cls, name, agent_books)
+
+    plain_init, plain_place = gateway_cls.__init__, gateway_cls._place
+
+    def init(self, *args):
+        plain_init(self, *args)
+        self.queue = _HeadOnlyQueue()
+
+    def place(self, idx, m, k):
+        assert idx == self.queue.taken, "dispatched a non-head request"
+        plain_place(self, idx, m, k)
+
+    monkeypatch.setattr(gateway_cls, "__init__", init)
+    monkeypatch.setattr(gateway_cls, "_place", place)
+
+
+@pytest.mark.parametrize("draw", range(32))
+def test_fleet_conserves_requests_gpus_and_contexts(conserved, draw):
+    """ROADMAP "Whole-stack invariants", fleet part: over random
+    topologies, traces and failure schedules every arrival gets exactly
+    one terminal outcome, no GPU or pooled context is ever lost or
+    minted, and dispatch is strictly head-of-queue."""
+    rng = random.Random(draw * 9973 + 5)
+    system = rng.choice(["phos", "phos", "singularity", "cuda-checkpoint"])
+    n_gpus = rng.randrange(1, 5)
+    profiles = {
+        "one": prof("one", exec_s=rng.choice([0.2, 0.8]), nopool=1.0,
+                    image=32 << 20, system=system),
+        "slow": prof("slow", exec_s=3.0, nopool=2.0, system=system),
+        "wide": prof("wide", n_gpus=min(2, n_gpus), exec_s=1.0, nopool=1.5,
+                     system=system),
+        "refused": prof("refused", supported=False, system=system),
+    }
+    trace = generate(TraceConfig(
+        kind=rng.choice(["bursty", "poisson"]), rate=rng.choice([3.0, 8.0]),
+        duration=40.0, seed=rng.randrange(1000), functions=tuple(profiles),
+        weights=(0.5, 0.2, 0.25, 0.05)))
+    report = run_fleet(trace, FleetConfig(
+        system=system, n_machines=rng.randrange(1, 5), n_gpus=n_gpus,
+        queue_cap=rng.randrange(0, 13), contexts_per_gpu=rng.randrange(0, 3),
+        pool_capacity=rng.randrange(1, 4),
+        failures_per_hour=rng.choice([0.0, 300.0, 1200.0]),
+        failure_seed=rng.randrange(1000), recovery_s=rng.choice([0.5, 3.0]),
+        max_retries=rng.randrange(0, 3),
+        clock_domains=rng.choice(["single", "per-machine"])),
+        profiles=profiles)
+    assert [r.index for r in report.records] == list(range(len(trace)))
+    outcomes = [r.outcome for r in report.records]
+    assert {(o, outcomes.count(o)) for o in set(outcomes)} <= {
+        ("ok", report.completed), ("rejected", report.rejected),
+        ("unsupported", report.unsupported), ("failed", report.failed)}
+    assert (report.completed + report.rejected + report.unsupported
+            + report.failed) == len(trace)
+    assert report.retries == sum(r.retries for r in report.records)
+    assert report.migrations == sum(r.migrations for r in report.records)

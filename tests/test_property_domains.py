@@ -341,3 +341,207 @@ def test_multi_domain_rounds_and_skew():
     world.run()
     assert world.rounds >= 1
     assert world.skew_max >= 0.0
+
+
+# --------------------------------------------------------------------------
+# push-style receive: DomainChannel.subscribe vs a recv() listener process
+# --------------------------------------------------------------------------
+
+#: ``subscribe(handler)`` claims to run the handler on exactly the
+#: scheduler turn a ``while True: handler((yield ch.recv()))`` process
+#: would.  Both styles are built from this one helper, so the only
+#: variable between two runs is how the channel is received.
+RECEIVE_STYLES = ("recv", "subscribe")
+
+
+def attach(eng, ch: DomainChannel, handler, receive: str) -> None:
+    if receive == "subscribe":
+        ch.subscribe(handler)
+        return
+
+    def listener():
+        while True:
+            handler((yield ch.recv()))
+
+    eng.spawn(listener(), name=f"listen-{ch.name}")
+
+
+def build_control_plane(seed: int) -> dict:
+    """The hub shape as the fleet uses it: every node reacts to messages
+    from a handler, the hub's timers fire bursts of commands.
+
+    Latencies come from three values, so bursts to different spokes —
+    and their replies — land on the hub *at one instant on different
+    channels*: the case where the listener's one-value-per-channel-per-
+    turn round robin decides the order.
+    """
+    rng = random.Random(seed * 7919 + 11)
+    n_machines = rng.randrange(3, 6)
+    channels = {}
+    for spoke in range(1, n_machines):
+        channels[(0, spoke)] = rng.choice([3e-6, 3e-6, 5e-6])
+        channels[(spoke, 0)] = rng.choice([3e-6, 3e-6, 5e-6])
+    bursts = []
+    token = 0
+    for _ in range(rng.randrange(3, 7)):
+        commands = []
+        for _ in range(rng.randrange(1, 6)):
+            token += 1
+            commands.append((
+                rng.randrange(1, n_machines),          # spoke
+                token,
+                rng.choice(["echo", "echo", "work", "twice"]),
+                rng.choice(DELAYS),                    # "work" service time
+                rng.randrange(0, 3),                   # hub forwards left
+            ))
+        bursts.append((rng.choice(DELAYS), commands))
+    return {"n_machines": n_machines, "channels": channels, "bursts": bursts}
+
+
+def run_control_plane(topo: dict, mode: str, receive: str) -> tuple:
+    """Run the control-plane program; return (per-node traces, executed
+    records, listeners attached).  A trace entry is ``(what, message,
+    handler timestamp, global order)``."""
+    n = topo["n_machines"]
+    world = None
+    if mode == "single":
+        engines = [Engine()] * n
+    elif mode == "world1":
+        world = World()
+        engines = [world.domain("all")] * n
+    else:
+        world = World()
+        engines = [world.domain(f"m{i}") for i in range(n)]
+    chans = {}
+    for (a, b), lat in topo["channels"].items():
+        if engines[a] is engines[b]:
+            chans[(a, b)] = DomainChannel.local(engines[a], lat,
+                                                name=f"c{a}->{b}")
+        else:
+            chans[(a, b)] = world.channel(engines[a], engines[b], lat,
+                                          name=f"c{a}->{b}")
+    traces = {m: [] for m in range(n)}
+    order = [0]
+
+    def note(m, what, msg):
+        traces[m].append((what, msg, engines[m].now, order[0]))
+        order[0] += 1
+
+    def spoke_handler(m):
+        eng = engines[m]
+        reply = chans[(m, 0)].send
+
+        def handle(msg):
+            _, token, kind, service, hops = msg
+            note(m, "cmd", msg)
+            # A record the handler pushes at `now` must run before this
+            # channel's next value is handed over.
+            eng.call_at(eng.now, lambda arg: note(m, "same-instant", arg),
+                        token)
+            if kind == "work":
+                eng.call_at(eng.now + service, reply,
+                            ("re", token, kind, service, hops))
+            else:
+                reply(("re", token, kind, service, hops))
+                if kind == "twice":
+                    reply(("re2", token, kind, service, 0))
+        return handle
+
+    def hub_handler(spoke):
+        def handle(msg):
+            what, token, kind, service, hops = msg
+            note(0, f"from{spoke}", msg)
+            if hops:
+                dst = 1 + (spoke + token) % (n - 1)
+                chans[(0, dst)].send(
+                    ("cmd", token, kind, service, hops - 1))
+        return handle
+
+    for spoke in range(1, n):
+        attach(engines[spoke], chans[(0, spoke)], spoke_handler(spoke),
+               receive)
+        attach(engines[0], chans[(spoke, 0)], hub_handler(spoke), receive)
+
+    def hub_timers():
+        for delay, commands in topo["bursts"]:
+            yield engines[0].timeout(delay)
+            for spoke, token, kind, service, hops in commands:
+                chans[(0, spoke)].send(("cmd", token, kind, service, hops))
+
+    engines[0].spawn(hub_timers(), name="hub-timers")
+    if world is not None:
+        world.run()
+        executed = world.events_executed
+    else:
+        engines[0].run()
+        executed = engines[0].events_executed
+    return traces, executed, 2 * (n - 1)
+
+
+@pytest.mark.parametrize("mode", ["single", "world1", "multi"])
+@pytest.mark.parametrize("seed", range(24))
+def test_subscriber_runs_on_the_listeners_turn(seed, mode):
+    topo = build_control_plane(seed)
+    pulled, pulled_executed, listeners = run_control_plane(topo, mode, "recv")
+    pushed, pushed_executed, _ = run_control_plane(topo, mode, "subscribe")
+    assert pushed == pulled, "handler order or timestamps diverged"
+    # Message for message the same two records; the listener processes
+    # additionally cost their spawn step.
+    assert pulled_executed - pushed_executed == listeners
+    if mode == "world1":
+        assert pushed == run_control_plane(topo, "single", "subscribe")[0]
+
+
+def test_control_plane_soups_really_burst():
+    """Sanity: some hub turn serves several channels at one instant, and
+    some channel carries several values at one instant (guards against
+    a silently-degenerate generator)."""
+    cross = same = False
+    for seed in range(24):
+        traces, _, _ = run_control_plane(build_control_plane(seed),
+                                         "single", "subscribe")
+        hub = [e for e in traces[0] if e[0].startswith("from")]
+        for a, b in zip(hub, hub[1:]):
+            if a[2] == b[2]:
+                cross |= a[0] != b[0]
+                same |= a[0] == b[0]
+    assert cross and same
+
+
+@pytest.mark.parametrize("receive", RECEIVE_STYLES)
+def test_same_instant_arrivals_are_served_round_robin(receive):
+    """a0, a1, a2, b0 arriving at one instant are handled a0, b0, a1,
+    a2 — one value per channel per turn.  Running the handler at the
+    delivery record instead (``post``) would yield a0, a1, a2, b0."""
+    eng = Engine()
+    a = DomainChannel.local(eng, 0.5, name="a")
+    b = DomainChannel.local(eng, 0.5, name="b")
+    seen = []
+    attach(eng, a, seen.append, receive)
+    attach(eng, b, seen.append, receive)
+    for value in ("a0", "a1", "a2"):
+        a.send(value)
+    b.send("b0")
+    eng.run()
+    assert seen == ["a0", "b0", "a1", "a2"]
+
+
+@pytest.mark.parametrize("receive", RECEIVE_STYLES)
+def test_handler_pushes_run_before_the_channels_next_value(receive):
+    """The wake-up for the next pending value is queued *after* the
+    handler returns, so what the handler schedules at ``now`` comes
+    first — as after a listener's ``handler(msg)`` and before its next
+    ``recv()``."""
+    eng = Engine()
+    ch = DomainChannel.local(eng, 0.5)
+    seen = []
+
+    def handler(value):
+        seen.append(value)
+        eng.call_at(eng.now, seen.append, f"after-{value}")
+
+    attach(eng, ch, handler, receive)
+    ch.send("m0")
+    ch.send("m1")
+    eng.run()
+    assert seen == ["m0", "after-m0", "m1", "after-m1"]

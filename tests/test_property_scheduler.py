@@ -103,8 +103,7 @@ def run_soup(ops: list, engine_cls: type) -> tuple:
                     # A hand-rolled timeout: a K_CALL1 record among the
                     # real timeouts' K_FIRE ones, same wakeup cascade.
                     done = eng.event()
-                    eng._schedule_call(eng.now + step[1], done.succeed,
-                                       (pid, i))
+                    eng.call_at(eng.now + step[1], done.succeed, (pid, i))
                     val = yield done
                     trace.append(("call", pid, i, eng.now, val))
                 elif step[0] == "late":

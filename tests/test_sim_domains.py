@@ -153,6 +153,64 @@ def test_post_runs_in_destination_domain():
     assert seen == [("payload", pytest.approx(1.0 + 5e-6, abs=0))]
 
 
+def test_subscribe_hands_every_value_to_the_handler():
+    world, a, b = two_domains()
+    ch = world.channel(a, b, 5e-6)
+    seen = []
+    ch.subscribe(lambda value: seen.append((value, b.now)))
+
+    def sender():
+        yield a.timeout(1.0)
+        ch.send("x")
+        ch.send("y", delay=1e-3)
+
+    a.spawn(sender())
+    world.run()
+    assert seen == [("x", pytest.approx(1.0 + 5e-6, abs=0)),
+                    ("y", pytest.approx(1.0 + 5e-6 + 1e-3, abs=0))]
+    # Two bare records a message (delivery, wake-up) plus the sender's
+    # spawn step, timeout fire and resume: no Store, Event or generator.
+    assert world.events_executed == 2 * 2 + 3
+
+
+def test_subscribed_channel_refuses_recv_and_a_second_subscriber():
+    eng = Engine()
+    ch = DomainChannel.local(eng, 0.5)
+    ch.subscribe(print)
+    with pytest.raises(SimulationError):
+        ch.recv()
+    with pytest.raises(SimulationError):
+        ch.subscribe(print)
+
+
+def test_subscribe_refuses_a_channel_already_received():
+    eng = Engine()
+    waited = DomainChannel.local(eng, 0.5)
+    waited.recv()
+    with pytest.raises(SimulationError):
+        waited.subscribe(print)
+    queued = DomainChannel.local(eng, 0.5)
+    queued.send("x")
+    eng.run()
+    with pytest.raises(SimulationError):
+        queued.subscribe(print)
+
+
+def test_subscriber_error_propagates_out_of_run():
+    """A listener process that raises fails silently (nobody waits on
+    it); a handler is the scheduler's own call, so run() raises."""
+    eng = Engine()
+    ch = DomainChannel.local(eng, 0.5)
+
+    def boom(value):
+        raise ValueError(value)
+
+    ch.subscribe(boom)
+    ch.send("x")
+    with pytest.raises(ValueError):
+        eng.run()
+
+
 def test_fire_succeeds_destination_event():
     world, a, b = two_domains()
     ch = world.channel(a, b, 5e-6)

@@ -263,6 +263,28 @@ def test_schedule_nan_rejected(eng):
         eng._schedule_at(float("nan"), lambda: None)
 
 
+def test_call_at_is_one_record_in_fifo_position(eng):
+    """``call_at`` runs ``fn(arg)`` at the instant, where it was queued:
+    ahead of a timeout's waiter (that wake-up is a second record, pushed
+    when the timeout fires) and with no event or process behind it."""
+    seen = []
+
+    def waiter(eng):
+        yield eng.timeout(1.0)
+        seen.append(("waiter", eng.now))
+
+    eng.spawn(waiter(eng))
+    eng.run(until=0.5)
+    eng.call_at(1.0, lambda arg: seen.append((arg, eng.now)), "timer")
+    eng.call_at(1.0, seen.append)
+    before = eng.events_executed
+    eng.run()
+    assert seen == [("timer", 1.0), None, ("waiter", 1.0)]
+    assert eng.events_executed - before == 4  # fire, 2 timers, resume
+    with pytest.raises(SimulationError):
+        eng.call_at(0.5, seen.append)
+
+
 # -- interrupt edge cases under record dispatch -----------------------------------
 
 def test_stale_wakeup_after_interrupt_retarget(eng):

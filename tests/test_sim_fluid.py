@@ -1,10 +1,12 @@
 """Unit tests for the fluid bandwidth link."""
 
+import random
+
 import pytest
 
 from repro.errors import InvalidValueError
 from repro.sim import Engine
-from repro.sim.fluid import FluidLink
+from repro.sim.fluid import FluidLink, _Flow
 
 
 @pytest.fixture
@@ -174,3 +176,55 @@ def test_many_flows_conserve_bandwidth(eng):
     # 10 flows x 100 B at aggregate 100 B/s -> all finish at t=10.
     for t in done.values():
         assert t == pytest.approx(10.0)
+
+
+def _water_fill(bandwidth, flows):
+    """The general water-filling loop, as the oracle for its shortcut."""
+    bw = bandwidth
+    rates = {}
+    unpinned = list(flows)
+    while unpinned:
+        total_weight = sum(f.weight for f in unpinned)
+        pinned_now = [f for f in unpinned
+                      if f.cap is not None
+                      and f.cap < bw * f.weight / total_weight]
+        if not pinned_now:
+            for f in unpinned:
+                rates[f] = bw * f.weight / total_weight
+            break
+        for f in pinned_now:
+            rates[f] = f.cap
+        bw -= sum(f.cap for f in pinned_now)
+        unpinned = [f for f in unpinned if f not in pinned_now]
+    return [rates[f] for f in flows]
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_uniform_flow_shortcut_is_float_exact(eng, seed):
+    """Uniform flows (weight 1.0, one cap — nearly every call) skip the
+    water-filling; the rates must be the very floats it computes, or
+    every downstream DMA timestamp moves."""
+    rng = random.Random(seed)
+    bandwidth = rng.uniform(1e9, 3e10)
+    link = FluidLink(eng, bandwidth=bandwidth)
+    n = rng.randrange(1, 12)
+    share = bandwidth / n
+    cap = rng.choice([None, share * 0.5, share, share * 1.5])
+    link._flows = [_Flow(1e6, 1.0, cap) for _ in range(n)]
+    link._recompute_rates()
+    assert [f.rate for f in link._flows] == _water_fill(bandwidth,
+                                                         link._flows)
+    # One odd flow sends the same set down the general path.
+    link._flows.append(_Flow(1e6, rng.choice([0.5, 1.0, 2.0]),
+                             share * rng.choice([0.25, 2.0])))
+    link._recompute_rates()
+    assert [f.rate for f in link._flows] == _water_fill(bandwidth,
+                                                         link._flows)
+
+
+def test_flow_completion_event_names_itself_on_demand(eng):
+    link = FluidLink(eng, bandwidth=10.0, name="pcie")
+    gen = link._flow_raw(100.0)
+    done = next(gen)
+    assert done.name == f"pcie-flow{link._flows[0].id}"
+    assert "pcie-flow" in repr(done)
