@@ -7,7 +7,7 @@ the present bit drives on-demand restore.
 """
 
 from repro.cpu.criu import CpuCheckpoint, CriuEngine
-from repro.cpu.memory import HostMemory, Page
+from repro.cpu.memory import HostMemory
 from repro.cpu.process import HostProcess
 
-__all__ = ["CpuCheckpoint", "CriuEngine", "HostMemory", "HostProcess", "Page"]
+__all__ = ["CpuCheckpoint", "CriuEngine", "HostMemory", "HostProcess"]

@@ -14,11 +14,22 @@ CPU's information channels for concurrent C/R:
 As on the GPU side, functional content is real but small: each page
 materializes :data:`PAGE_DATA_SIZE` bytes while its logical size is the
 usual 4 KiB for timing purposes.
+
+Layout: an address space is a struct of five arrays — one
+``(n_pages, PAGE_DATA_SIZE)`` byte block, one flag array per bit, one
+version array — not an object per page.  The process's own accesses
+(:meth:`HostMemory.read` / :meth:`~HostMemory.write`) stay scalar and
+fault page by page; the checkpointer's whole-space operations are array
+fills, and its copy path moves a flow's worth of pages per call through
+:meth:`~HostMemory.snapshot_pages`, :meth:`~HostMemory.load_pages` and
+:meth:`~HostMemory.unprotect_pages`, which validate the whole batch
+before the first byte moves.  The page-per-object layout this replaced
+is the oracle in ``tests/reference_host_memory.py``.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -35,32 +46,8 @@ FAULT_NOT_PRESENT = "not-present"
 FaultHandler = Callable[[int, str], None]
 
 
-class Page:
-    """One 4 KiB page with its functional prefix and page-table bits."""
-
-    __slots__ = ("index", "data", "soft_dirty", "write_protected", "present", "version")
-
-    def __init__(self, index: int) -> None:
-        self.index = index
-        self.data = np.zeros(PAGE_DATA_SIZE, dtype=np.uint8)
-        self.soft_dirty = False
-        self.write_protected = False
-        self.present = True
-        self.version = 0
-
-    def snapshot(self) -> bytes:
-        return self.data.tobytes()
-
-    def load(self, raw: bytes) -> None:
-        if len(raw) != PAGE_DATA_SIZE:
-            raise InvalidValueError(
-                f"page snapshot must be {PAGE_DATA_SIZE} bytes, got {len(raw)}"
-            )
-        self.data[:] = np.frombuffer(raw, dtype=np.uint8)
-
-
 class HostMemory:
-    """A process's CPU address space as an array of pages.
+    """A process's CPU address space as parallel per-page arrays.
 
     ``fault_handler(page_index, kind)`` is called synchronously when a
     write hits a protected page or any access hits a non-present page.
@@ -77,8 +64,18 @@ class HostMemory:
         self.n_pages = n_pages
         #: Logical page size; large allocations use 2 MiB huge pages.
         self.page_size = page_size
-        self.pages = [Page(i) for i in range(n_pages)]
+        #: Functional bytes, one row per page.
+        self.data = np.zeros((n_pages, PAGE_DATA_SIZE), dtype=np.uint8)
+        #: The three page-table bits and the write counter, one entry
+        #: per page.  Read them freely; change them through the methods.
+        self.soft_dirty = np.zeros(n_pages, dtype=bool)
+        self.write_protected = np.zeros(n_pages, dtype=bool)
+        self.present = np.ones(n_pages, dtype=bool)
+        self.version = np.zeros(n_pages, dtype=np.int64)
         self.fault_handler: Optional[FaultHandler] = None
+        #: Id of the image whose capture the soft-dirty bits are relative
+        #: to (stamped by a CRIU dump, dropped by a restore), or None.
+        self.delta_epoch: Optional[str] = None
 
     @property
     def logical_bytes(self) -> int:
@@ -86,28 +83,28 @@ class HostMemory:
         return self.n_pages * self.page_size
 
     # -- access ------------------------------------------------------------------
-    def _check(self, index: int) -> Page:
+    def _check(self, index: int) -> None:
         if not 0 <= index < self.n_pages:
             raise InvalidValueError(f"page index {index} out of range 0..{self.n_pages - 1}")
-        return self.pages[index]
 
     def read(self, index: int) -> bytes:
         """Read a page's functional bytes (faults if not present)."""
-        page = self._check(index)
-        if not page.present:
+        self._check(index)
+        if not self.present[index]:
             self._fault(index, FAULT_NOT_PRESENT)
-        return page.snapshot()
+        return self.data[index].tobytes()
 
     def write(self, index: int, raw: bytes) -> None:
         """Write a page's functional bytes, honoring protection bits."""
-        page = self._check(index)
-        if not page.present:
+        self._check(index)
+        if not self.present[index]:
             self._fault(index, FAULT_NOT_PRESENT)
-        if page.write_protected:
+        if self.write_protected[index]:
             self._fault(index, FAULT_WRITE_PROTECTED)
-        page.load(raw)
-        page.soft_dirty = True
-        page.version += 1
+        _check_length(raw)
+        self.data[index] = np.frombuffer(raw, dtype=np.uint8)
+        self.soft_dirty[index] = True
+        self.version[index] += 1
 
     def write_word(self, index: int, value: int) -> None:
         """Convenience: write a page's first 8 bytes as a counter value."""
@@ -124,45 +121,100 @@ class HostMemory:
                 f"page {index} fault ({kind}) with no fault handler installed"
             )
         self.fault_handler(index, kind)
-        page = self.pages[index]
-        if kind == FAULT_NOT_PRESENT and not page.present:
+        if kind == FAULT_NOT_PRESENT and not self.present[index]:
             raise InvalidValueError(f"fault handler failed to make page {index} present")
-        if kind == FAULT_WRITE_PROTECTED and page.write_protected:
+        if kind == FAULT_WRITE_PROTECTED and self.write_protected[index]:
             raise InvalidValueError(f"fault handler failed to unprotect page {index}")
 
     # -- bit management (the checkpointer's toolbox) ------------------------------
     def clear_soft_dirty(self) -> None:
         """CRIU-style: reset dirty tracking for a new interval."""
-        for page in self.pages:
-            page.soft_dirty = False
+        self.soft_dirty[:] = False
 
     def dirty_pages(self) -> list[int]:
-        """Indices of pages written since the last clear."""
-        return [p.index for p in self.pages if p.soft_dirty]
+        """Indices of pages written since the last clear, ascending."""
+        return np.flatnonzero(self.soft_dirty).tolist()
 
     def protect_all(self) -> None:
         """Write-protect every page (start of a CoW checkpoint)."""
-        for page in self.pages:
-            page.write_protected = True
+        self.write_protected[:] = True
 
     def unprotect(self, index: int) -> None:
-        self._check(index).write_protected = False
+        self._check(index)
+        self.write_protected[index] = False
 
     def unprotect_all(self) -> None:
-        for page in self.pages:
-            page.write_protected = False
+        self.write_protected[:] = False
 
     def mark_all_not_present(self) -> None:
         """Start of an on-demand restore: nothing is loaded yet."""
-        for page in self.pages:
-            page.present = False
+        self.present[:] = False
 
     def mark_present(self, index: int) -> None:
-        self._check(index).present = True
+        self._check(index)
+        self.present[index] = True
 
     def snapshot_all(self) -> list[bytes]:
         """Functional snapshot of every page (no timing; used by tests)."""
-        return [p.snapshot() for p in self.pages]
+        return _split_pages(self.data.tobytes())
 
-    def __iter__(self) -> Iterator[Page]:
-        return iter(self.pages)
+    # -- batch operations (the checkpointer's copy path) --------------------------
+    def _check_batch(self, indices: Sequence[int]) -> np.ndarray:
+        """``indices`` as an index array, every one of them in range."""
+        idx = np.asarray(indices, dtype=np.intp)
+        if idx.size and not (0 <= idx.min() and idx.max() < self.n_pages):
+            for index in indices:  # raise for the first offender
+                self._check(index)
+        return idx
+
+    def snapshot_pages(self, indices: Sequence[int]) -> list[bytes]:
+        """Raw bytes of the given pages, in order — what a dump reads.
+
+        No fault is raised and no bit consulted or changed: the
+        checkpointer reads a page whether or not the process could.
+        """
+        return _split_pages(self.data[self._check_batch(indices)].tobytes())
+
+    def load_pages(self, indices: Sequence[int], datas: Sequence[bytes]) -> None:
+        """Store ``datas[k]`` as page ``indices[k]`` and mark it present
+        — what a restore writes.  Indices must be distinct.
+
+        No fault is raised and the soft-dirty and version entries stay
+        (a restore is not a write by the process).  Every index is
+        bounds-checked and every payload length-checked before the
+        first byte lands, so a bad batch leaves memory untouched.
+        """
+        idx = self._check_batch(indices)
+        if len(datas) != idx.size:
+            raise InvalidValueError(
+                f"{idx.size} page indices but {len(datas)} page snapshots"
+            )
+        if set(map(len, datas)) - {PAGE_DATA_SIZE}:
+            for raw in datas:  # raise for the first offender
+                _check_length(raw)
+        if idx.size:
+            self.data[idx] = np.frombuffer(
+                b"".join(datas), dtype=np.uint8
+            ).reshape(-1, PAGE_DATA_SIZE)
+            self.present[idx] = True
+
+    def unprotect_pages(self, indices: Sequence[int]) -> None:
+        """Clear the write-protected bit of every given page."""
+        self.write_protected[self._check_batch(indices)] = False
+
+    def absent_pages(self, indices: Sequence[int]) -> list[int]:
+        """The subset of ``indices`` whose pages are not present, in order."""
+        idx = self._check_batch(indices)
+        return idx[~self.present[idx]].tolist()
+
+
+def _check_length(raw: bytes) -> None:
+    if len(raw) != PAGE_DATA_SIZE:
+        raise InvalidValueError(
+            f"page snapshot must be {PAGE_DATA_SIZE} bytes, got {len(raw)}"
+        )
+
+
+def _split_pages(raw: bytes) -> list[bytes]:
+    return [raw[off : off + PAGE_DATA_SIZE]
+            for off in range(0, len(raw), PAGE_DATA_SIZE)]

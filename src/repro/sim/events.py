@@ -235,8 +235,11 @@ class AllOf(_Composite):
     """Fires when every child event has fired.
 
     Succeeds with the list of child values in the original order; fails
-    as soon as any child fails.  The all-children scan in
-    ``_child_fired`` is deliberate: it fires the conjunction at the
+    as soon as a failed child's callback is delivered, and — when
+    several children fired within one instant and a successful one's
+    callback is delivered first — with the first failed child in the
+    original order once the last one has fired.  The all-children scan
+    in ``_child_fired`` is deliberate: it fires the conjunction at the
     *same dispatch point* the historical implementation did even for
     duplicate children or children that fire between registration and
     callback delivery — a countdown would fire one record early in
@@ -247,10 +250,10 @@ class AllOf(_Composite):
 
     def __init__(self, engine: "Engine", events: Iterable[Event]) -> None:  # noqa: F821
         super().__init__(engine, events, name="all_of")
-        # Children that were already fired at construction never call back,
-        # so account for them here.
+        # Children already fired at construction deliver their callback
+        # only on a later turn, so account for them here.
         if not self.triggered and all(ev.triggered for ev in self.events):
-            self.succeed([ev.value for ev in self.events])
+            self._settle()
 
     def _child_fired(self, ev: Event) -> None:
         if self._fired:
@@ -259,7 +262,15 @@ class AllOf(_Composite):
             self.fail(ev.value)
             return
         if all(child._fired for child in self.events):
-            self.succeed([child.value for child in self.events])
+            self._settle()
+
+    def _settle(self) -> None:
+        """Every child has fired: fail with the first failure, else succeed."""
+        for child in self.events:
+            if not child._ok:
+                self.fail(child._value)
+                return
+        self.succeed([child._value for child in self.events])
 
 
 class AnyOf(_Composite):

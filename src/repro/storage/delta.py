@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -198,6 +198,12 @@ class DeltaImage(CheckpointImage):
         prev = self.cpu_pages.get(index)
         super().add_cpu_page(index, data)
         self.stored_page_bytes += len(data) - (0 if prev is None else len(prev))
+
+    def add_cpu_pages(self, indices: Sequence[int], datas: Sequence[bytes]) -> None:
+        pages = self.cpu_pages
+        replaced = sum(len(pages[i]) for i in indices if i in pages)
+        super().add_cpu_pages(indices, datas)
+        self.stored_page_bytes += sum(map(len, datas)) - replaced
 
     def drop_cpu_page(self, index: int) -> None:
         """Remove one stored page (it matched the parent's content)."""

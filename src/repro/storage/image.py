@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import os
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence
 
 from repro.errors import CheckpointError
 
@@ -84,6 +84,12 @@ class CheckpointImage:
         if self.finalized:
             raise CheckpointError(f"image {self.name!r} is finalized")
         self.cpu_pages[index] = data
+
+    def add_cpu_pages(self, indices: Sequence[int], datas: Sequence[bytes]) -> None:
+        """Insert/overwrite one page per (distinct) index — a dump's batch."""
+        if self.finalized:
+            raise CheckpointError(f"image {self.name!r} is finalized")
+        self.cpu_pages.update(zip(indices, datas))
 
     def finalize(self, checkpoint_time: float) -> None:
         """Seal the image; it now represents a consistent process state."""

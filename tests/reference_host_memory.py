@@ -1,54 +1,180 @@
-"""CRIU-equivalent CPU checkpoint and restore.
+"""The reference host memory: one ``Page`` object per page, kept as the oracle.
 
-PHOS delegates CPU state to CRIU (§3); this module reproduces the three
-CRIU behaviours the paper depends on:
-
-* **concurrent CoW dump** — write-protect all pages, copy them to the
-  image while the process runs; a faulting write first preserves the
-  old page content (so the image reflects the dump-start state);
-* **dirty-tracking dump** — clear soft-dirty bits, copy everything,
-  and report the pages dirtied during the copy for a recopy pass
-  (CRIU's memory-changes tracking / incremental dump [19]);
-* **restore** — load pages and control state; optionally *on-demand*
-  (lazy-restore): pages start non-present and are fetched on first
-  touch, with the fetch time charged to the faulting process.
-
-Timing: page copies flow through the target medium's links, capped at
-:data:`CPU_COPY_BW` (a memcpy-bound stream).
+Until PR 20 these classes *were* ``repro.cpu.memory``.  The production
+``HostMemory`` is now a struct of arrays (one data block, three flag
+arrays, one version array) with batch operations on the copy path; this
+copy stays here, outside ``src/``, one Python object and one 16-byte
+ndarray per page, so ``test_property_host_memory.py`` can demand that
+both return the same bytes, raise the same exceptions with the same
+messages and leave the same bits and versions behind.  Below it, the
+per-page ``CriuEngine`` / ``LazyRestoreSession`` loops that ran on those
+pages (the old ``repro.cpu.criu`` classes), so the CRIU-level
+differential can demand the same image bytes, results, fault counts and
+virtual timestamps from the batch path.  Both halves are the old code
+verbatim — including what the same PR fixed in production (unchecked
+image keys, the ``getattr`` epoch) — so drive them with valid images
+only.  Do not optimise them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Iterator, Optional
 
-from repro import obs, units
-from repro.cpu.memory import FAULT_NOT_PRESENT, FAULT_WRITE_PROTECTED, HostMemory
+import numpy as np
+
+from repro import obs
+from repro.cpu.criu import CPU_COPY_BW, DUMP_THREADS, PAGES_PER_FLOW, CpuDumpResult
 from repro.cpu.process import HostProcess
-from repro.errors import CheckpointError
+from repro.errors import CheckpointError, InvalidValueError
 from repro.sim.engine import Engine
 from repro.storage.image import CheckpointImage
 from repro.storage.media import Medium
+from repro.units import PAGE_SIZE
 
-#: A single CPU checkpoint stream's own bandwidth limit (memcpy-bound).
-CPU_COPY_BW = 20 * units.GB
+#: Real bytes materialized per page.
+PAGE_DATA_SIZE = 16
 
-#: CRIU dumps with multiple worker threads; their aggregate demand is
-#: what contends with the GPU checkpoint streams in Fig. 9.
-DUMP_THREADS = 8
+#: Fault kinds passed to handlers.
+FAULT_WRITE_PROTECTED = "write-protected"
+FAULT_NOT_PRESENT = "not-present"
 
-#: Pages batched per media flow (keeps the event count reasonable).
-PAGES_PER_FLOW = 4096
+FaultHandler = Callable[[int, str], None]
 
 
-@dataclass
-class CpuDumpResult:
-    """Outcome of a CPU dump."""
+class Page:
+    """One 4 KiB page with its functional prefix and page-table bits."""
 
-    pages_copied: int = 0
-    cow_faults: int = 0
-    dirty_after_copy: list[int] = field(default_factory=list)
+    __slots__ = ("index", "data", "soft_dirty", "write_protected", "present", "version")
 
+    def __init__(self, index: int) -> None:
+        self.index = index
+        self.data = np.zeros(PAGE_DATA_SIZE, dtype=np.uint8)
+        self.soft_dirty = False
+        self.write_protected = False
+        self.present = True
+        self.version = 0
+
+    def snapshot(self) -> bytes:
+        return self.data.tobytes()
+
+    def load(self, raw: bytes) -> None:
+        if len(raw) != PAGE_DATA_SIZE:
+            raise InvalidValueError(
+                f"page snapshot must be {PAGE_DATA_SIZE} bytes, got {len(raw)}"
+            )
+        self.data[:] = np.frombuffer(raw, dtype=np.uint8)
+
+
+class HostMemory:
+    """A process's CPU address space as an array of pages.
+
+    ``fault_handler(page_index, kind)`` is called synchronously when a
+    write hits a protected page or any access hits a non-present page.
+    The handler is expected to resolve the fault (e.g. copy the old
+    content, or load the page) and clear the corresponding bit; the
+    access then proceeds.
+    """
+
+    def __init__(self, n_pages: int, page_size: int = PAGE_SIZE) -> None:
+        if n_pages <= 0:
+            raise InvalidValueError(f"n_pages must be positive, got {n_pages}")
+        if page_size <= 0:
+            raise InvalidValueError(f"page_size must be positive, got {page_size}")
+        self.n_pages = n_pages
+        #: Logical page size; large allocations use 2 MiB huge pages.
+        self.page_size = page_size
+        self.pages = [Page(i) for i in range(n_pages)]
+        self.fault_handler: Optional[FaultHandler] = None
+
+    @property
+    def logical_bytes(self) -> int:
+        """Logical size of the address space (drives copy timing)."""
+        return self.n_pages * self.page_size
+
+    # -- access ------------------------------------------------------------------
+    def _check(self, index: int) -> Page:
+        if not 0 <= index < self.n_pages:
+            raise InvalidValueError(f"page index {index} out of range 0..{self.n_pages - 1}")
+        return self.pages[index]
+
+    def read(self, index: int) -> bytes:
+        """Read a page's functional bytes (faults if not present)."""
+        page = self._check(index)
+        if not page.present:
+            self._fault(index, FAULT_NOT_PRESENT)
+        return page.snapshot()
+
+    def write(self, index: int, raw: bytes) -> None:
+        """Write a page's functional bytes, honoring protection bits."""
+        page = self._check(index)
+        if not page.present:
+            self._fault(index, FAULT_NOT_PRESENT)
+        if page.write_protected:
+            self._fault(index, FAULT_WRITE_PROTECTED)
+        page.load(raw)
+        page.soft_dirty = True
+        page.version += 1
+
+    def write_word(self, index: int, value: int) -> None:
+        """Convenience: write a page's first 8 bytes as a counter value."""
+        raw = bytearray(self.read(index))
+        raw[:8] = (value & (2**64 - 1)).to_bytes(8, "little")
+        self.write(index, bytes(raw))
+
+    def read_word(self, index: int) -> int:
+        return int.from_bytes(self.read(index)[:8], "little")
+
+    def _fault(self, index: int, kind: str) -> None:
+        if self.fault_handler is None:
+            raise InvalidValueError(
+                f"page {index} fault ({kind}) with no fault handler installed"
+            )
+        self.fault_handler(index, kind)
+        page = self.pages[index]
+        if kind == FAULT_NOT_PRESENT and not page.present:
+            raise InvalidValueError(f"fault handler failed to make page {index} present")
+        if kind == FAULT_WRITE_PROTECTED and page.write_protected:
+            raise InvalidValueError(f"fault handler failed to unprotect page {index}")
+
+    # -- bit management (the checkpointer's toolbox) ------------------------------
+    def clear_soft_dirty(self) -> None:
+        """CRIU-style: reset dirty tracking for a new interval."""
+        for page in self.pages:
+            page.soft_dirty = False
+
+    def dirty_pages(self) -> list[int]:
+        """Indices of pages written since the last clear."""
+        return [p.index for p in self.pages if p.soft_dirty]
+
+    def protect_all(self) -> None:
+        """Write-protect every page (start of a CoW checkpoint)."""
+        for page in self.pages:
+            page.write_protected = True
+
+    def unprotect(self, index: int) -> None:
+        self._check(index).write_protected = False
+
+    def unprotect_all(self) -> None:
+        for page in self.pages:
+            page.write_protected = False
+
+    def mark_all_not_present(self) -> None:
+        """Start of an on-demand restore: nothing is loaded yet."""
+        for page in self.pages:
+            page.present = False
+
+    def mark_present(self, index: int) -> None:
+        self._check(index).present = True
+
+    def snapshot_all(self) -> list[bytes]:
+        """Functional snapshot of every page (no timing; used by tests)."""
+        return [p.snapshot() for p in self.pages]
+
+    def __iter__(self) -> Iterator[Page]:
+        return iter(self.pages)
+
+
+# -- the per-page CRIU loops over those pages (old repro.cpu.criu) ----------------
 
 class CriuEngine:
     """Checkpoint/restore driver for the CPU half of a process."""
@@ -76,7 +202,7 @@ class CriuEngine:
                     prev_handler(index, kind)
                     return
                 raise CheckpointError(f"unexpected CPU fault {kind} on page {index}")
-            preserved[index] = mem.snapshot_pages((index,))[0]
+            preserved[index] = mem.pages[index].snapshot()
             mem.unprotect(index)
             result.cow_faults += 1
             obs.counter("criu/cow-faults").inc()
@@ -137,17 +263,17 @@ class CriuEngine:
         bytes do not depend on the fast path.
         """
         mem = process.memory
-        if parent_id is not None and mem.delta_epoch == parent_id:
-            candidates = mem.dirty_pages()
+        epoch = getattr(mem, "_delta_epoch", None)
+        if parent_id is not None and epoch == parent_id:
+            candidates = sorted(mem.dirty_pages())
             obs.counter("criu/delta-fastpath-pages").inc(len(candidates))
         else:
             candidates = range(mem.n_pages)
         mem.clear_soft_dirty()
         result = CpuDumpResult()
         changed = [
-            index
-            for index, data in zip(candidates, mem.snapshot_pages(candidates))
-            if parent_pages.get(index) != data
+            index for index in candidates
+            if parent_pages.get(index) != mem.pages[index].snapshot()
         ]
         with obs.span("criu-dump", mode="delta", pages=len(changed)):
             yield from self._copy_pages(mem, image, medium, {}, result,
@@ -167,7 +293,7 @@ class CriuEngine:
         the image's copy — so a later :meth:`dump_delta` naming this
         image as parent may compare only bit-set candidates.
         """
-        mem.delta_epoch = image.id
+        mem._delta_epoch = image.id
 
     def recopy_dirty(self, process: HostProcess, image: CheckpointImage,
                      medium: Medium, dirty: list[int]):
@@ -176,7 +302,8 @@ class CriuEngine:
         with obs.span("criu-recopy", pages=len(dirty)):
             for start in range(0, len(dirty), PAGES_PER_FLOW):
                 batch = dirty[start : start + PAGES_PER_FLOW]
-                image.add_cpu_pages(batch, mem.snapshot_pages(batch))
+                for index in batch:
+                    image.add_cpu_page(index, mem.pages[index].snapshot())
                 yield from medium.write_flow(
                     len(batch) * mem.page_size, rate_cap=CPU_COPY_BW
                 )
@@ -202,13 +329,11 @@ class CriuEngine:
                 )
                 # Content is captured at batch completion; CoW-preserved
                 # pages supply their pre-write bytes.
-                datas = mem.snapshot_pages(batch)
-                if preserved:
-                    datas = [preserved.get(index, data)
-                             for index, data in zip(batch, datas)]
-                image.add_cpu_pages(batch, datas)
-                mem.unprotect_pages(batch)
-                result.pages_copied += len(batch)
+                for index in batch:
+                    data = preserved.get(index, mem.pages[index].snapshot())
+                    image.add_cpu_page(index, data)
+                    mem.unprotect(index)
+                    result.pages_copied += 1
                 obs.counter("criu/pages-copied").inc(len(batch))
 
         workers = [
@@ -230,19 +355,9 @@ class CriuEngine:
         """
         image.require_finalized()
         mem = process.memory
-        # The keys come from outside (a loaded image file): reject one
-        # beyond the address space before anything is overwritten.
-        if image.cpu_pages:
-            low, high = min(image.cpu_pages), max(image.cpu_pages)
-            if low < 0 or high >= mem.n_pages:
-                raise CheckpointError(
-                    f"image {image.name!r} holds CPU page "
-                    f"{low if low < 0 else high}, outside the process's "
-                    f"address space 0..{mem.n_pages - 1}"
-                )
         # A restore rewrites pages without touching soft-dirty bits, so
         # any prior dump epoch no longer over-approximates changes.
-        mem.delta_epoch = None
+        mem._delta_epoch = None
         process.restore_control_state(image.cpu_control)
         process.kernel_objects = list(image.kernel_objects)
         if not on_demand:
@@ -255,7 +370,9 @@ class CriuEngine:
                     yield from medium.read_flow(
                         len(batch) * mem.page_size, rate_cap=CPU_COPY_BW
                     )
-                    mem.load_pages(batch, [image.cpu_pages[i] for i in batch])
+                    for index in batch:
+                        mem.pages[index].load(image.cpu_pages[index])
+                        mem.mark_present(index)
 
             if indices:
                 workers = [
@@ -304,10 +421,9 @@ class LazyRestoreSession:
                 return
             raise CheckpointError(f"unexpected fault {kind} during lazy restore")
         data = self.image.cpu_pages.get(index)
-        if data is None:  # never captured: the page keeps its bytes
-            mem.mark_present(index)
-        else:
-            mem.load_pages((index,), (data,))
+        if data is not None:
+            mem.pages[index].load(data)
+        mem.mark_present(index)
         self.faults += 1
         obs.counter("criu/lazy-faults").inc()
         # The faulting access pays the page fetch latency; it is charged
@@ -324,18 +440,14 @@ class LazyRestoreSession:
         indices = sorted(self.image.cpu_pages)
         for start in range(0, len(indices), PAGES_PER_FLOW):
             batch = indices[start : start + PAGES_PER_FLOW]
-            pending = mem.absent_pages(batch)
+            pending = [i for i in batch if not mem.pages[i].present]
             if pending:
                 yield from self.medium.read_flow(
                     len(pending) * mem.page_size, rate_cap=CPU_COPY_BW
                 )
-                # Pages the process faulted in meanwhile are skipped.
-                pending = mem.absent_pages(pending)
-                mem.load_pages(pending,
-                               [self.image.cpu_pages[i] for i in pending])
+            for index in pending:
+                if not mem.pages[index].present:  # may have faulted meanwhile
+                    mem.pages[index].load(self.image.cpu_pages[index])
+                    mem.mark_present(index)
         mem.fault_handler = self._prev_handler
         self._done.succeed()
-
-
-#: Re-exported for convenience in tests.
-CpuCheckpoint = CpuDumpResult

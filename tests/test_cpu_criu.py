@@ -83,7 +83,7 @@ def test_cow_dump_unprotects_all_pages_after(eng, medium):
         yield from criu.dump_cow(proc, CheckpointImage(), medium)
 
     eng.run_process(dump(eng))
-    assert not any(p.write_protected for p in proc.memory)
+    assert not proc.memory.write_protected.any()
     proc.memory.write(3, page_bytes(99))  # must not fault
 
 
@@ -210,3 +210,69 @@ def _drain(gen, eng):
     """Run a generator that may yield events and return its value."""
     result = yield from gen
     return result
+
+
+def criu_restore(eng, image, proc, medium, on_demand):
+    session = yield from CriuEngine(eng).restore(image, proc, medium,
+                                                 on_demand=on_demand)
+    if session is not None:
+        yield session.done
+
+
+@pytest.mark.parametrize("on_demand", [False, True], ids=["eager", "lazy"])
+@pytest.mark.parametrize("stray", [-1, 4, 9])
+def test_restore_rejects_a_page_outside_the_address_space(eng, medium,
+                                                          on_demand, stray):
+    """An image key beyond the process (a loaded file supplies them) must
+    fail the restore before a single page, bit or register changes: -1
+    used to overwrite the last page first, 9 used to kill one worker
+    (eager: reported as success; lazy: ``done`` never fired)."""
+    image = CheckpointImage(name="bad-keys")
+    for index in (0, 1, stray, 3):
+        image.add_cpu_page(index, page_bytes(0xAA))
+    image.cpu_control = {"pc": 7}
+    image.finalize(0.0)
+    proc = make_process(n_pages=4)
+    before = proc.memory.snapshot_all()
+    handler = proc.memory.fault_handler
+
+    def flow(eng):
+        yield from criu_restore(eng, image, proc, medium, on_demand)
+
+    with pytest.raises(CheckpointError,
+                       match=rf"'bad-keys' holds CPU page {stray}, outside"):
+        eng.run_process(flow(eng))
+    eng.run()  # nothing was left running behind the raise
+    assert proc.memory.snapshot_all() == before
+    assert proc.memory.present.all()
+    assert proc.memory.fault_handler is handler
+    assert proc.registers["pc"] == 42
+
+
+def test_restore_drops_the_soft_dirty_epoch(eng, medium):
+    """A dump stamps the memory with its image's id so the next delta
+    dump may trust the soft-dirty bits; a restore rewrites pages behind
+    those bits, so it must drop the stamp and force the full compare."""
+    proc = make_process(n_pages=8)
+    criu = CriuEngine(eng)
+    first = CheckpointImage(name="first")
+    other = CheckpointImage(name="other")
+    for index in range(8):
+        other.add_cpu_page(index, page_bytes(0x40 if index in (2, 5)
+                                             else index + 1))
+    other.finalize(0.0)
+    delta = CheckpointImage(name="delta")
+
+    def flow(eng):
+        assert proc.memory.delta_epoch is None
+        yield from criu.dump_tracked(proc, first, medium)
+        assert proc.memory.delta_epoch == first.id
+        yield from criu.restore(other, proc, medium)
+        assert proc.memory.delta_epoch is None
+        assert proc.memory.dirty_pages() == []  # the bits saw nothing
+        yield from criu.dump_delta(proc, delta, medium, first.cpu_pages,
+                                   parent_id=first.id)
+
+    eng.run_process(flow(eng))
+    assert sorted(delta.cpu_pages) == [2, 5]
+    assert proc.memory.delta_epoch == delta.id

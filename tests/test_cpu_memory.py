@@ -1,4 +1,4 @@
-"""Unit tests for host memory pages and page-table bits."""
+"""Unit tests for host memory pages, page-table bits and batch operations."""
 
 import pytest
 
@@ -21,8 +21,10 @@ def mem():
 
 
 def test_pages_start_zeroed_present_unprotected(mem):
-    for page in mem:
-        assert page.present and not page.write_protected and not page.soft_dirty
+    assert mem.present.all()
+    assert not mem.write_protected.any() and not mem.soft_dirty.any()
+    assert not mem.version.any()
+    assert mem.snapshot_all() == [page_bytes(0)] * 8
     assert mem.read(0) == page_bytes(0)
 
 
@@ -44,9 +46,10 @@ def test_clear_soft_dirty(mem):
 
 
 def test_version_increments_on_write(mem):
-    v0 = mem.pages[2].version
+    v0 = mem.version[2]
     mem.write(2, page_bytes(9))
-    assert mem.pages[2].version == v0 + 1
+    assert mem.version[2] == v0 + 1
+    assert mem.version.sum() == v0 + 1  # and no other page's
 
 
 def test_out_of_range_rejected(mem):
@@ -127,3 +130,41 @@ def test_logical_bytes(mem):
 def test_zero_pages_rejected():
     with pytest.raises(InvalidValueError):
         HostMemory(0)
+
+
+# -- batch operations (the checkpointer's copy path) ------------------------------
+
+def test_a_bad_batch_leaves_memory_untouched():
+    """Validation covers the whole batch before the first byte lands."""
+    mem = HostMemory(4)
+    mem.mark_all_not_present()
+    mem.protect_all()
+    good = page_bytes(7)
+    with pytest.raises(InvalidValueError, match="page index 4 out of range"):
+        mem.load_pages([0, 1, 4], [good] * 3)
+    with pytest.raises(InvalidValueError, match="page index -1 out of range"):
+        mem.load_pages([0, -1], [good] * 2)  # must not wrap to the last page
+    with pytest.raises(InvalidValueError, match="16 bytes, got 15"):
+        mem.load_pages([0, 1, 2], [good, good, good[:-1]])
+    with pytest.raises(InvalidValueError, match="3 page indices but 2"):
+        mem.load_pages([0, 1, 2], [good, good])
+    with pytest.raises(InvalidValueError, match="page index -1 out of range"):
+        mem.unprotect_pages([0, -1])
+    with pytest.raises(InvalidValueError, match="page index 9 out of range"):
+        mem.snapshot_pages([9])
+    assert mem.snapshot_all() == [page_bytes(0)] * 4
+    assert not mem.present.any() and mem.write_protected.all()
+    mem.load_pages([], [])  # the empty batch is a no-op
+    assert mem.snapshot_pages([]) == [] and mem.absent_pages([]) == []
+
+
+def test_snapshot_pages_reads_what_the_process_cannot():
+    """A dump reads non-present and protected pages without a fault."""
+    mem = HostMemory(3)
+    mem.write(1, page_bytes(5))
+    mem.mark_all_not_present()
+    mem.protect_all()
+    mem.fault_handler = lambda *a: pytest.fail("a dump does not fault")
+    assert mem.snapshot_pages(range(3)) == [page_bytes(0), page_bytes(5),
+                                            page_bytes(0)]
+    assert mem.snapshot_pages((1,)) == [page_bytes(5)]

@@ -249,6 +249,86 @@ def test_all_of_with_pre_fired_events(eng):
     assert eng.run_process(proc(eng)) == ["already", "later"]
 
 
+def _lockstep_children(eng, order):
+    """One process per entry of ``order`` ("ok"/"bad"), all ending at t=1."""
+    def ok(eng):
+        yield eng.timeout(1.0)
+        return "fine"
+
+    def bad(eng):
+        yield eng.timeout(1.0)
+        raise ValueError("boom")
+
+    bodies = {"ok": ok, "bad": bad}
+    return [eng.spawn(bodies[kind](eng)) for kind in order]
+
+
+@pytest.mark.parametrize("order", [
+    ("ok", "bad"),          # the successful child's callback comes first
+    ("bad", "ok"),
+    ("ok", "ok", "bad", "ok"),
+])
+@pytest.mark.parametrize("engine_cls", [Engine, HeapEngine])
+def test_all_of_fails_when_a_same_instant_sibling_failed(engine_cls, order):
+    """Lockstep children (eight copiers ending on one timer) have all
+    fired before the first callback is delivered; a successful child's
+    callback must not report the conjunction as a success with the
+    sibling's exception sitting in its value list."""
+    eng = engine_cls()
+    conj = eng.all_of(_lockstep_children(eng, order))
+    with pytest.raises(ValueError, match="boom"):
+        eng.run(conj)
+    assert eng.now == 1.0 and not conj.ok
+
+
+def test_all_of_reports_the_first_failed_child_in_child_order(eng):
+    first, second = eng.event("first"), eng.event("second")
+    done = eng.timeout(1.0)
+
+    def fire_both(_):
+        second.fail(KeyError("second"))  # fires first, listed second
+        first.fail(ValueError("first"))
+
+    done.add_callback(fire_both)
+    # ``done``'s own callback is delivered before either failure's.
+    conj = eng.all_of([done, first, second])
+    with pytest.raises(ValueError, match="first"):
+        eng.run(conj)
+
+
+def test_all_of_with_a_duplicate_failed_child(eng):
+    ok, bad = _lockstep_children(eng, ("ok", "bad"))
+    conj = eng.all_of([ok, bad, ok, bad])
+    with pytest.raises(ValueError, match="boom"):
+        eng.run(conj)
+
+
+def test_all_of_over_children_already_failed_at_construction(eng):
+    ok, bad = _lockstep_children(eng, ("ok", "bad"))
+    eng.run()
+    assert ok.ok and not bad.ok
+    conj = eng.all_of([ok, bad])  # fires in the constructor
+    assert conj.triggered and not conj.ok
+    assert isinstance(conj.value, ValueError)
+    # One pending sibling: the failure is reported when its callback is
+    # delivered, without waiting for the sibling.
+    late = eng.all_of([ok, bad, eng.timeout(5.0)])
+    with pytest.raises(ValueError, match="boom"):
+        eng.run(late)
+    assert eng.now == 1.0
+
+
+def test_any_of_reports_the_child_whose_callback_comes_first(eng):
+    """``AnyOf`` cannot mask a failure the way ``AllOf`` did: it reports
+    exactly one child, the one delivered first, success or failure."""
+    ok, bad = _lockstep_children(eng, ("ok", "bad"))
+    assert eng.run(eng.any_of([ok, bad])) == (0, "fine")
+    eng2 = Engine()
+    bad2, ok2 = _lockstep_children(eng2, ("bad", "ok"))
+    with pytest.raises(ValueError, match="boom"):
+        eng2.run(eng2.any_of([bad2, ok2]))
+
+
 def test_schedule_in_past_rejected(eng):
     def proc(eng):
         yield eng.timeout(5.0)

@@ -144,6 +144,31 @@ def test_invalid_arguments(eng):
         next(link.flow(1.0, rate_cap=0))
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("param", ["bandwidth", "latency", "nbytes", "weight",
+                                   "rate_cap"])
+def test_non_finite_parameters_raise_at_the_call(eng, param, bad):
+    """A NaN or infinite parameter used to wedge a flow on the link for
+    ever (``run()`` returned with ``active_flows == 1``); it raises where
+    it is passed, and the link stays usable."""
+    if param in ("bandwidth", "latency"):
+        kwargs = {"bandwidth": 10.0, param: bad}
+        with pytest.raises(InvalidValueError, match=param):
+            FluidLink(eng, **kwargs)
+        return
+    link = FluidLink(eng, bandwidth=10.0)
+    kwargs = {"nbytes": 5.0, param: bad}
+    with pytest.raises(InvalidValueError, match=param):
+        next(link.flow(**kwargs))
+    assert link.active_flows == 0
+
+    def proc(eng):
+        yield from link.flow(20.0)
+        return eng.now
+
+    assert eng.run_process(proc(eng)) == 2.0
+
+
 def test_active_flows_counter(eng):
     link = FluidLink(eng, bandwidth=10.0)
     counts = []
@@ -202,8 +227,8 @@ def _water_fill(bandwidth, flows):
 @pytest.mark.parametrize("seed", range(20))
 def test_uniform_flow_shortcut_is_float_exact(eng, seed):
     """Uniform flows (weight 1.0, one cap — nearly every call) skip the
-    water-filling; the rates must be the very floats it computes, or
-    every downstream DMA timestamp moves."""
+    water-filling; the link's one rate must be the very float it
+    computes for each of them, or every downstream DMA timestamp moves."""
     rng = random.Random(seed)
     bandwidth = rng.uniform(1e9, 3e10)
     link = FluidLink(eng, bandwidth=bandwidth)
@@ -212,14 +237,18 @@ def test_uniform_flow_shortcut_is_float_exact(eng, seed):
     cap = rng.choice([None, share * 0.5, share, share * 1.5])
     link._flows = [_Flow(1e6, 1.0, cap) for _ in range(n)]
     link._recompute_rates()
-    assert [f.rate for f in link._flows] == _water_fill(bandwidth,
-                                                         link._flows)
+    # Uniform: the one rate is kept on the link, not on each flow.
+    assert link._uniform and link._cap == cap
+    assert [link._rate] * n == _water_fill(bandwidth, link._flows)
+    assert link.current_rate() == sum(_water_fill(bandwidth, link._flows))
     # One odd flow sends the same set down the general path.
     link._flows.append(_Flow(1e6, rng.choice([0.5, 1.0, 2.0]),
                              share * rng.choice([0.25, 2.0])))
     link._recompute_rates()
+    assert not link._uniform
     assert [f.rate for f in link._flows] == _water_fill(bandwidth,
                                                          link._flows)
+    assert link.current_rate() == sum(_water_fill(bandwidth, link._flows))
 
 
 def test_flow_completion_event_names_itself_on_demand(eng):

@@ -164,6 +164,27 @@ def test_cpu_page_aggregates_track_overwrite_and_drop():
     assert image.stored_bytes() == 32
 
 
+def test_cpu_page_batches_keep_the_same_aggregates():
+    """``add_cpu_pages`` is the dump's batch insert: same table, same
+    running byte count as one ``add_cpu_page`` per page, and the
+    finalized check comes before the first page lands."""
+    batched, single = DeltaImage(name="x"), DeltaImage(name="y")
+    steps = [([0, 1, 2], [b"a" * 64, b"b" * 64, b"c" * 16]),
+             ([2, 0, 7], [b"d" * 64, b"e" * 8, b"f" * 16]),  # two overwrites
+             ([], [])]
+    for indices, datas in steps:
+        batched.add_cpu_pages(indices, datas)
+        for index, data in zip(indices, datas):
+            single.add_cpu_page(index, data)
+        assert batched.cpu_pages == single.cpu_pages
+        assert batched.stored_page_bytes == single.stored_page_bytes
+    assert batched.stored_page_bytes == 8 + 64 + 64 + 16
+    batched.finalize(0.0)
+    with pytest.raises(CheckpointError, match="finalized"):
+        batched.add_cpu_pages([9], [b"z" * 16])
+    assert 9 not in batched.cpu_pages
+
+
 # -- ProtocolConfig content_chunk_bytes -------------------------------------
 
 @pytest.mark.parametrize("bad", [0, -256, 3, 100, 257])
