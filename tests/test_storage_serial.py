@@ -275,3 +275,117 @@ def test_v1_golden_loads_and_writer_is_stable(tmp_path):
     out = tmp_path / "rewrite.phos"
     save_image(loaded, out)
     assert out.read_bytes() == golden.read_bytes()
+
+
+# -- v2 golden fixtures (the delta container, pinned before its writer changed) -----
+
+def make_golden_v2_chain():
+    """The deterministic (root, delta) toy chain pinned as
+    ``goldens/image_v2_root.phos`` / ``image_v2_delta.phos``.
+
+    Built by hand (no simulation) with explicit ids — a default id
+    embeds ``os.getpid()`` and the delta's file stores its parent's.
+    64-byte chunks; buffer 1 has a short tail chunk and is partially
+    changed (chunk 1 and the tail), buffer 2 is a pure-reuse record,
+    buffer 3 is freed, buffer 5 is new at buffer 3's address with an
+    empty payload, GPU 1's buffer 4 is rewritten whole; CPU page 0 equals the parent's (dropped
+    at seal), page 1 changed (kept).  Regenerate with::
+
+        PYTHONPATH=src python -c "from tests.test_storage_serial import \\
+            write_golden_v2; write_golden_v2()"
+    """
+    from repro.storage.delta import DeltaImage, materialize, seal_delta
+    from repro.storage.hashcache import BufferHashCache
+    from repro.storage.image import GpuBufferRecord
+
+    cb = 64
+    cache = BufferHashCache()
+    payload = {
+        1: bytes(range(200)),                       # 3 chunks + 8-byte tail
+        2: bytes(range(128, 256)),                  # 2 chunks
+        3: b"\x33" * 64,
+        4: bytes((7 * i) % 251 for i in range(100)),
+    }
+    layout = {1: (0, 0x1000, 4096, "weights"), 2: (0, 0x2000, 128, "frozen"),
+              3: (0, 0x3000, 64, "scratch"), 4: (1, 0x1000, 256, "acts"),
+              5: (0, 0x3000, 64, "")}
+
+    def capture(image, buf_id, data):
+        gpu, addr, size, tag = layout[buf_id]
+        image.add_gpu_buffer(gpu, GpuBufferRecord(
+            buffer_id=buf_id, addr=addr, size=size, data=data, tag=tag))
+
+    def dress(image, pc):
+        image.cpu_control = {"pc": pc, "sp": 0x7FF0}
+        image.gpu_modules = {0: ["toy.cubin"], 1: ["toy.cubin"]}
+        image.context_meta = {"cpu_pages": 2, "n_gpus": 2}
+        image.cpu_page_size = 64
+
+    root = DeltaImage(name="golden-v2-root", id="golden.1", chunk_bytes=cb)
+    dress(root, 0x401)
+    for buf_id in (1, 2, 3, 4):
+        capture(root, buf_id, payload[buf_id])
+    root.add_cpu_page(0, b"\xa0" * 64)
+    root.add_cpu_page(1, b"\xa1" * 64)
+    seal_delta(root, None, cache=cache)
+    root.finalize(1.0)
+
+    changed = bytearray(payload[1])
+    changed[70:75] = b"DELTA"          # chunk 1
+    changed[195:200] = b"TAIL!"        # the 8-byte tail chunk (index 3)
+    cache.note_write(1, 70, 75)
+    cache.note_write(1, 195, 200)
+    cache.note_write(4, 0, 100)
+    delta = DeltaImage(name="golden-v2-delta", id="golden.2",
+                       parent_id=root.id, parent_name=root.name,
+                       parent_ref=root, chunk_bytes=cb)
+    dress(delta, 0x402)
+    capture(delta, 1, bytes(changed))
+    capture(delta, 4, bytes(reversed(payload[4])))
+    capture(delta, 5, b"")
+    delta.add_cpu_page(0, b"\xa0" * 64)
+    delta.add_cpu_page(1, b"\xb1" * 64)
+    seal_delta(delta, materialize(root), reused={0: {2}}, freed={0: {3}},
+               cache=cache)
+    delta.finalize(2.0)
+    want = {(0, 0x1000): bytes(changed), (0, 0x2000): payload[2],
+            (1, 0x1000): bytes(reversed(payload[4])), (0, 0x3000): b""}
+    return root, delta, want
+
+
+def write_golden_v2(directory=GOLDENS):
+    root, delta, _ = make_golden_v2_chain()
+    save_image(root, directory / "image_v2_root.phos")
+    save_image(delta, directory / "image_v2_delta.phos")
+
+
+def test_v2_goldens_load_materialize_and_writer_is_stable(tmp_path):
+    """The committed v2 fixtures (written by the PR-20 writer, before
+    records were packed) keep loading, the delta materializes through
+    the root to the pinned bytes, and both today's sealer + writer and
+    a load → save round trip reproduce the files byte for byte."""
+    from repro.storage.delta import DeltaImage, materialize
+
+    root_path = GOLDENS / "image_v2_root.phos"
+    delta_path = GOLDENS / "image_v2_delta.phos"
+    root, delta = load_image(root_path), load_image(delta_path)
+    assert isinstance(root, DeltaImage) and root.parent_id is None
+    assert isinstance(delta, DeltaImage) and delta.parent_id == "golden.1"
+    assert (root.chunks_written, root.chunks_reused) == (9, 0)
+    assert (delta.chunks_written, delta.chunks_reused) == (4, 4)
+    assert delta.reused_buffers == 2          # buffer 2 and the empty one
+    assert delta.cpu_pages == {1: b"\xb1" * 64}
+    assert 3 not in delta.delta_gpu[0]
+
+    fresh_root, fresh_delta, want = make_golden_v2_chain()
+    full = materialize(delta, resolve={"golden.1": root}.get)
+    assert image_gpu_state(full) == want
+    assert full.cpu_pages == {0: b"\xa0" * 64, 1: b"\xb1" * 64}
+    assert image_gpu_state(materialize(fresh_delta)) == want
+
+    for golden, loaded, fresh in ((root_path, root, fresh_root),
+                                  (delta_path, delta, fresh_delta)):
+        for i, image in enumerate((loaded, fresh)):
+            out = tmp_path / f"{golden.stem}-{i}.phos"
+            save_image(image, out)
+            assert out.read_bytes() == golden.read_bytes()
