@@ -7,6 +7,10 @@ storage half of that: a :class:`DeltaImage` stores, per buffer, a
 content-addressed chunk table (one hash per fixed-size chunk of the
 buffer's captured bytes) plus **only the chunks that changed** since a
 named parent image.  Everything else is a reference into the parent.
+A buffer typically has a handful of chunks, so nothing here is paid
+per chunk object or per small array: a record is three packed values
+(:class:`DeltaBufferRecord`) and the extent→chunk math is integer
+arithmetic (:func:`dirty_chunk_intervals`).
 
 The rules:
 
@@ -30,6 +34,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from operator import lt
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -46,51 +51,94 @@ CHUNK_BYTES = 256
 DIGEST_SIZE = 16
 
 
+#: An empty hasher of that size.  Copying it costs less than building
+#: one per chunk; it is never updated itself.
+_EMPTY_HASHER = hashlib.blake2b(digest_size=DIGEST_SIZE)
+
+
 def hash_chunk(chunk) -> bytes:
     """The content address of one chunk (bytes or memoryview)."""
-    return hashlib.blake2b(chunk, digest_size=DIGEST_SIZE).digest()
+    hasher = _EMPTY_HASHER.copy()
+    hasher.update(chunk)
+    return hasher.digest()
 
 
-def chunk_hashes(data, chunk_bytes: int = CHUNK_BYTES) -> list[bytes]:
-    """Content addresses of every chunk of ``data``, in order.
-
-    Slices through a memoryview so the hasher reads the payload in
-    place — no per-chunk ``bytes`` copies.
-    """
-    view = memoryview(data)
-    blake2b = hashlib.blake2b
-    ds = DIGEST_SIZE
-    return [blake2b(view[off : off + chunk_bytes], digest_size=ds).digest()
-            for off in range(0, len(view), chunk_bytes)]
+def chunk_table(data: bytes, chunk_bytes: int = CHUNK_BYTES) -> bytes:
+    """Content addresses of every chunk of ``data``, in order, back to
+    back — the packed form a :class:`DeltaBufferRecord` stores."""
+    fresh = _EMPTY_HASHER.copy
+    digests = []
+    for off in range(0, len(data), chunk_bytes):
+        hasher = fresh()
+        hasher.update(data[off : off + chunk_bytes])
+        digests.append(hasher.digest())
+    return b"".join(digests)
 
 
 def chunk_count(data_len: int, chunk_bytes: int) -> int:
     return (data_len + chunk_bytes - 1) // chunk_bytes
 
 
-def dirty_chunk_indices(ranges: Iterable[tuple[int, int]], data_len: int,
-                        chunk_bytes: int) -> np.ndarray:
-    """Sorted unique chunk indices overlapped by half-open byte ranges.
+def differing_chunks(got: bytes, want: bytes, base: int = 0) -> list[int]:
+    """Indices (from ``base``) of ``want``'s digests that ``got`` does not
+    hold at the same place; a ``got`` that ends early differs from its
+    first missing digest on."""
+    ds = DIGEST_SIZE
+    return [base + off // ds for off in range(0, len(want), ds)
+            if got[off : off + ds] != want[off : off + ds]]
 
-    The range→chunk math is vectorized: each ``[start, end)`` pair
-    becomes a ``[start // cb, (end - 1) // cb]`` chunk interval, the
-    intervals are expanded with ``np.repeat``/``np.arange`` and merged
-    with ``np.unique``.  Ranges are clipped to ``[0, data_len)``; a
-    range entirely past the materialized payload touches no chunk.
+
+def dirty_chunk_intervals(ranges: Iterable[tuple[int, int]], data_len: int,
+                          chunk_bytes: int) -> list[tuple[int, int]]:
+    """Merged, ascending, inclusive chunk intervals overlapped by
+    half-open byte ranges.
+
+    Plain integer arithmetic: each ``[start, end)`` is clipped to
+    ``[0, data_len)`` and becomes ``[start // cb, (end - 1) // cb]``; the
+    intervals are sorted only when they do not already arrive ascending
+    (a :class:`~repro.gpu.ranges.RangeSet` iterates sorted and disjoint)
+    and touching or overlapping neighbours are merged.  A range entirely
+    outside the materialized payload touches no chunk.
     """
     if data_len <= 0:
+        return []
+    spans = []
+    ascending = True
+    prev = 0
+    for start, end in ranges:
+        if end <= 0 or start >= data_len or end <= start:
+            continue
+        lo = start // chunk_bytes if start > 0 else 0
+        if lo < prev:
+            ascending = False
+        prev = lo
+        spans.append((lo, ((end if end < data_len else data_len) - 1)
+                      // chunk_bytes))
+    if len(spans) < 2:
+        return spans
+    if not ascending:
+        spans.sort()
+    merged = []
+    cur_lo, cur_hi = spans[0]
+    for lo, hi in spans:
+        if lo > cur_hi + 1:
+            merged.append((cur_lo, cur_hi))
+            cur_lo, cur_hi = lo, hi
+        elif hi > cur_hi:
+            cur_hi = hi
+    merged.append((cur_lo, cur_hi))
+    return merged
+
+
+def dirty_chunk_indices(ranges: Iterable[tuple[int, int]], data_len: int,
+                        chunk_bytes: int) -> np.ndarray:
+    """Sorted unique chunk indices overlapped by half-open byte ranges
+    (any order, overlapping, negative or past the payload's end)."""
+    spans = dirty_chunk_intervals(ranges, data_len, chunk_bytes)
+    if not spans:
         return np.empty(0, dtype=np.int64)
-    pairs = [(s, e) for s, e in ranges if e > 0 and s < data_len and e > s]
-    if not pairs:
-        return np.empty(0, dtype=np.int64)
-    arr = np.asarray(pairs, dtype=np.int64)
-    lo = np.maximum(arr[:, 0], 0) // chunk_bytes
-    hi = (np.minimum(arr[:, 1], data_len) - 1) // chunk_bytes
-    counts = hi - lo + 1
-    total = int(counts.sum())
-    starts = np.repeat(lo, counts)
-    bases = np.repeat(np.cumsum(counts) - counts, counts)
-    return np.unique(starts + (np.arange(total, dtype=np.int64) - bases))
+    return np.concatenate([np.arange(lo, hi + 1, dtype=np.int64)
+                           for lo, hi in spans])
 
 
 def dirty_chunk_span_bytes(ranges: Iterable[tuple[int, int]], data_len: int,
@@ -101,12 +149,11 @@ def dirty_chunk_span_bytes(ranges: Iterable[tuple[int, int]], data_len: int,
     dirty byte lands in, rounded to chunk boundaries (the final chunk
     is clipped to the payload length).
     """
-    idx = dirty_chunk_indices(ranges, data_len, chunk_bytes)
-    if idx.size == 0:
+    spans = dirty_chunk_intervals(ranges, data_len, chunk_bytes)
+    if not spans:
         return 0
-    nbytes = int(idx.size) * chunk_bytes
-    last = int(idx[-1])
-    tail = data_len - last * chunk_bytes
+    nbytes = sum([hi - lo + 1 for lo, hi in spans]) * chunk_bytes
+    tail = data_len - spans[-1][1] * chunk_bytes
     if tail < chunk_bytes:
         nbytes -= chunk_bytes - tail
     return nbytes
@@ -116,10 +163,15 @@ def dirty_chunk_span_bytes(ranges: Iterable[tuple[int, int]], data_len: int,
 class DeltaBufferRecord:
     """One buffer in a delta image: full chunk table, partial payload.
 
-    ``hashes`` covers the buffer's complete captured payload
-    (``data_len`` bytes); ``chunks`` holds the payload of only the
-    chunks this delta stores itself — every other chunk is resolved
-    from the parent image at materialize time.
+    Three packed, immutable values: ``table`` is the content address of
+    every chunk of the buffer's captured payload (``data_len`` bytes),
+    ``DIGEST_SIZE`` bytes each, back to back; ``index`` names, ascending,
+    the chunks this delta stores itself and ``payload`` is those chunks'
+    bytes back to back — their order in the v2 blob section.  Every
+    other chunk is resolved from the parent image at materialize time.
+    Packed ``bytes`` rather than arrays because a typical buffer has a
+    handful of chunks: a slice compare is one ``memcmp`` and value
+    equality comes with the type.
     """
 
     buffer_id: int
@@ -127,11 +179,39 @@ class DeltaBufferRecord:
     size: int            # logical buffer size (what the cost model charges)
     data_len: int        # captured payload length (materialized prefix)
     tag: str = ""
-    hashes: list[bytes] = field(default_factory=list)
-    chunks: dict[int, bytes] = field(default_factory=dict)
+    table: bytes = b""
+    index: tuple[int, ...] = ()
+    payload: bytes = b""
 
     def stored_bytes(self) -> int:
-        return sum(len(c) for c in self.chunks.values())
+        return len(self.payload)
+
+    def validate(self, image_name: str, chunk_bytes: int) -> None:
+        """Raise unless ``index`` ascends inside the payload's chunks and
+        ``payload`` is exactly those chunks' bytes — what every reader of
+        the packed fields (materialize, the v2 writer) relies on."""
+        index = self.index
+        if index and not (
+                0 <= index[0] and index[-1] * chunk_bytes < self.data_len
+                and all(map(lt, index, index[1:]))):
+            raise TornImageError(
+                f"delta image {image_name!r}: buffer {self.buffer_id} stores "
+                f"chunks {index}, not an ascending run inside its "
+                f"{self.data_len}-byte payload"
+            )
+        stored = len(index) * chunk_bytes
+        if index:   # the payload's last chunk may be a short one
+            stored -= max(0, (index[-1] + 1) * chunk_bytes - self.data_len)
+        if len(self.payload) != stored:
+            raise _torn_payload(image_name, self)
+
+
+def _torn_payload(image_name: str, rec: DeltaBufferRecord) -> TornImageError:
+    return TornImageError(
+        f"delta image {image_name!r}: buffer {rec.buffer_id} stores "
+        f"{len(rec.payload)} payload bytes for {len(rec.index)} chunks of "
+        f"its {rec.data_len}-byte payload"
+    )
 
 
 @dataclass
@@ -173,9 +253,11 @@ class DeltaImage(CheckpointImage):
     def add_delta_record(self, gpu_index: int, rec: "DeltaBufferRecord") -> None:
         """Insert one sealed buffer record, updating running aggregates.
 
-        The record must be complete (hash table + local chunks filled)
-        before insertion; re-inserting a buffer id is a sealing bug and
-        raises.
+        The record must be complete (chunk table + local chunks filled)
+        before insertion.  Re-inserting a buffer id, an ``index`` that
+        is not ascending inside the payload's chunks, or a ``payload``
+        that is not exactly those chunks' bytes is a sealing bug (or a
+        tampered file) and raises.
         """
         table = self.delta_gpu.setdefault(gpu_index, {})
         if rec.buffer_id in table:
@@ -183,12 +265,13 @@ class DeltaImage(CheckpointImage):
                 f"delta image {self.name!r}: buffer {rec.buffer_id} "
                 f"recorded twice on gpu {gpu_index}"
             )
+        rec.validate(self.name, self.chunk_bytes)
+        n_local = len(rec.index)
         table[rec.buffer_id] = rec
-        n_local = len(rec.chunks)
-        self.stored_chunk_bytes += rec.stored_bytes()
+        self.stored_chunk_bytes += len(rec.payload)
         self.chunks_written += n_local
-        self.chunks_reused += len(rec.hashes) - n_local
-        if not rec.chunks:
+        self.chunks_reused += len(rec.table) // DIGEST_SIZE - n_local
+        if not n_local:
             self.reused_buffers += 1
         self.gpu_logical[gpu_index] = (
             self.gpu_logical.get(gpu_index, 0) + rec.size
@@ -265,28 +348,24 @@ def seal_delta(image: DeltaImage,
     chunks are byte-identical to the parent by construction (dirty
     tracking over-approximates writes), so the cached hash *is* the
     recomputed hash.  A lookup that misses rehashes every chunk.
+
+    Besides the written/reused/hash counters, each seal reports why it
+    stored what it stored: ``storage/chunks-stored{reason}`` —
+    ``new-buffer`` (no parent record of the same layout),
+    ``dirty-changed`` (cache hit, tracked dirty, rehashed different),
+    ``rehash-changed`` (cache miss, rehashed different); they sum to
+    ``storage/chunks-written`` — and ``storage/chunks-false-dirty``,
+    the chunks the tracker called dirty that rehashed equal.
     """
     if image.sealed:
         raise TornImageError(f"delta image {image.name!r} sealed twice")
     cb = image.chunk_bytes
+    ds = DIGEST_SIZE
     reused = reused or {}
     freed = freed or {}
-    parent_hash_cache: dict[tuple[int, int], list[bytes]] = {}
     use_cache = cache is not None and image.parent_id is not None
     n_hit = n_miss = rehash_bytes = 0
-
-    def parent_record(gpu: int, buf_id: int):
-        if parent_full is None:
-            return None
-        return parent_full.gpu_buffers.get(gpu, {}).get(buf_id)
-
-    def parent_hashes(gpu: int, buf_id: int, rec) -> list[bytes]:
-        nonlocal rehash_bytes
-        key = (gpu, buf_id)
-        if key not in parent_hash_cache:
-            parent_hash_cache[key] = chunk_hashes(rec.data, cb)
-            rehash_bytes += len(rec.data)
-        return parent_hash_cache[key]
+    n_new = n_dirty_changed = n_rehash_changed = n_false_dirty = 0
 
     def cache_entry(buf_id: int, addr: int, size: int, data_len: int):
         if not use_cache:
@@ -298,62 +377,79 @@ def seal_delta(image: DeltaImage,
     # Captured buffers: diff their payload chunk-by-chunk vs the parent.
     for gpu, records in sorted(image.gpu_buffers.items()):
         gone = freed.get(gpu, set())
+        parent_records = (parent_full.gpu_buffers.get(gpu, {})
+                          if parent_full is not None else {})
         for buf_id, rec in sorted(records.items()):
             if buf_id in gone:
                 continue
-            data_len = len(rec.data)
-            prec = parent_record(gpu, buf_id)
+            data = rec.data
+            data_len = len(data)
+            prec = parent_records.get(buf_id)
             layout_ok = (prec is not None and prec.addr == rec.addr
                          and prec.size == rec.size
                          and len(prec.data) == data_len)
             entry = cache_entry(buf_id, rec.addr, rec.size, data_len)
-            delta_rec = DeltaBufferRecord(
-                buffer_id=rec.buffer_id, addr=rec.addr, size=rec.size,
-                data_len=data_len, tag=rec.tag,
-            )
             if entry is not None and layout_ok:
-                # Fast path: parent hashes from the cache; rehash only
-                # the chunks overlapped by writes since the parent.
-                hashes = list(entry.hashes)
-                view = memoryview(rec.data)
-                dirty = dirty_chunk_indices(entry.pending, data_len, cb)
-                for i in map(int, dirty):
-                    piece = view[i * cb : (i + 1) * cb]
-                    h = hash_chunk(piece)
-                    rehash_bytes += len(piece)
-                    if h != hashes[i]:
-                        hashes[i] = h
-                        delta_rec.chunks[i] = bytes(piece)
-                n_hit += len(hashes) - int(dirty.size)
-                n_miss += int(dirty.size)
+                # Fast path: parent table from the cache; rehash only
+                # the chunk intervals overlapped by writes since the
+                # parent, a joined segment each, and splice the
+                # segments into the table.
+                old = entry.table
+                pieces = []
+                changed = []
+                n_dirty = done = 0
+                for lo, hi in dirty_chunk_intervals(entry.pending, data_len, cb):
+                    span = data[lo * cb : (hi + 1) * cb]
+                    segment = chunk_table(span, cb)
+                    n_dirty += hi - lo + 1
+                    rehash_bytes += len(span)
+                    was = old[lo * ds : (hi + 1) * ds]
+                    if segment != was:
+                        changed += differing_chunks(segment, was, lo)
+                        pieces += (old[done : lo * ds], segment)
+                        done = (hi + 1) * ds
+                table = (b"".join(pieces) + old[done:]) if pieces else old
+                n_hit += len(old) // ds - n_dirty
+                n_miss += n_dirty
+                n_dirty_changed += len(changed)
+                n_false_dirty += n_dirty - len(changed)
             else:
-                hashes = chunk_hashes(rec.data, cb)
-                n_miss += len(hashes)
+                table = chunk_table(data, cb)
+                n_chunks = len(table) // ds
+                n_miss += n_chunks
                 rehash_bytes += data_len
                 if layout_ok:
-                    phashes = parent_hashes(gpu, buf_id, prec)
-                    for i, h in enumerate(hashes):
-                        if h != phashes[i]:
-                            delta_rec.chunks[i] = rec.data[i * cb : (i + 1) * cb]
+                    was = chunk_table(prec.data, cb)
+                    rehash_bytes += data_len
+                    changed = differing_chunks(table, was) if table != was else []
+                    n_rehash_changed += len(changed)
                 else:
                     # New buffer or layout change: every chunk is local.
-                    for i in range(len(hashes)):
-                        delta_rec.chunks[i] = rec.data[i * cb : (i + 1) * cb]
-            delta_rec.hashes = hashes
-            image.add_delta_record(gpu, delta_rec)
+                    changed = range(n_chunks)
+                    n_new += n_chunks
+            if len(changed) * ds == len(table):
+                payload = bytes(data)     # wholly changed or new: no copy
+            else:
+                payload = b"".join([data[i * cb : (i + 1) * cb] for i in changed])
+            image.add_delta_record(gpu, DeltaBufferRecord(
+                buffer_id=rec.buffer_id, addr=rec.addr, size=rec.size,
+                data_len=data_len, tag=rec.tag, table=table,
+                index=tuple(changed), payload=payload,
+            ))
             if cache is not None:
                 cache.promote(buf_id, image_id=image.id, addr=rec.addr,
                               size=rec.size, data_len=data_len,
-                              chunk_bytes=cb, hashes=hashes)
+                              chunk_bytes=cb, table=table)
 
     # Untouched buffers the protocol never captured: pure references.
     for gpu, ids in sorted(reused.items()):
-        table = image.delta_gpu.setdefault(gpu, {})
+        sealed = image.delta_gpu.setdefault(gpu, {})
         gone = freed.get(gpu, set())
         for buf_id in sorted(ids):
-            if buf_id in table or buf_id in gone:
+            if buf_id in sealed or buf_id in gone:
                 continue  # recaptured (written mid-window) or freed
-            prec = parent_record(gpu, buf_id)
+            prec = (parent_full.gpu_buffers.get(gpu, {}).get(buf_id)
+                    if parent_full is not None else None)
             if prec is None:
                 raise TornImageError(
                     f"delta image {image.name!r} reuses buffer {buf_id} "
@@ -361,19 +457,20 @@ def seal_delta(image: DeltaImage,
                 )
             entry = cache_entry(buf_id, prec.addr, prec.size, len(prec.data))
             if entry is not None and not entry.pending:
-                hashes = list(entry.hashes)
-                n_hit += len(hashes)
+                table = entry.table
+                n_hit += len(table) // ds
             else:
-                hashes = list(parent_hashes(gpu, buf_id, prec))
-                n_miss += len(hashes)
+                table = chunk_table(prec.data, cb)
+                rehash_bytes += len(prec.data)
+                n_miss += len(table) // ds
             image.add_delta_record(gpu, DeltaBufferRecord(
                 buffer_id=prec.buffer_id, addr=prec.addr, size=prec.size,
-                data_len=len(prec.data), tag=prec.tag, hashes=hashes,
+                data_len=len(prec.data), tag=prec.tag, table=table,
             ))
             if cache is not None:
                 cache.promote(buf_id, image_id=image.id, addr=prec.addr,
                               size=prec.size, data_len=len(prec.data),
-                              chunk_bytes=cb, hashes=hashes)
+                              chunk_bytes=cb, table=table)
 
     # Freed buffers no longer exist: their cache entries go with them.
     if cache is not None:
@@ -397,6 +494,15 @@ def seal_delta(image: DeltaImage,
     obs.counter("storage/hash-hit").inc(n_hit)
     obs.counter("storage/hash-miss").inc(n_miss)
     obs.counter("storage/hash-rehash-bytes").inc(rehash_bytes)
+    # Why each stored chunk was stored (the three sum to chunks-written),
+    # and how many chunks the write tracker called dirty that rehashed
+    # equal to the parent's.
+    obs.counter("storage/chunks-stored", reason="new-buffer").inc(n_new)
+    obs.counter("storage/chunks-stored",
+                reason="dirty-changed").inc(n_dirty_changed)
+    obs.counter("storage/chunks-stored",
+                reason="rehash-changed").inc(n_rehash_changed)
+    obs.counter("storage/chunks-false-dirty").inc(n_false_dirty)
 
 
 def materialize(image: CheckpointImage,
@@ -461,39 +567,75 @@ def _apply_delta(delta: DeltaImage,
     if parent_full is not None:
         full.cpu_pages.update(parent_full.cpu_pages)
     full.cpu_pages.update(delta.cpu_pages)
+    ds = DIGEST_SIZE
+    name = delta.name
     for gpu, table in delta.delta_gpu.items():
+        parent_records = (parent_full.gpu_buffers.get(gpu, {})
+                          if parent_full is not None else {})
+        records = {}
         for buf_id, rec in table.items():
-            n_chunks = chunk_count(rec.data_len, cb)
-            if len(rec.hashes) != n_chunks:
+            n_chunks = (rec.data_len + cb - 1) // cb
+            want = rec.table
+            if len(want) != n_chunks * ds:
                 raise TornImageError(
-                    f"delta image {delta.name!r}: buffer {buf_id} chunk "
-                    f"table has {len(rec.hashes)} entries for "
+                    f"delta image {name!r}: buffer {buf_id} chunk "
+                    f"table has {len(want) // ds} entries for "
                     f"{n_chunks} chunks"
                 )
-            prec = (parent_full.gpu_buffers.get(gpu, {}).get(buf_id)
-                    if parent_full is not None else None)
-            parts = []
-            for i, want in enumerate(rec.hashes):
-                chunk = rec.chunks.get(i)
-                if chunk is None:
-                    if prec is None or len(prec.data) != rec.data_len:
-                        raise TornImageError(
-                            f"delta image {delta.name!r}: buffer {buf_id} "
-                            f"chunk {i} is inherited but the parent does "
-                            "not hold matching bytes"
-                        )
-                    chunk = prec.data[i * cb : (i + 1) * cb]
-                if hash_chunk(chunk) != want:
-                    raise TornImageError(
-                        f"delta image {delta.name!r}: buffer {buf_id} "
-                        f"chunk {i} fails its content-address check "
-                        "(corrupt chunk or wrong parent)"
-                    )
-                parts.append(chunk)
-            data = b"".join(parts)
-            full.gpu_buffers.setdefault(gpu, {})[buf_id] = GpuBufferRecord(
-                buffer_id=rec.buffer_id, addr=rec.addr, size=rec.size,
-                data=data, tag=rec.tag,
-            )
+            prec = parent_records.get(buf_id)
+            index, payload = rec.index, rec.payload
+            if len(index) == n_chunks or not index:
+                # All local or all inherited: the buffer's bytes are one
+                # value.  Hash it once into a joined table and compare
+                # whole; only a failure looks for the chunk to name.
+                if index or not n_chunks:
+                    data, used = payload, rec.data_len
+                elif prec is None or len(prec.data) != rec.data_len:
+                    raise _not_inherited(name, buf_id, 0)
+                else:
+                    data, used = bytes(prec.data), 0
+                got = chunk_table(data, cb)
+                if got != want:
+                    bad = differing_chunks(got, want)
+                    if bad:
+                        raise _bad_address(name, buf_id, bad[0])
+            else:
+                # Mixed: the per-chunk walk, in chunk order.
+                parts = []
+                used = k = 0
+                for i in range(n_chunks):
+                    if k < len(index) and index[k] == i:
+                        k += 1
+                        size = min(cb, rec.data_len - i * cb)
+                        chunk = payload[used : used + size]
+                        used += size
+                    elif prec is None or len(prec.data) != rec.data_len:
+                        raise _not_inherited(name, buf_id, i)
+                    else:
+                        chunk = prec.data[i * cb : (i + 1) * cb]
+                    if hash_chunk(chunk) != want[i * ds : (i + 1) * ds]:
+                        raise _bad_address(name, buf_id, i)
+                    parts.append(chunk)
+                data = b"".join(parts)
+            if used != len(payload):
+                raise _torn_payload(name, rec)
+            records[buf_id] = GpuBufferRecord(
+                rec.buffer_id, rec.addr, rec.size, data, rec.tag)
+        if records:
+            full.gpu_buffers[gpu] = records
     full.finalize(delta.checkpoint_time)
     return full
+
+
+def _not_inherited(name: str, buf_id: int, i: int) -> TornImageError:
+    return TornImageError(
+        f"delta image {name!r}: buffer {buf_id} chunk {i} is inherited "
+        "but the parent does not hold matching bytes"
+    )
+
+
+def _bad_address(name: str, buf_id: int, i: int) -> TornImageError:
+    return TornImageError(
+        f"delta image {name!r}: buffer {buf_id} chunk {i} fails its "
+        "content-address check (corrupt chunk or wrong parent)"
+    )

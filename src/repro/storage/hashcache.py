@@ -44,7 +44,8 @@ from repro.gpu.ranges import RangeSet
 
 @dataclass
 class HashCacheEntry:
-    """Chunk hashes of one buffer as of image ``image_id``, plus the
+    """Chunk table of one buffer as of image ``image_id`` (the sealed
+    record's packed, immutable ``table``, shared with it), plus the
     byte ranges written since that image sealed."""
 
     buffer_id: int
@@ -53,7 +54,7 @@ class HashCacheEntry:
     size: int
     data_len: int
     chunk_bytes: int
-    hashes: list[bytes]
+    table: bytes
     pending: RangeSet = field(default_factory=RangeSet)
 
 
@@ -96,17 +97,16 @@ class BufferHashCache:
         return entry
 
     def promote(self, buffer_id: int, *, image_id: str, addr: int, size: int,
-                data_len: int, chunk_bytes: int,
-                hashes: list[bytes]) -> None:
+                data_len: int, chunk_bytes: int, table: bytes) -> None:
         """(Re)bind a buffer's entry to a freshly sealed image.
 
         Called with the process quiesced, so clearing ``pending`` races
-        with nothing: the hashes describe the buffer's bytes exactly as
+        with nothing: the table describes the buffer's bytes exactly as
         of the sealing image.
         """
         self.entries[buffer_id] = HashCacheEntry(
             buffer_id=buffer_id, image_id=image_id, addr=addr, size=size,
-            data_len=data_len, chunk_bytes=chunk_bytes, hashes=hashes,
+            data_len=data_len, chunk_bytes=chunk_bytes, table=table,
         )
 
     # -- transfer-side API ---------------------------------------------------

@@ -21,9 +21,12 @@ Two format versions share that container:
   chunks this delta stores itself (see :mod:`repro.storage.delta`).
 
 The format is self-contained (no pickle), versioned, and validated on
-load — truncation, bit-rot, out-of-range blob references, and
-metadata/blob size mismatches are detected (:class:`TornImageError`),
-not silently restored.
+load — truncation, bit-rot, out-of-range blob references,
+metadata/blob size mismatches, and metadata that is ill-formed under a
+valid CRC (a missing field, a reference that is not a pair of
+integers, a digest that is not ``DIGEST_SIZE`` hex bytes, a chunk
+stored twice) are detected (:class:`TornImageError`), not silently
+restored and not leaked as ``KeyError``/``ValueError``/``TypeError``.
 """
 
 from __future__ import annotations
@@ -32,13 +35,18 @@ import json
 import struct
 import zlib
 from pathlib import Path
-from typing import Union
+from typing import Optional, Union
 
 import os
 
 from repro.cpu.process import KernelObject
 from repro.errors import CheckpointError, TornImageError
-from repro.storage.delta import DeltaBufferRecord, DeltaImage, chunk_count
+from repro.storage.delta import (
+    DIGEST_SIZE,
+    DeltaBufferRecord,
+    DeltaImage,
+    chunk_count,
+)
 from repro.storage.image import CheckpointImage, GpuBufferRecord
 
 MAGIC = b"PHOSIMG1"
@@ -154,30 +162,35 @@ def _layout_v1(image: CheckpointImage) -> tuple[dict, list]:
 def _layout_v2(image: DeltaImage) -> tuple[dict, list]:
     """Metadata + ordered blob list for a delta image (format v2)."""
     offset = 0
-
-    def reserve(data) -> tuple[int, int]:
-        nonlocal offset
-        ref = (offset, len(data))
-        offset += len(data)
-        return ref
-
     blobs: list = []
     cpu_index = {}
     for page_idx, data in sorted(image.cpu_pages.items()):
-        cpu_index[str(page_idx)] = reserve(data)
+        cpu_index[str(page_idx)] = (offset, len(data))
+        offset += len(data)
         blobs.append(data)
+    cb = image.chunk_bytes
     gpu_index: dict[str, dict] = {}
     for gpu, table in sorted(image.delta_gpu.items()):
         per_gpu = {}
         for buf_id, rec in sorted(table.items()):
+            # One blob per record: ``payload`` is its chunks in index
+            # order, so each chunk's reference is the previous one's end.
+            rec.validate(image.name, cb)
+            end = offset + len(rec.payload)
             chunk_refs = {}
-            for idx, chunk in sorted(rec.chunks.items()):
-                chunk_refs[str(idx)] = reserve(chunk)
-                blobs.append(chunk)
+            for idx in rec.index:
+                chunk_refs[str(idx)] = (offset, cb)
+                offset += cb
+            if offset != end:   # validated: the last one is the short tail
+                chunk_refs[str(rec.index[-1])] = (offset - cb,
+                                                  end - (offset - cb))
+                offset = end
+            blobs.append(rec.payload)
             per_gpu[str(buf_id)] = {
                 "addr": rec.addr, "size": rec.size,
                 "data_len": rec.data_len, "tag": rec.tag,
-                "hashes": [h.hex() for h in rec.hashes],
+                "hashes": (rec.table.hex(" ", DIGEST_SIZE).split(" ")
+                           if rec.table else []),
                 "chunks": chunk_refs,
             }
         gpu_index[str(gpu)] = per_gpu
@@ -211,8 +224,8 @@ def load_image(path: Union[str, Path]) -> CheckpointImage:
     raw = Path(path).read_bytes()
     if len(raw) < _HEADER.size + _TRAILER.size:
         raise TornImageError(f"{path}: file too short to be a PHOS image")
-    body, trailer = raw[: -_TRAILER.size], raw[-_TRAILER.size :]
-    (crc,) = _TRAILER.unpack(trailer)
+    body = memoryview(raw)[: -_TRAILER.size]   # one copy of the file, not three
+    (crc,) = _TRAILER.unpack_from(raw, len(body))
     if zlib.crc32(body) != crc:
         raise TornImageError(f"{path}: CRC mismatch (corrupt image)")
     magic, version, meta_len = _HEADER.unpack_from(body)
@@ -225,22 +238,46 @@ def load_image(path: Union[str, Path]) -> CheckpointImage:
             f"(this build reads {supported})"
         )
     meta_start = _HEADER.size
-    metadata = json.loads(body[meta_start : meta_start + meta_len])
+    metadata = json.loads(raw[meta_start : meta_start + meta_len])
     blobs = body[meta_start + meta_len :]
 
     def take(ref) -> bytes:
+        error = _bad_reference(path, ref, len(blobs))
+        if error is not None:
+            raise error
         offset, length = ref
-        if offset < 0 or length < 0:
-            raise TornImageError(
-                f"{path}: negative blob reference ({offset}, {length})"
-            )
-        if offset + length > len(blobs):
-            raise TornImageError(f"{path}: blob reference out of range")
         return bytes(blobs[offset : offset + length])
 
-    if version == DELTA_FORMAT_VERSION:
-        return _load_v2(path, metadata, take)
-    return _load_v1(path, metadata, take)
+    try:
+        if version == DELTA_FORMAT_VERSION:
+            return _load_v2(path, metadata, take, blobs)
+        return _load_v1(path, metadata, take)
+    except KeyError as missing:
+        raise TornImageError(
+            f"{path}: metadata lacks the field {missing}"
+        ) from None
+
+
+def _bad_reference(path, ref, blob_len: int,
+                   owner: str = "") -> Optional[TornImageError]:
+    """What is wrong with a blob reference, or None: it must be an
+    ``[offset, length]`` pair of integers inside the blob section."""
+    try:
+        offset, length = ref
+    except (TypeError, ValueError):
+        offset = length = None
+    if type(offset) is not int or type(length) is not int:
+        return TornImageError(
+            f"{path}: {owner}blob reference {ref!r} is not an "
+            "[offset, length] pair of integers"
+        )
+    if offset < 0 or length < 0:
+        return TornImageError(
+            f"{path}: negative blob reference ({offset}, {length})"
+        )
+    if offset + length > blob_len:
+        return TornImageError(f"{path}: blob reference out of range")
+    return None
 
 
 def _load_common(image: CheckpointImage, metadata: dict, take) -> None:
@@ -283,7 +320,7 @@ def _load_v1(path, metadata: dict, take) -> CheckpointImage:
     return image
 
 
-def _load_v2(path, metadata: dict, take) -> DeltaImage:
+def _load_v2(path, metadata: dict, take, blobs) -> DeltaImage:
     delta_meta = metadata["delta"]
     chunk_bytes = int(delta_meta["chunk_bytes"])
     if chunk_bytes <= 0:
@@ -296,43 +333,106 @@ def _load_v2(path, metadata: dict, take) -> DeltaImage:
         cpu_logical_pages=int(delta_meta.get("cpu_logical_pages", 0)),
     )
     _load_common(image, metadata, take)
+    hex_len = 2 * DIGEST_SIZE
+    n_blob = len(blobs)
     for gpu, per_gpu in delta_meta["gpu"].items():
         for buf_id, rec in per_gpu.items():
-            size, data_len = rec["size"], rec["data_len"]
-            if size < 0 or data_len < 0 or data_len > size:
+            try:
+                addr, size, data_len, tag, digests, refs = (
+                    rec["addr"], rec["size"], rec["data_len"], rec["tag"],
+                    rec["hashes"], rec["chunks"])
+            except KeyError as missing:
+                raise TornImageError(
+                    f"{path}: GPU buffer {buf_id} lacks the field {missing}"
+                ) from None
+            if type(digests) is not list or type(refs) is not dict:
+                raise TornImageError(
+                    f"{path}: GPU buffer {buf_id} needs a list of hashes "
+                    "and a table of chunks"
+                )
+            if (type(size) is not int or type(data_len) is not int
+                    or size < 0 or data_len < 0 or data_len > size):
                 raise TornImageError(
                     f"{path}: GPU buffer {buf_id} declares size {size} "
                     f"with a {data_len}-byte payload"
                 )
-            hashes = [bytes.fromhex(h) for h in rec["hashes"]]
-            if len(hashes) != chunk_count(data_len, chunk_bytes):
+            # One fromhex per record; it skips whitespace, so each
+            # entry's own length is checked beside the total.
+            try:
+                table = bytes.fromhex("".join(digests))
+                well_formed = (len(table) == len(digests) * DIGEST_SIZE
+                               and not set(map(len, digests)) - {hex_len})
+            except (TypeError, ValueError):
+                well_formed = False
+            if not well_formed:
+                raise TornImageError(
+                    f"{path}: GPU buffer {buf_id} chunk table holds an entry "
+                    f"that is not a {DIGEST_SIZE}-byte hex digest"
+                )
+            n_chunks = len(digests)
+            if n_chunks != chunk_count(data_len, chunk_bytes):
                 raise TornImageError(
                     f"{path}: GPU buffer {buf_id} chunk table has "
-                    f"{len(hashes)} entries for a {data_len}-byte payload"
+                    f"{n_chunks} entries for a {data_len}-byte payload"
                 )
-            chunks: dict[int, bytes] = {}
-            for idx_s, ref in rec["chunks"].items():
-                idx = int(idx_s)
-                if idx < 0 or idx >= len(hashes):
+            # Every reference passes ``take``'s checks (inline: one call
+            # per chunk is what this loop exists to avoid); the payload
+            # is then one slice when the references ascend back to back
+            # (what the writer produces), else gathered per reference.
+            spans = []
+            packed = True
+            last, end = -1, None
+            for idx_s, ref in refs.items():
+                try:
+                    idx = int(idx_s)
+                except ValueError:
+                    raise TornImageError(
+                        f"{path}: GPU buffer {buf_id} chunk key {idx_s!r} "
+                        "is not an integer"
+                    ) from None
+                if idx < 0 or idx >= n_chunks:
                     raise TornImageError(
                         f"{path}: GPU buffer {buf_id} stores chunk {idx} "
                         "outside its chunk table"
                     )
-                chunk = take(ref)
+                try:
+                    offset, length = ref
+                except (TypeError, ValueError):
+                    offset = length = None
+                if (type(offset) is not int or type(length) is not int
+                        or offset < 0 or length < 0
+                        or offset + length > n_blob):
+                    raise _bad_reference(
+                        path, ref, n_blob, f"GPU buffer {buf_id} chunk {idx} ")
                 want = min(chunk_bytes, data_len - idx * chunk_bytes)
-                if len(chunk) != want:
+                if length != want:
                     raise TornImageError(
                         f"{path}: GPU buffer {buf_id} chunk {idx} is "
-                        f"{len(chunk)} bytes, expected {want}"
+                        f"{length} bytes, expected {want}"
                     )
-                chunks[idx] = chunk
+                if idx <= last or (end is not None and offset != end):
+                    packed = False
+                last, end = idx, offset + length
+                spans.append((idx, offset, end))
+            if not packed:
+                spans.sort()
+            index = tuple([idx for idx, _, _ in spans])
+            if packed:
+                payload = bytes(blobs[spans[0][1] : end]) if spans else b""
+            elif len(set(index)) != len(index):
+                raise TornImageError(
+                    f"{path}: GPU buffer {buf_id} stores a chunk twice "
+                    f"(chunk keys {list(refs)})"
+                )
+            else:
+                payload = b"".join([blobs[at:stop] for _, at, stop in spans])
             # Routed through add_delta_record so the image's running
             # aggregates (stored bytes, chunk counts, reused buffers)
             # are rebuilt from the records themselves.
             image.add_delta_record(int(gpu), DeltaBufferRecord(
-                buffer_id=int(buf_id), addr=rec["addr"], size=size,
-                data_len=data_len, tag=rec["tag"], hashes=hashes,
-                chunks=chunks,
+                buffer_id=int(buf_id), addr=addr, size=size,
+                data_len=data_len, tag=tag, table=table,
+                index=index, payload=payload,
             ))
     want_written = int(delta_meta.get("chunks_written", image.chunks_written))
     want_reused = int(delta_meta.get("chunks_reused", image.chunks_reused))

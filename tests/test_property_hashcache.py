@@ -18,7 +18,7 @@ import pytest
 from repro.core.protocols import ProtocolConfig
 from repro.storage.delta import (
     DeltaImage,
-    chunk_hashes,
+    chunk_table,
     materialize,
     seal_delta,
 )
@@ -48,8 +48,8 @@ def _canon(image: DeltaImage):
     for g, table in image.delta_gpu.items():
         for rec in table.values():
             gpu[(g, rec.addr)] = (
-                rec.size, rec.data_len, rec.tag, tuple(rec.hashes),
-                tuple(sorted((i, bytes(c)) for i, c in rec.chunks.items())),
+                rec.size, rec.data_len, rec.tag, rec.table, rec.index,
+                rec.payload,
             )
     return (
         gpu,
@@ -193,8 +193,9 @@ def test_mid_chunk_partial_write_stores_only_touched_chunk():
     seal_delta(child, materialize(root), cache=cache)
 
     rec = child.delta_gpu[0][1]
-    assert set(rec.chunks) == {2}
-    assert rec.hashes == chunk_hashes(bytes(data), cb)
+    assert rec.index == (2,)
+    assert rec.payload == bytes(data[2 * cb : 3 * cb])
+    assert rec.table == chunk_table(bytes(data), cb)
     assert child.stored_chunk_bytes == cb
 
 
@@ -218,7 +219,7 @@ def test_realloc_at_same_address_is_a_new_buffer():
 
     rec = child.delta_gpu[0][8]
     # Different buffer id: every chunk is local, no parent reuse.
-    assert set(rec.chunks) == {0, 1}
+    assert (rec.index, rec.payload) == ((0, 1), new)
     assert 7 not in child.delta_gpu[0]
 
 

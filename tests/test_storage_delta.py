@@ -26,8 +26,9 @@ from repro.sim import Engine
 from repro.storage.delta import (
     CHUNK_BYTES,
     DeltaImage,
+    DIGEST_SIZE,
     chunk_count,
-    chunk_hashes,
+    chunk_table,
     hash_chunk,
     materialize,
     seal_delta,
@@ -65,10 +66,10 @@ def test_chunk_math():
     assert chunk_count(256, 256) == 1
     assert chunk_count(257, 256) == 2
     data = bytes(range(256)) * 3  # 768 bytes -> 3 chunks
-    hashes = chunk_hashes(data, 256)
-    assert len(hashes) == 3
-    assert hashes[0] == hashes[1] == hashes[2] == hash_chunk(data[:256])
-    assert chunk_hashes(b"", 256) == []
+    table = chunk_table(data, 256)
+    assert len(table) == 3 * DIGEST_SIZE
+    assert table == hash_chunk(data[:256]) * 3
+    assert chunk_table(b"", 256) == b""
 
 
 def test_chunk_hash_is_content_addressed():
@@ -110,11 +111,12 @@ def test_seal_stores_only_changed_chunks():
     changed = b"a" * 256 + b"Z" * 256  # second chunk differs
     delta = _delta_on(parent, changed)
     rec = delta.delta_gpu[0][0]
-    assert list(rec.chunks) == [1]
-    assert rec.chunks[1] == b"Z" * 256
-    assert len(rec.hashes) == 2
+    assert rec.index == (1,)
+    assert rec.payload == b"Z" * 256
+    assert len(rec.table) == 2 * DIGEST_SIZE
     # The reused buffer carries hashes but no local chunks.
-    assert delta.delta_gpu[0][1].chunks == {}
+    reused = delta.delta_gpu[0][1]
+    assert (reused.index, reused.payload) == ((), b"")
     assert delta.chunks_written == 1
     assert delta.chunks_reused == 1 + 2
     # The unchanged CPU page was dropped; logical accounting survives.
@@ -135,6 +137,46 @@ def test_materialize_reassembles_exact_bytes():
     assert full.checkpoint_time == 2.0
     # Full images pass through untouched.
     assert materialize(parent) is parent
+
+
+def test_seal_counts_why_each_chunk_was_stored():
+    """``storage/chunks-stored{reason}`` splits ``chunks-written`` three
+    ways and ``storage/chunks-false-dirty`` counts what the write
+    tracker over-reported, per seal."""
+    from repro import obs
+    from repro.storage.hashcache import BufferHashCache
+
+    def seal(image, parent, cache, **kwargs):
+        with obs.observed(Engine()) as observer:
+            seal_delta(image, parent, cache=cache, **kwargs)
+        image.finalize(0.0)
+        why = {inst.labels["reason"]: inst.value for inst in observer.metrics
+               if inst.name == "storage/chunks-stored"}
+        assert sum(why.values()) == image.chunks_written == (
+            observer.metrics.get("storage/chunks-written").value)
+        return why, observer.metrics.get("storage/chunks-false-dirty").value
+
+    def capture(image, buf_id, data):
+        image.add_gpu_buffer(0, GpuBufferRecord(
+            buffer_id=buf_id, addr=0x1000 * buf_id, size=4096, data=data))
+
+    cache = BufferHashCache()
+    root = DeltaImage(name="root")
+    capture(root, 1, b"a" * 1024)
+    capture(root, 2, b"b" * 512)
+    assert seal(root, None, cache) == (
+        {"new-buffer": 6, "dirty-changed": 0, "rehash-changed": 0}, 0)
+
+    # Buffer 1: chunks 0-2 reported dirty, only chunk 1 really changed.
+    cache.note_write(1, 0, 700)
+    cache.forget(2)     # buffer 2 lost its entry: rehashed whole, 1 changed
+    child = DeltaImage(name="child", parent_id=root.id, parent_ref=root)
+    capture(child, 1, b"a" * 256 + b"X" * 256 + b"a" * 512)
+    capture(child, 2, b"b" * 256 + b"Y" * 256)
+    capture(child, 3, b"c" * 300)
+    assert seal(child, materialize(root), cache) == (
+        {"new-buffer": 2, "dirty-changed": 1, "rehash-changed": 1}, 2)
+    assert child.delta_gpu[0][1].index == (1,)
 
 
 def test_seal_twice_rejected():
@@ -186,7 +228,7 @@ def test_materialize_rejects_revoked_parent():
 def test_corrupt_chunk_fails_content_address_check():
     parent = _full_image()
     delta = _delta_on(parent, b"a" * 256 + b"Z" * 256)
-    delta.delta_gpu[0][0].chunks[1] = b"!" * 256  # bit-rot a stored chunk
+    delta.delta_gpu[0][0].payload = b"!" * 256  # bit-rot the stored chunk
     with pytest.raises(TornImageError, match="content-address"):
         materialize(delta)
     # Corrupting the *parent's* bytes is caught the same way.
@@ -463,8 +505,8 @@ def test_v2_roundtrip_preserves_everything(chain, tmp_path):
             got = loaded.delta_gpu[gpu][buf_id]
             assert (got.addr, got.size, got.data_len, got.tag) == (
                 rec.addr, rec.size, rec.data_len, rec.tag)
-            assert got.hashes == rec.hashes
-            assert got.chunks == rec.chunks
+            assert got.table == rec.table
+            assert (got.index, got.payload) == (rec.index, rec.payload)
     # The loaded delta materializes identically via parent resolution.
     resolve = {root.id: root}.get
     assert (image_gpu_state(materialize(loaded, resolve=resolve))

@@ -18,10 +18,11 @@ from repro.storage.hashcache import BufferHashCache
 # -- BufferHashCache ---------------------------------------------------------
 
 def _promote(cache, bid=1, image_id="img-1", addr=0x1000, size=4096,
-             data_len=1024, chunk_bytes=256, hashes=None):
+             data_len=1024, chunk_bytes=256, table=None):
     cache.promote(bid, image_id=image_id, addr=addr, size=size,
                   data_len=data_len, chunk_bytes=chunk_bytes,
-                  hashes=hashes or [b"h0", b"h1", b"h2", b"h3"])
+                  table=table or b"".join(hash_chunk(b"h%d" % i)
+                                          for i in range(4)))
 
 
 def test_note_write_without_entry_is_noop():
@@ -61,11 +62,11 @@ def test_promote_replaces_and_clears_pending():
     cache = BufferHashCache()
     _promote(cache, image_id="a")
     cache.note_write(1, 0, 100)
-    _promote(cache, image_id="b", hashes=[b"x"] * 4)
+    _promote(cache, image_id="b", table=hash_chunk(b"x") * 4)
     entry = cache.entries[1]
     assert entry.image_id == "b"
     assert not entry.pending
-    assert entry.hashes == [b"x"] * 4
+    assert entry.table == hash_chunk(b"x") * 4
 
 
 def test_forget_drops_entry():
@@ -120,15 +121,14 @@ def test_dirty_chunk_span_bytes_tail_clip():
 
 def _rec(bid, n_chunks=4, local=(), cb=256):
     data = bytes(cb) * n_chunks
-    rec = DeltaBufferRecord(
+    return DeltaBufferRecord(
         buffer_id=bid, addr=0x1000 * bid, size=n_chunks * cb,
         data_len=n_chunks * cb,
-        hashes=[hash_chunk(data[i * cb:(i + 1) * cb])
-                for i in range(n_chunks)],
+        table=b"".join(hash_chunk(data[i * cb:(i + 1) * cb])
+                       for i in range(n_chunks)),
+        index=tuple(local),
+        payload=b"".join(data[i * cb:(i + 1) * cb] for i in local),
     )
-    for i in local:
-        rec.chunks[i] = data[i * cb:(i + 1) * cb]
-    return rec
 
 
 def test_add_delta_record_maintains_aggregates():

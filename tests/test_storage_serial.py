@@ -18,22 +18,35 @@ GOLDENS = Path(__file__).parent / "goldens"
 _HEADER_SIZE = 16  # magic(8) + version(4) + metadata length(4)
 
 
-def rewrite_metadata(path, mutate):
-    """Hand-corrupt an image's JSON index, keeping the CRC valid.
+def rewrite_container(path, mutate):
+    """Hand-corrupt an image's JSON index and blob section, keeping the
+    CRC valid.
 
     This is what a *buggy writer* produces (as opposed to bit-rot,
     which the CRC catches): the container checks out, the metadata
-    lies.  ``mutate`` edits the parsed metadata dict in place.
+    lies.  ``mutate(meta, blobs)`` edits the parsed metadata dict in
+    place and may return a replacement for the blob section (a
+    ``bytearray`` it is handed).
     """
     raw = path.read_bytes()
     body = raw[:-4]
     magic, version, meta_len = struct.unpack_from("<8sII", body)
     meta = json.loads(body[_HEADER_SIZE : _HEADER_SIZE + meta_len])
-    mutate(meta)
+    blobs = bytearray(body[_HEADER_SIZE + meta_len:])
+    blobs = mutate(meta, blobs) or blobs
     meta_bytes = json.dumps(meta, separators=(",", ":")).encode()
     new_body = (struct.pack("<8sII", magic, version, len(meta_bytes))
-                + meta_bytes + body[_HEADER_SIZE + meta_len:])
+                + meta_bytes + bytes(blobs))
     path.write_bytes(new_body + struct.pack("<I", zlib.crc32(new_body)))
+
+
+def rewrite_metadata(path, mutate):
+    """:func:`rewrite_container` for a ``mutate(meta)`` that leaves the
+    blob section alone."""
+    def meta_only(meta, blobs):
+        mutate(meta)
+
+    rewrite_container(path, meta_only)
 
 
 @pytest.fixture
@@ -288,8 +301,9 @@ def make_golden_v2_chain():
     64-byte chunks; buffer 1 has a short tail chunk and is partially
     changed (chunk 1 and the tail), buffer 2 is a pure-reuse record,
     buffer 3 is freed, buffer 5 is new at buffer 3's address with an
-    empty payload, GPU 1's buffer 4 is rewritten whole; CPU page 0 equals the parent's (dropped
-    at seal), page 1 changed (kept).  Regenerate with::
+    empty payload, GPU 1's buffer 4 is rewritten whole; CPU page 0
+    equals the parent's (dropped at seal), page 1 changed (kept).
+    Regenerate with::
 
         PYTHONPATH=src python -c "from tests.test_storage_serial import \\
             write_golden_v2; write_golden_v2()"
@@ -389,3 +403,110 @@ def test_v2_goldens_load_materialize_and_writer_is_stable(tmp_path):
             out = tmp_path / f"{golden.stem}-{i}.phos"
             save_image(image, out)
             assert out.read_bytes() == golden.read_bytes()
+
+
+# -- malformed v2 metadata under a valid CRC (PR-21 regression) ---------------------
+
+def _golden_rec(meta, buf_id="1"):
+    """Buffer 1 of the golden delta: 4 digests, chunks "1" and "3" stored."""
+    return meta["delta"]["gpu"]["0"][buf_id]
+
+
+def _set(field, value):
+    return lambda meta: _golden_rec(meta).__setitem__(field, value)
+
+
+def _edit_hashes(edit):
+    return lambda meta: edit(_golden_rec(meta)["hashes"])
+
+
+def _edit_chunks(edit):
+    return lambda meta: edit(_golden_rec(meta)["chunks"])
+
+
+_HEX = "0123456789abcdef" * 2
+
+MALFORMED_V2 = {
+    "non-hex digest": (
+        _edit_hashes(lambda h: h.__setitem__(0, "zz" * 16)), "hex digest"),
+    "non-string digest": (
+        _edit_hashes(lambda h: h.__setitem__(1, 7)), "hex digest"),
+    "3-byte digest": (
+        _edit_hashes(lambda h: h.__setitem__(2, "abcdef")), "hex digest"),
+    "digest padded with whitespace": (
+        _edit_hashes(lambda h: h.__setitem__(0, " " + h[0] + " ")),
+        "hex digest"),
+    "whitespace inside a digest": (
+        _edit_hashes(lambda h: h.__setitem__(0, _HEX[:15] + "  " + _HEX[:15])),
+        "hex digest"),
+    "hashes not a list": (_set("hashes", _HEX * 4), "list of hashes"),
+    "chunks not a table": (_set("chunks", [[0, 64]]), "table of chunks"),
+    "one-element reference": (
+        _edit_chunks(lambda c: c.__setitem__("1", [0])), "pair of integers"),
+    "fractional reference": (
+        _edit_chunks(lambda c: c.__setitem__("1", [0.5, 64])),
+        "pair of integers"),
+    "string reference": (
+        _edit_chunks(lambda c: c.__setitem__("1", "ab")), "pair of integers"),
+    "boolean reference": (
+        _edit_chunks(lambda c: c.__setitem__("1", [True, 64])),
+        "pair of integers"),
+    "non-integer chunk key": (
+        _edit_chunks(lambda c: c.__setitem__("x", c.pop("3"))),
+        "chunk key 'x'"),
+    "duplicate chunk index": (
+        _edit_chunks(lambda c: c.__setitem__("01", c["1"])),
+        "stores a chunk twice"),
+    "missing tag": (lambda meta: _golden_rec(meta).pop("tag"),
+                    "lacks the field 'tag'"),
+    "missing hashes": (lambda meta: _golden_rec(meta).pop("hashes"),
+                       "lacks the field 'hashes'"),
+    "string size": (_set("size", "4096"), "declares size"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_V2))
+def test_malformed_v2_metadata_is_a_torn_image(case, tmp_path):
+    """A buggy writer's v2 index — valid CRC, lying or ill-typed metadata —
+    is rejected as a ``TornImageError`` that names the file and the
+    buffer.  At PR 20 these escaped as ``ValueError`` / ``TypeError`` /
+    ``KeyError`` / ``AttributeError``, or loaded: a 3-byte digest only
+    failed later, at materialize, blaming the chunk; chunk keys "1" and
+    "01" both loaded, the second silently overwriting the first."""
+    mutate, message = MALFORMED_V2[case]
+    path = tmp_path / "delta.phos"
+    path.write_bytes((GOLDENS / "image_v2_delta.phos").read_bytes())
+    load_image(path)                      # the fixture itself is sound
+    rewrite_metadata(path, mutate)
+    with pytest.raises(TornImageError, match=message) as caught:
+        load_image(path)
+    assert str(path) in str(caught.value)
+    assert "GPU buffer 1" in str(caught.value)
+
+
+@pytest.mark.parametrize("golden, mutate, message", [
+    ("image_v2_delta.phos", lambda meta: meta.pop("delta"),
+     "lacks the field 'delta'"),
+    ("image_v2_delta.phos",
+     lambda meta: meta["cpu_pages"].__setitem__("1", [0]),
+     "pair of integers"),
+    ("image_v1.phos", lambda meta: _first_gpu_buffer(meta).pop("tag"),
+     "lacks the field 'tag'"),
+    ("image_v1.phos", lambda meta: meta.pop("gpu_modules"),
+     "lacks the field 'gpu_modules'"),
+    ("image_v1.phos",
+     lambda meta: _first_gpu_buffer(meta).__setitem__("blob", [0, 8.0]),
+     "pair of integers"),
+], ids=["v2-no-delta-block", "v2-cpu-page-ref", "v1-no-tag",
+        "v1-no-gpu-modules", "v1-fractional-ref"])
+def test_missing_fields_and_malformed_references_in_either_format(
+        golden, mutate, message, tmp_path):
+    """The same escapes one level up: a missing field anywhere in the
+    metadata and an ill-formed blob reference in the shared ``take`` —
+    v1 images and CPU pages included — are torn images too."""
+    path = tmp_path / golden
+    path.write_bytes((GOLDENS / golden).read_bytes())
+    rewrite_metadata(path, mutate)
+    with pytest.raises(TornImageError, match=message) as caught:
+        load_image(path)
+    assert str(path) in str(caught.value)

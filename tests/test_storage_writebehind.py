@@ -6,7 +6,7 @@ from repro import chaos
 from repro.chaos import FaultPlan, FaultSpec
 from repro.errors import ReproError
 from repro.sim.engine import Engine
-from repro.storage.delta import DeltaBufferRecord, DeltaImage
+from repro.storage.delta import DeltaBufferRecord, DeltaImage, hash_chunk
 from repro.storage.image import CheckpointImage, GpuBufferRecord
 from repro.storage.media import DramMedia, Medium, tier_stack
 from repro.storage.writebehind import (
@@ -28,10 +28,10 @@ def _full_image(name="img", nbytes=1 << 20):
 
 def _delta_image(name="delta", parent_id=None):
     image = DeltaImage(name=name, parent_id=parent_id, sealed=True)
-    rec = DeltaBufferRecord(buffer_id=1, addr=0x1000, size=1 << 20,
-                            data_len=512, hashes=[b"h0", b"h1"])
-    rec.chunks[0] = b"c" * 256
-    image.add_delta_record(0, rec)
+    image.add_delta_record(0, DeltaBufferRecord(
+        buffer_id=1, addr=0x1000, size=1 << 20, data_len=512,
+        table=hash_chunk(b"c" * 256) + hash_chunk(b"d" * 256),
+        index=(0,), payload=b"c" * 256))
     image.finalize(0.0)
     return image
 
