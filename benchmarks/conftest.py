@@ -9,7 +9,10 @@ the reproduced results.
 
 Run with::
 
-    pytest benchmarks/ --benchmark-only -s
+    pytest benchmarks/ -s
+
+(``--benchmark-only`` would skip ``test_perf_gates.py``, whose ratio
+gates do not take the ``benchmark`` fixture.)
 """
 
 import pytest

@@ -87,11 +87,6 @@ APP_SPECS: dict[str, AppSpec] = {
     ),
 }
 
-#: The training applications Figs. 11(a)/12 evaluate.
-TRAIN_APPS = [name for name, s in APP_SPECS.items() if s.kind == "train"]
-#: The inference applications Fig. 14 evaluates.
-INFER_APPS = [name for name, s in APP_SPECS.items() if s.kind == "infer"]
-
 
 def get_spec(name: str) -> AppSpec:
     spec = APP_SPECS.get(name)

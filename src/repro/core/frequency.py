@@ -49,30 +49,6 @@ def optimal_frequency(n_gpus: int, failures_per_hour: float,
     return math.sqrt(n_gpus * failures_per_hour / (2 * checkpoint_overhead_hours))
 
 
-def frequency_sweep(n_gpus: int, failures_per_hour: float, total_hours: float,
-                    checkpoint_overhead_hours: float, restore_hours: float,
-                    frequencies: "list[float] | None" = None,
-                    ) -> list[tuple[float, float]]:
-    """The §A.1 waste curve: ``[(f, waste(f)), ...]`` over candidate
-    frequencies.
-
-    With ``frequencies`` omitted the sweep brackets the optimum
-    geometrically (``f*/8 .. 8 f*``, two points per octave), which is
-    what the delta-vs-full comparison in ``tools/bench_wallclock.py``
-    reports: shrinking the per-checkpoint overhead ``O`` moves the
-    curve's minimum right (``f*`` up) *and* down (waste down).
-    """
-    _validate(n_gpus, failures_per_hour, checkpoint_overhead_hours,
-              restore_hours)
-    if frequencies is None:
-        f_star = optimal_frequency(n_gpus, failures_per_hour,
-                                   checkpoint_overhead_hours)
-        frequencies = [f_star * 2 ** (k / 2) for k in range(-6, 7)]
-    return [(f, wasted_gpu_hours(n_gpus, failures_per_hour, total_hours,
-                                 checkpoint_overhead_hours, restore_hours, f))
-            for f in frequencies]
-
-
 def _validate(n_gpus: int, failures: float, overhead: float, restore: float) -> None:
     if n_gpus < 1:
         raise InvalidValueError(f"n_gpus must be >= 1, got {n_gpus}")

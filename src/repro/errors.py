@@ -60,10 +60,6 @@ class CheckpointError(ReproError):
     """A checkpoint or restore operation failed."""
 
 
-class SpeculationFailure(CheckpointError):
-    """The validator observed an access outside the speculated sets."""
-
-
 class TornImageError(CheckpointError):
     """An image failed integrity validation (CRC mismatch, uncommitted)."""
 
@@ -74,7 +70,3 @@ class ProtocolCrashError(CheckpointError):
 
 class ContextPoolError(ReproError):
     """The context pool could not satisfy a request."""
-
-
-class MigrationError(ReproError):
-    """Live migration failed."""

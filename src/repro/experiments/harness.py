@@ -9,7 +9,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro import obs, parallel, units
+from repro import obs, parallel
 from repro.apps.specs import get_spec
 from repro.cluster import Machine
 from repro.core.protocols import ProtocolConfig
@@ -135,10 +135,6 @@ def _fmt(value) -> str:
             return f"{value:.2f}"
         return f"{value:.4f}"
     return str(value)
-
-
-def fmt_time(t: float) -> str:
-    return units.fmt_seconds(t)
 
 
 def build_world(spec_name: str, use_pool: bool = False,

@@ -153,9 +153,3 @@ def _migration_probe(function: str) -> float:
             )
         _migration_downtime[function] = downtime
     return downtime
-
-
-def clear_cache() -> None:
-    """Drop every cached probe (tests that monkeypatch the task layer)."""
-    _profiles.clear()
-    _migration_downtime.clear()

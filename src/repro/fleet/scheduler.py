@@ -205,10 +205,6 @@ class RequestRecord:
         """End-to-end: arrival to completion (queueing included)."""
         return self.end - self.arrival
 
-    @property
-    def queue_s(self) -> float:
-        return self.start - self.arrival
-
 
 @dataclass
 class FleetReport:

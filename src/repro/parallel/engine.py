@@ -174,29 +174,31 @@ def last_run_stats() -> Optional[PoolRunStats]:
     return _last_stats
 
 
+def _checked_jobs(value, source: str) -> int:
+    """``value`` as a worker count; a typo must not run serial in silence."""
+    try:
+        n = int(value)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise InvalidValueError(f"{source}={value!r} is not an integer >= 1")
+    return n
+
+
 def set_default_jobs(jobs: Optional[int]) -> None:
     """Install a process-wide default worker count (the CLI's ``--jobs``)."""
     global _default_jobs
-    _default_jobs = jobs
+    _default_jobs = None if jobs is None else _checked_jobs(jobs, "--jobs")
 
 
 def resolve_jobs(jobs: Optional[int] = None) -> int:
     """Worker count: explicit arg > ``--jobs`` default > $REPRO_JOBS > 1."""
     if jobs is not None:
-        return max(1, int(jobs))
+        return _checked_jobs(jobs, "jobs")
     if _default_jobs is not None:
-        return max(1, int(_default_jobs))
+        return _default_jobs
     env = os.environ.get(JOBS_ENV, "")
-    if not env:
-        return 1
-    try:
-        n = int(env)
-    except ValueError:
-        n = 0
-    if n < 1:
-        raise InvalidValueError(
-            f"{JOBS_ENV}={env!r} is not an integer >= 1")
-    return n
+    return _checked_jobs(env, JOBS_ENV) if env else 1
 
 
 # --------------------------------------------------------------------------

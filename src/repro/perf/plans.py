@@ -119,9 +119,6 @@ class _Aff:
     def shape_key(self) -> tuple:
         return (self.coeffs, self.ct)
 
-    def arg_deps(self):
-        return [i for i, _ in self.coeffs]
-
 
 def _merge_coeffs(ca: tuple, cb: tuple, sb: int = 1) -> tuple:
     out: dict[int, int] = {}

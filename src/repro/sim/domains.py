@@ -424,9 +424,6 @@ class World:
             dst._lookahead = ch.latency
         return ch
 
-    def channels_between(self, src: Engine, dst: Engine) -> list[DomainChannel]:
-        return list(self._by_pair.get((src, dst), ()))
-
     def require_channel(self, src: Engine, dst: Engine,
                         kind: Optional[str] = None) -> DomainChannel:
         """The first registered ``src -> dst`` channel of ``kind``."""

@@ -22,12 +22,9 @@ PAGE_SIZE = 4 * KIB
 # --- time ----------------------------------------------------------------
 USEC = 1e-6
 MSEC = 1e-3
-SEC = 1.0
 HOUR = 3600.0
 
 # --- testbed bandwidths (§8: A800 servers, PCIe 4.0, 100 Gbps RDMA) -------
-#: Nominal PCIe 4.0 x16 bandwidth quoted in the paper.
-PCIE_GEN4_NOMINAL = 32 * GB
 #: Measured PCIe bandwidth (paper footnote 1: "slightly below the limit").
 PCIE_GEN4_MEASURED = 25 * GB
 #: NVLink bandwidth between GPUs in the same server (400 GBps per §8).

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.cli import build_parser, main
+from repro.errors import InvalidValueError
 
 
 def test_no_command_prints_help(capsys):
@@ -57,6 +58,11 @@ def test_migrate_unsupported_returns_error(capsys):
 def test_bench_command(capsys):
     assert main(["bench", "--exp", "tab03"]) == 0
     assert "rodinia" in capsys.readouterr().out
+
+
+def test_bench_jobs_zero_is_an_error_not_a_serial_run():
+    with pytest.raises(InvalidValueError, match="--jobs=0 is not an integer"):
+        main(["bench", "--exp", "tab03", "--jobs", "0"])
 
 
 def test_invalid_app_rejected():

@@ -3,8 +3,7 @@
 The fig_fleet cells calibrate their own profiles with real protocol
 probes inside each worker process; the probes run on a virtual clock,
 so every worker measures the identical numbers and the merged report
-must be byte-for-byte the same at any parallelism.  CI runs this file
-with the fast path both on and off (``REPRO_NO_FASTPATH``).
+must be byte-for-byte the same at any parallelism.
 
 Kept to one small single-GPU function and short traces: the point is
 the merge/aggregation determinism, not fleet behaviour (that is

@@ -107,6 +107,14 @@ def test_resolve_jobs_precedence(no_env, monkeypatch):
             parallel.resolve_jobs()
         assert JOBS_ENV in str(err.value) and repr(bad) in str(err.value)
     assert parallel.resolve_jobs(2) == 2        # explicit never reads it
+    # The same check for the other two sources.
+    for bad in (0, -3):
+        with pytest.raises(InvalidValueError, match=f"jobs={bad} "):
+            parallel.resolve_jobs(bad)
+        with pytest.raises(InvalidValueError, match=f"--jobs={bad} "):
+            parallel.set_default_jobs(bad)
+    monkeypatch.delenv(JOBS_ENV)
+    assert parallel.resolve_jobs() == 1         # a refused default is not kept
 
 
 # -- merge order ------------------------------------------------------------------
