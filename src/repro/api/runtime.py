@@ -39,7 +39,7 @@ from repro.gpu.cost_model import (
     kernel_duration,
     on_device_copy_time,
 )
-from repro.gpu.dma import APP_PRIORITY, Direction, transfer
+from repro.gpu.dma import Direction, transfer
 from repro.gpu.interpreter import run_kernel
 from repro.gpu.isa import Program
 from repro.gpu.memory import Buffer
@@ -239,7 +239,7 @@ class CudaRuntime:
         def body():
             moved = yield from transfer(
                 self.engine, gpu.dma, Direction.H2D, nbytes,
-                bandwidth=gpu.spec.pcie_bw, priority=APP_PRIORITY,
+                bandwidth=gpu.spec.pcie_bw,
             )
             _apply_payload(buf, payload)
             if plan.on_complete is not None:
@@ -269,7 +269,7 @@ class CudaRuntime:
         def body():
             yield from transfer(
                 self.engine, gpu.dma, Direction.D2H, nbytes,
-                bandwidth=gpu.spec.pcie_bw, priority=APP_PRIORITY,
+                bandwidth=gpu.spec.pcie_bw,
             )
             data = buf.snapshot()
             if plan.on_complete is not None:

@@ -227,9 +227,8 @@ def _leak_errors(world: _World, observer) -> list[str]:
     """Post-run invariants that must hold in *both* outcomes."""
     errors = []
     for gpu in world.machine.gpus:
-        pool = gpu.dma.pool
-        users = list(pool.iter_users())
-        waiting = list(pool.iter_waiting())
+        users = list(gpu.dma.iter_users())
+        waiting = list(gpu.dma.iter_waiting())
         if users:
             errors.append(f"gpu{gpu.index} DMA pool leaked "
                           f"{len(users)} user(s)")

@@ -10,10 +10,11 @@ buffers straight into target GPU buffers).
 Clock domains
 -------------
 
-A cluster can be sharded so each machine (optionally each GPU) is its
-own :class:`~repro.sim.domains.ClockDomain`:
-``Cluster.testbed(world, clock_domains="per-machine")``.  Every RDMA
-link then doubles as a pair of typed :class:`DomainChannel`s whose
+A cluster can be sharded so each machine is its own
+:class:`~repro.sim.domains.ClockDomain`:
+``Cluster.testbed(world, clock_domains="per-machine")``.  A machine's
+GPUs, DMA engines and host memory live in its domain.  Every RDMA link
+then doubles as a pair of :class:`DomainChannel` objects whose
 latency is the conservative lookahead — which is why zero or negative
 link latency is a hard :class:`InvalidValueError` here, not a quirk.
 On a single shared engine the same channels degrade to local schedules,
@@ -35,13 +36,7 @@ from repro.storage.media import DramMedia
 
 
 class Machine:
-    """One GPU server.
-
-    ``gpu_domains`` (optional) homes each GPU in its own clock domain;
-    the machine's engine must then be a domain of the same world, and a
-    pair of PCIe-latency ``dma`` channels is wired host <-> GPU for
-    cross-domain transfers.
-    """
+    """One GPU server."""
 
     def __init__(
         self,
@@ -50,49 +45,19 @@ class Machine:
         n_gpus: int = 8,
         spec: Optional[GpuSpec] = None,
         default_data_size: Optional[int] = None,
-        gpu_domains: Optional[list] = None,
     ) -> None:
         if n_gpus < 1:
             raise InvalidValueError(f"a machine needs at least one GPU, got {n_gpus}")
-        if gpu_domains is not None:
-            if len(gpu_domains) != n_gpus:
-                raise InvalidValueError(
-                    f"gpu_domains has {len(gpu_domains)} entries for "
-                    f"{n_gpus} GPUs"
-                )
-            world = engine._world
-            if world is None:
-                raise InvalidValueError(
-                    "per-GPU clock domains need the machine engine to be a "
-                    "ClockDomain of a World"
-                )
-            for dom in gpu_domains:
-                if dom._world is not world:
-                    raise InvalidValueError(
-                        f"GPU domain {dom.name!r} belongs to a different "
-                        "world than the machine engine"
-                    )
         self.engine = engine
         self.name = name
         self.spec = spec or GpuSpec()
         self.gpus = [
-            Gpu(gpu_domains[i] if gpu_domains else engine, index=i,
-                spec=self.spec, default_data_size=default_data_size)
+            Gpu(engine, index=i, spec=self.spec,
+                default_data_size=default_data_size)
             for i in range(n_gpus)
         ]
         #: Host DRAM as a checkpoint medium (the paper's fast default).
         self.dram = DramMedia(engine, name=f"{name}-dram")
-        #: Per-GPU (host->gpu, gpu->host) dma channel pairs, present
-        #: only when the GPUs live in their own domains.
-        self.gpu_channels: dict[int, tuple[DomainChannel, DomainChannel]] = {}
-        if gpu_domains is not None:
-            for i, dom in enumerate(gpu_domains):
-                self.gpu_channels[i] = (
-                    world.channel(engine, dom, units.PCIE_LINK_LATENCY,
-                                  name=f"{name}/gpu{i}:down", kind="dma"),
-                    world.channel(dom, engine, units.PCIE_LINK_LATENCY,
-                                  name=f"{name}/gpu{i}:up", kind="dma"),
-                )
 
     def gpu(self, index: int) -> Gpu:
         if not 0 <= index < len(self.gpus):
@@ -153,8 +118,7 @@ class RdmaLink:
         for src, dst in ((a, b), (b, a)):
             cname = f"rdma:{src.name}->{dst.name}"
             if src.engine is dst.engine:
-                ch = DomainChannel.local(src.engine, latency, name=cname,
-                                         kind="rdma")
+                ch = DomainChannel.local(src.engine, latency, name=cname)
             else:
                 world = src.engine._world
                 if world is None or dst.engine._world is not world:
@@ -164,7 +128,7 @@ class RdmaLink:
                         "domains must share a World"
                     )
                 ch = world.channel(src.engine, dst.engine, latency,
-                                   name=cname, kind="rdma")
+                                   name=cname)
             self._channels[(src.name, dst.name)] = ch
 
     def _direction(self, src: Machine, dst: Machine) -> tuple[str, str]:
@@ -194,7 +158,7 @@ class RdmaLink:
         """
         key = self._direction(src, dst)
         yield from self._links[key]._flow_raw(nbytes, rate_cap=rate_cap)
-        return self._channels[key].send(value if value is not None else nbytes)
+        self._channels[key].send(value if value is not None else nbytes)
 
     def receive(self, src: Machine, dst: Machine):
         """Event (receiver side) for the next :meth:`deliver` arrival."""
@@ -254,8 +218,6 @@ class Cluster:
           :class:`Engine`); the historical behaviour.
         * ``"per-machine"`` — one :class:`ClockDomain` per machine
           (pass a :class:`World`, or an Engine that is itself a domain).
-        * ``"per-gpu"`` — additionally one domain per GPU, wired to the
-          host domain by PCIe-latency dma channels.
         """
         if isinstance(engine, World):
             world: Optional[World] = engine
@@ -277,21 +239,14 @@ class Cluster:
                 for i in range(n_machines)
             ]
             return cls(engine, machines)
-        if clock_domains not in ("per-machine", "per-gpu"):
+        if clock_domains != "per-machine":
             raise InvalidValueError(
                 f"unknown clock_domains mode {clock_domains!r}; expected "
-                "'single', 'per-machine' or 'per-gpu'"
+                "'single' or 'per-machine'"
             )
-        machines = []
-        for i in range(n_machines):
-            dom = world.domain(f"node{i}")
-            gpu_domains = None
-            if clock_domains == "per-gpu":
-                gpu_domains = [world.domain(f"node{i}/gpu{j}")
-                               for j in range(n_gpus)]
-            machines.append(
-                Machine(dom, name=f"node{i}", n_gpus=n_gpus,
-                        default_data_size=default_data_size,
-                        gpu_domains=gpu_domains)
-            )
+        machines = [
+            Machine(world.domain(f"node{i}"), name=f"node{i}", n_gpus=n_gpus,
+                    default_data_size=default_data_size)
+            for i in range(n_machines)
+        ]
         return cls(world, machines)

@@ -10,10 +10,10 @@ Checkpoint side:
 * :meth:`DataMover.copy_gpu` walks a session's buffer plan for one GPU
   and moves each buffer to the checkpoint medium.  With
   ``config.prioritized`` (the §5 optimization) the copy proceeds in
-  4 MB chunks, releasing the D2H DMA engine between chunks so pending
-  application transfers — which run at higher priority — preempt the
-  bulk load.  Without it the engine is held for whole buffers,
-  reproducing the Fig. 16(b) ablation.
+  4 MB chunks and releases the GPU's DMA engine at the first chunk
+  boundary after a request queues, so pending application transfers —
+  which run at higher priority — preempt the bulk load.  Without it the
+  engine is held for whole buffers, reproducing the Fig. 16(b) ablation.
 * :meth:`DataMover.copy_all` sequences the CPU and GPU streams: with
   ``config.coordinated`` the CPU dump completes before GPU copies start
   (Fig. 9(b)); otherwise they contend for the medium concurrently.
@@ -112,17 +112,19 @@ class DataMover:
         the bytes flow through the medium's shared link, capped at the
         PCIe bandwidth.  Chunked (``config.prioritized``) mode is
         preemptible every 4 MB: the engine is actually released at a
-        boundary only when a waiter is queued (an empty-queue
-        release/re-acquire cycle is a virtual-time no-op, so it is
-        skipped — see ``dma/.../chunks-coalesced``).  With ``held`` set
-        the caller already owns an engine (the unoptimized monolithic
-        bulk load) and no per-step arbitration happens.
+        boundary only when ``queue_len > 0``.  That is exact: with
+        nobody queued, release + re-acquire grants the same holder at
+        the same instant, so holding across the boundary changes no
+        grant or timestamp and only skips the records (counted in
+        ``dma/.../chunks-coalesced``).  With ``held`` set the caller
+        already owns an engine (the unoptimized monolithic bulk load)
+        and no per-step arbitration happens.
         """
         if chaos._injector is not None:
             chaos._injector.trip("dma-error")
         config = self.config
         bandwidth = gpu.spec.pcie_bw * config.bandwidth_scale
-        dma = gpu.dma.for_direction(direction)
+        dma = gpu.dma
         link = medium.write_link if direction is Direction.D2H else medium.read_link
         step = ((config.chunk_bytes or units.CHECKPOINT_CHUNK)
                 if config.prioritized else nbytes)
@@ -208,7 +210,7 @@ class DataMover:
                     # engine until the copy completes — application transfers
                     # starve.
                     held = yield from acquired(
-                        gpu.dma.pool, priority=CHECKPOINT_PRIORITY
+                        gpu.dma, priority=CHECKPOINT_PRIORITY
                     )
                 cursor = 0
                 while not session.aborted:
@@ -261,7 +263,7 @@ class DataMover:
                 # anywhere in the loop) must not strand the monolithic DMA
                 # engine hold.
                 if held is not None and not held.released:
-                    gpu.dma.pool.release(held)
+                    gpu.dma.release(held)
             # Deferred frees: buffers the app released mid-checkpoint.
             for buf in session.deferred_frees.get(gpu.index, ()):
                 gpu.memory.free(buf)
@@ -272,14 +274,17 @@ class DataMover:
         """Generator: overwrite the image with dirty buffers' fresh content.
 
         With ``dirty_ids=None`` (the final, quiesced recopy pass) the
-        session's dirty set is consumed and cleared.  The iterative pre-copy
-        extension passes an explicit snapshot instead: the session's dirty
-        set keeps collecting re-dirtied buffers while this pass runs
-        concurrently with the application.
+        session's dirty set is consumed and cleared, and the buffers
+        allocated during the window that are still alive are captured
+        whole: they exist at t2 but have no copy yet.  The iterative
+        pre-copy extension passes an explicit snapshot instead: the
+        session's dirty set keeps collecting re-dirtied buffers while this
+        pass runs concurrently with the application.
         """
         with obs.span("gpu-recopy", gpu=gpu.index) as span:
             by_id = {buf.id: buf for buf in session.plan[gpu.index]}
-            if dirty_ids is None:
+            final = dirty_ids is None
+            if final:
                 dirty_ids = session.dirty[gpu.index]
                 session.dirty[gpu.index] = set()
             span.attrs["dirty"] = len(dirty_ids)
@@ -287,15 +292,22 @@ class DataMover:
                 buf = by_id.get(buf_id)
                 if buf is None or buf_id in session.freed_ids.get(gpu.index, ()):
                     continue  # unknown or freed: it has no t2 state to capture
-                move_bytes = yield from self._ship(
-                    gpu, medium, buf, sizer, "gpu-recopy"
-                )
-                record = GpuBufferRecord(
-                    buffer_id=buf.id, addr=buf.addr, size=buf.size,
-                    data=buf.snapshot(), tag=buf.tag,
-                )
-                session.image.add_gpu_buffer(gpu.index, record)
-                session.stats.bytes_recopied += move_bytes
+                yield from self._recapture(session, gpu, medium, buf, sizer)
+            if final:
+                # No parent record to size against: NEW buffers move whole.
+                for buf in list(session.new_buffers[gpu.index].values()):
+                    yield from self._recapture(session, gpu, medium, buf, None)
+
+    def _recapture(self, session: CheckpointSession, gpu: Gpu, medium: Medium,
+                   buf: Buffer, sizer):
+        """Generator: ship one buffer's current content into the image."""
+        move_bytes = yield from self._ship(gpu, medium, buf, sizer, "gpu-recopy")
+        record = GpuBufferRecord(
+            buffer_id=buf.id, addr=buf.addr, size=buf.size,
+            data=buf.snapshot(), tag=buf.tag,
+        )
+        session.image.add_gpu_buffer(gpu.index, record)
+        session.stats.bytes_recopied += move_bytes
 
     def copy_all(self, session: CheckpointSession, process, medium: Medium,
                  criu, cpu_dump=None, sizer=None):

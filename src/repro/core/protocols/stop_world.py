@@ -38,18 +38,17 @@ def _bulk_move(ctx: ProtocolContext, gpu, nbytes: int, direction: Direction,
     retry policy.
     """
     bandwidth = ctx.baseline.effective_pcie_bw(gpu.spec)
-    dma = gpu.dma.for_direction(direction)
     flow = (ctx.medium.write_flow if direction is Direction.D2H
             else ctx.medium.read_flow)
 
     def attempt():
         if chaos._injector is not None:
             chaos._injector.trip("dma-error")
-        req = yield from acquired(dma, priority=CHECKPOINT_PRIORITY)
+        req = yield from acquired(gpu.dma, priority=CHECKPOINT_PRIORITY)
         try:
             yield from flow(nbytes, rate_cap=bandwidth)
         finally:
-            dma.release(req)
+            gpu.dma.release(req)
 
     if ctx.baseline.buffer_overhead > 0:
         yield ctx.engine.timeout(ctx.baseline.buffer_overhead)
@@ -83,7 +82,7 @@ class StopWorldCheckpoint(Protocol):
         def copy_one_gpu(gpu_index):
             gpu = process.machine.gpu(gpu_index)
             moved_counter = obs.counter(
-                f"dma/{gpu.dma.for_direction(Direction.D2H).name}/bytes",
+                f"dma/{gpu.dma.name}/bytes",
                 priority=CHECKPOINT_PRIORITY, cls="bulk",
                 direction=Direction.D2H.value,
             )

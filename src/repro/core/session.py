@@ -17,6 +17,7 @@ Checkpoint (recopy)::
 
     NOT_STARTED --engine--> COPY_IN_FLIGHT --> DONE
     any write completing while state != NOT_STARTED marks the buffer dirty
+    (NEW buffers still alive at t2 are captured whole by the final pass)
 
 Restore::
 
@@ -46,7 +47,8 @@ class BufState(enum.Enum):
     SHADOWED = "shadowed"
     COPY_IN_FLIGHT = "copy-in-flight"
     DONE = "done"
-    #: Allocated after the checkpoint started: not part of the image.
+    #: Allocated after the checkpoint started: not in a t1 (CoW) image;
+    #: a t2 (recopy) image captures the ones still alive at t2.
     NEW = "new"
 
 
@@ -104,6 +106,9 @@ class CheckpointSession:
         self.deferred_frees: dict[int, list[Buffer]] = {}
         #: Buffers freed during the window; recopy drops them from the image.
         self.freed_ids: dict[int, set[int]] = {}
+        #: NEW buffers allocated during the window and not freed since,
+        #: per GPU, in allocation order.
+        self.new_buffers: dict[int, dict[int, Buffer]] = {}
         self.aborted = False
         self.abort_reason = ""
         #: Set by the recopy protocol: when the final quiesce began
@@ -121,6 +126,7 @@ class CheckpointSession:
         self.dirty.setdefault(gpu_index, set())
         self.deferred_frees.setdefault(gpu_index, [])
         self.freed_ids.setdefault(gpu_index, set())
+        self.new_buffers.setdefault(gpu_index, {})
         self._pool_free.setdefault(gpu_index, self.cow_pool_bytes)
         self._pool_waiters.setdefault(gpu_index, deque())
         for buf in buffers:

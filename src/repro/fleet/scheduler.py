@@ -688,7 +688,7 @@ def run_fleet(trace: Trace, config: FleetConfig,
 
         def channel(src, dst, name):
             return world.channel(src, dst, config.control_latency_s,
-                                 name=name, kind="control")
+                                 name=name)
     else:
         world = None
         gw_engine = Engine()
@@ -697,7 +697,7 @@ def run_fleet(trace: Trace, config: FleetConfig,
 
         def channel(src, dst, name):
             return DomainChannel.local(gw_engine, config.control_latency_s,
-                                       name=name, kind="control")
+                                       name=name)
 
     report = FleetReport(system=config.system, trace=trace, config=config)
     agents = []

@@ -11,10 +11,10 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.gpu.cost_model import GpuSpec
-from repro.gpu.dma import DmaEngineSet
 from repro.gpu.memory import DeviceMemory
 from repro.gpu.stream import Stream
 from repro.sim.engine import Engine
+from repro.sim.resources import Resource
 
 
 class Gpu:
@@ -34,7 +34,9 @@ class Gpu:
         if default_data_size is not None:
             mem_kwargs["default_data_size"] = default_data_size
         self.memory = DeviceMemory(self.spec.memory_bytes, **mem_kwargs)
-        self.dma = DmaEngineSet(engine, f"gpu{index}", self.spec.dma_engines)
+        #: The DMA engine pool, shared by both directions (see gpu/dma.py).
+        self.dma = Resource(engine, capacity=self.spec.dma_engines,
+                            name=f"gpu{index}-dma")
         self.streams: list[Stream] = []
 
     def create_stream(self, name: str = "") -> Stream:

@@ -25,7 +25,7 @@ Typical usage::
 from repro.sim.domains import ClockDomain, DomainChannel, World
 from repro.sim.engine import Engine, Process
 from repro.sim.events import AllOf, AnyOf, Event, Timeout
-from repro.sim.resources import PriorityResource, Resource, Store
+from repro.sim.resources import Resource, Store
 
 __all__ = [
     "AllOf",
@@ -34,7 +34,6 @@ __all__ = [
     "DomainChannel",
     "Engine",
     "Event",
-    "PriorityResource",
     "Process",
     "Resource",
     "Store",

@@ -2,11 +2,14 @@
 
 A :class:`World` is a set of :class:`ClockDomain` objects — each is a
 full :class:`~repro.sim.engine.Engine` (own calendar queue, own clock,
-own resident processes and resources) — plus the typed
-:class:`DomainChannel` links between them.  The plain single-``Engine``
-world is the degenerate one-domain case: every existing call site keeps
-working unchanged, and a channel whose two ends are the same engine
-degrades to a local schedule at ``now + latency``.
+own resident processes and resources) — plus the
+:class:`DomainChannel` links between them.  A channel carries values:
+``send`` on the source side, ``recv`` or ``subscribe`` on the
+destination side, and nothing else crosses a domain boundary.  The
+plain single-``Engine`` world is the degenerate one-domain case: every
+existing call site keeps working unchanged, and a channel whose two
+ends are the same engine degrades to a local schedule at
+``now + latency``.
 
 Conservative synchronization
 ----------------------------
@@ -36,7 +39,7 @@ where ``lookahead[D]`` is the smallest latency over the channels *into*
 domain's earliest action is at ``>= LBTS``, so whatever it sends — now,
 or later after being woken by a third party — reaches ``D`` no earlier
 than ``LBTS + lookahead[D]``; and because float addition is monotone,
-``send time + latency (+ delay)`` never rounds below that single add.
+``send time + latency`` never rounds below that single add.
 The inclusive leg guarantees progress (the globally-earliest timestamp
 is always fully consumed) even where the add is absorbed by rounding.  A
 domain no channel leads into is unbounded, which makes the one-domain
@@ -61,8 +64,8 @@ timestamp of a local record, the two are queued in the order their
 domains happened to run, which inside a lookahead window need not be
 timestamp order, so their order *within* the shared bucket can differ
 from the single-engine run.  Keep channel latencies off the
-natural timestamp grid of the workload (physical latencies — 5 µs RDMA,
-1 µs PCIe — already are) and the case never arises; the differential
+natural timestamp grid of the workload (the 5 µs RDMA latency
+already is) and the case never arises; the differential
 property suite in ``tests/test_property_domains.py`` pins exactly this
 equivalence over randomized ring, hub-and-spoke and pipeline topologies.
 """
@@ -75,7 +78,7 @@ from typing import Any, Callable, Optional
 
 from repro import obs
 from repro.errors import DeadlockError, InvalidValueError, SimulationError
-from repro.sim.engine import _INF, Engine, Process
+from repro.sim.engine import _INF, Engine
 from repro.sim.events import K_CALL1, Event
 from repro.sim.resources import Store
 
@@ -84,85 +87,22 @@ from repro.sim.resources import Store
 #: ahead of any peer), so latency is validated as load-bearing.
 MIN_LOOKAHEAD = 1e-9
 
-#: Message kinds (what to do on delivery in the destination domain).
-_SEND, _POST, _FIRE, _INTERRUPT = range(4)
-
-
-class ChannelMessage:
-    """One in-flight cross-domain message.
-
-    Created by the channel's ``send``/``post``/``fire``/``interrupt``
-    methods and returned to the caller so the *sender side* can abort it
-    with :meth:`cancel` while it is still in flight.
-    """
-
-    __slots__ = ("channel", "kind", "send_time", "arrival", "target",
-                 "payload", "cancelled", "delivered")
-
-    def __init__(self, channel: "DomainChannel", kind: int, send_time: float,
-                 arrival: float, target: Any, payload: Any) -> None:
-        self.channel = channel
-        self.kind = kind
-        self.send_time = send_time
-        self.arrival = arrival
-        self.target = target
-        self.payload = payload
-        self.cancelled = False
-        self.delivered = False
-
-    def cancel(self) -> bool:
-        """Abort the message if it has not been delivered yet.
-
-        Models a sender-side abort: the message is dropped at (not
-        before) its arrival instant.  Returns False — and changes
-        nothing — when delivery already happened.
-        """
-        if self.delivered:
-            return False
-        self.cancelled = True
-        return True
-
-    def _deliver(self, _arg: Any = None) -> None:
-        """Executed in the destination domain at the arrival timestamp."""
-        if self.cancelled:
-            return
-        self.delivered = True
-        kind = self.kind
-        if kind == _SEND:
-            channel = self.channel
-            if channel._handler is None:
-                channel._inbox.put(self.payload)
-            else:
-                channel._arrived(self.payload)
-        elif kind == _POST:
-            self.target(self.payload)
-        elif kind == _FIRE:
-            self.target.succeed(self.payload)
-        else:  # _INTERRUPT — a process that finished in flight is left alone
-            if not self.target._fired:
-                self.target.interrupt(self.payload)
-
-    def __repr__(self) -> str:
-        state = ("delivered" if self.delivered
-                 else "cancelled" if self.cancelled else "in-flight")
-        return (f"<ChannelMessage via {self.channel.name!r} "
-                f"t={self.send_time:g}->{self.arrival:g} {state}>")
-
 
 class DomainChannel:
-    """A typed, directed, latency-bearing link between two domains.
+    """A directed, latency-bearing link that carries values between domains.
 
-    ``kind`` is a routing tag ("data", "rdma", "dma", "control", ...)
-    used by :meth:`World.require_channel` so e.g. cross-domain DMA can
-    find its dedicated channel pair.  The degenerate form — both ends
-    the same plain engine, built with :meth:`local` — keeps identical
-    delivery timestamps by scheduling directly on that engine, which is
-    what makes single-domain and multi-domain runs comparable record
-    for record.
+    A value sent at ``t`` is delivered in the destination domain at
+    ``t + latency``: into an inbox read with :meth:`recv`, or handed to
+    the handler registered with :meth:`subscribe`.  A send cannot be
+    recalled; a sender that changes its mind sends a token the receiver
+    checks.  The degenerate form — both ends the same plain engine,
+    built with :meth:`local` — keeps identical delivery timestamps by
+    scheduling directly on that engine, which is what makes
+    single-domain and multi-domain runs comparable record for record.
     """
 
     def __init__(self, world: Optional["World"], src: Engine, dst: Engine,
-                 latency: float, name: str = "", kind: str = "data") -> None:
+                 latency: float, name: str = "") -> None:
         if not MIN_LOOKAHEAD <= latency < _INF:  # also catches NaN
             raise InvalidValueError(
                 f"channel latency must be finite and >= {MIN_LOOKAHEAD:g}s, "
@@ -180,7 +120,6 @@ class DomainChannel:
         self.dst = dst
         self.latency = float(latency)
         self.name = name or f"{src.name}->{dst.name}"
-        self.kind = kind
         self._inbox = Store(dst, name=f"{self.name}-inbox")
         #: Push-style receive (see :meth:`subscribe`): the handler and
         #: the sent values it has not finished with.  Non-empty means a
@@ -190,17 +129,14 @@ class DomainChannel:
         self.messages_sent = 0
 
     @classmethod
-    def local(cls, engine: Engine, latency: float, name: str = "",
-              kind: str = "data") -> "DomainChannel":
+    def local(cls, engine: Engine, latency: float,
+              name: str = "") -> "DomainChannel":
         """The degenerate channel: both ends on ``engine``."""
-        return cls(None, engine, engine, latency, name=name, kind=kind)
+        return cls(None, engine, engine, latency, name=name)
 
     # -- sending -------------------------------------------------------------
-    def _emit(self, kind: int, target: Any, payload: Any,
-              delay: float) -> ChannelMessage:
-        if not 0 <= delay < _INF:  # also catches NaN
-            raise InvalidValueError(
-                f"channel delay must be finite and >= 0, got {delay!r}")
+    def send(self, value: Any = None) -> None:
+        """Deliver ``value`` to the destination one latency from now."""
         src = self.src
         dst = self.dst
         world = self.world
@@ -211,13 +147,11 @@ class DomainChannel:
                     f"channel {self.name!r} sends from domain {src.name!r} "
                     f"but domain {ex.name!r} is executing"
                 )
-        now = src._now
-        arrival = now + self.latency + delay
-        msg = ChannelMessage(self, kind, now, arrival, target, payload)
+        arrival = src._now + self.latency
         if dst is src:
             # Degenerate: delivery is a local schedule at the same
             # timestamp a cross-domain delivery would use.
-            src._push(arrival, K_CALL1, msg._deliver, None)
+            src._push(arrival, K_CALL1, self._deliver, value)
         else:
             if arrival < dst._now:
                 raise SimulationError(
@@ -225,46 +159,18 @@ class DomainChannel:
                     f"arrives at t={arrival:g} behind domain "
                     f"{dst.name!r} clock t={dst._now:g}"
                 )
-            dst._accept(arrival, msg._deliver)
+            dst._accept(arrival, self._deliver, value)
         self.messages_sent += 1
-        return msg
 
-    def send(self, value: Any = None, delay: float = 0.0) -> ChannelMessage:
-        """Deliver ``value`` into the channel's destination-side inbox."""
-        return self._emit(_SEND, None, value, delay)
-
-    def post(self, fn: Callable[[Any], None], arg: Any = None,
-             delay: float = 0.0) -> ChannelMessage:
-        """Run ``fn(arg)`` in the destination domain on arrival."""
-        return self._emit(_POST, fn, arg, delay)
-
-    def fire(self, event: Event, value: Any = None,
-             delay: float = 0.0) -> ChannelMessage:
-        """Succeed a destination-resident event on arrival."""
-        if event.engine is not self.dst:
-            raise SimulationError(
-                f"channel {self.name!r} can only fire events homed in "
-                f"{self.dst.name!r}, got one homed in {event.engine.name!r}"
-            )
-        return self._emit(_FIRE, event, value, delay)
-
-    def interrupt(self, process: Process,
-                  exc: Optional[BaseException] = None,
-                  delay: float = 0.0) -> ChannelMessage:
-        """Interrupt a destination-resident process on arrival.
-
-        Unlike a local :meth:`Process.interrupt`, a process that
-        finishes while the interrupt is in flight is *not* an error —
-        the message is dropped silently at delivery, exactly like a
-        real control message racing a completion.
-        """
-        if process.engine is not self.dst:
-            raise SimulationError(
-                f"channel {self.name!r} can only interrupt processes "
-                f"resident in {self.dst.name!r}, got {process.name!r} from "
-                f"{process.engine.name!r}"
-            )
-        return self._emit(_INTERRUPT, process, exc, delay)
+    def _deliver(self, value: Any) -> None:
+        """Executed in the destination domain at the arrival timestamp."""
+        if self._handler is None:
+            self._inbox.put(value)
+            return
+        if not self._pending:
+            dst = self.dst
+            dst._push(dst._now, K_CALL1, self._wake, None)
+        self._pending.append(value)
 
     # -- receiving -----------------------------------------------------------
     def subscribe(self, handler: Callable[[Any], None]) -> None:
@@ -289,12 +195,6 @@ class DomainChannel:
                 f"channel {self.name!r} is already received with recv(); "
                 "subscribe before any traffic")
         self._handler = handler
-
-    def _arrived(self, value: Any) -> None:
-        if not self._pending:
-            dst = self.dst
-            dst._push(dst._now, K_CALL1, self._wake, None)
-        self._pending.append(value)
 
     def _wake(self, _arg: Any) -> None:
         pending = self._pending
@@ -321,8 +221,7 @@ class DomainChannel:
         return self._inbox.get()
 
     def __repr__(self) -> str:
-        return (f"<DomainChannel {self.name} kind={self.kind} "
-                f"latency={self.latency:g}>")
+        return f"<DomainChannel {self.name} latency={self.latency:g}>"
 
 
 class ClockDomain(Engine):
@@ -346,8 +245,9 @@ class ClockDomain(Engine):
         #: domain nothing can reach is unbounded.
         self._lookahead = _INF
 
-    def _accept(self, when: float, deliver: Callable[[Any], None]) -> None:
-        """Queue a channel arrival sent by a *foreign* domain.
+    def _accept(self, when: float, deliver: Callable[[Any], None],
+                value: Any) -> None:
+        """Queue ``deliver(value)``: a channel arrival from a *foreign* domain.
 
         The one sanctioned way around :meth:`Engine._push`'s
         executing-domain guard; the arrival takes its FIFO position in
@@ -359,10 +259,10 @@ class ClockDomain(Engine):
         self._n_scheduled += 1
         bucket = self._buckets.get(when)
         if bucket is None:
-            self._buckets[when] = [(K_CALL1, deliver, None)]
+            self._buckets[when] = [(K_CALL1, deliver, value)]
             heapq.heappush(self._theap, when)
         else:
-            bucket.append((K_CALL1, deliver, None))
+            bucket.append((K_CALL1, deliver, value))
 
     def run(self, until: Optional[Event | float] = None) -> Any:
         return self.world.run(until)
@@ -377,7 +277,6 @@ class World:
     def __init__(self) -> None:
         self._domains: list[ClockDomain] = []
         self._names: set[str] = set()
-        self._by_pair: dict[tuple[Engine, Engine], list[DomainChannel]] = {}
         #: The domain currently executing a drain window (None between
         #: windows).  Engines use it to reject foreign-domain touches.
         self._executing: Optional[ClockDomain] = None
@@ -405,7 +304,7 @@ class World:
         return list(self._domains)
 
     def channel(self, src: Engine, dst: Engine, latency: float,
-                name: str = "", kind: str = "data") -> DomainChannel:
+                name: str = "") -> DomainChannel:
         """Create a directed channel between two domains of this world."""
         if src is dst:
             raise InvalidValueError(
@@ -418,23 +317,10 @@ class World:
                 raise InvalidValueError(
                     f"engine {end.name!r} is not a domain of this world"
                 )
-        ch = DomainChannel(self, src, dst, latency, name=name, kind=kind)
-        self._by_pair.setdefault((src, dst), []).append(ch)
+        ch = DomainChannel(self, src, dst, latency, name=name)
         if ch.latency < dst._lookahead:
             dst._lookahead = ch.latency
         return ch
-
-    def require_channel(self, src: Engine, dst: Engine,
-                        kind: Optional[str] = None) -> DomainChannel:
-        """The first registered ``src -> dst`` channel of ``kind``."""
-        for ch in self._by_pair.get((src, dst), ()):
-            if kind is None or ch.kind == kind:
-                return ch
-        raise SimulationError(
-            f"no {kind or 'any'}-kind channel from {src.name!r} to "
-            f"{dst.name!r}; cross-domain interaction needs an explicit "
-            "DomainChannel"
-        )
 
     # -- clocks --------------------------------------------------------------
     @property
@@ -515,7 +401,7 @@ class World:
             # Only the domain(s) sitting on the lower bound run.  Every
             # other domain's earliest action is >= lbts, so no arrival
             # can land before lbts + (smallest incoming latency): float
-            # addition is monotone, so ``send time + latency (+ delay)``
+            # addition is monotone, so ``send time + latency``
             # never rounds below this one add.
             for dom in domains:
                 theap = dom._theap

@@ -45,14 +45,12 @@ from repro.errors import DeadlockError, SimulationError
 from repro.sim.events import (
     K_CALL1,
     K_FIRE,
-    K_FN,
     K_RESUME,
     K_STEP,
     AllOf,
     AnyOf,
     Event,
     Timeout,
-    TimeoutUntil,
 )
 
 ProcessBody = Generator[Event, Any, Any]
@@ -94,8 +92,9 @@ class Process(Event):
 
         A process resident in another clock domain cannot be interrupted
         directly — that would reach across the conservative sync
-        boundary at zero latency.  Use
-        :meth:`~repro.sim.domains.DomainChannel.interrupt` instead.
+        boundary at zero latency.  Send a message over a
+        :class:`~repro.sim.domains.DomainChannel` instead and act on it
+        in the process's own domain.
         """
         engine = self.engine
         world = engine._world
@@ -104,8 +103,9 @@ class Process(Event):
             if executing is not None and executing is not engine:
                 raise SimulationError(
                     f"process {self.name!r} is resident in domain "
-                    f"{engine.name!r}; interrupt it from {executing.name!r} "
-                    "via DomainChannel.interrupt"
+                    f"{engine.name!r}; domain {executing.name!r} cannot "
+                    "interrupt it directly, send a message over a "
+                    "DomainChannel instead"
                 )
         if self._fired:
             raise SimulationError(f"cannot interrupt finished process {self.name!r}")
@@ -233,10 +233,6 @@ class Engine:
         """An event that fires ``delay`` seconds from now."""
         return Timeout(self, delay, value)
 
-    def timeout_until(self, when: float, value: Any = None) -> TimeoutUntil:
-        """An event that fires at the absolute virtual time ``when``."""
-        return TimeoutUntil(self, when, value)
-
     def all_of(self, events) -> AllOf:
         """An event that fires when all of ``events`` have fired."""
         return AllOf(self, events)
@@ -297,10 +293,6 @@ class Engine:
             else:
                 b.append((K_CALL1, cb, event))
         self._n_scheduled += len(cbs)
-
-    def _schedule_at(self, when: float, fn: Callable[[], None]) -> None:
-        """Generic escape hatch: run ``fn()`` at virtual time ``when``."""
-        self._push(when, K_FN, fn, None)
 
     def call_at(self, when: float, fn: Callable[[Any], None],
                 arg: Any = None) -> None:
@@ -394,10 +386,8 @@ class Engine:
                             target._fire(True, payload)
                         elif kind == K_CALL1:
                             target(payload)
-                        elif kind == K_STEP:
+                        else:  # K_STEP
                             target._step(None, payload)
-                        else:
-                            target()
                         n = len(bucket)
                 else:
                     while i < n:
@@ -409,10 +399,8 @@ class Engine:
                             target._fire(True, payload)
                         elif kind == K_CALL1:
                             target(payload)
-                        elif kind == K_STEP:
+                        else:  # K_STEP
                             target._step(None, payload)
-                        else:
-                            target()
                         if stop_event._fired:
                             return True
                         n = len(bucket)

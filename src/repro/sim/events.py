@@ -15,14 +15,12 @@ share them without a circular import:
 
 * ``K_RESUME`` — wake ``target`` (a waiting :class:`Process`) because
   ``payload`` (the event it yielded) fired;
-* ``K_FIRE`` — fire ``target`` (a :class:`Timeout`/:class:`TimeoutUntil`)
-  successfully with value ``payload``;
-* ``K_CALL1`` — invoke ``target(payload)`` (event callbacks, generation-
-  tagged timers);
+* ``K_FIRE`` — fire ``target`` (a :class:`Timeout`) successfully with
+  value ``payload``;
+* ``K_CALL1`` — invoke ``target(payload)`` (event callbacks,
+  ``Engine.call_at`` timers, channel deliveries);
 * ``K_STEP`` — step ``target`` (a :class:`Process`): ``payload`` is the
-  exception to throw in, or ``None`` for the initial ``send(None)``;
-* ``K_FN`` — invoke ``target()`` (the generic escape hatch behind
-  ``Engine._schedule_at``).
+  exception to throw in, or ``None`` for the initial ``send(None)``.
 
 Events keep their waiters in one ``_callbacks`` list that holds either
 plain callables or :class:`~repro.sim.engine.Process` objects directly
@@ -41,7 +39,7 @@ from repro.errors import SimulationError
 
 #: Queue-record kinds (see module docstring).  Plain ints: the engine's
 #: dispatch loop compares these with ``==`` in hotness order.
-K_RESUME, K_FIRE, K_CALL1, K_STEP, K_FN = range(5)
+K_RESUME, K_FIRE, K_CALL1, K_STEP = range(4)
 
 
 class Event:
@@ -181,28 +179,6 @@ class Timeout(Event):
         # Computed on demand: formatting the delay eagerly used to cost
         # more than the rest of Timeout construction combined.
         return f"timeout({self.delay:g})"
-
-
-class TimeoutUntil(Event):
-    """An event that fires at an absolute virtual time.
-
-    Unlike :class:`Timeout` the deadline is given directly, not as a
-    delay added to ``now`` — callers that precompute a schedule of
-    float timestamps (e.g. the coalesced DMA chunk run) use this to hit
-    those timestamps *bit-exactly* instead of re-deriving them through
-    a second ``now + delay`` rounding.
-    """
-
-    __slots__ = ("when",)
-
-    def __init__(self, engine: "Engine", when: float, value: Any = None) -> None:  # noqa: F821
-        super().__init__(engine)
-        self.when = when
-        engine._push(when, K_FIRE, self, value)
-
-    @property
-    def name(self) -> str:
-        return f"timeout-until({self.when:g})"
 
 
 class _Composite(Event):

@@ -1,19 +1,18 @@
 """Contended resources for the discrete-event engine.
 
-:class:`Resource` models a pool of identical slots (e.g. a GPU's DMA
-engines) with FIFO queueing.  :class:`PriorityResource` adds a priority
-to each request — lower numbers acquire first — which is how the
-prioritized application PCIe transfer (§5 of the paper) preempts bulk
-checkpoint traffic at chunk boundaries.  :class:`Store` is an unbounded
-FIFO mailbox used for IPC between the PHOS frontend and daemon.
+:class:`Resource` models a pool of identical slots (a GPU's DMA
+engines).  Each request carries a priority — lower numbers acquire
+first, ties FIFO — which is how application PCIe transfers preempt bulk
+checkpoint traffic at chunk boundaries (§5 of the paper).
+:class:`Store` is an unbounded FIFO mailbox used for IPC between the
+PHOS frontend and daemon.
 
 Cancellation: releasing a request that was never granted withdraws it
-from the wait queue.  The FIFO resource removes it eagerly; the
-priority resource honours a *lazy-deletion* contract instead (the heap
-entry stays behind, marked released, and ``_pop_next`` skips it), so a
+from the wait queue under a *lazy-deletion* contract (the heap entry
+stays behind, marked released, and the grant loop skips it), so a
 cancel is O(queue) only in the membership check and never disturbs the
-heap invariant.  Either way, releasing a request the resource has
-never seen raises :class:`~repro.errors.SimulationError`.
+heap invariant.  Releasing a request the resource has never seen
+raises :class:`~repro.errors.SimulationError`.
 
 When a :mod:`repro.obs` observer is installed, every resource reports
 queue depth (time-weighted), per-priority slot occupancy, and
@@ -26,7 +25,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from collections import deque
-from typing import Any, Iterator, Optional
+from typing import Any, Iterator
 
 from repro import obs
 from repro.errors import SimulationError
@@ -63,11 +62,14 @@ class Request(Event):
 
 
 class Resource:
-    """A FIFO resource with ``capacity`` identical slots.
+    """A pool of ``capacity`` identical slots; waiters queue by priority.
+
+    Lower priority numbers acquire first and ties are served FIFO, so a
+    resource used at one priority is a plain FIFO queue.
 
     Usage from a process::
 
-        req = yield resource.acquire()
+        req = yield from acquired(resource, priority=...)
         try:
             yield engine.timeout(work)
         finally:
@@ -82,10 +84,10 @@ class Resource:
         self.capacity = capacity
         self.name = name
         self._users: list[Request] = []
-        self._waiters: deque[Request] = deque()
-        #: One-shot events armed by holders that want to be woken the
-        #: moment another request has to queue (see ``watch_waiters``).
-        self._watchers: list[Event] = []
+        #: Waiters as ``(priority, arrival seq, request)``; cancelled
+        #: entries stay behind, marked released (lazy deletion).
+        self._heap: list[tuple[int, int, Request]] = []
+        self._counter = itertools.count()
         #: Priorities ever granted here (so occupancy gauges report a
         #: zero when a class drains, not a stale last value).
         self._prio_seen: set[int] = set()
@@ -99,7 +101,7 @@ class Resource:
     @property
     def queue_len(self) -> int:
         """Number of requests waiting for a slot."""
-        return len(self._waiters)
+        return sum(1 for _, _, req in self._heap if not req.released)
 
     @property
     def busy(self) -> bool:
@@ -112,11 +114,13 @@ class Resource:
 
     def iter_waiting(self) -> Iterator[Request]:
         """The requests waiting for a slot, in service order (snapshot)."""
-        return iter(tuple(self._waiters))
+        return iter(tuple(
+            req for _, _, req in sorted(self._heap, key=lambda e: e[:2])
+            if not req.released
+        ))
 
     # -- acquire / release -----------------------------------------------------
-    def acquire(self, priority: int = 0) -> Request:
-        """Request a slot.  The returned event fires when granted."""
+    def _check_affinity(self) -> None:
         engine = self.engine
         world = engine._world
         if world is not None and world._executing is not None \
@@ -126,105 +130,56 @@ class Resource:
                 f"but domain {world._executing.name!r} is executing; "
                 "cross-domain access must go through a DomainChannel"
             )
+
+    def acquire(self, priority: int = 0) -> Request:
+        """Request a slot.  The returned event fires when granted."""
+        self._check_affinity()
         req = Request(self, priority=priority)
-        if len(self._users) < self.capacity and self._queue_empty():
+        if len(self._users) < self.capacity and not self._heap:
             # Uncontended fast path: a free slot and nobody queued means
             # enqueue-then-grant would pop this request straight back
             # out.  Identical semantics (grant-wait 0, fired before the
-            # caller can yield), without touching the wait queue.
+            # caller can yield), without touching the heap.  A cancelled
+            # entry left in the heap disables it; the slow path skips it.
             self._users.append(req)
             ob = obs.active()
             if ob is not None:
                 ob.metrics.histogram(
                     f"resource/{self.name}/grant-wait", priority=req.priority,
-                    **engine._obs_labels
+                    **self.engine._obs_labels
                 ).observe(0.0)
                 self._note(ob)
             req.succeed(req)
             return req
-        self._enqueue(req)
+        heapq.heappush(self._heap, (priority, next(self._counter), req))
         self._grant()
         self._note()
-        if not req.triggered and self._watchers:
-            # The request had to queue: wake every armed watcher.  A
-            # holder coalescing work across re-arbitration points uses
-            # this as its signal to stop coalescing and yield the slot
-            # at the next boundary.
-            watchers, self._watchers = self._watchers, []
-            for ev in watchers:
-                ev.succeed(req)
         return req
-
-    # -- waiter watching ----------------------------------------------------
-    def watch_waiters(self) -> Event:
-        """Arm a one-shot event that fires when a request has to queue.
-
-        The event succeeds (with the queued :class:`Request` as value)
-        the next time an ``acquire`` is not granted immediately.  Used
-        by the coalesced DMA bulk copy: while no watcher has fired, a
-        release/re-acquire cycle at a chunk boundary is a virtual-time
-        no-op, so the holder may skip it entirely.
-        """
-        ev = Event(self.engine, name=f"waiter-watch({self.name})")
-        self._watchers.append(ev)
-        return ev
-
-    def unwatch_waiters(self, ev: Event) -> None:
-        """Disarm a watcher from :meth:`watch_waiters` (no-op if fired)."""
-        try:
-            self._watchers.remove(ev)
-        except ValueError:
-            pass
 
     def release(self, req: Request) -> None:
         """Return a granted slot to the pool, or cancel a waiting request."""
-        engine = self.engine
-        world = engine._world
-        if world is not None and world._executing is not None \
-                and world._executing is not engine:
-            raise SimulationError(
-                f"resource {self.name!r} lives in domain {engine.name!r} "
-                f"but domain {world._executing.name!r} is executing; "
-                "cross-domain access must go through a DomainChannel"
-            )
+        self._check_affinity()
         if req.released:
             raise SimulationError(f"double release on {self.name}")
         if req in self._users:
             self._users.remove(req)
-        elif self._cancel_waiting(req):
-            pass  # withdrawn before being granted
-        else:
+        elif not any(entry[2] is req for entry in self._heap):
             raise SimulationError(f"release of unknown request on {self.name}")
+        # A waiting request is withdrawn by marking it: its heap entry
+        # stays and ``_grant`` skips it.
         req.released = True
-        if not self._queue_empty():
+        if self._heap:
             self._grant()
         self._note()
 
-    # -- queue policy (overridden by PriorityResource) ---------------------------
-    def _queue_empty(self) -> bool:
-        """True when no waiter could possibly be granted before a new one."""
-        return not self._waiters
-
-    def _enqueue(self, req: Request) -> None:
-        self._waiters.append(req)
-
-    def _pop_next(self) -> Optional[Request]:
-        return self._waiters.popleft() if self._waiters else None
-
-    def _cancel_waiting(self, req: Request) -> bool:
-        """Withdraw a not-yet-granted request; False when unknown."""
-        if req in self._waiters:
-            self._waiters.remove(req)
-            return True
-        return False
-
     def _grant(self) -> None:
+        heap = self._heap
         ob = None
         ob_fetched = False
-        while len(self._users) < self.capacity:
-            req = self._pop_next()
-            if req is None:
-                return
+        while len(self._users) < self.capacity and heap:
+            req = heapq.heappop(heap)[2]
+            if req.released:
+                continue
             self._users.append(req)
             if not ob_fetched:
                 ob = obs.active()
@@ -258,51 +213,6 @@ class Resource:
             metrics.gauge(
                 f"resource/{self.name}/in-use", priority=priority, **labels
             ).set(counts.get(priority, 0))
-
-
-class PriorityResource(Resource):
-    """A resource whose waiters are served lowest-priority-number first.
-
-    Ties are broken FIFO, so equal-priority traffic behaves exactly like
-    the base :class:`Resource`.  Cancelled waiters are lazily deleted:
-    they stay in the heap, marked released, and are skipped on pop.
-    """
-
-    def __init__(self, engine: Engine, capacity: int = 1,
-                 name: str = "presource") -> None:
-        super().__init__(engine, capacity=capacity, name=name)
-        self._heap: list[tuple[int, int, Request]] = []
-        self._counter = itertools.count()
-
-    def _queue_empty(self) -> bool:
-        # Lazy deletion keeps released entries in the heap; any entry at
-        # all disables the fast path (the slow path skips them anyway).
-        return not self._heap
-
-    def _enqueue(self, req: Request) -> None:
-        heapq.heappush(self._heap, (req.priority, next(self._counter), req))
-
-    def _pop_next(self) -> Optional[Request]:
-        while self._heap:
-            _, _, req = heapq.heappop(self._heap)
-            if not req.released:
-                return req
-        return None
-
-    def _cancel_waiting(self, req: Request) -> bool:
-        # Lazy deletion: the caller marks ``req.released``; the entry
-        # stays in the heap and ``_pop_next`` skips it.
-        return any(entry[2] is req for entry in self._heap)
-
-    @property
-    def queue_len(self) -> int:
-        return sum(1 for _, _, req in self._heap if not req.released)
-
-    def iter_waiting(self) -> Iterator[Request]:
-        return iter(tuple(
-            req for _, _, req in sorted(self._heap, key=lambda e: e[:2])
-            if not req.released
-        ))
 
 
 def acquired(resource: Resource, priority: int = 0):

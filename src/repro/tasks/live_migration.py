@@ -109,9 +109,9 @@ def migrate(system: str, spec_name: str, warm_steps: int = 2,
             return eng.now
     else:
         ctrl = world.channel(eng, dst.engine, units.RDMA_LINK_LATENCY,
-                             name="migrate-ctrl", kind="control")
+                             name="migrate-ctrl")
         ack = world.channel(dst.engine, eng, units.RDMA_LINK_LATENCY,
-                            name="migrate-ack", kind="control")
+                            name="migrate-ack")
 
         def server():
             image = yield ctrl.recv()

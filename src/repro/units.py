@@ -35,9 +35,6 @@ RDMA_100GBPS = 100 * GB // 8
 #: realism: it is the conservative lookahead of a cross-machine clock
 #: domain pair (see ``sim/domains.py``), so it must stay positive.
 RDMA_LINK_LATENCY = 5 * USEC
-#: One-way PCIe round-trip-ish latency host <-> GPU, the lookahead of a
-#: per-GPU clock domain.
-PCIE_LINK_LATENCY = 1 * USEC
 #: A800 HBM2e bandwidth (approximately 2 TB/s).
 HBM_BW = 2000 * GB
 #: Local NVMe SSD write bandwidth (a typical datacenter drive).

@@ -60,8 +60,8 @@ def make_world(n_gpus=1, **toyapp_kwargs):
 
 def assert_no_dma_leaks(machine):
     for gpu in machine.gpus:
-        assert list(gpu.dma.pool.iter_users()) == []
-        assert list(gpu.dma.pool.iter_waiting()) == []
+        assert list(gpu.dma.iter_users()) == []
+        assert list(gpu.dma.iter_waiting()) == []
 
 
 # -- the matrix, end to end --------------------------------------------------------

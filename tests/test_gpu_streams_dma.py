@@ -1,11 +1,18 @@
 """Unit tests for streams, DMA engine arbitration, and the device."""
 
+import random
+
 import pytest
 
-from repro import units
-from repro.gpu.dma import APP_PRIORITY, CHECKPOINT_PRIORITY, Direction, transfer
+from repro import obs, units
+from repro.core.engine import DataMover
+from repro.core.protocols import ProtocolConfig
+from repro.gpu.cost_model import GpuSpec
 from repro.gpu.device import Gpu
+from repro.gpu.dma import APP_PRIORITY, CHECKPOINT_PRIORITY, Direction, transfer
 from repro.sim import Engine
+from repro.sim.resources import acquired
+from repro.storage.media import Medium
 
 
 @pytest.fixture
@@ -190,152 +197,176 @@ def test_same_direction_serializes(eng, gpu):
     assert sorted(done.values()) == [1.0, 2.0]
 
 
-def test_unchunked_bulk_blocks_app_transfer(eng, gpu):
-    """Without chunking, an app transfer waits behind the whole bulk copy."""
+# --- the §5 prioritized checkpoint copy (DataMover.move) ---------------------
+
+
+@pytest.fixture
+def slow_gpu(eng):
+    """A GPU behind a 1 GB/s link, so seconds read as gigabytes."""
+    return Gpu(eng, index=0, spec=GpuSpec(pcie_bw=units.GB))
+
+
+def fast_medium(eng):
+    """A medium far faster than PCIe: every move is PCIe-bound."""
+    return Medium(eng, "dram", write_bw=100 * units.GB,
+                  read_bw=100 * units.GB)
+
+
+def checkpoint_move(eng, gpu, medium, nbytes, prioritized=True,
+                    chunk_bytes=None):
+    """Generator: one checkpoint-side D2H buffer move."""
+    config = ProtocolConfig(prioritized=prioritized, chunk_bytes=chunk_bytes)
+    return DataMover(eng, config, workers=[]).move(
+        gpu, medium, nbytes, Direction.D2H)
+
+
+def bulk_then_app(eng, gpu, prioritized):
+    """A 10 GB checkpoint move with a 1 GB app transfer arriving at 1 s."""
     done = {}
 
-    def bulk(eng):
-        yield from transfer(
-            eng, gpu.dma, Direction.D2H, 10 * units.GB,
-            bandwidth=units.GB, priority=CHECKPOINT_PRIORITY,
-        )
+    def bulk():
+        yield from checkpoint_move(eng, gpu, fast_medium(eng), 10 * units.GB,
+                                   prioritized=prioritized)
         done["bulk"] = eng.now
 
-    def app(eng):
+    def app():
         yield eng.timeout(1.0)  # arrives mid-bulk
-        yield from transfer(
-            eng, gpu.dma, Direction.D2H, units.GB,
-            bandwidth=units.GB, priority=APP_PRIORITY,
-        )
+        yield from transfer(eng, gpu.dma, Direction.H2D, units.GB,
+                            bandwidth=units.GB)
         done["app"] = eng.now
 
-    eng.spawn(bulk(eng))
-    eng.spawn(app(eng))
+    eng.spawn(bulk())
+    eng.spawn(app())
     eng.run()
+    return done
+
+
+def test_unchunked_bulk_blocks_app_transfer(eng, slow_gpu):
+    """Without chunking, an app transfer waits behind the whole bulk copy."""
+    done = bulk_then_app(eng, slow_gpu, prioritized=False)
     assert done["app"] == pytest.approx(11.0)  # waited for all 10 GB
 
 
-def test_chunked_bulk_lets_app_preempt(eng, gpu):
+def test_chunked_bulk_lets_app_preempt(eng, slow_gpu):
     """With 4 MB chunks, the app transfer preempts at a chunk boundary."""
-    done = {}
-
-    def bulk(eng):
-        yield from transfer(
-            eng, gpu.dma, Direction.D2H, 10 * units.GB,
-            bandwidth=units.GB, priority=CHECKPOINT_PRIORITY,
-            chunk_bytes=units.CHECKPOINT_CHUNK,
-        )
-        done["bulk"] = eng.now
-
-    def app(eng):
-        yield eng.timeout(1.0)
-        yield from transfer(
-            eng, gpu.dma, Direction.D2H, units.GB,
-            bandwidth=units.GB, priority=APP_PRIORITY,
-        )
-        done["app"] = eng.now
-
-    eng.spawn(bulk(eng))
-    eng.spawn(app(eng))
-    eng.run()
+    done = bulk_then_app(eng, slow_gpu, prioritized=True)
     # The app waits at most one chunk (~4 ms at 1 GB/s) then transfers 1 s.
     assert done["app"] == pytest.approx(2.0, abs=0.05)
     # Bulk finishes after its 10 s of work plus the 1 s preemption.
     assert done["bulk"] == pytest.approx(11.0, abs=0.05)
 
 
-def test_app_transfer_pending_ignores_checkpoint_traffic(eng, gpu):
-    """Regression: a queued checkpoint-priority transfer used to flip
-    app_transfer_pending to True (it checked queue_len unfiltered), so
-    the prioritized copier yielded the engine to its own queued chunks."""
-    snapshots = []
-
-    def holder(eng):
-        req = yield gpu.dma.d2h.acquire(priority=CHECKPOINT_PRIORITY)
-        yield eng.timeout(2.0)
-        gpu.dma.d2h.release(req)
-
-    def queued_bulk(eng):
-        yield eng.timeout(0.5)
-        yield from transfer(
-            eng, gpu.dma, Direction.D2H, units.GB, bandwidth=units.GB,
-            priority=CHECKPOINT_PRIORITY,
-        )
-
-    def observer(eng):
-        yield eng.timeout(1.0)  # bulk transfer now queued behind holder
-        snapshots.append(gpu.dma.app_transfer_pending(Direction.D2H))
-
-    eng.spawn(holder(eng))
-    eng.spawn(queued_bulk(eng))
-    eng.spawn(observer(eng))
-    eng.run()
-    assert snapshots == [False]
-
-
-def test_app_transfer_pending_sees_running_app_transfer(eng, gpu):
-    """An *ongoing* app transfer counts too ("ongoing or pending")."""
-    snapshots = []
-
-    def app(eng):
-        yield from transfer(
-            eng, gpu.dma, Direction.D2H, units.GB, bandwidth=units.GB,
-            priority=APP_PRIORITY,
-        )
-
-    def observer(eng):
-        yield eng.timeout(0.5)  # mid-transfer: app holds the engine
-        snapshots.append(gpu.dma.app_transfer_pending(Direction.D2H))
-
-    eng.spawn(app(eng))
-    eng.spawn(observer(eng))
-    eng.run()
-    assert snapshots == [True]
-
-
 def test_transfer_reports_bytes_when_observed(eng, gpu):
-    """With an observer installed, transfers count bytes per priority."""
-    from repro import obs
-
+    """With an observer installed, moves count bytes per priority."""
     with obs.observed(eng) as observer:
-        def proc(eng):
-            yield from transfer(
-                eng, gpu.dma, Direction.D2H, 8 * units.MB,
-                bandwidth=units.GB, priority=CHECKPOINT_PRIORITY,
-                chunk_bytes=4 * units.MB,
-            )
-
-        eng.run_process(proc(eng))
+        eng.run_process(checkpoint_move(eng, gpu, fast_medium(eng),
+                                        8 * units.MB,
+                                        chunk_bytes=4 * units.MB))
         counter = observer.metrics.get(
-            f"dma/{gpu.dma.pool.name}/bytes",
+            f"dma/{gpu.dma.name}/bytes",
             priority=CHECKPOINT_PRIORITY, cls="bulk", direction="d2h",
         )
         assert counter is not None and counter.value == 8 * units.MB
 
 
-def test_app_transfer_pending_reflects_queue(eng, gpu):
-    snapshots = []
+# The checkpoint mover holds the engine across a chunk boundary unless a
+# request is queued.  The claims below compare it with the loop it
+# replaces, which releases and re-acquires at every boundary.
 
-    def holder(eng):
-        req = yield gpu.dma.d2h.acquire(priority=CHECKPOINT_PRIORITY)
-        yield eng.timeout(2.0)
-        gpu.dma.d2h.release(req)
+CHUNK = 4 * units.MIB
+BULK = 256 * units.MIB
 
-    def app(eng):
-        yield eng.timeout(0.5)
-        yield from transfer(
-            eng, gpu.dma, Direction.D2H, units.GB, bandwidth=units.GB,
-            priority=APP_PRIORITY,
-        )
 
-    def observer(eng):
-        yield eng.timeout(0.0)
-        snapshots.append(gpu.dma.app_transfer_pending(Direction.D2H))
-        yield eng.timeout(1.0)
-        snapshots.append(gpu.dma.app_transfer_pending(Direction.D2H))
+def release_every_chunk(eng, gpu, medium, nbytes, boundaries):
+    """Generator: the per-chunk acquire/flow/release reference loop."""
+    moved = 0
+    while moved < nbytes:
+        this = min(CHUNK, nbytes - moved)
+        req = yield from acquired(gpu.dma, priority=CHECKPOINT_PRIORITY)
+        try:
+            yield from medium.write_link.flow(this, rate_cap=gpu.spec.pcie_bw)
+        finally:
+            gpu.dma.release(req)
+        moved += this
+        boundaries.append(eng.now)
 
-    eng.spawn(holder(eng))
-    eng.spawn(app(eng))
-    eng.spawn(observer(eng))
+
+def dma_run(use_mover, injections):
+    """Bulk move + app transfers; ``(stamps, grants, events, boundaries)``."""
+    eng = Engine()
+    gpu = Gpu(eng, index=0)
+    medium = fast_medium(eng)
+    stamps, grants, boundaries = [], {}, []
+
+    def bulk():
+        if use_mover:
+            yield from checkpoint_move(eng, gpu, medium, BULK,
+                                       chunk_bytes=CHUNK)
+        else:
+            yield from release_every_chunk(eng, gpu, medium, BULK, boundaries)
+        stamps.append(("bulk", eng.now))
+
+    def app(i, delay, nbytes):
+        # ``transfer``'s body, with the grant instant recorded.
+        yield eng.timeout(delay)
+        req = yield from acquired(gpu.dma, priority=APP_PRIORITY)
+        grants[i] = eng.now
+        try:
+            yield eng.timeout(units.transfer_time(nbytes, gpu.spec.pcie_bw))
+        finally:
+            gpu.dma.release(req)
+        stamps.append((f"app{i}", eng.now))
+
+    eng.spawn(bulk())
+    for i, (delay, nbytes) in enumerate(injections):
+        eng.spawn(app(i, delay, nbytes))
     eng.run()
-    assert snapshots == [False, True]
+    return stamps, grants, eng.events_executed, boundaries
+
+
+def test_dma_coalescing_uncontended_event_count():
+    """Uncontended: one grant for the whole buffer, n - 1 boundaries
+    coalesced, and the same completion stamp as the per-chunk loop."""
+    eng = Engine()
+    gpu = Gpu(eng, index=0)
+    with obs.observed(eng) as observer:
+        eng.run_process(checkpoint_move(eng, gpu, fast_medium(eng), BULK,
+                                        chunk_bytes=CHUNK))
+        grants = observer.metrics.get(f"resource/{gpu.dma.name}/grant-wait",
+                                      priority=CHECKPOINT_PRIORITY)
+        coalesced = observer.metrics.get(
+            f"dma/{gpu.dma.name}/chunks-coalesced",
+            priority=CHECKPOINT_PRIORITY, cls="bulk", direction="d2h")
+    n_chunks = BULK // CHUNK
+    assert grants.count == 1
+    assert coalesced.value == n_chunks - 1
+    fast, _, fast_events, _ = dma_run(True, [])
+    slow, _, slow_events, _ = dma_run(False, [])
+    assert fast == slow
+    # The loop pays a resume per re-acquire the mover skips.
+    assert slow_events - fast_events >= n_chunks - 1
+
+
+def test_dma_coalescing_releases_at_first_boundary_after_a_waiter():
+    """Contended: an app request queued mid-chunk is granted at the end
+    of that chunk, exactly where the per-chunk loop would release."""
+    _, _, _, boundaries = dma_run(False, [])
+    for arrival in (0.1 * boundaries[0], boundaries[9] + 1e-6,
+                    0.5 * (boundaries[30] + boundaries[31])):
+        _, grants, _, _ = dma_run(True, [(arrival, units.MIB)])
+        assert grants[0] == min(b for b in boundaries if b >= arrival)
+
+
+def test_dma_coalescing_preserves_exact_completion_stamps():
+    """Mover vs per-chunk loop: bit-identical stamps under app traffic."""
+    for seed in range(24):
+        rng = random.Random(777 + seed)
+        injections = [
+            (rng.uniform(0.0, 0.02), rng.choice([1, 4, 8, 32]) * units.MIB)
+            for _ in range(rng.randrange(1, 5))
+        ]
+        fast, fast_grants, fast_events, _ = dma_run(True, injections)
+        slow, slow_grants, slow_events, _ = dma_run(False, injections)
+        assert fast == slow, f"stamps diverged for seed={seed}: {injections}"
+        assert fast_grants == slow_grants
+        assert fast_events < slow_events

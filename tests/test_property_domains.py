@@ -8,7 +8,7 @@ This suite generates randomized 2–4-machine topologies (ring channels
 plus random extras, continuous random latencies so cross-domain arrivals
 never collide with the local timestamp grid) and a random program per
 machine — timeouts, contended resource holds, ``AllOf``/``AnyOf``
-fan-ins, channel sends/receives, cross-domain interrupts — then runs the
+fan-ins, channel sends/receives — then runs the
 identical program three ways:
 
 * ``single``  — one plain :class:`Engine`, channels in degenerate
@@ -36,7 +36,6 @@ import pytest
 
 from repro.sim import Engine
 from repro.sim.domains import DomainChannel, World
-from repro.sim.engine import Interrupt
 from repro.sim.resources import Resource, acquired
 
 #: Few distinct delays: same-timestamp collisions *within* a domain are
@@ -44,7 +43,7 @@ from repro.sim.resources import Resource, acquired
 DELAYS = [0.0, 0.25, 0.5, 0.5, 1.0, 1.0, 2.0]
 
 OP_KINDS = ["timeout", "timeout", "acquire", "send", "recv",
-            "anyof", "allof", "xint"]
+            "anyof", "allof"]
 
 
 def build_topology(seed: int, shape: str = "ring") -> dict:
@@ -92,7 +91,7 @@ def build_topology(seed: int, shape: str = "ring") -> dict:
         # A pipeline's end stages lack one direction; every ring machine
         # has both, so the ring soups draw from the full list.
         kinds = [k for k in OP_KINDS
-                 if (out_of[m] or k not in ("send", "xint"))
+                 if (out_of[m] or k != "send")
                  and (into[m] or k != "recv")]
         procs = []
         for _ in range(n_procs):
@@ -114,11 +113,6 @@ def build_topology(seed: int, shape: str = "ring") -> dict:
                                   rng.uniform(1e-7, 9e-7)))
                 elif kind == "recv":
                     steps.append(("recv", rng.choice(into[m])))
-                elif kind == "xint":
-                    dst = rng.choice(out_of[m])
-                    steps.append(("xint", dst, rng.randrange(4),
-                                  rng.choice(DELAYS),
-                                  rng.uniform(1e-7, 9e-7)))
                 else:
                     steps.append((kind, [rng.choice(DELAYS)
                                          for _ in range(rng.randrange(1, 4))]))
@@ -190,62 +184,48 @@ def run_topology(topo: dict, mode: str) -> tuple:
         eng = engines[m]
         res = resources[m]
         for i, step in enumerate(steps):
-            try:
-                kind = step[0]
-                if kind == "timeout":
+            kind = step[0]
+            if kind == "timeout":
+                yield eng.timeout(step[1])
+                tr.append(("t", i, eng.now))
+            elif kind == "acquire":
+                req = yield from acquired(res)
+                try:
                     yield eng.timeout(step[1])
-                    tr.append(("t", i, eng.now))
-                elif kind == "acquire":
-                    req = yield from acquired(res)
-                    try:
-                        yield eng.timeout(step[1])
-                    finally:
-                        res.release(req)
-                    tr.append(("r", i, eng.now))
-                elif kind == "send":
-                    _, dst, token, jitter = step
-                    yield eng.timeout(jitter)
-                    chans[(m, dst)].send((m, p, i, token))
-                    tr.append(("s", i, eng.now))
-                elif kind == "recv":
-                    _, src = step
-                    val = yield chans[(src, m)].recv()
-                    tr.append(("g", i, eng.now, val))
-                elif kind == "xint":
-                    _, dst, tp, delay, jitter = step
-                    yield eng.timeout(delay + jitter)
-                    target = procs.get((dst, tp % len(procs_per[dst])))
-                    # Sent unconditionally: delivery drops the message
-                    # if the target finished in flight, which keeps the
-                    # decision independent of how far the target's
-                    # domain happens to have advanced.
-                    if target is not None:
-                        chans[(m, dst)].interrupt(target)
-                    tr.append(("x", i, eng.now))
-                elif kind == "call":
-                    _, dst, token, delay, jitter = step
-                    yield eng.timeout(delay + jitter)
-                    chans[(m, dst)].send((m, p, i, token))
-                    reply = yield chans[(dst, m)].recv()
-                    tr.append(("c", i, eng.now, reply))
-                elif kind == "serve":
-                    _, peer, n_calls, service, jitter = step
-                    for _ in range(n_calls):
-                        req = yield chans[(peer, m)].recv()
-                        yield eng.timeout(service + jitter)
-                        chans[(m, peer)].send(("re", req))
-                        tr.append(("v", i, eng.now, req))
-                elif kind == "anyof":
-                    idx, _ = yield eng.any_of(
-                        [eng.timeout(d) for d in step[1]])
-                    tr.append(("any", i, eng.now, idx))
-                else:
-                    vals = yield eng.all_of(
-                        [eng.timeout(d, value=j)
-                         for j, d in enumerate(step[1])])
-                    tr.append(("all", i, eng.now, tuple(vals)))
-            except Interrupt:
-                tr.append(("caught", i, eng.now))
+                finally:
+                    res.release(req)
+                tr.append(("r", i, eng.now))
+            elif kind == "send":
+                _, dst, token, jitter = step
+                yield eng.timeout(jitter)
+                chans[(m, dst)].send((m, p, i, token))
+                tr.append(("s", i, eng.now))
+            elif kind == "recv":
+                _, src = step
+                val = yield chans[(src, m)].recv()
+                tr.append(("g", i, eng.now, val))
+            elif kind == "call":
+                _, dst, token, delay, jitter = step
+                yield eng.timeout(delay + jitter)
+                chans[(m, dst)].send((m, p, i, token))
+                reply = yield chans[(dst, m)].recv()
+                tr.append(("c", i, eng.now, reply))
+            elif kind == "serve":
+                _, peer, n_calls, service, jitter = step
+                for _ in range(n_calls):
+                    req = yield chans[(peer, m)].recv()
+                    yield eng.timeout(service + jitter)
+                    chans[(m, peer)].send(("re", req))
+                    tr.append(("v", i, eng.now, req))
+            elif kind == "anyof":
+                idx, _ = yield eng.any_of(
+                    [eng.timeout(d) for d in step[1]])
+                tr.append(("any", i, eng.now, idx))
+            else:
+                vals = yield eng.all_of(
+                    [eng.timeout(d, value=j)
+                     for j, d in enumerate(step[1])])
+                tr.append(("all", i, eng.now, tuple(vals)))
         return p
 
     procs_per = {m: topo["machines"][m]["procs"] for m in range(n)}
@@ -317,7 +297,7 @@ def test_topologies_actually_cross_domains(seed):
     assert topo["n_machines"] >= 2
     traces, _, _, _, _ = run_topology(topo, "multi")
     ops = [entry[0] for tr in traces.values() for entry in tr]
-    assert "s" in ops or "x" in ops, "no cross-domain sends in the soup"
+    assert "s" in ops, "no cross-domain sends in the soup"
 
 
 def test_multi_domain_rounds_and_skew():
@@ -512,7 +492,7 @@ def test_control_plane_soups_really_burst():
 def test_same_instant_arrivals_are_served_round_robin(receive):
     """a0, a1, a2, b0 arriving at one instant are handled a0, b0, a1,
     a2 — one value per channel per turn.  Running the handler at the
-    delivery record instead (``post``) would yield a0, a1, a2, b0."""
+    delivery record instead would yield a0, a1, a2, b0."""
     eng = Engine()
     a = DomainChannel.local(eng, 0.5, name="a")
     b = DomainChannel.local(eng, 0.5, name="b")

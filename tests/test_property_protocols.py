@@ -1,6 +1,8 @@
 """Property-based tests of the §4 correctness claims (hypothesis).
 
-For randomized workloads and randomized checkpoint timings:
+For randomized workloads — kernels, copies, library calls and
+allocation churn (``cudaMalloc`` / ``cudaFree`` inside the window) —
+and randomized checkpoint timings:
 
 * the CoW image equals the quiesced state at t1 (stop-the-world-at-t1
   equivalence, §4.2);
@@ -38,8 +40,11 @@ N_WORDS = 8
 _PROGRAMS = [build_fill(), build_scale(), build_copy(), build_inplace_add(),
              build_scatter()]
 
+#: Op kinds past the program indices.
+MEMCPY, LIB, MALLOC, FREE = range(len(_PROGRAMS), len(_PROGRAMS) + 4)
+
 op_strategy = st.tuples(
-    st.integers(0, len(_PROGRAMS) + 1),  # program index; extras = memcpy/lib
+    st.integers(0, FREE),                # program index or an extra kind
     st.integers(0, N_BUFS - 1),          # src buffer
     st.integers(0, N_BUFS - 1),          # dst buffer
     st.integers(1, 40),                  # payload / cost scale
@@ -74,10 +79,12 @@ def setup_buffers(rt, size):
 
 
 def apply_op(rt, bufs, op, cost):
+    """One op on the live buffer list ``bufs`` (malloc appends, free
+    removes; ``bufs[0]`` holds the scatter permutation and stays)."""
     kind, src_i, dst_i, payload = op
-    src, dst = bufs[src_i], bufs[dst_i]
 
     def gen():
+        src, dst = bufs[src_i % len(bufs)], bufs[dst_i % len(bufs)]
         if kind < len(_PROGRAMS):
             prog = _PROGRAMS[kind]
             if prog.name == "fill":
@@ -89,12 +96,19 @@ def apply_op(rt, bufs, op, cost):
             else:  # copy / scale
                 args = [src.addr, dst.addr, N_WORDS]
             yield from rt.launch_kernel(0, prog, args, N_WORDS, cost=cost)
-        elif kind == len(_PROGRAMS):
+        elif kind == MEMCPY:
             yield from rt.memcpy_h2d(0, dst, payload=payload)
-        else:
+        elif kind == LIB:
             yield from rt.lib_compute(
                 0, "gemm", reads=[src], writes=[dst], cost=cost, salt=payload
             )
+        elif kind == MALLOC:
+            buf = yield from rt.malloc(0, bufs[0].size, tag=f"m{payload}")
+            yield from rt.memcpy_h2d(0, buf, payload=payload)
+            bufs.append(buf)
+        elif len(bufs) > 2:  # FREE, like cudaFree: after queued work drains
+            yield from rt.device_synchronize(0)
+            yield from rt.free(0, bufs.pop(1 + dst_i % (len(bufs) - 1)))
         yield from rt.cpu_work(1e-5, write_pages=[payload % 4], value=payload)
 
     return gen
@@ -141,13 +155,18 @@ def test_recopy_image_always_equals_t2_state(ops, cost_scale):
     setup_gen, bufs = setup_buffers(rt, 8 * MIB)
     state = {}
 
+    def workload():
+        for op in ops:
+            yield from apply_op(rt, bufs, op, cost)()
+
     def driver(eng):
         yield from setup_gen()
         handle = phos.checkpoint(
             process, mode="recopy",
             config=ProtocolConfig(keep_stopped=True))
-        for op in ops:
-            yield from apply_op(rt, bufs, op, cost)()
+        # Its own process: an op that blocks (a free waits for queued
+        # work) may still be running at t2, gated until the resume.
+        eng.spawn(workload())
         image, session = yield handle
         state["gpu"], state["cpu"] = snapshot_process(process)
         resume([process])

@@ -457,8 +457,8 @@ def test_cli_protocols_subcommand_lists_table():
 def _assert_engine_resources_quiet(machine, observer):
     """After any abort, no resource user/waiter and no open span remains."""
     for gpu in machine.gpus:
-        assert list(gpu.dma.pool.iter_users()) == []
-        assert list(gpu.dma.pool.iter_waiting()) == []
+        assert list(gpu.dma.iter_users()) == []
+        assert list(gpu.dma.iter_waiting()) == []
     open_spans = [n.name for n in observer.spans.iter_nodes() if n.open]
     assert open_spans == []
 

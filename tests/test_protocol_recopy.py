@@ -5,6 +5,8 @@ process state at t2 — the moment the final recopy completes, while the
 process is quiesced.
 """
 
+import pytest
+
 from repro.api.runtime import GpuProcess
 from repro.cluster import Machine
 from repro.core.daemon import Phos
@@ -136,6 +138,44 @@ def test_recopy_drops_buffers_freed_during_window():
     eng.run()
     addrs = {r.addr for r in image.gpu_buffers[0].values()}
     assert state["addr"] not in addrs  # freed buffers don't exist at t2
+
+
+@pytest.mark.parametrize("mode", ["recopy", "incremental", "continuous"])
+def test_t2_image_holds_buffers_allocated_during_window(mode):
+    """A buffer malloc'ed and written inside the concurrent window exists
+    at t2, so every t2-cut image holds it (and not ``out``, freed in the
+    window).  The app is idle after the churn, so the process state at
+    the end is the state at every round's t2."""
+    eng, machine, phos, process, app = make_world(buf_size=64 * MIB)
+    if mode == "continuous":
+        config = ProtocolConfig(rounds=2)
+    else:
+        config = ProtocolConfig(keep_stopped=True)
+    rt = process.runtime
+
+    def churn(eng):
+        yield eng.timeout(1e-4)
+        yield from rt.free(0, app.bufs.pop("out"))
+        late = yield from rt.malloc(0, 64 * MIB, tag="late")
+        yield from rt.memcpy_h2d(0, late, payload=77, sync=True)
+
+    def driver(eng):
+        yield from app.setup()
+        yield from app.run(1)
+        handle = phos.checkpoint(process, mode=mode, config=config)
+        eng.spawn(churn(eng))
+        image, result = yield handle
+        state, _ = snapshot_process(process)
+        if mode == "continuous":
+            return result.images, state
+        resume([process])
+        return [image], state
+
+    images, state = eng.run_process(driver(eng))
+    eng.run()
+    assert len(state) == 6 and len(images) == (2 if mode == "continuous" else 1)
+    for image in images:
+        assert image_gpu_state(image) == state
 
 
 def test_coordinated_checkpoint_reduces_recopy_volume():

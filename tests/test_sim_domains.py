@@ -2,14 +2,12 @@
 
 import pytest
 
-from repro import obs, units
+from repro import obs
 from repro.cluster import Cluster, Machine, RdmaLink
 from repro.core.daemon import Phos
 from repro.errors import DeadlockError, InvalidValueError, SimulationError
-from repro.gpu.dma import Direction, transfer
 from repro.sim import Engine
 from repro.sim.domains import MIN_LOOKAHEAD, ClockDomain, DomainChannel, World
-from repro.sim.engine import Interrupt
 from repro.sim.events import Event
 from repro.sim.resources import Resource, acquired
 
@@ -60,17 +58,6 @@ def test_distinct_engines_need_a_world():
         DomainChannel(None, Engine(), Engine(), 1e-6)
 
 
-def test_require_channel_by_kind():
-    world, a, b = two_domains()
-    world.channel(a, b, 1e-6, kind="data")
-    dma = world.channel(a, b, 2e-6, kind="dma")
-    assert world.require_channel(a, b, kind="dma") is dma
-    with pytest.raises(SimulationError):
-        world.require_channel(b, a)
-    with pytest.raises(SimulationError):
-        world.require_channel(a, b, kind="control")
-
-
 def test_empty_world_cannot_run():
     with pytest.raises(SimulationError):
         World().run()
@@ -98,7 +85,7 @@ def test_cross_domain_send_recv_timing():
 
     def sender():
         yield a.timeout(1.0)
-        ch.send("x", delay=1e-3)
+        ch.send("x")
 
     def receiver():
         got["val"] = yield ch.recv()
@@ -107,50 +94,7 @@ def test_cross_domain_send_recv_timing():
     a.spawn(sender())
     b.spawn(receiver())
     world.run()
-    assert got == {"val": "x", "t": pytest.approx(1.0 + 5e-6 + 1e-3, abs=0)}
-
-
-def test_negative_send_delay_rejected():
-    world, a, b = two_domains()
-    ch = world.channel(a, b, 1e-6)
-    with pytest.raises(InvalidValueError):
-        ch.send("x", delay=-1.0)
-
-
-@pytest.mark.parametrize("delay", [float("inf"), float("nan")])
-@pytest.mark.parametrize("local", [False, True])
-def test_non_finite_send_delay_rejected(delay, local):
-    """An infinite delay used to park the message forever while run()
-    reported "drained"; a NaN one surfaced later, far from the send, as
-    "cannot schedule in the past".  Both are refused at the send site."""
-    world, a, b = two_domains()
-    ch = (DomainChannel.local(a, 1e-6) if local
-          else world.channel(a, b, 1e-6))
-    target = Event(ch.dst)
-    proc = ch.dst.spawn(_advance(ch.dst, 1.0))
-    for emit in (lambda: ch.send("x", delay=delay),
-                 lambda: ch.post(print, "x", delay=delay),
-                 lambda: ch.fire(target, "x", delay=delay),
-                 lambda: ch.interrupt(proc, delay=delay)):
-        with pytest.raises(InvalidValueError):
-            emit()
-    assert ch.messages_sent == 0
-    world.run()
-    assert not target.triggered
-
-
-def test_post_runs_in_destination_domain():
-    world, a, b = two_domains()
-    ch = world.channel(a, b, 5e-6)
-    seen = []
-
-    def sender():
-        yield a.timeout(1.0)
-        ch.post(lambda arg: seen.append((arg, b.now)), "payload")
-
-    a.spawn(sender())
-    world.run()
-    assert seen == [("payload", pytest.approx(1.0 + 5e-6, abs=0))]
+    assert got == {"val": "x", "t": pytest.approx(1.0 + 5e-6, abs=0)}
 
 
 def test_subscribe_hands_every_value_to_the_handler():
@@ -162,15 +106,17 @@ def test_subscribe_hands_every_value_to_the_handler():
     def sender():
         yield a.timeout(1.0)
         ch.send("x")
-        ch.send("y", delay=1e-3)
+        yield a.timeout(1e-3)
+        ch.send("y")
 
     a.spawn(sender())
     world.run()
     assert seen == [("x", pytest.approx(1.0 + 5e-6, abs=0)),
-                    ("y", pytest.approx(1.0 + 5e-6 + 1e-3, abs=0))]
+                    ("y", pytest.approx(1.0 + 1e-3 + 5e-6, abs=0))]
     # Two bare records a message (delivery, wake-up) plus the sender's
-    # spawn step, timeout fire and resume: no Store, Event or generator.
-    assert world.events_executed == 2 * 2 + 3
+    # spawn step and two timeout fires and resumes: no Store, Event or
+    # generator.
+    assert world.events_executed == 2 * 2 + 5
 
 
 def test_subscribed_channel_refuses_recv_and_a_second_subscriber():
@@ -211,146 +157,7 @@ def test_subscriber_error_propagates_out_of_run():
         eng.run()
 
 
-def test_fire_succeeds_destination_event():
-    world, a, b = two_domains()
-    ch = world.channel(a, b, 5e-6)
-    done = Event(b, name="done")
-    got = {}
-
-    def sender():
-        yield a.timeout(2.0)
-        ch.fire(done, 42)
-
-    def receiver():
-        got["val"] = yield done
-        got["t"] = b.now
-
-    a.spawn(sender())
-    b.spawn(receiver())
-    world.run()
-    assert got == {"val": 42, "t": pytest.approx(2.0 + 5e-6, abs=0)}
-
-
-def test_fire_rejects_foreign_homed_event():
-    world, a, b = two_domains()
-    ch = world.channel(a, b, 1e-6)
-    with pytest.raises(SimulationError):
-        ch.fire(Event(a))  # homed at the source end
-
-
-def test_interrupt_rejects_foreign_resident_process():
-    world, a, b = two_domains()
-    ch = world.channel(a, b, 1e-6)
-
-    def idle():
-        yield a.timeout(1.0)
-
-    with pytest.raises(SimulationError):
-        ch.interrupt(a.spawn(idle()))
-
-
-def test_cancel_in_flight_drops_message():
-    world, a, b = two_domains()
-    ch = world.channel(a, b, 5e-6)
-    msg = ch.send("doomed")
-    assert msg.cancel() is True
-    ch.send("kept", delay=1.0)
-    got = {}
-
-    def receiver():
-        got["val"] = yield ch.recv()
-        got["t"] = b.now
-
-    b.spawn(receiver())
-    world.run()
-    # The first (cancelled) message never lands; the receiver sees the
-    # second one, a full second later.
-    assert got == {"val": "kept", "t": pytest.approx(1.0 + 5e-6, abs=0)}
-
-
-def test_cancel_after_direct_delivery_drops_at_arrival():
-    """A sent message sits in the destination's calendar right away;
-    the sender can still abort it, and the drop happens at — not before
-    — the arrival instant."""
-    world, a, b = two_domains()
-    ch = world.channel(a, b, 5e-6)
-    got = []
-
-    def sender():
-        yield a.timeout(1.0)
-        msg = ch.send("doomed", delay=1.0)
-        assert b.events_pending == 2  # the receiver's first step + it
-        yield a.timeout(0.5)
-        assert msg.cancel() is True
-
-    def receiver():
-        got.append((yield ch.recv()))
-
-    a.spawn(sender())
-    b.spawn(receiver())
-    world.run()
-    assert got == []
-    assert b.events_pending == 0
-    # The dropped record was still dispatched: b's clock reached the
-    # arrival instant before the run re-joined the clocks there.
-    assert world.now == pytest.approx(2.0 + 5e-6, abs=0)
-
-
-def test_cancel_after_delivery_fails():
-    world, a, b = two_domains()
-    ch = world.channel(a, b, 5e-6)
-    msg = ch.send("x")
-
-    def receiver():
-        yield ch.recv()
-
-    b.spawn(receiver())
-    world.run()
-    assert msg.delivered
-    assert msg.cancel() is False
-    assert "delivered" in repr(msg)
-
-
-# --- cross-domain interrupt (satellite) -----------------------------------------
-
-
-def test_channel_interrupt_crosses_domains():
-    world, a, b = two_domains()
-    ch = world.channel(a, b, 5e-6)
-    trace = []
-
-    def victim():
-        try:
-            yield b.timeout(10.0)
-            trace.append(("finished", b.now))
-        except Interrupt:
-            trace.append(("interrupted", b.now))
-
-    victim_proc = b.spawn(victim())
-
-    def attacker():
-        yield a.timeout(1.0)
-        ch.interrupt(victim_proc)
-
-    a.spawn(attacker())
-    world.run()
-    assert trace == [("interrupted", pytest.approx(1.0 + 5e-6, abs=0))]
-
-
-def test_channel_interrupt_dropped_when_target_finished():
-    world, a, b = two_domains()
-    ch = world.channel(a, b, 5e-6)
-
-    def quick():
-        return 7
-        yield  # pragma: no cover - makes it a generator
-
-    victim_proc = b.spawn(quick())
-    # Sent at t=0; the victim finishes at t=0, before the 5 us arrival.
-    msg = ch.interrupt(victim_proc)
-    world.run()
-    assert victim_proc.ok and victim_proc.value == 7
-    assert msg.delivered  # arrived, found the target finished, dropped
+# --- domain-affinity guards -----------------------------------------------------
 
 
 def test_direct_foreign_interrupt_rejected():
@@ -371,42 +178,7 @@ def test_direct_foreign_interrupt_rejected():
 
     a.spawn(attacker())
     world.run(until=2.0)
-    assert "DomainChannel.interrupt" in failure["msg"]
-
-
-def test_timeout_cancel_message_that_already_crossed():
-    """A timeout-guarded request whose cancel races the reply: cancelling
-    the *request* after delivery is refused, so the caller must cancel
-    the reply leg instead."""
-    world, a, b = two_domains()
-    req_ch = world.channel(a, b, 5e-6, name="req")
-    rsp_ch = world.channel(b, a, 5e-6, name="rsp")
-    log = []
-
-    def server():
-        val = yield req_ch.recv()
-        rsp_ch.send(("reply", val))
-
-    def client():
-        req = req_ch.send("ping")
-        # Give the request time to cross and be served...
-        yield a.timeout(1.0)
-        # ...then "time out": too late for the request, it crossed long
-        # ago.  The reply is already queued locally; it still arrives.
-        log.append(("cancel-req", req.cancel()))
-        val = yield rsp_ch.recv()
-        log.append(("reply", val, a.now))
-
-    b.spawn(server())
-    a.spawn(client())
-    world.run()
-    assert log[0] == ("cancel-req", False)
-    # The reply landed in the client-side inbox at ~10 us; the client
-    # picks it up as soon as it stops sleeping.
-    assert log[1] == ("reply", ("reply", "ping"), 1.0)
-
-
-# --- domain-affinity guards -----------------------------------------------------
+    assert "DomainChannel" in failure["msg"]
 
 
 def run_and_catch(world, domain, body):
@@ -826,42 +598,8 @@ def test_testbed_mode_validation():
         Cluster.testbed(Engine(), clock_domains="per-machine")
     with pytest.raises(InvalidValueError):
         Cluster.testbed(World(), clock_domains="per-banana")
-
-
-def test_gpu_domains_validation():
-    world = World()
-    host = world.domain("host")
-    g0 = world.domain("g0")
     with pytest.raises(InvalidValueError):
-        Machine(host, "m", 2, gpu_domains=[g0])  # wrong length
-    with pytest.raises(InvalidValueError):
-        Machine(Engine(), "m", 1, gpu_domains=[g0])  # plain-engine host
-    other = World().domain("x")
-    with pytest.raises(InvalidValueError):
-        Machine(host, "m", 1, gpu_domains=[other])  # foreign world
-
-
-def test_per_gpu_domain_remote_dma_transfer():
-    world = World()
-    cluster = Cluster.testbed(world, n_machines=1, n_gpus=2,
-                              clock_domains="per-gpu")
-    machine = cluster.machines[0]
-    host = machine.engine
-    gpu = machine.gpu(0)
-    assert gpu.engine is not host
-    nbytes = 1 << 20
-    bw = machine.spec.pcie_bw
-
-    def driver():
-        moved = yield from transfer(host, gpu.dma, Direction.H2D,
-                                    nbytes, bw)
-        return moved, host.now
-
-    moved, t = world.run(host.spawn(driver()))
-    assert moved == nbytes
-    # Request and completion each cross the PCIe channel once.
-    base = units.transfer_time(nbytes, bw)
-    assert t == pytest.approx(base + 2 * units.PCIE_LINK_LATENCY, rel=1e-12)
+        Cluster.testbed(World(), clock_domains="per-gpu")
 
 
 def test_phos_pinned_to_machine_domain():

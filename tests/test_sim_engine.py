@@ -335,12 +335,12 @@ def test_schedule_in_past_rejected(eng):
 
     eng.run_process(proc(eng))
     with pytest.raises(SimulationError):
-        eng._schedule_at(1.0, lambda: None)
+        eng.call_at(1.0, lambda _arg: None)
 
 
 def test_schedule_nan_rejected(eng):
     with pytest.raises(SimulationError):
-        eng._schedule_at(float("nan"), lambda: None)
+        eng.call_at(float("nan"), lambda _arg: None)
 
 
 def test_call_at_is_one_record_in_fifo_position(eng):

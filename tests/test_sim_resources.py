@@ -1,9 +1,9 @@
-"""Unit tests for Resource, PriorityResource, and Store."""
+"""Unit tests for Resource and Store."""
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import Engine, PriorityResource, Resource, Store
+from repro.sim import Engine, Resource, Store
 
 
 @pytest.fixture
@@ -93,7 +93,7 @@ def test_in_use_and_queue_len(eng):
 
 
 def test_priority_resource_orders_by_priority(eng):
-    res = PriorityResource(eng, capacity=1)
+    res = Resource(eng, capacity=1)
     log = []
 
     def submit(eng):
@@ -111,7 +111,7 @@ def test_priority_resource_orders_by_priority(eng):
 
 
 def test_priority_ties_are_fifo(eng):
-    res = PriorityResource(eng, capacity=1)
+    res = Resource(eng, capacity=1)
     log = []
 
     def submit(eng):
@@ -131,21 +131,26 @@ def test_priority_ties_are_fifo(eng):
 
 
 def test_priority_release_of_foreign_request_raises(eng):
-    """Regression: PriorityResource.release silently accepted requests
-    it had never seen, so a cross-resource release bug went unnoticed
-    (and re-ran the grant loop on the wrong pool)."""
-    res_a = PriorityResource(eng, capacity=1, name="a")
-    res_b = PriorityResource(eng, capacity=1, name="b")
+    """Regression: release silently accepted requests it had never
+    seen, so a cross-resource release bug went unnoticed (and re-ran
+    the grant loop on the wrong pool).  Here the foreign request is
+    still waiting on its own resource."""
+    res_a = Resource(eng, capacity=1, name="a")
+    res_b = Resource(eng, capacity=1, name="b")
 
     def proc(eng):
-        req = yield res_a.acquire()
-        res_b.release(req)
+        yield res_a.acquire()
+        yield res_b.acquire()
+        res_b.acquire()                      # res_b has a waiter too
+        foreign = res_a.acquire(priority=5)  # waiting on res_a
+        res_b.release(foreign)
 
     with pytest.raises(SimulationError, match="unknown request"):
         eng.run_process(proc(eng))
 
 
 def test_fifo_release_of_foreign_request_raises(eng):
+    """Same, for a request already granted on its own resource."""
     res_a = Resource(eng, capacity=1, name="a")
     res_b = Resource(eng, capacity=1, name="b")
 
@@ -160,7 +165,7 @@ def test_fifo_release_of_foreign_request_raises(eng):
 def test_cancel_waiting_request_withdraws_it(eng):
     """Releasing a not-yet-granted request cancels it: the slot later
     goes to the next live waiter, never to the cancelled one."""
-    res = PriorityResource(eng, capacity=1)
+    res = Resource(eng, capacity=1)
     order = []
 
     def holder(eng):
@@ -188,7 +193,7 @@ def test_cancel_waiting_request_withdraws_it(eng):
 
 
 def test_cancelled_waiter_double_release_raises(eng):
-    res = PriorityResource(eng, capacity=1)
+    res = Resource(eng, capacity=1)
 
     def proc(eng):
         held = yield res.acquire()
@@ -204,7 +209,7 @@ def test_cancelled_waiter_double_release_raises(eng):
 def test_priority_queue_len_skips_cancelled_entries(eng):
     """Lazy deletion keeps cancelled entries in the heap; queue_len and
     iter_waiting must not count them."""
-    res = PriorityResource(eng, capacity=1)
+    res = Resource(eng, capacity=1)
 
     def proc(eng):
         held = yield res.acquire()
