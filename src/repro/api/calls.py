@@ -93,7 +93,8 @@ class LaunchPlan:
     descriptor + violation buffer for that twin; ``pre_exec`` runs
     in-stream before the operation (stalls, CoW copies, on-demand
     fetches); ``on_complete`` runs after the operation's functional
-    effect (validator result handling, dirty-set updates).
+    effect, with the operation's result (``None`` if the effect raised):
+    validator result handling, dirty-set updates.
     """
 
     program: Optional[Program] = None

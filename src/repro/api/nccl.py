@@ -3,8 +3,10 @@
 A collective is issued once by the process and materializes one stream
 operation per participating GPU.  The per-rank operations rendezvous at
 a barrier (a real NCCL collective cannot start until every rank has
-joined), then the transfer runs at ring-collective cost over NVLink,
-and the functional effect is applied exactly once.
+joined): each rank's stream op waits on it ``after`` starting, then
+the transfer runs at ring-collective cost over NVLink, and the
+functional effect is applied exactly once, by the first rank to
+complete.
 
 Each rank's operation carries its own :class:`~repro.api.calls.ApiCall`
 (reads = that rank's send buffer, writes = that rank's receive buffer):
@@ -135,10 +137,22 @@ def _issue(runtime, comm: NcclCommunicator, name: str,
     """Create the per-rank stream ops with a shared start barrier."""
     engine = runtime.engine
     yield from runtime._gate()
-    start = engine.event(name=f"{name}-start")
+    everyone = engine.event(name=f"{name}-start")
     arrivals = {"count": 0}
     applied = {"done": False}
     n = comm.size
+
+    def arrive() -> float:
+        arrivals["count"] += 1
+        if arrivals["count"] == n:
+            everyone.succeed()
+        return duration
+
+    def effect() -> None:
+        if not applied["done"]:
+            applied["done"] = True
+            apply()
+
     ops = []
     for gpu_index in comm.gpu_indices:
         runtime._require_context(gpu_index)
@@ -149,20 +163,6 @@ def _issue(runtime, comm: NcclCommunicator, name: str,
         )
         plan = runtime._frontend(call)
         yield from runtime._call_overhead(plan)
-
-        def body(call=call, plan=plan):
-            arrivals["count"] += 1
-            if arrivals["count"] == n:
-                start.succeed()
-            yield start
-            if duration > 0:
-                yield engine.timeout(duration)
-            if not applied["done"]:
-                applied["done"] = True
-                apply()
-            if plan.on_complete is not None:
-                plan.on_complete(call, None)
-
-        stream = runtime.process.default_stream(gpu_index)
-        ops.append(stream.submit(name, body, pre_exec=plan.pre_exec))
+        ops.append(runtime._submit(gpu_index, None, name, arrive, effect,
+                                   call, plan, after=everyone))
     return ops

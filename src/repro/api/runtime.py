@@ -23,6 +23,7 @@ any API call or CPU work issued while the gate is closed blocks until
 from __future__ import annotations
 
 import itertools
+from functools import partial
 from typing import Iterable, Optional
 
 import numpy as np
@@ -39,7 +40,7 @@ from repro.gpu.cost_model import (
     kernel_duration,
     on_device_copy_time,
 )
-from repro.gpu.dma import Direction, transfer
+from repro.gpu.dma import AppCopy, Direction
 from repro.gpu.interpreter import run_kernel
 from repro.gpu.isa import Program
 from repro.gpu.memory import Buffer
@@ -235,18 +236,16 @@ class CudaRuntime:
         plan = self._frontend(call)
         yield from self._call_overhead(plan)
         gpu = self.process.gpu(gpu_index)
+        copy = AppCopy(self.engine, gpu.dma, Direction.H2D, nbytes,
+                       bandwidth=gpu.spec.pcie_bw)
 
-        def body():
-            moved = yield from transfer(
-                self.engine, gpu.dma, Direction.H2D, nbytes,
-                bandwidth=gpu.spec.pcie_bw,
-            )
+        def effect():
+            moved = copy.finish()
             _apply_payload(buf, payload)
-            if plan.on_complete is not None:
-                plan.on_complete(call, None)
             return moved
 
-        op = self._submit(gpu_index, stream, "memcpy-h2d", body, plan)
+        op = self._submit(gpu_index, stream, "memcpy-h2d", copy.start,
+                          effect, call, plan, hold=copy.hold)
         if sync:
             yield op.done
         return op
@@ -265,18 +264,15 @@ class CudaRuntime:
         plan = self._frontend(call)
         yield from self._call_overhead(plan)
         gpu = self.process.gpu(gpu_index)
+        copy = AppCopy(self.engine, gpu.dma, Direction.D2H, nbytes,
+                       bandwidth=gpu.spec.pcie_bw)
 
-        def body():
-            yield from transfer(
-                self.engine, gpu.dma, Direction.D2H, nbytes,
-                bandwidth=gpu.spec.pcie_bw,
-            )
-            data = buf.snapshot()
-            if plan.on_complete is not None:
-                plan.on_complete(call, data)
-            return data
+        def effect():
+            copy.finish()
+            return buf.snapshot()
 
-        op = self._submit(gpu_index, stream, "memcpy-d2h", body, plan)
+        op = self._submit(gpu_index, stream, "memcpy-d2h", copy.start,
+                          effect, call, plan, hold=copy.hold)
         if sync:
             data = yield op.done
             return data
@@ -298,15 +294,16 @@ class CudaRuntime:
         yield from self._call_overhead(plan)
         gpu = self.process.gpu(gpu_index)
 
-        def body():
-            yield self.engine.timeout(on_device_copy_time(src.size, gpu.spec))
+        def start():
+            return on_device_copy_time(src.size, gpu.spec)
+
+        def effect():
             n = min(src.data_size, dst.data_size)
             dst.data[:n] = src.data[:n]
             dst.touch()
-            if plan.on_complete is not None:
-                plan.on_complete(call, None)
 
-        op = self._submit(gpu_index, stream, "memcpy-d2d", body, plan)
+        op = self._submit(gpu_index, stream, "memcpy-d2d", start, effect,
+                          call, plan)
         if sync:
             yield op.done
         return op
@@ -336,7 +333,7 @@ class CudaRuntime:
         gpu = self.process.gpu(gpu_index)
         to_run = plan.program if plan.program is not None else program
 
-        def body():
+        def start():
             duration = kernel_duration(cost, gpu.spec, instrumented=to_run.instrumented)
             if to_run.instrumented and obs.enabled():
                 # The validator twin's extra runtime (§8.2) — an app
@@ -347,24 +344,18 @@ class CudaRuntime:
             if program.name not in ctx.loaded_modules:
                 duration += DEFAULT_CONTEXT_COSTS.per_module_load
                 ctx.load_module(program.name)
-            yield self.engine.timeout(duration)
-            try:
-                run = run_kernel(
-                    to_run, args, n_threads, gpu.memory, validation=plan.validation
-                )
-            except Exception:
-                # A faulting kernel has already landed some stores: the
-                # interceptor must still observe the completion (dirty
-                # marking, violation handling) or an active checkpoint
-                # would miss those writes.
-                if plan.on_complete is not None:
-                    plan.on_complete(call, None)
-                raise
-            if plan.on_complete is not None:
-                plan.on_complete(call, run)
-            return run
+            return duration
 
-        op = self._submit(gpu_index, stream, f"kernel:{program.name}", body, plan)
+        # A faulting kernel has already landed some stores: the stream
+        # still reports the completion (with no result), so dirty
+        # marking and violation handling see those writes.
+        def effect():
+            return run_kernel(
+                to_run, args, n_threads, gpu.memory, validation=plan.validation
+            )
+
+        op = self._submit(gpu_index, stream, f"kernel:{program.name}", start,
+                          effect, call, plan)
         if sync:
             result = yield op.done
             return result
@@ -398,13 +389,14 @@ class CudaRuntime:
         yield from self._call_overhead(plan)
         gpu = self.process.gpu(gpu_index)
 
-        def body():
-            yield self.engine.timeout(kernel_duration(cost, gpu.spec))
-            mix_many(writes, reads, salt=salt)
-            if plan.on_complete is not None:
-                plan.on_complete(call, None)
+        def start():
+            return kernel_duration(cost, gpu.spec)
 
-        op = self._submit(gpu_index, stream, f"lib:{name}", body, plan)
+        def effect():
+            mix_many(writes, reads, salt=salt)
+
+        op = self._submit(gpu_index, stream, f"lib:{name}", start, effect,
+                          call, plan)
         if sync:
             yield op.done
         return op
@@ -491,9 +483,14 @@ class CudaRuntime:
 
     # -------------------------------------------------------------- internal --
     def _submit(self, gpu_index: int, stream: Optional[Stream], kind: str,
-                body, plan: LaunchPlan) -> StreamOp:
+                start, effect, call: ApiCall, plan: LaunchPlan,
+                hold=None, after=None) -> StreamOp:
         stream = stream or self.process.default_stream(gpu_index)
-        return stream.submit(kind, body, pre_exec=plan.pre_exec)
+        on_complete = plan.on_complete
+        if on_complete is not None:
+            on_complete = partial(on_complete, call)
+        return stream.submit(kind, start, effect, on_complete,
+                             pre_exec=plan.pre_exec, hold=hold, after=after)
 
 
 def _apply_payload(buf: Buffer, payload) -> None:

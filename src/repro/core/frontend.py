@@ -173,13 +173,18 @@ class PhosFrontend:
         if sets.writes:
             def heat_completion(call_, result, violations, _writes=sets.writes):
                 now = self.engine.now
+                history = self.write_history
+                # note_write ignores buffers without an entry, so with
+                # no entry at all (nothing sealed yet) it is skipped.
+                hash_cache = self.hash_cache if self.hash_cache.entries else None
                 for buf in _writes:
-                    prev = self.write_history.get(buf.id)
+                    prev = history.get(buf.id)
                     last = prev[1] if prev is not None else float("nan")
-                    self.write_history[buf.id] = (last, now)
-                    # Speculated writes are buffer-granular: the whole
-                    # materialized payload counts as dirty.
-                    self.hash_cache.note_write(buf.id, 0, buf.data_size)
+                    history[buf.id] = (last, now)
+                    if hash_cache is not None:
+                        # Speculated writes are buffer-granular: the whole
+                        # materialized payload counts as dirty.
+                        hash_cache.note_write(buf.id, 0, buf.data_size)
 
             completions.append(heat_completion)
         if self.log_accesses:

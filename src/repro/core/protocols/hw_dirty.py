@@ -67,7 +67,15 @@ class HwDirtyCheckpoint(Protocol):
 
         def copy_gpu(gpu_index, only_dirty):
             gpu = process.machine.gpu(gpu_index)
-            for buf in list(process.runtime.allocations[gpu_index]):
+            live = process.runtime.allocations[gpu_index]
+            if only_dirty:
+                # Quiesced at t2: a buffer freed during the window has
+                # no t2 state, whichever pass copied it.
+                records = ctx.image.gpu_buffers.get(gpu_index, {})
+                live_ids = {buf.id for buf in live}
+                for buffer_id in [b for b in records if b not in live_ids]:
+                    del records[buffer_id]
+            for buf in list(live):
                 if only_dirty:
                     if not buf.hw_dirty:
                         continue

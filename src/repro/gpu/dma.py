@@ -10,10 +10,11 @@ application traffic (:data:`APP_PRIORITY`) beats checkpoint traffic
 (:data:`CHECKPOINT_PRIORITY`) whenever the engine is re-arbitrated —
 which only happens when its holder releases it.
 
-:func:`transfer` is the application's copy (``cudaMemcpy``): it holds
-the engine for the whole transfer.  The checkpoint side's prioritized
-copy, which releases the engine at a 4 MB chunk boundary whenever a
-request is waiting, is :meth:`repro.core.engine.DataMover.move`.
+:class:`AppCopy` is the application's copy (``cudaMemcpy``), run as a
+stream op: it holds the engine for the whole transfer.  The checkpoint
+side's prioritized copy, which releases the engine at a 4 MB chunk
+boundary whenever a request is waiting, is
+:meth:`repro.core.engine.DataMover.move`.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import enum
 
 from repro import obs, units
 from repro.sim.engine import Engine
-from repro.sim.resources import Resource, acquired
+from repro.sim.resources import Resource
 
 #: Application PCIe traffic: highest priority (lowest number).
 APP_PRIORITY = 0
@@ -37,26 +38,41 @@ class Direction(enum.Enum):
     D2H = "d2h"
 
 
-def transfer(engine: Engine, dma: Resource, direction: Direction,
-             nbytes: int, bandwidth: float):
-    """A generator process: one application-priority DMA transfer.
+class AppCopy:
+    """One application-priority DMA transfer, as the parts of a stream op.
 
-    Holds one of ``dma``'s engines for the whole transfer time and
-    returns the number of bytes moved.
+    The stream holds ``hold`` (the engine pool, or nothing for an empty
+    copy) from ``start`` — which returns the transfer time — until the
+    completion, where ``finish`` counts and returns the bytes moved.
     """
-    if nbytes <= 0:
-        return 0
-    moved_counter = obs.counter(
-        f"dma/{dma.name}/bytes",
-        priority=APP_PRIORITY,
-        cls="app",
-        direction=direction.value,
-        **engine._obs_labels,
-    )
-    req = yield from acquired(dma, priority=APP_PRIORITY)
-    try:
-        yield engine.timeout(units.transfer_time(nbytes, bandwidth))
-    finally:
-        dma.release(req)
-    moved_counter.inc(nbytes)
-    return nbytes
+
+    __slots__ = ("engine", "dma", "direction", "nbytes", "bandwidth",
+                 "hold", "_moved")
+
+    def __init__(self, engine: Engine, dma: Resource, direction: Direction,
+                 nbytes: int, bandwidth: float) -> None:
+        self.engine = engine
+        self.dma = dma
+        self.direction = direction
+        self.nbytes = nbytes
+        self.bandwidth = bandwidth
+        self.hold = dma if nbytes > 0 else None
+        self._moved = None
+
+    def start(self) -> float:
+        if self.hold is None:
+            return 0.0
+        self._moved = obs.counter(
+            f"dma/{self.dma.name}/bytes",
+            priority=APP_PRIORITY,
+            cls="app",
+            direction=self.direction.value,
+            **self.engine._obs_labels,
+        )
+        return units.transfer_time(self.nbytes, self.bandwidth)
+
+    def finish(self) -> int:
+        if self.hold is None:
+            return 0
+        self._moved.inc(self.nbytes)
+        return self.nbytes

@@ -300,7 +300,10 @@ class Engine:
 
         The timer for a wake-up that runs one function — no process, no
         event, no closure.  There is no cancel: pass a token in ``arg``
-        and have ``fn`` ignore a superseded one.
+        and have ``fn`` ignore a superseded one.  Its users: a stream
+        op's completion (``gpu/stream.py``), the fluid link's next
+        finish (``sim/fluid.py``) and the fleet's arrivals, service ends
+        and barriers (``fleet/scheduler.py``).
         """
         self._push(when, K_CALL1, fn, arg)
 

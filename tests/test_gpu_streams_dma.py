@@ -9,7 +9,7 @@ from repro.core.engine import DataMover
 from repro.core.protocols import ProtocolConfig
 from repro.gpu.cost_model import GpuSpec
 from repro.gpu.device import Gpu
-from repro.gpu.dma import APP_PRIORITY, CHECKPOINT_PRIORITY, Direction, transfer
+from repro.gpu.dma import APP_PRIORITY, CHECKPOINT_PRIORITY, AppCopy, Direction
 from repro.sim import Engine
 from repro.sim.resources import acquired
 from repro.storage.media import Medium
@@ -25,20 +25,20 @@ def gpu(eng):
     return Gpu(eng, index=0)
 
 
-def timed_body(eng, log, name, duration):
-    def body():
-        yield eng.timeout(duration)
+def timed(eng, log, name, duration):
+    """``(start, effect)`` of an op that runs ``duration`` and logs its end."""
+    def effect():
         log.append((name, eng.now))
         return name
 
-    return body
+    return (lambda: duration), effect
 
 
 def test_stream_runs_ops_in_order(eng, gpu):
     s = gpu.create_stream()
     log = []
-    s.submit("a", timed_body(eng, log, "a", 2.0))
-    s.submit("b", timed_body(eng, log, "b", 1.0))
+    s.submit("a", *timed(eng, log, "a", 2.0))
+    s.submit("b", *timed(eng, log, "b", 1.0))
     eng.run()
     assert log == [("a", 2.0), ("b", 3.0)]
 
@@ -46,8 +46,8 @@ def test_stream_runs_ops_in_order(eng, gpu):
 def test_streams_run_concurrently(eng, gpu):
     s1, s2 = gpu.create_stream(), gpu.create_stream()
     log = []
-    s1.submit("a", timed_body(eng, log, "a", 2.0))
-    s2.submit("b", timed_body(eng, log, "b", 2.0))
+    s1.submit("a", *timed(eng, log, "a", 2.0))
+    s2.submit("b", *timed(eng, log, "b", 2.0))
     eng.run()
     assert dict(log) == {"a": 2.0, "b": 2.0}
 
@@ -57,7 +57,7 @@ def test_stream_synchronize_waits_for_prior_ops(eng, gpu):
     log = []
 
     def proc(eng):
-        s.submit("a", timed_body(eng, log, "a", 3.0))
+        s.submit("a", *timed(eng, log, "a", 3.0))
         yield s.synchronize()
         return eng.now
 
@@ -79,7 +79,7 @@ def test_op_done_carries_result(eng, gpu):
     log = []
 
     def proc(eng):
-        op = s.submit("a", timed_body(eng, log, "a", 1.0))
+        op = s.submit("a", *timed(eng, log, "a", 1.0))
         got = yield op.done
         return got
 
@@ -89,12 +89,11 @@ def test_op_done_carries_result(eng, gpu):
 def test_op_failure_propagates_to_waiters(eng, gpu):
     s = gpu.create_stream()
 
-    def bad_body():
-        yield eng.timeout(1.0)
+    def bad_effect():
         raise RuntimeError("kernel fault")
 
     def proc(eng):
-        op = s.submit("bad", bad_body)
+        op = s.submit("bad", lambda: 1.0, bad_effect)
         try:
             yield op.done
         except RuntimeError as err:
@@ -107,12 +106,11 @@ def test_op_failure_does_not_kill_stream(eng, gpu):
     s = gpu.create_stream()
     log = []
 
-    def bad_body():
-        yield eng.timeout(1.0)
+    def bad_effect():
         raise RuntimeError("boom")
 
-    s.submit("bad", bad_body)
-    s.submit("good", timed_body(eng, log, "good", 1.0))
+    s.submit("bad", lambda: 1.0, bad_effect)
+    s.submit("good", *timed(eng, log, "good", 1.0))
     eng.run()
     assert log == [("good", 2.0)]
 
@@ -125,7 +123,7 @@ def test_pre_exec_runs_before_body(eng, gpu):
         yield eng.timeout(5.0)
         log.append(("pre", eng.now))
 
-    s.submit("k", timed_body(eng, log, "k", 1.0), pre_exec=pre)
+    s.submit("k", *timed(eng, log, "k", 1.0), pre_exec=pre)
     eng.run()
     assert log == [("pre", 5.0), ("k", 6.0)]
 
@@ -133,8 +131,8 @@ def test_pre_exec_runs_before_body(eng, gpu):
 def test_device_synchronize_drains_all_streams(eng, gpu):
     s1, s2 = gpu.create_stream(), gpu.create_stream()
     log = []
-    s1.submit("a", timed_body(eng, log, "a", 2.0))
-    s2.submit("b", timed_body(eng, log, "b", 4.0))
+    s1.submit("a", *timed(eng, log, "a", 2.0))
+    s2.submit("b", *timed(eng, log, "b", 4.0))
 
     def proc(eng):
         yield from gpu.synchronize()
@@ -144,15 +142,97 @@ def test_device_synchronize_drains_all_streams(eng, gpu):
     assert gpu.pending_ops == 0
 
 
+# --- scheduler records per stream op ----------------------------------------
+
+
+def _records_per_call(issue, n=10):
+    """Marginal engine records of one ``issue(app)`` call: a ToyApp on
+    one GPU under PHOS (no checkpoint, so no guard) issues it n and 2n
+    times after a warm iteration, then drains its stream."""
+    from tests.test_protocol_recopy import make_world
+
+    def records(count):
+        eng, _machine, _phos, _process, app = make_world(buf_size=4096)
+
+        def driver(eng):
+            yield from app.setup()
+            yield from app.run(1)
+            before = eng.events_executed
+            for _ in range(count):
+                yield from issue(app)
+            yield from app.rt.device_synchronize(0)
+            return eng.events_executed - before
+
+        return eng.run_process(driver(eng))
+
+    return (records(2 * n) - records(n)) / n
+
+
+def test_stream_op_records_per_op_budget():
+    """An unguarded kernel or library call completes on one timer record
+    and an uncontended memcpy on at most two; the API call around each
+    op costs what a ``cudaMalloc`` does (its overhead timer and the
+    caller's resume).  The dispatcher-process stream spent 5 records per
+    kernel/lib op and 6 per memcpy.  Counts are exact."""
+    from tests.toyapp import N_WORDS
+
+    api = _records_per_call(lambda app: app.rt.malloc(0, 64))
+    ops = {
+        "kernel": lambda app: app.rt.launch_kernel(
+            0, app.scale, [app.bufs["input"].addr, app.bufs["act"].addr,
+                           N_WORDS], N_WORDS, cost=app.cost),
+        "lib": lambda app: app.rt.lib_compute(
+            0, "gemm", reads=[app.bufs["act"]], writes=[app.bufs["grad"]],
+            cost=app.cost, salt=1),
+        "h2d": lambda app: app.rt.memcpy_h2d(0, app.bufs["input"], payload=7),
+        "d2h": lambda app: app.rt.memcpy_d2h(0, app.bufs["out"], sync=False),
+    }
+    per_op = {kind: _records_per_call(issue) - api
+              for kind, issue in ops.items()}
+    assert per_op["kernel"] <= 2 and per_op["lib"] <= 2, per_op
+    assert per_op["h2d"] <= 4 and per_op["d2h"] <= 4, per_op
+
+
+def test_fig16_cow_cell_record_ceiling():
+    """fig16's PHOS CoW cell (llama2-13b-train, a CoW checkpoint with its
+    guards mid-run) stays under a scheduler-record ceiling; the
+    dispatcher-process stream spent 95 346."""
+    from repro.experiments import fig16_cow_breakdown as fig16
+
+    built = []
+    plain_init = Engine.__init__
+
+    def init(self):
+        plain_init(self)
+        built.append(self)
+
+    (cell,) = [c for c in fig16.cells() if c.key[0] == "phos-cow"]
+    Engine.__init__ = init
+    try:
+        fig16.run_cell(cell)
+    finally:
+        Engine.__init__ = plain_init
+    assert sum(e.events_executed for e in built) <= 75_000
+
+
 # --- DMA ---------------------------------------------------------------------
+
+
+def app_copy(eng, gpu, direction, nbytes, bandwidth):
+    """Generator: one application copy on a stream of its own; returns
+    the bytes moved (a ``cudaMemcpy``)."""
+    copy = AppCopy(eng, gpu.dma, direction, nbytes, bandwidth=bandwidth)
+    op = gpu.create_stream().submit("memcpy", copy.start, copy.finish,
+                                    hold=copy.hold)
+    return (yield op.done)
 
 
 def test_transfer_time_matches_bandwidth(eng, gpu):
     nbytes = 100 * units.MB
 
     def proc(eng):
-        moved = yield from transfer(
-            eng, gpu.dma, Direction.D2H, nbytes, bandwidth=units.GB
+        moved = yield from app_copy(
+            eng, gpu, Direction.D2H, nbytes, bandwidth=units.GB
         )
         return (moved, eng.now)
 
@@ -163,7 +243,7 @@ def test_transfer_time_matches_bandwidth(eng, gpu):
 
 def test_zero_byte_transfer_is_instant(eng, gpu):
     def proc(eng):
-        moved = yield from transfer(eng, gpu.dma, Direction.H2D, 0, bandwidth=units.GB)
+        moved = yield from app_copy(eng, gpu, Direction.H2D, 0, bandwidth=units.GB)
         return (moved, eng.now)
 
     assert eng.run_process(proc(eng)) == (0, 0.0)
@@ -175,7 +255,7 @@ def test_directions_share_the_engine_pool(eng, gpu):
     done = {}
 
     def mover(eng, name, direction):
-        yield from transfer(eng, gpu.dma, direction, units.GB, bandwidth=units.GB)
+        yield from app_copy(eng, gpu, direction, units.GB, bandwidth=units.GB)
         done[name] = eng.now
 
     eng.spawn(mover(eng, "down", Direction.D2H))
@@ -188,7 +268,7 @@ def test_same_direction_serializes(eng, gpu):
     done = {}
 
     def mover(eng, name):
-        yield from transfer(eng, gpu.dma, Direction.D2H, units.GB, bandwidth=units.GB)
+        yield from app_copy(eng, gpu, Direction.D2H, units.GB, bandwidth=units.GB)
         done[name] = eng.now
 
     eng.spawn(mover(eng, "one"))
@@ -231,7 +311,7 @@ def bulk_then_app(eng, gpu, prioritized):
 
     def app():
         yield eng.timeout(1.0)  # arrives mid-bulk
-        yield from transfer(eng, gpu.dma, Direction.H2D, units.GB,
+        yield from app_copy(eng, gpu, Direction.H2D, units.GB,
                             bandwidth=units.GB)
         done["app"] = eng.now
 
@@ -307,7 +387,7 @@ def dma_run(use_mover, injections):
         stamps.append(("bulk", eng.now))
 
     def app(i, delay, nbytes):
-        # ``transfer``'s body, with the grant instant recorded.
+        # An application copy, with the grant instant recorded.
         yield eng.timeout(delay)
         req = yield from acquired(gpu.dma, priority=APP_PRIORITY)
         grants[i] = eng.now

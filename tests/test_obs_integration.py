@@ -6,11 +6,16 @@ app-priority DMA wait + validator twin overhead) must sum to the stall
 actually measured from step times, within 1%.
 """
 
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
 
 from repro import obs
+from repro.core.cli import main
 from repro.core.protocols import ProtocolConfig
 from repro.obs import export
 from repro.experiments.harness import build_world, setup_app
@@ -151,3 +156,34 @@ def test_counters_report_prints_counts_as_integers(cow_run):
     assert line.split() == ["phos/checkpoints{mode=cow}", "1"]
     overhead = values["validator/overhead-seconds{gpu=0}"]
     assert isinstance(overhead, float) and not overhead.is_integer()
+
+
+# -- pinned span trees ---------------------------------------------------------
+
+SPAN_GOLDEN = Path(__file__).parent / "goldens" / "checkpoint_spans.json"
+
+
+def _checkpoint_spans(mode, tmp_dir):
+    """The ``phos checkpoint --obs`` span forest of one run, as JSON."""
+    out = Path(tmp_dir) / f"{mode}.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["checkpoint", "--app", APP, "--mode", mode, "--obs",
+                     "--obs-json", str(out)]) == 0
+    return json.loads(out.read_text())["spans"]
+
+
+def write_span_golden(path=SPAN_GOLDEN):
+    """Regenerate the pinned span trees (on purpose only)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        spans = {mode: _checkpoint_spans(mode, tmp)
+                 for mode in ("cow", "recopy")}
+    path.write_text(json.dumps(spans, indent=1) + "\n")
+
+
+@pytest.mark.parametrize("mode", ["cow", "recopy"])
+def test_checkpoint_span_tree_is_pinned(mode, tmp_path):
+    """Guard stalls, drains and gate stalls attach to the same parents,
+    at the same exact instants, however the GPU stream runs its ops:
+    the tree of one CoW and one recopy checkpoint is a golden."""
+    golden = json.loads(SPAN_GOLDEN.read_text())[mode]
+    assert _checkpoint_spans(mode, tmp_path) == golden

@@ -6,13 +6,14 @@ and randomized checkpoint timings:
 
 * the CoW image equals the quiesced state at t1 (stop-the-world-at-t1
   equivalence, §4.2);
-* the recopy image equals the live state at t2 (stop-the-world-at-t2
-  equivalence, §4.3);
+* the recopy image — soft (§4.3) or on hardware dirty bits (§9's
+  ``hw-dirty``) — equals the live state at t2 (stop-the-world-at-t2
+  equivalence);
 * a concurrently-restored process computes the same final state as a
   stop-the-world-restored one (§6).
 """
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.api.runtime import GpuProcess
@@ -146,9 +147,9 @@ def test_cow_image_always_equals_t1_state(ops, warm_ops, cost_scale):
         assert image.cpu_pages[idx] == page
 
 
-@given(workload_strategy, st.integers(1, 30))
-@settings(max_examples=25, deadline=None)
-def test_recopy_image_always_equals_t2_state(ops, cost_scale):
+def check_image_equals_t2_state(mode, ops, cost_scale):
+    """Checkpoint in ``mode`` with ``ops`` running concurrently; the
+    image must equal the state the process is quiesced in at t2."""
     eng, machine, phos, process = build_process()
     rt = process.runtime
     cost = KernelCost(flops=cost_scale * 1e11, bytes_moved=0, memory_intensity=0.5)
@@ -162,7 +163,7 @@ def test_recopy_image_always_equals_t2_state(ops, cost_scale):
     def driver(eng):
         yield from setup_gen()
         handle = phos.checkpoint(
-            process, mode="recopy",
+            process, mode=mode,
             config=ProtocolConfig(keep_stopped=True))
         # Its own process: an op that blocks (a free waits for queued
         # work) may still be running at t2, gated until the resume.
@@ -180,6 +181,21 @@ def test_recopy_image_always_equals_t2_state(ops, cost_scale):
         assert got[key] == expected
     for idx, page in enumerate(state["cpu"]):
         assert image.cpu_pages[idx] == page
+
+
+@given(workload_strategy, st.integers(1, 30))
+@settings(max_examples=25, deadline=None)
+def test_recopy_image_always_equals_t2_state(ops, cost_scale):
+    check_image_equals_t2_state("recopy", ops, cost_scale)
+
+
+@given(workload_strategy, st.integers(1, 30))
+# A free that lands after the first pass copied the buffer: its record
+# must not survive into the t2 image.
+@example([(MEMCPY, 0, 0, 1), (FREE, 0, 0, 1), (0, 0, 0, 1)], 1)
+@settings(max_examples=25, deadline=None)
+def test_hw_dirty_image_always_equals_t2_state(ops, cost_scale):
+    check_image_equals_t2_state("hw-dirty", ops, cost_scale)
 
 
 @given(workload_strategy, st.integers(1, 20))

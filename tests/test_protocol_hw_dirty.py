@@ -1,5 +1,7 @@
 """Integration tests: the hypothetical hardware-dirty-bit recopy (§9)."""
 
+import pytest
+
 from repro.api.runtime import GpuProcess
 from repro.cluster import Machine
 from repro.core.protocols import ProtocolConfig, registry
@@ -139,3 +141,34 @@ def test_hw_and_soft_recopy_agree_on_dirty_volume():
     # Speculation is buffer-granular and over-approximate; hardware bits
     # are exact.  They may differ, but not by orders of magnitude.
     assert 0.3 <= (soft_bytes / hw_bytes) <= 3.0
+
+
+@pytest.mark.parametrize("free_at", [1e-4, 5e-3, 10e-3, 20e-3])
+def test_hw_recopy_drops_buffer_freed_during_window(free_at):
+    """A buffer freed inside the concurrent window does not exist at t2,
+    so the image must not hold it — wherever the free lands relative to
+    the first copy pass (a stale record would claim an address a later
+    ``malloc`` may reuse)."""
+    from tests.test_protocol_recopy import make_world as make_phos_world
+
+    eng, machine, phos, process, app = make_phos_world(buf_size=64 * MIB)
+
+    def side(eng):
+        yield eng.timeout(free_at)
+        yield from process.runtime.free(0, app.bufs.pop("out"))
+
+    def driver(eng):
+        yield from app.setup()
+        yield from app.run(1)
+        handle = phos.checkpoint(process, mode="hw-dirty",
+                                 config=ProtocolConfig(keep_stopped=True))
+        eng.spawn(side(eng))
+        image, _session = yield handle
+        state, _ = snapshot_process(process)
+        resume([process])
+        return image, state
+
+    image, state = eng.run_process(driver(eng))
+    eng.run()
+    assert len(state) == 5
+    assert image_gpu_state(image) == state
