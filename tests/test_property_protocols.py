@@ -41,8 +41,11 @@ N_WORDS = 8
 _PROGRAMS = [build_fill(), build_scale(), build_copy(), build_inplace_add(),
              build_scatter()]
 
-#: Op kinds past the program indices.
-MEMCPY, LIB, MALLOC, FREE = range(len(_PROGRAMS), len(_PROGRAMS) + 4)
+#: Op kinds past the program indices.  ``MALLOC`` writes the new buffer
+#: right away; ``MALLOC_ONLY`` leaves it zero-filled and unwritten (a
+#: dirty tracker never sees it, only the allocation list does).
+MEMCPY, LIB, MALLOC, MALLOC_ONLY, FREE = range(len(_PROGRAMS),
+                                              len(_PROGRAMS) + 5)
 
 op_strategy = st.tuples(
     st.integers(0, FREE),                # program index or an extra kind
@@ -103,9 +106,10 @@ def apply_op(rt, bufs, op, cost):
             yield from rt.lib_compute(
                 0, "gemm", reads=[src], writes=[dst], cost=cost, salt=payload
             )
-        elif kind == MALLOC:
+        elif kind in (MALLOC, MALLOC_ONLY):
             buf = yield from rt.malloc(0, bufs[0].size, tag=f"m{payload}")
-            yield from rt.memcpy_h2d(0, buf, payload=payload)
+            if kind == MALLOC:
+                yield from rt.memcpy_h2d(0, buf, payload=payload)
             bufs.append(buf)
         elif len(bufs) > 2:  # FREE, like cudaFree: after queued work drains
             yield from rt.device_synchronize(0)
@@ -193,6 +197,8 @@ def test_recopy_image_always_equals_t2_state(ops, cost_scale):
 # A free that lands after the first pass copied the buffer: its record
 # must not survive into the t2 image.
 @example([(MEMCPY, 0, 0, 1), (FREE, 0, 0, 1), (0, 0, 0, 1)], 1)
+# A buffer malloc'ed in the window and never written exists at t2.
+@example([(MALLOC_ONLY, 0, 0, 1), (0, 0, 0, 1)], 1)
 @settings(max_examples=25, deadline=None)
 def test_hw_dirty_image_always_equals_t2_state(ops, cost_scale):
     check_image_equals_t2_state("hw-dirty", ops, cost_scale)

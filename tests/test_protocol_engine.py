@@ -155,6 +155,8 @@ def test_config_rejects_unknown_tunables():
     # incremental subclasses the recopy skeleton but declares its own
     # tunables: the inherited pre-copy loop stays unreachable.
     ("incremental", {"precopy_rounds": 1}),
+    # hw-dirty is the recopy skeleton too, with the same declared limit.
+    ("hw-dirty", {"precopy_rounds": 1}),
 ])
 def test_unsupported_combination_rejected_at_construction(mode, bad):
     with pytest.raises(CheckpointError, match="does not support"):

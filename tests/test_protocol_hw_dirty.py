@@ -137,7 +137,10 @@ def test_hw_and_soft_recopy_agree_on_dirty_volume():
         return result
 
     soft_bytes, hw_bytes = soft(), hw()
-    assert hw_bytes > 0
+    # Pinned exactly: two of the 64 MiB buffers are written after their
+    # copy starts.  The dirty set is what §9 compares, so restructuring
+    # the protocol must not move it.
+    assert hw_bytes == 2 * 64 * MIB
     # Speculation is buffer-granular and over-approximate; hardware bits
     # are exact.  They may differ, but not by orders of magnitude.
     assert 0.3 <= (soft_bytes / hw_bytes) <= 3.0
@@ -171,4 +174,35 @@ def test_hw_recopy_drops_buffer_freed_during_window(free_at):
     image, state = eng.run_process(driver(eng))
     eng.run()
     assert len(state) == 5
+    assert image_gpu_state(image) == state
+
+
+@pytest.mark.parametrize("malloc_at", [1e-4, 5e-3, 20e-3],
+                         ids=["0.1ms", "5ms", "20ms"])
+def test_hw_recopy_keeps_buffer_malloced_during_window(malloc_at):
+    """A buffer allocated inside the concurrent window and never written
+    exists at t2 (zero-filled), so the image must hold it: its hardware
+    bit is clear, which must not hide it from the t2 cut."""
+    from tests.test_protocol_recopy import make_world as make_phos_world
+
+    eng, machine, phos, process, app = make_phos_world(buf_size=64 * MIB)
+
+    def side(eng):
+        yield eng.timeout(malloc_at)
+        yield from process.runtime.malloc(0, 64 * MIB, tag="late")
+
+    def driver(eng):
+        yield from app.setup()
+        yield from app.run(1)
+        handle = phos.checkpoint(process, mode="hw-dirty",
+                                 config=ProtocolConfig(keep_stopped=True))
+        eng.spawn(side(eng))
+        image, _session = yield handle
+        state, _ = snapshot_process(process)
+        resume([process])
+        return image, state
+
+    image, state = eng.run_process(driver(eng))
+    eng.run()
+    assert len(state) == 7
     assert image_gpu_state(image) == state
