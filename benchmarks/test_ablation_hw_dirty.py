@@ -61,20 +61,14 @@ def run() -> ExperimentResult:
             eng, process=world.process, medium=phos.medium, criu=phos.criu,
         ))
         eng.spawn(world.workload.run(STEPS_DURING))
-        t_mark = {}
-
-        def watch(eng):
-            yield handle
-            t_mark["end"] = eng.now
-
-        eng.spawn(watch(eng))
-        yield handle
+        _image, session = yield handle
+        downtime = eng.now - session.final_quiesce_start
         resume([world.process])
-        return protocol.last_recopied_bytes
+        return session.stats.bytes_recopied, downtime
 
-    hw_bytes = eng.run_process(hw_driver(eng))
+    hw_bytes, hw_down = eng.run_process(hw_driver(eng))
     result.add(tracker="hw-dirty-bits", recopied_gb=hw_bytes / units.GB,
-               downtime_s=None, supports_cow=False)
+               downtime_s=hw_down, supports_cow=False)
     return result
 
 

@@ -234,6 +234,9 @@ class DataMover:
                         continue
                     if state is BufState.NOT_STARTED:
                         session.set_state(buf, BufState.COPY_IN_FLIGHT)
+                        # Only hw-dirty reads the bit: a write from now
+                        # on re-sets it, like a soft dirty mark.
+                        buf.hw_dirty = False
                     from_shadow = buf.id in session.shadows
                     copy_start = self.engine.now
                     move_bytes = yield from self._ship(
@@ -270,37 +273,30 @@ class DataMover:
             session.deferred_frees[gpu.index] = []
 
     def recopy_dirty(self, session: CheckpointSession, gpu: Gpu, medium: Medium,
-                     dirty_ids: Optional[set[int]] = None, sizer=None):
+                     dirty_ids: set[int], sizer=None, new=()):
         """Generator: overwrite the image with dirty buffers' fresh content.
 
-        With ``dirty_ids=None`` (the final, quiesced recopy pass) the
-        session's dirty set is consumed and cleared, and the buffers
-        allocated during the window that are still alive are captured
-        whole: they exist at t2 but have no copy yet.  The iterative
-        pre-copy extension passes an explicit snapshot instead: the
-        session's dirty set keeps collecting re-dirtied buffers while this
-        pass runs concurrently with the application.
+        ``dirty_ids`` are plan buffer ids (a snapshot, for a pre-copy
+        round running beside the application); the ones freed during
+        the window are skipped.  ``new``, in the final quiesced pass the
+        NEW buffers of :meth:`CheckpointSession.cut_t2`, move whole.
         """
         with obs.span("gpu-recopy", gpu=gpu.index) as span:
             by_id = {buf.id: buf for buf in session.plan[gpu.index]}
-            final = dirty_ids is None
-            if final:
-                dirty_ids = session.dirty[gpu.index]
-                session.dirty[gpu.index] = set()
+            freed = session.freed_ids[gpu.index]
             span.attrs["dirty"] = len(dirty_ids)
             for buf_id in sorted(dirty_ids):
-                buf = by_id.get(buf_id)
-                if buf is None or buf_id in session.freed_ids.get(gpu.index, ()):
-                    continue  # unknown or freed: it has no t2 state to capture
-                yield from self._recapture(session, gpu, medium, buf, sizer)
-            if final:
-                # No parent record to size against: NEW buffers move whole.
-                for buf in list(session.new_buffers[gpu.index].values()):
-                    yield from self._recapture(session, gpu, medium, buf, None)
+                if buf_id not in freed:  # a freed buffer has no t2 state
+                    yield from self._recapture(session, gpu, medium,
+                                               by_id[buf_id], sizer)
+            # No parent record to size against: NEW buffers move whole.
+            for buf in new:
+                yield from self._recapture(session, gpu, medium, buf, None)
 
     def _recapture(self, session: CheckpointSession, gpu: Gpu, medium: Medium,
                    buf: Buffer, sizer):
         """Generator: ship one buffer's current content into the image."""
+        buf.hw_dirty = False  # the copy starts: see copy_gpu
         move_bytes = yield from self._ship(gpu, medium, buf, sizer, "gpu-recopy")
         record = GpuBufferRecord(
             buffer_id=buf.id, addr=buf.addr, size=buf.size,

@@ -141,21 +141,17 @@ class PhosFrontend:
     # -- interceptor protocol --------------------------------------------------------
     def on_malloc(self, gpu_index: int, buf: Buffer) -> None:
         self.tables[gpu_index].register(buf)
-        session = self.ckpt_session
-        if session is not None and session.covers_gpu(gpu_index):
-            session.new_buffers[gpu_index][buf.id] = buf
 
     def on_free(self, gpu_index: int, buf: Buffer) -> bool:
         """Returns True when the physical free is deferred (PHOS owns it)."""
         self.tables[gpu_index].unregister(buf)
         self.hash_cache.forget(buf.id)
         session = self.ckpt_session
-        if session is not None and session.covers_gpu(gpu_index):
-            if session.state_of(buf) is not BufState.NEW:
-                session.deferred_frees[gpu_index].append(buf)
-                session.freed_ids[gpu_index].add(buf.id)
-                return True
-            session.new_buffers[gpu_index].pop(buf.id, None)
+        if (session is not None and session.covers_gpu(gpu_index)
+                and session.state_of(buf) is not BufState.NEW):
+            session.deferred_frees[gpu_index].append(buf)
+            session.freed_ids[gpu_index].add(buf.id)
+            return True
         return False
 
     def plan(self, call: ApiCall) -> LaunchPlan:

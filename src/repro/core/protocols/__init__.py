@@ -17,7 +17,8 @@ Every protocol is a phase-structured subclass of
   end time; also the concurrent-copy → re-quiesce → recopy skeleton
   the other t2-cut protocols subclass;
 * ``hw-dirty`` — :mod:`repro.core.protocols.hw_dirty`: the §9
-  hypothetical hardware-dirty-bit recopy (no speculation frontend);
+  hypothetical hardware-dirty-bit recopy — the recopy skeleton with
+  its dirty set read from per-buffer bits (no speculation frontend);
 * ``incremental`` — :mod:`repro.core.protocols.incremental`: recopy
   plus a delta seal — checkpoints against a parent image (chunk-level
   dedup, cost scales with dirty bytes);

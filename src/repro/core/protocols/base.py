@@ -221,7 +221,7 @@ class Protocol:
     needs_frontend: ClassVar[bool] = False
     #: :class:`~repro.core.session.CheckpointSession` mode the plan
     #: phase opens ("cow" / "recopy"); None = the protocol runs without
-    #: a speculation session.
+    #: a session.
     session_mode: ClassVar[Optional[str]] = None
     #: One-line description for ``phos protocols`` and the docs.
     summary: ClassVar[str] = ""
@@ -481,19 +481,25 @@ class Protocol:
         ctx.t_quiesce = ctx.engine.now
 
     def phase_plan(self, ctx: ProtocolContext):
-        """Record metadata; speculating protocols open the session
-        (``session_mode``), inherit from the parent, and resume."""
+        """Record metadata; session protocols open the session
+        (``session_mode``), begin tracking, inherit from the parent, and
+        resume."""
         record_modules(ctx.image, ctx.process)
         if self.session_mode is None:
             return
         ctx.session = CheckpointSession(
             ctx.engine, self.session_mode, ctx.image, self.config.cow_pool_bytes
         )
+        self.begin_tracking(ctx)
+        self.inherit_parent(ctx)
+        resume([ctx.process])
+
+    def begin_tracking(self, ctx: ProtocolContext) -> None:
+        """Plan-phase hook (quiesced): fill the session's plan and start
+        write tracking — by default the frontend's speculation session."""
         ctx.frontend.begin_checkpoint(
             ctx.session, hot_order=ctx.mover.copy_order(self.session_mode)
         )
-        self.inherit_parent(ctx)
-        resume([ctx.process])
 
     def inherit_parent(self, ctx: ProtocolContext) -> None:
         """Plan-phase hook: skip buffers a parent image already holds

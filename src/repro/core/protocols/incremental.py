@@ -125,12 +125,8 @@ class IncrementalCheckpoint(RecopyCheckpoint):
         return sizer
 
     def phase_commit(self, ctx: ProtocolContext):
-        session = ctx.session
-        freed = {
-            gpu_index: set(session.freed_ids.get(gpu_index, ()))
-            for gpu_index in session.plan
-        }
         seal_delta(ctx.image, ctx.extras.get("parent_full"),
-                   reused=ctx.extras.get("reused"), freed=freed,
+                   reused=ctx.extras.get("reused"),
+                   freed=ctx.session.freed_ids,
                    cache=getattr(ctx.frontend, "hash_cache", None))
         return super().phase_commit(ctx)

@@ -6,11 +6,15 @@ live migration requires.  Four phases: quiesce, concurrent copy with
 dirty tracking, re-quiesce, recopy of the dirty buffers and CPU pages.
 
 :class:`RecopyCheckpoint` is also the skeleton every t2-cut protocol
-retrofits: a subclass overrides the image factory (:meth:`prepare`),
-the plan-phase :meth:`~repro.core.protocols.base.Protocol.inherit_parent`,
-the CPU-dump/sizer pair (:meth:`copy_hooks`) and seals its image in
-``phase_commit`` before the shared finalize — ``incremental`` is
-exactly that.
+retrofits.  ``incremental`` overrides the image factory
+(:meth:`prepare`), the plan-phase
+:meth:`~repro.core.protocols.base.Protocol.inherit_parent`, the
+CPU-dump/sizer pair (:meth:`copy_hooks`) and seals its image in
+``phase_commit`` before the shared finalize.  ``hw-dirty`` swaps the
+dirty source: :meth:`~repro.core.protocols.base.Protocol.begin_tracking`
+and :meth:`dirty_ids`.  Which buffers exist at t2 is decided once, for
+either source, by the final pass's
+:meth:`~repro.core.session.CheckpointSession.cut_t2`.
 """
 
 from __future__ import annotations
@@ -53,6 +57,11 @@ class RecopyCheckpoint(Protocol):
         plain tracked CPU dump / whole-buffer moves)."""
         return None, None
 
+    def dirty_ids(self, ctx: ProtocolContext, gpu_index: int) -> set[int]:
+        """A fresh set of the plan buffers on ``gpu_index`` written since
+        their copy started: here, the frontend's speculated dirty set."""
+        return set(ctx.session.dirty[gpu_index])
+
     def phase_transfer(self, ctx: ProtocolContext):
         engine, session, process = ctx.engine, ctx.session, ctx.process
         cpu_dump, sizer = self.copy_hooks(ctx)
@@ -75,7 +84,7 @@ class RecopyCheckpoint(Protocol):
             }
             for _ in range(self.config.precopy_rounds):
                 snapshot = {
-                    gpu_index: set(session.dirty[gpu_index])
+                    gpu_index: self.dirty_ids(ctx, gpu_index)
                     for gpu_index in session.plan
                 }
                 round_bytes = sum(
@@ -111,8 +120,9 @@ class RecopyCheckpoint(Protocol):
             session.final_quiesce_start = engine.now
             yield from quiesce(engine, [process])
         finally:
-            # Guarded for idempotence against a racing teardown.
-            if ctx.frontend.ckpt_session is session:
+            # Guarded for idempotence against a racing teardown; a
+            # hw-dirty session never reaches a frontend.
+            if ctx.frontend is not None and ctx.frontend.ckpt_session is session:
                 ctx.frontend.end_checkpoint()
         ctx.t_image = engine.now
         # Recopy dirty GPU buffers and dirty CPU pages, stopped.
@@ -120,20 +130,18 @@ class RecopyCheckpoint(Protocol):
             dirty_pages = process.host.memory.dirty_pages()
             yield from ctx.criu.recopy_dirty(process.host, ctx.image,
                                              ctx.medium, dirty_pages)
-            # Each GPU recopies its dirty delta over its own link,
-            # concurrently.
+            # Each GPU takes its t2 cut, then recopies its dirty delta
+            # and its NEW buffers over its own link, concurrently.
             recopies = [
                 ctx.spawn_worker(
                     ctx.mover.recopy_dirty(
                         session, process.machine.gpu(gpu_index), ctx.medium,
-                        sizer=sizer,
+                        self.dirty_ids(ctx, gpu_index), sizer=sizer,
+                        new=session.cut_t2(
+                            gpu_index, process.runtime.allocations[gpu_index]),
                     ),
                     name=f"recopy-gpu{gpu_index}",
                 )
                 for gpu_index in session.plan
             ]
             yield engine.all_of(recopies)
-            for gpu_index in session.plan:
-                # Buffers freed during the window do not exist at t2.
-                for buf_id in session.freed_ids[gpu_index]:
-                    ctx.image.gpu_buffers.get(gpu_index, {}).pop(buf_id, None)

@@ -2,10 +2,12 @@
 
 A session holds the per-buffer protocol state shared between the
 frontend guards (running in application streams) and the backend copy
-engine.  Only the speculating protocols carry one — the ``plan`` phase
-of ``cow``/``recopy`` creates a :class:`CheckpointSession`, the
-concurrent restore a :class:`RestoreSession`; stop-the-world and
-hw-dirty runs return ``session=None``.  State transitions:
+engine.  The ``plan`` phase of ``cow`` and of the recopy family
+(``recopy``, ``hw-dirty``, ``incremental``) creates a
+:class:`CheckpointSession`, the concurrent restore a
+:class:`RestoreSession`; stop-the-world runs return ``session=None``.
+A ``hw-dirty`` session is never handed to a frontend: its dirty set is
+read from the buffers' hardware bits.  State transitions:
 
 Checkpoint (CoW)::
 
@@ -17,7 +19,8 @@ Checkpoint (recopy)::
 
     NOT_STARTED --engine--> COPY_IN_FLIGHT --> DONE
     any write completing while state != NOT_STARTED marks the buffer dirty
-    (NEW buffers still alive at t2 are captured whole by the final pass)
+    (the t2 cut, taken once from the quiesced allocation list: NEW
+    buffers still alive are captured whole, freed plan buffers dropped)
 
 Restore::
 
@@ -104,11 +107,10 @@ class CheckpointSession:
         self.shadow_ready: dict[int, deque[Buffer]] = {}
         self.dirty: dict[int, set[int]] = {}
         self.deferred_frees: dict[int, list[Buffer]] = {}
-        #: Buffers freed during the window; recopy drops them from the image.
+        #: Plan buffers freed during the window, per GPU: noted by the
+        #: frontend as they go (pre-copy rounds skip them), then set
+        #: authoritatively by :meth:`cut_t2`.
         self.freed_ids: dict[int, set[int]] = {}
-        #: NEW buffers allocated during the window and not freed since,
-        #: per GPU, in allocation order.
-        self.new_buffers: dict[int, dict[int, Buffer]] = {}
         self.aborted = False
         self.abort_reason = ""
         #: Set by the recopy protocol: when the final quiesce began
@@ -126,7 +128,6 @@ class CheckpointSession:
         self.dirty.setdefault(gpu_index, set())
         self.deferred_frees.setdefault(gpu_index, [])
         self.freed_ids.setdefault(gpu_index, set())
-        self.new_buffers.setdefault(gpu_index, {})
         self._pool_free.setdefault(gpu_index, self.cow_pool_bytes)
         self._pool_waiters.setdefault(gpu_index, deque())
         for buf in buffers:
@@ -161,6 +162,23 @@ class CheckpointSession:
         if buf.id not in self.dirty[gpu_index]:
             self.dirty[gpu_index].add(buf.id)
             self.stats.dirty_marks += 1
+
+    def cut_t2(self, gpu_index: int, live: list[Buffer]) -> list[Buffer]:
+        """One GPU's t2 cut against its quiesced allocation list ``live``.
+
+        Plan buffers no longer alive have no t2 state: they become
+        ``freed_ids`` and their image records are dropped.  Returns the
+        live buffers outside the plan — NEW, allocated during the
+        window, with no copy yet — in allocation order.  ``live`` is the
+        list a stop-the-world checkpoint at t2 walks, so no dirty source
+        can disagree with it.
+        """
+        planned = {buf.id for buf in self.plan[gpu_index]}
+        freed = self.freed_ids[gpu_index] = planned - {b.id for b in live}
+        records = self.image.gpu_buffers.get(gpu_index, {})
+        for buf_id in freed:
+            records.pop(buf_id, None)
+        return [buf for buf in live if buf.id not in planned]
 
     def abort(self, reason: str = "") -> None:
         if not self.aborted:

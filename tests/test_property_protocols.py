@@ -1,26 +1,31 @@
 """Property-based tests of the §4 correctness claims (hypothesis).
 
 For randomized workloads — kernels, copies, library calls and
-allocation churn (``cudaMalloc`` / ``cudaFree`` inside the window) —
-and randomized checkpoint timings:
+allocation churn (``cudaMalloc`` with and without a write, ``cudaFree``
+inside the window) — and randomized checkpoint timings, every
+registered checkpoint protocol is held to its stop-the-world reference:
 
-* the CoW image equals the quiesced state at t1 (stop-the-world-at-t1
-  equivalence, §4.2);
-* the recopy image — soft (§4.3) or on hardware dirty bits (§9's
-  ``hw-dirty``) — equals the live state at t2 (stop-the-world-at-t2
-  equivalence);
+* ``cow`` and ``stop-world`` images equal the quiesced state at t1
+  (§4.2);
+* ``recopy`` (§4.3), ``hw-dirty`` (§9), ``incremental`` and every round
+  of a ``continuous`` stream equal the quiesced state at their t2;
 * a concurrently-restored process computes the same final state as a
   stop-the-world-restored one (§6).
+
+A protocol registered without an oracle fails the suite.
 """
 
+from unittest import mock
+
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.api.runtime import GpuProcess
 from repro.cluster import Machine
 from repro.core.daemon import Phos
-from repro.core.protocols import ProtocolConfig
-from repro.core.quiesce import quiesce, resume
+from repro.core.protocols import Protocol, registry
+from repro.core.quiesce import quiesce
 from repro.gpu.context import GpuContext
 from repro.gpu.cost_model import KernelCost
 from repro.gpu.program import (
@@ -31,6 +36,7 @@ from repro.gpu.program import (
     build_scatter,
 )
 from repro.sim import Engine
+from repro.storage.delta import materialize
 from repro.units import MIB
 
 from tests.toyapp import image_gpu_state, snapshot_process
@@ -119,9 +125,30 @@ def apply_op(rt, bufs, op, cost):
     return gen
 
 
+#: Every registered checkpoint protocol, by the stop-the-world reference
+#: its image must equal: the state quiesced at t1, or at t2 (for a
+#: ``continuous`` stream, each round's own t2).
+T1_PROTOCOLS = ("cow", "stop-world")
+T2_PROTOCOLS = ("continuous", "hw-dirty", "incremental", "recopy")
+
+
+def test_every_checkpoint_protocol_has_an_oracle():
+    assert sorted(T1_PROTOCOLS + T2_PROTOCOLS) == registry.names("checkpoint")
+
+
+def assert_image_equals(image, gpu_state, cpu_state):
+    """Byte equality of an image (a delta is walked to its root) with a
+    process snapshot."""
+    full = materialize(image)
+    assert image_gpu_state(full) == gpu_state
+    for idx, page in enumerate(cpu_state):
+        assert full.cpu_pages[idx] == page
+
+
+@pytest.mark.parametrize("mode", T1_PROTOCOLS)
 @given(workload_strategy, st.integers(0, 2), st.integers(1, 30))
 @settings(max_examples=25, deadline=None)
-def test_cow_image_always_equals_t1_state(ops, warm_ops, cost_scale):
+def test_image_always_equals_t1_state(mode, ops, warm_ops, cost_scale):
     eng, machine, phos, process = build_process()
     rt = process.runtime
     cost = KernelCost(flops=cost_scale * 1e11, bytes_moved=0, memory_intensity=0.5)
@@ -134,7 +161,9 @@ def test_cow_image_always_equals_t1_state(ops, warm_ops, cost_scale):
             yield from apply_op(rt, bufs, op, cost)()
         yield from quiesce(eng, [process])
         state["gpu"], state["cpu"] = snapshot_process(process)
-        handle = phos.checkpoint(process, mode="cow")
+        handle = phos.checkpoint(process, mode=mode)
+        # These run beside CoW's copy; stop-the-world holds them at the
+        # API gate until it resumes.
         for op in ops[warm_ops:]:
             yield from apply_op(rt, bufs, op, cost)()
         image, session = yield handle
@@ -142,23 +171,33 @@ def test_cow_image_always_equals_t1_state(ops, warm_ops, cost_scale):
 
     image, session = eng.run_process(driver(eng))
     eng.run()
-    assert not session.aborted
-    got = image_gpu_state(image)
-    assert set(got) == set(state["gpu"])
-    for key, expected in state["gpu"].items():
-        assert got[key] == expected
-    for idx, page in enumerate(state["cpu"]):
-        assert image.cpu_pages[idx] == page
+    assert session is None or not session.aborted
+    assert_image_equals(image, state["gpu"], state["cpu"])
 
 
-def check_image_equals_t2_state(mode, ops, cost_scale):
-    """Checkpoint in ``mode`` with ``ops`` running concurrently; the
-    image must equal the state the process is quiesced in at t2."""
+@pytest.mark.parametrize("mode", T2_PROTOCOLS)
+@given(workload_strategy, st.integers(1, 30))
+# A free that lands after the first pass copied the buffer: its record
+# must not survive into the t2 image.
+@example(ops=[(MEMCPY, 0, 0, 1), (FREE, 0, 0, 1), (0, 0, 0, 1)],
+         cost_scale=1)
+# A buffer malloc'ed in the window and never written exists at t2.
+@example(ops=[(MALLOC_ONLY, 0, 0, 1), (0, 0, 0, 1)], cost_scale=1)
+@settings(max_examples=25, deadline=None)
+def test_image_always_equals_t2_state(mode, ops, cost_scale):
+    """Checkpoint in ``mode`` with ``ops`` running concurrently: every
+    image committed must equal the process state when its commit phase
+    begins — quiesced since the final quiesce, that is the t2 state."""
     eng, machine, phos, process = build_process()
     rt = process.runtime
     cost = KernelCost(flops=cost_scale * 1e11, bytes_moved=0, memory_intensity=0.5)
     setup_gen, bufs = setup_buffers(rt, 8 * MIB)
-    state = {}
+    cuts = []
+    commit = Protocol.phase_commit
+
+    def phase_commit(self, ctx):
+        cuts.append((ctx.image, *snapshot_process(ctx.process)))
+        return commit(self, ctx)
 
     def workload():
         for op in ops:
@@ -166,42 +205,18 @@ def check_image_equals_t2_state(mode, ops, cost_scale):
 
     def driver(eng):
         yield from setup_gen()
-        handle = phos.checkpoint(
-            process, mode=mode,
-            config=ProtocolConfig(keep_stopped=True))
+        handle = phos.checkpoint(process, mode=mode)
         # Its own process: an op that blocks (a free waits for queued
         # work) may still be running at t2, gated until the resume.
         eng.spawn(workload())
-        image, session = yield handle
-        state["gpu"], state["cpu"] = snapshot_process(process)
-        resume([process])
-        return image, session
+        yield handle
 
-    image, session = eng.run_process(driver(eng))
-    eng.run()
-    got = image_gpu_state(image)
-    assert set(got) == set(state["gpu"])
-    for key, expected in state["gpu"].items():
-        assert got[key] == expected
-    for idx, page in enumerate(state["cpu"]):
-        assert image.cpu_pages[idx] == page
-
-
-@given(workload_strategy, st.integers(1, 30))
-@settings(max_examples=25, deadline=None)
-def test_recopy_image_always_equals_t2_state(ops, cost_scale):
-    check_image_equals_t2_state("recopy", ops, cost_scale)
-
-
-@given(workload_strategy, st.integers(1, 30))
-# A free that lands after the first pass copied the buffer: its record
-# must not survive into the t2 image.
-@example([(MEMCPY, 0, 0, 1), (FREE, 0, 0, 1), (0, 0, 0, 1)], 1)
-# A buffer malloc'ed in the window and never written exists at t2.
-@example([(MALLOC_ONLY, 0, 0, 1), (0, 0, 0, 1)], 1)
-@settings(max_examples=25, deadline=None)
-def test_hw_dirty_image_always_equals_t2_state(ops, cost_scale):
-    check_image_equals_t2_state("hw-dirty", ops, cost_scale)
+    with mock.patch.object(Protocol, "phase_commit", phase_commit):
+        eng.run_process(driver(eng))
+        eng.run()
+    assert len(cuts) == (2 if mode == "continuous" else 1)
+    for image, gpu_state, cpu_state in cuts:
+        assert_image_equals(image, gpu_state, cpu_state)
 
 
 @given(workload_strategy, st.integers(1, 20))

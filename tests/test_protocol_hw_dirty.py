@@ -78,14 +78,23 @@ def test_hw_recopy_needs_no_frontend():
 
     def driver(eng):
         yield from app.setup()
-        image, session = yield from registry.create("hw-dirty").checkpoint(
+        handle = eng.spawn(registry.create("hw-dirty").checkpoint(
             eng, process=process, medium=machine.dram, criu=criu,
-        )
+        ))
+        runner = eng.spawn(app.run(8))
+        image, session = yield handle
+        yield runner
         return image, session
 
     image, session = eng.run_process(driver(eng))
     assert image.finalized
-    assert session is None
+    # Nothing was intercepted, so no twin could launch and no write was
+    # speculated: the recopied set came from the hardware bits alone.
+    assert process.runtime.interceptor is None
+    assert not session.aborted
+    assert session.stats.dirty_marks == 0
+    assert session.stats.violations_handled == 0
+    assert session.stats.bytes_recopied > 0
 
 
 def test_hw_and_soft_recopy_agree_on_dirty_volume():
@@ -127,10 +136,10 @@ def test_hw_and_soft_recopy_agree_on_dirty_volume():
                 eng, process=process, medium=machine.dram, criu=criu,
             ))
             runner = eng.spawn(app.run(8, start=2))
-            yield handle
+            _image, session = yield handle
             resume([process])
             yield runner
-            return protocol.last_recopied_bytes
+            return session.stats.bytes_recopied
 
         result = eng.run_process(driver(eng))
         eng.run()
