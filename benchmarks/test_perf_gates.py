@@ -20,7 +20,7 @@ from repro.gpu.memory import DeviceMemory
 from repro.gpu.program import build_saxpy
 from repro.gpu.ranges import RangeSet
 from repro.perf.plans import plan_cache_stats, reset_plan_cache_stats
-from repro.sim.domains import DomainChannel, World
+from repro.sim.domains import DomainChannel, Home
 from repro.sim.engine import Engine
 from repro.units import MIB
 
@@ -73,17 +73,13 @@ def test_gate1_plans_beat_forced_interpretation():
 
 def token_ring(multi):
     """Each node alternates a local timer, a send to its successor and a
-    receive from its predecessor; returns (virtual end, events).  All
-    domains tie on every timestamp: the worst case for sharding."""
+    receive from its predecessor; returns (virtual end, events).  Every
+    record crosses the affinity rule's bookkeeping when ``multi``."""
     n_machines, rounds, latency = 4, 200, 5e-6
-    if multi:
-        world = World()
-        engines = [world.domain(f"m{i}") for i in range(n_machines)]
-    else:
-        world = Engine()
-        engines = [world] * n_machines
-    chans = [world.channel(engines[i], engines[(i + 1) % n_machines], latency)
-             if multi else DomainChannel.local(engines[i], latency)
+    core = Engine()
+    engines = ([Home(core, f"m{i}") for i in range(n_machines)] if multi
+               else [core] * n_machines)
+    chans = [DomainChannel(engines[i], engines[(i + 1) % n_machines], latency)
              for i in range(n_machines)]
 
     def node(i):
@@ -94,16 +90,18 @@ def token_ring(multi):
 
     for i in range(n_machines):
         engines[i].spawn(node(i), name=f"node{i}")
-    world.run()
-    return world.now, world.events_executed
+    core.run()
+    return core.now, core.events_executed
 
 
-def test_gate2_clock_domains_cost_at_most_half_the_event_rate():
+def test_gate2_per_machine_homes_keep_65_percent_of_the_event_rate():
     assert token_ring(multi=True) == token_ring(multi=False)
     single, multi = min_cpu_s(repeated(1, token_ring, False),
                               repeated(1, token_ring, True))
     print(f"\ndomains: multi_vs_single {single / multi:.2f}")
-    assert single / multi >= 0.5
+    # 60 readings on a 2-CPU container, 36 of them beside a running
+    # test suite, read 0.75-0.78.
+    assert single / multi >= 0.65
 
 
 def test_gate3_armed_idle_chaos_hooks_cost_under_2_percent_of_fig16():

@@ -199,7 +199,7 @@ def _image_state(image) -> dict:
     return state
 
 
-class _World:
+class _Cell:
     """One fresh simulated machine + daemon + warmed-up app."""
 
     def __init__(self) -> None:
@@ -223,7 +223,7 @@ class _World:
 # Invariant checks shared by every cell.
 # ---------------------------------------------------------------------------
 
-def _leak_errors(world: _World, observer) -> list[str]:
+def _leak_errors(world: _Cell, observer) -> list[str]:
     """Post-run invariants that must hold in *both* outcomes."""
     errors = []
     for gpu in world.machine.gpus:
@@ -241,7 +241,7 @@ def _leak_errors(world: _World, observer) -> list[str]:
     return errors
 
 
-def _abort_errors(world: _World, image) -> list[str]:
+def _abort_errors(world: _Cell, image) -> list[str]:
     """Invariants specific to the clean-abort outcome."""
     errors = []
     catalog = world.phos.medium.images
@@ -268,7 +268,7 @@ def _run_checkpoint_cell(protocol: str, plan: FaultPlan,
                          cell: CellResult,
                          expect_commit: bool) -> None:
     """One checkpoint cell; fills in ``cell`` in place."""
-    world = _World()
+    world = _Cell()
     eng = world.engine
     with obs.observed(eng) as observer:
         def driver():
@@ -338,7 +338,7 @@ def _run_checkpoint_cell(protocol: str, plan: FaultPlan,
         cell.detail = "; ".join(errors)
 
 
-def _last_protocol_image(world: _World, protocol: str):
+def _last_protocol_image(world: _Cell, protocol: str):
     """The image a failed run staged, recovered via the catalog."""
     catalog = world.phos.medium.images
     staged = catalog.staged_images()
@@ -353,7 +353,7 @@ def _run_restore_cell(protocol: str, plan: FaultPlan,
                       cell: CellResult,
                       expect_commit: bool) -> None:
     """One restore cell: checkpoint cleanly, then restore under fault."""
-    world = _World()
+    world = _Cell()
     eng = world.engine
     with obs.observed(eng) as observer:
         def driver():
@@ -439,7 +439,7 @@ def _run_continuous_cell(protocol: str, plan: FaultPlan,
     prefix of the chain.  Only a fault before the first commit may
     abort the run outright.
     """
-    world = _World()
+    world = _Cell()
     eng = world.engine
     with obs.observed(eng) as observer:
         # The cell owns the tier stack so it can audit the lower-tier

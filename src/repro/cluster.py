@@ -7,29 +7,27 @@ cross-machine paths (migration, remote checkpoints).  A
 links, including GPU-direct RDMA (§7's migration path copies source GPU
 buffers straight into target GPU buffers).
 
-Clock domains
--------------
+Per-machine homes
+-----------------
 
-A cluster can be sharded so each machine is its own
-:class:`~repro.sim.domains.ClockDomain`:
-``Cluster.testbed(world, clock_domains="per-machine")``.  A machine's
-GPUs, DMA engines and host memory live in its domain.  Every RDMA link
-then doubles as a pair of :class:`DomainChannel` objects whose
-latency is the conservative lookahead — which is why zero or negative
-link latency is a hard :class:`InvalidValueError` here, not a quirk.
-On a single shared engine the same channels degrade to local schedules,
-so both modes run the identical event program.
+``Cluster.testbed(engine, clock_domains="per-machine")`` puts each
+machine on its own :class:`~repro.sim.domains.Home` of ``engine``: one
+calendar and one clock, so the run is the single-engine run, but a
+machine's GPUs, DMA engines, host memory and outgoing RDMA links belong
+to it, and touching them from another machine's records raises.  What
+crosses machines in that mode is a value on a
+:class:`~repro.sim.domains.DomainChannel`.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Optional
 
 from repro import units
 from repro.errors import InvalidValueError
 from repro.gpu.cost_model import GpuSpec
 from repro.gpu.device import Gpu
-from repro.sim.domains import MIN_LOOKAHEAD, DomainChannel, World
+from repro.sim.domains import Home
 from repro.sim.engine import Engine
 from repro.sim.fluid import FluidLink
 from repro.storage.media import DramMedia
@@ -77,10 +75,7 @@ class RdmaLink:
     Modelled as a fluid link per direction; GPU-direct transfers flow
     through it with a rate cap at the lower of RDMA and PCIe bandwidth
     (the data still crosses each host's PCIe complex).  Each direction
-    is homed in the *source* machine's engine and carries a
-    ``DomainChannel`` of the same latency, so a link between machines
-    in different clock domains is automatically a legal (and lookahead-
-    bearing) crossing.
+    belongs to the *source* machine's engine.
     """
 
     def __init__(self, engine: Engine, a: Machine, b: Machine,
@@ -91,15 +86,19 @@ class RdmaLink:
                 f"RDMA self-link on machine {a.name!r}; a link needs two "
                 "distinct machines"
             )
-        if not (latency >= MIN_LOOKAHEAD):  # also catches NaN
+        if not 0 < latency < float("inf"):  # also catches NaN
             raise InvalidValueError(
-                f"RDMA link latency must be >= {MIN_LOOKAHEAD:g}s, got "
-                f"{latency!r}; the latency is the clock-domain lookahead "
-                "and cannot be zero or negative"
+                f"RDMA link latency must be positive and finite, got "
+                f"{latency!r}"
             )
         if bandwidth <= 0:
             raise InvalidValueError(
                 f"RDMA bandwidth must be positive, got {bandwidth}"
+            )
+        if (a.engine.core or a.engine) is not (b.engine.core or b.engine):
+            raise InvalidValueError(
+                f"machines {a.name!r} and {b.name!r} are on different "
+                "calendars; a link joins machines of one engine"
             )
         self.engine = engine
         self.a = a
@@ -114,61 +113,21 @@ class RdmaLink:
                                         name=f"{b.name}->{a.name}",
                                         latency=latency),
         }
-        self._channels: dict[tuple[str, str], DomainChannel] = {}
-        for src, dst in ((a, b), (b, a)):
-            cname = f"rdma:{src.name}->{dst.name}"
-            if src.engine is dst.engine:
-                ch = DomainChannel.local(src.engine, latency, name=cname)
-            else:
-                world = src.engine._world
-                if world is None or dst.engine._world is not world:
-                    raise InvalidValueError(
-                        f"machines {src.name!r} and {dst.name!r} live on "
-                        "different engines but not in one World; clock "
-                        "domains must share a World"
-                    )
-                ch = world.channel(src.engine, dst.engine, latency,
-                                   name=cname)
-            self._channels[(src.name, dst.name)] = ch
-
-    def _direction(self, src: Machine, dst: Machine) -> tuple[str, str]:
-        key = (src.name, dst.name)
-        if key not in self._links:
-            raise InvalidValueError(f"no RDMA path {src.name} -> {dst.name}")
-        return key
-
-    def channel(self, src: Machine, dst: Machine) -> DomainChannel:
-        """The message channel for one direction of the link."""
-        return self._channels[self._direction(src, dst)]
 
     def flow(self, src: Machine, dst: Machine, nbytes: float,
              rate_cap: Optional[float] = None):
         """Generator: move bytes ``src`` -> ``dst``; the *sender* resumes
         once the last byte has landed (drain + propagation latency)."""
-        yield from self._links[self._direction(src, dst)].flow(
-            nbytes, rate_cap=rate_cap)
-
-    def deliver(self, src: Machine, dst: Machine, nbytes: float,
-                value=None, rate_cap: Optional[float] = None):
-        """Generator (sender side): drain bytes, then notify ``dst``.
-
-        The sender resumes at drain completion; ``value`` (default the
-        byte count) lands in the destination-side channel inbox one
-        link latency later — pair with :meth:`receive` on ``dst``.
-        """
-        key = self._direction(src, dst)
-        yield from self._links[key]._flow_raw(nbytes, rate_cap=rate_cap)
-        self._channels[key].send(value if value is not None else nbytes)
-
-    def receive(self, src: Machine, dst: Machine):
-        """Event (receiver side) for the next :meth:`deliver` arrival."""
-        return self._channels[self._direction(src, dst)].recv()
+        key = (src.name, dst.name)
+        if key not in self._links:
+            raise InvalidValueError(f"no RDMA path {src.name} -> {dst.name}")
+        yield from self._links[key].flow(nbytes, rate_cap=rate_cap)
 
 
 class Cluster:
     """A set of machines fully connected by RDMA."""
 
-    def __init__(self, engine: Union[Engine, World], machines: list[Machine],
+    def __init__(self, engine: Engine, machines: list[Machine],
                  link_latency: float = units.RDMA_LINK_LATENCY) -> None:
         if not machines:
             raise InvalidValueError("a cluster needs at least one machine")
@@ -176,12 +135,7 @@ class Cluster:
         if len(set(names)) != len(names):
             dupes = sorted({n for n in names if names.count(n) > 1})
             raise InvalidValueError(f"duplicate machine names: {dupes}")
-        if isinstance(engine, World):
-            self.world: Optional[World] = engine
-            self.engine = machines[0].engine
-        else:
-            self.world = engine._world
-            self.engine = engine
+        self.engine = engine
         self.machines = list(machines)
         self.link_latency = link_latency
         self._links: dict[frozenset, RdmaLink] = {}
@@ -207,46 +161,27 @@ class Cluster:
         )
 
     @classmethod
-    def testbed(cls, engine: Union[Engine, World], n_machines: int = 2,
+    def testbed(cls, engine: Engine, n_machines: int = 2,
                 n_gpus: int = 8, default_data_size: Optional[int] = None,
                 clock_domains: str = "single") -> "Cluster":
         """The paper's testbed: two 8-GPU A800 servers, 100 Gbps RDMA.
 
-        ``clock_domains`` selects the sharding:
+        ``clock_domains`` arms the affinity rule between machines:
 
-        * ``"single"`` — all machines on one shared engine (pass an
-          :class:`Engine`); the historical behaviour.
-        * ``"per-machine"`` — one :class:`ClockDomain` per machine
-          (pass a :class:`World`, or an Engine that is itself a domain).
+        * ``"single"`` — every machine directly on ``engine``.
+        * ``"per-machine"`` — each machine on its own :class:`Home` of
+          ``engine`` (same calendar, same clock, same run).
         """
-        if isinstance(engine, World):
-            world: Optional[World] = engine
-            if clock_domains == "single":
-                clock_domains = "per-machine"
-        elif clock_domains != "single":
-            world = engine._world
-            if world is None:
-                raise InvalidValueError(
-                    f"clock_domains={clock_domains!r} needs a World (or a "
-                    "ClockDomain engine), got a plain Engine"
-                )
-        else:
-            world = None
-        if clock_domains == "single":
-            machines = [
-                Machine(engine, name=f"node{i}", n_gpus=n_gpus,
-                        default_data_size=default_data_size)
-                for i in range(n_machines)
-            ]
-            return cls(engine, machines)
-        if clock_domains != "per-machine":
+        if clock_domains not in ("single", "per-machine"):
             raise InvalidValueError(
                 f"unknown clock_domains mode {clock_domains!r}; expected "
                 "'single' or 'per-machine'"
             )
         machines = [
-            Machine(world.domain(f"node{i}"), name=f"node{i}", n_gpus=n_gpus,
+            Machine(engine if clock_domains == "single"
+                    else Home(engine, f"node{i}"),
+                    name=f"node{i}", n_gpus=n_gpus,
                     default_data_size=default_data_size)
             for i in range(n_machines)
         ]
-        return cls(world, machines)
+        return cls(engine, machines)

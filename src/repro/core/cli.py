@@ -143,8 +143,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--app", default="resnet152-train", choices=sorted(APP_SPECS))
     p.add_argument("--system", default="phos", choices=SYSTEMS)
     p.add_argument("--clock-domains", action="store_true",
-                   help="shard source and target machines into separate "
-                        "clock domains (phos only)")
+                   help="put source and target machines on separate homes "
+                        "of one engine, arming the affinity rule (phos only)")
     p.set_defaults(func=cmd_migrate)
 
     p = sub.add_parser("study", help="run the §8.5 speculation study (Table 3)")
@@ -204,8 +204,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="disable migration-for-packing")
     p.add_argument("--clock-domains", default="single",
                    choices=("single", "per-machine"),
-                   help="shard each machine into its own clock domain "
-                        "(bit-identical results either way)")
+                   help="put each machine on its own home of one engine, "
+                        "arming the affinity rule (bit-identical results "
+                        "either way)")
     p.add_argument("--jobs", type=int, default=None, metavar="N",
                    help="fan (trace, seed, system) cells over N worker "
                         "processes (output is bit-identical at any N)")

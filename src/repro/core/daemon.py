@@ -87,8 +87,8 @@ class Phos:
                  contexts_per_gpu: int = 2) -> None:
         if engine is not machine.engine:
             raise InvalidValueError(
-                f"PHOS on {machine.name!r} must run in the machine's own "
-                f"clock domain: got engine {engine.name!r}, machine is "
+                f"PHOS on {machine.name!r} must run on the machine's own "
+                f"engine: got engine {engine.name!r}, machine is "
                 f"homed in {machine.engine.name!r}.  Remote machines are "
                 "driven through DomainChannels, not a shared daemon."
             )

@@ -90,24 +90,18 @@ class PhosFrontend:
         ``hot_order`` applies §5's copy-ordering principle using the
         frontend's write-heat map: ``"hot-first"`` (CoW wants buffers
         about to be written checkpointed *before* the write arrives, so
-        no shadow is needed) or ``"hot-last"`` (recopy wants them
-        copied as late as possible, so the write lands *before* the
-        copy and nothing is dirtied).
+        no shadow is needed).
         """
         if self.ckpt_session is not None:
             raise CheckpointError("a checkpoint session is already active")
-        if hot_order not in (None, "hot-first", "hot-last"):
+        if hot_order not in (None, "hot-first"):
             raise CheckpointError(f"unknown hot_order {hot_order!r}")
         for gpu_index, table in self.tables.items():
             plan = list(table.buffers())
             if hot_order is not None:
-                # "hot-first": ascending predicted-next-write (buffers
-                # about to be written go first; never-written go last).
-                # "hot-last": the reverse.
-                plan.sort(
-                    key=lambda b: self.predicted_next_write(b),
-                    reverse=(hot_order == "hot-last"),
-                )
+                # Ascending predicted-next-write: buffers about to be
+                # written go first, never-written ones last.
+                plan.sort(key=self.predicted_next_write)
             session.set_plan(gpu_index, plan)
         self.ckpt_session = session
 

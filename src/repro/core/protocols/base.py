@@ -463,8 +463,8 @@ class Protocol:
     def span_attrs(self, ctx: ProtocolContext) -> dict:
         """Attributes for the run's ``checkpoint/<name>`` obs span."""
         attrs = {"image": ctx.image.name} if ctx.image is not None else {}
-        # Sharded worlds label every protocol span with its clock
-        # domain, so per-machine runs stay attributable in one report.
+        # Per-machine worlds label every protocol span with its home,
+        # so per-machine runs stay attributable in one report.
         attrs.update(ctx.engine._obs_labels)
         return attrs
 

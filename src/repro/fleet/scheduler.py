@@ -5,10 +5,12 @@ placement decision; one *machine agent* per
 :class:`~repro.cluster.Machine` executes invocations against its local
 :class:`~repro.fleet.snapshots.SnapshotPool`.  Gateway and agents only
 ever talk through :class:`~repro.sim.domains.DomainChannel` control
-messages, so the same event program runs on one shared engine
-(``clock_domains="single"``) or with every machine in its own
-:class:`ClockDomain` (``clock_domains="per-machine"``, the PR 8
-conservative loop over a ``Cluster.testbed`` world).
+messages, so the same event program runs with every party directly on
+one engine (``clock_domains="single"``) or on its own
+:class:`~repro.sim.domains.Home` of that engine
+(``clock_domains="per-machine"``), which arms the affinity rule between
+gateway and machines.  One calendar either way: the two reports are
+identical by construction.
 
 Policies
 --------
@@ -75,10 +77,11 @@ from repro.errors import InvalidValueError, SimulationError
 from repro.fleet.calibrate import FunctionProfile, profiles_for
 from repro.fleet.snapshots import SnapshotPool
 from repro.fleet.traces import Trace
-from repro.sim.domains import MIN_LOOKAHEAD, DomainChannel, World
+from repro.sim.domains import DomainChannel, Home
 from repro.sim.engine import Engine, Interrupt
 
-#: Clock-domain shardings the fleet world supports.
+#: ``single``: everything on one engine; ``per-machine``: gateway and
+#: machines each on a home of it, with the affinity rule armed.
 CLOCK_DOMAIN_MODES = ("single", "per-machine")
 
 
@@ -109,8 +112,7 @@ class FleetConfig:
     #: baselines — see :attr:`migrates`).
     migration: bool = True
     clock_domains: str = "single"
-    #: Gateway <-> machine control-message latency (the clock-domain
-    #: lookahead in per-machine mode).
+    #: Gateway <-> machine control-message latency.
     control_latency_s: float = units.RDMA_LINK_LATENCY
 
     def __post_init__(self) -> None:
@@ -161,11 +163,10 @@ class FleetConfig:
                 f"unknown clock_domains mode {self.clock_domains!r}; "
                 f"expected one of {CLOCK_DOMAIN_MODES}"
             )
-        if not self.control_latency_s >= MIN_LOOKAHEAD:  # also catches NaN
+        if not 0 < self.control_latency_s < math.inf:  # also catches NaN
             raise InvalidValueError(
-                f"control_latency_s must be >= {MIN_LOOKAHEAD:g}s, got "
-                f"{self.control_latency_s!r}; it is the clock-domain "
-                "lookahead and cannot be zero or negative"
+                f"control_latency_s must be positive and finite, got "
+                f"{self.control_latency_s!r}"
             )
 
     @property
@@ -679,33 +680,24 @@ def run_fleet(trace: Trace, config: FleetConfig,
         )
 
     # -- build the world -----------------------------------------------------
-    if config.clock_domains == "per-machine":
-        world = World()
-        gw_engine: Engine = world.domain("gateway")
-        cluster = Cluster.testbed(world, n_machines=config.n_machines,
-                                  n_gpus=config.n_gpus,
-                                  clock_domains="per-machine")
-
-        def channel(src, dst, name):
-            return world.channel(src, dst, config.control_latency_s,
-                                 name=name)
-    else:
-        world = None
-        gw_engine = Engine()
-        cluster = Cluster.testbed(gw_engine, n_machines=config.n_machines,
-                                  n_gpus=config.n_gpus)
-
-        def channel(src, dst, name):
-            return DomainChannel.local(gw_engine, config.control_latency_s,
-                                       name=name)
+    core = Engine()
+    gw_engine = core if config.clock_domains == "single" \
+        else Home(core, "gateway")
+    cluster = Cluster.testbed(core, n_machines=config.n_machines,
+                              n_gpus=config.n_gpus,
+                              clock_domains=config.clock_domains)
 
     report = FleetReport(system=config.system, trace=trace, config=config)
     agents = []
     inboxes = []
     outboxes = []
     for machine in cluster.machines:
-        inbox = channel(gw_engine, machine.engine, f"gw->{machine.name}")
-        outbox = channel(machine.engine, gw_engine, f"{machine.name}->gw")
+        inbox = DomainChannel(gw_engine, machine.engine,
+                              config.control_latency_s,
+                              name=f"gw->{machine.name}")
+        outbox = DomainChannel(machine.engine, gw_engine,
+                               config.control_latency_s,
+                               name=f"{machine.name}->gw")
         agents.append(_MachineAgent(machine.engine, machine.name,
                                     config.n_gpus, config, profiles,
                                     inbox, outbox))
@@ -721,10 +713,7 @@ def run_fleet(trace: Trace, config: FleetConfig,
                 agent.failure_loop(rng), name=f"{agent.name}-failures")
     gw_engine.call_at(gw_engine.now, gateway.arrive, 0)
 
-    if world is not None:
-        world.run()
-    else:
-        gw_engine.run()
+    core.run()
     unsettled = [r.index for r in report.records if r.outcome == "pending"]
     if unsettled or gateway.outstanding or gateway.queue:
         raise SimulationError(

@@ -1,9 +1,10 @@
 """Process-pool experiment execution: cell fan-out, deterministic merge.
 
 Every figure/sweep in this repository is a list of independent
-**cells** — one isolated :class:`~repro.experiments.harness.World`
-build-and-measure per (app, system, protocol, tunable) point — so wall
-clock need not scale with cell count.  This package fans cells out
+**cells** — one isolated world (a :class:`~repro.tasks.worker.Worker`
+from :func:`~repro.experiments.harness.build_world`) built and measured
+per (app, system, protocol, tunable) point — so wall clock need not
+scale with cell count.  This package fans cells out
 across ``concurrent.futures.ProcessPoolExecutor`` workers and merges
 the per-cell rows back **in declared cell order**, which is what makes
 the parallel output bit-identical to the serial output at any

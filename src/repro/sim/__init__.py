@@ -22,7 +22,7 @@ Typical usage::
     assert eng.now == 1.5
 """
 
-from repro.sim.domains import ClockDomain, DomainChannel, World
+from repro.sim.domains import DomainChannel, Home
 from repro.sim.engine import Engine, Process
 from repro.sim.events import AllOf, AnyOf, Event, Timeout
 from repro.sim.resources import Resource, Store
@@ -30,13 +30,12 @@ from repro.sim.resources import Resource, Store
 __all__ = [
     "AllOf",
     "AnyOf",
-    "ClockDomain",
     "DomainChannel",
     "Engine",
     "Event",
+    "Home",
     "Process",
     "Resource",
     "Store",
     "Timeout",
-    "World",
 ]

@@ -90,23 +90,12 @@ class Process(Event):
         mid-wait stops waiting on its event (the event itself still fires
         normally for other waiters).
 
-        A process resident in another clock domain cannot be interrupted
-        directly — that would reach across the conservative sync
-        boundary at zero latency.  Send a message over a
+        A process resident in another :class:`~repro.sim.domains.Home`
+        cannot be interrupted directly: the interrupt is a record on the
+        process's home, which refuses it (send a message over a
         :class:`~repro.sim.domains.DomainChannel` instead and act on it
-        in the process's own domain.
+        in the process's own home).
         """
-        engine = self.engine
-        world = engine._world
-        if world is not None:
-            executing = world._executing
-            if executing is not None and executing is not engine:
-                raise SimulationError(
-                    f"process {self.name!r} is resident in domain "
-                    f"{engine.name!r}; domain {executing.name!r} cannot "
-                    "interrupt it directly, send a message over a "
-                    "DomainChannel instead"
-                )
         if self._fired:
             raise SimulationError(f"cannot interrupt finished process {self.name!r}")
         exc = exc if exc is not None else Interrupt()
@@ -175,15 +164,16 @@ class Engine:
     the same timestamp run in FIFO scheduling order.
     """
 
+    #: The engine whose calendar and clock a :class:`~repro.sim.domains.Home`
+    #: shares; None on a plain engine, which carries no affinity check.
+    core: Optional["Engine"] = None
+
     def __init__(self) -> None:
         self._now = 0.0
-        #: Human label; a ClockDomain overrides it with the domain name.
+        #: Human label; a Home overrides it with its own name.
         self.name = "engine"
-        #: The World this engine belongs to as a ClockDomain, or None
-        #: for a plain (single-domain) engine.
-        self._world = None
         #: Extra labels merged into obs metrics minted against this
-        #: engine ({"domain": name} on a ClockDomain, {} otherwise).
+        #: engine ({"domain": name} on a Home, {} otherwise).
         self._obs_labels: dict = {}
         #: Calendar level 1: exact timestamp -> FIFO record bucket.
         self._buckets: dict[float, list] = {}
@@ -248,14 +238,6 @@ class Engine:
     # -- scheduling ------------------------------------------------------------
     def _push(self, when: float, kind: int, target, payload) -> None:
         """Schedule one ``(kind, target, payload)`` record at ``when``."""
-        world = self._world
-        if world is not None and world._executing is not None \
-                and world._executing is not self:
-            raise SimulationError(
-                f"domain {world._executing.name!r} cannot schedule directly "
-                f"on domain {self.name!r}; cross-domain effects must go "
-                "through a DomainChannel"
-            )
         if when < self._now or when != when:  # second clause: NaN guard
             raise SimulationError(f"cannot schedule in the past ({when} < {self._now})")
         self._n_scheduled += 1
@@ -274,14 +256,6 @@ class Engine:
         callable a ``K_CALL1`` record, appended to the current bucket
         in registration order.
         """
-        world = self._world
-        if world is not None and world._executing is not None \
-                and world._executing is not self:
-            raise SimulationError(
-                f"domain {world._executing.name!r} cannot fire waiters of an "
-                f"event homed in domain {self.name!r}; hand the completion "
-                "off through a DomainChannel"
-            )
         now = self._now
         b = self._buckets.get(now)
         if b is None:
@@ -327,9 +301,8 @@ class Engine:
                 raise SimulationError(f"deadline {deadline} is in the past")
         self._running = True
         try:
-            # A plain engine's run is one drain window, up to the deadline.
-            limit = _INF if deadline is None else deadline
-            if self._drain_window(limit, limit, stop_event):
+            if self._drain_window(_INF if deadline is None else deadline,
+                                  stop_event):
                 if not stop_event._ok:
                     raise stop_event._value
                 return stop_event._value
@@ -344,27 +317,24 @@ class Engine:
         finally:
             self._running = False
 
-    def _drain_window(self, incl: float, bound: float,
+    def _drain_window(self, limit: float,
                       stop_event: Optional[Event]) -> bool:
-        """Dispatch queued records with ``t <= incl`` or ``t < bound``.
+        """Dispatch queued records with ``t <= limit``.
 
-        The one dispatch loop of the calendar queue.  A plain engine's
-        ``run`` is a single window up to its deadline, if any; a clock
-        domain gets one window per conservative step (see
-        ``sim/domains.py``): the inclusive leg is the world's global
-        lower-bound timestamp, the exclusive leg adds this domain's
-        lookahead.  Per-domain order therefore *is* the
-        single-engine order.  Returns True when ``stop_event`` fired
-        mid-drain.
+        The one dispatch loop of the calendar queue: ``run`` is a single
+        window up to its deadline, if any, and the homes of
+        ``sim/domains.py`` share this engine's calendar rather than
+        running one of their own.  Returns True when ``stop_event``
+        fired mid-drain.
         """
         buckets = self._buckets
         theap = self._theap
         while theap:
             t = theap[0]
-            if t > incl and t >= bound:
+            if t > limit:
                 return False
-            # Defence in depth: _push and ClockDomain._accept already
-            # reject past timestamps, so only a forged record gets here.
+            # Defence in depth: _push already rejects past timestamps,
+            # so only a forged record gets here.
             if t < self._now:
                 raise SimulationError(
                     f"clock went backwards in {self.name!r}: "

@@ -136,12 +136,11 @@ class Event:
         engine's batched callback push tells the two apart.
         """
         peng = process.engine
-        if peng is not self.engine and (self.engine._world is not None
-                                        or peng._world is not None):
+        if peng is not self.engine and (peng.core or self.engine.core):
             raise SimulationError(
-                f"process {process.name!r} (domain {peng.name!r}) cannot "
-                f"wait on {self.name!r} (domain {self.engine.name!r}); "
-                "cross-domain completion must be handed off through a "
+                f"process {process.name!r} (home {peng.name!r}) cannot "
+                f"wait on {self.name!r} (home {self.engine.name!r}); "
+                "cross-home completion must be handed off through a "
                 "DomainChannel"
             )
         cbs = self._callbacks
@@ -194,11 +193,10 @@ class _Composite(Event):
             self.succeed([])
             return
         for ev in self.events:
-            if ev.engine is not engine and (engine._world is not None
-                                            or ev.engine._world is not None):
+            if ev.engine is not engine and (engine.core or ev.engine.core):
                 raise SimulationError(
-                    f"{name} mixes events from domains {engine.name!r} and "
-                    f"{ev.engine.name!r}; compose within one domain and "
+                    f"{name} mixes events from homes {engine.name!r} and "
+                    f"{ev.engine.name!r}; compose within one home and "
                     "hand results across through a DomainChannel"
                 )
             ev.add_callback(self._child_fired)

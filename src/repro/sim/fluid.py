@@ -57,7 +57,7 @@ from __future__ import annotations
 import itertools
 from typing import Optional
 
-from repro.errors import InvalidValueError, SimulationError
+from repro.errors import InvalidValueError
 from repro.sim.engine import Engine
 from repro.sim.events import Event
 
@@ -141,27 +141,7 @@ class FluidLink:
     # -- public API ---------------------------------------------------------------
     def flow(self, nbytes: float, weight: float = 1.0, rate_cap: Optional[float] = None):
         """Generator: push ``nbytes`` through the link (drain + latency)."""
-        yield from self._flow_raw(nbytes, weight=weight, rate_cap=rate_cap)
-        if self.latency:
-            yield self.engine.timeout(self.latency)
-
-    def _flow_raw(self, nbytes: float, weight: float = 1.0,
-                  rate_cap: Optional[float] = None):
-        """Generator: drain ``nbytes`` with no propagation tail.
-
-        Used by senders that hand completion to the *receiver* through a
-        DomainChannel (which carries the same latency), so the latency
-        is not paid twice.
-        """
         engine = self.engine
-        world = engine._world
-        if world is not None and world._executing is not None \
-                and world._executing is not engine:
-            raise SimulationError(
-                f"fluid link {self.name!r} lives in domain {engine.name!r} "
-                f"but domain {world._executing.name!r} is executing; "
-                "cross-domain traffic must go through a DomainChannel"
-            )
         # Chained comparisons, so NaN fails them too: a non-finite flow
         # would sit on the link for ever without an error.
         if not 0 <= nbytes < _INF:
@@ -174,25 +154,25 @@ class FluidLink:
             raise InvalidValueError(
                 f"rate_cap must be positive and finite, got {rate_cap}")
         if nbytes == 0:
-            yield engine.timeout(0.0)
-            return
-        f = _Flow(nbytes, weight, rate_cap)
-        f.done = _FlowDone(self, f.id)
-        flows = self._flows
-        now = engine._now
-        # The O(1) arrival ("Settled links" in the module docstring):
-        # the link settled at this very instant and f keeps it uniform.
-        if self._settled_at == now and weight == 1.0 \
-                and f.remaining > _FINISH_EPS \
-                and (not flows or (self._uniform and rate_cap == self._cap)):
-            rate = self.bandwidth / (len(flows) + 1)
-            if rate_cap is not None and rate_cap < rate:
-                rate = rate_cap
-            smallest = self._min_remaining
-            if f.remaining < smallest:
-                smallest = f.remaining
-            when = now + smallest / rate
-            if when > now:  # else: the general pass's underflow guard
+            done = engine.timeout(0.0)
+        else:
+            f = _Flow(nbytes, weight, rate_cap)
+            done = f.done = _FlowDone(self, f.id)
+            flows = self._flows
+            now = when = engine._now
+            # The O(1) arrival ("Settled links" in the module docstring):
+            # the link settled at this very instant and f keeps it uniform.
+            if self._settled_at == now and weight == 1.0 \
+                    and f.remaining > _FINISH_EPS \
+                    and (not flows or (self._uniform and rate_cap == self._cap)):
+                rate = self.bandwidth / (len(flows) + 1)
+                if rate_cap is not None and rate_cap < rate:
+                    rate = rate_cap
+                smallest = self._min_remaining
+                if f.remaining < smallest:
+                    smallest = f.remaining
+                when = now + smallest / rate
+            if when > now:
                 flows.append(f)
                 self._uniform = True
                 self._cap = rate_cap
@@ -200,12 +180,13 @@ class FluidLink:
                 self._min_remaining = smallest
                 self._timer_generation += 1
                 engine.call_at(when, self._on_timer, self._timer_generation)
-                yield f.done
-                return
-        self._advance()
-        flows.append(f)
-        self._reschedule()
-        yield f.done
+            else:  # the general pass, whose underflow guard owns when == now
+                self._advance()
+                flows.append(f)
+                self._reschedule()
+        yield done
+        if self.latency:
+            yield engine.timeout(self.latency)
 
     @property
     def active_flows(self) -> int:

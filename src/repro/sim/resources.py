@@ -120,20 +120,8 @@ class Resource:
         ))
 
     # -- acquire / release -----------------------------------------------------
-    def _check_affinity(self) -> None:
-        engine = self.engine
-        world = engine._world
-        if world is not None and world._executing is not None \
-                and world._executing is not engine:
-            raise SimulationError(
-                f"resource {self.name!r} lives in domain {engine.name!r} "
-                f"but domain {world._executing.name!r} is executing; "
-                "cross-domain access must go through a DomainChannel"
-            )
-
     def acquire(self, priority: int = 0) -> Request:
         """Request a slot.  The returned event fires when granted."""
-        self._check_affinity()
         req = Request(self, priority=priority)
         if len(self._users) < self.capacity and not self._heap:
             # Uncontended fast path: a free slot and nobody queued means
@@ -158,7 +146,6 @@ class Resource:
 
     def release(self, req: Request) -> None:
         """Return a granted slot to the pool, or cancel a waiting request."""
-        self._check_affinity()
         if req.released:
             raise SimulationError(f"double release on {self.name}")
         if req in self._users:
@@ -251,20 +238,8 @@ class Store:
         self._items: deque[Any] = deque()
         self._getters: deque[Event] = deque()
 
-    def _check_affinity(self) -> None:
-        engine = self.engine
-        world = engine._world
-        if world is not None and world._executing is not None \
-                and world._executing is not engine:
-            raise SimulationError(
-                f"store {self.name!r} lives in domain {engine.name!r} but "
-                f"domain {world._executing.name!r} is executing; mail it "
-                "through a DomainChannel instead"
-            )
-
     def put(self, item: Any) -> None:
         """Deposit an item, waking the oldest waiting getter if any."""
-        self._check_affinity()
         if self._getters:
             self._getters.popleft().succeed(item)
         else:
@@ -272,7 +247,6 @@ class Store:
 
     def get(self) -> Event:
         """An event that fires with the next available item."""
-        self._check_affinity()
         ev = Event(self.engine, name=f"get({self.name})")
         if self._items:
             ev.succeed(self._items.popleft())

@@ -24,8 +24,7 @@ from repro.baselines import get_system
 from repro.cluster import Cluster
 from repro.core.protocols import ProtocolConfig
 from repro.errors import InvalidValueError
-from repro.sim import Engine
-from repro.sim.domains import World
+from repro.sim import DomainChannel, Engine
 from repro.storage.media import Medium
 from repro.tasks.fault_tolerance import EXPERIMENT_CHUNK
 from repro.tasks.worker import Worker
@@ -61,14 +60,14 @@ def migrate(system: str, spec_name: str, warm_steps: int = 2,
             clock_domains: bool = False) -> MigrationResult:
     """Migrate one application between two machines; returns downtime.
 
-    ``clock_domains=True`` shards source and target into separate
-    :class:`~repro.sim.domains.ClockDomain` machines: the restore half
-    runs as a server process *in the target domain*, started by a
-    control message over an RDMA-latency channel and acknowledged with
-    the target-side resume timestamp, instead of an inline call.  Only a
-    concurrent system supports it (the baselines stop the world and run
-    inline by construction); downtime matches the single-domain run to
-    within the control-message latency.
+    ``clock_domains=True`` puts source and target on separate
+    homes (:class:`~repro.sim.domains.Home`) of one engine, which arms the
+    affinity rule between them: the restore half runs as a server process
+    *on the target*, started by a control message over an RDMA-latency
+    channel and acknowledged with the target-side resume timestamp,
+    instead of an inline call.  Only a concurrent system supports it (the
+    baselines stop the world and run inline by construction); downtime
+    matches the single-home run to within the control-message latency.
     """
     spec = get_spec(spec_name)
     row = get_system(system)
@@ -80,18 +79,13 @@ def migrate(system: str, spec_name: str, warm_steps: int = 2,
     if not row.supports(spec.n_gpus):
         return MigrationResult(system=system, app=spec_name, downtime=float("nan"),
                                total_time=float("nan"), supported=False)
-    world = World() if clock_domains else None
-    cluster = Cluster.testbed(world or Engine(), n_machines=2,
-                              n_gpus=spec.n_gpus)
+    cluster = Cluster.testbed(
+        Engine(), n_machines=2, n_gpus=spec.n_gpus,
+        clock_domains="per-machine" if clock_domains else "single")
     src, dst = cluster.machines
     eng = src.engine
     source = Worker(eng, src, system)
     target = Worker(dst.engine, dst, system, use_pool=True)
-    # The target daemon booted to completion; a full drain re-joins both
-    # domain clocks at the frontier, so the source-side driver starts at
-    # the same timestamp as in the single-engine run (where boot
-    # advances the one shared clock and this drain finds nothing).
-    eng.run()
     workload = source.launch(spec).workload
     rdma = _rdma_medium(eng, spec.n_gpus)
     #: Per-GPU flows are NIC-bound: cap each at RDMA, not PCIe.
@@ -108,9 +102,9 @@ def migrate(system: str, spec_name: str, warm_steps: int = 2,
             yield from target.restore(image, workload, config=placed)
             return eng.now
     else:
-        ctrl = world.channel(eng, dst.engine, units.RDMA_LINK_LATENCY,
+        ctrl = DomainChannel(eng, dst.engine, units.RDMA_LINK_LATENCY,
                              name="migrate-ctrl")
-        ack = world.channel(dst.engine, eng, units.RDMA_LINK_LATENCY,
+        ack = DomainChannel(dst.engine, eng, units.RDMA_LINK_LATENCY,
                             name="migrate-ack")
 
         def server():
@@ -147,9 +141,9 @@ def migrate(system: str, spec_name: str, warm_steps: int = 2,
                    system=system, app=spec_name)
         if not clock_domains:
             # The step after merely validates that the process actually
-            # executes.  Sharded, it is skipped: it runs after the
-            # downtime window closes, and the restored process lives in
-            # a domain the source-side workload driver must not touch.
+            # executes.  Per-machine, it is skipped: it runs after the
+            # downtime window closes, and the restored process lives on
+            # a home the source-side workload driver must not touch.
             yield from workload.run(1)
         return resumed - stop_time, resumed - t_start
 

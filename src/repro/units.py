@@ -31,9 +31,8 @@ PCIE_GEN4_MEASURED = 25 * GB
 NVLINK_BW = 400 * GB
 #: 100 Gbps RDMA NIC per GPU, in bytes per second.
 RDMA_100GBPS = 100 * GB // 8
-#: One-way RDMA message latency between machines.  Load-bearing beyond
-#: realism: it is the conservative lookahead of a cross-machine clock
-#: domain pair (see ``sim/domains.py``), so it must stay positive.
+#: One-way RDMA message latency between machines (and the fleet's
+#: control-message latency).
 RDMA_LINK_LATENCY = 5 * USEC
 #: A800 HBM2e bandwidth (approximately 2 TB/s).
 HBM_BW = 2000 * GB

@@ -7,9 +7,9 @@ stays here, outside ``src/``, storing a rate on every ``_Flow`` and
 running the full retire / recompute / ``min`` pass on every flow-set
 change, so ``test_property_fluid.py`` can demand that both complete the
 same flows at the same float instants in the same order with the same
-number of scheduler records.  It is the old module verbatim (so it also
-keeps the old, laxer parameter checks: drive it with finite values
-only).  Do not optimise it.
+number of scheduler records.  It is the old module verbatim, less the
+clock-domain affinity check (so it also keeps the old, laxer parameter
+checks: drive it with finite values only).  Do not optimise it.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 from typing import Optional
 
-from repro.errors import InvalidValueError, SimulationError
+from repro.errors import InvalidValueError
 from repro.sim.engine import Engine
 from repro.sim.events import Event
 
@@ -97,14 +97,6 @@ class FluidLink:
         is not paid twice.
         """
         engine = self.engine
-        world = engine._world
-        if world is not None and world._executing is not None \
-                and world._executing is not engine:
-            raise SimulationError(
-                f"fluid link {self.name!r} lives in domain {engine.name!r} "
-                f"but domain {world._executing.name!r} is executing; "
-                "cross-domain traffic must go through a DomainChannel"
-            )
         if nbytes < 0:
             raise InvalidValueError(f"nbytes must be non-negative, got {nbytes}")
         if weight <= 0:

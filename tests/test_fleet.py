@@ -3,10 +3,10 @@
 Scheduler tests inject synthetic :class:`FunctionProfile`s so every
 policy (admission control, best-fit packing, migration-for-packing,
 failure-driven restore) is exercised against hand-built traces without
-paying the calibration probes.  Every scenario also runs once with the
-fleet sharded into per-machine clock domains and must produce the
-bit-identical record stream — gateway and agents only ever talk through
-``DomainChannel``s, so the event program cannot depend on the sharding.
+paying the calibration probes.  Every scenario also runs once with
+gateway and machines on per-machine homes, the affinity rule armed, and
+must produce the bit-identical record stream — gateway and agents only
+ever talk through ``DomainChannel``s, so no scenario trips the rule.
 """
 
 import hashlib
@@ -167,6 +167,8 @@ def test_fleet_config_validation():
         FleetConfig(clock_domains="per-rack")
     with pytest.raises(InvalidValueError):
         FleetConfig(control_latency_s=0.0)
+    with pytest.raises(InvalidValueError):
+        FleetConfig(control_latency_s=float("inf"))
 
 
 # --------------------------------------------------------------------------
@@ -550,41 +552,29 @@ def test_run_fleet_refuses_to_report_an_unfinished_run(monkeypatch):
 # --------------------------------------------------------------------------
 
 #: SHA-256 of every record field, the queue-depth series and summary()
-#: of :func:`identity_cell`, as ``(single, per-machine)``, computed on
-#: the commit *before* listeners, serve/refill processes and the arrival
-#: process became handlers and timer records (PR 17, f4a087d).  A cell
-#: whose two digests differ has same-instant cross-domain collisions
-#: (two machines finishing identical work dispatched at one instant),
-#: the documented exception in ``sim/domains.py``; the pin holds there
-#: too, so the handlers keep the listeners' delivery order even in ties.
+#: of :func:`identity_cell`, computed on the commit *before* listeners,
+#: serve/refill processes and the arrival process became handlers and
+#: timer records (f4a087d).  Per-machine homes share the single engine's
+#: calendar, so both modes must produce the one digest.
 IDENTITY_DIGESTS = {
-    ("phos", 1): (
+    ("phos", 1):
         "6cb1e6010764270de12485c0eec1525db90f2a5a319bb4fa862ff90dc695bc26",
-        "6cb1e6010764270de12485c0eec1525db90f2a5a319bb4fa862ff90dc695bc26"),
-    ("phos", 7): (
+    ("phos", 7):
         "5dbf2b4b6d9bd2ded3aa9fe877335cbc7f6ec1efe9dba1f1149fd86eefde68c6",
-        "5dbf2b4b6d9bd2ded3aa9fe877335cbc7f6ec1efe9dba1f1149fd86eefde68c6"),
-    ("phos", 23): (
+    ("phos", 23):
         "686b9dd724ab8032528e550e089017113777ff0af8e2b5e7a1893aea3b744667",
-        "686b9dd724ab8032528e550e089017113777ff0af8e2b5e7a1893aea3b744667"),
-    ("singularity", 1): (
+    ("singularity", 1):
         "a7df8468d3f1cf377f38cb7096531c122b4d378af77bd3c69a507ad6c82a4822",
-        "01c88a359d48666b50c7ef673bb51e1ea676f8eff4102f22dd18365eb7fe1ee5"),
-    ("singularity", 7): (
+    ("singularity", 7):
         "1c6a438bf5a1a1b52c9964a33c218d297f1b0310f46ac5885d993c445f895e0d",
-        "1c6a438bf5a1a1b52c9964a33c218d297f1b0310f46ac5885d993c445f895e0d"),
-    ("singularity", 23): (
+    ("singularity", 23):
         "52a8ec896c7dd8aaf7c1c4c99385c9e8318faaeeff093f0389b985ba4a15848f",
-        "7fc1760ebe48baf5876067cf8b108edf5d534978291d1f3770e316fa12851d02"),
-    ("cuda-checkpoint", 1): (
+    ("cuda-checkpoint", 1):
         "c8f480de6180c81c10c2be56ced59c73ea58b1a61686deda0ebb05bbcf6b0783",
-        "c8f480de6180c81c10c2be56ced59c73ea58b1a61686deda0ebb05bbcf6b0783"),
-    ("cuda-checkpoint", 7): (
+    ("cuda-checkpoint", 7):
         "a45f31962d23210330d0a9d79a4da1277638c09fd57b838773b3898b2cf36cbb",
-        "a45f31962d23210330d0a9d79a4da1277638c09fd57b838773b3898b2cf36cbb"),
-    ("cuda-checkpoint", 23): (
+    ("cuda-checkpoint", 23):
         "7655968c7c940cf2b63d72a324838022dbaf42448d1d6e3612b6cf78d69d54ec",
-        "1d38b9fa204b5140ac0fbe21c88f5677c13192df2fe60e5ea32efe8a1ddf4b35"),
 }
 
 
@@ -625,20 +615,19 @@ def digest(report):
 
 @pytest.mark.parametrize("system,seed", list(IDENTITY_DIGESTS))
 def test_reports_are_identical_to_the_process_based_scheduler(system, seed):
-    for mode, pinned in zip(("single", "per-machine"),
-                            IDENTITY_DIGESTS[system, seed]):
+    for mode in ("single", "per-machine"):
         report = identity_cell(system, seed, mode)
         assert 3700 < len(report.records) < 4200
         assert report.machine_failures >= 3
         assert report.retries > 0
         assert (report.migrations > 0) == (system == "phos")
         assert (report.unsupported > 0) == (system == "cuda-checkpoint")
-        assert digest(report) == pinned, mode
+        assert digest(report) == IDENTITY_DIGESTS[system, seed], mode
 
 
 @pytest.fixture
 def engines(monkeypatch):
-    """Every engine (clock domains included) built during the test."""
+    """Every engine built during the test (homes are views, not engines)."""
     built = []
     plain_init = Engine.__init__
 

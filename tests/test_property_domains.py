@@ -1,31 +1,27 @@
-"""Differential property test: multi-domain vs. single-domain execution.
+"""Differential property test: per-machine homes vs. one plain engine.
 
-The clock-domain refactor (PR 8) claims that sharding a world into
-per-machine :class:`ClockDomain` objects under the conservative sync
-loop produces *exactly* the execution a single shared engine produces —
-same per-process firing traces, same final clocks, same event counts.
-This suite generates randomized 2–4-machine topologies (ring channels
-plus random extras, continuous random latencies so cross-domain arrivals
-never collide with the local timestamp grid) and a random program per
-machine — timeouts, contended resource holds, ``AllOf``/``AnyOf``
-fan-ins, channel sends/receives — then runs the
-identical program three ways:
+Putting each machine on its own :class:`Home` of one core engine arms
+the affinity rule and must change nothing else: same per-process firing
+traces, same final clock, same event counts as the plain engine.  This
+suite generates randomized 2–4-machine topologies (ring channels plus
+random extras) and a random program per machine — timeouts, contended
+resource holds, ``AllOf``/``AnyOf`` fan-ins, channel sends/receives —
+then runs the identical program three ways:
 
 * ``single``  — one plain :class:`Engine`, channels in degenerate
   (same-engine) mode;
-* ``world1``  — a one-domain :class:`World` (the configuration the
-  ``-domain`` golden-figure cases in ``test_protocol_engine.py`` run);
-* ``multi``   — one :class:`ClockDomain` per machine.
+* ``world1``  — one :class:`Home` for every machine (the configuration
+  the ``domain`` golden-figure cases in ``test_protocol_engine.py`` run);
+* ``multi``   — one :class:`Home` per machine.
 
-All three must agree on everything observable.  The program is built as
-a seed-derived op list first and interpreted second, so the only
-variable between runs is the scheduling substrate.
+All three must agree on everything observable, and the program never
+trips the affinity rule (only channels cross machines).  The program is
+built as a seed-derived op list first and interpreted second, so the
+only variable between runs is the substrate.
 
 Two more shapes ride the same interpreter: a **hub-and-spoke**
-request/response world (the fleet's gateway/agent control plane — the
-spokes only ever speak when spoken to, so the hub must be bounded by
-the round trip through *idle* peers) and an **acyclic pipeline** (the
-first stage has no incoming channel, hence an unbounded window).
+request/response world (the fleet's gateway/agent control plane: the
+spokes only ever speak when spoken to) and an **acyclic pipeline**.
 """
 
 from __future__ import annotations
@@ -35,10 +31,10 @@ import random
 import pytest
 
 from repro.sim import Engine
-from repro.sim.domains import DomainChannel, World
+from repro.sim.domains import DomainChannel, Home
 from repro.sim.resources import Resource, acquired
 
-#: Few distinct delays: same-timestamp collisions *within* a domain are
+#: Few distinct delays: same-timestamp collisions *within* a machine are
 #: the hard case for FIFO-within-timestamp equivalence.
 DELAYS = [0.0, 0.25, 0.5, 0.5, 1.0, 1.0, 2.0]
 
@@ -47,14 +43,8 @@ OP_KINDS = ["timeout", "timeout", "acquire", "send", "recv",
 
 
 def build_topology(seed: int, shape: str = "ring") -> dict:
-    """A deterministic random topology + program.
-
-    Channel latencies are drawn from a continuous range well off the
-    DELAYS grid: conservative multi-domain execution guarantees order
-    equivalence except for *exact* same-instant cross-domain bucket
-    collisions (see ``sim/domains.py``), and physical link latencies
-    never sit on a workload's round-number grid anyway.
-    """
+    """A deterministic random topology + program (channel latencies off
+    the DELAYS grid, as physical link latencies are)."""
     rng = random.Random(seed)
     pairs = set()
     if shape == "ring":
@@ -103,11 +93,8 @@ def build_topology(seed: int, shape: str = "ring") -> dict:
                 elif kind == "acquire":
                     steps.append(("acquire", rng.choice(DELAYS)))
                 elif kind == "send":
-                    # The continuous jitter before every cross-domain
-                    # emission keeps each arrival instant unique: exact
-                    # same-instant cross-domain collisions are the one
-                    # case conservative sync does not order-guarantee
-                    # (module docstring of sim/domains.py).
+                    # A continuous jitter before every cross-machine
+                    # emission.
                     steps.append(("send", rng.choice(out_of[m]),
                                   rng.randrange(100),
                                   rng.uniform(1e-7, 9e-7)))
@@ -151,28 +138,11 @@ def _hub_program(rng: random.Random, n_machines: int) -> list:
 def run_topology(topo: dict, mode: str) -> tuple:
     """Interpret the topology's program on one scheduling substrate."""
     n = topo["n_machines"]
-    world = None
-    if mode == "single":
-        eng = Engine()
-        engines = [eng] * n
-    elif mode == "world1":
-        world = World()
-        dom = world.domain("all")
-        engines = [dom] * n
-    elif mode == "multi":
-        world = World()
-        engines = [world.domain(f"m{i}") for i in range(n)]
-    else:  # pragma: no cover - suite misuse
-        raise ValueError(mode)
-
-    chans = {}
-    for (a, b), lat in topo["channels"].items():
-        if engines[a] is engines[b]:
-            chans[(a, b)] = DomainChannel.local(
-                engines[a], lat, name=f"c{a}->{b}")
-        else:
-            chans[(a, b)] = world.channel(
-                engines[a], engines[b], lat, name=f"c{a}->{b}")
+    core = Engine()
+    engines = substrate(core, n, mode)
+    chans = {(a, b): DomainChannel(engines[a], engines[b], lat,
+                                   name=f"c{a}->{b}")
+             for (a, b), lat in topo["channels"].items()}
     resources = [Resource(engines[m], capacity=topo["machines"][m]["capacity"],
                           name=f"r{m}") for m in range(n)]
 
@@ -236,19 +206,22 @@ def run_topology(topo: dict, mode: str) -> tuple:
         for p, steps in enumerate(procs_per[m]):
             procs[(m, p)] = engines[m].spawn(body(m, p, steps),
                                              name=f"m{m}p{p}")
-    if world is not None:
-        world.run()
-        clock = world.now
-        scheduled = world.events_scheduled
-        executed = world.events_executed
-    else:
-        engines[0].run()
-        clock = engines[0].now
-        scheduled = engines[0].events_scheduled
-        executed = engines[0].events_executed
+    core.run()
     finished = {k: (p.triggered, p.ok if p.triggered else None)
                 for k, p in procs.items()}
-    return traces, finished, clock, scheduled, executed
+    return (traces, finished, core.now, core.events_scheduled,
+            core.events_executed)
+
+
+def substrate(core: Engine, n: int, mode: str) -> list:
+    """The engine each of ``n`` machines runs on."""
+    if mode == "single":
+        return [core] * n
+    if mode == "world1":
+        return [Home(core, "all")] * n
+    if mode == "multi":
+        return [Home(core, f"m{i}") for i in range(n)]
+    raise ValueError(mode)  # pragma: no cover - suite misuse
 
 
 @pytest.mark.parametrize("seed", range(24))
@@ -257,13 +230,39 @@ def test_multi_domain_matches_single(seed):
     single = run_topology(topo, "single")
     world1 = run_topology(topo, "world1")
     multi = run_topology(topo, "multi")
-    assert world1[0] == single[0], "one-domain world trace diverged"
-    assert world1[1:] == single[1:], "one-domain world state diverged"
-    assert multi[0] == single[0], "multi-domain trace diverged"
-    assert multi[1] == single[1], "multi-domain completion state diverged"
+    assert world1[0] == single[0], "one-home trace diverged"
+    assert world1[1:] == single[1:], "one-home state diverged"
+    assert multi[0] == single[0], "multi-home trace diverged"
+    assert multi[1] == single[1], "multi-home completion state diverged"
     assert multi[2] == pytest.approx(single[2], abs=0.0), \
-        "multi-domain frontier clock diverged"
-    assert multi[3:] == single[3:], "multi-domain event counts diverged"
+        "multi-home frontier clock diverged"
+    assert multi[3:] == single[3:], "multi-home event counts diverged"
+
+
+@pytest.mark.parametrize("mode", ["single", "multi"])
+def test_same_instant_arrival_keeps_scheduling_order(mode):
+    """An arrival sent at 0.125 and a timer b set at 0.375 both land on
+    0.625: the arrival was scheduled first, so it runs first, whether
+    the two ends are one engine or two homes."""
+    core = Engine()
+    a, b = substrate(core, 2, mode)
+    ch = DomainChannel(a, b, 0.5)
+    seen = []
+    ch.subscribe(lambda value: seen.append((value, b.now)))
+
+    def sender():
+        yield a.timeout(0.125)
+        ch.send("arrival")
+
+    def timer():
+        yield b.timeout(0.375)
+        yield b.timeout(0.25)
+        seen.append(("timer", b.now))
+
+    a.spawn(sender())
+    b.spawn(timer())
+    core.run()
+    assert seen == [("arrival", 0.625), ("timer", 0.625)]
 
 
 @pytest.mark.parametrize("shape", ["hub", "pipeline"])
@@ -298,29 +297,6 @@ def test_topologies_actually_cross_domains(seed):
     traces, _, _, _, _ = run_topology(topo, "multi")
     ops = [entry[0] for tr in traces.values() for entry in tr]
     assert "s" in ops, "no cross-domain sends in the soup"
-
-
-def test_multi_domain_rounds_and_skew():
-    """The conservative loop actually iterates and records skew."""
-    topo = build_topology(1)
-    world = World()
-    engines = [world.domain(f"m{i}") for i in range(topo["n_machines"])]
-    a, b = engines[0], engines[1]
-    ch = world.channel(a, b, 5e-6)
-
-    def sender():
-        yield a.timeout(1.0)
-        ch.send("x")
-
-    def receiver():
-        val = yield ch.recv()
-        assert val == "x"
-
-    a.spawn(sender())
-    b.spawn(receiver())
-    world.run()
-    assert world.rounds >= 1
-    assert world.skew_max >= 0.0
 
 
 # --------------------------------------------------------------------------
@@ -383,23 +359,11 @@ def run_control_plane(topo: dict, mode: str, receive: str) -> tuple:
     records, listeners attached).  A trace entry is ``(what, message,
     handler timestamp, global order)``."""
     n = topo["n_machines"]
-    world = None
-    if mode == "single":
-        engines = [Engine()] * n
-    elif mode == "world1":
-        world = World()
-        engines = [world.domain("all")] * n
-    else:
-        world = World()
-        engines = [world.domain(f"m{i}") for i in range(n)]
-    chans = {}
-    for (a, b), lat in topo["channels"].items():
-        if engines[a] is engines[b]:
-            chans[(a, b)] = DomainChannel.local(engines[a], lat,
-                                                name=f"c{a}->{b}")
-        else:
-            chans[(a, b)] = world.channel(engines[a], engines[b], lat,
-                                          name=f"c{a}->{b}")
+    core = Engine()
+    engines = substrate(core, n, mode)
+    chans = {(a, b): DomainChannel(engines[a], engines[b], lat,
+                                   name=f"c{a}->{b}")
+             for (a, b), lat in topo["channels"].items()}
     traces = {m: [] for m in range(n)}
     order = [0]
 
@@ -449,13 +413,8 @@ def run_control_plane(topo: dict, mode: str, receive: str) -> tuple:
                 chans[(0, spoke)].send(("cmd", token, kind, service, hops))
 
     engines[0].spawn(hub_timers(), name="hub-timers")
-    if world is not None:
-        world.run()
-        executed = world.events_executed
-    else:
-        engines[0].run()
-        executed = engines[0].events_executed
-    return traces, executed, 2 * (n - 1)
+    core.run()
+    return traces, core.events_executed, 2 * (n - 1)
 
 
 @pytest.mark.parametrize("mode", ["single", "world1", "multi"])

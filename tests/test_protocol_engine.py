@@ -548,13 +548,13 @@ def test_fig11_reduced_matches_golden():
     assert got.rstrip("\n") == _golden("fig11_reduced")
 
 
-def _one_domain_world():
-    from repro.sim.domains import World
+def _one_home():
+    from repro.sim.domains import Home
 
-    return World().domain("node0")
+    return Home(Engine(), "node0")
 
 
-@pytest.mark.parametrize("new_engine", [Engine, _one_domain_world],
+@pytest.mark.parametrize("new_engine", [Engine, _one_home],
                          ids=["engine", "domain"])
 @pytest.mark.parametrize("fig,module", [
     ("fig16", "repro.experiments.fig16_cow_breakdown"),
@@ -563,8 +563,8 @@ def _one_domain_world():
 ])
 def test_breakdown_figures_match_golden(fig, module, new_engine, monkeypatch):
     """Same bytes on a plain engine and with every ``build_world`` engine
-    a one-domain ``World`` on the conservative loop (fig11 builds its
-    engines in ``tasks/`` and has no domain case)."""
+    a single home, the affinity rule armed (fig11 builds its engines in
+    ``tasks/`` and has no domain case)."""
     import importlib
 
     from repro.experiments import harness

@@ -253,7 +253,7 @@ def test_uniform_flow_shortcut_is_float_exact(eng, seed):
 
 def test_flow_completion_event_names_itself_on_demand(eng):
     link = FluidLink(eng, bandwidth=10.0, name="pcie")
-    gen = link._flow_raw(100.0)
+    gen = link.flow(100.0)
     done = next(gen)
     assert done.name == f"pcie-flow{link._flows[0].id}"
     assert "pcie-flow" in repr(done)
