@@ -72,7 +72,6 @@ def main() -> None:
                 phos.kill(workload.process)
                 result = yield from phos.restore(
                     image, gpu_indices=list(range(spec.n_gpus)),
-                    concurrent=True,
                 )
                 new_process, _, session = result
                 workload.bind_restored(new_process)

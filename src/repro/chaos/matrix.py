@@ -297,7 +297,7 @@ def _run_checkpoint_cell(protocol: str, plan: FaultPlan,
                 expected = _image_state(image)
                 world.phos.kill(world.process)
                 restored = yield from world.phos.restore(
-                    image, gpu_indices=[0], concurrent=True,
+                    image, gpu_indices=[0],
                 )
                 new_process, _frontend, rsession = restored
                 if rsession is not None:
@@ -481,7 +481,7 @@ def _run_continuous_cell(protocol: str, plan: FaultPlan,
                 expected = _image_state(last)
                 world.phos.kill(world.process)
                 restored = yield from world.phos.restore(
-                    last, gpu_indices=[0], concurrent=True,
+                    last, gpu_indices=[0],
                 )
                 new_process, _frontend, rsession = restored
                 if rsession is not None:

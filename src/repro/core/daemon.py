@@ -217,9 +217,8 @@ class Phos:
         )
 
     def checkpoint_consistent(self, processes: Iterable[GpuProcess],
-                              name: str = "", medium: Optional[Medium] = None,
-                              coordinated: bool = True,
-                              prioritized: bool = True) -> Process:
+                              name: str = "",
+                              medium: Optional[Medium] = None) -> Process:
         """Consistent multi-process CoW checkpoint (§7, fault tolerance).
 
         One global quiesce spans every process; each process is then
@@ -238,8 +237,6 @@ class Phos:
                 f"checkpoint name must not be whitespace-only, got {name!r}"
             )
         medium = medium or self.medium
-        config = ProtocolConfig(coordinated=coordinated,
-                                prioritized=prioritized)
 
         def orchestrate():
             yield from quiesce(self.engine, processes)
@@ -249,7 +246,7 @@ class Phos:
             # GPUs drained).  Resume happens inside each protocol run.
             handles = [
                 (process, medium, self.checkpoint(
-                    process, mode="cow", medium=medium, config=config,
+                    process, mode="cow", medium=medium,
                     name=f"{name}-{process.name}" if name else ""))
                 for process in processes
             ]
@@ -298,23 +295,24 @@ class Phos:
     # -- restore -------------------------------------------------------------------
     def restore(self, image: CheckpointImage, gpu_indices: Optional[list[int]] = None,
                 name: str = "restored", medium: Optional[Medium] = None,
-                concurrent: bool = True, use_pool: Optional[bool] = None,
                 machine: Optional[Machine] = None,
-                mode: Optional[str] = None,
+                mode: str = "concurrent",
                 config: Optional[ProtocolConfig] = None):
         """Generator: restore a process from an image.
 
         ``mode`` selects the restore protocol by registry name
-        (``concurrent`` / ``stop-world``); when None the legacy
-        ``concurrent`` boolean picks one.  Concurrent mode returns
+        (``concurrent`` / ``stop-world``).  Concurrent mode returns
         ``(process, frontend, session)`` as soon as the process may
-        run; stop-the-world mode returns the process after everything
+        run, and takes its contexts from the daemon's pool when it has
+        one; stop-the-world mode returns the process after everything
         is loaded (frontend and session are None).
 
         ``gpu_indices=None`` means "use the GPUs the image was taken
-        on".  An explicit empty list is a caller bug (the old truthiness
-        check silently fell back to the image metadata) and raises
-        :class:`~repro.errors.InvalidValueError`.
+        on".  Any other value must name exactly those GPUs: an empty
+        list, or a set that drops or adds a device, would restore a
+        process with state missing, so it raises
+        :class:`~repro.errors.InvalidValueError` before any state is
+        touched.
         """
         medium = medium or self.medium
         machine = machine or self.machine
@@ -328,23 +326,21 @@ class Phos:
             image = materialize(image, resolve=medium.images.lookup)
             obs.counter("storage/chain-restores",
                         **self.engine._obs_labels).inc()
-        if gpu_indices is not None and len(gpu_indices) == 0:
-            raise InvalidValueError(
-                "gpu_indices=[] names no restore target; pass None to "
-                "use the GPUs recorded in the image"
-            )
+        recorded = list(image.context_meta.get("gpu_indices", [0]))
         if gpu_indices is None:
-            gpu_indices = list(image.context_meta.get("gpu_indices", [0]))
-        if mode is None:
-            mode = "concurrent" if concurrent else "stop-world"
+            gpu_indices = recorded
+        elif sorted(gpu_indices) != sorted(recorded):
+            raise InvalidValueError(
+                f"gpu_indices={list(gpu_indices)} must name the GPUs the "
+                f"image was taken on, {recorded} (None means those); a "
+                "different set would restore with state missing"
+            )
         protocol = registry.create(mode, kind="restore", config=config)
-        concurrent = protocol.name == "concurrent"
-        logger.info("restore requested: image=%s gpus=%s concurrent=%s t=%g",
-                    image.name, gpu_indices, concurrent, self.engine.now)
+        logger.info("restore requested: image=%s gpus=%s mode=%s t=%g",
+                    image.name, gpu_indices, protocol.name, self.engine.now)
         obs.counter("phos/restores", mode=protocol.name,
                     **self.engine._obs_labels).inc()
-        pool = (self.pool if concurrent and (use_pool is None or use_pool)
-                else None)
+        pool = self.pool if protocol.name == "concurrent" else None
         process, frontend, session = yield from protocol.restore(
             self.engine, image, machine, gpu_indices, medium, self.criu,
             name=name, context_pool=pool,

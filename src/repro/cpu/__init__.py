@@ -6,8 +6,8 @@ protection drives copy-on-write, the soft-dirty bit drives recopy, and
 the present bit drives on-demand restore.
 """
 
-from repro.cpu.criu import CpuCheckpoint, CriuEngine
+from repro.cpu.criu import CriuEngine
 from repro.cpu.memory import HostMemory
 from repro.cpu.process import HostProcess
 
-__all__ = ["CpuCheckpoint", "CriuEngine", "HostMemory", "HostProcess"]
+__all__ = ["CriuEngine", "HostMemory", "HostProcess"]

@@ -13,9 +13,9 @@ discrete-event scheduler then replays those calibrated service times
 under load.  The probes are deterministic (virtual-clock simulations),
 so profiles are bit-identical in every worker process.
 
-``REPRO_NO_FASTPATH`` does not change any probe's virtual-time result
-(the PR 2 bit-identity guarantee), so a cached profile is valid under
-either setting.
+Compiled kernel plans do not change any probe's virtual-time result
+(plans are bit-identical to the interpreter), so a cached profile is
+valid whichever path served its launches.
 """
 
 from __future__ import annotations

@@ -35,17 +35,15 @@ Pass ``detailed=True`` to :func:`run_kernel` to additionally populate
 the classic per-access list — the escape hatch used by the speculation
 ground-truth tests.
 
-When the :mod:`repro.perf` fast path is enabled (the default; set
-``REPRO_NO_FASTPATH=1`` to disable), :func:`run_kernel` first offers the
-launch to the compiled-plan cache, which executes affine kernels as
-vectorized bulk operations with byte-, violation- and range-identical
-results, falling back to this interpreter whenever equivalence cannot
-be proven.
+Unless a launch passes ``detailed=True`` or ``force_interpret=True``,
+:func:`run_kernel` first offers it to the :mod:`repro.perf` compiled-plan
+cache, which executes affine kernels as vectorized bulk operations with
+byte-, violation- and range-identical results, falling back to this
+interpreter whenever equivalence cannot be proven.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -243,8 +241,7 @@ def run_kernel(
         )
     if n_threads <= 0:
         raise KernelFault(f"kernel {program.name!r}: n_threads must be positive")
-    if not detailed and not force_interpret \
-            and not os.environ.get("REPRO_NO_FASTPATH"):
+    if not detailed and not force_interpret:
         run = _plans().try_fast_run(
             program, args, n_threads, memory, validation,
             record_accesses, max_steps,

@@ -205,34 +205,23 @@ def resolve_jobs(jobs: Optional[int] = None) -> int:
 # the shared pool
 # --------------------------------------------------------------------------
 
-#: One persistent executor per (max_workers, env signature).  Reuse
-#: across run_cells calls keeps workers — and their warm Program/plan
-#: caches — alive for a whole ``phos bench`` / bench-harness session.
-_pools: dict[tuple, ProcessPoolExecutor] = {}
-
-
-def _env_signature() -> tuple:
-    """Parent-env values baked into workers at spawn time.
-
-    Workers inherit the environment once; flags read dynamically by the
-    simulator (the fast-path kill switch) must therefore key the pool,
-    so tests flipping ``REPRO_NO_FASTPATH`` get matching workers.
-    """
-    return (os.environ.get("REPRO_NO_FASTPATH", ""),)
+#: One persistent executor per max_workers.  Reuse across run_cells
+#: calls keeps workers — and their warm Program/plan caches — alive for
+#: a whole ``phos bench`` / bench-harness session.
+_pools: dict[int, ProcessPoolExecutor] = {}
 
 
 def _get_pool(max_workers: int) -> ProcessPoolExecutor:
     import multiprocessing
 
-    key = (max_workers, _env_signature())
-    pool = _pools.get(key)
+    pool = _pools.get(max_workers)
     if pool is None:
         pool = ProcessPoolExecutor(
             max_workers=max_workers,
             mp_context=multiprocessing.get_context("spawn"),
             initializer=worker.init_worker,
         )
-        _pools[key] = pool
+        _pools[max_workers] = pool
         obs.counter("parallel/pool/spawned").inc()
     return pool
 

@@ -6,7 +6,7 @@ the repository's core guarantee that checkpoints are validated against
 real bytes: every plan is provably equivalent to the interpreter on the
 launch it serves, and anything unprovable falls back to the interpreter.
 
-Set ``REPRO_NO_FASTPATH=1`` to disable the fast path globally (the
+A launch opts out with ``run_kernel(force_interpret=True)`` (the
 differential tests use this to obtain ground truth).
 """
 

@@ -71,7 +71,7 @@ Equivalence guarantees (enforced, not assumed):
 * faults: plans mutate nothing until every precondition is proven, so a
   fallback launch replays the interpreter's exact fault behaviour.
 
-``REPRO_NO_FASTPATH=1`` disables everything here.
+``run_kernel(force_interpret=True)`` bypasses everything here.
 """
 
 from __future__ import annotations

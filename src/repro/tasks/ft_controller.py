@@ -145,7 +145,6 @@ class FaultToleranceController:
                 restored = yield from self.phos.restore(
                     self.latest_image,
                     gpu_indices=list(self.process.gpu_indices),
-                    concurrent=True,
                 )
                 new_process, _, session = restored
                 self.workload.bind_restored(new_process)

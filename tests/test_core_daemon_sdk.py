@@ -167,7 +167,7 @@ def test_restore_from_daemon_image_roundtrip():
         machine2 = Machine(eng, name="m2", n_gpus=1)
         phos2 = Phos(eng, machine2, use_context_pool=False)
         result = yield from phos2.restore(
-            image, gpu_indices=[0], machine=machine2, concurrent=True
+            image, gpu_indices=[0], machine=machine2
         )
         new_process, frontend, rsession = result
         yield rsession.done

@@ -155,7 +155,7 @@ def test_committed_image_visible_and_restorable():
         expected = image_gpu_state(image)
         phos.kill(process)
         new_process, _f, session = yield from phos.restore(
-            image, gpu_indices=[0], concurrent=True,
+            image, gpu_indices=[0],
         )
         yield session.done
         got, _ = snapshot_process(new_process)
@@ -550,7 +550,7 @@ def test_pool_acquire_falls_back_to_direct_creation():
                 FaultSpec(kind="context-error", occurrence=1, count=1),
             )), engine=eng, killer=phos.kill)
             new_process, _f, session = yield from phos.restore(
-                image, gpu_indices=[0], concurrent=True,
+                image, gpu_indices=[0],
             )
             chaos.uninstall()
             yield session.done

@@ -1,8 +1,11 @@
 """Multi-GPU concurrent restore: correctness across devices."""
 
+import pytest
+
 from repro.api.runtime import GpuProcess
 from repro.cluster import Machine
 from repro.core.daemon import Phos
+from repro.errors import InvalidValueError
 from repro.gpu.context import GpuContext
 from repro.sim import Engine
 from repro.units import MIB
@@ -47,7 +50,7 @@ def test_multigpu_concurrent_restore_loads_every_device():
 
     def driver(eng):
         result = yield from phos2.restore(
-            image, gpu_indices=[0, 1], machine=target, concurrent=True
+            image, gpu_indices=[0, 1], machine=target
         )
         process2, frontend, session = result
         yield session.done
@@ -78,7 +81,6 @@ def test_multigpu_restore_loaders_run_in_parallel():
             t0 = eng.now
             result = yield from phos2.restore(
                 image, gpu_indices=list(range(n_gpus)), machine=target,
-                concurrent=True,
             )
             yield result[2].done
             return eng.now - t0
@@ -100,7 +102,7 @@ def test_multigpu_on_demand_touches_only_the_needed_device():
 
     def driver(eng):
         result = yield from phos2.restore(
-            image, gpu_indices=[0, 1], machine=target, concurrent=True
+            image, gpu_indices=[0, 1], machine=target
         )
         process2, frontend, session = result
         # Run one iteration on GPU 1 only: its buffers must be served
@@ -116,3 +118,20 @@ def test_multigpu_on_demand_touches_only_the_needed_device():
     eng.run()
     assert session.demand_fetches > 0
     assert session.all_restored()
+
+
+@pytest.mark.parametrize("gpus", [[0], [1], [0, 1, 2]])
+@pytest.mark.parametrize("mode", ["concurrent", "stop-world"])
+def test_restore_onto_other_gpu_set_raises_before_touching_state(mode, gpus):
+    """A two-GPU image restored onto fewer (or more) GPUs would come
+    back with state missing; the daemon refuses it up front."""
+    eng, machine, phos, process, apps = make_world()
+    image = checkpoint(eng, phos, process, apps)
+    target = Machine(eng, name="t", n_gpus=3)
+    phos2 = Phos(eng, target, use_context_pool=False)
+
+    with pytest.raises(InvalidValueError, match=r"\[0, 1\]") as err:
+        next(iter(phos2.restore(image, gpu_indices=gpus, machine=target,
+                                mode=mode)))
+    assert str(gpus) in str(err.value)
+    assert all(target.gpu(i).memory.used == 0 for i in range(3))

@@ -9,9 +9,8 @@ Two layers of coverage:
   fallbacks, job resolution precedence, and the warm ``Program`` cache.
 * **Figure golden bit-identity** — the four goldened figures must
   format identically at ``--jobs 1`` (in-process serial) and
-  ``--jobs 4`` (spawned pool).  CI re-runs these with
-  ``REPRO_NO_FASTPATH=1`` (see the ``parallel-matrix`` job), covering
-  the fast-path-off half of the determinism matrix.
+  ``--jobs 4`` (spawned pool).  The same figures with every launch
+  interpreted are tier-1 cases of ``tests/test_protocol_engine.py``.
 """
 
 from __future__ import annotations

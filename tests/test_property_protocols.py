@@ -224,7 +224,7 @@ def test_image_always_equals_t2_state(mode, ops, cost_scale):
 def test_restore_concurrent_equals_stop_world(ops, cost_scale):
     cost = KernelCost(flops=cost_scale * 1e11, bytes_moved=0, memory_intensity=0.5)
 
-    def run_variant(concurrent):
+    def run_variant(mode):
         eng, machine, phos, process = build_process()
         rt = process.runtime
         setup_gen, bufs = setup_buffers(rt, 8 * MIB)
@@ -242,7 +242,7 @@ def test_restore_concurrent_equals_stop_world(ops, cost_scale):
 
         def restored(eng):
             result = yield from phos2.restore(
-                image, gpu_indices=[0], concurrent=concurrent, machine=machine2
+                image, gpu_indices=[0], mode=mode, machine=machine2
             )
             new_process = result[0]
             session = result[2]
@@ -259,4 +259,4 @@ def test_restore_concurrent_equals_stop_world(ops, cost_scale):
         eng.run()
         return final
 
-    assert run_variant(True) == run_variant(False)
+    assert run_variant("concurrent") == run_variant("stop-world")

@@ -368,7 +368,7 @@ def test_hw_dirty_restorable_through_daemon():
         machine2 = Machine(eng, name="m2", n_gpus=1)
         phos2 = Phos(eng, machine2, use_context_pool=False)
         new_process, _f, rsession = yield from phos2.restore(
-            image, machine=machine2, concurrent=True)
+            image, machine=machine2)
         yield rsession.done
         got, _ = snapshot_process(new_process)
         return expected, got
@@ -540,12 +540,28 @@ def _golden(name: str) -> str:
     return (GOLDENS / f"{name}.txt").read_text().rstrip("\n")
 
 
-def test_fig11_reduced_matches_golden():
-    from repro.experiments.fig11_stall import run
+BREAKDOWNS = {
+    "fig16": "repro.experiments.fig16_cow_breakdown",
+    "fig17": "repro.experiments.fig17_recopy_breakdown",
+    "fig18": "repro.experiments.fig18_restore_breakdown",
+}
 
-    got = run(checkpoint_apps=("resnet152-train",),
-              restore_apps=("resnet152-infer",)).format()
-    assert got.rstrip("\n") == _golden("fig11_reduced")
+
+def _figure(fig: str) -> str:
+    import importlib
+
+    if fig == "fig11_reduced":
+        from repro.experiments.fig11_stall import run
+
+        result = run(checkpoint_apps=("resnet152-train",),
+                     restore_apps=("resnet152-infer",))
+    else:
+        result = importlib.import_module(BREAKDOWNS[fig]).run()
+    return result.format().rstrip("\n")
+
+
+def test_fig11_reduced_matches_golden():
+    assert _figure("fig11_reduced") == _golden("fig11_reduced")
 
 
 def _one_home():
@@ -556,19 +572,22 @@ def _one_home():
 
 @pytest.mark.parametrize("new_engine", [Engine, _one_home],
                          ids=["engine", "domain"])
-@pytest.mark.parametrize("fig,module", [
-    ("fig16", "repro.experiments.fig16_cow_breakdown"),
-    ("fig17", "repro.experiments.fig17_recopy_breakdown"),
-    ("fig18", "repro.experiments.fig18_restore_breakdown"),
-])
+@pytest.mark.parametrize("fig,module", list(BREAKDOWNS.items()))
 def test_breakdown_figures_match_golden(fig, module, new_engine, monkeypatch):
     """Same bytes on a plain engine and with every ``build_world`` engine
     a single home, the affinity rule armed (fig11 builds its engines in
     ``tasks/`` and has no domain case)."""
-    import importlib
-
     from repro.experiments import harness
 
     monkeypatch.setattr(harness, "Engine", new_engine)
-    got = importlib.import_module(module).run().format()
-    assert got.rstrip("\n") == _golden(fig)
+    assert _figure(fig) == _golden(fig)
+
+
+@pytest.mark.parametrize("fig", ["fig11_reduced", *BREAKDOWNS])
+def test_figures_match_golden_interpreted(fig, monkeypatch):
+    """Same bytes with every kernel launch interpreted: the plan tier
+    declines each one, on a plain engine."""
+    from repro.perf import plans
+
+    monkeypatch.setattr(plans, "try_fast_run", lambda *args: None)
+    assert _figure(fig) == _golden(fig)

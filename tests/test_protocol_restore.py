@@ -74,7 +74,8 @@ def reference_final_state(buf_size=256 * MIB, total_iters=WARM_ITERS + POST_ITER
     return {b.tag: b.snapshot() for b in process.runtime.allocations[0]}
 
 
-def restored_final_state(concurrent, buf_size=256 * MIB, use_pool=False):
+def restored_final_state(mode="concurrent", buf_size=256 * MIB,
+                         use_pool=False):
     eng, machine, phos, process, app = make_world(buf_size=buf_size,
                                                   use_pool=use_pool)
     if use_pool:
@@ -88,7 +89,7 @@ def restored_final_state(concurrent, buf_size=256 * MIB, use_pool=False):
 
     def driver(eng):
         result = yield from phos2.restore(
-            image, gpu_indices=[0], concurrent=concurrent, machine=machine2
+            image, gpu_indices=[0], mode=mode, machine=machine2
         )
         new_process, frontend, session = result
         new_app = rebind_app(app, new_process)
@@ -107,20 +108,20 @@ def restored_final_state(concurrent, buf_size=256 * MIB, use_pool=False):
 
 def test_stop_world_restore_reproduces_reference():
     ref = reference_final_state()
-    got, session, _ = restored_final_state(concurrent=False)
+    got, session, _ = restored_final_state(mode="stop-world")
     assert session is None
     assert got == ref
 
 
 def test_concurrent_restore_reproduces_reference():
     ref = reference_final_state()
-    got, session, _ = restored_final_state(concurrent=True)
+    got, session, _ = restored_final_state()
     assert session is not None and not session.aborted
     assert got == ref
 
 
 def test_concurrent_restore_uses_on_demand_fetches():
-    _, session, _ = restored_final_state(concurrent=True)
+    _, session, _ = restored_final_state()
     # The app touches buffers before the background loader reaches them.
     assert session.demand_fetches > 0
     assert session.stall_time > 0
@@ -150,7 +151,7 @@ def test_concurrent_restore_overlaps_copy_with_execution():
 
     def driver(eng):
         result = yield from phos2.restore(
-            image, gpu_indices=[0], concurrent=True, machine=machine2
+            image, gpu_indices=[0], machine=machine2
         )
         new_process, frontend, session = result
         resumed_at = eng.now
@@ -178,7 +179,7 @@ def test_restore_mis_speculation_rolls_back_to_image():
 
     def driver(eng):
         result = yield from phos2.restore(
-            image, gpu_indices=[0], concurrent=True, machine=machine2
+            image, gpu_indices=[0], machine=machine2
         )
         new_process, frontend, session = result
         by_tag = {b.tag: b for b in new_process.runtime.allocations[0]}
@@ -215,10 +216,7 @@ def test_restore_with_pool_skips_context_creation_barrier():
 
         def driver(eng):
             t0 = eng.now
-            yield from phos2.restore(
-                image, gpu_indices=[0], concurrent=True, machine=machine2,
-                use_pool=use_pool,
-            )
+            yield from phos2.restore(image, gpu_indices=[0], machine=machine2)
             return eng.now - t0
 
         elapsed = eng.run_process(driver(eng))

@@ -60,7 +60,7 @@ def test_checkpoint_during_restore_waits_for_completion():
         machine2 = Machine(eng, name="m2", n_gpus=1)
         phos2 = Phos(eng, machine2, use_context_pool=False)
         result = yield from phos2.restore(
-            image, gpu_indices=[0], machine=machine2, concurrent=True
+            image, gpu_indices=[0], machine=machine2
         )
         process2, frontend2, session = result
         assert not session.all_restored()

@@ -5,9 +5,9 @@ tables, :func:`seal_delta`/:func:`materialize` round trips, chain
 walking with cycle/missing-parent detection, the catalog's delta
 commit/revocation rules, the v2 on-disk format, and the acceptance
 criterion that a delta-chain restore is bit-identical to the
-equivalent full-image restore on fig16's workload.  CI re-runs this
-file with ``REPRO_NO_FASTPATH=1`` (the ``image-format`` job), covering
-the fast-path-off half of the matrix.
+equivalent full-image restore on fig16's workload.  Every kernel shape
+these tests launch is pinned in the plan-vs-interpreter fuzz of
+``tests/test_perf_fastpath.py``.
 """
 
 import pytest
@@ -451,7 +451,7 @@ def test_crash_mid_delta_write_leaves_parent_restorable():
     def epilogue(eng):
         phos.kill(process)
         new_process, _f, session = yield from phos.restore(
-            parent, gpu_indices=[0], concurrent=True)
+            parent, gpu_indices=[0])
         yield session.done
         got, _ = snapshot_process(new_process)
         return got
@@ -600,7 +600,7 @@ def test_fig16_workload_chain_restore_bit_identical():
 
         def rdriver(eng):
             new_process, _f, session = yield from phos2.restore(
-                image, machine=machine2, concurrent=True)
+                image, machine=machine2)
             if session is not None:
                 yield session.done
             got, _ = snapshot_process(new_process)

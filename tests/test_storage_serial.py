@@ -104,7 +104,7 @@ def test_restore_from_loaded_image(image, tmp_path, eng):
 
     def driver(eng):
         result = yield from phos2.restore(
-            loaded, gpu_indices=[0], machine=machine2, concurrent=True
+            loaded, gpu_indices=[0], machine=machine2
         )
         process2, _, session = result
         yield session.done
