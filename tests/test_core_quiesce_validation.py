@@ -8,6 +8,7 @@ from repro.core.quiesce import QUIESCE_COORDINATION, quiesce, resume
 from repro.core.validation import TwinCache
 from repro.gpu.context import GpuContext
 from repro.gpu.cost_model import KernelCost
+from repro.gpu.isa import Op
 from repro.gpu.program import build_fill, build_scale
 from repro.gpu.ranges import RangeSet
 from repro.sim import Engine
@@ -98,6 +99,21 @@ def test_twin_cache_separates_read_checking_twins():
     rw_twin = cache.twin_for(prog, check_reads=True)
     assert write_twin is not rw_twin
     assert len(rw_twin.instrs) > len(write_twin.instrs)
+
+
+def test_same_named_kernels_get_their_own_twins():
+    """``build_scale(3)`` and ``build_scale(5)`` share the name ``scale``;
+    each must still run its own twin, and the kernel is counted once."""
+    cache = TwinCache()
+    by3, by5 = build_scale(factor=3), build_scale(factor=5)
+    assert by3.name == by5.name
+    for check_reads in (False, True):
+        twin3 = cache.twin_for(by3, check_reads=check_reads)
+        twin5 = cache.twin_for(by5, check_reads=check_reads)
+        assert twin3 is not twin5
+        assert [i.imm for i in twin5.instrs if i.op is Op.MULI] == \
+            [i.imm for i in by5.instrs if i.op is Op.MULI]
+    assert cache.stats.kernels_instrumented == {by3.name}
 
 
 def test_launch_stats_and_ratios():

@@ -14,9 +14,9 @@ from repro.core.protocols import ProtocolConfig
 from repro.core.quiesce import resume
 from repro.gpu.context import GpuContext
 from repro.gpu.cost_model import KernelCost
-from repro.gpu.program import build_global_writer
+from repro.gpu.program import build_global_writer, build_scale
 from repro.sim import Engine
-from repro.units import MIB
+from repro.units import GIB, MIB
 
 from tests.toyapp import ToyApp, image_gpu_state, snapshot_process
 
@@ -68,6 +68,44 @@ def test_recopy_image_equals_t2_state():
         assert got[key] == t2_gpu[key], f"buffer at {key} diverged from t2"
     for idx, data in enumerate(t2_cpu):
         assert image.cpu_pages[idx] == data
+
+
+def test_same_named_kernels_in_the_window_keep_their_results():
+    """``build_scale(3)`` and ``build_scale(5)`` share a name.  Launched
+    inside a recopy window, each runs its own twin: the application's
+    result is the one the same run gets without a checkpoint."""
+    by3, by5 = build_scale(factor=3), build_scale(factor=5)
+
+    def run(checkpoint):
+        eng, machine, phos, process, _ = make_world()
+        rt = process.runtime
+
+        def driver(eng):
+            x = yield from rt.malloc(0, 1 * GIB, tag="x")
+            y = yield from rt.malloc(0, 1 * GIB, tag="y")
+            yield from rt.memcpy_h2d(0, x, payload=7, sync=True)
+            handle = None
+            if checkpoint:
+                handle = phos.checkpoint(process, mode="recopy")
+                while frontend.ckpt_session is None:
+                    yield eng.timeout(1e-4)
+            for prog in (by3, by5):
+                yield from rt.launch_kernel(0, prog, [x.addr, y.addr, 4], 4,
+                                            sync=True)
+            if handle is not None:
+                image, session = yield handle
+                assert not session.aborted
+            return [y.load_word(y.addr + 8 * i) for i in range(4)]
+
+        frontend = phos.frontend_of(process)
+        words = eng.run_process(driver(eng))
+        eng.run()
+        assert frontend.twins.stats.launches_instrumented == \
+            (2 if checkpoint else 0)
+        return words
+
+    assert run(checkpoint=False) == [35] * 4
+    assert run(checkpoint=True) == [35] * 4
 
 
 def test_recopy_marks_dirty_buffers():
