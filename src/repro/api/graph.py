@@ -27,7 +27,6 @@ from typing import Optional
 from repro.errors import InvalidValueError
 from repro.gpu.cost_model import KernelCost
 from repro.gpu.isa import Program
-from repro.gpu.memory import Buffer
 
 _graph_ids = itertools.count(1)
 
@@ -58,15 +57,6 @@ class CudaGraph:
         self.nodes.append(GraphNode("launch_kernel", {
             "program": program, "args": list(args), "n_threads": n_threads,
             "cost": cost or KernelCost(),
-        }))
-
-    def add_memcpy_node(self, buf: Buffer, payload=0,
-                        nbytes: Optional[int] = None) -> None:
-        """Explicit construction of an H2D copy node."""
-        if self.instantiated:
-            raise InvalidValueError("cannot modify an instantiated graph")
-        self.nodes.append(GraphNode("memcpy_h2d", {
-            "buf": buf, "payload": payload, "nbytes": nbytes,
         }))
 
     def instantiate(self) -> "CudaGraph":

@@ -9,8 +9,8 @@ functional effect is applied exactly once, by the first rank to
 complete.
 
 Each rank's operation carries its own :class:`~repro.api.calls.ApiCall`
-(reads = that rank's send buffer, writes = that rank's receive buffer):
-the read/write semantics of communication kernels are known from the
+(the in-place all-reduce reads and writes that rank's buffer): the
+read/write semantics of communication kernels are known from the
 NCCL specification, so PHOS never instruments them (§4.1, type 2).
 """
 
@@ -33,40 +33,24 @@ class NcclCommunicator:
     """A communicator over a set of GPUs connected by NVLink."""
 
     def __init__(self, engine: Engine, gpu_indices: list[int],
-                 nvlink_bw: float = units.NVLINK_BW, pooled: bool = False) -> None:
+                 nvlink_bw: float = units.NVLINK_BW) -> None:
         if len(gpu_indices) < 1:
             raise InvalidValueError("communicator needs at least one GPU")
         self.engine = engine
         self.id = next(_comm_ids)
         self.gpu_indices = list(gpu_indices)
         self.nvlink_bw = nvlink_bw
-        self.pooled = pooled
 
     @property
     def size(self) -> int:
         return len(self.gpu_indices)
 
-    def split(self, gpu_indices: list[int]) -> "NcclCommunicator":
-        """ncclCommSplit: derive a sub-communicator (cheap, §6)."""
-        missing = set(gpu_indices) - set(self.gpu_indices)
-        if missing:
-            raise InvalidValueError(f"GPUs {sorted(missing)} not in communicator")
-        return NcclCommunicator(
-            self.engine, gpu_indices, nvlink_bw=self.nvlink_bw, pooled=self.pooled
-        )
-
-    # -- cost helpers -----------------------------------------------------------
     def allreduce_time(self, nbytes: int) -> float:
         """Ring all-reduce: 2(n-1)/n of the data crosses each link."""
         n = self.size
         if n == 1:
             return 0.0
         return (2 * (n - 1) / n) * nbytes / self.nvlink_bw
-
-    def broadcast_time(self, nbytes: int) -> float:
-        if self.size == 1:
-            return 0.0
-        return nbytes / self.nvlink_bw
 
 
 def nccl_allreduce(runtime, comm: NcclCommunicator,
@@ -87,36 +71,8 @@ def nccl_allreduce(runtime, comm: NcclCommunicator,
         for i in comm.gpu_indices:
             buffers[i].touch()
 
-    ops = yield from _issue(
-        runtime, comm, "ncclAllReduce", buffers, buffers, duration, apply
-    )
-    if sync:
-        for op in ops:
-            yield op.done
-    return ops
-
-
-def nccl_broadcast(runtime, comm: NcclCommunicator, root: int,
-                   buffers: dict[int, Buffer], sync: bool = False):
-    """Generator: broadcast the root's buffer content to all ranks."""
-    _check_ranks(comm, buffers)
-    if root not in comm.gpu_indices:
-        raise InvalidValueError(f"root GPU {root} not in communicator")
-    nbytes = buffers[root].size
-    duration = comm.broadcast_time(nbytes)
-
-    def apply() -> None:
-        src = buffers[root].data
-        for i in comm.gpu_indices:
-            if i != root:
-                n = min(len(src), buffers[i].data_size)
-                buffers[i].data[:n] = src[:n]
-                buffers[i].touch()
-
-    reads = {root: buffers[root]}
-    ops = yield from _issue(
-        runtime, comm, "ncclBroadcast", reads, buffers, duration, apply
-    )
+    ops = yield from _issue(runtime, comm, "ncclAllReduce", buffers,
+                            duration, apply)
     if sync:
         for op in ops:
             yield op.done
@@ -132,8 +88,7 @@ def _check_ranks(comm: NcclCommunicator, buffers: dict[int, Buffer]) -> None:
 
 
 def _issue(runtime, comm: NcclCommunicator, name: str,
-           reads: dict[int, Buffer], writes: dict[int, Buffer],
-           duration: float, apply):
+           buffers: dict[int, Buffer], duration: float, apply):
     """Create the per-rank stream ops with a shared start barrier."""
     engine = runtime.engine
     yield from runtime._gate()
@@ -156,11 +111,9 @@ def _issue(runtime, comm: NcclCommunicator, name: str,
     ops = []
     for gpu_index in comm.gpu_indices:
         runtime._require_context(gpu_index)
-        call = ApiCall(
-            ApiCategory.COMM, name, gpu_index,
-            reads=[reads[gpu_index]] if gpu_index in reads else [],
-            writes=[writes[gpu_index]], nbytes=writes[gpu_index].size,
-        )
+        buf = buffers[gpu_index]
+        call = ApiCall(ApiCategory.COMM, name, gpu_index,
+                       reads=[buf], writes=[buf], nbytes=buf.size)
         plan = runtime._frontend(call)
         yield from runtime._call_overhead(plan)
         ops.append(runtime._submit(gpu_index, None, name, arrive, effect,

@@ -1,11 +1,10 @@
 """The GPU execution context pool (§6).
 
 A long-running PHOS daemon pre-creates CUDA and cuBLAS contexts at boot
-(``cuCtxCreate`` + ``cublasCreate``), plus one NCCL group communicator
-covering all NVLink-connected GPUs.  A restoring process is handed a
-pooled context over IPC in ~10 ms instead of paying the multi-second
-creation barrier; sub-topology communicators are split from the group
-communicator with ``ncclCommSplit``.
+(``cuCtxCreate`` + ``cublasCreate``), each carrying the NCCL scope of
+all NVLink-connected GPUs.  A restoring process is handed a pooled
+context over IPC in ~10 ms instead of paying the multi-second creation
+barrier; the context's ``nccl_scope`` is what its collectives reuse.
 
 The pool refills itself in the background after each hand-out, so
 back-to-back restores (serverless bursts) keep hitting.
@@ -17,7 +16,6 @@ from collections import deque
 from typing import Optional
 
 from repro import obs
-from repro.api.nccl import NcclCommunicator
 from repro.errors import (
     ContextCreationError,
     ContextPoolError,
@@ -54,7 +52,6 @@ class ContextPool:
         self._pools: dict[int, deque[GpuContext]] = {
             gpu.index: deque() for gpu in machine.gpus
         }
-        self._group_comm: Optional[NcclCommunicator] = None
         self.hits = 0
         self.misses = 0
         self.prefilled = False
@@ -93,9 +90,6 @@ class ContextPool:
                     continue
                 ctx.pooled = True
                 self._pools[gpu.index].append(ctx)
-        self._group_comm = NcclCommunicator(
-            self.engine, [gpu.index for gpu in self.machine.gpus], pooled=True
-        )
         self.prefilled = True
 
     # -- hand-out -----------------------------------------------------------------
@@ -142,22 +136,6 @@ class ContextPool:
             raise
         obs.record("context-pool/create-on-miss", t0, gpu=gpu_index)
         return ctx
-
-    def acquire_communicator(self, gpu_indices: list[int]):
-        """Generator: an NCCL communicator for a subset of GPUs.
-
-        Split from the pre-created group communicator (cheap) when
-        possible; cross-machine communicators are never pooled (§6).
-        """
-        if self._group_comm is not None and set(gpu_indices) <= set(
-            self._group_comm.gpu_indices
-        ):
-            yield self.engine.timeout(self.costs.nccl_split)
-            return self._group_comm.split(gpu_indices)
-        yield self.engine.timeout(
-            self.costs.nccl_init_per_gpu * len(gpu_indices)
-        )
-        return NcclCommunicator(self.engine, gpu_indices)
 
     def _refill_one(self, gpu_index: int):
         """Generator: re-create one pooled context after a hand-out.

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro import units
-from repro.core.session import CheckpointSession, RestoreSession
+from repro.core.session import CheckpointSession
 from repro.obs import SpanTracer
 from repro.storage.image import CheckpointImage
 
@@ -94,20 +94,4 @@ def stream_report(stream) -> str:
         lines.append(f"  stream ended early : {stream.error}")
     if stream.drain_error is not None:
         lines.append(f"  drain fault        : {stream.drain_error}")
-    return "\n".join(lines)
-
-
-def restore_report(session: RestoreSession, resume_time: float,
-                   total_time: Optional[float] = None) -> str:
-    """A multi-line summary of one concurrent restore."""
-    image = session.image
-    lines = [f"restore report: {image.name}"]
-    lines.append(f"  process runnable   : after {units.fmt_seconds(resume_time)}")
-    if total_time is not None:
-        lines.append(f"  fully resident     : after {units.fmt_seconds(total_time)}")
-    lines.append(f"  on-demand fetches  : {session.demand_fetches}")
-    lines.append(f"  guard stall        : {units.fmt_seconds(session.stall_time)}")
-    if session.rolled_back:
-        lines.append("  NOTE: mis-speculation rollback occurred "
-                     "(stop-the-world reload)")
     return "\n".join(lines)

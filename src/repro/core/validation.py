@@ -58,22 +58,22 @@ class TwinCache:
     """Per-process cache of instrumented twin kernels."""
 
     def __init__(self) -> None:
-        self._write_twins: dict[str, Program] = {}
-        self._rw_twins: dict[str, Program] = {}
+        #: ``(kernel name, check_reads)`` pairs already counted.
+        self._counted: set[tuple[str, bool]] = set()
         self.stats = ValidationStats()
 
     def twin_for(self, program: Program, check_reads: bool = False) -> Program:
-        """The instrumented twin of ``program`` (built once, then cached).
+        """The instrumented twin of ``program``.
 
-        ``instrument_program`` additionally memoizes the twin on the
-        program object itself, so repeated lookups across cache
-        instances still rebuild nothing.
+        The twin is ``instrument_program``'s memo on the program object
+        itself, so it is built once per binary and two kernels that
+        share a name never share a twin.  Instrumentation is counted
+        once per kernel name and twin kind.
         """
-        cache = self._rw_twins if check_reads else self._write_twins
-        twin = cache.get(program.name)
-        if twin is None:
-            twin = instrument_program(program, check_reads=check_reads)
-            cache[twin.name] = twin
+        twin = instrument_program(program, check_reads=check_reads)
+        key = (program.name, check_reads)
+        if key not in self._counted:
+            self._counted.add(key)
             self.stats.kernels_instrumented.add(program.name)
             obs.counter("validator/kernels-instrumented").inc()
         return twin

@@ -23,13 +23,12 @@ checkpoint-correctness claims are literal byte-equality claims.
 from repro.gpu.cost_model import GpuSpec, KernelCost
 from repro.gpu.device import Gpu
 from repro.gpu.instrument import instrument_program
-from repro.gpu.interpreter import AccessKind, AccessRecord, run_kernel
+from repro.gpu.interpreter import AccessKind, run_kernel
 from repro.gpu.isa import Instr, Op, Program
 from repro.gpu.memory import Buffer, DeviceMemory
 
 __all__ = [
     "AccessKind",
-    "AccessRecord",
     "Buffer",
     "DeviceMemory",
     "Gpu",

@@ -81,16 +81,6 @@ def kernel_duration(cost: KernelCost, spec: GpuSpec, instrumented: bool = False)
     return duration
 
 
-def pcie_transfer_time(nbytes: int, spec: GpuSpec) -> float:
-    """Host<->device copy time over PCIe at the measured bandwidth."""
-    return units.transfer_time(nbytes, spec.pcie_bw)
-
-
-def nvlink_transfer_time(nbytes: int, spec: GpuSpec) -> float:
-    """GPU<->GPU copy time within a machine."""
-    return units.transfer_time(nbytes, spec.nvlink_bw)
-
-
 def on_device_copy_time(nbytes: int, spec: GpuSpec) -> float:
     """Device-to-device copy (used by soft CoW); HBM read + write."""
     return units.transfer_time(2 * nbytes, spec.hbm_bw)
@@ -116,8 +106,6 @@ class ContextCostModel:
     memory_setup: float = 0.6
     #: Cost of handing out a pooled context over IPC instead (§6).
     pool_assignment: float = 10 * units.MSEC
-    #: Splitting a pre-created NCCL group communicator (ncclCommSplit).
-    nccl_split: float = 60 * units.MSEC
 
     def full_creation_time(
         self, n_modules: int, use_cublas: bool = True, nccl_gpus: int = 0

@@ -26,20 +26,16 @@ incident to PHOS by writing the address to a pre-allocated PHOS-managed
 CPU buffer" (§4.1).  Execution continues after a violation — stopping
 is PHOS's decision, not the kernel's.
 
-Access recording is range-compressed: instead of one
-:class:`AccessRecord` per LDG/STG, a :class:`KernelRun` keeps per-pc
-*strided runs* ``[start, stride, count]`` and serves
-:meth:`KernelRun.written_addrs` / :meth:`KernelRun.read_addrs` (and the
-corresponding :class:`~repro.gpu.ranges.RangeSet` views) from caches.
-Pass ``detailed=True`` to :func:`run_kernel` to additionally populate
-the classic per-access list — the escape hatch used by the speculation
-ground-truth tests.
+Nothing records the accesses a launch makes.  The one runtime observer
+of a kernel's memory accesses is the instrumented twin, as in PHOS
+(§4.1): a ``CHK`` before every ``LDG``/``STG``.  Tests that need every
+access run the twin against empty ranges and read the violations.
 
-Unless a launch passes ``detailed=True`` or ``force_interpret=True``,
-:func:`run_kernel` first offers it to the :mod:`repro.perf` compiled-plan
-cache, which executes affine kernels as vectorized bulk operations with
-byte-, violation- and range-identical results, falling back to this
-interpreter whenever equivalence cannot be proven.
+Unless a launch passes ``force_interpret=True``, :func:`run_kernel`
+first offers it to the :mod:`repro.perf` compiled-plan cache, which
+executes affine kernels as vectorized bulk operations with byte-, step-
+and violation-identical results, falling back to this interpreter
+whenever equivalence cannot be proven.
 """
 
 from __future__ import annotations
@@ -59,19 +55,6 @@ from repro.gpu.ranges import RangeSet
 MAX_STEPS = 100_000
 
 _MASK64 = (1 << 64) - 1
-
-#: Word size of every functional access (mirrors ``memory.WORD``).
-_WORD = 8
-
-
-@dataclass(frozen=True)
-class AccessRecord:
-    """One observed global access (ground truth for speculation tests)."""
-
-    addr: int
-    kind: AccessKind
-    tid: int
-    pc: int
 
 
 @dataclass(frozen=True)
@@ -122,84 +105,13 @@ class ValidationState:
                 or self.write_ranges.covers(lo, hi + 1))
 
 
-def _expand_log(log: dict[int, list[list[int]]]) -> set[int]:
-    """Expand per-pc strided runs into the set of distinct addresses."""
-    out: set[int] = set()
-    for runs in log.values():
-        for start, stride, count in runs:
-            if stride == 0 or count == 1:
-                out.add(start)
-            else:
-                out.update(range(start, start + stride * count, stride))
-    return out
-
-
-def _log_ranges(log: dict[int, list[list[int]]]) -> RangeSet:
-    """The byte ranges touched by the runs of ``log`` (word-sized accesses)."""
-    rs = RangeSet()
-    for runs in log.values():
-        for start, stride, count in runs:
-            if stride == 0 or count == 1:
-                rs.add(start, start + _WORD)
-            elif stride == _WORD:
-                rs.add(start, start + _WORD * count)
-            elif stride == -_WORD:
-                rs.add(start - _WORD * (count - 1), start + _WORD)
-            else:
-                for i in range(count):
-                    a = start + stride * i
-                    rs.add(a, a + _WORD)
-    return rs
-
-
 @dataclass
 class KernelRun:
-    """The outcome of interpreting a kernel launch.
-
-    ``accesses`` is only populated when the launch ran with
-    ``detailed=True``; bulk consumers should use the cached
-    :meth:`written_addrs` / :meth:`read_addrs` sets or the range views,
-    which are always available (served from the compressed per-pc logs).
-    """
+    """The outcome of interpreting a kernel launch."""
 
     program: Program
     n_threads: int
-    accesses: list[AccessRecord] = field(default_factory=list)
     steps: int = 0
-    detailed: bool = False
-    #: pc -> list of [start, stride, count] strided runs.
-    read_log: dict[int, list[list[int]]] = field(
-        default_factory=dict, repr=False)
-    write_log: dict[int, list[list[int]]] = field(
-        default_factory=dict, repr=False)
-    _written_cache: Optional[set[int]] = field(default=None, repr=False)
-    _read_cache: Optional[set[int]] = field(default=None, repr=False)
-    _write_ranges_cache: Optional[RangeSet] = field(default=None, repr=False)
-    _read_ranges_cache: Optional[RangeSet] = field(default=None, repr=False)
-
-    def written_addrs(self) -> set[int]:
-        """Distinct addresses stored to (cached after first call)."""
-        if self._written_cache is None:
-            self._written_cache = _expand_log(self.write_log)
-        return self._written_cache
-
-    def read_addrs(self) -> set[int]:
-        """Distinct addresses loaded from (cached after first call)."""
-        if self._read_cache is None:
-            self._read_cache = _expand_log(self.read_log)
-        return self._read_cache
-
-    def write_ranges(self) -> RangeSet:
-        """Byte ranges written, as a :class:`RangeSet` (cached)."""
-        if self._write_ranges_cache is None:
-            self._write_ranges_cache = _log_ranges(self.write_log)
-        return self._write_ranges_cache
-
-    def read_ranges(self) -> RangeSet:
-        """Byte ranges read, as a :class:`RangeSet` (cached)."""
-        if self._read_ranges_cache is None:
-            self._read_ranges_cache = _log_ranges(self.read_log)
-        return self._read_ranges_cache
 
 
 _plans_mod = None
@@ -219,9 +131,7 @@ def run_kernel(
     n_threads: int,
     memory,
     validation: Optional[ValidationState] = None,
-    record_accesses: bool = True,
     max_steps: int = MAX_STEPS,
-    detailed: bool = False,
     force_interpret: bool = False,
 ) -> KernelRun:
     """Interpret ``program`` for ``n_threads`` threads.
@@ -229,8 +139,6 @@ def run_kernel(
     ``memory`` is any object with ``load_word(addr)`` / ``store_word(addr,
     value)`` — normally a :class:`~repro.gpu.memory.DeviceMemory`.
     ``validation`` must be provided iff the program is instrumented.
-    ``detailed=True`` additionally records one :class:`AccessRecord` per
-    access in ``run.accesses`` (and disables the compiled fast path).
     ``force_interpret=True`` skips the fast path outright — used by the
     differential tests to obtain the ground-truth slow-path result.
     """
@@ -241,36 +149,18 @@ def run_kernel(
         )
     if n_threads <= 0:
         raise KernelFault(f"kernel {program.name!r}: n_threads must be positive")
-    if not detailed and not force_interpret:
+    if not force_interpret:
         run = _plans().try_fast_run(
-            program, args, n_threads, memory, validation,
-            record_accesses, max_steps,
+            program, args, n_threads, memory, validation, max_steps,
         )
         if run is not None:
             return run
-    run = KernelRun(program=program, n_threads=n_threads, detailed=detailed)
+    run = KernelRun(program=program, n_threads=n_threads)
     for tid in range(n_threads):
         _run_thread(
             program, args, tid, n_threads, memory, validation, run, max_steps,
-            record_accesses,
         )
     return run
-
-
-def _record(log: dict[int, list[list[int]]], pc: int, addr: int) -> None:
-    """Append ``addr`` to the per-pc strided-run log (coalescing)."""
-    runs = log.get(pc)
-    if runs is None:
-        log[pc] = [[addr, 0, 1]]
-        return
-    last = runs[-1]
-    if last[2] == 1:
-        last[1] = addr - last[0]
-        last[2] = 2
-    elif addr == last[0] + last[1] * last[2]:
-        last[2] += 1
-    else:
-        runs.append([addr, 0, 1])
 
 
 def _run_thread(
@@ -282,7 +172,6 @@ def _run_thread(
     validation: Optional[ValidationState],
     run: KernelRun,
     max_steps: int,
-    record: bool,
 ) -> None:
     regs = [0] * NUM_REGS
     pc = 0
@@ -293,9 +182,6 @@ def _run_thread(
     load_word = memory.load_word
     store_word = memory.store_word
     check = validation.check if validation is not None else None
-    detailed = run.detailed and record
-    read_log = run.read_log
-    write_log = run.write_log
     # Opcodes are tested in the order the Table 3 study's fallback
     # launches execute them (ARG 23 %, ADD 14 %, CHK 13 %, MULI 11 %, ...).
     while True:
@@ -321,13 +207,7 @@ def _run_thread(
         elif code == OP_MULI:
             regs[rd] = (regs[ra] * x) & _MASK64
         elif code == OP_LDG:
-            addr = regs[ra]
-            regs[rd] = load_word(addr)
-            if record:
-                _record(read_log, pc, addr)
-                if detailed:
-                    run.accesses.append(
-                        AccessRecord(addr, AccessKind.READ, tid, pc))
+            regs[rd] = load_word(regs[ra])
         elif code == OP_BGE:
             if regs[ra] >= regs[rb]:
                 pc = x
@@ -337,13 +217,7 @@ def _run_thread(
         elif code == OP_EXIT:
             break
         elif code == OP_STG:
-            addr = regs[ra]
-            store_word(addr, regs[rb])
-            if record:
-                _record(write_log, pc, addr)
-                if detailed:
-                    run.accesses.append(
-                        AccessRecord(addr, AccessKind.WRITE, tid, pc))
+            store_word(regs[ra], regs[rb])
         elif code == OP_SETI:
             regs[rd] = x
         elif code == OP_BNE:

@@ -172,42 +172,6 @@ def app_stall_components(observer: Observer, gpu_index: int) -> dict[str, float]
             "twin": twin}
 
 
-def stall_breakdown(observer: Observer, gpu_indices: list[int],
-                    measured_stall: Optional[float] = None,
-                    exp_id: str = "obs-stall",
-                    title: str = "app stall attribution",
-                    ) -> "ExperimentResult":
-    """Fig. 16-style breakdown of the measured training stall.
-
-    GPUs run in lockstep (the all-reduce barriers every step), so the
-    app-visible stall is the *slowest* GPU chain; that GPU's components
-    are reported, with the measured end-to-end stall and the residual
-    when the caller provides one.
-    """
-    from repro.experiments.harness import ExperimentResult
-
-    per_gpu = {i: app_stall_components(observer, i) for i in gpu_indices}
-    worst = max(per_gpu, key=lambda i: sum(per_gpu[i].values()))
-    components = per_gpu[worst]
-    attributed = sum(components.values())
-    result = ExperimentResult(
-        exp_id=exp_id, title=f"{title} (gpu{worst} chain)",
-        columns=["component", "seconds", "share_pct"],
-    )
-    for name, seconds in components.items():
-        result.add(component=name, seconds=seconds,
-                   share_pct=(100.0 * seconds / attributed)
-                   if attributed > 0 else 0.0)
-    result.add(component="attributed", seconds=attributed, share_pct=100.0)
-    if measured_stall is not None:
-        result.add(component="measured", seconds=measured_stall,
-                   share_pct=(100.0 * measured_stall / attributed)
-                   if attributed > 0 else 0.0)
-        result.notes = ("residual = measured - attributed = "
-                        f"{measured_stall - attributed:+.6f} s")
-    return result
-
-
 def counters_report(observer: Observer, exp_id: str = "obs-counters",
                     title: str = "counters") -> "ExperimentResult":
     from repro.experiments.harness import ExperimentResult

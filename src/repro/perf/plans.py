@@ -58,16 +58,16 @@ arguments and proves, before touching any byte:
   falls back, and the interpreter reports the identical violation list.
 
 Only then does the plan execute: evaluate store values (gathering load
-groups at most once), scatter, set dirty bits, and emit the same
-compressed per-pc strided access log the interpreter would have
-recorded.
+groups at most once), scatter, and set dirty bits.  Like the
+interpreter, a plan records no per-access log.
 
 Equivalence guarantees (enforced, not assumed):
 
-* bytes: store sets are conflict-free, so lockstep equals sequential;
+* bytes and dirty bits: store sets are conflict-free, so lockstep
+  equals sequential;
+* steps: every thread runs the traced path, so a launch counts
+  ``steps_per_thread * n_threads``;
 * violations: plans only run when provably violation-free;
-* recorded ranges: the strided-run logs expand to the same address sets
-  and :class:`~repro.gpu.ranges.RangeSet` views as the interpreter's;
 * faults: plans mutate nothing until every precondition is proven, so a
   fallback launch replays the interpreter's exact fault behaviour.
 
@@ -394,14 +394,13 @@ def _trace(program: Program, args, n_threads: int, max_steps: int) -> _Trace:
 # --------------------------------------------------------------------------
 
 class _Group:
-    __slots__ = ("kind", "pc", "c0", "coeffs", "ct", "dj", "k", "first_pos",
+    __slots__ = ("kind", "c0", "coeffs", "ct", "dj", "k", "first_pos",
                  "value", "jcol", "trow",
                  # per-bind scratch:
                  "mat", "buf", "idx", "lo", "hi", "val")
 
-    def __init__(self, kind: str, pc: int) -> None:
+    def __init__(self, kind: str) -> None:
         self.kind = kind
-        self.pc = pc
         self.value = None
         self.mat = self.buf = self.idx = self.val = None
         self.lo = self.hi = 0
@@ -470,7 +469,7 @@ def _compile(trace: _Trace, n_threads: int) -> _Plan:
         key = (s.pc, s.kind)
         g = by_key.get(key)
         if g is None:
-            g = _Group(s.kind, s.pc)
+            g = _Group(s.kind)
             g.first_pos = s.pos
             g.mat = []  # temporarily holds sites
             by_key[key] = g
@@ -615,12 +614,11 @@ def _eval_value(node, args, plan: _Plan, k: int):
 
 
 def _run_plan(plan: _Plan, program: Program, args, n_threads: int,
-              memory: DeviceMemory, validation, record_accesses: bool,
-              max_steps: int):
+              memory: DeviceMemory, validation, max_steps: int):
     """Bind the plan to a launch; returns a KernelRun or None (fall back)."""
     try:
         return _bind_and_run(plan, program, args, n_threads, memory,
-                             validation, record_accesses, max_steps)
+                             validation, max_steps)
     finally:
         # Drop per-launch scratch so a cached plan never pins buffers.
         for g in plan.load_groups:
@@ -630,8 +628,7 @@ def _run_plan(plan: _Plan, program: Program, args, n_threads: int,
 
 
 def _bind_and_run(plan: _Plan, program: Program, args, n_threads: int,
-                  memory: DeviceMemory, validation, record_accesses: bool,
-                  max_steps: int):
+                  memory: DeviceMemory, validation, max_steps: int):
     from repro.gpu import interpreter as interp
 
     if plan.steps_per_thread > max_steps:
@@ -691,17 +688,8 @@ def _bind_and_run(plan: _Plan, program: Program, args, n_threads: int,
         g.buf.words[g.idx] = v
         g.buf.hw_dirty = True
 
-    run = interp.KernelRun(program=program, n_threads=n_threads)
-    run.steps = plan.steps_per_thread * n_threads
-    if record_accesses:
-        for groups, log in ((loads, run.read_log), (stores, run.write_log)):
-            for g in groups:
-                runs = log.setdefault(g.pc, [])
-                stride = (int(g.mat[1, 0]) - int(g.mat[0, 0])) \
-                    if g.k > 1 else 0
-                for a in g.mat[0].tolist():
-                    runs.append([a, stride, g.k])
-    return run
+    return interp.KernelRun(program=program, n_threads=n_threads,
+                            steps=plan.steps_per_thread * n_threads)
 
 
 # --------------------------------------------------------------------------
@@ -722,7 +710,7 @@ def reset_plan_cache_stats() -> None:
 
 
 def try_fast_run(program: Program, args, n_threads: int, memory,
-                 validation, record_accesses: bool, max_steps: int):
+                 validation, max_steps: int):
     """Serve a launch from the plan cache; None → caller interprets."""
     if not isinstance(memory, DeviceMemory):
         return None
@@ -787,7 +775,7 @@ def try_fast_run(program: Program, args, n_threads: int, memory,
         entry["plans"][tuple(int(args[i]) for i in entry["sig"])] = plan
 
     run = _run_plan(plan, program, args, n_threads, memory, validation,
-                    record_accesses, max_steps)
+                    max_steps)
     if run is None:
         _note_fallback("bind")
         return None

@@ -23,10 +23,12 @@ Two format versions share that container:
 The format is self-contained (no pickle), versioned, and validated on
 load — truncation, bit-rot, out-of-range blob references,
 metadata/blob size mismatches, and metadata that is ill-formed under a
-valid CRC (a missing field, a reference that is not a pair of
-integers, a digest that is not ``DIGEST_SIZE`` hex bytes, a chunk
-stored twice) are detected (:class:`TornImageError`), not silently
-restored and not leaked as ``KeyError``/``ValueError``/``TypeError``.
+valid CRC (a metadata block that is not a JSON object or runs past the
+body, a missing field or one of the wrong type, a reference that is not
+a pair of integers, a digest that is not ``DIGEST_SIZE`` hex bytes, a
+chunk stored twice) are detected (:class:`TornImageError`), not
+silently restored and not leaked as ``KeyError``/``ValueError``/
+``TypeError``/``AttributeError``.
 """
 
 from __future__ import annotations
@@ -238,7 +240,15 @@ def load_image(path: Union[str, Path]) -> CheckpointImage:
             f"(this build reads {supported})"
         )
     meta_start = _HEADER.size
-    metadata = json.loads(raw[meta_start : meta_start + meta_len])
+    if meta_start + meta_len > len(body):
+        raise TornImageError(
+            f"{path}: metadata length {meta_len} runs past the image body")
+    try:
+        metadata = json.loads(raw[meta_start : meta_start + meta_len])
+    except ValueError as exc:   # JSONDecodeError, UnicodeDecodeError
+        raise TornImageError(f"{path}: metadata is not JSON ({exc})") from None
+    if type(metadata) is not dict:
+        raise TornImageError(f"{path}: metadata is not a JSON object")
     blobs = body[meta_start + meta_len :]
 
     def take(ref) -> bytes:
@@ -255,6 +265,12 @@ def load_image(path: Union[str, Path]) -> CheckpointImage:
     except KeyError as missing:
         raise TornImageError(
             f"{path}: metadata lacks the field {missing}"
+        ) from None
+    except (AttributeError, TypeError, ValueError) as exc:
+        # A field of the wrong JSON type: a list where a table belongs,
+        # a string where a number does, a key that is not an integer.
+        raise TornImageError(
+            f"{path}: ill-formed metadata ({type(exc).__name__}: {exc})"
         ) from None
 
 

@@ -6,7 +6,8 @@ checkpoints while a seeded failure injector kills the process at
 exponentially-distributed times (i.i.d., as the model assumes).  Each
 failure triggers the paper's recovery — stop, restore the latest image,
 recompute from its iteration.  Comparing the measured waste against the
-model's prediction closes the loop on Fig. 12.
+model's prediction (:func:`repro.core.frequency.wasted_gpu_hours` for
+the same parameters) closes the loop on Fig. 12.
 
 Failures are detected at iteration boundaries (a sub-iteration failure
 wastes that iteration anyway, which is exactly the ``1/(2f)``-style
@@ -20,7 +21,6 @@ from dataclasses import dataclass
 
 from repro import units
 from repro.core.daemon import Phos
-from repro.core.frequency import wasted_gpu_hours
 from repro.core.protocols import ProtocolConfig
 from repro.errors import CheckpointError
 from repro.sim.engine import Engine
@@ -57,18 +57,6 @@ class FtRunResult:
         if self.wall_seconds == 0:
             return 0.0
         return max(0.0, self.wall_seconds - self.useful_seconds) / self.wall_seconds
-
-    def predicted_wasted_fraction(self, n_gpus: int, failures_per_hour: float,
-                                  frequency_per_hour: float,
-                                  overhead_hours: float,
-                                  restore_hours: float) -> float:
-        """The §A.1 model's prediction for the same parameters."""
-        hours = self.wall_seconds / units.HOUR
-        waste = wasted_gpu_hours(
-            n_gpus, failures_per_hour, hours, overhead_hours, restore_hours,
-            frequency_per_hour,
-        )
-        return waste / (n_gpus * hours)
 
 
 class FaultToleranceController:

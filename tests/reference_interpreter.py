@@ -6,9 +6,14 @@ opcodes, branch targets resolved at decode time); this copy stays here,
 outside ``src/``, reading :class:`Instr` fields and label strings
 directly, so the differential suites (``test_property_interpreter.py``,
 ``test_perf_fastpath.py``) can demand that both produce the same bytes,
-logs, steps, violations and faults.  It is the old loop verbatim with
-one change: ``SETI`` wraps its immediate to 64 bits, the bug the same PR
-fixed.  Do not optimise it.
+dirty bits, steps, violations and faults.  It is the old loop verbatim
+with two changes: ``SETI`` wraps its immediate to 64 bits, the bug the
+same PR fixed, and the per-access recording is gone, because nothing
+under ``src/`` records accesses any more.  Do not optimise it.
+
+:func:`observed_accesses` is the ground truth the speculation and
+interpreter tests read: every global access of a launch, observed the
+way PHOS observes one, through the instrumented twin.
 """
 
 from __future__ import annotations
@@ -16,14 +21,15 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.errors import IsaError, KernelFault
+from repro.gpu.instrument import instrument_program
 from repro.gpu.interpreter import (
     AccessKind,
-    AccessRecord,
     KernelRun,
     ValidationState,
-    _record,
+    Violation,
 )
 from repro.gpu.isa import CHK_WRITE, NUM_REGS, Op, Program
+from repro.gpu.ranges import RangeSet
 
 _MASK64 = (1 << 64) - 1
 
@@ -34,9 +40,7 @@ def run_kernel_reference(
     n_threads: int,
     memory,
     validation: Optional[ValidationState] = None,
-    record_accesses: bool = True,
     max_steps: int = 100_000,
-    detailed: bool = False,
 ) -> KernelRun:
     """``run_kernel(..., force_interpret=True)`` on the reference loop."""
     if program.instrumented and validation is None:
@@ -46,13 +50,28 @@ def run_kernel_reference(
         )
     if n_threads <= 0:
         raise KernelFault(f"kernel {program.name!r}: n_threads must be positive")
-    run = KernelRun(program=program, n_threads=n_threads, detailed=detailed)
+    run = KernelRun(program=program, n_threads=n_threads)
     for tid in range(n_threads):
         run_thread_reference(
             program, args, tid, n_threads, memory, validation, run, max_steps,
-            record_accesses,
         )
     return run
+
+
+def observed_accesses(program: Program, args: list[int], n_threads: int,
+                      memory) -> list[Violation]:
+    """Every global access of a launch, in execution order.
+
+    Runs the read-checking twin of ``program`` on the reference loop
+    against empty speculated ranges, so each ``LDG``/``STG`` comes back
+    as a :class:`Violation` with its address, kind and thread id.  The
+    launch mutates ``memory`` exactly as ``program`` would.
+    """
+    validation = ValidationState(read_ranges=RangeSet(),
+                                 write_ranges=RangeSet())
+    run_kernel_reference(instrument_program(program, check_reads=True), args,
+                         n_threads, memory, validation)
+    return validation.violations
 
 
 def run_thread_reference(
@@ -64,16 +83,12 @@ def run_thread_reference(
     validation: Optional[ValidationState],
     run: KernelRun,
     max_steps: int,
-    record: bool,
 ) -> None:
     regs = [0] * NUM_REGS
     pc = 0
     steps = 0
     instrs = program.instrs
     labels = program.labels
-    detailed = run.detailed and record
-    read_log = run.read_log
-    write_log = run.write_log
     while True:
         if steps >= max_steps:
             raise KernelFault(
@@ -117,19 +132,9 @@ def run_thread_reference(
         elif op is Op.LDG:
             addr = regs[ins.ra]
             regs[ins.rd] = memory.load_word(addr)
-            if record:
-                _record(read_log, pc, addr)
-                if detailed:
-                    run.accesses.append(
-                        AccessRecord(addr, AccessKind.READ, tid, pc))
         elif op is Op.STG:
             addr = regs[ins.ra]
             memory.store_word(addr, regs[ins.rb])
-            if record:
-                _record(write_log, pc, addr)
-                if detailed:
-                    run.accesses.append(
-                        AccessRecord(addr, AccessKind.WRITE, tid, pc))
         elif op is Op.GLOB:
             regs[ins.rd] = program.globals_[ins.sym]
         elif op is Op.CHK:

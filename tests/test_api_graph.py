@@ -74,7 +74,7 @@ def test_explicit_graph_construction(eng, process):
     def app(rt):
         buf = yield from rt.malloc(0, 512)
         graph = CudaGraph("explicit")
-        graph.add_memcpy_node(buf, payload=5)
+        graph.add_kernel_node(build_fill(), [buf.addr, 4, 5], 4)
         graph.add_kernel_node(build_fill(), [buf.addr, 2, 8], 2,
                               cost=KernelCost(flops=1e9))
         graph.instantiate()

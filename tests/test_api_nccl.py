@@ -1,10 +1,9 @@
-"""Unit tests for NCCL-equivalent collectives and cuBLAS wrappers."""
+"""Unit tests for NCCL-equivalent collectives and library calls."""
 
 import pytest
 
-from repro.api import cublas
 from repro.api.calls import ApiCategory, LaunchPlan
-from repro.api.nccl import NcclCommunicator, nccl_allreduce, nccl_broadcast
+from repro.api.nccl import NcclCommunicator, nccl_allreduce
 from repro.errors import InvalidValueError
 from repro.units import GIB, MIB
 
@@ -32,18 +31,6 @@ def test_allreduce_sums_across_gpus(eng, dual_process):
     b0, b1 = eng.run_process(app(dual_process.runtime))
     assert b0.load_word(b0.addr) == 42
     assert b1.load_word(b1.addr) == 42
-
-
-def test_broadcast_copies_root_content(eng, dual_process):
-    comm = make_comm(eng)
-
-    def app(rt):
-        b0, b1 = yield from alloc_pair(rt, 7, 0)
-        yield from nccl_broadcast(rt, comm, 0, {0: b0, 1: b1}, sync=True)
-        return b0, b1
-
-    b0, b1 = eng.run_process(app(dual_process.runtime))
-    assert b1.snapshot() == b0.snapshot()
 
 
 def test_allreduce_time_formula(eng):
@@ -77,26 +64,6 @@ def test_mismatched_buffers_rejected(eng, dual_process):
 
     with pytest.raises(InvalidValueError):
         eng.run_process(app(dual_process.runtime))
-
-
-def test_bad_root_rejected(eng, dual_process):
-    comm = make_comm(eng)
-
-    def app(rt):
-        b0 = yield from rt.malloc(0, 1 * MIB)
-        b1 = yield from rt.malloc(1, 1 * MIB)
-        yield from nccl_broadcast(rt, comm, 5, {0: b0, 1: b1}, sync=True)
-
-    with pytest.raises(InvalidValueError):
-        eng.run_process(app(dual_process.runtime))
-
-
-def test_split_produces_sub_communicator(eng):
-    comm = NcclCommunicator(eng, [0, 1, 2, 3])
-    sub = comm.split([0, 1])
-    assert sub.size == 2
-    with pytest.raises(InvalidValueError):
-        comm.split([0, 9])
 
 
 def test_collective_calls_are_comm_category(eng, dual_process):
@@ -148,7 +115,8 @@ def test_cublas_sgemm_declared_sets(eng, process):
         a = yield from rt.malloc(0, 1 * MIB)
         b = yield from rt.malloc(0, 1 * MIB)
         c = yield from rt.malloc(0, 1 * MIB)
-        yield from cublas.sgemm(rt, 0, a, b, c, 128, 128, 128, sync=True)
+        yield from rt.lib_compute(0, "cublasSgemm", reads=[a, b], writes=[c],
+                                  sync=True)
         return c
 
     c = eng.run_process(app(process.runtime))
@@ -157,30 +125,3 @@ def test_cublas_sgemm_declared_sets(eng, process):
     assert [w.id for w in gemm.writes] == [c.id]
     assert len(gemm.reads) == 2
     assert c.snapshot() != bytes(c.data_size)
-
-
-def test_cublas_sgemm_accumulate_reads_c(eng, process):
-    seen = []
-
-    class Rec:
-        def plan(self, call):
-            seen.append(call)
-            return LaunchPlan()
-
-        def on_malloc(self, g, b):
-            pass
-
-        def on_free(self, g, b):
-            pass
-
-    process.runtime.interceptor = Rec()
-
-    def app(rt):
-        a = yield from rt.malloc(0, 1 * MIB)
-        b = yield from rt.malloc(0, 1 * MIB)
-        c = yield from rt.malloc(0, 1 * MIB)
-        yield from cublas.sgemm(rt, 0, a, b, c, 8, 8, 8, accumulate=True, sync=True)
-
-    eng.run_process(app(process.runtime))
-    gemm = [x for x in seen if x.name == "cublasSgemm"][0]
-    assert len(gemm.reads) == 3

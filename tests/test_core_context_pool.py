@@ -117,29 +117,3 @@ def test_unknown_gpu_rejected(eng, machine):
 
     with pytest.raises(ContextPoolError):
         eng.run_process(driver(eng))
-
-
-def test_communicator_split_from_group(eng, machine):
-    pool = boot_pool(eng, machine)
-
-    def driver(eng):
-        t0 = eng.now
-        comm = yield from pool.acquire_communicator([0, 1])
-        return comm, eng.now - t0
-
-    comm, elapsed = eng.run_process(driver(eng))
-    assert comm.gpu_indices == [0, 1]
-    # ncclCommSplit is much cheaper than a full init.
-    assert elapsed == pytest.approx(DEFAULT_CONTEXT_COSTS.nccl_split)
-
-
-def test_communicator_outside_group_pays_full_init(eng, machine):
-    pool = boot_pool(eng, machine)
-
-    def driver(eng):
-        t0 = eng.now
-        comm = yield from pool.acquire_communicator([0, 1, 2, 3])
-        return comm, eng.now - t0
-
-    comm, elapsed = eng.run_process(driver(eng))
-    assert elapsed == pytest.approx(4 * DEFAULT_CONTEXT_COSTS.nccl_init_per_gpu)

@@ -8,7 +8,7 @@ from repro import obs
 from repro.api.runtime import GpuProcess
 from repro.cluster import Machine
 from repro.core.daemon import Phos
-from repro.core.report import checkpoint_report, restore_report
+from repro.core.report import checkpoint_report
 from repro.gpu.context import GpuContext
 from repro.obs import SpanTracer
 from repro.obs.export import chrome_trace
@@ -69,26 +69,6 @@ def test_report_shows_abort(eng, world):
     session.aborted = True
     session.abort_reason = "test-abort"
     assert "ABORTED: test-abort" in checkpoint_report(image, session)
-
-
-def test_restore_report(eng, world):
-    machine, phos, process = world
-    image, _ = run_checkpoint(eng, phos, process)
-    machine2 = Machine(eng, name="m2", n_gpus=1)
-    phos2 = Phos(eng, machine2, use_context_pool=False)
-
-    def driver(eng):
-        result = yield from phos2.restore(image, gpu_indices=[0],
-                                          machine=machine2)
-        yield result[2].done
-        return result[2]
-
-    session = eng.run_process(driver(eng))
-    eng.run()
-    text = restore_report(session, resume_time=0.01, total_time=0.5)
-    assert "runnable" in text
-    assert "on-demand fetches" in text
-    assert "rollback" not in text
 
 
 def test_chrome_trace_export(eng):

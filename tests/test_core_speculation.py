@@ -7,7 +7,7 @@ from repro.core.signatures import SignatureCache
 from repro.core.speculation import speculate_call
 from repro.core.tracker import BufferTable
 from repro.errors import CheckpointError
-from repro.gpu.interpreter import AccessKind, run_kernel
+from repro.gpu.interpreter import AccessKind
 from repro.gpu.memory import DeviceMemory
 from repro.gpu.program import (
     build_copy,
@@ -19,6 +19,7 @@ from repro.gpu.program import (
     build_struct_kernel,
 )
 from repro.units import MIB
+from tests.reference_interpreter import observed_accesses
 
 
 @pytest.fixture
@@ -202,11 +203,11 @@ def test_speculated_writes_cover_actual_writes(mem, table, sigs, builder, arg_na
             args.append(bufs[name].addr)
     prog = builder()
     sets = speculate_call(opaque(prog, args), table, sigs)
-    run = run_kernel(prog, args, n_threads=4, memory=mem, detailed=True)
     write_ranges = sets.write_ranges()
-    for addr in run.written_addrs():
-        assert addr in write_ranges, f"{prog.name}: write at {addr:#x} not speculated"
     read_ranges = sets.read_ranges()
-    for rec in run.accesses:
-        if rec.kind is AccessKind.READ:
+    for rec in observed_accesses(prog, args, 4, mem):
+        if rec.kind is AccessKind.WRITE:
+            assert rec.addr in write_ranges, \
+                f"{prog.name}: write at {rec.addr:#x} not speculated"
+        else:
             assert rec.addr in read_ranges or rec.addr in write_ranges

@@ -12,9 +12,7 @@ from repro.gpu.cost_model import (
     GpuSpec,
     KernelCost,
     kernel_duration,
-    nvlink_transfer_time,
     on_device_copy_time,
-    pcie_transfer_time,
 )
 from repro.sim import Engine
 
@@ -92,8 +90,6 @@ def test_kernel_cost_validation():
 
 def test_transfer_helpers():
     spec = GpuSpec()
-    assert pcie_transfer_time(spec.pcie_bw, spec) == pytest.approx(1.0)
-    assert nvlink_transfer_time(spec.nvlink_bw, spec) == pytest.approx(1.0)
     # On-device copy reads and writes HBM.
     assert on_device_copy_time(spec.hbm_bw, spec) == pytest.approx(2.0)
 

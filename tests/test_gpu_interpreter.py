@@ -20,6 +20,7 @@ from repro.gpu.program import (
     build_scatter,
 )
 from repro.units import MIB
+from tests.reference_interpreter import observed_accesses
 
 
 @pytest.fixture
@@ -70,12 +71,17 @@ def test_guard_skips_excess_threads(mem):
     assert words(y, 8) == [9, 9, 9, 9, 0, 0, 0, 0]
 
 
+def addrs(accesses, kind):
+    return {a.addr for a in accesses if a.kind is kind}
+
+
 def test_inplace_add_reads_and_writes(mem):
     y = mem.alloc(512)
     set_words(y, [5, 6])
-    run = run_kernel(build_inplace_add(), [y.addr, 2], n_threads=2, memory=mem)
+    run_kernel(build_inplace_add(), [y.addr, 2], n_threads=2, memory=mem)
     assert words(y, 2) == [6, 7]
-    assert run.read_addrs() == run.written_addrs()
+    seen = observed_accesses(build_inplace_add(), [y.addr, 2], 2, mem)
+    assert addrs(seen, AccessKind.READ) == addrs(seen, AccessKind.WRITE)
 
 
 def test_reduce_sum_loops(mem):
@@ -89,9 +95,10 @@ def test_gather_indirect_reads_stay_in_buffer(mem):
     x, idx, y = (mem.alloc(512) for _ in range(3))
     set_words(x, [100, 200, 300, 400])
     set_words(idx, [3, 2, 1, 0])
-    run = run_kernel(build_gather(), [x.addr, idx.addr, y.addr, 4], n_threads=4, memory=mem)
+    run_kernel(build_gather(), [x.addr, idx.addr, y.addr, 4], n_threads=4, memory=mem)
     assert words(y, 4) == [400, 300, 200, 100]
-    for addr in run.read_addrs():
+    seen = observed_accesses(build_gather(), [x.addr, idx.addr, y.addr, 4], 4, mem)
+    for addr in addrs(seen, AccessKind.READ):
         assert x.contains(addr) or idx.contains(addr)
 
 
@@ -99,53 +106,47 @@ def test_scatter_indirect_writes_stay_in_buffer(mem):
     x, idx, y = (mem.alloc(512) for _ in range(3))
     set_words(x, [1, 2, 3, 4])
     set_words(idx, [2, 3, 0, 1])
-    run = run_kernel(build_scatter(), [x.addr, idx.addr, y.addr, 4], n_threads=4, memory=mem)
+    run_kernel(build_scatter(), [x.addr, idx.addr, y.addr, 4], n_threads=4, memory=mem)
     assert words(y, 4) == [3, 4, 1, 2]
-    assert all(y.contains(a) for a in run.written_addrs())
+    seen = observed_accesses(build_scatter(), [x.addr, idx.addr, y.addr, 4], 4, mem)
+    assert all(y.contains(a) for a in addrs(seen, AccessKind.WRITE))
 
 
 def test_partial_fill_writes_only_first_half(mem):
     y = mem.alloc(512)
-    run = run_kernel(build_partial_fill(), [y.addr, 8, 5], n_threads=8, memory=mem)
+    run_kernel(build_partial_fill(), [y.addr, 8, 5], n_threads=8, memory=mem)
     assert words(y, 8) == [5, 5, 5, 5, 0, 0, 0, 0]
-    assert len(run.written_addrs()) == 4
+    seen = observed_accesses(build_partial_fill(), [y.addr, 8, 5], 8, mem)
+    assert len(addrs(seen, AccessKind.WRITE)) == 4
 
 
 def test_global_reader_reads_hidden_buffer(mem):
     hidden, y = mem.alloc(512), mem.alloc(512)
     set_words(hidden, [11, 22])
     prog = build_global_reader("gr", "table", hidden.addr)
-    run = run_kernel(prog, [y.addr, 2], n_threads=2, memory=mem)
+    run_kernel(prog, [y.addr, 2], n_threads=2, memory=mem)
     assert words(y, 2) == [11, 22]
-    assert any(hidden.contains(a) for a in run.read_addrs())
+    seen = observed_accesses(prog, [y.addr, 2], 2, mem)
+    assert any(hidden.contains(a) for a in addrs(seen, AccessKind.READ))
 
 
 def test_global_writer_writes_hidden_buffer(mem):
     x, hidden = mem.alloc(512), mem.alloc(512)
     set_words(x, [7, 8])
     prog = build_global_writer("gw", "out", hidden.addr)
-    run = run_kernel(prog, [x.addr, 2], n_threads=2, memory=mem)
+    run_kernel(prog, [x.addr, 2], n_threads=2, memory=mem)
     assert words(hidden, 2) == [7, 8]
-    assert all(hidden.contains(a) for a in run.written_addrs())
+    seen = observed_accesses(prog, [x.addr, 2], 2, mem)
+    assert all(hidden.contains(a) for a in addrs(seen, AccessKind.WRITE))
 
 
 def test_access_records_have_kinds_and_tids(mem):
     x, y = mem.alloc(512), mem.alloc(512)
-    run = run_kernel(build_copy(), [x.addr, y.addr, 2], n_threads=2, memory=mem,
-                     detailed=True)
-    kinds = {a.kind for a in run.accesses}
-    assert kinds == {AccessKind.READ, AccessKind.WRITE}
-    assert {a.tid for a in run.accesses} == {0, 1}
-
-
-def test_record_accesses_can_be_disabled(mem):
-    x, y = mem.alloc(512), mem.alloc(512)
-    run = run_kernel(
-        build_copy(), [x.addr, y.addr, 2], n_threads=2, memory=mem,
-        record_accesses=False,
-    )
-    assert run.accesses == []
-    assert words(y, 2) == words(x, 2)
+    seen = observed_accesses(build_copy(), [x.addr, y.addr, 2], 2, mem)
+    assert [(a.kind, a.tid) for a in seen] == [
+        (AccessKind.READ, 0), (AccessKind.WRITE, 0),
+        (AccessKind.READ, 1), (AccessKind.WRITE, 1)]
+    assert [a.addr for a in seen] == [x.addr, y.addr, x.addr + 8, y.addr + 8]
 
 
 def test_runaway_loop_faults(mem):

@@ -69,18 +69,6 @@ def test_stall_components_sum_to_measured_stall(cow_run):
     assert components["guard"] > 0
 
 
-def test_stall_breakdown_report(cow_run):
-    world, _, stall = cow_run
-    report = export.stall_breakdown(world.observer, [0],
-                                    measured_stall=stall)
-    rows = {row["component"]: row for row in report.rows}
-    assert set(rows) >= {"gate", "guard", "dma-wait", "twin",
-                         "attributed", "measured"}
-    assert rows["attributed"]["seconds"] == pytest.approx(stall, rel=0.01)
-    assert "residual" in report.notes
-    assert "gpu0" in report.title
-
-
 def test_span_tree_has_checkpoint_phases(cow_run):
     world, _, _ = cow_run
     spans = world.observer.spans

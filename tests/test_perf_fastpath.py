@@ -1,8 +1,8 @@
 """Differential tests for the ``repro.perf`` fast path.
 
 The fast path's contract is *observational equivalence*: a launch served
-by a compiled plan must be indistinguishable — bytes, steps, recorded
-access ranges, violations — from the same launch interpreted
+by a compiled plan must be indistinguishable — bytes, dirty bits, steps,
+violations, faults — from the same launch interpreted
 instruction-by-instruction.  These tests enforce the contract
 differentially: every scenario runs on both paths and the results are
 compared field by field.
@@ -14,6 +14,7 @@ import pytest
 
 from repro.gpu.instrument import instrument_program
 from repro.gpu.interpreter import ValidationState, run_kernel
+from repro.gpu.isa import ProgramBuilder
 from repro.gpu.memory import DeviceMemory
 from repro.gpu.program import (
     build_axpy_into,
@@ -56,6 +57,27 @@ APP_SHAPES = [(kind, n)
               for kind in ("scale", "inplace", "axpy", "copy", "fill",
                            "scatter")
               for n in (8, 16)]
+
+#: Lanes whose stores collide: only the distinct-store proof in ``bind``
+#: keeps the plan from scattering them in the wrong order.
+OVERLAP_SHAPES = [("overlap", n) for n in (2, 3, 8, 16)]
+
+
+def build_overlapping_stores(name: str = "overlap_store"):
+    """A counted loop: thread ``tid`` stores ``y[tid + j] = 1000*tid + j``
+    for ``j < k``, so lanes ``tid`` and ``tid + 1`` write the same words
+    and sequential order decides which value stays."""
+    b = ProgramBuilder(name, f"__global__ void {name}(long* y, long n, long k)")
+    b.arg(0, 0).arg(1, 1).arg(2, 2).tid(3)
+    b.bge(3, 1, "end")
+    b.seti(4, 0)
+    b.label("loop").bge(4, 2, "end")
+    b.add(5, 3, 4).muli(5, 5, 8).add(5, 0, 5)
+    b.muli(6, 3, 1000).add(6, 6, 4)
+    b.stg(5, 6)
+    b.addi(4, 4, 1).jmp("loop")
+    b.label("end").exit()
+    return b.build()
 
 
 def _scenario(rng, kind=None, n=None):
@@ -101,6 +123,10 @@ def _scenario(rng, kind=None, n=None):
     if kind == "scatter":
         return (build_scatter(),
                 (lambda b: [b[0].addr, b[1].addr, b[2].addr, n]), n_threads)
+    if kind == "overlap":
+        k = rng.randrange(2, 5)
+        return (build_overlapping_stores(),
+                (lambda b: [b[2].addr, n, k]), n_threads)
     v = rng.randrange(0, 99)
     if kind == "partial":
         return (build_partial_fill(),
@@ -137,10 +163,6 @@ def _run_one(program, make_args, n_threads, seed, force, validation_ranges):
     return {
         "words": words,
         "steps": run.steps,
-        "written": run.written_addrs(),
-        "read": run.read_addrs(),
-        "write_ranges": list(run.write_ranges()),
-        "read_ranges": list(run.read_ranges()),
         "violations": [] if validation is None else [
             (v.kernel, v.addr, v.kind, v.tid) for v in validation.violations
         ],
@@ -154,7 +176,7 @@ def test_differential_fuzz_interpreter_vs_plan(validation_ranges):
     Both tiers read ``Program.decoded``, so the enum-dispatch oracle in
     ``tests/reference_interpreter.py`` (which does not) is the third side.
     """
-    for seed, pin in enumerate([()] * 60 + APP_SHAPES):
+    for seed, pin in enumerate([()] * 60 + APP_SHAPES + OVERLAP_SHAPES):
         rng = random.Random(10_000 + seed)
         program, make_args, n_threads = _scenario(rng, *pin)
         slow, fast, oracle = (
@@ -173,12 +195,8 @@ def _launch_outcome(launch, runner, **kw):
     out = {"fault": None}
     try:
         run = runner(launch.program, launch.args, launch.n_threads, mem,
-                     validation=validation, record_accesses=launch.record,
-                     max_steps=launch.max_steps, **kw)
-        out.update(steps=run.steps, written=run.written_addrs(),
-                   read=run.read_addrs(),
-                   write_ranges=list(run.write_ranges()),
-                   read_ranges=list(run.read_ranges()))
+                     validation=validation, max_steps=launch.max_steps, **kw)
+        out["steps"] = run.steps
     except Exception as exc:  # the fault is part of the observable result
         out["fault"] = (type(exc), str(exc))
     out["bytes"] = [b.snapshot() for b in bufs]

@@ -8,6 +8,7 @@ from repro.gpu.ranges import RangeSet
 from repro.sim import Engine
 from repro.sim.fluid import FluidLink
 from repro.units import MIB
+from tests.reference_interpreter import observed_accesses
 
 
 # --- RangeSet vs a naive model ----------------------------------------------------
@@ -152,7 +153,7 @@ def test_speculation_covers_actual_writes_for_arg_addressed_kernels(
     from repro.core.signatures import SignatureCache
     from repro.core.speculation import speculate_call
     from repro.core.tracker import BufferTable
-    from repro.gpu.interpreter import AccessKind, run_kernel
+    from repro.gpu.interpreter import AccessKind
     from repro.gpu.program import build_copy, build_fill, build_inplace_add
 
     mem = DeviceMemory(capacity=16 * MIB, default_data_size=512)
@@ -174,8 +175,7 @@ def test_speculation_covers_actual_writes_for_arg_addressed_kernels(
     call = ApiCall(ApiCategory.OPAQUE_KERNEL, prog.name, 0,
                    program=prog, args=args, n_threads=n_threads)
     sets = speculate_call(call, table, SignatureCache())
-    run = run_kernel(prog, args, n_threads, mem, detailed=True)
     write_ranges = sets.write_ranges()
-    for rec in run.accesses:
+    for rec in observed_accesses(prog, args, n_threads, mem):
         if rec.kind is AccessKind.WRITE:
             assert rec.addr in write_ranges

@@ -9,13 +9,14 @@ and backward branches, counted loops, raw and pass-inserted ``CHK``,
 arguments that point into buffers, past them and nowhere, bad ``ARG``
 indices, zero divisors, step budgets tight enough to trip mid-program —
 runs each on both loops against identically seeded memory, and demands
-the same *everything*: buffer bytes, dirty bits, per-pc access logs,
-detailed access records, step count, violation list, and on a fault the
-same exception type and message with the same partial side effects.
+the same *everything*: buffer bytes, dirty bits, step count, violation
+list, and on a fault the same exception type and message with the same
+partial side effects.  Neither loop records accesses; the instrumented
+twins (raw and pass-inserted ``CHK``) are what observe them.
 
-Mutation-checked when written: swapping ``BLT``/``BGE`` in the decoded
-loop, dropping its budget check, and resolving labels off by one in
-``Program.decoded`` each fail this file.
+Mutation-checked: swapping ``BLT``/``BGE`` in the decoded loop, dropping
+its budget check, and resolving labels off by one in
+``Program.decoded`` each fail this file, with the access logs gone too.
 """
 
 from __future__ import annotations
@@ -56,8 +57,6 @@ class Launch:
     max_steps: int
     words: list          # initial contents, N_BUFS x N_WORDS
     ranges: Optional[tuple]  # (read, write) range lists, or None
-    record: bool
-    detailed: bool
 
 
 def fresh_memory(words):
@@ -175,8 +174,7 @@ def random_launch(rng) -> Launch:
         max_steps=rng.choice([1, 5, 12, 40, 40, 200, 200, 1000]),
         words=[[rng.choice([0, 1, 5, 2**64 - 1, rng.randrange(2**40)])
                 for _ in range(N_WORDS)] for _ in range(N_BUFS)],
-        ranges=ranges, record=rng.random() < 0.7,
-        detailed=rng.random() < 0.5,
+        ranges=ranges,
     )
 
 
@@ -193,13 +191,12 @@ def fresh_state(launch: Launch):
 def observe(thread_fn, launch: Launch) -> dict:
     """Run every thread through ``thread_fn``; everything observable."""
     mem, bufs, validation = fresh_state(launch)
-    run = KernelRun(program=launch.program, n_threads=launch.n_threads,
-                    detailed=launch.detailed)
+    run = KernelRun(program=launch.program, n_threads=launch.n_threads)
     fault = None
     try:
         for tid in range(launch.n_threads):
             thread_fn(launch.program, launch.args, tid, launch.n_threads, mem,
-                      validation, run, launch.max_steps, launch.record)
+                      validation, run, launch.max_steps)
     except Exception as exc:  # the fault is part of the observable result
         fault = (type(exc), str(exc))
     return {
@@ -207,9 +204,6 @@ def observe(thread_fn, launch: Launch) -> dict:
         "bytes": [b.snapshot() for b in bufs],
         "dirty": [b.hw_dirty for b in bufs],
         "steps": run.steps,
-        "read_log": run.read_log,
-        "write_log": run.write_log,
-        "accesses": run.accesses,
         "violations": None if validation is None else validation.violations,
     }
 

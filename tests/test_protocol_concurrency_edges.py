@@ -1,6 +1,6 @@
 """Concurrency edge cases: collectives and multi-stream races under CoW."""
 
-from repro.api.nccl import NcclCommunicator, nccl_allreduce, nccl_broadcast
+from repro.api.nccl import NcclCommunicator, nccl_allreduce
 from repro.api.runtime import GpuProcess
 from repro.cluster import Machine
 from repro.core.daemon import Phos
@@ -52,29 +52,6 @@ def test_collective_during_cow_is_isolated():
     assert image.gpu_buffers[1][b1.id].data == exp1
     # And the live buffers really did get the reduced value.
     assert b0.load_word(b0.addr) == 42
-
-
-def test_broadcast_during_cow_preserves_t1():
-    eng, machine, phos, process = make_world()
-    rt = process.runtime
-    comm = NcclCommunicator(eng, [0, 1])
-
-    def driver(eng):
-        b0 = yield from rt.malloc(0, 128 * MIB, tag="g0")
-        b1 = yield from rt.malloc(1, 128 * MIB, tag="g1")
-        yield from rt.memcpy_h2d(0, b0, payload=7, sync=True)
-        yield from quiesce(eng, [process])
-        expected1 = b1.snapshot()  # still zeros at t1
-        handle = phos.checkpoint(process, mode="cow")
-        yield from nccl_broadcast(rt, comm, 0, {0: b0, 1: b1}, sync=True)
-        image, session = yield handle
-        return image, session, b1, expected1
-
-    image, session, b1, exp1 = eng.run_process(driver(eng))
-    eng.run()
-    assert not session.aborted
-    assert image.gpu_buffers[1][b1.id].data == exp1
-    assert b1.load_word(b1.addr) == 7  # broadcast really landed
 
 
 def test_two_streams_racing_on_one_buffer_under_cow():

@@ -484,6 +484,26 @@ def test_malformed_v2_metadata_is_a_torn_image(case, tmp_path):
     assert "GPU buffer 1" in str(caught.value)
 
 
+@pytest.mark.parametrize("meta_len, meta, message", [
+    (1000, b"{}", "runs past the image body"),
+    (None, b"{not json", "not JSON"),
+    (None, b'{"name": "\xff"}', "not JSON"),
+    (None, b"[]", "not a JSON object"),
+], ids=["length-past-body", "not-json", "not-utf8", "top-level-list"])
+def test_ill_formed_metadata_block_is_a_torn_image(meta_len, meta, message,
+                                                   tmp_path):
+    """The container checks out (magic, version, CRC) but its metadata
+    block cannot be read as a JSON object.  Unchecked, these leak as
+    ``UnicodeDecodeError``, ``JSONDecodeError`` and ``TypeError``."""
+    body = struct.pack("<8sII", b"PHOSIMG1", FORMAT_VERSION,
+                       len(meta) if meta_len is None else meta_len) + meta
+    path = tmp_path / "raw.phos"
+    path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+    with pytest.raises(TornImageError, match=message) as caught:
+        load_image(path)
+    assert str(path) in str(caught.value)
+
+
 @pytest.mark.parametrize("golden, mutate, message", [
     ("image_v2_delta.phos", lambda meta: meta.pop("delta"),
      "lacks the field 'delta'"),
@@ -497,8 +517,20 @@ def test_malformed_v2_metadata_is_a_torn_image(case, tmp_path):
     ("image_v1.phos",
      lambda meta: _first_gpu_buffer(meta).__setitem__("blob", [0, 8.0]),
      "pair of integers"),
+    ("image_v1.phos", lambda meta: meta["cpu_pages"].__setitem__("a", [0, 0]),
+     "ill-formed metadata"),
+    ("image_v1.phos", lambda meta: _first_gpu_buffer(meta).__setitem__(
+        "size", "9"), "ill-formed metadata"),
+    ("image_v2_delta.phos", lambda meta: meta.__setitem__("gpu_modules", []),
+     "ill-formed metadata"),
+    ("image_v1.phos", lambda meta: meta.__setitem__("cpu_pages", []),
+     "ill-formed metadata"),
+    ("image_v1.phos", lambda meta: meta.__setitem__("kernel_objects", [1]),
+     "ill-formed metadata"),
 ], ids=["v2-no-delta-block", "v2-cpu-page-ref", "v1-no-tag",
-        "v1-no-gpu-modules", "v1-fractional-ref"])
+        "v1-no-gpu-modules", "v1-fractional-ref", "v1-cpu-page-key",
+        "v1-string-size", "v2-gpu-modules-list", "v1-cpu-pages-list",
+        "v1-kernel-object-not-a-table"])
 def test_missing_fields_and_malformed_references_in_either_format(
         golden, mutate, message, tmp_path):
     """The same escapes one level up: a missing field anywhere in the

@@ -7,6 +7,7 @@ from repro.apps.base import provision
 from repro.apps.specs import get_spec
 from repro.cluster import Machine
 from repro.core.daemon import Phos
+from repro.core.frequency import wasted_gpu_hours
 from repro.errors import CheckpointError
 from repro.sim import Engine
 from repro.tasks.ft_controller import FaultToleranceController, FtRunResult
@@ -105,9 +106,9 @@ def test_measured_waste_matches_model_scale():
     f_per_hour = units.HOUR / (every * result.iter_seconds)
     overhead_h = (result.checkpoint_stall_seconds or 0.02) / units.HOUR
     restore_h = (result.restore_seconds / result.failures) / units.HOUR
-    predicted = result.predicted_wasted_fraction(
-        1, realized_f, f_per_hour, overhead_h, restore_h
-    )
+    predicted = wasted_gpu_hours(
+        1, realized_f, wall_hours, overhead_h, restore_h, f_per_hour
+    ) / wall_hours
     measured = result.wasted_fraction
     assert measured > 0
     assert predicted / 4 <= measured <= predicted * 4
