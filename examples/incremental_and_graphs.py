@@ -4,11 +4,13 @@
 1. record a decode step as a CUDA graph (§9) and serve tokens by
    replaying it — each replayed node still flows through PHOS's
    interception, so checkpoints during graph execution stay correct;
-2. take a base CoW checkpoint, then *incremental* checkpoints that
-   inherit every unwritten buffer from the parent (the GPU analog of
-   CRIU's incremental dump) — note the shrinking copy volume;
-3. persist the final image to disk in the PHOS container format and
-   restore from the loaded copy.
+2. take a base CoW checkpoint, then *incremental* CoW checkpoints with
+   the previous image as ``parent``: each is a delta image that
+   references every buffer unwritten since its parent (the GPU analog
+   of CRIU's incremental dump) — note the shrinking copy volume;
+3. materialize the last delta into a full image, persist it to disk in
+   the PHOS container format and restore the loaded copy on a second
+   machine, whose catalog holds none of the parents.
 
 Run:  python examples/incremental_and_graphs.py
 """
@@ -26,6 +28,7 @@ from repro.core.protocols import ProtocolConfig
 from repro.gpu.cost_model import KernelCost
 from repro.gpu.program import build_inplace_add
 from repro.sim import Engine
+from repro.storage.delta import materialize
 from repro.storage.serial import load_image, save_image
 
 
@@ -71,7 +74,7 @@ def main() -> None:
     # --- persist and restore from disk ------------------------------------------------
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "final.phos"
-        size = save_image(image, path)
+        size = save_image(materialize(image), path)
         print(f"image persisted : {size / units.MB:.1f} MB on disk "
               f"({path.name}, CRC-protected)")
         loaded = load_image(path)

@@ -264,6 +264,8 @@ def cmd_protocols(args) -> int:
             print(f"{'':11s} {'':11s} phases: {' -> '.join(cls.phases())}")
             if cls.summary:
                 print(f"{'':11s} {'':11s} {cls.summary}")
+            if cls.starts_chain:
+                print(f"{'':11s} {'':11s} without a parent: a delta chain root")
     return 0
 
 

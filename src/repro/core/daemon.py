@@ -161,10 +161,12 @@ class Phos:
 
         The result of the returned process is ``(image, session)``
         (``session`` is None for protocols without a speculation
-        session).  ``parent`` makes the checkpoint incremental: with
-        ``mode="cow"`` buffers unwritten since the parent inherit its
-        records; with ``mode="incremental"`` the result is a
-        chunk-deduplicated :class:`~repro.storage.delta.DeltaImage`.
+        session).  ``config.parent`` makes the checkpoint incremental in
+        ``cow``, ``recopy`` and ``incremental`` alike: buffers unwritten
+        since the parent are skipped and the result is a
+        chunk-deduplicated :class:`~repro.storage.delta.DeltaImage` cut
+        where the protocol cuts (t1 for ``cow``, t2 otherwise);
+        ``incremental`` seals one as a chain root even without a parent.
         """
         protocol = registry.create(mode, config=config)
         frontend = (self.frontend_of(process) if protocol.needs_frontend

@@ -311,7 +311,7 @@ class DataMover:
 
         Returns the CPU dump result (whose ``dirty_after_copy`` the recopy
         protocol consumes).  ``cpu_dump`` overrides the CPU dump generator
-        (the incremental protocol passes a parent-aware delta dump);
+        (a t2 run with a parent passes the parent-aware delta dump);
         the default follows the session mode.
         """
         engine = self.engine

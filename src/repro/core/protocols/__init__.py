@@ -16,18 +16,24 @@ Every protocol is a phase-structured subclass of
   checkpoint (§4.3): image equals a stop-the-world checkpoint at the
   end time; also the concurrent-copy → re-quiesce → recopy skeleton
   the other t2-cut protocols subclass;
+* ``incremental`` (alias ``delta``) — also in
+  :mod:`repro.core.protocols.recopy`: recopy that seals a
+  self-contained delta chain root when given no ``parent``;
 * ``hw-dirty`` — :mod:`repro.core.protocols.hw_dirty`: the §9
   hypothetical hardware-dirty-bit recopy — the recopy skeleton with
   its dirty set read from per-buffer bits (no speculation frontend);
-* ``incremental`` — :mod:`repro.core.protocols.incremental`: recopy
-  plus a delta seal — checkpoints against a parent image (chunk-level
-  dedup, cost scales with dirty bytes);
 * ``continuous`` — :mod:`repro.core.protocols.continuous`: a streamed
   chain of incremental checkpoints committed to the DRAM tier per
   round, with asynchronous tiered write-behind (DRAM → SSD → remote);
 * ``concurrent`` (restore) — :mod:`repro.core.protocols.restore`:
   concurrent on-demand restore (§6) with rollback-to-stop-world on
   mis-speculation.
+
+``parent`` is an argument of a checkpoint, not a protocol: ``cow``,
+``recopy`` and ``incremental`` take one through the same hooks
+on :class:`~repro.core.protocols.base.Protocol` and commit a
+:class:`~repro.storage.delta.DeltaImage` chained onto it, cut at t1 or
+t2 as the protocol cuts.
 
 There are no per-protocol free functions: callers instantiate a
 protocol through :func:`registry.create` and drive its ``checkpoint``
@@ -45,7 +51,6 @@ from repro.core.protocols.base import (
 from repro.core.protocols.continuous import ContinuousCheckpoint, StreamSummary
 from repro.core.protocols.cow import CowCheckpoint
 from repro.core.protocols.hw_dirty import HwDirtyCheckpoint
-from repro.core.protocols.incremental import IncrementalCheckpoint
 from repro.core.protocols.recopy import RecopyCheckpoint
 from repro.core.protocols.restore import ConcurrentRestore
 from repro.core.protocols.stop_world import StopWorldCheckpoint, StopWorldRestore
@@ -60,7 +65,6 @@ __all__ = [
     "ContinuousCheckpoint",
     "StreamSummary",
     "CowCheckpoint",
-    "IncrementalCheckpoint",
     "RecopyCheckpoint",
     "StopWorldCheckpoint",
     "StopWorldRestore",

@@ -39,6 +39,14 @@ from repro.core.engine import DataMover
 from repro.core.quiesce import quiesce, resume
 from repro.core.session import COW_POOL_BYTES, BufState, CheckpointSession
 from repro.errors import CheckpointError, ReproError, SimulationError
+from repro.storage.delta import (
+    CHUNK_BYTES,
+    DeltaImage,
+    dirty_chunk_span_bytes,
+    materialize,
+    seal_delta,
+)
+from repro.storage.image import CheckpointImage
 
 #: The declarative phase sequence of a checkpoint protocol run.
 CHECKPOINT_PHASES = ("admit", "quiesce", "plan", "transfer", "validate",
@@ -82,8 +90,10 @@ class ProtocolConfig:
     #: Iterative concurrent pre-copy rounds before the final quiesce
     #: (recopy's §4.3 iterative extension).
     precopy_rounds: int = 0
-    #: Parent image for incremental checkpointing (CoW record
-    #: inheritance, or the ``incremental`` protocol's delta chain).
+    #: Parent image: a ``cow``, ``recopy`` or ``incremental`` run then
+    #: skips the buffers the parent holds and commits a
+    #: :class:`~repro.storage.delta.DeltaImage` chained onto it, cut
+    #: where the protocol cuts (the one parent path, below).
     parent: Optional[Any] = None
     #: Cost model of the system taking the checkpoint (stop-the-world
     #: baselines; None = PHOS itself).
@@ -171,6 +181,10 @@ class ProtocolContext:
     #: Virtual time the image represents, when it differs from
     #: ``t_quiesce`` (recopy's end time t2).
     t_image: Optional[float] = None
+    #: ``config.parent`` materialized once by the plan phase, and the
+    #: ids per GPU of the buffers the run took from it uncopied.
+    parent_full: Any = None
+    reused: Optional[dict] = None
     # restore side
     machine: Any = None
     gpu_indices: Any = None
@@ -223,6 +237,10 @@ class Protocol:
     #: phase opens ("cow" / "recopy"); None = the protocol runs without
     #: a session.
     session_mode: ClassVar[Optional[str]] = None
+    #: Seal a :class:`~repro.storage.delta.DeltaImage` even without a
+    #: ``parent`` (a self-contained chain root); with a parent, every
+    #: protocol that supports one seals a delta.
+    starts_chain: ClassVar[bool] = False
     #: One-line description for ``phos protocols`` and the docs.
     summary: ClassVar[str] = ""
 
@@ -460,6 +478,24 @@ class Protocol:
     def prepare(self, ctx: ProtocolContext) -> None:
         """Pre-span setup (create the image, resolve the baseline)."""
 
+    def new_image(self, ctx: ProtocolContext, default_name: str):
+        """The run's empty image: a :class:`DeltaImage` chained onto
+        ``config.parent`` (or a chain root, see :attr:`starts_chain`),
+        else a full :class:`CheckpointImage`."""
+        name = ctx.name or default_name
+        parent = self.config.parent
+        if parent is None and not self.starts_chain:
+            return CheckpointImage(name=name)
+        if parent is not None:
+            parent.require_finalized()
+        return DeltaImage(
+            name=name,
+            parent_id=parent.id if parent is not None else None,
+            parent_name=parent.name if parent is not None else "",
+            parent_ref=parent,
+            chunk_bytes=self.config.content_chunk_bytes or CHUNK_BYTES,
+        )
+
     def span_attrs(self, ctx: ProtocolContext) -> dict:
         """Attributes for the run's ``checkpoint/<name>`` obs span."""
         attrs = {"image": ctx.image.name} if ctx.image is not None else {}
@@ -482,8 +518,8 @@ class Protocol:
 
     def phase_plan(self, ctx: ProtocolContext):
         """Record metadata; session protocols open the session
-        (``session_mode``), begin tracking, inherit from the parent, and
-        resume."""
+        (``session_mode``), begin tracking, skip what the parent holds
+        (:meth:`inherit_parent`), and resume."""
         record_modules(ctx.image, ctx.process)
         if self.session_mode is None:
             return
@@ -501,9 +537,111 @@ class Protocol:
             ctx.session, hot_order=ctx.mover.copy_order(self.session_mode)
         )
 
+    # -- the parent path (one copy for the t1 and the t2 cut) ----------------------
     def inherit_parent(self, ctx: ProtocolContext) -> None:
-        """Plan-phase hook: skip buffers a parent image already holds
-        (runs quiesced, after the session opened)."""
+        """Plan phase (quiesced, session open): materialize
+        ``config.parent`` once and mark DONE every buffer it holds.
+
+        A buffer is skipped only when its layout matches the parent's
+        record and the frontend has not seen it written since the
+        parent's checkpoint time.  Soundness rests on the write-heat
+        history, which validated speculation keeps honest inside
+        checkpoint windows (and ``always_instrument`` extends to all
+        execution); validator-reported hidden writes update the
+        history, so such buffers are never skipped.  A write landing
+        after this marking is after t1, so a CoW image ignores it; in
+        recopy mode it re-dirties the buffer (DONE buffers stay
+        dirty-tracked) and the final pass recaptures it.
+        """
+        parent = self.config.parent
+        if parent is None:
+            return
+        # Host-side work (the chunk index lives in daemon DRAM): no
+        # virtual time.  A broken chain fails the run here, before any
+        # data moves.
+        parent_full = ctx.parent_full = materialize(
+            parent, resolve=ctx.medium.images.lookup)
+        session, history = ctx.session, ctx.frontend.write_history
+        cutoff = parent.checkpoint_time
+        ctx.reused = {}
+        for gpu_index, plan in session.plan.items():
+            parent_records = parent_full.gpu_buffers.get(gpu_index, {})
+            ids = ctx.reused[gpu_index] = set()
+            for buf in plan:
+                record = parent_records.get(buf.id)
+                if (record is None or record.addr != buf.addr
+                        or record.size != buf.size):
+                    continue  # layout changed: full capture for this buffer
+                written = history.get(buf.id)
+                if written is not None and written[1] > cutoff:
+                    continue  # written since the parent: must be re-captured
+                session.set_state(buf, BufState.DONE)
+                session.stats.bytes_skipped_incremental += buf.size
+                ids.add(buf.id)
+
+    def copy_hooks(self, ctx: ProtocolContext):
+        """``(cpu_dump, sizer)`` overrides for the movers; ``(None,
+        None)`` — the session mode's CPU dump, whole-buffer moves —
+        without a parent.
+
+        With one, a captured buffer ships only the chunk-aligned spans
+        of its pending dirty ranges (validated by an on-device hash scan
+        at HBM bandwidth — see ``DataMover._ship``) whenever the hash
+        cache still tracks the parent's epoch; any layout change or
+        epoch mismatch moves the full buffer.  Pending ranges hold every
+        write since the parent, so the extent covers either cut.  The
+        CPU dump is the cut's: a t2 image dumps only the pages that
+        differ from the parent's (``dump_delta``, dirty-tracked for the
+        recopy pass), while a t1 image keeps the CoW dump and
+        :meth:`seal_chain` drops the pages equal to the parent's.
+        """
+        parent_full = ctx.parent_full
+        if parent_full is None:
+            return None, None
+        parent_id = self.config.parent.id
+        cpu_dump = None
+        if self.session_mode == "recopy":
+            def cpu_dump(host, image, medium):
+                return ctx.criu.dump_delta(host, image, medium,
+                                           parent_full.cpu_pages,
+                                           parent_id=parent_id)
+        cache = ctx.frontend.hash_cache
+        cb = ctx.image.chunk_bytes
+
+        def sizer(gpu_index, buf):
+            prec = parent_full.gpu_buffers.get(gpu_index, {}).get(buf.id)
+            if (prec is None or prec.addr != buf.addr
+                    or prec.size != buf.size
+                    or len(prec.data) != buf.data_size):
+                return None
+            pending = cache.dirty_extent(
+                buf.id, parent_id=parent_id, addr=buf.addr, size=buf.size,
+                data_len=buf.data_size,
+            )
+            if pending is None:
+                return None
+            return min(buf.size,
+                       dirty_chunk_span_bytes(pending, buf.data_size, cb))
+
+        return cpu_dump, sizer
+
+    def seal_chain(self, ctx: ProtocolContext) -> None:
+        """Commit phase: store a :class:`DeltaImage` as chunk tables
+        against the parent (no-op for a full image).
+
+        The cut decides what the seal may assume.  Buffers freed inside
+        the window still exist at t1, so only a t2 seal drops
+        ``session.freed_ids``.  And only a t2 commit runs quiesced: a
+        CoW process has been writing since t1, so its seal looks the
+        hash cache up but never promotes it (that would clear the
+        pending writes made between t1 and commit).
+        """
+        if not isinstance(ctx.image, DeltaImage):
+            return
+        t2 = self.session_mode == "recopy"
+        seal_delta(ctx.image, ctx.parent_full, reused=ctx.reused,
+                   freed=ctx.session.freed_ids if t2 else None,
+                   cache=ctx.frontend.hash_cache, promote=t2)
 
     def phase_transfer(self, ctx: ProtocolContext):
         """Move the data (usually concurrently with execution)."""
@@ -513,8 +651,9 @@ class Protocol:
         return True
 
     def phase_commit(self, ctx: ProtocolContext):
-        """Finalize the image at its cut time (``t_image``, else the
-        quiesce point) and resume unless ``keep_stopped``."""
+        """Seal and finalize the image at its cut time (``t_image``,
+        else the quiesce point) and resume unless ``keep_stopped``."""
+        self.seal_chain(ctx)
         ctx.image.finalize(
             ctx.t_quiesce if ctx.t_image is None else ctx.t_image
         )
@@ -540,39 +679,3 @@ def record_modules(image, process) -> None:
         "gpu_indices": list(process.gpu_indices),
         "cpu_pages": process.host.memory.n_pages,
     }
-
-
-def mark_unchanged(frontend, session, parent,
-                   copy_records: bool = False) -> dict[int, set[int]]:
-    """Mark parent-clean buffers DONE; returns the reused ids per GPU.
-
-    A buffer is skipped only when its layout matches the parent's
-    record and the frontend has not seen it written since the parent's
-    checkpoint time.  Soundness rests on the write-heat history, which
-    validated speculation keeps honest inside checkpoint windows (and
-    ``always_instrument`` extends to all execution); validator-reported
-    hidden writes update the history, so such buffers are never
-    skipped.  With ``copy_records`` (CoW, whose image is cut at t1) the
-    parent's record is inherited into the image with no data movement;
-    in recopy mode a write landing *after* this marking re-dirties the
-    buffer (DONE buffers stay dirty-tracked) and the final recopy pass
-    recaptures it.
-    """
-    cutoff = parent.checkpoint_time
-    reused: dict[int, set[int]] = {}
-    for gpu_index, plan in session.plan.items():
-        parent_records = parent.gpu_buffers.get(gpu_index, {})
-        ids = reused[gpu_index] = set()
-        for buf in plan:
-            record = parent_records.get(buf.id)
-            if record is None or record.addr != buf.addr or record.size != buf.size:
-                continue  # layout changed: full capture for this buffer
-            history = frontend.write_history.get(buf.id)
-            if history is not None and history[1] > cutoff:
-                continue  # written since the parent: must be re-captured
-            if copy_records:
-                session.image.add_gpu_buffer(gpu_index, record)
-            session.set_state(buf, BufState.DONE)
-            session.stats.bytes_skipped_incremental += buf.size
-            ids.add(buf.id)
-    return reused

@@ -24,14 +24,13 @@ from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from repro import obs
+from repro.core.protocols import registry
 from repro.core.protocols.base import (
     RETRY_SUPPORTS,
     Protocol,
     ProtocolConfig,
     ProtocolContext,
 )
-from repro.core.protocols.incremental import IncrementalCheckpoint
-from repro.core.protocols.registry import register
 from repro.errors import ReproError
 from repro.storage.media import tier_stack
 from repro.storage.writebehind import WriteBehindDrainer
@@ -62,7 +61,7 @@ _INNER_FIELDS = ("coordinated", "prioritized", "chunk_bytes",
                  "content_chunk_bytes", "bandwidth_scale", "max_retries")
 
 
-@register
+@registry.register
 class ContinuousCheckpoint(Protocol):
     """Streamed incremental checkpoints with tiered write-behind."""
 
@@ -106,7 +105,7 @@ class ContinuousCheckpoint(Protocol):
                     # phases under the ``incremental`` name).
                     self._chaos_enter("quiesce" if r == 0 else "transfer",
                                       ctx)
-                    inner = IncrementalCheckpoint(self._round_config(last))
+                    inner = registry.create("incremental", self._round_config(last))
                     image, session = yield from inner.checkpoint(
                         engine, process=ctx.process, frontend=ctx.frontend,
                         medium=ctx.medium, criu=ctx.criu,

@@ -12,13 +12,7 @@ from __future__ import annotations
 
 from repro import obs
 from repro.core.protocols import registry
-from repro.core.protocols.base import (
-    RETRY_SUPPORTS,
-    Protocol,
-    ProtocolContext,
-    mark_unchanged,
-)
-from repro.storage.image import CheckpointImage
+from repro.core.protocols.base import RETRY_SUPPORTS, Protocol, ProtocolContext
 
 
 @registry.register
@@ -30,7 +24,7 @@ class CowCheckpoint(Protocol):
     aliases = ("soft-cow", "copy-on-write")
     supports = frozenset({
         "coordinated", "prioritized", "chunk_bytes", "cow_pool_bytes",
-        "parent",
+        "parent", "content_chunk_bytes",
     }) | RETRY_SUPPORTS
     needs_frontend = True
     session_mode = "cow"
@@ -38,25 +32,16 @@ class CowCheckpoint(Protocol):
                "stop-the-world checkpoint at t1 (§4.2)")
 
     def prepare(self, ctx: ProtocolContext) -> None:
-        ctx.image = CheckpointImage(name=ctx.name or f"cow-{ctx.process.name}")
-
-    def inherit_parent(self, ctx: ProtocolContext) -> None:
-        # ``parent`` enables *incremental* checkpointing (the GPU analog
-        # of CRIU's incremental dump, which the paper enables for the CPU
-        # side): a buffer unwritten since the parent's t1 inherits the
-        # parent's record with no data movement.
-        parent = self.config.parent
-        if parent is not None:
-            parent.require_finalized()
-            mark_unchanged(ctx.frontend, ctx.session, parent,
-                           copy_records=True)
+        ctx.image = self.new_image(ctx, f"cow-{ctx.process.name}")
 
     def phase_transfer(self, ctx: ProtocolContext):
         # Concurrent copy, CoW-isolated.
+        cpu_dump, sizer = self.copy_hooks(ctx)
         try:
             with obs.span("copy"):
                 yield from ctx.mover.copy_all(
-                    ctx.session, ctx.process, ctx.medium, ctx.criu
+                    ctx.session, ctx.process, ctx.medium, ctx.criu,
+                    cpu_dump=cpu_dump, sizer=sizer,
                 )
         finally:
             # Guarded for idempotence: a teardown (chaos kill, daemon
@@ -88,5 +73,6 @@ class CowCheckpoint(Protocol):
     def phase_commit(self, ctx: ProtocolContext):
         # The process has been running since the plan phase: nothing to
         # resume, and the image is cut at the quiesce point.
+        self.seal_chain(ctx)
         ctx.image.finalize(ctx.t_quiesce)
         return ctx.image, ctx.session

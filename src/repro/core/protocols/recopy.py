@@ -5,14 +5,19 @@ the *end* of the copy phase ``t2`` — the freshest possible state, which
 live migration requires.  Four phases: quiesce, concurrent copy with
 dirty tracking, re-quiesce, recopy of the dirty buffers and CPU pages.
 
-:class:`RecopyCheckpoint` is also the skeleton every t2-cut protocol
-retrofits.  ``incremental`` overrides the image factory
-(:meth:`prepare`), the plan-phase
-:meth:`~repro.core.protocols.base.Protocol.inherit_parent`, the
-CPU-dump/sizer pair (:meth:`copy_hooks`) and seals its image in
-``phase_commit`` before the shared finalize.  ``hw-dirty`` swaps the
-dirty source: :meth:`~repro.core.protocols.base.Protocol.begin_tracking`
-and :meth:`dirty_ids`.  Which buffers exist at t2 is decided once, for
+With ``parent`` the run takes the one parent path ``cow`` takes too
+(``Protocol.inherit_parent`` / ``copy_hooks`` / ``seal_chain``) and
+commits a :class:`~repro.storage.delta.DeltaImage`: parent-clean
+buffers are skipped, captured ones ship their dirty extent, the CPU
+dump ships only pages that differ from the parent's, and the seal
+stores only changed chunks.  ``incremental`` (alias ``delta``) is this
+protocol with :attr:`~repro.core.protocols.base.Protocol.starts_chain`
+set: without a parent it seals a self-contained chain root, so a loop
+that passes its previous image as ``parent`` gets first-full-then-delta.
+
+``hw-dirty`` swaps the dirty source:
+:meth:`~repro.core.protocols.base.Protocol.begin_tracking` and
+:meth:`dirty_ids`.  Which buffers exist at t2 is decided once, for
 either source, by the final pass's
 :meth:`~repro.core.session.CheckpointSession.cut_t2`.
 """
@@ -27,7 +32,6 @@ from repro.core.protocols.base import (
 )
 from repro.core.protocols.registry import register
 from repro.core.quiesce import quiesce
-from repro.storage.image import CheckpointImage
 
 
 @register
@@ -39,23 +43,16 @@ class RecopyCheckpoint(Protocol):
     aliases = ("soft-recopy",)
     supports = frozenset({
         "coordinated", "prioritized", "chunk_bytes", "keep_stopped",
-        "bandwidth_scale", "precopy_rounds",
+        "bandwidth_scale", "precopy_rounds", "parent", "content_chunk_bytes",
     }) | RETRY_SUPPORTS
     needs_frontend = True
     session_mode = "recopy"
     summary = ("concurrent copy with dirty tracking, re-quiesce, recopy "
                "the delta; image equals a stop-the-world checkpoint at "
-               "t2 (§4.3)")
+               "t2 (§4.3); with a parent, a delta of the changed chunks")
 
     def prepare(self, ctx: ProtocolContext) -> None:
-        ctx.image = CheckpointImage(
-            name=ctx.name or f"recopy-{ctx.process.name}"
-        )
-
-    def copy_hooks(self, ctx: ProtocolContext):
-        """``(cpu_dump, sizer)`` overrides for the movers (None = the
-        plain tracked CPU dump / whole-buffer moves)."""
-        return None, None
+        ctx.image = self.new_image(ctx, f"{self.name}-{ctx.process.name}")
 
     def dirty_ids(self, ctx: ProtocolContext, gpu_index: int) -> set[int]:
         """A fresh set of the plan buffers on ``gpu_index`` written since
@@ -145,3 +142,12 @@ class RecopyCheckpoint(Protocol):
                 for gpu_index in session.plan
             ]
             yield engine.all_of(recopies)
+
+
+@register
+class DeltaRecopy(RecopyCheckpoint):
+    """``incremental``: recopy that always seals a delta image."""
+
+    name = "incremental"
+    aliases = ("delta",)
+    starts_chain = True

@@ -55,16 +55,16 @@ class PhosSdk:
         done" — we choose skipping over blocking, which is what a
         frequency-driven training loop wants).
 
-        With ``mode="incremental"`` and no ``config``, the SDK chains
-        onto its own most recent completed image: the first
-        call produces a self-contained chain root, every later call a
-        delta — exactly the first-full-then-delta loop a training job
-        wants.
+        With a protocol that starts a chain (``mode="incremental"``)
+        and no ``config``, the SDK chains onto its own most recent
+        completed image: the first call produces a self-contained chain
+        root, every later call a delta — exactly the first-full-then-
+        delta loop a training job wants.
         """
         if self._inflight is not None and not self._inflight.triggered:
             self.checkpoints_skipped += 1
             return False
-        if mode in ("incremental", "delta") and config is None:
+        if config is None and registry.get(mode).starts_chain:
             parent = self.last_image
             if parent is not None and not parent.revoked:
                 config = ProtocolConfig(parent=parent)

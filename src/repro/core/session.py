@@ -73,7 +73,8 @@ class CheckpointStats:
     dirty_marks: int = 0
     bytes_copied: int = 0
     bytes_recopied: int = 0
-    #: Bytes inherited from a parent image (incremental checkpoint).
+    #: Bytes of the buffers a ``parent`` already held, skipped by the
+    #: plan phase (the same parent path for a CoW or a recopy cut).
     bytes_skipped_incremental: int = 0
     violations_handled: int = 0
 

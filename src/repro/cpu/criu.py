@@ -119,7 +119,7 @@ class CriuEngine:
         """Generator: dirty-tracking dump of only the pages that differ
         from a parent image's (materialized) pages.
 
-        The incremental checkpoint protocol's CPU side: unchanged pages
+        The CPU side of a t2 checkpoint with a parent: unchanged pages
         are referenced from the parent instead of re-shipped, so the
         dump cost scales with the delta.  Pages dirtied while the copy
         runs are reported for the quiesced recopy pass, exactly like

@@ -133,9 +133,9 @@ class SpanTracer:
 
     def _stack(self) -> list[SpanNode]:
         # ``_active_process`` is part of the engine's dispatch contract:
-        # Process._step sets it for the duration of every generator step
-        # regardless of which queue (calendar or legacy heap) delivered
-        # the record, so span attribution survives scheduler changes.
+        # Process._step sets it for the duration of every generator
+        # step, so spans opened in one process nest only under that
+        # process's own open spans.
         key = id(self.engine._active_process)
         stack = self._stacks.get(key)
         if stack is None:

@@ -328,7 +328,7 @@ def seal_delta(image: DeltaImage,
                parent_full: Optional[CheckpointImage],
                reused: Optional[dict[int, set[int]]] = None,
                freed: Optional[dict[int, set[int]]] = None,
-               cache=None) -> None:
+               cache=None, promote: bool = True) -> None:
     """Convert an image's captured state into its delta representation.
 
     ``parent_full`` is the parent's *materialized* state (None for a
@@ -348,6 +348,9 @@ def seal_delta(image: DeltaImage,
     chunks are byte-identical to the parent by construction (dirty
     tracking over-approximates writes), so the cached hash *is* the
     recomputed hash.  A lookup that misses rehashes every chunk.
+    With ``promote`` (a seal of a quiesced process) every sealed buffer's
+    entry is then rebound to this image; a seal of a running process
+    (a CoW child) only looks the cache up.
 
     Besides the written/reused/hash counters, each seal reports why it
     stored what it stored: ``storage/chunks-stored{reason}`` —
@@ -436,7 +439,7 @@ def seal_delta(image: DeltaImage,
                 data_len=data_len, tag=rec.tag, table=table,
                 index=tuple(changed), payload=payload,
             ))
-            if cache is not None:
+            if promote and cache is not None:
                 cache.promote(buf_id, image_id=image.id, addr=rec.addr,
                               size=rec.size, data_len=data_len,
                               chunk_bytes=cb, table=table)
@@ -467,7 +470,7 @@ def seal_delta(image: DeltaImage,
                 buffer_id=prec.buffer_id, addr=prec.addr, size=prec.size,
                 data_len=len(prec.data), tag=prec.tag, table=table,
             ))
-            if cache is not None:
+            if promote and cache is not None:
                 cache.promote(buf_id, image_id=image.id, addr=prec.addr,
                               size=prec.size, data_len=len(prec.data),
                               chunk_bytes=cb, table=table)

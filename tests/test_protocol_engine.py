@@ -145,17 +145,17 @@ def test_config_rejects_unknown_tunables():
 
 
 @pytest.mark.parametrize("mode,bad", [
-    # parent= is an incremental-CoW feature; recopy overwrites in place.
-    ("recopy", {"parent": object()}),
+    # Only CoW keeps shadows; a recopy run has no pool to size.
+    ("recopy", {"cow_pool_bytes": 4 * MIB}),
     # CoW resumes the app by design; keep_stopped contradicts it.
     ("cow", {"keep_stopped": True}),
     # Pre-copy rounds only exist in the recopy protocol.
     ("stop-world", {"precopy_rounds": 2}),
     ("hw-dirty", {"cow_pool_bytes": 4 * MIB}),
-    # incremental subclasses the recopy skeleton but declares its own
-    # tunables: the inherited pre-copy loop stays unreachable.
-    ("incremental", {"precopy_rounds": 1}),
-    # hw-dirty is the recopy skeleton too, with the same declared limit.
+    # incremental is recopy with one bit set: it takes recopy's
+    # tunables (parent and pre-copy rounds too), not the stream's.
+    ("incremental", {"rounds": 3}),
+    # hw-dirty is the recopy skeleton with its own, narrower set.
     ("hw-dirty", {"precopy_rounds": 1}),
 ])
 def test_unsupported_combination_rejected_at_construction(mode, bad):
@@ -174,6 +174,11 @@ def test_supported_combinations_accepted():
         config=ProtocolConfig(keep_stopped=True,
                               precopy_rounds=3,
                               bandwidth_scale=0.5))
+    # The parent path is the same for every cut.
+    for mode in ("cow", "recopy", "incremental"):
+        registry.create(mode, config=ProtocolConfig(
+            parent=object(), content_chunk_bytes=4096))
+    registry.create("incremental", config=ProtocolConfig(precopy_rounds=1))
     registry.create("stop-world", config=ProtocolConfig(keep_stopped=True))
     registry.create(
         "hw-dirty",
@@ -404,9 +409,9 @@ def test_cli_accepts_every_registered_mode():
         parser.parse_args(["checkpoint", "--mode", "quantum"])
 
 
-#: ``phos protocols`` as of the longhand protocol modules: (kind, name)
-#: -> (aliases, supported config fields).  Restructuring the classes
-#: must not move it.
+#: ``phos protocols``: (kind, name) -> (aliases, supported config
+#: fields).  ``parent`` (with its ``content_chunk_bytes``) is a field of
+#: ``cow`` and of the recopy rows alike; ``incremental`` has recopy's set.
 PROTOCOL_TABLE = {
     ("checkpoint", "continuous"): (
         "-", "bandwidth_scale, chunk_bytes, content_chunk_bytes, "
@@ -414,17 +419,19 @@ PROTOCOL_TABLE = {
         "parent, prioritized, rounds"),
     ("checkpoint", "cow"): (
         "copy-on-write, soft-cow",
-        "chunk_bytes, coordinated, cow_pool_bytes, max_retries, parent, "
-        "prioritized"),
+        "chunk_bytes, content_chunk_bytes, coordinated, cow_pool_bytes, "
+        "max_retries, parent, prioritized"),
     ("checkpoint", "hw-dirty"): (
         "hw-recopy, hw_dirty",
         "chunk_bytes, keep_stopped, max_retries"),
     ("checkpoint", "incremental"): (
         "delta", "bandwidth_scale, chunk_bytes, content_chunk_bytes, "
-        "coordinated, keep_stopped, max_retries, parent, prioritized"),
+        "coordinated, keep_stopped, max_retries, parent, precopy_rounds, "
+        "prioritized"),
     ("checkpoint", "recopy"): (
-        "soft-recopy", "bandwidth_scale, chunk_bytes, coordinated, "
-        "keep_stopped, max_retries, precopy_rounds, prioritized"),
+        "soft-recopy", "bandwidth_scale, chunk_bytes, content_chunk_bytes, "
+        "coordinated, keep_stopped, max_retries, parent, precopy_rounds, "
+        "prioritized"),
     ("checkpoint", "stop-world"): (
         "stop-the-world, stop_world",
         "baseline, keep_stopped, max_retries"),

@@ -1,4 +1,11 @@
-"""Integration tests: incremental CoW checkpoints (parent images)."""
+"""Integration tests: incremental CoW checkpoints (parent images).
+
+A CoW child is a :class:`~repro.storage.delta.DeltaImage` cut at t1:
+buffers unwritten since the parent are pure references, the rest store
+their changed chunks.
+"""
+
+import struct
 
 from repro.api.runtime import GpuProcess
 from repro.cluster import Machine
@@ -9,6 +16,13 @@ from repro.gpu.context import GpuContext
 from repro.gpu.cost_model import KernelCost
 from repro.gpu.program import build_fill
 from repro.sim import Engine
+from repro.storage.delta import DeltaImage, materialize
+from repro.storage.serial import (
+    DELTA_FORMAT_VERSION,
+    FORMAT_VERSION,
+    load_image,
+    save_image,
+)
 from repro.units import MIB
 
 from tests.toyapp import ToyApp, image_gpu_state, snapshot_process
@@ -65,12 +79,16 @@ def test_incremental_skips_unwritten_buffers():
     parent, child, session = eng.run_process(driver(eng))
     eng.run()
     assert session.stats.bytes_skipped_incremental > 0
-    # Inherited records are shared with the parent (no data duplication).
+    # The inherited record is a pure reference: no local chunk, no byte.
+    assert isinstance(child, DeltaImage) and child.parent_id == parent.id
     idx_parent = next(r for r in parent.gpu_buffers[0].values()
                       if r.tag == "idx")
-    idx_child = next(r for r in child.gpu_buffers[0].values()
+    idx_child = next(r for r in child.delta_gpu[0].values()
                      if r.tag == "idx")
-    assert idx_child is idx_parent
+    assert idx_child.buffer_id == idx_parent.buffer_id
+    assert idx_child.index == () and idx_child.payload == b""
+    assert materialize(child).gpu_buffers[0][idx_parent.buffer_id].data \
+        == idx_parent.data
 
 
 def test_incremental_faster_than_full():
@@ -118,9 +136,8 @@ def test_written_buffers_are_recaptured():
     eng.run()
     act_parent = next(r for r in parent.gpu_buffers[0].values()
                       if r.tag == "act")
-    act_child = next(r for r in child.gpu_buffers[0].values()
-                     if r.tag == "act")
-    assert act_child is not act_parent
+    assert child.delta_gpu[0][act_parent.buffer_id].index  # stored locally
+    act_child = materialize(child).gpu_buffers[0][act_parent.buffer_id]
     assert act_child.data != act_parent.data
     assert act_child.data[:8] == (77).to_bytes(8, "little")
 
@@ -168,3 +185,37 @@ def test_chain_of_incrementals_stays_correct():
     expected, image = eng.run_process(driver(eng))
     eng.run()
     assert image_gpu_state(image) == expected
+
+
+def test_cow_child_round_trips_as_v2(tmp_path):
+    """A CoW child saves in the v2 delta format and, loaded back beside
+    its parent, materializes to the stop-the-world state at its t1."""
+    eng, machine, phos, process, app = make_world()
+
+    def driver(eng):
+        yield from app.setup()
+        yield from app.run(2)
+        parent, _ = yield phos.checkpoint(process, mode="cow", name="base")
+        yield from app.run(2, start=2)
+        yield from quiesce(eng, [process])
+        expected = snapshot_process(process)
+        handle = phos.checkpoint(process, mode="cow", name="child",
+                                 config=ProtocolConfig(parent=parent))
+        yield from app.run(2, start=4)  # beside the copy: after t1
+        child, session = yield handle
+        assert not session.aborted
+        return expected, parent, child
+
+    (gpu_state, cpu_state), parent, child = eng.run_process(driver(eng))
+    eng.run()
+    loaded = {}
+    for image, version in ((parent, FORMAT_VERSION),
+                           (child, DELTA_FORMAT_VERSION)):
+        path = tmp_path / f"{image.name}.phos"
+        save_image(image, path)
+        assert struct.unpack_from("<8sII", path.read_bytes())[1] == version
+        loaded[image.id] = load_image(path)
+    full = materialize(loaded[child.id], resolve=loaded.get)
+    assert image_gpu_state(full) == gpu_state
+    for idx, page in enumerate(cpu_state):
+        assert full.cpu_pages[idx] == page
