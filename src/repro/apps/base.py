@@ -49,22 +49,13 @@ _OPAQUE_BUILDERS = [build_scale, build_inplace_add, build_axpy_into,
 #: pool worker).  Result-invariant: plans re-prove their preconditions
 #: against the actual memory per launch.
 _program_cache: dict = {}
-_program_cache_hits = 0
-
-
-def program_cache_hits() -> int:
-    """Warm-cache hits in this process so far."""
-    return _program_cache_hits
 
 
 def _build_program(builder, name: str):
-    global _program_cache_hits
     key = (builder.__name__, name)
     prog = _program_cache.get(key)
     if prog is None:
         _program_cache[key] = prog = builder(name=name)
-    else:
-        _program_cache_hits += 1
     return prog
 
 # (count fraction, bytes fraction) per group.  Activations are a small

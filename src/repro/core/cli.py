@@ -478,10 +478,8 @@ def _report_parallel(args) -> None:
     if stats is None:
         return
     if stats.mode == "pool":
-        print(f"(parallel: {stats.n_cells} cells over {stats.workers_used} "
-              f"workers in {stats.wall_s:.2f}s, utilization "
-              f"{stats.utilization:.0%}, warm program-cache hits "
-              f"{stats.warm_cache_hits})")
+        print(f"(parallel: {stats.n_cells} cells over {stats.jobs} jobs "
+              f"in {stats.wall_s:.2f}s)")
     else:
         reason = stats.fallback_reason or "serial"
         print(f"(parallel: serial fallback [{reason}], {stats.n_cells} "

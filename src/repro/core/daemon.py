@@ -115,19 +115,6 @@ class Phos:
         if self.pool is not None:
             yield from self.pool.prefill()
 
-    # -- observability --------------------------------------------------------------
-    def observe(self) -> "obs.Observer":
-        """Switch on observability for this daemon's engine.
-
-        Returns the active :class:`~repro.obs.Observer` (installing a
-        fresh one when none is bound to this engine yet); pass it to
-        :mod:`repro.obs.export` for reports.
-        """
-        current = obs.active()
-        if current is not None and current.engine is self.engine:
-            return current
-        return obs.install(self.engine)
-
     # -- process attachment ---------------------------------------------------------
     def attach(self, process: GpuProcess, mode: str = "lfc",
                always_instrument: bool = False) -> PhosFrontend:

@@ -189,7 +189,6 @@ class ProtocolContext:
     machine: Any = None
     gpu_indices: Any = None
     context_pool: Any = None
-    frontend_mode: str = "lfc"
     #: Baseline cost model resolved for this run (stop-the-world).
     baseline: Any = None
     #: Scratch space for protocol-specific state.
@@ -293,8 +292,7 @@ class Protocol:
         return self._run_checkpoint(ctx)
 
     def restore(self, engine, image, machine, gpu_indices, medium, criu, *,
-                name: str = "restored", context_pool=None,
-                frontend_mode: str = "lfc"):
+                name: str = "restored", context_pool=None):
         """Start a restore run; returns the phase-driver generator.
 
         The generator's result is ``(process, frontend_or_None,
@@ -309,7 +307,6 @@ class Protocol:
             engine=engine, config=self.config, medium=medium, criu=criu,
             name=name, image=image, machine=machine,
             gpu_indices=gpu_indices, context_pool=context_pool,
-            frontend_mode=frontend_mode,
         )
         self.last_context = ctx
         return self._run_restore(ctx)

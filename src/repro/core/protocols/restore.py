@@ -57,7 +57,7 @@ class ConcurrentRestore(Protocol):
         ctx.process = blank_process(ctx)
         ctx.frontend = PhosFrontend(
             ctx.engine, ctx.process,
-            mode="ipc" if ctx.context_pool is not None else ctx.frontend_mode,
+            mode="ipc" if ctx.context_pool is not None else "lfc",
         )
         ctx.process.runtime.interceptor = ctx.frontend
 

@@ -136,7 +136,6 @@ class BaselineSpec:
     copy_efficiency: float
     #: Per-buffer bookkeeping cost paid before each buffer's copy.
     buffer_overhead: float = 0.0
-    context_reuse: bool = False
 
     def effective_pcie_bw(self, spec: GpuSpec) -> float:
         return spec.pcie_bw * self.copy_efficiency

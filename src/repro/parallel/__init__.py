@@ -1,14 +1,13 @@
-"""Process-pool experiment execution: cell fan-out, deterministic merge.
+"""Process-pool experiment execution: cell fan-out, declared-order merge.
 
 Every figure/sweep in this repository is a list of independent
 **cells** — one isolated world (a :class:`~repro.tasks.worker.Worker`
 from :func:`~repro.experiments.harness.build_world`) built and measured
 per (app, system, protocol, tunable) point — so wall clock need not
-scale with cell count.  This package fans cells out
-across ``concurrent.futures.ProcessPoolExecutor`` workers and merges
-the per-cell rows back **in declared cell order**, which is what makes
-the parallel output bit-identical to the serial output at any
-``--jobs N``.
+scale with cell count.  :func:`run_cells` fans cells out with one
+chunked ``ProcessPoolExecutor.map`` and reads the results back **in
+declared cell order**, which is what makes the parallel output
+bit-identical to the serial output at any ``--jobs N``.
 
 See :mod:`repro.parallel.engine` for the execution model and the
 determinism contract, and ``docs/performance.md`` ("Parallel

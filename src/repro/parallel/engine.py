@@ -1,4 +1,4 @@
-"""The parallel experiment engine: cells, the pool, and the merge.
+"""The parallel experiment engine: cells, the pool, and one ordered map.
 
 Execution model
 ---------------
@@ -6,9 +6,9 @@ Execution model
 A *cell* is one ``(exp_id, cell_key, config)`` tuple naming an isolated
 measurement: the runner builds a fresh world (engine + machine + PHOS +
 app), measures, and returns plain picklable rows.  Cells share no
-state, so :func:`run_cells` may execute them in any order on any
-worker; determinism comes entirely from the **merge**, which returns
-results indexed by the declared cell order, never by completion order.
+state, so :func:`run_cells` may execute them on any worker;
+determinism comes entirely from the **merge**, which returns results
+in the declared cell order, never in completion order.
 
 Determinism contract
 --------------------
@@ -28,43 +28,42 @@ reuse compiled kernel plans — a wall-clock optimization that is
 result-invariant because plans re-prove their preconditions against
 the actual memory at every bind.
 
-Batched dispatch
-----------------
+The pool path
+-------------
 
-Cells are shipped to workers in contiguous *chunks* (about four per
-worker), so the runner and the per-task executor round-trip are paid
-once per chunk instead of once per cell.  Workers run their chunk
-sequentially and return one compact :class:`~repro.parallel.worker.
-BatchOutcome` — per-cell results and wall times plus a payload-size
-measurement (``result_bytes``) that keeps result compactness visible
-in the bench.  The merge consumes batches **as they complete**
-(overlapping merge work with still-running chunks) and writes results
-into declared-order slots, so the determinism contract is untouched.
+The pool path is one ``Executor.map`` over :func:`run_one`, with a
+chunk size giving about :data:`CHUNKS_PER_WORKER` contiguous chunks
+per worker: the runner and the executor round-trip are paid once per
+chunk, every chunk is submitted up front, and the results are read
+back in declared order.
 
 Fallback path
 -------------
 
 The pool is skipped — cells run serially, in declared order, in this
-process — whenever any of these hold:
+process — whenever any of these hold, and
+:attr:`PoolRunStats.fallback_reason` says which:
 
-* resolved ``jobs <= 1`` (the default — also the determinism-debugging
-  mode: one process, one thread, breakpoints work) or there is at most
-  one cell;
-* this process *is* a pool worker (no nested pools);
-* ``serial_only=True`` was passed (the harness does this when ``--obs``
-  is active, because observers live in-process);
-* the runner or a cell fails to pickle, or the pool cannot be created.
+* ``jobs``: resolved ``jobs <= 1`` (the default — also the
+  determinism-debugging mode: one process, one thread, breakpoints
+  work) or there is at most one cell;
+* ``nested``: this process *is* a pool worker (no nested pools);
+* ``serial-only``: ``serial_only=True`` was passed (the harness does
+  this when ``--obs`` is active, because observers live in-process);
+* ``pickle``: the runner or a cell fails to pickle;
+* ``pool: <error>``: the pool cannot be created.
 
-Otherwise ``jobs=N`` means N workers.  Every fallback bumps the
-``parallel/fallback`` obs counter with a ``reason`` label.
+Otherwise ``jobs=N`` means N workers.
 
 Failure surfacing
 -----------------
 
-A cell that raises — or a worker that dies mid-cell — surfaces as a
-:class:`CellError` naming the experiment and the cell key.  The merge
-never hangs: a dead worker breaks its pool, which fails the pending
-futures immediately.
+A cell that raises stops its chunk and surfaces as a :class:`CellError`
+naming the experiment and the cell key; the first failing cell in
+declared order wins, and leaving the map cancels the chunks not yet
+started.  A worker that dies breaks its pool, which fails the pending
+chunks at once: the pool is dropped and the error names the first
+cell whose result never arrived.
 """
 
 from __future__ import annotations
@@ -74,12 +73,12 @@ import math
 import os
 import pickle
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional, Sequence
 
-from repro import obs
 from repro.errors import InvalidValueError, ReproError
 from repro.parallel import worker
 
@@ -93,20 +92,6 @@ CHUNKS_PER_WORKER = 4
 
 #: Process-wide default set by ``phos ... --jobs`` (None → environment).
 _default_jobs: Optional[int] = None
-
-
-def effective_cpu_count() -> int:
-    """CPUs this process may actually run on (affinity-aware).
-
-    ``os.cpu_count()`` reports the machine; cgroup/affinity-limited
-    containers often get far fewer.  Speedup expectations must use this
-    number — a 4-worker pool on a 1-CPU allowance runs compute-bound
-    cells sequentially anyway.
-    """
-    try:
-        return len(os.sched_getaffinity(0)) or 1
-    except (AttributeError, OSError):  # pragma: no cover - non-Linux
-        return os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -125,14 +110,32 @@ class Cell:
         return f"{self.exp_id}[{', '.join(str(k) for k in self.key)}]"
 
 
+def _pickle_safe(exc: BaseException) -> BaseException:
+    """The exception itself if it pickles, else a faithful stand-in.
+
+    A worker's :class:`CellError` must survive the trip back through
+    the executor; an unpicklable cause would turn a clean per-cell
+    failure into an unattributable pool error.
+    """
+    try:
+        pickle.loads(pickle.dumps(exc))
+        return exc
+    except Exception:
+        return RuntimeError(f"{type(exc).__name__}: {exc}")
+
+
 class CellError(ReproError):
     """A cell failed (runner exception or worker death); names the cell."""
 
     def __init__(self, cell: Cell, cause: BaseException) -> None:
         self.cell = cell
+        self.cause = cause
         super().__init__(
             f"cell {cell.describe()} failed: {cause.__class__.__name__}: {cause}"
         )
+
+    def __reduce__(self):
+        return CellError, (self.cell, _pickle_safe(self.cause))
 
 
 @dataclass
@@ -144,26 +147,7 @@ class PoolRunStats:
     jobs: int
     n_cells: int
     wall_s: float = 0.0
-    #: Per-cell wall seconds, in declared cell order.
-    cell_wall_s: list = field(default_factory=list)
-    #: sum(cell_wall_s) / (wall_s * jobs) — busy fraction of the pool.
-    utilization: float = 0.0
-    #: Warm ``Program``-cache hits summed over workers (0 when serial).
-    warm_cache_hits: int = 0
-    #: Distinct worker PIDs that ran at least one cell.
-    workers_used: int = 0
     fallback_reason: str = ""
-    #: ``os.cpu_count()`` — the machine's CPUs, for the record.
-    cpu_count: int = 0
-    #: Affinity-aware CPU allowance (see :func:`effective_cpu_count`).
-    #: ``workers_used`` above a smaller ``effective_cpus`` explains a
-    #: sub-linear speedup without any further digging.
-    effective_cpus: int = 0
-    #: Contiguous chunks the cells were shipped in (0 when serial).
-    n_chunks: int = 0
-    #: Total pickled result-payload bytes returned by workers (0 when
-    #: serial) — keeps "figures pickle huge results" regressions visible.
-    result_bytes: int = 0
 
 
 _last_stats: Optional[PoolRunStats] = None
@@ -175,12 +159,15 @@ def last_run_stats() -> Optional[PoolRunStats]:
 
 
 def _checked_jobs(value, source: str) -> int:
-    """``value`` as a worker count; a typo must not run serial in silence."""
-    try:
+    """``value`` as a worker count; a typo must not run serial in silence.
+
+    An ``int`` that is not a ``bool``, or a string of decimal digits;
+    anything else (a float included) is refused, never truncated.
+    """
+    n = value
+    if isinstance(value, str) and value.isascii() and value.isdigit():
         n = int(value)
-    except ValueError:
-        n = 0
-    if n < 1:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise InvalidValueError(f"{source}={value!r} is not an integer >= 1")
     return n
 
@@ -222,7 +209,6 @@ def _get_pool(max_workers: int) -> ProcessPoolExecutor:
             initializer=worker.init_worker,
         )
         _pools[max_workers] = pool
-        obs.counter("parallel/pool/spawned").inc()
     return pool
 
 
@@ -258,15 +244,34 @@ def _picklable(runner, cells) -> bool:
         return False
 
 
-def _run_serial(runner, cells: Sequence[Cell], stats: PoolRunStats) -> list:
-    results = []
-    for cell in cells:
-        t0 = time.perf_counter()
-        try:
-            results.append(runner(cell))
-        except Exception as exc:
-            raise CellError(cell, exc) from exc
-        stats.cell_wall_s.append(time.perf_counter() - t0)
+def run_one(runner: Callable[[Cell], object], cell: Cell):
+    """``runner(cell)``, with a failure raised as a :class:`CellError`.
+
+    The one per-cell step of both paths: called in this process when
+    serial, and in a worker, one chunk at a time, by the pool's map.
+    """
+    try:
+        return runner(cell)
+    except Exception as exc:
+        raise CellError(cell, exc) from exc
+
+
+def _run_pool(pool: ProcessPoolExecutor, runner, cells: list, jobs: int) -> list:
+    chunksize = math.ceil(len(cells) / (jobs * CHUNKS_PER_WORKER))
+    results: list = []
+    try:
+        for result in pool.map(partial(run_one, runner), cells,
+                               chunksize=chunksize):
+            results.append(result)
+    except CellError:
+        raise
+    except Exception as exc:
+        # Not a runner failure: a dead worker (BrokenProcessPool) or a
+        # result that could not come back.  Name the first cell whose
+        # result never arrived.
+        if isinstance(exc, BrokenProcessPool):
+            _drop_pool(pool)
+        raise CellError(cells[len(results)], exc) from exc
     return results
 
 
@@ -285,9 +290,7 @@ def run_cells(runner: Callable[[Cell], object], cells: Sequence[Cell],
     cells = list(cells)
     n = resolve_jobs(jobs)
     label = label or (cells[0].exp_id if cells else "empty")
-    stats = PoolRunStats(label=label, mode="serial", jobs=1, n_cells=len(cells),
-                         cpu_count=os.cpu_count() or 1,
-                         effective_cpus=effective_cpu_count())
+    stats = PoolRunStats(label=label, mode="serial", jobs=1, n_cells=len(cells))
     _last_stats = stats
 
     reason = ""
@@ -304,107 +307,17 @@ def run_cells(runner: Callable[[Cell], object], cells: Sequence[Cell],
     # Size the executor by the resolved job count, not the cell count:
     # workers spawn lazily, and a jobs-keyed pool is shared across every
     # figure in a bench session (warm Program/plan caches included).
-    max_workers = n
     pool = None
     if not reason:
         try:
-            pool = _get_pool(max_workers)
+            pool = _get_pool(n)
         except OSError as exc:  # pragma: no cover - resource exhaustion
             reason = f"pool: {exc}"
-
-    if pool is None:
-        if reason != "jobs":
-            obs.counter("parallel/fallback",
-                        reason=reason.partition(":")[0]).inc()
-        stats.fallback_reason = reason
-        try:
-            results = _run_serial(runner, cells, stats)
-        finally:
-            stats.wall_s = time.perf_counter() - t0
-            stats.utilization = 1.0 if stats.wall_s else 0.0
-            stats.workers_used = 1
-            _record_obs(stats)
-        return results
-
-    stats.mode = "pool"
-    stats.jobs = max_workers
-    # Contiguous chunks, ~CHUNKS_PER_WORKER per worker: the runner and
-    # the executor round-trip are shipped once per chunk, not per cell.
-    chunk_size = max(1, math.ceil(len(cells) / (max_workers * CHUNKS_PER_WORKER)))
-    chunks = [(start, cells[start:start + chunk_size])
-              for start in range(0, len(cells), chunk_size)]
-    stats.n_chunks = len(chunks)
-    results: list = [None] * len(cells)
-    cell_wall: dict[int, float] = {}
-    pids = set()
-    broken = False
-    #: Earliest-declared failure seen so far: (cell index, cell, cause).
-    first_error: Optional[tuple] = None
     try:
-        fut_to_chunk = {}
-        try:
-            for start, chunk_cells in chunks:
-                fut = pool.submit(worker.invoke_batch, runner, chunk_cells)
-                fut_to_chunk[fut] = (start, chunk_cells)
-        except BrokenProcessPool as exc:
-            broken = True
-            raise CellError(chunk_cells[0], exc) from exc
-        # Merge overlaps execution: each batch is folded into its
-        # declared-order slots the moment it completes, while other
-        # chunks are still running.
-        for fut in as_completed(fut_to_chunk):
-            start, chunk_cells = fut_to_chunk[fut]
-            try:
-                batch = fut.result()
-            except BrokenProcessPool as exc:
-                broken = True
-                if first_error is None or start < first_error[0]:
-                    first_error = (start, chunk_cells[0], exc)
-                continue  # drain: remaining futures fail fast now
-            except Exception as exc:
-                if first_error is None or start < first_error[0]:
-                    first_error = (start, chunk_cells[0], exc)
-                continue
-            pids.add(batch.pid)
-            stats.warm_cache_hits += batch.warm_hits
-            stats.result_bytes += batch.result_bytes
-            for off, wall in enumerate(batch.wall_s):
-                cell_wall[start + off] = wall
-            if batch.error is not None:
-                idx = start + batch.error_index
-                if first_error is None or idx < first_error[0]:
-                    first_error = (idx, chunk_cells[batch.error_index],
-                                   batch.error)
-                continue
-            for off, res in enumerate(batch.results):
-                results[start + off] = res
-        if first_error is not None:
-            _, cell, cause = first_error
-            raise CellError(cell, cause) from cause
+        if pool is None:
+            stats.fallback_reason = reason
+            return [run_one(runner, cell) for cell in cells]
+        stats.mode, stats.jobs = "pool", n
+        return _run_pool(pool, runner, cells, n)
     finally:
-        if broken:
-            _drop_pool(pool)
-        stats.cell_wall_s = [cell_wall[i] for i in sorted(cell_wall)]
         stats.wall_s = time.perf_counter() - t0
-        stats.workers_used = len(pids)
-        busy = sum(stats.cell_wall_s)
-        if stats.wall_s > 0 and max_workers > 0:
-            stats.utilization = busy / (stats.wall_s * max_workers)
-        _record_obs(stats)
-    return results
-
-
-def _record_obs(stats: PoolRunStats) -> None:
-    """Mirror the run's stats into obs counters when an observer is on."""
-    if not obs.enabled():
-        return
-    obs.counter("parallel/cells", mode=stats.mode, exp=stats.label) \
-        .inc(len(stats.cell_wall_s))
-    obs.counter("parallel/cell_wall_s", exp=stats.label) \
-        .inc(sum(stats.cell_wall_s))
-    if stats.warm_cache_hits:
-        obs.counter("parallel/warm_program_hits", exp=stats.label) \
-            .inc(stats.warm_cache_hits)
-    if stats.mode == "pool":
-        obs.gauge("parallel/utilization", exp=stats.label) \
-            .set(stats.utilization)
