@@ -9,7 +9,9 @@ from repro.core.frontend import IPC_OVERHEAD, PhosFrontend
 from repro.core.session import BufState, CheckpointSession
 from repro.errors import CheckpointError
 from repro.gpu.context import GpuContext
+from repro.gpu.interpreter import AccessKind, Violation
 from repro.gpu.program import build_fill
+from repro.gpu.ranges import RangeSet
 from repro.storage.image import CheckpointImage
 
 
@@ -160,3 +162,82 @@ def test_new_buffer_state_is_new_during_session(eng, world):
     old_state, new_state = eng.run_process(app(process.runtime))
     assert old_state is BufState.NOT_STARTED
     assert new_state is BufState.NEW
+
+
+# -- completion rules: sessions are fixed when the call is planned ----------
+
+def _malloc(eng, process, size=512, tag="b"):
+    def app(rt):
+        return (yield from rt.malloc(0, size, tag=tag))
+
+    return eng.run_process(app(process.runtime))
+
+
+def _h2d_call(buf):
+    return ApiCall(ApiCategory.MEMCPY_H2D, "memcpy_h2d", 0,
+                   writes=[buf], nbytes=buf.size)
+
+
+def test_recopy_launch_planned_before_session_is_not_marked_dirty(eng, world):
+    _, process, frontend = world
+    buf = _malloc(eng, process)
+    before = _h2d_call(buf)
+    plan_before = frontend.plan(before)
+    session = CheckpointSession(eng, "recopy", CheckpointImage())
+    frontend.begin_checkpoint(session)
+    inside = _h2d_call(buf)
+    plan_inside = frontend.plan(inside)
+    session.set_state(buf, BufState.DONE)
+    plan_before.on_complete(before, None)
+    assert session.dirty[0] == set()
+    plan_inside.on_complete(inside, None)  # control: same write, planned inside
+    assert session.dirty[0] == {buf.id}
+    frontend.end_checkpoint()
+
+
+def test_launch_planned_inside_session_applies_its_rule_after_end(eng, world):
+    _, process, frontend = world
+    buf = _malloc(eng, process)
+    recopy = CheckpointSession(eng, "recopy", CheckpointImage())
+    frontend.begin_checkpoint(recopy)
+    call = _h2d_call(buf)
+    plan = frontend.plan(call)
+    recopy.set_state(buf, BufState.DONE)
+    assert frontend.end_checkpoint() is recopy
+    plan.on_complete(call, None)
+    assert recopy.dirty[0] == {buf.id}
+
+    cow = CheckpointSession(eng, "cow", CheckpointImage())
+    frontend.begin_checkpoint(cow)
+    kernel = ApiCall(ApiCategory.OPAQUE_KERNEL, "k", 0,
+                     program=build_fill(), args=[0, 0, 0], n_threads=1)
+    plan = frontend.plan(kernel)
+    frontend.end_checkpoint()
+    plan.validation.violations.append(
+        Violation("k", buf.addr, AccessKind.WRITE, 0))
+    plan.on_complete(kernel, None)
+    assert cow.aborted  # mis-speculated write to a NOT_STARTED buffer
+    assert cow.stats.violations_handled == 1
+
+
+def test_two_write_violations_on_one_buffer_each_count(eng, world):
+    _, process, frontend = world
+    buf = _malloc(eng, process)
+    frontend.hash_cache.promote(buf.id, image_id="parent", addr=buf.addr,
+                                size=buf.size, data_len=buf.data_size,
+                                chunk_bytes=64, table=b"")
+    frontend.always_instrument = True
+    kernel = ApiCall(ApiCategory.OPAQUE_KERNEL, "k", 0,
+                     program=build_fill(), args=[0, 0, 0], n_threads=2)
+    plan = frontend.plan(kernel)
+    plan.validation.violations.extend([
+        Violation("k", buf.addr + 16, AccessKind.WRITE, 0),
+        Violation("k", buf.addr + 40, AccessKind.WRITE, 1),
+    ])
+    eng.run(until=0.5)
+    plan.on_complete(kernel, None)
+    t = eng.now
+    assert frontend.write_history[buf.id] == (t, t)
+    assert frontend.hash_cache.entries[buf.id].pending == \
+        RangeSet([(16, 24), (40, 48)])
+
