@@ -468,13 +468,11 @@ def make_workload(process: GpuProcess, spec: AppSpec) -> Workload:
 CPU_PAGE_SIZE = 2 * units.MIB
 
 
-def provision(engine, machine, spec: AppSpec, name: str | None = None,
-              instant_context: bool = True):
+def provision(engine, machine, spec: AppSpec, name: str | None = None):
     """Create a process + workload for ``spec`` on ``machine``.
 
-    With ``instant_context=True`` (the default for experiments that are
-    not measuring startup) contexts are installed without charging
-    creation time — the process is assumed warm.
+    Contexts are installed without charging creation time — the process
+    is assumed warm.
     """
     from repro.gpu.context import GpuContext
 
@@ -483,11 +481,10 @@ def provision(engine, machine, spec: AppSpec, name: str | None = None,
         gpu_indices=list(range(spec.n_gpus)),
         cpu_pages=spec.cpu_pages, cpu_page_size=CPU_PAGE_SIZE,
     )
-    if instant_context:
-        for i in process.gpu_indices:
-            process.runtime.adopt_context(
-                i, GpuContext(gpu_index=i, nccl_scope=spec.n_gpus)
-            )
+    for i in process.gpu_indices:
+        process.runtime.adopt_context(
+            i, GpuContext(gpu_index=i, nccl_scope=spec.n_gpus)
+        )
     workload = make_workload(process, spec)
     return process, workload
 

@@ -107,14 +107,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="take a chain-root checkpoint first, run --steps "
                         "more iterations, then measure an incremental "
                         "(delta) checkpoint chained onto it")
-    p.add_argument("--continuous", action="store_true",
-                   help="stream a chain of incremental checkpoints with "
-                        "asynchronous tiered write-behind (DRAM -> SSD -> "
-                        "remote) instead of one checkpoint")
     p.add_argument("--rounds", type=int, default=3,
-                   help="rounds for --continuous (root + deltas)")
+                   help="rounds for --mode continuous (root + deltas), a "
+                        "chain streamed with asynchronous tiered "
+                        "write-behind (DRAM -> SSD -> remote)")
     p.add_argument("--interval", type=float, default=0.0,
-                   help="virtual seconds between --continuous rounds")
+                   help="virtual seconds between --mode continuous rounds")
     p.add_argument("--obs", action="store_true",
                    help="print the observability report (phases, DMA, counters)")
     p.add_argument("--obs-json", metavar="FILE",
@@ -278,12 +276,7 @@ def cmd_checkpoint(args) -> int:
     worker = Worker(engine, Machine(engine, n_gpus=spec.n_gpus)).launch(spec)
     workload = worker.workload
 
-    if args.continuous:
-        mode = "continuous"
-    elif args.incremental:
-        mode = "incremental"
-    else:
-        mode = args.mode
+    mode = "incremental" if args.incremental else args.mode
 
     def driver(engine):
         yield from workload.setup()
@@ -292,7 +285,7 @@ def cmd_checkpoint(args) -> int:
         yield from workload.run(args.steps)
         baseline = engine.now - t0
         config = None
-        if args.continuous:
+        if mode == "continuous":
             # The stream takes its own chain root in round 0.
             config = ProtocolConfig(rounds=args.rounds,
                                     interval=args.interval)
@@ -328,7 +321,7 @@ def cmd_checkpoint(args) -> int:
     else:
         print(checkpoint_report(image, session, spans))
     if observer is not None:
-        _emit_obs(observer, label=f"{args.app} {args.mode}",
+        _emit_obs(observer, label=f"{args.app} {mode}",
                   json_path=args.obs_json)
         obs.uninstall()
     return 0

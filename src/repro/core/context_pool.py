@@ -13,7 +13,6 @@ back-to-back restores (serverless bursts) keep hitting.
 from __future__ import annotations
 
 from collections import deque
-from typing import Optional
 
 from repro import obs
 from repro.errors import (
@@ -22,7 +21,7 @@ from repro.errors import (
     InvalidValueError,
 )
 from repro.gpu.context import ContextRequirements, GpuContext, create_context
-from repro.gpu.cost_model import DEFAULT_CONTEXT_COSTS, ContextCostModel
+from repro.gpu.cost_model import DEFAULT_CONTEXT_COSTS
 from repro.sim.engine import Engine
 
 #: How many extra attempts a failed background refill gets before the
@@ -35,7 +34,6 @@ class ContextPool:
     """Pre-created contexts, one queue per GPU."""
 
     def __init__(self, engine: Engine, machine, contexts_per_gpu: int = 2,
-                 costs: Optional[ContextCostModel] = None,
                  refill: bool = True) -> None:
         if contexts_per_gpu < 1:
             raise InvalidValueError(
@@ -47,7 +45,6 @@ class ContextPool:
         self.engine = engine
         self.machine = machine
         self.contexts_per_gpu = contexts_per_gpu
-        self.costs = costs or DEFAULT_CONTEXT_COSTS
         self.refill = refill
         self._pools: dict[int, deque[GpuContext]] = {
             gpu.index: deque() for gpu in machine.gpus
@@ -77,9 +74,7 @@ class ContextPool:
         for gpu in self.machine.gpus:
             for _ in range(self.contexts_per_gpu):
                 try:
-                    ctx = yield from create_context(
-                        self.engine, gpu.index, reqs, self.costs
-                    )
+                    ctx = yield from create_context(self.engine, gpu.index, reqs)
                 except ContextCreationError:
                     # Boot keeps going with a smaller pool; the gap is
                     # surfaced, and later hand-outs degrade to misses
@@ -112,7 +107,7 @@ class ContextPool:
             self.hits += 1
             obs.counter("context-pool/hits", gpu=gpu_index).inc()
             t0 = self.engine.now
-            yield self.engine.timeout(self.costs.pool_assignment)
+            yield self.engine.timeout(DEFAULT_CONTEXT_COSTS.pool_assignment)
             obs.record("context-pool/assign", t0, gpu=gpu_index)
             obs.gauge("context-pool/available", gpu=gpu_index).set(len(pool))
             if self.refill:
@@ -124,9 +119,7 @@ class ContextPool:
         obs.counter("context-pool/misses", gpu=gpu_index).inc()
         t0 = self.engine.now
         try:
-            ctx = yield from create_context(
-                self.engine, gpu_index, requirements, self.costs
-            )
+            ctx = yield from create_context(self.engine, gpu_index, requirements)
         except ContextCreationError:
             # Propagate — the caller owns the retry/fallback policy —
             # but never silently: a failed miss-path creation is the
@@ -155,9 +148,7 @@ class ContextPool:
         )
         for _attempt in range(REFILL_RETRIES + 1):
             try:
-                ctx = yield from create_context(
-                    self.engine, gpu_index, reqs, self.costs
-                )
+                ctx = yield from create_context(self.engine, gpu_index, reqs)
             except ContextCreationError:
                 obs.counter("context-pool/refill-failed",
                             gpu=gpu_index, site="refill").inc()

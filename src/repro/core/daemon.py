@@ -116,12 +116,12 @@ class Phos:
             yield from self.pool.prefill()
 
     # -- process attachment ---------------------------------------------------------
-    def attach(self, process: GpuProcess, mode: str = "lfc",
+    def attach(self, process: GpuProcess,
                always_instrument: bool = False) -> PhosFrontend:
-        """Install the PHOS frontend into a process's GPU runtime."""
-        frontend = PhosFrontend(
-            self.engine, process, mode=mode, always_instrument=always_instrument
-        )
+        """Install the PHOS (in-process, ``lfc``) frontend into a process's
+        GPU runtime."""
+        frontend = PhosFrontend(self.engine, process,
+                                always_instrument=always_instrument)
         process.runtime.interceptor = frontend
         self.frontends[process.id] = frontend
         return frontend

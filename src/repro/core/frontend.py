@@ -18,10 +18,17 @@ plans that enforce the protocols:
 Opaque kernels are swapped for their instrumented twins during active
 sessions; validator reports are resolved against the buffer table and
 handled per protocol (§4.2/§4.3/§6's mis-speculation rules).
+
+:meth:`PhosFrontend.plan` fixes the sessions active when the call is
+planned and binds two methods to them: one guard (the restore wait,
+then the CoW shadow) and one completion, which resolves each
+validator-reported write once and then applies the write tracking, the
+access log and the session rules in that order.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Optional
 
 from repro import obs, units
@@ -34,7 +41,7 @@ from repro.core.tracker import BufferTable
 from repro.core.validation import TwinCache
 from repro.errors import CheckpointError
 from repro.gpu.cost_model import on_device_copy_time
-from repro.gpu.interpreter import AccessKind
+from repro.gpu.interpreter import AccessKind, ValidationState
 from repro.gpu.memory import Buffer
 from repro.sim.engine import Engine
 from repro.storage.hashcache import BufferHashCache
@@ -42,6 +49,8 @@ from repro.storage.hashcache import BufferHashCache
 #: Frontend-to-backend call overhead when they live in separate
 #: processes (IPC mode, required for the context pool — §3).
 IPC_OVERHEAD = 5 * units.USEC
+
+_NAN = float("nan")  # "no earlier write" in a write-history pair
 
 _KERNEL_CATEGORIES = (
     ApiCategory.OPAQUE_KERNEL,
@@ -139,6 +148,8 @@ class PhosFrontend:
     def on_free(self, gpu_index: int, buf: Buffer) -> bool:
         """Returns True when the physical free is deferred (PHOS owns it)."""
         self.tables[gpu_index].unregister(buf)
+        # Buffer ids are never reused: a freed buffer's history is dead.
+        self.write_history.pop(buf.id, None)
         self.hash_cache.forget(buf.id)
         session = self.ckpt_session
         if (session is not None and session.covers_gpu(gpu_index)
@@ -158,248 +169,179 @@ class PhosFrontend:
             return plan
         table = self.tables[call.gpu_index]
         sets = speculate_call(call, table, self.signatures)
-        guards = []
-        completions = []
-        if sets.writes:
-            def heat_completion(call_, result, violations, _writes=sets.writes):
-                now = self.engine.now
-                history = self.write_history
-                # note_write ignores buffers without an entry, so with
-                # no entry at all (nothing sealed yet) it is skipped.
-                hash_cache = self.hash_cache if self.hash_cache.entries else None
-                for buf in _writes:
-                    prev = history.get(buf.id)
-                    last = prev[1] if prev is not None else float("nan")
-                    history[buf.id] = (last, now)
-                    if hash_cache is not None:
-                        # Speculated writes are buffer-granular: the whole
-                        # materialized payload counts as dirty.
-                        hash_cache.note_write(buf.id, 0, buf.data_size)
-
-            completions.append(heat_completion)
-        if self.log_accesses:
-            # Log at *execution* time: the CPU enqueues ahead, but the
-            # Fig. 20 heatmap is about when accesses hit the GPU.
-            def log_completion(call_, result, violations, _sets=sets):
-                self.access_log.append((self.engine.now, call_, _sets))
-
-            completions.append(log_completion)
+        # The sessions are fixed here: one that begins or ends before
+        # the call completes is never consulted for it.
         ckpt = self.ckpt_session
+        if ckpt is not None and (ckpt.aborted or not ckpt.covers_gpu(call.gpu_index)):
+            ckpt = None
         restore = self.restore_session
-        ckpt_active = (ckpt is not None and ckpt.covers_gpu(call.gpu_index)
-                       and not ckpt.aborted)
-        restore_active = (restore is not None and restore.covers_gpu(call.gpu_index)
-                          and not restore.aborted)
-        needs_twin = call.is_opaque and (
-            ckpt_active or restore_active or self.always_instrument
+        if restore is not None and (restore.aborted
+                                    or not restore.covers_gpu(call.gpu_index)):
+            restore = None
+        instrument = call.is_opaque and (
+            ckpt is not None or restore is not None or self.always_instrument
         )
         if call.category in _KERNEL_CATEGORIES:
-            if call.is_opaque:
-                self.twins.observe_launch(call.program, instrumented=needs_twin)
-            else:
-                self.twins.stats.kernels_seen.add(call.name)
-                self.twins.stats.launches_total += 1
-        if needs_twin:
-            check_reads = restore_active
-            twin = self.twins.twin_for(call.program, check_reads=check_reads)
-            plan.program = twin
-            plan.validation = self.twins.make_validation(
-                sets.write_ranges(), sets.read_ranges()
-            )
-        if restore_active:
-            guards.append(self._restore_guard(restore, call, sets))
-            completions.append(self._restore_completion(restore, call, sets))
-        if ckpt_active:
-            if ckpt.mode == "cow":
-                if sets.writes:
-                    guards.append(self._cow_guard(ckpt, call, sets))
-                completions.append(self._cow_completion(ckpt, call, sets))
-            else:
-                completions.append(self._recopy_completion(ckpt, call, sets))
-        if guards:
-            plan.pre_exec = _compose_guards(guards)
-        if completions or plan.validation is not None:
-            validation = plan.validation
-
-            def on_complete(call_, result, _completions=completions,
-                            _validation=validation, _table=table):
-                violations = _validation.violations if _validation is not None else []
-                if violations:
-                    self.twins.record_violations(violations)
-                    # Validator-observed writes also feed the write-heat
-                    # history (incremental checkpoints must never skip a
-                    # buffer that a hidden-pointer write touched).
-                    now = self.engine.now
-                    for v in violations:
-                        if v.kind is AccessKind.WRITE:
-                            buf = _table.resolve(v.addr)
-                            if buf is not None:
-                                prev = self.write_history.get(buf.id)
-                                last = prev[1] if prev else float("nan")
-                                self.write_history[buf.id] = (last, now)
-                                # Word-granular dirty note (8 bytes
-                                # covers every store width in the ISA).
-                                off = v.addr - buf.addr
-                                self.hash_cache.note_write(buf.id, off, off + 8)
-                for fn in _completions:
-                    fn(call_, result, violations)
-
-            plan.on_complete = on_complete
+            self.twins.observe_launch(call, instrumented=instrument)
+        if instrument:
+            plan.program = self.twins.twin_for(call.program,
+                                               check_reads=restore is not None)
+            plan.validation = ValidationState(read_ranges=sets.read_ranges(),
+                                              write_ranges=sets.write_ranges())
+        cow = ckpt if ckpt is not None and ckpt.mode == "cow" and sets.writes else None
+        if restore is not None or cow is not None:
+            plan.pre_exec = partial(self._guard, call, sets, restore, cow)
+        log = self.log_accesses
+        if sets.writes or log or restore is not None or ckpt is not None or instrument:
+            plan.on_complete = partial(self._complete, table, sets,
+                                       plan.validation, restore, ckpt, log)
         return plan
 
-    # -- CoW protocol pieces (§4.2) --------------------------------------------------
-    def _cow_guard(self, session: CheckpointSession, call: ApiCall,
-                   sets: SpeculatedSets):
-        gpu = self.process.machine.gpu(call.gpu_index)
+    # -- the in-stream guard: §6's restore wait, then §4.2's CoW ---------------------
+    def _guard(self, call: ApiCall, sets: SpeculatedSets,
+               restore: Optional[RestoreSession],
+               cow: Optional[CheckpointSession]):
         engine = self.engine
-        writes = list(sets.writes)
-
-        def guard():
+        gpu_index = call.gpu_index
+        if restore is not None:
             t0 = engine.now
-            for buf in writes:
-                while True:
-                    state = session.state_of(buf)
-                    if state in (BufState.DONE, BufState.SHADOWED, BufState.NEW):
-                        break
-                    if state is BufState.SHADOW_IN_FLIGHT:
-                        yield session.event_for(buf, "shadow")
-                        continue
-                    if state is BufState.COPY_IN_FLIGHT:
-                        # The rare extra stall: the buffer is being
-                        # checkpointed right now; wait for that copy.
-                        session.stats.inflight_copy_waits += 1
-                        yield session.event_for(buf, "copy")
-                        continue
-                    # NOT_STARTED: this operation performs the CoW.
-                    # Acquire the pool quota *before* announcing the
-                    # shadow: if the state were flipped first, the copy
-                    # engine could block on this shadow while the quota
-                    # it would release sits in buffers behind it.
-                    yield from session.acquire_pool(call.gpu_index, buf.size)
-                    if session.state_of(buf) is not BufState.NOT_STARTED:
-                        # The engine (or another guard) got here while
-                        # we waited for quota; re-dispatch on the new state.
-                        session.release_pool(call.gpu_index, buf.size)
-                        continue
-                    session.set_state(buf, BufState.SHADOW_IN_FLIGHT)
-                    session.event_for(buf, "shadow")
-                    shadow = gpu.memory.alloc(
-                        buf.size, tag=f"cow:{buf.tag or buf.id}",
-                        data_size=buf.data_size,
-                    )
-                    yield engine.timeout(on_device_copy_time(buf.size, gpu.spec))
-                    shadow.data[:] = buf.data  # capture the t1 content
-                    session.shadows[buf.id] = shadow
-                    session.stats.cow_shadow_copies += 1
-                    session.stats.cow_shadow_bytes += buf.size
-                    session.set_state(buf, BufState.SHADOWED)
-                    # Ask the copy engine to drain this buffer first so
-                    # its shadow's pool quota frees quickly.
-                    session.shadow_ready[call.gpu_index].append(buf)
-                    session.fire_event(buf)
-                    obs.counter("cow/shadow-copies",
-                                gpu=call.gpu_index).inc()
-                    obs.counter("cow/shadow-bytes",
-                                gpu=call.gpu_index).inc(buf.size)
+            for buf in sets.touched():
+                while ((state := restore.state_of(buf)) is not RestoreState.RESTORED
+                       and not restore.aborted):
+                    restore.request(gpu_index, buf)
+                    yield restore.event_for(buf)
+                if state is not RestoreState.RESTORED:
+                    break  # aborted: stop waiting and record no stall
+            else:
+                stalled = engine.now - t0
+                restore.stall_time += stalled
+                if stalled > 0:
+                    obs.record("restore/guard-stall", t0, call=call.name,
+                               gpu=gpu_index)
+        if cow is None:
+            return
+        gpu = self.process.machine.gpu(gpu_index)
+        t0 = engine.now
+        for buf in sets.writes:
+            while True:
+                state = cow.state_of(buf)
+                if state in (BufState.DONE, BufState.SHADOWED, BufState.NEW):
                     break
-            stalled = engine.now - t0
-            session.stats.cow_stall_time += stalled
-            if stalled > 0:
-                # The stall extent is only known here: record it
-                # retroactively so the phase tree still sums correctly.
-                obs.record("cow/guard-stall", t0, call=call.name,
-                           gpu=call.gpu_index)
+                if state is BufState.SHADOW_IN_FLIGHT:
+                    yield cow.event_for(buf, "shadow")
+                    continue
+                if state is BufState.COPY_IN_FLIGHT:
+                    # The rare extra stall: the buffer is being
+                    # checkpointed right now; wait for that copy.
+                    cow.stats.inflight_copy_waits += 1
+                    yield cow.event_for(buf, "copy")
+                    continue
+                # NOT_STARTED: this operation performs the CoW.
+                # Acquire the pool quota *before* announcing the
+                # shadow: if the state were flipped first, the copy
+                # engine could block on this shadow while the quota
+                # it would release sits in buffers behind it.
+                yield from cow.acquire_pool(gpu_index, buf.size)
+                if cow.state_of(buf) is not BufState.NOT_STARTED:
+                    # The engine (or another guard) got here while
+                    # we waited for quota; re-dispatch on the new state.
+                    cow.release_pool(gpu_index, buf.size)
+                    continue
+                cow.set_state(buf, BufState.SHADOW_IN_FLIGHT)
+                cow.event_for(buf, "shadow")
+                shadow = gpu.memory.alloc(
+                    buf.size, tag=f"cow:{buf.tag or buf.id}",
+                    data_size=buf.data_size,
+                )
+                yield engine.timeout(on_device_copy_time(buf.size, gpu.spec))
+                shadow.data[:] = buf.data  # capture the t1 content
+                cow.shadows[buf.id] = shadow
+                cow.stats.cow_shadow_copies += 1
+                cow.stats.cow_shadow_bytes += buf.size
+                cow.set_state(buf, BufState.SHADOWED)
+                # Ask the copy engine to drain this buffer first so
+                # its shadow's pool quota frees quickly.
+                cow.shadow_ready[gpu_index].append(buf)
+                cow.fire_event(buf)
+                obs.counter("cow/shadow-copies", gpu=gpu_index).inc()
+                obs.counter("cow/shadow-bytes", gpu=gpu_index).inc(buf.size)
+                break
+        stalled = engine.now - t0
+        cow.stats.cow_stall_time += stalled
+        if stalled > 0:
+            # The stall extent is only known here: record it
+            # retroactively so the phase tree still sums correctly.
+            obs.record("cow/guard-stall", t0, call=call.name, gpu=gpu_index)
 
-        return guard
-
-    def _cow_completion(self, session: CheckpointSession, call: ApiCall,
-                        sets: SpeculatedSets):
-        table = self.tables[call.gpu_index]
-
-        def on_complete(call_, result, violations) -> None:
+    # -- completion: validator report, write tracking, session rules -------------
+    def _complete(self, table: BufferTable, sets: SpeculatedSets,
+                  validation: Optional[ValidationState],
+                  restore: Optional[RestoreSession],
+                  ckpt: Optional[CheckpointSession], log: bool,
+                  call: ApiCall, result) -> None:
+        now = self.engine.now
+        history = self.write_history
+        violations = validation.violations if validation is not None else []
+        # The buffer (None for a wild write) of each WRITE violation.
+        written: list[Optional[Buffer]] = []
+        if violations:
+            self.twins.record_violations(violations)
             for v in violations:
                 if v.kind is not AccessKind.WRITE:
                     continue
-                session.stats.violations_handled += 1
                 buf = table.resolve(v.addr)
-                if buf is None:
-                    continue  # wild write outside any buffer: not our state
-                if session.state_of(buf) in (
+                written.append(buf)
+                if buf is not None:
+                    # Validator-observed writes also feed the write-heat
+                    # history (incremental checkpoints must never skip a
+                    # buffer that a hidden-pointer write touched) and the
+                    # hash cache, word-granular (8 bytes covers every
+                    # store width in the ISA).
+                    prev = history.get(buf.id)
+                    history[buf.id] = (prev[1] if prev else _NAN, now)
+                    off = v.addr - buf.addr
+                    self.hash_cache.note_write(buf.id, off, off + 8)
+        # note_write ignores buffers without an entry, so with no entry
+        # at all (nothing sealed yet) it is skipped.
+        hash_cache = self.hash_cache if self.hash_cache.entries else None
+        for buf in sets.writes:
+            prev = history.get(buf.id)
+            history[buf.id] = (prev[1] if prev else _NAN, now)
+            if hash_cache is not None:
+                # Speculated writes are buffer-granular: the whole
+                # materialized payload counts as dirty.
+                hash_cache.note_write(buf.id, 0, buf.data_size)
+        if log:
+            # Logged at *execution* time: the CPU enqueues ahead, but the
+            # Fig. 20 heatmap is about when accesses hit the GPU.
+            self.access_log.append((now, call, sets))
+        if restore is not None and violations and not restore.rolled_back:
+            # The kernel touched state outside the speculated sets — it
+            # may have observed a partially-restored buffer.
+            restore.abort()
+        if ckpt is None:
+            return
+        if ckpt.mode == "cow":
+            for buf in written:
+                ckpt.stats.violations_handled += 1
+                if buf is None or ckpt.state_of(buf) in (
                     BufState.DONE, BufState.SHADOWED, BufState.NEW,
                 ):
-                    continue  # content was captured before this write
-                session.abort(
+                    continue  # wild write, or content captured before it
+                ckpt.abort(
                     f"mis-speculated write to uncheckpointed buffer "
-                    f"{buf.tag or buf.id} by {call_.name}"
+                    f"{buf.tag or buf.id} by {call.name}"
                 )
-
-        return on_complete
-
-    # -- recopy protocol pieces (§4.3) ---------------------------------------------
-    def _recopy_completion(self, session: CheckpointSession, call: ApiCall,
-                           sets: SpeculatedSets):
-        table = self.tables[call.gpu_index]
-        writes = list(sets.writes)
-
-        def on_complete(call_, result, violations) -> None:
-            # Speculated writes: dirty if their copy started already.
-            for buf in writes:
-                if session.state_of(buf) in (
-                    BufState.COPY_IN_FLIGHT, BufState.DONE,
-                ):
-                    session.mark_dirty(call_.gpu_index, buf)
-            # Validator-reported writes (mis-speculation): same rule.
-            for v in violations:
-                if v.kind is not AccessKind.WRITE:
-                    continue
-                session.stats.violations_handled += 1
-                buf = table.resolve(v.addr)
-                if buf is None:
-                    continue
-                if session.state_of(buf) in (
-                    BufState.COPY_IN_FLIGHT, BufState.DONE,
-                ):
-                    session.mark_dirty(call_.gpu_index, buf)
-
-        return on_complete
-
-    # -- restore protocol pieces (§6) -------------------------------------------------
-    def _restore_guard(self, session: RestoreSession, call: ApiCall,
-                       sets: SpeculatedSets):
-        engine = self.engine
-        touched = sets.touched()
-        gpu_index = call.gpu_index
-
-        def guard():
-            t0 = engine.now
-            for buf in touched:
-                while session.state_of(buf) is not RestoreState.RESTORED:
-                    if session.aborted:
-                        return
-                    session.request(gpu_index, buf)
-                    yield session.event_for(buf)
-            stalled = engine.now - t0
-            session.stall_time += stalled
-            if stalled > 0:
-                obs.record("restore/guard-stall", t0, call=call.name,
-                           gpu=gpu_index)
-
-        return guard
-
-    def _restore_completion(self, session: RestoreSession, call: ApiCall,
-                            sets: SpeculatedSets):
-        def on_complete(call_, result, violations) -> None:
-            if violations and not session.rolled_back:
-                # The kernel touched state outside the speculated sets —
-                # it may have observed a partially-restored buffer.
-                session.abort()
-
-        return on_complete
-
-
-def _compose_guards(guards):
-    def pre_exec():
-        for g in guards:
-            yield from g()
-
-    return pre_exec
+            return
+        # recopy: a write completing against a buffer whose copy started
+        # already makes it dirty — speculated writes, then validator-
+        # reported ones (mis-speculation).
+        for buf in sets.writes:
+            if ckpt.state_of(buf) in (BufState.COPY_IN_FLIGHT, BufState.DONE):
+                ckpt.mark_dirty(call.gpu_index, buf)
+        for buf in written:
+            ckpt.stats.violations_handled += 1
+            if buf is not None and ckpt.state_of(buf) in (
+                BufState.COPY_IN_FLIGHT, BufState.DONE,
+            ):
+                ckpt.mark_dirty(call.gpu_index, buf)

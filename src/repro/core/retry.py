@@ -5,7 +5,7 @@ transfer erroring mid-flight (:class:`~repro.errors.DmaError`) and a
 GPU context creation failing (:class:`~repro.errors.ContextCreationError`).
 Both are retried up to ``ProtocolConfig.max_retries`` times with
 exponential backoff starting at :data:`BACKOFF` and capped at
-``backoff * cap_factor``; anything past the budget propagates
+``BACKOFF * CAP_FACTOR``; anything past the budget propagates
 and the protocol run aborts cleanly (staged image discarded, resources
 released).
 
@@ -37,13 +37,8 @@ TRANSIENT = (DmaError, ContextCreationError)
 class RetryPolicy:
     """Bounded exponential-backoff retry for generator operations."""
 
-    def __init__(self, max_retries: int = 0, backoff: float = BACKOFF,
-                 retry_on: tuple = TRANSIENT,
-                 cap_factor: int = CAP_FACTOR) -> None:
+    def __init__(self, max_retries: int = 0) -> None:
         self.max_retries = max_retries
-        self.backoff = backoff
-        self.retry_on = retry_on
-        self.cap_factor = cap_factor
 
     def run(self, engine, make_gen: Callable, site: str = ""):
         """Generator: drive ``make_gen()`` to completion, retrying.
@@ -57,13 +52,11 @@ class RetryPolicy:
             try:
                 result = yield from make_gen()
                 return result
-            except self.retry_on as err:
+            except TRANSIENT as err:
                 attempt += 1
                 if attempt > self.max_retries:
                     raise
                 obs.counter("protocol/retries", site=site or "-",
                             kind=type(err).__name__).inc()
-                delay = min(self.backoff * (2 ** (attempt - 1)),
-                            self.backoff * self.cap_factor)
-                if delay > 0:
-                    yield engine.timeout(delay)
+                yield engine.timeout(BACKOFF * min(2 ** (attempt - 1),
+                                                   CAP_FACTOR))

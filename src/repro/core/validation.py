@@ -25,10 +25,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro import obs
+from repro.api.calls import ApiCall
 from repro.gpu.instrument import instrument_program
-from repro.gpu.interpreter import ValidationState, Violation
+from repro.gpu.interpreter import Violation
 from repro.gpu.isa import Program
-from repro.gpu.ranges import RangeSet
 
 
 @dataclass
@@ -78,18 +78,17 @@ class TwinCache:
             obs.counter("validator/kernels-instrumented").inc()
         return twin
 
-    def observe_launch(self, program: Program, instrumented: bool) -> None:
-        self.stats.kernels_seen.add(program.name)
+    def observe_launch(self, call: ApiCall, instrumented: bool) -> None:
+        """Count one kernel launch; only opaque ones reach the validator."""
         self.stats.launches_total += 1
+        if not call.is_opaque:
+            self.stats.kernels_seen.add(call.name)
+            return
+        self.stats.kernels_seen.add(call.program.name)
         obs.counter("validator/launches",
                     instrumented=instrumented).inc()
         if instrumented:
             self.stats.launches_instrumented += 1
-
-    def make_validation(self, write_ranges: RangeSet,
-                        read_ranges: RangeSet) -> ValidationState:
-        """A fresh per-launch validation descriptor."""
-        return ValidationState(read_ranges=read_ranges, write_ranges=write_ranges)
 
     def record_violations(self, violations: list[Violation]) -> None:
         self.stats.violations.extend(violations)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import cProfile
+import gc
 import io
 import pstats
 from contextlib import contextmanager
@@ -152,6 +153,11 @@ def build_world(spec_name: str, use_pool: bool = False,
     installed itself is left alone.
     """
     global _installed
+    # A world is a reference cycle (process <-> runtime <-> frontend), so
+    # one the caller dropped waits for a full pass of the cyclic
+    # collector.  Run it here: an experiment holds one world at a time,
+    # however the collector's thresholds fall.
+    gc.collect()
     engine = Engine()
     observer = None
     if OBSERVE if observe is None else observe:

@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Optional
 
-from repro.gpu.cost_model import DEFAULT_CONTEXT_COSTS, ContextCostModel
+from repro.gpu.cost_model import DEFAULT_CONTEXT_COSTS
 from repro.sim.engine import Engine
 
 _context_ids = itertools.count(1)
@@ -63,7 +62,6 @@ def create_context(
     engine: Engine,
     gpu_index: int,
     requirements: ContextRequirements,
-    costs: Optional[ContextCostModel] = None,
 ):
     """A generator process that creates a context from scratch.
 
@@ -74,8 +72,7 @@ def create_context(
 
     if chaos._injector is not None:
         chaos._injector.trip("context-error")
-    costs = costs or DEFAULT_CONTEXT_COSTS
-    duration = costs.full_creation_time(
+    duration = DEFAULT_CONTEXT_COSTS.full_creation_time(
         n_modules=requirements.n_modules,
         use_cublas=requirements.use_cublas,
         nccl_gpus=requirements.nccl_gpus,

@@ -27,6 +27,27 @@ def test_checkpoint_command(capsys):
     assert "GPU state" in out
 
 
+@pytest.mark.parametrize("flow, mode, shown", [
+    # --rounds reaches --mode continuous (the protocol's own default is 2).
+    (["--mode", "continuous", "--rounds", "3"], "continuous",
+     "stream report: 3 round(s) committed"),
+    (["--incremental"], "incremental", "delta parent       : chain-root"),
+], ids=["continuous", "incremental"])
+def test_checkpoint_obs_label_names_the_resolved_mode(capsys, flow, mode,
+                                                      shown):
+    assert main(["checkpoint", "--app", "resnet152-infer", "--steps", "1",
+                 "--obs", *flow]) == 0
+    out = capsys.readouterr().out
+    assert f"app=resnet152-infer mode={mode}" in out
+    assert f"observability report: resnet152-infer {mode} ----" in out
+    assert shown in out
+
+
+def test_checkpoint_has_one_continuous_selector():
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["checkpoint", "--continuous"])
+
+
 def test_checkpoint_stop_world(capsys):
     assert main(["checkpoint", "--app", "resnet152-train",
                  "--mode", "stop-world", "--steps", "1"]) == 0

@@ -241,3 +241,17 @@ def test_two_write_violations_on_one_buffer_each_count(eng, world):
     assert frontend.hash_cache.entries[buf.id].pending == \
         RangeSet([(16, 24), (40, 48)])
 
+
+
+def test_write_history_forgets_freed_buffers(eng, world):
+    machine, process, frontend = world
+
+    def app(rt):
+        for i in range(200):
+            buf = yield from rt.malloc(0, 256)
+            yield from rt.memcpy_h2d(0, buf, payload=i, sync=True)
+            yield from rt.free(0, buf)
+
+    eng.run_process(app(process.runtime))
+    assert len(frontend.tables[0]) == 0
+    assert frontend.write_history == {}

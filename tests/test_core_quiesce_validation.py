@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.api.calls import ApiCall, ApiCategory
 from repro.api.runtime import GpuProcess
 from repro.cluster import Machine
 from repro.core.quiesce import QUIESCE_COORDINATION, quiesce, resume
@@ -10,7 +11,6 @@ from repro.gpu.context import GpuContext
 from repro.gpu.cost_model import KernelCost
 from repro.gpu.isa import Op
 from repro.gpu.program import build_fill, build_scale
-from repro.gpu.ranges import RangeSet
 from repro.sim import Engine
 
 
@@ -116,12 +116,16 @@ def test_same_named_kernels_get_their_own_twins():
     assert cache.stats.kernels_instrumented == {by3.name}
 
 
+def _opaque_launch(program):
+    return ApiCall(ApiCategory.OPAQUE_KERNEL, program.name, 0, program=program)
+
+
 def test_launch_stats_and_ratios():
     cache = TwinCache()
     prog_a, prog_b = build_fill(), build_scale()
-    cache.observe_launch(prog_a, instrumented=True)
-    cache.observe_launch(prog_a, instrumented=True)
-    cache.observe_launch(prog_b, instrumented=False)
+    cache.observe_launch(_opaque_launch(prog_a), instrumented=True)
+    cache.observe_launch(_opaque_launch(prog_a), instrumented=True)
+    cache.observe_launch(_opaque_launch(prog_b), instrumented=False)
     cache.twin_for(prog_a)
     stats = cache.stats
     assert stats.launches_total == 3
@@ -130,15 +134,18 @@ def test_launch_stats_and_ratios():
     assert stats.instrumented_kernel_ratio == pytest.approx(1 / 2)
 
 
+def test_library_launches_count_but_never_reach_the_validator():
+    cache = TwinCache()
+    cache.observe_launch(ApiCall(ApiCategory.LIB_COMPUTE, "gemm", 0),
+                         instrumented=False)
+    cache.observe_launch(_opaque_launch(build_fill()), instrumented=True)
+    stats = cache.stats
+    assert stats.kernels_seen == {"gemm", build_fill().name}
+    assert stats.launches_total == 2
+    assert stats.launches_instrumented == 1
+
+
 def test_empty_stats_ratios_are_zero():
     stats = TwinCache().stats
     assert stats.instrumented_kernel_ratio == 0.0
     assert stats.instrumented_launch_ratio == 0.0
-
-
-def test_make_validation_carries_ranges():
-    cache = TwinCache()
-    v = cache.make_validation(RangeSet([(0, 10)]), RangeSet([(20, 30)]))
-    assert 5 in v.write_ranges
-    assert 25 in v.read_ranges
-    assert v.violations == []

@@ -261,7 +261,7 @@ def test_retry_backoff_is_capped_exponential():
 
         return attempt()
 
-    policy = RetryPolicy(max_retries=8, backoff=1 * units.MSEC)
+    policy = RetryPolicy(max_retries=8)
 
     def driver(eng):
         result = yield from policy.run(eng, make_gen, site="test")
