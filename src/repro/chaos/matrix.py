@@ -29,6 +29,7 @@ same fault addresses, the same app state, and the same verdicts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Optional
 
 from repro import chaos, obs
 from repro.api.runtime import GpuProcess
@@ -241,174 +242,20 @@ def _leak_errors(world: _Cell, observer) -> list[str]:
     return errors
 
 
-def _abort_errors(world: _Cell, image) -> list[str]:
-    """Invariants specific to the clean-abort outcome."""
-    errors = []
-    catalog = world.phos.medium.images
-    if catalog.committed_images():
-        errors.append("aborted run left a committed image in the catalog")
-    if image is not None:
-        if catalog.is_committed(image):
-            errors.append("aborted run left a committed image")
-        if catalog.is_staged(image):
-            errors.append("aborted run left its image staged")
-    for frontend in world.phos.frontends.values():
-        if frontend.ckpt_session is not None:
-            errors.append("frontend still holds a checkpoint session")
-        if frontend.restore_session is not None:
-            errors.append("frontend still holds a restore session")
-    return errors
-
-
 # ---------------------------------------------------------------------------
-# Cell drivers.
+# One cell: build, arm, run one operation, restore what it left, judge.
 # ---------------------------------------------------------------------------
 
-def _run_checkpoint_cell(protocol: str, plan: FaultPlan,
-                         cell: CellResult,
-                         expect_commit: bool) -> None:
-    """One checkpoint cell; fills in ``cell`` in place."""
-    world = _Cell()
-    eng = world.engine
-    with obs.observed(eng) as observer:
-        def driver():
-            yield from world.warmup()
-            injector = chaos.install(plan, engine=eng,
-                                     killer=world.phos.kill)
-            outcome = None
-            try:
-                handle = world.phos.checkpoint(
-                    world.process, mode=protocol, name="cell",
-                )
-                try:
-                    image, session = yield handle
-                except ReproError as err:
-                    outcome = ("aborted", err, None)
-                else:
-                    done = getattr(session, "done", None)
-                    if done is not None and not done.triggered:
-                        yield done
-                    outcome = ("committed", None, image)
-            finally:
-                chaos.uninstall()
-            kind, err, image = outcome
-            if kind == "committed":
-                # Prove the committed image restores bit-identically.
-                expected = _image_state(image)
-                world.phos.kill(world.process)
-                restored = yield from world.phos.restore(
-                    image, gpu_indices=[0],
-                )
-                new_process, _frontend, rsession = restored
-                if rsession is not None:
-                    yield rsession.done
-                got = _gpu_snapshot(new_process)
-                return kind, err, image, injector, expected == got
-            return kind, err, image, injector, True
+@dataclass
+class _Run:
+    """What one cell's operation left behind, for the verdict."""
 
-        kind, err, image, injector, identical = eng.run_process(driver())
-        eng.run()
-
-        cell.outcome = kind
-        cell.injected = len(injector.injected)
-        errors = _leak_errors(world, observer)
-        if kind == "aborted":
-            last = _last_protocol_image(world, protocol)
-            errors += _abort_errors(world, last)
-            if not injector.injected:
-                errors.append(f"run aborted with no injected fault: {err}")
-        else:
-            if expect_commit is False and injector.injected:
-                errors.append("fault injected but run still committed")
-            if injector.injected:
-                cell.outcome = "committed"
-            else:
-                cell.outcome = "no-trip"
-            if image is not None and not image.finalized:
-                errors.append("committed image is not finalized")
-            if image is not None and not world.phos.medium.images.is_committed(
-                image
-            ):
-                errors.append("image missing from the commit catalog")
-            if not identical:
-                errors.append("restored state differs from the image")
-        if expect_commit and kind == "aborted":
-            errors.append(f"retryable fault aborted the run: {err}")
-        cell.ok = not errors
-        cell.detail = "; ".join(errors)
-
-
-def _last_protocol_image(world: _Cell, protocol: str):
-    """The image a failed run staged, recovered via the catalog."""
-    catalog = world.phos.medium.images
-    staged = catalog.staged_images()
-    if staged:
-        return staged[-1]
-    # Discarded images are no longer staged; any revoked image the cell
-    # produced is equally a valid "not restorable" witness.
-    return None
-
-
-def _run_restore_cell(protocol: str, plan: FaultPlan,
-                      cell: CellResult,
-                      expect_commit: bool) -> None:
-    """One restore cell: checkpoint cleanly, then restore under fault."""
-    world = _Cell()
-    eng = world.engine
-    with obs.observed(eng) as observer:
-        def driver():
-            yield from world.warmup()
-            image, session = yield world.phos.checkpoint(
-                world.process, mode="cow", name="cell",
-            )
-            expected = _image_state(image)
-            world.phos.kill(world.process)
-            injector = chaos.install(plan, engine=eng,
-                                     killer=world.phos.kill)
-            outcome = None
-            try:
-                try:
-                    restored = yield from world.phos.restore(
-                        image, gpu_indices=[0], mode=protocol,
-                    )
-                except ReproError as err:
-                    outcome = ("aborted", err, None)
-                else:
-                    new_process, _frontend, rsession = restored
-                    if rsession is not None and not rsession.done.triggered:
-                        yield rsession.done
-                    outcome = ("committed", None, new_process)
-            finally:
-                chaos.uninstall()
-            kind, err, new_process = outcome
-            if kind == "aborted":
-                # The image must survive a failed restore: a second,
-                # fault-free attempt restores bit-identically.
-                restored = yield from world.phos.restore(
-                    image, gpu_indices=[0], mode=protocol,
-                )
-                new_process, _frontend, rsession = restored
-                if rsession is not None and not rsession.done.triggered:
-                    yield rsession.done
-            got = _gpu_snapshot(new_process)
-            return kind, err, injector, expected == got
-
-        kind, err, injector, identical = eng.run_process(driver())
-        eng.run()
-
-        cell.outcome = kind
-        cell.injected = len(injector.injected)
-        errors = _leak_errors(world, observer)
-        if kind == "aborted" and not injector.injected:
-            errors.append(f"restore aborted with no injected fault: {err}")
-        if kind == "committed" and not injector.injected:
-            cell.outcome = "no-trip"
-        if expect_commit and kind == "aborted":
-            errors.append(f"retryable fault aborted the restore: {err}")
-        if not identical:
-            errors.append("restored state differs from the image")
-        cell.ok = not errors
-        cell.detail = "; ".join(errors)
+    armed: set                  # committed image ids when the fault was armed
+    outcome: str = ""
+    injected: int = 0
+    error: Optional[BaseException] = None
+    produced: list = field(default_factory=list)  # images the run committed
+    identical: bool = True      # the restored state equals the image
 
 
 def _chain_order(images) -> list:
@@ -426,141 +273,161 @@ def _chain_order(images) -> list:
     return chain
 
 
-def _run_continuous_cell(protocol: str, plan: FaultPlan,
-                         cell: CellResult,
-                         expect_commit: bool) -> None:
-    """One streaming-checkpoint cell (prefix-atomic contract).
+def _restore(world: _Cell, image, mode: str = "concurrent"):
+    """Restore ``image`` until it is fully loaded; returns the process."""
+    process, _frontend, session = yield from world.phos.restore(
+        image, gpu_indices=[0], mode=mode,
+    )
+    if session is not None and not session.done.triggered:
+        yield session.done
+    return process
 
-    A streaming protocol is not abort-atomic: a fault after round ``r``
-    committed must leave rounds ``0..r`` restorable on the DRAM tier
-    (the run *returns* the committed prefix instead of raising), and a
-    fault inside the write-behind drainer must revoke the partial
-    lower-tier replica while every fully-drained tier keeps a strict
-    prefix of the chain.  Only a fault before the first commit may
-    abort the run outright.
+
+def _run_cell(protocol: str, plan: FaultPlan, cell: CellResult,
+              expect_commit: bool, streaming: bool) -> None:
+    """Run one cell of the matrix; fills in ``cell`` in place.
+
+    A restore cell first commits a clean CoW image and kills the
+    process; the operation under fault is then that restore, a
+    streaming checkpoint over the cell's own tier stack, or a plain
+    checkpoint.  Whatever the run left restorable is restored and
+    compared with its image, and every cell is judged by
+    :func:`_verdict`.
     """
     world = _Cell()
     eng = world.engine
+    catalog = world.phos.medium.images
+    # A streaming cell owns its tier stack so the verdict can audit the
+    # lower-tier catalogs after the run.
+    tiers = tier_stack(eng, world.phos.medium) if streaming else []
     with obs.observed(eng) as observer:
-        # The cell owns the tier stack so it can audit the lower-tier
-        # catalogs after the run.
-        tiers = tier_stack(eng, world.phos.medium)
-
         def driver():
             yield from world.warmup()
-            injector = chaos.install(plan, engine=eng,
-                                     killer=world.phos.kill)
-            catalog = world.phos.medium.images
-            outcome = None
+            source = image = restored = None
+            if cell.kind == "restore":
+                source, _session = yield world.phos.checkpoint(
+                    world.process, mode="cow", name="cell",
+                )
+                world.phos.kill(world.process)
+            run = _Run(armed={im.id for im in catalog.committed_images()})
+            injector = chaos.install(plan, killer=world.phos.kill)
+            stream = None
             try:
-                handle = world.phos.checkpoint(
-                    world.process, mode=protocol, name="cell",
-                    config=ProtocolConfig(rounds=3,
-                                          interval=1e-3,
-                                          drain_tiers=tiers))
-                try:
-                    last, stream = yield handle
-                except ReproError as err:
-                    # A kill-process fault tears the outer handle down
-                    # (the daemon cancels in-flight runs of a dying
-                    # process), so the committed prefix must be
-                    # recovered from the catalog, not the return value.
-                    chain = _chain_order(catalog.committed_images())
-                    if chain:
-                        outcome = ("prefix-dead", err, chain[-1], None)
-                    else:
-                        outcome = ("aborted", err, None, None)
+                if source is not None:
+                    restored = yield from _restore(world, source, protocol)
+                elif streaming:
+                    image, stream = yield world.phos.checkpoint(
+                        world.process, mode=protocol, name="cell",
+                        config=ProtocolConfig(rounds=3, interval=1e-3,
+                                              drain_tiers=tiers))
+                    run.produced = stream.images
                 else:
-                    outcome = ("stream", None, last, stream)
+                    image, _session = yield world.phos.checkpoint(
+                        world.process, mode=protocol, name="cell",
+                    )
+                    run.produced = [image]
+            except ReproError as err:
+                run.error = err
+                if streaming:
+                    # A kill-process fault tears the stream's handle
+                    # down, so its committed prefix is in the catalog.
+                    chain = _chain_order(catalog.committed_images())
+                    image = chain[-1] if chain else None
             finally:
                 chaos.uninstall()
-            kind, err, last, stream = outcome
-            if last is not None:
-                # Prove the last committed round restores bit-identically
-                # (kill is idempotent if a kill-process fault already ran).
-                expected = _image_state(last)
-                world.phos.kill(world.process)
-                restored = yield from world.phos.restore(
-                    last, gpu_indices=[0],
-                )
-                new_process, _frontend, rsession = restored
-                if rsession is not None:
-                    yield rsession.done
-                got = _gpu_snapshot(new_process)
-                return kind, err, stream, injector, expected == got
-            return kind, err, stream, injector, True
+            run.injected = len(injector.injected)
+            if stream is not None and not stream.complete:
+                run.error = stream.error or stream.drain_error
+            if run.error is None:
+                run.outcome = "committed" if run.injected else "no-trip"
+            else:
+                run.outcome = "aborted" if image is None else "prefix"
 
-        kind, err, stream, injector, identical = eng.run_process(driver())
+            if world.process.id in world.phos.frontends:
+                # Unless the fault killed it, the application keeps
+                # running: one more iteration gets through its API gate.
+                yield from world.app.run(1, start=2)
+            if source is not None and restored is None:
+                # The image survives a failed restore: a second,
+                # fault-free attempt with the same protocol restores it.
+                restored = yield from _restore(world, source, protocol)
+            elif image is not None:
+                # What the run committed restores through ``concurrent``
+                # (kill is idempotent after a kill-process fault).
+                world.phos.kill(world.process)
+                restored = yield from _restore(world, image)
+            if restored is not None:
+                target = source if source is not None else image
+                run.identical = _image_state(target) == _gpu_snapshot(restored)
+            return run
+
+        run = eng.run_process(driver())
         eng.run()
 
-        cell.injected = len(injector.injected)
-        errors = _leak_errors(world, observer)
-        catalog = world.phos.medium.images
-        committed = catalog.committed_images()
-        chain = _chain_order(committed)
-        chain_ids = [img.id for img in chain]
-        if kind == "aborted":
-            cell.outcome = "aborted"
-            errors += _abort_errors(world, _last_protocol_image(world,
-                                                               protocol))
-            if not injector.injected:
-                errors.append(f"run aborted with no injected fault: {err}")
-        else:
-            truncated = (kind == "prefix-dead"
-                         or stream.error is not None
-                         or stream.drain_error is not None)
-            if truncated:
-                cell.outcome = "prefix"
-            elif injector.injected:
-                cell.outcome = "committed"
-            else:
-                cell.outcome = "no-trip"
-            if expect_commit and truncated:
-                errors.append("retryable fault truncated the stream: "
-                              f"{err or stream.error or stream.drain_error}")
-            if (not expect_commit and injector.injected and not truncated
-                    and stream.rounds_committed >= 3):
-                errors.append("fault injected but the stream completed "
-                              "untruncated")
-            if len(chain) != len(committed):
-                errors.append("committed images do not form a single "
-                              "parent chain")
-            for img in chain:
-                if not img.finalized:
-                    errors.append(f"round image {img.name!r} not finalized")
-            if stream is not None:
-                missing = [img.name for img in stream.images
-                           if not catalog.is_committed(img)]
-                if missing:
-                    errors.append("stream round(s) missing from the DRAM "
-                                  f"catalog: {missing}")
-            if catalog.staged_images():
-                errors.append("DRAM catalog left staged image(s)")
-            if not identical:
-                errors.append("restored state differs from the last "
-                              "committed round")
-            for frontend in world.phos.frontends.values():
-                if frontend.ckpt_session is not None:
-                    errors.append("frontend still holds a checkpoint session")
-        # Write-behind audit (both outcomes): no tier may keep a staged
-        # (partial) replica, and each tier's committed replicas must be
-        # a strict prefix of the stream's chain.
-        for tier in tiers[1:]:
-            staged = tier.images.staged_images()
-            if staged:
-                errors.append(f"tier {tier.name!r} left {len(staged)} "
-                              "staged replica(s)")
-            got_ids = {im.id for im in tier.images.committed_images()}
-            if got_ids != set(chain_ids[:len(got_ids)]):
-                errors.append(f"tier {tier.name!r} committed a non-prefix "
-                              "replica set")
+        cell.outcome = run.outcome
+        cell.injected = run.injected
+        errors = _verdict(world, observer, tiers, run, expect_commit)
         cell.ok = not errors
         cell.detail = "; ".join(errors)
+
+
+def _verdict(world: _Cell, observer, tiers, run: _Run,
+             expect_commit: bool) -> list[str]:
+    """The two-outcome contract: every cell is checked against all of it."""
+    errors = _leak_errors(world, observer)
+    catalog = world.phos.medium.images
+    if catalog.staged_images():
+        errors.append("catalog left staged image(s)")
+    for frontend in world.phos.frontends.values():
+        if frontend.ckpt_session is not None:
+            errors.append("frontend still holds a checkpoint session")
+        if frontend.restore_session is not None:
+            errors.append("frontend still holds a restore session")
+    committed = catalog.committed_images()
+    chain = _chain_order(committed)
+    if len(chain) != len(committed):
+        errors.append("committed images do not form a single parent chain")
+    errors += [f"committed image {im.name!r} is not finalized"
+               for im in chain if not im.finalized]
+    if run.outcome == "aborted":
+        if {im.id for im in committed} != run.armed:
+            errors.append("aborted run changed the committed image set")
+        if not run.injected:
+            errors.append(f"run aborted with no injected fault: {run.error}")
+    missing = [im.name for im in run.produced if not catalog.is_committed(im)]
+    if missing:
+        errors.append(f"image(s) missing from the commit catalog: {missing}")
+    if expect_commit and run.error is not None:
+        errors.append(f"retryable fault ended the run {run.outcome}: "
+                      f"{run.error}")
+    if not expect_commit and run.outcome == "committed":
+        errors.append("fault injected but the run still committed")
+    if not run.identical:
+        errors.append("restored state differs from the image")
+    # Write-behind: no lower tier keeps a staged (partial) replica, and
+    # each tier's committed replicas are a prefix of the chain.
+    chain_ids = [im.id for im in chain]
+    for tier in tiers[1:]:
+        staged = tier.images.staged_images()
+        if staged:
+            errors.append(f"tier {tier.name!r} left {len(staged)} "
+                          "staged replica(s)")
+        got_ids = {im.id for im in tier.images.committed_images()}
+        if got_ids != set(chain_ids[:len(got_ids)]):
+            errors.append(f"tier {tier.name!r} committed a non-prefix "
+                          "replica set")
+    return errors
 
 
 # ---------------------------------------------------------------------------
 # The sweep.
 # ---------------------------------------------------------------------------
+
+def _at(kind: str, protocol: str, phase: str, seed: int) -> FaultPlan:
+    """A plan with one fault at entry to ``protocol``'s ``phase``."""
+    return FaultPlan(faults=(FaultSpec(kind=kind, protocol=protocol,
+                                       phase=phase),), seed=seed)
+
 
 def sweep(seed: int = 1, protocols=None,
           restore_protocols=None) -> SweepResult:
@@ -570,89 +437,40 @@ def sweep(seed: int = 1, protocols=None,
     restore protocol axes (default: everything registered).
     """
     result = SweepResult(seed=seed)
-    ckpt_names = list(protocols or registry.names("checkpoint"))
-    rest_names = list(restore_protocols or registry.names("restore"))
-
-    for name in ckpt_names:
-        # Streaming protocols have a prefix-atomic failure contract —
-        # route them to the dedicated cell driver.
-        streaming = getattr(registry.get(name, "checkpoint"),
-                            "streaming", False)
-        runner = _run_continuous_cell if streaming else _run_checkpoint_cell
-        phases = STREAM_FAULT_PHASES if streaming else CHECKPOINT_FAULT_PHASES
-        for phase in phases:
-            for fault_kind in chaos.PHASE_KINDS:
-                cell = CellResult(
-                    kind="checkpoint", protocol=name,
-                    fault=f"{fault_kind}@{phase}",
-                )
-                plan = FaultPlan(faults=(FaultSpec(
-                    kind=fault_kind, protocol=name, phase=phase,
-                ),), seed=seed)
-                _run_cell_guarded(
-                    runner, name, plan, cell,
-                    expect_commit=False,
-                )
-                result.cells.append(cell)
+    axes = [("checkpoint", name)
+            for name in protocols or registry.names("checkpoint")]
+    axes += [("restore", name)
+             for name in restore_protocols or registry.names("restore")]
+    for kind, name in axes:
+        streaming = registry.get(name, kind).streaming
+        if kind == "restore":
+            phases, site_kinds = RESTORE_FAULT_PHASES, chaos.SITE_KINDS
+        else:
+            phases = (STREAM_FAULT_PHASES if streaming
+                      else CHECKPOINT_FAULT_PHASES)
+            site_kinds = ("dma-error",)
+        # (fault label, plan, expect_commit): a fault at every phase,
+        # a crash at every write-behind hop of a stream, then the
+        # seed-sampled retryable faults the run must absorb.
+        cells = [(f"{fault}@{phase}", _at(fault, name, phase, seed), False)
+                 for phase in phases for fault in chaos.PHASE_KINDS]
         if streaming:
-            # Crash-mid-drain: kill the write-behind drainer between
-            # tiers; the DRAM prefix must survive and the partially
-            # drained tier's replica must be revoked.
-            for phase in DRAIN_FAULT_PHASES:
-                cell = CellResult(
-                    kind="checkpoint", protocol=name,
-                    fault=f"crash-checkpointer@{phase}",
-                )
-                plan = FaultPlan(faults=(FaultSpec(
-                    kind="crash-checkpointer", protocol=DRAIN_PROTOCOL,
-                    phase=phase,
-                ),), seed=seed)
-                _run_cell_guarded(
-                    _run_continuous_cell, name, plan, cell,
-                    expect_commit=False,
-                )
-                result.cells.append(cell)
-        # Seed-sampled retryable DMA faults: the run must still commit.
-        cell = CellResult(kind="checkpoint", protocol=name,
-                          fault=f"dma-error~s{seed}")
-        plan = FaultPlan.sample(seed, kinds=("dma-error",))
-        _run_cell_guarded(runner, name, plan, cell,
-                          expect_commit=True)
-        result.cells.append(cell)
-
-    for name in rest_names:
-        for phase in RESTORE_FAULT_PHASES:
-            for fault_kind in chaos.PHASE_KINDS:
-                cell = CellResult(
-                    kind="restore", protocol=name,
-                    fault=f"{fault_kind}@{phase}",
-                )
-                plan = FaultPlan(faults=(FaultSpec(
-                    kind=fault_kind, protocol=name, phase=phase,
-                ),), seed=seed)
-                _run_cell_guarded(
-                    _run_restore_cell, name, plan, cell,
-                    expect_commit=False,
-                )
-                result.cells.append(cell)
-        for fault_kind in chaos.SITE_KINDS:
-            cell = CellResult(kind="restore", protocol=name,
-                              fault=f"{fault_kind}~s{seed}")
-            plan = FaultPlan.sample(seed, kinds=(fault_kind,))
-            _run_cell_guarded(_run_restore_cell, name, plan, cell,
-                              expect_commit=True)
+            cells += [(f"crash-checkpointer@{phase}",
+                       _at("crash-checkpointer", DRAIN_PROTOCOL, phase,
+                           seed), False)
+                      for phase in DRAIN_FAULT_PHASES]
+        cells += [(f"{fault}~s{seed}",
+                   FaultPlan.sample(seed, kinds=(fault,)), True)
+                  for fault in site_kinds]
+        for fault, plan, expect_commit in cells:
+            cell = CellResult(kind=kind, protocol=name, fault=fault)
+            try:
+                _run_cell(name, plan, cell, expect_commit, streaming)
+            except Exception as err:  # noqa: BLE001 - verdict, not control flow
+                cell.ok = False
+                cell.outcome = cell.outcome or "error"
+                cell.detail = f"{type(err).__name__}: {err}"
+            finally:
+                chaos.uninstall()
             result.cells.append(cell)
-
     return result
-
-
-def _run_cell_guarded(runner, protocol, plan, cell, expect_commit) -> None:
-    """Run one cell; an escaped exception is a FAIL, never a crash."""
-    try:
-        runner(protocol, plan, cell, expect_commit)
-    except Exception as err:  # noqa: BLE001 - verdict, not control flow
-        cell.ok = False
-        cell.outcome = cell.outcome or "error"
-        cell.detail = f"{type(err).__name__}: {err}"
-    finally:
-        chaos.uninstall()

@@ -240,6 +240,10 @@ class Protocol:
     #: ``parent`` (a self-contained chain root); with a parent, every
     #: protocol that supports one seals a delta.
     starts_chain: ClassVar[bool] = False
+    #: A streaming run commits a chain of images and keeps the
+    #: committed prefix when a fault ends it early (prefix-atomic, not
+    #: abort-atomic); the chaos matrix judges it by that contract.
+    streaming: ClassVar[bool] = False
     #: One-line description for ``phos protocols`` and the docs.
     summary: ClassVar[str] = ""
 

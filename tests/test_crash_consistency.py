@@ -79,6 +79,28 @@ def test_crash_consistency_matrix(seed):
             assert cell.injected >= 1, cell.label
 
 
+def test_matrix_fails_a_checkpoint_that_leaves_the_app_paused(monkeypatch):
+    """Liveness is part of the verdict: a failed checkpoint whose
+    recovery forgets to reopen the API gate must fail matrix cells."""
+    from repro.core.protocols import base
+
+    recover = base.Protocol._recover_failed_checkpoint
+
+    def recover_without_resume(self, ctx, err):
+        # The mutant: every teardown step except the final resume.
+        real_resume = base.resume
+        base.resume = lambda processes: None
+        try:
+            recover(self, ctx, err)
+        finally:
+            base.resume = real_resume
+
+    monkeypatch.setattr(base.Protocol, "_recover_failed_checkpoint",
+                        recover_without_resume)
+    result = sweep(seed=1, protocols=["cow"], restore_protocols=[])
+    assert result.failures, "\n" + result.render()
+
+
 def test_cli_chaos_subcommand_smoke():
     buf = io.StringIO()
     with redirect_stdout(buf):
