@@ -46,7 +46,7 @@ from repro.errors import (
 #: Fault kinds understood by the injector.
 KINDS = ("kill-process", "crash-checkpointer", "dma-error", "context-error")
 
-#: Kinds that trip at phase entry (inside ``ProtocolEngine._phase``).
+#: Kinds that trip at phase entry (inside ``Protocol._phase``).
 PHASE_KINDS = ("kill-process", "crash-checkpointer")
 
 #: Kinds that trip at a resource-operation site (DMA move, context create).
@@ -120,10 +120,9 @@ class FaultInjector:
     independently.
     """
 
-    def __init__(self, plan: FaultPlan, engine=None,
+    def __init__(self, plan: FaultPlan,
                  killer: Optional[Callable] = None) -> None:
         self.plan = plan
-        self.engine = engine
         self.killer = killer
         #: Current (protocol, phase) context, set at phase entry.  Nested
         #: protocol runs (e.g. the CoW abort fallback) overwrite it, which
@@ -147,7 +146,7 @@ class FaultInjector:
 
     # -- site hooks ---------------------------------------------------------
     def enter_phase(self, protocol: str, phase: str, ctx) -> None:
-        """Called by ``ProtocolEngine._phase`` on entry to each phase."""
+        """Called by ``Protocol._phase`` on entry to each phase."""
         self.protocol, self.phase = protocol, phase
         for spec in self._phase_specs:
             if not self._should_trip(spec, protocol, phase):
@@ -213,11 +212,11 @@ class FaultInjector:
 _injector: Optional[FaultInjector] = None
 
 
-def install(plan: FaultPlan, engine=None,
+def install(plan: FaultPlan,
             killer: Optional[Callable] = None) -> FaultInjector:
     """Arm a fault plan; returns the live injector."""
     global _injector
-    _injector = FaultInjector(plan, engine=engine, killer=killer)
+    _injector = FaultInjector(plan, killer=killer)
     return _injector
 
 
@@ -226,7 +225,3 @@ def uninstall() -> None:
     global _injector
     _injector = None
 
-
-def active() -> Optional[FaultInjector]:
-    """The installed injector, or ``None`` when chaos is off."""
-    return _injector

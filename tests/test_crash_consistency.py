@@ -125,7 +125,7 @@ def test_aborted_checkpoint_never_commits_its_image():
     chaos.install(FaultPlan(faults=(
         FaultSpec(kind="crash-checkpointer", protocol="cow",
                   phase="transfer"),
-    )), engine=eng, killer=phos.kill)
+    )), killer=phos.kill)
 
     def driver(eng):
         yield from app.setup()
@@ -213,7 +213,7 @@ def test_transient_dma_error_is_retried_and_counted():
     try:
         chaos.install(FaultPlan(faults=(
             FaultSpec(kind="dma-error", occurrence=1, count=1),
-        )), engine=eng)
+        )))
 
         def driver(eng):
             yield from app.setup()
@@ -244,7 +244,7 @@ def test_retry_exhaustion_aborts_cleanly():
         # More consecutive failures than max_retries allows attempts.
         chaos.install(FaultPlan(faults=(
             FaultSpec(kind="dma-error", occurrence=1, count=20),
-        )), engine=eng)
+        )))
 
         def driver(eng):
             yield from app.setup()
@@ -423,7 +423,7 @@ def test_consistent_checkpoint_failure_names_process_and_revokes_siblings():
     chaos.install(FaultPlan(faults=(
         FaultSpec(kind="crash-checkpointer", protocol="cow",
                   phase="transfer", occurrence=1),
-    )), engine=eng, killer=phos.kill)
+    )), killer=phos.kill)
 
     def driver(eng):
         for app in apps:
@@ -516,7 +516,7 @@ def test_refill_failure_is_counted_not_silent():
         # give up loudly, and leave the hand-out path working.
         chaos.install(FaultPlan(faults=(
             FaultSpec(kind="context-error", occurrence=1, count=50),
-        )), engine=eng)
+        )))
 
         from repro.gpu.context import ContextRequirements
 
@@ -570,7 +570,7 @@ def test_pool_acquire_falls_back_to_direct_creation():
                 yield from phos.pool.acquire(0, reqs)
             chaos.install(FaultPlan(faults=(
                 FaultSpec(kind="context-error", occurrence=1, count=1),
-            )), engine=eng, killer=phos.kill)
+            )), killer=phos.kill)
             new_process, _f, session = yield from phos.restore(
                 image, gpu_indices=[0],
             )

@@ -517,7 +517,7 @@ def test_crash_abort_releases_every_resource():
         chaos.install(FaultPlan(faults=(
             FaultSpec(kind="crash-checkpointer", protocol="cow",
                       phase="transfer"),
-        )), engine=eng, killer=phos.kill)
+        )), killer=phos.kill)
 
         def driver(eng):
             yield from app.setup()

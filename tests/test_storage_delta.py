@@ -421,7 +421,7 @@ def test_crash_mid_delta_write_leaves_parent_restorable():
     chaos.install(FaultPlan(faults=(
         FaultSpec(kind="crash-checkpointer", protocol="incremental",
                   phase="transfer"),
-    )), engine=eng, killer=phos.kill)
+    )), killer=phos.kill)
 
     def doomed_driver(eng):
         yield from app.run(1, start=2)

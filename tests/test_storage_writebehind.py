@@ -187,7 +187,7 @@ def test_crash_mid_drain_revokes_partial_replica(phase, ssd_committed):
     plan = FaultPlan(faults=(FaultSpec(
         kind="crash-checkpointer", protocol=DRAIN_PROTOCOL, phase=phase,
     ),), seed=1)
-    injector = chaos.install(plan, engine=eng)
+    injector = chaos.install(plan)
     try:
         def producer():
             yield from drainer.enqueue(image)
@@ -230,7 +230,7 @@ def test_dead_drainer_unblocks_waiting_producer():
         kind="crash-checkpointer", protocol=DRAIN_PROTOCOL,
         phase="drain:t1", occurrence=2,
     ),), seed=1)
-    chaos.install(plan, engine=eng)
+    chaos.install(plan)
     try:
         def producer():
             results = []
