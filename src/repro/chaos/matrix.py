@@ -64,6 +64,10 @@ DRAIN_FAULT_PHASES = ("drain:t1", "publish:t1", "drain:t2", "publish:t2")
 #: fault there exercises the prefix-atomic contract).
 STREAM_FAULT_PHASES = ("admit", "quiesce", "transfer", "validate", "commit")
 
+#: The highest occurrence a seed-sampled fault may draw, per site kind:
+#: one every cell reaches (a one-GPU restore creates its context once).
+SITE_VISITS = {"dma-error": 4, "context-error": 1}
+
 
 @dataclass
 class CellResult:
@@ -460,7 +464,8 @@ def sweep(seed: int = 1, protocols=None,
                            seed), False)
                       for phase in DRAIN_FAULT_PHASES]
         cells += [(f"{fault}~s{seed}",
-                   FaultPlan.sample(seed, kinds=(fault,)), True)
+                   FaultPlan.sample(seed, kinds=(fault,),
+                                    max_occurrence=SITE_VISITS[fault]), True)
                   for fault in site_kinds]
         for fault, plan, expect_commit in cells:
             cell = CellResult(kind=kind, protocol=name, fault=fault)

@@ -72,11 +72,10 @@ def test_crash_consistency_matrix(seed):
     result = sweep(seed=seed)
     assert result.cells, "sweep produced no cells"
     assert result.ok, "\n" + result.render()
-    # Every phase-targeted fault actually fired (no silently-vacuous
-    # cells); only seed-sampled occurrences may miss.
+    # Every fault actually fired: no cell is silently vacuous, and a
+    # seed-sampled occurrence lies within the visits a cell makes.
     for cell in result.cells:
-        if "@" in cell.fault:
-            assert cell.injected >= 1, cell.label
+        assert cell.injected >= 1, cell.label
 
 
 def test_matrix_fails_a_checkpoint_that_leaves_the_app_paused(monkeypatch):
