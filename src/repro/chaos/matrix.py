@@ -13,12 +13,18 @@ states —
    frontend is back in pass-through mode, and (unless the fault *was*
    the process dying) the application keeps running.
 
-Each matrix cell builds a fresh world (engine, machine, daemon,
-deterministic mini-app), arms one :class:`~repro.chaos.FaultSpec`, runs
-the protocol, and asserts one of the two outcomes.  The sweep covers:
+Every cell runs through one driver (:func:`_run_cell`): build a fresh
+world (engine, machine, daemon, deterministic mini-app), arm one
+:class:`~repro.chaos.FaultPlan`, run one operation (a checkpoint, a
+streaming checkpoint, or a restore of a clean CoW image), disarm, check
+that a process the fault did not kill still runs, and restore whatever
+the run left restorable.  Every cell is then judged by one invariant
+list (:func:`_verdict`).  The sweep covers:
 
 * ``kill-process`` and ``crash-checkpointer`` at **every** phase of
   every registered checkpoint protocol and restore protocol;
+* a crash at every write-behind hop of a streaming protocol, whose
+  contract is prefix-atomic: the committed rounds stay restorable;
 * seed-sampled retryable ``dma-error`` / ``context-error`` faults
   (these must be absorbed by the retry policy: the run still commits).
 
@@ -76,7 +82,7 @@ class CellResult:
     kind: str               # "checkpoint" | "restore"
     protocol: str           # registry name
     fault: str              # e.g. "kill-process@transfer", "dma-error~seed"
-    outcome: str = ""       # "committed" | "aborted" | "no-trip"
+    outcome: str = ""       # committed | aborted | prefix | no-trip | error
     injected: int = 0       # faults actually fired in this cell
     ok: bool = False
     detail: str = ""        # failure explanation when not ok
@@ -225,30 +231,25 @@ class _Cell:
 
 
 # ---------------------------------------------------------------------------
-# Invariant checks shared by every cell.
+# One cell: build, arm, run one operation, restore what it left, judge.
 # ---------------------------------------------------------------------------
 
 def _leak_errors(world: _Cell, observer) -> list[str]:
     """Post-run invariants that must hold in *both* outcomes."""
     errors = []
     for gpu in world.machine.gpus:
-        users = list(gpu.dma.iter_users())
-        waiting = list(gpu.dma.iter_waiting())
+        users = len(list(gpu.dma.iter_users()))
+        waiting = len(list(gpu.dma.iter_waiting()))
         if users:
-            errors.append(f"gpu{gpu.index} DMA pool leaked "
-                          f"{len(users)} user(s)")
+            errors.append(f"gpu{gpu.index} DMA pool leaked {users} user(s)")
         if waiting:
             errors.append(f"gpu{gpu.index} DMA pool stranded "
-                          f"{len(waiting)} waiter(s)")
+                          f"{waiting} waiter(s)")
     open_spans = [n.name for n in observer.spans.iter_nodes() if n.open]
     if open_spans:
         errors.append(f"open obs spans: {sorted(set(open_spans))}")
     return errors
 
-
-# ---------------------------------------------------------------------------
-# One cell: build, arm, run one operation, restore what it left, judge.
-# ---------------------------------------------------------------------------
 
 @dataclass
 class _Run:
@@ -291,12 +292,10 @@ def _run_cell(protocol: str, plan: FaultPlan, cell: CellResult,
               expect_commit: bool, streaming: bool) -> None:
     """Run one cell of the matrix; fills in ``cell`` in place.
 
-    A restore cell first commits a clean CoW image and kills the
-    process; the operation under fault is then that restore, a
-    streaming checkpoint over the cell's own tier stack, or a plain
-    checkpoint.  Whatever the run left restorable is restored and
-    compared with its image, and every cell is judged by
-    :func:`_verdict`.
+    The operation under fault is a checkpoint, a streaming checkpoint
+    over the cell's own tier stack, or (after a clean CoW checkpoint
+    and a kill) a restore.  What it left restorable is restored and
+    compared with its image; :func:`_verdict` judges the result.
     """
     world = _Cell()
     eng = world.engine
@@ -307,7 +306,7 @@ def _run_cell(protocol: str, plan: FaultPlan, cell: CellResult,
     with obs.observed(eng) as observer:
         def driver():
             yield from world.warmup()
-            source = image = restored = None
+            source = image = restored = stream = None
             if cell.kind == "restore":
                 source, _session = yield world.phos.checkpoint(
                     world.process, mode="cow", name="cell",
@@ -315,7 +314,6 @@ def _run_cell(protocol: str, plan: FaultPlan, cell: CellResult,
                 world.phos.kill(world.process)
             run = _Run(armed={im.id for im in catalog.committed_images()})
             injector = chaos.install(plan, killer=world.phos.kill)
-            stream = None
             try:
                 if source is not None:
                     restored = yield from _restore(world, source, protocol)
@@ -368,8 +366,7 @@ def _run_cell(protocol: str, plan: FaultPlan, cell: CellResult,
         run = eng.run_process(driver())
         eng.run()
 
-        cell.outcome = run.outcome
-        cell.injected = run.injected
+        cell.outcome, cell.injected = run.outcome, run.injected
         errors = _verdict(world, observer, tiers, run, expect_commit)
         cell.ok = not errors
         cell.detail = "; ".join(errors)
@@ -412,10 +409,8 @@ def _verdict(world: _Cell, observer, tiers, run: _Run,
     # each tier's committed replicas are a prefix of the chain.
     chain_ids = [im.id for im in chain]
     for tier in tiers[1:]:
-        staged = tier.images.staged_images()
-        if staged:
-            errors.append(f"tier {tier.name!r} left {len(staged)} "
-                          "staged replica(s)")
+        if tier.images.staged_images():
+            errors.append(f"tier {tier.name!r} left staged replica(s)")
         got_ids = {im.id for im in tier.images.committed_images()}
         if got_ids != set(chain_ids[:len(got_ids)]):
             errors.append(f"tier {tier.name!r} committed a non-prefix "
