@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.api.calls import ApiCall, ApiCategory
-from repro.core.signatures import SignatureCache
 from repro.core.speculation import speculate_call
 from repro.core.tracker import BufferTable
 from repro.gpu.instrument import instrument_program
@@ -162,7 +161,6 @@ def run_speculation_study(mem=None) -> list[StudyRow]:
     """Run the full §8.5 study; returns one row per suite."""
     mem = mem or DeviceMemory(capacity=2 * GIB, default_data_size=512)
     table = BufferTable(gpu_index=0)
-    signatures = SignatureCache()
     suites, bufs = build_suites(mem, table)
     rows = []
     for suite in suites:
@@ -178,7 +176,7 @@ def run_speculation_study(mem=None) -> list[StudyRow]:
                     ApiCategory.OPAQUE_KERNEL, kernel.program.name, 0,
                     program=kernel.program, args=args, n_threads=N_THREADS,
                 )
-                sets = speculate_call(call, table, signatures)
+                sets = speculate_call(call, table)
                 validation = ValidationState(
                     read_ranges=sets.read_ranges(),
                     write_ranges=sets.write_ranges(),

@@ -35,7 +35,6 @@ from repro import obs, units
 from repro.api.calls import ApiCall, ApiCategory, LaunchPlan
 from repro.api.runtime import GpuProcess
 from repro.core.session import BufState, CheckpointSession, RestoreSession, RestoreState
-from repro.core.signatures import SignatureCache
 from repro.core.speculation import SpeculatedSets, speculate_call
 from repro.core.tracker import BufferTable
 from repro.core.validation import TwinCache
@@ -72,7 +71,6 @@ class PhosFrontend:
         self.tables: dict[int, BufferTable] = {
             i: BufferTable(i) for i in process.gpu_indices
         }
-        self.signatures = SignatureCache()
         self.twins = TwinCache()
         self.ckpt_session: Optional[CheckpointSession] = None
         self.restore_session: Optional[RestoreSession] = None
@@ -168,7 +166,7 @@ class PhosFrontend:
         if call.category in (ApiCategory.MALLOC, ApiCategory.FREE, ApiCategory.SYNC):
             return plan
         table = self.tables[call.gpu_index]
-        sets = speculate_call(call, table, self.signatures)
+        sets = speculate_call(call, table)
         # The sessions are fixed here: one that begins or ends before
         # the call completes is never consulted for it.
         ckpt = self.ckpt_session

@@ -23,6 +23,7 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass
+from typing import Optional
 
 from repro.errors import SignatureError
 
@@ -140,18 +141,21 @@ _TYPE_WORDS = {
 }
 
 
-class SignatureCache:
-    """Parse-once cache keyed by kernel name (the frontend's copy)."""
+def program_signature(program) -> Optional[Signature]:
+    """The parsed declaration of a kernel ``Program`` (None when it does
+    not parse), memoized on the program object itself.
 
-    def __init__(self) -> None:
-        self._cache: dict[str, Signature] = {}
-
-    def get(self, kernel_name: str, decl: str) -> Signature:
-        sig = self._cache.get(kernel_name)
-        if sig is None:
-            sig = parse_signature(decl)
-            self._cache[kernel_name] = sig
-        return sig
-
-    def __len__(self) -> int:
-        return len(self._cache)
+    Parsing is a pure function of ``program.decl``; keying the memo by
+    the program rather than by its kernel name keeps two programs that
+    share a name from sharing one signature.
+    """
+    try:
+        return program._signature_memo
+    except AttributeError:
+        pass
+    try:
+        sig = parse_signature(program.decl)
+    except SignatureError:
+        sig = None
+    program._signature_memo = sig
+    return sig

@@ -25,9 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.api.calls import ApiCall, ApiCategory
-from repro.core.signatures import ParamKind, SignatureCache
+from repro.core.signatures import ParamKind, program_signature
 from repro.core.tracker import BufferTable
-from repro.errors import SignatureError
 from repro.gpu.memory import Buffer
 from repro.gpu.ranges import RangeSet
 
@@ -57,8 +56,7 @@ class SpeculatedSets:
         return list(seen.values())
 
 
-def speculate_call(call: ApiCall, table: BufferTable,
-                   signatures: SignatureCache) -> SpeculatedSets:
+def speculate_call(call: ApiCall, table: BufferTable) -> SpeculatedSets:
     """Speculate the read/write sets of one intercepted call."""
     if call.category.has_declared_semantics:
         return SpeculatedSets(
@@ -66,16 +64,12 @@ def speculate_call(call: ApiCall, table: BufferTable,
         )
     if call.category is not ApiCategory.OPAQUE_KERNEL:
         return SpeculatedSets()
-    return _speculate_opaque(call, table, signatures)
+    return _speculate_opaque(call, table)
 
 
-def _speculate_opaque(call: ApiCall, table: BufferTable,
-                      signatures: SignatureCache) -> SpeculatedSets:
+def _speculate_opaque(call: ApiCall, table: BufferTable) -> SpeculatedSets:
     assert call.program is not None
-    try:
-        sig = signatures.get(call.program.name, call.program.decl)
-    except SignatureError:
-        sig = None
+    sig = program_signature(call.program)
     if sig is None or sig.has_struct or len(sig) != len(call.args):
         return _conservative(call, table)
     sets = SpeculatedSets(opaque=True)

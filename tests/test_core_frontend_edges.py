@@ -41,6 +41,30 @@ def test_ipc_mode_adds_overhead(eng, world):
     assert plan.frontend_overhead == IPC_OVERHEAD
 
 
+def test_two_kernels_named_alike_keep_their_own_signatures(eng, world):
+    """Speculation parses each program's own declaration: a second
+    kernel that shares the first one's name but swaps which pointer is
+    const writes its first argument, not the first kernel's second."""
+    from repro.gpu.isa import ProgramBuilder
+
+    machine, _, _ = world
+    frontend = PhosFrontend(eng, world[1], always_instrument=True)
+    memory = machine.gpu(0).memory
+    a, b = memory.alloc(512, tag="a"), memory.alloc(512, tag="b")
+    for buf in (a, b):
+        frontend.tables[0].register(buf)
+    writes = []
+    for decl in ("void k(const long* x, long* y)",
+                 "void k(long* x, const long* y)"):
+        program = ProgramBuilder("k", decl).exit().build()
+        plan = frontend.plan(ApiCall(
+            ApiCategory.OPAQUE_KERNEL, "k", 0, program=program,
+            args=[a.addr, b.addr], n_threads=1))
+        ranges = plan.validation.write_ranges
+        writes.append([buf.tag for buf in (a, b) if buf.addr in ranges])
+    assert writes == [["b"], ["a"]]
+
+
 def test_double_begin_checkpoint_rejected(eng, world):
     _, _, frontend = world
     s1 = CheckpointSession(eng, "cow", CheckpointImage())

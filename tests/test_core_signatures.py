@@ -4,9 +4,8 @@ import pytest
 
 from repro.core.signatures import (
     ParamKind,
-    Signature,
-    SignatureCache,
     parse_signature,
+    program_signature,
 )
 from repro.errors import SignatureError
 
@@ -98,11 +97,20 @@ def test_trailing_semicolon_ok():
 
 
 def test_cache_parses_once():
-    cache = SignatureCache()
-    s1 = cache.get("k", "void k(int* p)")
-    s2 = cache.get("k", "void k(int* p)")
-    assert s1 is s2
-    assert len(cache) == 1
+    """The parse is memoized per program: twice the same object for one
+    program, and a declaration that does not parse is remembered as
+    None."""
+    from repro.gpu.isa import ProgramBuilder
+
+    program = ProgramBuilder("k", "void k(int* p)").exit().build()
+    s1 = program_signature(program)
+    assert s1 is program_signature(program)
+    assert s1 == parse_signature("void k(int* p)")
+    twin = ProgramBuilder("k", "void k(const int* p)").exit().build()
+    assert program_signature(twin).params[0].kind is ParamKind.CONST_PTR
+    garbage = ProgramBuilder("k", "not a declaration!").exit().build()
+    assert program_signature(garbage) is None
+    assert garbage._signature_memo is None
 
 
 def test_real_kernel_decl_from_program_library():

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.api.calls import ApiCall, ApiCategory
-from repro.core.signatures import SignatureCache
 from repro.core.speculation import speculate_call
 from repro.core.tracker import BufferTable
 from repro.errors import CheckpointError
@@ -30,11 +29,6 @@ def mem():
 @pytest.fixture
 def table(mem):
     return BufferTable(gpu_index=0)
-
-
-@pytest.fixture
-def sigs():
-    return SignatureCache()
 
 
 def alloc(mem, table, size=512, tag=""):
@@ -98,79 +92,79 @@ def test_table_total_bytes_tracks_unregister(mem, table):
 # --- declared semantics (types 1-3) -----------------------------------------
 
 
-def test_memcpy_uses_declared_sets(mem, table, sigs):
+def test_memcpy_uses_declared_sets(mem, table):
     dst = alloc(mem, table)
     call = ApiCall(ApiCategory.MEMCPY_H2D, "cudaMemcpyH2D", 0, writes=[dst], nbytes=512)
-    sets = speculate_call(call, table, sigs)
+    sets = speculate_call(call, table)
     assert sets.writes == [dst]
     assert not sets.opaque
 
 
-def test_lib_compute_uses_declared_sets(mem, table, sigs):
+def test_lib_compute_uses_declared_sets(mem, table):
     a, b, c = (alloc(mem, table) for _ in range(3))
     call = ApiCall(ApiCategory.LIB_COMPUTE, "cublasSgemm", 0, reads=[a, b], writes=[c])
-    sets = speculate_call(call, table, sigs)
+    sets = speculate_call(call, table)
     assert sets.reads == [a, b] and sets.writes == [c]
 
 
 # --- opaque kernels ----------------------------------------------------------
 
 
-def test_saxpy_speculation(mem, table, sigs):
+def test_saxpy_speculation(mem, table):
     x, y, z = (alloc(mem, table) for _ in range(3))
     prog = build_saxpy()
-    sets = speculate_call(opaque(prog, [2, x.addr, y.addr, z.addr, 4]), table, sigs)
+    sets = speculate_call(opaque(prog, [2, x.addr, y.addr, z.addr, 4]), table)
     assert sets.opaque and not sets.conservative
     assert [b.id for b in sets.writes] == [z.id]
     assert {b.id for b in sets.reads} == {x.id, y.id}
 
 
-def test_scalar_that_collides_with_address_is_filtered(mem, table, sigs):
+def test_scalar_that_collides_with_address_is_filtered(mem, table):
     """A scalar argument whose value happens to look like a buffer address
     must NOT be speculated as a write — the signature filter removes it."""
     x, y = alloc(mem, table), alloc(mem, table)
     prog = build_saxpy()
     # Pass y.addr as the scalar `a`: still only z (= x here) is written.
-    sets = speculate_call(opaque(prog, [y.addr, x.addr, y.addr, x.addr, 4]), table, sigs)
+    sets = speculate_call(opaque(prog, [y.addr, x.addr, y.addr, x.addr, 4]), table)
     assert [b.id for b in sets.writes] == [x.id]
 
 
-def test_pointer_into_buffer_interior_resolves(mem, table, sigs):
+def test_pointer_into_buffer_interior_resolves(mem, table):
     y = alloc(mem, table)
     prog = build_fill()
-    sets = speculate_call(opaque(prog, [y.addr + 64, 4, 0]), table, sigs)
+    sets = speculate_call(opaque(prog, [y.addr + 64, 4, 0]), table)
     assert [b.id for b in sets.writes] == [y.id]
 
 
-def test_unresolvable_pointer_ignored(mem, table, sigs):
+def test_unresolvable_pointer_ignored(mem, table):
     prog = build_fill()
-    sets = speculate_call(opaque(prog, [0xDEAD0000, 4, 0]), table, sigs)
+    sets = speculate_call(opaque(prog, [0xDEAD0000, 4, 0]), table)
     assert sets.writes == []
 
 
-def test_struct_kernel_conservative(mem, table, sigs):
+def test_struct_kernel_conservative(mem, table):
     out = alloc(mem, table)
     prog = build_struct_kernel()
-    sets = speculate_call(opaque(prog, [out.addr, 4, 7]), table, sigs)
+    sets = speculate_call(opaque(prog, [out.addr, 4, 7]), table)
     assert sets.conservative
     # The pointer chunk is found; scalar chunks that don't resolve are skipped.
     assert [b.id for b in sets.writes] == [out.id]
     assert [b.id for b in sets.reads] == [out.id]
 
 
-def test_arg_count_mismatch_falls_back_conservative(mem, table, sigs):
+def test_arg_count_mismatch_falls_back_conservative(mem, table):
     y = alloc(mem, table)
     prog = build_fill()  # decl has 3 params
-    sets = speculate_call(opaque(prog, [y.addr, 4, 0, y.addr]), table, sigs)
+    sets = speculate_call(opaque(prog, [y.addr, 4, 0, y.addr]), table)
     assert sets.conservative
 
 
-def test_global_pointer_kernel_misses_hidden_buffer(mem, table, sigs):
+def test_global_pointer_kernel_misses_hidden_buffer(mem, table):
     """The §8.5 Rodinia failure: the hidden buffer is not speculated."""
     x = alloc(mem, table)
     hidden = alloc(mem, table)
     prog = build_global_writer("gw", "out", hidden.addr)
-    sets = speculate_call(opaque(prog, [x.addr, 4]), table, sigs)
+    sets = speculate_call(opaque(prog, [x.addr, 4]), table)
     assert all(b.id != hidden.id for b in sets.writes)
     assert all(b.id != hidden.id for b in sets.reads)
 
@@ -187,7 +181,7 @@ def test_global_pointer_kernel_misses_hidden_buffer(mem, table, sigs):
         (build_scatter, ("x", "idx", "y", "n")),
     ],
 )
-def test_speculated_writes_cover_actual_writes(mem, table, sigs, builder, arg_names):
+def test_speculated_writes_cover_actual_writes(mem, table, builder, arg_names):
     bufs = {name: alloc(mem, table, tag=name) for name in arg_names if name not in ("a", "n")}
     # idx buffers must hold in-range indices.
     if "idx" in bufs:
@@ -202,7 +196,7 @@ def test_speculated_writes_cover_actual_writes(mem, table, sigs, builder, arg_na
         else:
             args.append(bufs[name].addr)
     prog = builder()
-    sets = speculate_call(opaque(prog, args), table, sigs)
+    sets = speculate_call(opaque(prog, args), table)
     write_ranges = sets.write_ranges()
     read_ranges = sets.read_ranges()
     for rec in observed_accesses(prog, args, 4, mem):

@@ -150,7 +150,6 @@ def test_speculation_covers_actual_writes_for_arg_addressed_kernels(
     """For kernels whose every access flows from an argument, the
     speculated write set must cover every actual write (safety)."""
     from repro.api.calls import ApiCall, ApiCategory
-    from repro.core.signatures import SignatureCache
     from repro.core.speculation import speculate_call
     from repro.core.tracker import BufferTable
     from repro.gpu.interpreter import AccessKind
@@ -174,7 +173,7 @@ def test_speculation_covers_actual_writes_for_arg_addressed_kernels(
         args = [bufs[pattern[0] % n_bufs].addr, n_threads]
     call = ApiCall(ApiCategory.OPAQUE_KERNEL, prog.name, 0,
                    program=prog, args=args, n_threads=n_threads)
-    sets = speculate_call(call, table, SignatureCache())
+    sets = speculate_call(call, table)
     write_ranges = sets.write_ranges()
     for rec in observed_accesses(prog, args, n_threads, mem):
         if rec.kind is AccessKind.WRITE:
