@@ -41,12 +41,10 @@ from repro.core.session import COW_POOL_BYTES, BufState, CheckpointSession
 from repro.errors import CheckpointError, ReproError, SimulationError
 from repro.storage.delta import (
     CHUNK_BYTES,
-    DeltaImage,
     dirty_chunk_span_bytes,
     materialize,
     seal_delta,
 )
-from repro.storage.image import CheckpointImage
 
 #: The declarative phase sequence of a checkpoint protocol run.
 CHECKPOINT_PHASES = ("admit", "quiesce", "plan", "transfer", "validate",
@@ -316,6 +314,8 @@ class Protocol:
         return self._run_restore(ctx)
 
     def _run_checkpoint(self, ctx: ProtocolContext):
+        if self.config.parent is not None:
+            self.config.parent.require_finalized()
         self.prepare(ctx)
         catalog = ctx.medium.images
         catalog.stage(ctx.image)
@@ -479,24 +479,6 @@ class Protocol:
     def prepare(self, ctx: ProtocolContext) -> None:
         """Pre-span setup (create the image, resolve the baseline)."""
 
-    def new_image(self, ctx: ProtocolContext, default_name: str):
-        """The run's empty image: a :class:`DeltaImage` chained onto
-        ``config.parent`` (or a chain root, see :attr:`starts_chain`),
-        else a full :class:`CheckpointImage`."""
-        name = ctx.name or default_name
-        parent = self.config.parent
-        if parent is None and not self.starts_chain:
-            return CheckpointImage(name=name)
-        if parent is not None:
-            parent.require_finalized()
-        return DeltaImage(
-            name=name,
-            parent_id=parent.id if parent is not None else None,
-            parent_name=parent.name if parent is not None else "",
-            parent_ref=parent,
-            chunk_bytes=self.config.content_chunk_bytes or CHUNK_BYTES,
-        )
-
     def span_attrs(self, ctx: ProtocolContext) -> dict:
         """Attributes for the run's ``checkpoint/<name>`` obs span."""
         attrs = {"image": ctx.image.name} if ctx.image is not None else {}
@@ -592,9 +574,10 @@ class Protocol:
         epoch mismatch moves the full buffer.  Pending ranges hold every
         write since the parent, so the extent covers either cut.  The
         CPU dump is the cut's: a t2 image dumps only the pages that
-        differ from the parent's (``dump_delta``, dirty-tracked for the
-        recopy pass), while a t1 image keeps the CoW dump and
-        :meth:`seal_chain` drops the pages equal to the parent's.
+        differ from the parent's (``dump_tracked`` given the parent's
+        pages, dirty-tracked for the recopy pass), while a t1 image
+        keeps the CoW dump and :meth:`seal_chain` drops the pages equal
+        to the parent's.
         """
         parent_full = ctx.parent_full
         if parent_full is None:
@@ -603,11 +586,10 @@ class Protocol:
         cpu_dump = None
         if self.session_mode == "recopy":
             def cpu_dump(host, image, medium):
-                return ctx.criu.dump_delta(host, image, medium,
-                                           parent_full.cpu_pages,
-                                           parent_id=parent_id)
+                return ctx.criu.dump_tracked(host, image, medium,
+                                             parent_full.cpu_pages, parent_id)
         cache = ctx.frontend.hash_cache
-        cb = ctx.image.chunk_bytes
+        cb = self.config.content_chunk_bytes or CHUNK_BYTES
 
         def sizer(gpu_index, buf):
             prec = parent_full.gpu_buffers.get(gpu_index, {}).get(buf.id)
@@ -627,8 +609,10 @@ class Protocol:
         return cpu_dump, sizer
 
     def seal_chain(self, ctx: ProtocolContext) -> None:
-        """Commit phase: store a :class:`DeltaImage` as chunk tables
-        against the parent (no-op for a full image).
+        """Commit phase: with ``config.parent`` (or :attr:`starts_chain`)
+        replace the run's capture with the
+        :class:`~repro.storage.delta.DeltaImage` that stores it as chunk
+        tables against the parent; otherwise keep the full capture.
 
         The cut decides what the seal may assume.  Buffers freed inside
         the window still exist at t1, so only a t2 seal drops
@@ -637,12 +621,15 @@ class Protocol:
         hash cache up but never promotes it (that would clear the
         pending writes made between t1 and commit).
         """
-        if not isinstance(ctx.image, DeltaImage):
+        parent = self.config.parent
+        if parent is None and not self.starts_chain:
             return
         t2 = self.session_mode == "recopy"
-        seal_delta(ctx.image, ctx.parent_full, reused=ctx.reused,
-                   freed=ctx.session.freed_ids if t2 else None,
-                   cache=ctx.frontend.hash_cache, promote=t2)
+        ctx.image = seal_delta(
+            ctx.image, parent, ctx.parent_full, reused=ctx.reused,
+            freed=ctx.session.freed_ids if t2 else None,
+            cache=ctx.frontend.hash_cache, promote=t2,
+            chunk_bytes=self.config.content_chunk_bytes or CHUNK_BYTES)
 
     def phase_transfer(self, ctx: ProtocolContext):
         """Move the data (usually concurrently with execution)."""

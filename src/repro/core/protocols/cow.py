@@ -13,6 +13,7 @@ from __future__ import annotations
 from repro import obs
 from repro.core.protocols import registry
 from repro.core.protocols.base import RETRY_SUPPORTS, Protocol, ProtocolContext
+from repro.storage.image import CheckpointImage
 
 
 @registry.register
@@ -32,7 +33,7 @@ class CowCheckpoint(Protocol):
                "stop-the-world checkpoint at t1 (§4.2)")
 
     def prepare(self, ctx: ProtocolContext) -> None:
-        ctx.image = self.new_image(ctx, f"cow-{ctx.process.name}")
+        ctx.image = CheckpointImage(name=ctx.name or f"cow-{ctx.process.name}")
 
     def phase_transfer(self, ctx: ProtocolContext):
         # Concurrent copy, CoW-isolated.

@@ -32,6 +32,7 @@ from repro.core.protocols.base import (
 )
 from repro.core.protocols.registry import register
 from repro.core.quiesce import quiesce
+from repro.storage.image import CheckpointImage
 
 
 @register
@@ -52,7 +53,8 @@ class RecopyCheckpoint(Protocol):
                "t2 (§4.3); with a parent, a delta of the changed chunks")
 
     def prepare(self, ctx: ProtocolContext) -> None:
-        ctx.image = self.new_image(ctx, f"{self.name}-{ctx.process.name}")
+        ctx.image = CheckpointImage(
+            name=ctx.name or f"{self.name}-{ctx.process.name}")
 
     def dirty_ids(self, ctx: ProtocolContext, gpu_index: int) -> set[int]:
         """A fresh set of the plan buffers on ``gpu_index`` written since

@@ -28,7 +28,7 @@ def checkpoint_report(image: CheckpointImage,
 
     lines = [f"checkpoint report: {image.name}"]
     lines.append(f"  taken at (virtual) : t={image.checkpoint_time:g} s")
-    is_delta = isinstance(image, DeltaImage) and image.sealed
+    is_delta = isinstance(image, DeltaImage)
     n_gpus = len(image.delta_gpu) if is_delta else len(image.gpu_buffers)
     lines.append(f"  GPU state          : "
                  f"{units.fmt_bytes(image.gpu_bytes())} in "

@@ -6,9 +6,10 @@ CRIU behaviours the paper depends on:
 * **concurrent CoW dump** — write-protect all pages, copy them to the
   image while the process runs; a faulting write first preserves the
   old page content (so the image reflects the dump-start state);
-* **dirty-tracking dump** — clear soft-dirty bits, copy everything,
-  and report the pages dirtied during the copy for a recopy pass
-  (CRIU's memory-changes tracking / incremental dump [19]);
+* **dirty-tracking dump** — clear soft-dirty bits, copy everything
+  (or, given a parent image's pages, only the pages that differ), and
+  report the pages dirtied during the copy for a recopy pass (CRIU's
+  memory-changes tracking / incremental dump [19]);
 * **restore** — load pages and control state; optionally *on-demand*
   (lazy-restore): pages start non-present and are fetched on first
   touch, with the fetch time charged to the faulting process.
@@ -96,62 +97,50 @@ class CriuEngine:
         return result
 
     # -- dirty-tracking dump (for recopy) ---------------------------------------------
-    def dump_tracked(self, process: HostProcess, image: CheckpointImage, medium: Medium):
+    def dump_tracked(self, process: HostProcess, image: CheckpointImage,
+                     medium: Medium,
+                     parent_pages: Optional[dict[int, bytes]] = None,
+                     parent_id: Optional[str] = None):
         """Generator: copy all pages, reporting pages dirtied meanwhile.
 
         The caller (the recopy protocol) quiesces and then calls
         :meth:`recopy_dirty` with the result.
+
+        With ``parent_pages`` (a parent image's materialized pages) only
+        the pages that differ from the parent's are copied — the CPU
+        side of a t2 checkpoint with a parent, whose dump cost then
+        scales with the delta.  ``parent_id`` enables the soft-dirty
+        epoch fast path: when the previous dump of this process produced
+        exactly the named parent image, the soft-dirty bits
+        over-approximate the pages changed since it (bits are only
+        cleared at dump start and every page changed after the parent's
+        capture sets its bit), so only those candidates need a content
+        compare — the host-side cost becomes O(dirty pages) instead of
+        O(all pages).  The candidate set is read *before* clearing;
+        filtering by content keeps the shipped set identical to the
+        full scan's, so virtual timings and image bytes do not depend
+        on the fast path.
         """
         mem = process.memory
+        indices = None
+        if parent_pages is not None:
+            if parent_id is not None and mem.delta_epoch == parent_id:
+                candidates = mem.dirty_pages()
+                obs.counter("criu/delta-fastpath-pages").inc(len(candidates))
+            else:
+                candidates = range(mem.n_pages)
+            indices = [
+                index
+                for index, data in zip(candidates,
+                                       mem.snapshot_pages(candidates))
+                if parent_pages.get(index) != data
+            ]
         mem.clear_soft_dirty()
         result = CpuDumpResult()
-        with obs.span("criu-dump", mode="tracked", pages=mem.n_pages):
-            yield from self._copy_pages(mem, image, medium, {}, result)
-        result.dirty_after_copy = mem.dirty_pages()
-        image.cpu_control = process.control_state()
-        image.kernel_objects = list(process.kernel_objects)
-        self._stamp_epoch(mem, image)
-        return result
-
-    def dump_delta(self, process: HostProcess, image: CheckpointImage,
-                   medium: Medium, parent_pages: dict[int, bytes],
-                   parent_id: Optional[str] = None):
-        """Generator: dirty-tracking dump of only the pages that differ
-        from a parent image's (materialized) pages.
-
-        The CPU side of a t2 checkpoint with a parent: unchanged pages
-        are referenced from the parent instead of re-shipped, so the
-        dump cost scales with the delta.  Pages dirtied while the copy
-        runs are reported for the quiesced recopy pass, exactly like
-        :meth:`dump_tracked`.
-
-        ``parent_id`` enables the soft-dirty epoch fast path: when the
-        previous dump of this process produced exactly the named parent
-        image, the soft-dirty bits over-approximate the pages changed
-        since it (bits are only cleared at dump start and every page
-        changed after the parent's capture sets its bit), so only those
-        candidates need a content compare — the host-side cost becomes
-        O(dirty pages) instead of O(all pages).  The candidate set is
-        read *before* clearing; filtering by content keeps the shipped
-        set identical to the full scan's, so virtual timings and image
-        bytes do not depend on the fast path.
-        """
-        mem = process.memory
-        if parent_id is not None and mem.delta_epoch == parent_id:
-            candidates = mem.dirty_pages()
-            obs.counter("criu/delta-fastpath-pages").inc(len(candidates))
-        else:
-            candidates = range(mem.n_pages)
-        mem.clear_soft_dirty()
-        result = CpuDumpResult()
-        changed = [
-            index
-            for index, data in zip(candidates, mem.snapshot_pages(candidates))
-            if parent_pages.get(index) != data
-        ]
-        with obs.span("criu-dump", mode="delta", pages=len(changed)):
+        with obs.span("criu-dump", mode="tracked" if indices is None else "delta",
+                      pages=mem.n_pages if indices is None else len(indices)):
             yield from self._copy_pages(mem, image, medium, {}, result,
-                                        indices=changed)
+                                        indices=indices)
         result.dirty_after_copy = mem.dirty_pages()
         image.cpu_control = process.control_state()
         image.kernel_objects = list(process.kernel_objects)
@@ -164,7 +153,7 @@ class CriuEngine:
 
         After any dump, a page with a clear soft-dirty bit is unwritten
         since a point at or before the capture, hence byte-identical to
-        the image's copy — so a later :meth:`dump_delta` naming this
+        the image's copy — so a later :meth:`dump_tracked` naming this
         image as parent may compare only bit-set candidates.
         """
         mem.delta_epoch = image.id

@@ -35,9 +35,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from operator import lt
-from typing import Callable, Iterable, Optional, Sequence
-
-import numpy as np
+from typing import Callable, Iterable, Optional
 
 from repro import obs
 from repro.errors import TornImageError
@@ -130,17 +128,6 @@ def dirty_chunk_intervals(ranges: Iterable[tuple[int, int]], data_len: int,
     return merged
 
 
-def dirty_chunk_indices(ranges: Iterable[tuple[int, int]], data_len: int,
-                        chunk_bytes: int) -> np.ndarray:
-    """Sorted unique chunk indices overlapped by half-open byte ranges
-    (any order, overlapping, negative or past the payload's end)."""
-    spans = dirty_chunk_intervals(ranges, data_len, chunk_bytes)
-    if not spans:
-        return np.empty(0, dtype=np.int64)
-    return np.concatenate([np.arange(lo, hi + 1, dtype=np.int64)
-                           for lo, hi in spans])
-
-
 def dirty_chunk_span_bytes(ranges: Iterable[tuple[int, int]], data_len: int,
                            chunk_bytes: int) -> int:
     """Total bytes of the chunk-aligned spans overlapping ``ranges``.
@@ -218,11 +205,11 @@ def _torn_payload(image_name: str, rec: DeltaBufferRecord) -> TornImageError:
 class DeltaImage(CheckpointImage):
     """A checkpoint image that stores only chunks changed vs a parent.
 
-    During the protocol run it accumulates captured buffers in the
-    inherited ``gpu_buffers`` / ``cpu_pages`` exactly like a full image
-    (the data movers are unchanged); :func:`seal_delta` then converts
-    the captured state into the chunk tables and drops every byte the
-    parent already holds.
+    Built sealed by :func:`seal_delta` from a run's plain capture (or
+    read back by the v2 loader): per-buffer chunk tables in
+    ``delta_gpu``, only the CPU pages that differ from the parent's in
+    ``cpu_pages``, and running aggregates so no size query re-walks the
+    tables.
     """
 
     parent_id: Optional[str] = None
@@ -232,18 +219,18 @@ class DeltaImage(CheckpointImage):
     #: resolution by ``parent_id``).
     parent_ref: Optional[CheckpointImage] = None
     chunk_bytes: int = CHUNK_BYTES
-    #: ``gpu index -> buffer id -> DeltaBufferRecord`` (after sealing).
+    #: ``gpu index -> buffer id -> DeltaBufferRecord``.
     delta_gpu: dict[int, dict[int, DeltaBufferRecord]] = field(
         default_factory=dict
     )
     #: Logical CPU page count of the materialized state (stored pages
     #: may be far fewer: pages equal to the parent's are dropped).
     cpu_logical_pages: int = 0
-    sealed: bool = False
     chunks_written: int = 0
     chunks_reused: int = 0
-    #: Running aggregates, maintained by :meth:`add_delta_record` /
-    #: :meth:`add_cpu_page` so no size query ever re-walks the tables.
+    #: Running aggregates: :meth:`add_delta_record` keeps the chunk
+    #: ones; ``stored_page_bytes`` is set once the stored pages are
+    #: known.
     stored_chunk_bytes: int = 0
     stored_page_bytes: int = 0
     reused_buffers: int = 0
@@ -277,46 +264,21 @@ class DeltaImage(CheckpointImage):
             self.gpu_logical.get(gpu_index, 0) + rec.size
         )
 
-    def add_cpu_page(self, index: int, data: bytes) -> None:
-        prev = self.cpu_pages.get(index)
-        super().add_cpu_page(index, data)
-        self.stored_page_bytes += len(data) - (0 if prev is None else len(prev))
-
-    def add_cpu_pages(self, indices: Sequence[int], datas: Sequence[bytes]) -> None:
-        pages = self.cpu_pages
-        replaced = sum(len(pages[i]) for i in indices if i in pages)
-        super().add_cpu_pages(indices, datas)
-        self.stored_page_bytes += sum(map(len, datas)) - replaced
-
-    def drop_cpu_page(self, index: int) -> None:
-        """Remove one stored page (it matched the parent's content)."""
-        data = self.cpu_pages.pop(index, None)
-        if data is not None:
-            self.stored_page_bytes -= len(data)
-
     # -- sizes ---------------------------------------------------------------
     def gpu_bytes(self, gpu_index: Optional[int] = None) -> int:
         """Logical bytes of the *materialized* GPU state."""
-        if not self.sealed:
-            return super().gpu_bytes(gpu_index)
         if gpu_index is not None:
             return self.gpu_logical.get(gpu_index, 0)
         return sum(self.gpu_logical.values())
 
     def cpu_bytes(self) -> int:
         """Logical bytes of the *materialized* CPU state."""
-        if not self.sealed:
-            return super().cpu_bytes()
         return self.cpu_logical_pages * self.cpu_page_size
 
     def buffer_count(self, gpu_index: int) -> int:
-        if not self.sealed:
-            return super().buffer_count(gpu_index)
         return len(self.delta_gpu.get(gpu_index, {}))
 
     def total_buffer_count(self) -> int:
-        if not self.sealed:
-            return super().total_buffer_count()
         return sum(len(per_gpu) for per_gpu in self.delta_gpu.values())
 
     def stored_bytes(self) -> int:
@@ -324,19 +286,28 @@ class DeltaImage(CheckpointImage):
         return self.stored_chunk_bytes + self.stored_page_bytes
 
 
-def seal_delta(image: DeltaImage,
-               parent_full: Optional[CheckpointImage],
+def seal_delta(capture: CheckpointImage,
+               parent: Optional[CheckpointImage],
+               parent_full: Optional[CheckpointImage], *,
                reused: Optional[dict[int, set[int]]] = None,
                freed: Optional[dict[int, set[int]]] = None,
-               cache=None, promote: bool = True) -> None:
-    """Convert an image's captured state into its delta representation.
+               cache=None, promote: bool = True,
+               chunk_bytes: int = CHUNK_BYTES) -> DeltaImage:
+    """The delta representation of a run's plain capture.
 
-    ``parent_full`` is the parent's *materialized* state (None for a
-    chain root).  ``reused`` names, per GPU, the buffers the protocol
-    skipped entirely because the write-heat history proved them
-    unwritten since the parent — they get a pure-reference record (full
-    hash table, zero local chunks).  ``freed`` buffers are dropped:
-    they do not exist at the delta's checkpoint time.
+    ``parent`` is the image the delta chains onto and ``parent_full``
+    its *materialized* state (both None for a chain root).  The delta
+    takes the capture's id, name and metadata — the catalog entry
+    staged for the capture commits it — and holds chunk tables of
+    ``chunk_bytes`` chunks plus the CPU pages that differ from the
+    parent's.  The capture's GPU records and CPU pages are cleared, so
+    a session that still references it keeps no second copy alive.
+
+    ``reused`` names, per GPU, the buffers the protocol skipped
+    entirely because the write-heat history proved them unwritten since
+    the parent — they get a pure-reference record (full hash table,
+    zero local chunks).  ``freed`` buffers are dropped: they do not
+    exist at the delta's checkpoint time.
 
     ``cache`` is an optional
     :class:`~repro.storage.hashcache.BufferHashCache`.  When a buffer's
@@ -360,9 +331,19 @@ def seal_delta(image: DeltaImage,
     ``storage/chunks-written`` — and ``storage/chunks-false-dirty``,
     the chunks the tracker called dirty that rehashed equal.
     """
-    if image.sealed:
-        raise TornImageError(f"delta image {image.name!r} sealed twice")
-    cb = image.chunk_bytes
+    if isinstance(capture, DeltaImage):
+        raise TornImageError(f"delta image {capture.name!r} sealed twice")
+    image = DeltaImage(
+        name=capture.name, id=capture.id,
+        cpu_control=capture.cpu_control,
+        kernel_objects=capture.kernel_objects,
+        gpu_modules=capture.gpu_modules, context_meta=capture.context_meta,
+        cpu_page_size=capture.cpu_page_size,
+        parent_id=parent.id if parent is not None else None,
+        parent_name=parent.name if parent is not None else "",
+        parent_ref=parent, chunk_bytes=chunk_bytes,
+    )
+    cb = chunk_bytes
     ds = DIGEST_SIZE
     reused = reused or {}
     freed = freed or {}
@@ -378,7 +359,7 @@ def seal_delta(image: DeltaImage,
                                  chunk_bytes=cb)
 
     # Captured buffers: diff their payload chunk-by-chunk vs the parent.
-    for gpu, records in sorted(image.gpu_buffers.items()):
+    for gpu, records in sorted(capture.gpu_buffers.items()):
         gone = freed.get(gpu, set())
         parent_records = (parent_full.gpu_buffers.get(gpu, {})
                           if parent_full is not None else {})
@@ -481,16 +462,16 @@ def seal_delta(image: DeltaImage,
             for buf_id in ids:
                 cache.forget(buf_id)
 
-    # CPU pages: drop the ones whose content the parent already stores.
-    if parent_full is not None:
-        for index in [i for i, data in image.cpu_pages.items()
-                      if parent_full.cpu_pages.get(i) == data]:
-            image.drop_cpu_page(index)
+    # CPU pages: keep the ones whose content the parent does not store.
+    parent_pages = parent_full.cpu_pages if parent_full is not None else {}
+    image.cpu_pages = {i: data for i, data in capture.cpu_pages.items()
+                       if parent_pages.get(i) != data}
+    image.stored_page_bytes = sum(map(len, image.cpu_pages.values()))
     image.cpu_logical_pages = int(
         image.context_meta.get("cpu_pages", len(image.cpu_pages))
     )
-    image.gpu_buffers.clear()
-    image.sealed = True
+    capture.gpu_buffers.clear()
+    capture.cpu_pages.clear()
     obs.counter("storage/chunks-written").inc(image.chunks_written)
     obs.counter("storage/chunks-reused").inc(image.chunks_reused)
     obs.counter("storage/delta-bytes").inc(image.stored_bytes())
@@ -506,6 +487,7 @@ def seal_delta(image: DeltaImage,
     obs.counter("storage/chunks-stored",
                 reason="rehash-changed").inc(n_rehash_changed)
     obs.counter("storage/chunks-false-dirty").inc(n_false_dirty)
+    return image
 
 
 def materialize(image: CheckpointImage,

@@ -18,7 +18,7 @@ from repro.errors import CheckpointError
 _image_seq = itertools.count(1)
 
 
-def _new_image_id() -> str:
+def _next_image_id() -> str:
     """A collision-safe image identity.
 
     Qualified by the creating OS process id: images born in different
@@ -51,7 +51,7 @@ class CheckpointImage:
     """
 
     name: str = ""
-    id: str = field(default_factory=_new_image_id)
+    id: str = field(default_factory=_next_image_id)
     #: CPU pages: page index -> bytes (functional content).
     cpu_pages: dict[int, bytes] = field(default_factory=dict)
     cpu_control: dict[str, int] = field(default_factory=dict)

@@ -64,7 +64,7 @@ def save_image(image: CheckpointImage, path: Union[str, Path]) -> int:
     """Persist a finalized image; returns the file size in bytes.
 
     Full images write format v1 (byte-identical to the historical
-    writer); sealed delta images write format v2.  Streams straight to
+    writer); delta images write format v2.  Streams straight to
     the file handle: blob *offsets* are computed from lengths alone (no
     staging copy of the blob section), then the header, metadata, and
     each blob's bytes are written through ``memoryview`` with a rolling
@@ -72,11 +72,6 @@ def save_image(image: CheckpointImage, path: Union[str, Path]) -> int:
     """
     image.require_finalized()
     if isinstance(image, DeltaImage):
-        if not image.sealed:
-            raise CheckpointError(
-                f"delta image {image.name!r} is not sealed; it has no "
-                "chunk tables to persist"
-            )
         version = DELTA_FORMAT_VERSION
         metadata, blobs = _layout_v2(image)
     else:
@@ -118,32 +113,17 @@ def save_image(image: CheckpointImage, path: Union[str, Path]) -> int:
     return size
 
 
-def _layout_v1(image: CheckpointImage) -> tuple[dict, list]:
-    """Metadata + ordered blob list for a full image (format v1)."""
+def _header(image: CheckpointImage) -> tuple[dict, list, int]:
+    """The metadata keys both versions share, in their on-disk order,
+    with the CPU pages as the first blobs; returns the metadata, the
+    blob list and the offset where the next blob starts."""
     offset = 0
-
-    def reserve(data) -> tuple[int, int]:
-        nonlocal offset
-        ref = (offset, len(data))
-        offset += len(data)
-        return ref
-
     blobs: list = []
     cpu_index = {}
     for page_idx, data in sorted(image.cpu_pages.items()):
-        cpu_index[str(page_idx)] = reserve(data)
+        cpu_index[str(page_idx)] = (offset, len(data))
+        offset += len(data)
         blobs.append(data)
-    gpu_index: dict[str, dict] = {}
-    for gpu, records in sorted(image.gpu_buffers.items()):
-        per_gpu = {}
-        for buf_id, rec in sorted(records.items()):
-            blob_offset, length = reserve(rec.data)
-            blobs.append(rec.data)
-            per_gpu[str(buf_id)] = {
-                "addr": rec.addr, "size": rec.size, "tag": rec.tag,
-                "blob": [blob_offset, length],
-            }
-        gpu_index[str(gpu)] = per_gpu
     metadata = {
         "name": image.name,
         "checkpoint_time": image.checkpoint_time,
@@ -156,20 +136,31 @@ def _layout_v1(image: CheckpointImage) -> tuple[dict, list]:
         "gpu_modules": {str(k): v for k, v in image.gpu_modules.items()},
         "context_meta": image.context_meta,
         "cpu_pages": cpu_index,
-        "gpu_buffers": gpu_index,
     }
+    return metadata, blobs, offset
+
+
+def _layout_v1(image: CheckpointImage) -> tuple[dict, list]:
+    """Metadata + ordered blob list for a full image (format v1)."""
+    metadata, blobs, offset = _header(image)
+    gpu_index: dict[str, dict] = {}
+    for gpu, records in sorted(image.gpu_buffers.items()):
+        per_gpu = {}
+        for buf_id, rec in sorted(records.items()):
+            blobs.append(rec.data)
+            per_gpu[str(buf_id)] = {
+                "addr": rec.addr, "size": rec.size, "tag": rec.tag,
+                "blob": [offset, len(rec.data)],
+            }
+            offset += len(rec.data)
+        gpu_index[str(gpu)] = per_gpu
+    metadata["gpu_buffers"] = gpu_index
     return metadata, blobs
 
 
 def _layout_v2(image: DeltaImage) -> tuple[dict, list]:
     """Metadata + ordered blob list for a delta image (format v2)."""
-    offset = 0
-    blobs: list = []
-    cpu_index = {}
-    for page_idx, data in sorted(image.cpu_pages.items()):
-        cpu_index[str(page_idx)] = (offset, len(data))
-        offset += len(data)
-        blobs.append(data)
+    metadata, blobs, offset = _header(image)
     cb = image.chunk_bytes
     gpu_index: dict[str, dict] = {}
     for gpu, table in sorted(image.delta_gpu.items()):
@@ -196,27 +187,14 @@ def _layout_v2(image: DeltaImage) -> tuple[dict, list]:
                 "chunks": chunk_refs,
             }
         gpu_index[str(gpu)] = per_gpu
-    metadata = {
-        "name": image.name,
-        "checkpoint_time": image.checkpoint_time,
-        "cpu_page_size": image.cpu_page_size,
-        "cpu_control": image.cpu_control,
-        "kernel_objects": [
-            {"kind": o.kind, "description": o.description, "state": o.state}
-            for o in image.kernel_objects
-        ],
-        "gpu_modules": {str(k): v for k, v in image.gpu_modules.items()},
-        "context_meta": image.context_meta,
-        "cpu_pages": cpu_index,
-        "delta": {
-            "parent_id": image.parent_id,
-            "parent_name": image.parent_name,
-            "chunk_bytes": image.chunk_bytes,
-            "cpu_logical_pages": image.cpu_logical_pages,
-            "chunks_written": image.chunks_written,
-            "chunks_reused": image.chunks_reused,
-            "gpu": gpu_index,
-        },
+    metadata["delta"] = {
+        "parent_id": image.parent_id,
+        "parent_name": image.parent_name,
+        "chunk_bytes": image.chunk_bytes,
+        "cpu_logical_pages": image.cpu_logical_pages,
+        "chunks_written": image.chunks_written,
+        "chunks_reused": image.chunks_reused,
+        "gpu": gpu_index,
     }
     return metadata, blobs
 
@@ -458,6 +436,6 @@ def _load_v2(path, metadata: dict, take, blobs) -> DeltaImage:
             f"({want_written} written / {want_reused} reused) do not match "
             f"its records ({image.chunks_written} / {image.chunks_reused})"
         )
-    image.sealed = True
+    image.stored_page_bytes = sum(map(len, image.cpu_pages.values()))
     image.finalize(metadata["checkpoint_time"])
     return image

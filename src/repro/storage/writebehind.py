@@ -37,6 +37,7 @@ matrix can kill it between any two tiers (see
 
 from __future__ import annotations
 
+import dataclasses
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -55,57 +56,21 @@ DRAIN_PROTOCOL = "continuous-drain"
 DRAIN_DEPTH = 2
 
 
-def payload_bytes(image: CheckpointImage) -> int:
-    """The bytes a tier hop actually moves for ``image``.
-
-    A sealed delta ships only what it stores (its own chunks + pages);
-    anything else ships its full logical state.
-    """
-    if isinstance(image, DeltaImage) and image.sealed:
-        return image.stored_bytes()
-    return image.gpu_bytes() + image.cpu_bytes()
-
-
 def tier_replica(image: CheckpointImage) -> CheckpointImage:
     """A per-tier image object sharing ``image``'s sealed payload.
 
     Catalog lifecycle flags (staged/committed/revoked) live on the
-    image object, so every tier needs its own instance; the payload
-    dicts are shared (sealed images are immutable) and the id is copied
-    so ``parent_id`` resolution works against the tier's own catalog.
-    ``parent_ref`` is dropped: on a lower tier the chain must resolve
-    through that tier's catalog, never through a same-process pointer
-    into another tier.
+    image object, so every tier needs its own instance with fresh ones;
+    the payload dicts are shared (sealed images are immutable) and the
+    id is copied so ``parent_id`` resolution works against the tier's
+    own catalog.  A delta's ``parent_ref`` is dropped: on a lower tier
+    the chain must resolve through that tier's catalog, never through a
+    same-process pointer into another tier.
     """
+    fresh = {"committed": False, "revoked": False, "revoked_reason": ""}
     if isinstance(image, DeltaImage):
-        replica = DeltaImage(
-            name=image.name,
-            parent_id=image.parent_id,
-            parent_name=image.parent_name,
-            parent_ref=None,
-            chunk_bytes=image.chunk_bytes,
-            cpu_logical_pages=image.cpu_logical_pages,
-            sealed=image.sealed,
-            chunks_written=image.chunks_written,
-            chunks_reused=image.chunks_reused,
-            stored_chunk_bytes=image.stored_chunk_bytes,
-            stored_page_bytes=image.stored_page_bytes,
-            reused_buffers=image.reused_buffers,
-        )
-        replica.delta_gpu = image.delta_gpu
-        replica.gpu_logical = image.gpu_logical
-    else:
-        replica = CheckpointImage(name=image.name)
-        replica.gpu_buffers = image.gpu_buffers
-    replica.id = image.id
-    replica.cpu_pages = image.cpu_pages
-    replica.cpu_control = image.cpu_control
-    replica.kernel_objects = image.kernel_objects
-    replica.gpu_modules = image.gpu_modules
-    replica.context_meta = image.context_meta
-    replica.cpu_page_size = image.cpu_page_size
-    replica.finalize(image.checkpoint_time)
-    return replica
+        fresh["parent_ref"] = None
+    return dataclasses.replace(image, **fresh)
 
 
 @dataclass
@@ -217,7 +182,7 @@ class WriteBehindDrainer:
                 self.done.succeed()
 
     def _drain_image(self, image: CheckpointImage):
-        nbytes = payload_bytes(image)
+        nbytes = image.stored_bytes()
         src = self.tiers[0]
         for k, dst in enumerate(self.tiers[1:], start=1):
             self._chaos(f"drain:t{k}")

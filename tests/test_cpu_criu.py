@@ -270,8 +270,8 @@ def test_restore_drops_the_soft_dirty_epoch(eng, medium):
         yield from criu.restore(other, proc, medium)
         assert proc.memory.delta_epoch is None
         assert proc.memory.dirty_pages() == []  # the bits saw nothing
-        yield from criu.dump_delta(proc, delta, medium, first.cpu_pages,
-                                   parent_id=first.id)
+        yield from criu.dump_tracked(proc, delta, medium, first.cpu_pages,
+                                     parent_id=first.id)
 
     eng.run_process(flow(eng))
     assert sorted(delta.cpu_pages) == [2, 5]

@@ -23,7 +23,7 @@ from repro.storage.delta import (
     seal_delta,
 )
 from repro.storage.hashcache import BufferHashCache
-from repro.storage.image import GpuBufferRecord
+from repro.storage.image import CheckpointImage, GpuBufferRecord
 
 from tests.toyapp import ToyApp, image_gpu_state
 
@@ -95,9 +95,9 @@ def _play(seed: int, chunk_bytes: int, rounds: int = 3):
                 data=bytes(buf["data"]), tag=buf["tag"],
             ))
 
-    root = DeltaImage(name="root", chunk_bytes=cb)
+    root = CheckpointImage(name="root")
     capture(root, live)
-    seal_delta(root, None, cache=cache)
+    root = seal_delta(root, None, None, cache=cache, chunk_bytes=cb)
     root.finalize(0.0)
     parent = root
     canons = [_canon(root)]
@@ -142,16 +142,13 @@ def _play(seed: int, chunk_bytes: int, rounds: int = 3):
                 del live[bid]
             # else: untouched — becomes a pure parent reference.
 
-        child = DeltaImage(
-            name=f"round-{r}", parent_id=parent.id,
-            parent_name=parent.name, parent_ref=parent, chunk_bytes=cb,
-        )
+        child = CheckpointImage(name=f"round-{r}")
         captured = written | (set(live) - parent_ids)
         capture(child, captured)
         reused = {0: (parent_ids - written - freed)}
         parent_full = materialize(parent)
-        seal_delta(child, parent_full, reused=reused, freed={0: freed},
-                   cache=cache)
+        child = seal_delta(child, parent, parent_full, reused=reused,
+                           freed={0: freed}, cache=cache, chunk_bytes=cb)
         child.finalize(float(r))
 
         # Ground truth: the chain must materialize to the live state.
@@ -179,18 +176,18 @@ def test_mid_chunk_partial_write_stores_only_touched_chunk():
     cb = 256
     cache = BufferHashCache()
     data = bytearray(bytes(range(256)) * 4)  # 4 chunks
-    root = DeltaImage(name="root", chunk_bytes=cb)
+    root = CheckpointImage(name="root")
     root.add_gpu_buffer(0, GpuBufferRecord(1, 0x1000, 4096, bytes(data)))
-    seal_delta(root, None, cache=cache)
+    root = seal_delta(root, None, None, cache=cache, chunk_bytes=cb)
     root.finalize(0.0)
 
     # Flip 3 bytes in the middle of chunk 2; track the exact span.
     data[2 * cb + 100 : 2 * cb + 103] = b"xyz"
     cache.note_write(1, 2 * cb + 100, 2 * cb + 103)
-    child = DeltaImage(name="child", parent_id=root.id, parent_ref=root,
-                       chunk_bytes=cb)
+    child = CheckpointImage(name="child")
     child.add_gpu_buffer(0, GpuBufferRecord(1, 0x1000, 4096, bytes(data)))
-    seal_delta(child, materialize(root), cache=cache)
+    child = seal_delta(child, root, materialize(root), cache=cache,
+                       chunk_bytes=cb)
 
     rec = child.delta_gpu[0][1]
     assert rec.index == (2,)
@@ -205,17 +202,17 @@ def test_realloc_at_same_address_is_a_new_buffer():
     cb = 256
     cache = BufferHashCache()
     old = bytes(range(256)) * 2
-    root = DeltaImage(name="root", chunk_bytes=cb)
+    root = CheckpointImage(name="root")
     root.add_gpu_buffer(0, GpuBufferRecord(7, 0x2000, 4096, old))
-    seal_delta(root, None, cache=cache)
+    root = seal_delta(root, None, None, cache=cache, chunk_bytes=cb)
     root.finalize(0.0)
 
     cache.forget(7)
     new = old[:cb] + bytes(cb)  # first chunk identical to the parent's
-    child = DeltaImage(name="child", parent_id=root.id, parent_ref=root,
-                       chunk_bytes=cb)
+    child = CheckpointImage(name="child")
     child.add_gpu_buffer(0, GpuBufferRecord(8, 0x2000, 4096, new))
-    seal_delta(child, materialize(root), freed={0: {7}}, cache=cache)
+    child = seal_delta(child, root, materialize(root), freed={0: {7}},
+                       cache=cache, chunk_bytes=cb)
 
     rec = child.delta_gpu[0][8]
     # Different buffer id: every chunk is local, no parent reuse.

@@ -16,8 +16,9 @@ layers are compared:
   loop it replaced with its validation hoisted in front: check every
   index (and every payload length), then do the per-page work;
 * seeded CRIU scenarios — ``dump_cow`` with concurrent faulting
-  writers, ``dump_tracked`` + ``recopy_dirty``, ``dump_delta`` with and
-  without the soft-dirty epoch fast path, eager ``restore`` and lazy
+  writers, ``dump_tracked`` + ``recopy_dirty``, ``dump_tracked`` against
+  a parent's pages (the reference's ``dump_delta``) with and without the
+  soft-dirty epoch fast path, eager ``restore`` and lazy
   ``restore`` with faults racing the background loader — run once on
   ``CriuEngine`` over arrays and once on the reference engine over
   pages: image bytes, ``CpuDumpResult``, fault counts, every
@@ -44,7 +45,6 @@ from repro.cpu.memory import (
 from repro.cpu.process import HostProcess
 from repro.errors import InvalidValueError
 from repro.sim import Engine
-from repro.storage.delta import DeltaImage
 from repro.storage.image import CheckpointImage
 from repro.storage.media import DramMedia
 from tests import reference_host_memory as reference
@@ -237,11 +237,14 @@ TestHostMemoryMachine.settings = settings(
 
 class _Side:
     """One implementation under test: a CRIU engine class and the memory
-    class its processes get."""
+    class its processes get, and the name of its dump against a
+    parent's pages (``CriuEngine.dump_tracked`` given ``parent_pages``;
+    the reference keeps its separate ``dump_delta``)."""
 
-    def __init__(self, criu_cls, memory_cls):
+    def __init__(self, criu_cls, memory_cls, delta_dump):
         self.criu_cls = criu_cls
         self.memory_cls = memory_cls
+        self.delta_dump = delta_dump
 
     def process(self, n_pages, page_size):
         proc = HostProcess(n_pages, name="app", page_size=page_size)
@@ -249,8 +252,8 @@ class _Side:
         return proc
 
 
-ARRAYS = _Side(CriuEngine, HostMemory)
-PAGES = _Side(reference.CriuEngine, reference.HostMemory)
+ARRAYS = _Side(CriuEngine, HostMemory, "dump_tracked")
+PAGES = _Side(reference.CriuEngine, reference.HostMemory, "dump_delta")
 
 
 def run_scenario(seed: int, side: _Side) -> list:
@@ -313,11 +316,11 @@ def run_scenario(seed: int, side: _Side) -> list:
             # its id (the soft-dirty epoch fast path) or without (scan).
             racer = eng.spawn(writer(proc.memory, rng.randrange(0, 60), "w-gap"))
             yield racer
-            delta = DeltaImage(name=f"delta{seed}", parent_id=image.id)
+            delta = CheckpointImage(name=f"delta{seed}")
             racer = eng.spawn(writer(proc.memory, rng.randrange(0, 30),
                                      "w-delta"))
             named = rng.choice([image.id, None, "someone-else"])
-            result = yield from criu.dump_delta(
+            result = yield from getattr(criu, side.delta_dump)(
                 proc, delta, medium, dict(image.cpu_pages), parent_id=named)
             log.append(("delta", eng.now, result, image_state(delta),
                         "epoch" if named == image.id else "scan"))

@@ -255,8 +255,12 @@ def test_image_always_equals_t2_state(mode, ops, cost_scale, parent_mode,
     commit = Protocol.phase_commit
 
     def phase_commit(self, ctx):
-        cuts.append((ctx.image, *snapshot_process(ctx.process)))
-        return commit(self, ctx)
+        # The state at the commit's start; the image the commit returns
+        # (a delta replaces the run's capture when it is sealed).
+        gpu_state, cpu_state = snapshot_process(ctx.process)
+        image, session = commit(self, ctx)
+        cuts.append((image, gpu_state, cpu_state))
+        return image, session
 
     def workload():
         for op in ops[between:]:

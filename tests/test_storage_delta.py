@@ -95,15 +95,23 @@ def _full_image(name="base", payloads=(b"a" * 512, b"b" * 512)):
 def _delta_on(parent, changed: bytes, name="child"):
     """A delta that recaptures buffer 0 with ``changed`` payload and
     reuses buffer 1 untouched."""
-    delta = DeltaImage(name=name, parent_id=parent.id,
-                       parent_name=parent.name, parent_ref=parent)
-    delta.add_gpu_buffer(0, GpuBufferRecord(
+    capture = CheckpointImage(name=name)
+    capture.add_gpu_buffer(0, GpuBufferRecord(
         buffer_id=0, addr=0x1000, size=4096, data=changed, tag="buf0"))
-    delta.add_cpu_page(0, b"p" * 64)  # unchanged -> dropped at seal
-    delta.context_meta = {"cpu_pages": 1}
-    seal_delta(delta, parent, reused={0: {1}})
+    capture.add_cpu_page(0, b"p" * 64)  # unchanged -> dropped at seal
+    capture.context_meta = {"cpu_pages": 1}
+    delta = seal_delta(capture, parent, parent, reused={0: {1}})
     delta.finalize(2.0)
     return delta
+
+
+def _chain_onto(a):
+    """A delta ``b`` on ``a`` that reuses both of its buffers."""
+    capture = CheckpointImage(name="b")
+    capture.context_meta = {"cpu_pages": 1}
+    b = seal_delta(capture, a, materialize(a), reused={0: {0, 1}})
+    b.finalize(3.0)
+    return b
 
 
 def test_seal_stores_only_changed_chunks():
@@ -146,36 +154,41 @@ def test_seal_counts_why_each_chunk_was_stored():
     from repro import obs
     from repro.storage.hashcache import BufferHashCache
 
-    def seal(image, parent, cache, **kwargs):
+    def seal(capture, parent, cache, **kwargs):
         with obs.observed(Engine()) as observer:
-            seal_delta(image, parent, cache=cache, **kwargs)
+            image = seal_delta(capture, parent,
+                               None if parent is None else materialize(parent),
+                               cache=cache, **kwargs)
         image.finalize(0.0)
         why = {inst.labels["reason"]: inst.value for inst in observer.metrics
                if inst.name == "storage/chunks-stored"}
         assert sum(why.values()) == image.chunks_written == (
             observer.metrics.get("storage/chunks-written").value)
-        return why, observer.metrics.get("storage/chunks-false-dirty").value
+        return image, why, (
+            observer.metrics.get("storage/chunks-false-dirty").value)
 
     def capture(image, buf_id, data):
         image.add_gpu_buffer(0, GpuBufferRecord(
             buffer_id=buf_id, addr=0x1000 * buf_id, size=4096, data=data))
 
     cache = BufferHashCache()
-    root = DeltaImage(name="root")
+    root = CheckpointImage(name="root")
     capture(root, 1, b"a" * 1024)
     capture(root, 2, b"b" * 512)
-    assert seal(root, None, cache) == (
-        {"new-buffer": 6, "dirty-changed": 0, "rehash-changed": 0}, 0)
+    root, *counts = seal(root, None, cache)
+    assert counts == [
+        {"new-buffer": 6, "dirty-changed": 0, "rehash-changed": 0}, 0]
 
     # Buffer 1: chunks 0-2 reported dirty, only chunk 1 really changed.
     cache.note_write(1, 0, 700)
     cache.forget(2)     # buffer 2 lost its entry: rehashed whole, 1 changed
-    child = DeltaImage(name="child", parent_id=root.id, parent_ref=root)
+    child = CheckpointImage(name="child")
     capture(child, 1, b"a" * 256 + b"X" * 256 + b"a" * 512)
     capture(child, 2, b"b" * 256 + b"Y" * 256)
     capture(child, 3, b"c" * 300)
-    assert seal(child, materialize(root), cache) == (
-        {"new-buffer": 2, "dirty-changed": 1, "rehash-changed": 1}, 2)
+    child, *counts = seal(child, root, cache)
+    assert counts == [
+        {"new-buffer": 2, "dirty-changed": 1, "rehash-changed": 1}, 2]
     assert child.delta_gpu[0][1].index == (1,)
 
 
@@ -183,14 +196,14 @@ def test_seal_twice_rejected():
     parent = _full_image()
     delta = _delta_on(parent, b"c" * 512)
     with pytest.raises(TornImageError, match="sealed twice"):
-        seal_delta(delta, parent)
+        seal_delta(delta, parent, parent)
 
 
 def test_reuse_of_buffer_parent_lacks_rejected():
     parent = _full_image()
-    delta = DeltaImage(name="bad", parent_id=parent.id, parent_ref=parent)
+    capture = CheckpointImage(name="bad")
     with pytest.raises(TornImageError, match="parent does not hold"):
-        seal_delta(delta, parent, reused={0: {99}})
+        seal_delta(capture, parent, parent, reused={0: {99}})
 
 
 def test_materialize_detects_missing_parent():
@@ -207,10 +220,7 @@ def test_materialize_detects_missing_parent():
 def test_materialize_detects_cycle():
     parent = _full_image()
     a = _delta_on(parent, b"c" * 512, name="a")
-    b = DeltaImage(name="b", parent_id=a.id, parent_ref=a)
-    b.context_meta = {"cpu_pages": 1}
-    seal_delta(b, materialize(a), reused={0: {0, 1}})
-    b.finalize(3.0)
+    b = _chain_onto(a)
     a.parent_ref = b  # corrupt the chain into a loop
     a.parent_id = b.id
     with pytest.raises(TornImageError, match="cycle"):
@@ -255,10 +265,7 @@ def test_revoking_parent_revokes_descendant_chain():
     catalog = ImageCatalog()
     parent = _full_image()
     a = _delta_on(parent, b"c" * 512, name="a")
-    b = DeltaImage(name="b", parent_id=a.id, parent_ref=a)
-    b.context_meta = {"cpu_pages": 1}
-    seal_delta(b, materialize(a), reused={0: {0, 1}})
-    b.finalize(3.0)
+    b = _chain_onto(a)
     for img in (parent, a, b):
         catalog.stage(img)
         catalog.commit(img)
@@ -289,7 +296,6 @@ def test_parentless_incremental_is_self_contained_root():
     eng.run()
     assert isinstance(image, DeltaImage)
     assert image.parent_id is None
-    assert image.sealed
     # A chain root carries every chunk locally: restorable with no parent.
     image.parent_ref = None
     assert image_gpu_state(image) == expected
@@ -492,7 +498,6 @@ def test_v2_roundtrip_preserves_everything(chain, tmp_path):
     assert size == path.stat().st_size
     loaded = load_image(path)
     assert isinstance(loaded, DeltaImage)
-    assert loaded.sealed
     assert loaded.parent_id == delta.parent_id
     assert loaded.parent_name == delta.parent_name
     assert loaded.chunk_bytes == delta.chunk_bytes
@@ -527,13 +532,6 @@ def test_v2_roundtrip_through_saved_parent(chain, tmp_path):
     got = materialize(delta2, resolve=by_id.get)
     assert image_gpu_state(got) == image_gpu_state(delta)
     assert got.cpu_pages == materialize(delta).cpu_pages
-
-
-def test_unsealed_delta_refuses_save(tmp_path):
-    img = DeltaImage(name="raw")
-    img.finalize(0.0)
-    with pytest.raises(CheckpointError, match="not sealed"):
-        save_image(img, tmp_path / "x.phos")
 
 
 def test_v2_chunk_size_mismatch_rejected(chain, tmp_path):

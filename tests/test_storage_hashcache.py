@@ -1,6 +1,5 @@
 """Unit tests: BufferHashCache, dirty-chunk math, delta aggregates."""
 
-import numpy as np
 import pytest
 
 from repro.core.protocols.base import ProtocolConfig
@@ -8,10 +7,12 @@ from repro.errors import CheckpointError, TornImageError
 from repro.storage.delta import (
     DeltaBufferRecord,
     DeltaImage,
-    dirty_chunk_indices,
+    dirty_chunk_intervals,
     dirty_chunk_span_bytes,
     hash_chunk,
+    seal_delta,
 )
+from repro.storage.image import CheckpointImage
 from repro.storage.hashcache import BufferHashCache
 
 
@@ -91,22 +92,23 @@ def test_dirty_extent_chunk_size_agnostic():
                               data_len=999) is None
 
 
-# -- vectorized dirty-chunk math --------------------------------------------
+# -- dirty-chunk math --------------------------------------------------------
 
-def test_dirty_chunk_indices_basic():
-    idx = dirty_chunk_indices([(0, 1), (300, 700)], data_len=1024,
-                              chunk_bytes=256)
-    assert idx.tolist() == [0, 1, 2]
-    assert idx.dtype == np.int64
+def test_dirty_chunk_intervals_basic():
+    spans = dirty_chunk_intervals([(0, 1), (300, 700)], data_len=1024,
+                                  chunk_bytes=256)
+    assert spans == [(0, 2)]    # touching chunk intervals merge
+    assert dirty_chunk_intervals([(0, 1), (600, 700)], 1024, 256) == [
+        (0, 0), (2, 2)]
 
 
-def test_dirty_chunk_indices_clips_and_dedups():
-    idx = dirty_chunk_indices([(-50, 10), (10, 20), (1000, 4000)],
-                              data_len=1024, chunk_bytes=256)
-    assert idx.tolist() == [0, 3]
-    assert dirty_chunk_indices([], 1024, 256).size == 0
-    assert dirty_chunk_indices([(2000, 3000)], 1024, 256).size == 0
-    assert dirty_chunk_indices([(0, 10)], 0, 256).size == 0
+def test_dirty_chunk_intervals_clip_and_merge():
+    spans = dirty_chunk_intervals([(-50, 10), (10, 20), (1000, 4000)],
+                                  data_len=1024, chunk_bytes=256)
+    assert spans == [(0, 0), (3, 3)]
+    assert dirty_chunk_intervals([], 1024, 256) == []
+    assert dirty_chunk_intervals([(2000, 3000)], 1024, 256) == []
+    assert dirty_chunk_intervals([(0, 10)], 0, 256) == []
 
 
 def test_dirty_chunk_span_bytes_tail_clip():
@@ -132,7 +134,7 @@ def _rec(bid, n_chunks=4, local=(), cb=256):
 
 
 def test_add_delta_record_maintains_aggregates():
-    image = DeltaImage(name="x", sealed=True)
+    image = DeltaImage(name="x")
     image.add_delta_record(0, _rec(1, local=(0, 2)))
     image.add_delta_record(0, _rec(2, local=()))
     image.add_delta_record(1, _rec(3, local=(1,)))
@@ -153,22 +155,27 @@ def test_add_delta_record_rejects_duplicates():
 
 
 def test_cpu_page_aggregates_track_overwrite_and_drop():
-    image = DeltaImage(name="x")
-    image.add_cpu_page(0, b"a" * 64)
-    image.add_cpu_page(1, b"b" * 64)
-    image.add_cpu_page(0, b"c" * 32)  # overwrite shrinks
-    assert image.stored_page_bytes == 96
-    image.drop_cpu_page(1)
-    image.drop_cpu_page(1)  # idempotent
+    """The seal stores the capture's last bytes of each page, drops the
+    pages equal to the parent's, and counts only what it keeps."""
+    parent = CheckpointImage(name="parent")
+    parent.add_cpu_page(1, b"b" * 64)
+    parent.finalize(0.0)
+    capture = CheckpointImage(name="x")
+    capture.add_cpu_page(0, b"a" * 64)
+    capture.add_cpu_page(1, b"b" * 64)   # equal to the parent's: dropped
+    capture.add_cpu_page(0, b"c" * 32)   # overwrite shrinks
+    image = seal_delta(capture, parent, parent)
+    assert image.cpu_pages == {0: b"c" * 32}
     assert image.stored_page_bytes == 32
     assert image.stored_bytes() == 32
+    assert capture.cpu_pages == {}       # the capture keeps no copy
 
 
 def test_cpu_page_batches_keep_the_same_aggregates():
-    """``add_cpu_pages`` is the dump's batch insert: same table, same
-    running byte count as one ``add_cpu_page`` per page, and the
+    """``add_cpu_pages`` is the dump's batch insert: same table as one
+    ``add_cpu_page`` per page (so the same sealed byte count), and the
     finalized check comes before the first page lands."""
-    batched, single = DeltaImage(name="x"), DeltaImage(name="y")
+    batched, single = CheckpointImage(name="x"), CheckpointImage(name="y")
     steps = [([0, 1, 2], [b"a" * 64, b"b" * 64, b"c" * 16]),
              ([2, 0, 7], [b"d" * 64, b"e" * 8, b"f" * 16]),  # two overwrites
              ([], [])]
@@ -177,12 +184,13 @@ def test_cpu_page_batches_keep_the_same_aggregates():
         for index, data in zip(indices, datas):
             single.add_cpu_page(index, data)
         assert batched.cpu_pages == single.cpu_pages
-        assert batched.stored_page_bytes == single.stored_page_bytes
-    assert batched.stored_page_bytes == 8 + 64 + 64 + 16
     batched.finalize(0.0)
     with pytest.raises(CheckpointError, match="finalized"):
         batched.add_cpu_pages([9], [b"z" * 16])
     assert 9 not in batched.cpu_pages
+    sealed = [seal_delta(image, None, None).stored_page_bytes
+              for image in (batched, single)]
+    assert sealed == [8 + 64 + 64 + 16] * 2
 
 
 # -- ProtocolConfig content_chunk_bytes -------------------------------------

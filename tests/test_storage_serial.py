@@ -308,9 +308,9 @@ def make_golden_v2_chain():
         PYTHONPATH=src python -c "from tests.test_storage_serial import \\
             write_golden_v2; write_golden_v2()"
     """
-    from repro.storage.delta import DeltaImage, materialize, seal_delta
+    from repro.storage.delta import materialize, seal_delta
     from repro.storage.hashcache import BufferHashCache
-    from repro.storage.image import GpuBufferRecord
+    from repro.storage.image import CheckpointImage, GpuBufferRecord
 
     cb = 64
     cache = BufferHashCache()
@@ -335,13 +335,13 @@ def make_golden_v2_chain():
         image.context_meta = {"cpu_pages": 2, "n_gpus": 2}
         image.cpu_page_size = 64
 
-    root = DeltaImage(name="golden-v2-root", id="golden.1", chunk_bytes=cb)
+    root = CheckpointImage(name="golden-v2-root", id="golden.1")
     dress(root, 0x401)
     for buf_id in (1, 2, 3, 4):
         capture(root, buf_id, payload[buf_id])
     root.add_cpu_page(0, b"\xa0" * 64)
     root.add_cpu_page(1, b"\xa1" * 64)
-    seal_delta(root, None, cache=cache)
+    root = seal_delta(root, None, None, cache=cache, chunk_bytes=cb)
     root.finalize(1.0)
 
     changed = bytearray(payload[1])
@@ -350,17 +350,15 @@ def make_golden_v2_chain():
     cache.note_write(1, 70, 75)
     cache.note_write(1, 195, 200)
     cache.note_write(4, 0, 100)
-    delta = DeltaImage(name="golden-v2-delta", id="golden.2",
-                       parent_id=root.id, parent_name=root.name,
-                       parent_ref=root, chunk_bytes=cb)
+    delta = CheckpointImage(name="golden-v2-delta", id="golden.2")
     dress(delta, 0x402)
     capture(delta, 1, bytes(changed))
     capture(delta, 4, bytes(reversed(payload[4])))
     capture(delta, 5, b"")
     delta.add_cpu_page(0, b"\xa0" * 64)
     delta.add_cpu_page(1, b"\xb1" * 64)
-    seal_delta(delta, materialize(root), reused={0: {2}}, freed={0: {3}},
-               cache=cache)
+    delta = seal_delta(delta, root, materialize(root), reused={0: {2}},
+                       freed={0: {3}}, cache=cache, chunk_bytes=cb)
     delta.finalize(2.0)
     want = {(0, 0x1000): bytes(changed), (0, 0x2000): payload[2],
             (1, 0x1000): bytes(reversed(payload[4])), (0, 0x3000): b""}

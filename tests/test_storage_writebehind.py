@@ -12,7 +12,6 @@ from repro.storage.media import DramMedia, Medium, tier_stack
 from repro.storage.writebehind import (
     DRAIN_PROTOCOL,
     WriteBehindDrainer,
-    payload_bytes,
     tier_replica,
 )
 from repro.units import GB
@@ -27,7 +26,7 @@ def _full_image(name="img", nbytes=1 << 20):
 
 
 def _delta_image(name="delta", parent_id=None):
-    image = DeltaImage(name=name, parent_id=parent_id, sealed=True)
+    image = DeltaImage(name=name, parent_id=parent_id)
     image.add_delta_record(0, DeltaBufferRecord(
         buffer_id=1, addr=0x1000, size=1 << 20, data_len=512,
         table=hash_chunk(b"c" * 256) + hash_chunk(b"d" * 256),
@@ -47,9 +46,11 @@ def _world(depth=2):
 
 # -- payload / replica helpers ----------------------------------------------
 
-def test_payload_bytes_delta_vs_full():
-    assert payload_bytes(_full_image()) == (1 << 20) + 4096
-    assert payload_bytes(_delta_image()) == 256
+def test_a_hop_moves_stored_bytes_delta_vs_full():
+    """What a tier hop moves is ``stored_bytes()``: the full logical
+    state of a full image, only its own chunks and pages for a delta."""
+    assert _full_image().stored_bytes() == (1 << 20) + 4096
+    assert _delta_image().stored_bytes() == 256
 
 
 def test_tier_replica_shares_payload_with_fresh_flags():
@@ -65,6 +66,12 @@ def test_tier_replica_shares_payload_with_fresh_flags():
     catalog_flags = (image.committed, image.revoked)
     replica.committed = True
     assert (image.committed, image.revoked) == catalog_flags
+    # A committed full image's replica starts uncommitted too.
+    full = _full_image()
+    full.committed = True
+    replica = tier_replica(full)
+    assert replica.id == full.id and not replica.committed
+    assert replica.gpu_buffers is full.gpu_buffers
 
 
 def test_tier_stack_shape():
@@ -100,7 +107,7 @@ def test_drain_replicates_down_the_stack():
     eng.run(until=drainer.done)
     assert drainer.stats.images_drained == 1
     assert drainer.failed is None
-    nbytes = payload_bytes(image)
+    nbytes = image.stored_bytes()
     for tier in tiers[1:]:
         replica = tier.images.lookup(image.id)
         assert replica is not None and replica.committed
