@@ -11,10 +11,10 @@ recopy-side difference.
 import pytest
 
 from repro import units
+from repro.core.engine import EXPERIMENT_CHUNK
 from repro.core.protocols import ProtocolConfig, registry
 from repro.core.quiesce import resume
 from repro.experiments.harness import ExperimentResult, build_world, setup_app
-from repro.tasks.fault_tolerance import EXPERIMENT_CHUNK
 
 APP = "sd-infer"
 STEPS_DURING = 60

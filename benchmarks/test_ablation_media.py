@@ -9,10 +9,10 @@ the minimum checkpoint interval) as a function of the medium.
 
 import pytest
 
+from repro.core.engine import EXPERIMENT_CHUNK
 from repro.core.protocols import ProtocolConfig
 from repro.experiments.harness import ExperimentResult, build_world, setup_app
 from repro.storage.media import DramMedia, RemoteDramMedia, SsdMedia
-from repro.tasks.fault_tolerance import EXPERIMENT_CHUNK
 
 APP = "ppo-train"
 

@@ -9,9 +9,9 @@ workloads whose write rate is below the copy bandwidth.
 import pytest
 
 from repro import units
+from repro.core.engine import EXPERIMENT_CHUNK
 from repro.core.protocols import ProtocolConfig
 from repro.experiments.harness import ExperimentResult, build_world, setup_app
-from repro.tasks.fault_tolerance import EXPERIMENT_CHUNK
 
 APP = "resnet152-infer"
 

@@ -10,9 +10,13 @@ import pytest
 
 from repro import units
 from repro.core.frequency import optimal_frequency, wasted_gpu_hours
-from repro.experiments.harness import ExperimentResult, run_cells
+from repro.experiments.harness import (
+    ExperimentResult,
+    experiment_config,
+    run_cells,
+)
 from repro.parallel import Cell
-from repro.tasks.fault_tolerance import measure_checkpoint_overhead
+from repro.tasks.worker import checkpoint_stall, new_world
 
 APP = "ppo-train"
 FAILURES = 1.0
@@ -24,7 +28,8 @@ def run_cell(cell: Cell) -> list[dict]:
     The §A.1 curve evaluation is pure arithmetic over this measurement,
     so only the world build-and-measure fans out.
     """
-    m = measure_checkpoint_overhead("phos", cell.config["app"])
+    m = checkpoint_stall(new_world(cell.config["app"]), "cow",
+                         experiment_config())
     return [dict(checkpoint_stall=m.checkpoint_stall)]
 
 

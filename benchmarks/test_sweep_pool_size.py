@@ -10,6 +10,7 @@ training-iteration write pattern.
 import pytest
 
 from repro import units
+from repro.core.engine import EXPERIMENT_CHUNK
 from repro.core.protocols import ProtocolConfig
 from repro.experiments.harness import (
     ExperimentResult,
@@ -18,7 +19,6 @@ from repro.experiments.harness import (
     setup_app,
 )
 from repro.parallel import Cell
-from repro.tasks.fault_tolerance import EXPERIMENT_CHUNK
 
 APP = "llama2-13b-train"
 POOL_SIZES = (256 * units.MIB, 1 * units.GIB, 2 * units.GIB)

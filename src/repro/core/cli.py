@@ -28,12 +28,12 @@ import argparse
 import sys
 
 from repro import obs, units
-from repro.apps.specs import APP_SPECS, get_spec
+from repro.apps.specs import APP_SPECS
 from repro.baselines import SYSTEMS
-from repro.cluster import Machine
 from repro.core.protocols import ProtocolConfig, registry
-from repro.sim import Engine
-from repro.tasks.worker import Worker
+from repro.errors import InvalidValueError
+from repro.tasks import worker
+from repro.tasks.worker import checkpoint_stall, new_world, restore_stall
 
 _EXPERIMENTS = {
     "fig02": "repro.experiments.fig02_motivation",
@@ -102,7 +102,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", default="cow",
                    choices=registry.names("checkpoint"))
     p.add_argument("--steps", type=int, default=3,
-                   help="iterations to run concurrently with the checkpoint")
+                   help="iterations (at least 1) timed before the "
+                        "checkpoint as the baseline, then run concurrently "
+                        "with it; the stall is the difference")
     p.add_argument("--incremental", action="store_true",
                    help="take a chain-root checkpoint first, run --steps "
                         "more iterations, then measure an incremental "
@@ -267,98 +269,53 @@ def cmd_protocols(args) -> int:
     return 0
 
 
+def _observe(args) -> bool:
+    return bool(args.obs or args.obs_json)
+
+
 def cmd_checkpoint(args) -> int:
-    engine = Engine()
-    observer = None
-    if args.obs or args.obs_json:
-        observer = obs.install(engine)
-    spec = get_spec(args.app)
-    worker = Worker(engine, Machine(engine, n_gpus=spec.n_gpus)).launch(spec)
-    workload = worker.workload
+    from repro.core.report import checkpoint_report, stream_report
 
     mode = "incremental" if args.incremental else args.mode
-
-    def driver(engine):
-        yield from workload.setup()
-        yield from workload.run(2)
-        t0 = engine.now
-        yield from workload.run(args.steps)
-        baseline = engine.now - t0
-        config = None
-        if mode == "continuous":
-            # The stream takes its own chain root in round 0.
-            config = ProtocolConfig(rounds=args.rounds,
-                                    interval=args.interval)
-        elif args.incremental:
-            # Chain root first; the measured checkpoint is the delta.
-            parent, _ = yield worker.checkpoint("incremental",
-                                                name="chain-root")
-            yield from workload.run(args.steps)
-            config = ProtocolConfig(parent=parent)
-        handle = worker.checkpoint(mode, config)
-        t1 = engine.now
-        yield from workload.run(args.steps)
-        stall = (engine.now - t1) - baseline
-        image, session = yield handle
-        return baseline / args.steps, max(0.0, stall), image, session
-
-    # The report's phase breakdown reads the run's span tree: the
-    # observer's under --obs, a metrics-free one otherwise.
-    with obs.timeline(engine) as spans:
-        iter_s, stall, image, session = engine.run_process(driver(engine))
-        engine.run()
-    from repro.core.report import checkpoint_report
-
+    # The stream takes its own chain root in round 0.
+    config = (ProtocolConfig(rounds=args.rounds, interval=args.interval)
+              if mode == "continuous" else None)
+    world = new_world(args.app, observe=_observe(args))
+    try:
+        # The report's phase breakdown reads the run's span tree: the
+        # observer's under --obs, a metrics-free one otherwise.
+        m = checkpoint_stall(world, mode, config, steps=args.steps,
+                             chain=args.incremental)
+    except InvalidValueError as err:
+        print(f"phos checkpoint: {err}", file=sys.stderr)
+        return 1
     print(f"app={args.app} mode={mode}")
-    print(f"  iteration time     : {units.fmt_seconds(iter_s)}")
-    print(f"  application stall  : {units.fmt_seconds(stall)}")
+    print(f"  iteration time     : {units.fmt_seconds(m.iter_time)}")
+    print(f"  application stall  : {units.fmt_seconds(m.checkpoint_stall)}")
     if mode == "continuous":
         # ``session`` is the stream summary, not a copy session.
-        from repro.core.report import stream_report
-
-        print(checkpoint_report(image, None, spans))
-        print(stream_report(session))
+        print(checkpoint_report(m.image, None, m.spans))
+        print(stream_report(m.session))
     else:
-        print(checkpoint_report(image, session, spans))
-    if observer is not None:
-        _emit_obs(observer, label=f"{args.app} {mode}",
+        print(checkpoint_report(m.image, m.session, m.spans))
+    if world.observer is not None:
+        _emit_obs(world.observer, label=f"{args.app} {mode}",
                   json_path=args.obs_json)
         obs.uninstall()
     return 0
 
 
 def cmd_restore(args) -> int:
-    engine = Engine()
-    observer = None
-    if args.obs or args.obs_json:
-        observer = obs.install(engine)
-    spec = get_spec(args.app)
-    source = Worker(engine, Machine(engine, n_gpus=spec.n_gpus)).launch(spec)
-    workload = source.workload
     use_pool = not args.no_pool and not args.stop_world
-    target = Worker(engine, Machine(engine, name="worker", n_gpus=spec.n_gpus),
-                    use_pool=use_pool)
-
-    def driver(engine):
-        yield from workload.setup()
-        yield from workload.run(1)
-        image, _ = yield source.checkpoint()
-        t0 = engine.now
-        yield from target.restore(
-            image, workload,
-            mode="stop-world" if args.stop_world else "concurrent")
-        resume_t = engine.now - t0
-        yield from workload.run(2)
-        return resume_t, engine.now - t0
-
-    resume_t, total_t = engine.run_process(driver(engine))
-    engine.run()
+    world = new_world(args.app, observe=_observe(args))
+    r = restore_stall(world, steps=2, use_pool=use_pool,
+                      mode="stop-world" if args.stop_world else "concurrent")
     kind = "stop-the-world" if args.stop_world else "concurrent"
     print(f"app={args.app} restore={kind} pool={'on' if use_pool else 'off'}")
-    print(f"  time until runnable          : {units.fmt_seconds(resume_t)}")
-    print(f"  restore + 2 steps, end-to-end: {units.fmt_seconds(total_t)}")
-    if observer is not None:
-        _emit_obs(observer, label=f"{args.app} restore {kind}",
+    print(f"  time until runnable          : {units.fmt_seconds(r.restore_s)}")
+    print(f"  restore + 2 steps, end-to-end: {units.fmt_seconds(r.end_to_end)}")
+    if world.observer is not None:
+        _emit_obs(world.observer, label=f"{args.app} restore {kind}",
                   json_path=args.obs_json)
         obs.uninstall()
     return 0
@@ -445,18 +402,16 @@ def cmd_bench(args) -> int:
         print(module.run().format())
         _report_parallel(args)
         return 0
-    from repro.experiments import harness
-
-    harness.OBSERVE = True
-    harness.collected_observers.clear()
+    worker.OBSERVE = True
+    worker.collected_observers.clear()
     try:
         print(module.run().format())
         _report_parallel(args)
-        for label, observer in harness.collected_observers:
+        for label, observer in worker.collected_observers:
             _emit_obs(observer, label=label)
     finally:
-        harness.OBSERVE = False
-        harness.collected_observers.clear()
+        worker.OBSERVE = False
+        worker.collected_observers.clear()
         obs.uninstall()
     return 0
 

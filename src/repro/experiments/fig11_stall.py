@@ -10,12 +10,13 @@ overlapping the copy; cuda-checkpoint is orders of magnitude slower.
 from __future__ import annotations
 
 from repro.baselines import SYSTEMS
-from repro.experiments.harness import ExperimentResult, run_cells
-from repro.parallel import Cell
-from repro.tasks.fault_tolerance import (
-    measure_checkpoint_overhead,
-    measure_restore_time,
+from repro.experiments.harness import (
+    ExperimentResult,
+    experiment_config,
+    run_cells,
 )
+from repro.parallel import Cell
+from repro.tasks.worker import checkpoint_stall, new_world, restore_stall
 
 #: Paper headline: PHOS ~185 ms vs Singularity 3.2 s on Llama2-13B train.
 CHECKPOINT_APPS = ("resnet152-train", "ppo-train", "sd-train",
@@ -36,13 +37,14 @@ def cells(checkpoint_apps=CHECKPOINT_APPS,
 def run_cell(cell: Cell) -> list[dict]:
     direction, app, system = cell.key
     if direction == "checkpoint":
-        m = measure_checkpoint_overhead(system, app)
+        m = checkpoint_stall(new_world(app, system), "cow",
+                             experiment_config())
         return [dict(direction="checkpoint", app=app, system=system,
                      stall_s=m.checkpoint_stall if m.supported else None,
                      supported=m.supported)]
-    stall = measure_restore_time(system, app)
+    r = restore_stall(new_world(app), system)
     return [dict(direction="restore", app=app, system=system,
-                 stall_s=stall, supported=stall == stall)]
+                 stall_s=r.end_to_end, supported=r.supported)]
 
 
 def run(checkpoint_apps=CHECKPOINT_APPS,

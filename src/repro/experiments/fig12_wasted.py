@@ -10,12 +10,9 @@ presentation.  cuda-checkpoint cannot checkpoint distributed jobs.
 from __future__ import annotations
 
 from repro.baselines import SYSTEMS
-from repro.experiments.harness import ExperimentResult
-from repro.tasks.fault_tolerance import (
-    measure_checkpoint_overhead,
-    measure_restore_time,
-    wasted_fraction,
-)
+from repro.experiments.harness import ExperimentResult, experiment_config
+from repro.tasks.fault_tolerance import wasted_fraction
+from repro.tasks.worker import checkpoint_stall, new_world, restore_stall
 
 APPS = ("resnet152-train", "ppo-train", "sd-train", "llama2-13b-train")
 FAILURES_PER_GPU_HOUR = 1.0
@@ -32,11 +29,12 @@ def run(apps=APPS) -> ExperimentResult:
     for app in apps:
         rows = []
         for system in SYSTEMS:
-            m = measure_checkpoint_overhead(system, app)
+            m = checkpoint_stall(new_world(app, system), "cow",
+                                 experiment_config())
             if not m.supported:
                 rows.append((system, None, None))
                 continue
-            restore = measure_restore_time(system, app)
+            restore = restore_stall(new_world(app), system).end_to_end
             frac, f_star = wasted_fraction(
                 m, restore, failures_per_gpu_hour=FAILURES_PER_GPU_HOUR
             )

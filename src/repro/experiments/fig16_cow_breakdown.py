@@ -12,16 +12,15 @@ Llama2-13B training.  Three variants:
 
 from __future__ import annotations
 
-from repro import obs
 from repro.experiments.harness import (
     ExperimentResult,
     build_world,
     experiment_config,
     run_cells,
-    setup_app,
 )
 from repro.obs.export import app_stall_components
 from repro.parallel import Cell
+from repro.tasks.worker import checkpoint_stall
 
 APP = "llama2-13b-train"
 
@@ -33,47 +32,27 @@ VARIANTS = (
 )
 
 
-def _measure(system: str, prioritized: bool = True, steps: int = 3):
-    world = build_world(APP, system=system)
-    eng = world.engine
-    setup_app(world, warm=2)
-
-    def driver(eng):
-        t0 = eng.now
-        yield from world.workload.run(steps)
-        base = (eng.now - t0) / steps
-        handle = world.checkpoint(
-            "cow", experiment_config(prioritized=prioritized))
-        t1 = eng.now
-        yield from world.workload.run(steps)
-        stall = (eng.now - t1) - steps * base
-        _image, session = yield handle
-        return base, max(0.0, stall), session
-
-    with obs.timeline(eng) as spans:
-        base, stall, session = eng.run_process(driver(eng))
-    quiesce_s = spans.total("quiesce")
-    cow_stall = session.stats.cow_stall_time if session else 0.0
-    attributed = None
-    if world.observer is not None and session is not None:
-        # GPUs run in lockstep; the stall is the slowest per-GPU chain.
-        attributed = max(
-            sum(app_stall_components(world.observer, i).values())
-            for i in world.process.gpu_indices
-        )
-    return base, stall, quiesce_s, cow_stall, attributed
-
-
 def cells() -> list[Cell]:
     return [Cell("fig16", key) for key in VARIANTS]
 
 
 def run_cell(cell: Cell) -> list[dict]:
     variant, system, prioritized = cell.key
-    base, stall, quiesce_s, cow_stall, attributed = _measure(
-        system, prioritized)
-    return [dict(variant=variant, iter_s=base, total_stall_s=stall,
-                 quiesce_s=quiesce_s, cow_stall_s=cow_stall,
+    world = build_world(APP, system)
+    m = checkpoint_stall(world, "cow",
+                         experiment_config(prioritized=prioritized))
+    attributed = None
+    if world.observer is not None and m.session is not None:
+        # GPUs run in lockstep; the stall is the slowest per-GPU chain.
+        attributed = max(
+            sum(app_stall_components(world.observer, i).values())
+            for i in world.process.gpu_indices
+        )
+    return [dict(variant=variant, iter_s=m.iter_time,
+                 total_stall_s=m.checkpoint_stall,
+                 quiesce_s=m.spans.total("quiesce"),
+                 cow_stall_s=(m.session.stats.cow_stall_time
+                              if m.session else 0.0),
                  attributed_s=attributed)]
 
 

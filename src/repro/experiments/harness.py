@@ -10,26 +10,11 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro import obs, parallel
-from repro.apps.specs import get_spec
-from repro.cluster import Machine
+from repro import parallel
 from repro.core.protocols import ProtocolConfig
 from repro.core.engine import EXPERIMENT_CHUNK
-from repro.sim import Engine
-from repro.tasks.worker import Worker
-
-#: When True (``phos ... --obs``), every :func:`build_world` installs an
-#: observer for its engine and records it in :data:`collected_observers`
-#: so the CLI can print one report per world after the experiment runs.
-OBSERVE = False
-
-#: Observers created by :func:`build_world` while :data:`OBSERVE` was on,
-#: as ``(label, observer)`` pairs in creation order.
-collected_observers: list[tuple[str, "obs.Observer"]] = []
-
-#: The observer the latest :func:`build_world` installed (None when that
-#: world is unobserved), so the next world can retire it.
-_installed: Optional["obs.Observer"] = None
+from repro.tasks import worker
+from repro.tasks.worker import Worker, new_world
 
 
 def run_cells(runner, cells, jobs=None, label: str = "") -> list:
@@ -37,13 +22,13 @@ def run_cells(runner, cells, jobs=None, label: str = "") -> list:
 
     Thin wrapper over :func:`repro.parallel.run_cells` that pins the
     execution serial while ``--obs`` is active: observers live
-    in-process (``build_world`` installs them into
-    :data:`collected_observers`), so observed runs must not cross a
-    process boundary.  Results keep the declared cell order either
-    way — output is bit-identical at any job count.
+    in-process (:func:`~repro.tasks.worker.new_world` installs them into
+    :data:`~repro.tasks.worker.collected_observers`), so observed runs
+    must not cross a process boundary.  Results keep the declared cell
+    order either way — output is bit-identical at any job count.
     """
     return parallel.run_cells(runner, cells, jobs=jobs, label=label,
-                              serial_only=OBSERVE)
+                              serial_only=worker.OBSERVE)
 
 
 def experiment_config(**tunables) -> ProtocolConfig:
@@ -138,40 +123,16 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def build_world(spec_name: str, use_pool: bool = False,
-                always_instrument: bool = False,
-                observe: Optional[bool] = None,
-                system: str = "phos") -> Worker:
-    """One machine under ``system``, one attached application process.
+def build_world(*args, **kwargs) -> Worker:
+    """:func:`~repro.tasks.worker.new_world` after a full collection.
 
-    ``observe`` switches the observability layer on for this world
-    (default: the module-level :data:`OBSERVE` flag, set by ``--obs``).
-    The observer stays installed until the next world is built — an
-    observed world replaces it, an unobserved one retires it (it would
-    stamp the new world's spans with the old engine's clock); each world
-    keeps its own handle in ``world.observer``.  An observer the caller
-    installed itself is left alone.
+    A world is a reference cycle (process <-> runtime <-> frontend), so
+    one the caller dropped waits for a full pass of the cyclic
+    collector.  Run it here: an experiment holds one world at a time,
+    however the collector's thresholds fall.
     """
-    global _installed
-    # A world is a reference cycle (process <-> runtime <-> frontend), so
-    # one the caller dropped waits for a full pass of the cyclic
-    # collector.  Run it here: an experiment holds one world at a time,
-    # however the collector's thresholds fall.
     gc.collect()
-    engine = Engine()
-    observer = None
-    if OBSERVE if observe is None else observe:
-        observer = obs.install(engine)
-        collected_observers.append((spec_name, observer))
-    elif _installed is not None and obs.active() is _installed:
-        obs.uninstall()
-    _installed = observer
-    spec = get_spec(spec_name)
-    world = Worker(engine, Machine(engine, n_gpus=spec.n_gpus), system,
-                   use_pool=use_pool)
-    world.launch(spec, always_instrument=always_instrument)
-    world.observer = observer
-    return world
+    return new_world(*args, **kwargs)
 
 
 def run_steps(world: Worker, n: int, start: Optional[int] = None) -> float:

@@ -2,7 +2,7 @@
 
 Every figure/sweep in this repository is a list of independent
 **cells** — one isolated world (a :class:`~repro.tasks.worker.Worker`
-from :func:`~repro.experiments.harness.build_world`) built and measured
+from :func:`~repro.tasks.worker.new_world`) built and measured
 per (app, system, protocol, tunable) point — so wall clock need not
 scale with cell count.  :func:`run_cells` fans cells out with one
 chunked ``ProcessPoolExecutor.map`` and reads the results back **in

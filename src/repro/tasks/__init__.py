@@ -6,12 +6,15 @@ daemon and reads the system's :data:`repro.baselines.SYSTEMS` row — so
 no task forks on which system it measures.
 
 * :mod:`repro.tasks.worker` — the worker itself (``launch`` /
-  ``checkpoint`` / ``restore``, one shape for every system);
+  ``checkpoint`` / ``restore``, one shape for every system), the world
+  builder :func:`~repro.tasks.worker.new_world` and the two stall
+  probes :func:`~repro.tasks.worker.checkpoint_stall` (Figs. 11a, 12,
+  16) and :func:`~repro.tasks.worker.restore_stall` (Figs. 11b, 12, 14,
+  18);
 * :mod:`repro.tasks.distributed` — one worker per machine and the
   all-or-nothing consistent cut across them;
-* :mod:`repro.tasks.fault_tolerance` — periodic checkpointing at the
-  optimal frequency, checkpoint-overhead and wasted-GPU-time metrics
-  (Figs. 11a, 12);
+* :mod:`repro.tasks.fault_tolerance` — the wasted-GPU-time metric at
+  the optimal checkpoint frequency (Fig. 12);
 * :mod:`repro.tasks.live_migration` — pre-copy live migration over
   GPU-direct RDMA, downtime metric (Fig. 13);
 * :mod:`repro.tasks.serverless` — cold-start via restore, end-to-end
@@ -20,27 +23,30 @@ no task forks on which system it measures.
 
 from repro.tasks.distributed import DistributedJob
 from repro.tasks.ft_controller import FaultToleranceController, FtRunResult
-from repro.tasks.fault_tolerance import (
-    FtMeasurement,
-    measure_checkpoint_overhead,
-    measure_restore_time,
-    wasted_fraction,
-)
+from repro.tasks.fault_tolerance import wasted_fraction
 from repro.tasks.live_migration import MigrationResult, migrate
-from repro.tasks.serverless import ColdStartResult, cold_start
-from repro.tasks.worker import Worker
+from repro.tasks.serverless import cold_start
+from repro.tasks.worker import (
+    CheckpointStall,
+    RestoreStall,
+    Worker,
+    checkpoint_stall,
+    new_world,
+    restore_stall,
+)
 
 __all__ = [
-    "ColdStartResult",
+    "CheckpointStall",
     "DistributedJob",
     "FaultToleranceController",
-    "FtMeasurement",
     "FtRunResult",
     "MigrationResult",
+    "RestoreStall",
     "Worker",
+    "checkpoint_stall",
     "cold_start",
-    "measure_checkpoint_overhead",
-    "measure_restore_time",
     "migrate",
+    "new_world",
+    "restore_stall",
     "wasted_fraction",
 ]

@@ -22,12 +22,12 @@ from repro import obs, units
 from repro.apps.specs import get_spec
 from repro.baselines import get_system
 from repro.cluster import Cluster
+from repro.core.engine import EXPERIMENT_CHUNK
 from repro.core.protocols import ProtocolConfig
 from repro.errors import InvalidValueError
 from repro.sim import DomainChannel, Engine
 from repro.storage.media import Medium
-from repro.tasks.fault_tolerance import EXPERIMENT_CHUNK
-from repro.tasks.worker import Worker
+from repro.tasks.worker import Worker, new_engine
 
 #: Per-GPU RDMA NIC bandwidth (100 Gbps each, §8 testbed).
 RDMA_PER_GPU = units.RDMA_100GBPS
@@ -55,8 +55,7 @@ def _rdma_medium(engine: Engine, n_gpus: int) -> Medium:
                   latency=5 * units.USEC)
 
 
-def migrate(system: str, spec_name: str, warm_steps: int = 2,
-            chunk_bytes: int = EXPERIMENT_CHUNK,
+def migrate(system: str, spec_name: str,
             clock_domains: bool = False) -> MigrationResult:
     """Migrate one application between two machines; returns downtime.
 
@@ -80,7 +79,7 @@ def migrate(system: str, spec_name: str, warm_steps: int = 2,
         return MigrationResult(system=system, app=spec_name, downtime=float("nan"),
                                total_time=float("nan"), supported=False)
     cluster = Cluster.testbed(
-        Engine(), n_machines=2, n_gpus=spec.n_gpus,
+        new_engine(spec_name), n_machines=2, n_gpus=spec.n_gpus,
         clock_domains="per-machine" if clock_domains else "single")
     src, dst = cluster.machines
     eng = src.engine
@@ -120,11 +119,11 @@ def migrate(system: str, spec_name: str, warm_steps: int = 2,
 
     def driver():
         yield from workload.setup()
-        yield from workload.run(warm_steps)
+        yield from workload.run(2)
         t_start = stop_time = eng.now
         handle = source.checkpoint(
             "recopy", ProtocolConfig(keep_stopped=True, bandwidth_scale=scale,
-                                     chunk_bytes=chunk_bytes),
+                                     chunk_bytes=EXPERIMENT_CHUNK),
             medium=rdma)
         if row.concurrent:
             # The application keeps running through the pre-copy; it

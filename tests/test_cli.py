@@ -43,6 +43,14 @@ def test_checkpoint_obs_label_names_the_resolved_mode(capsys, flow, mode,
     assert shown in out
 
 
+@pytest.mark.parametrize("steps", ["0", "-1"])
+def test_checkpoint_rejects_non_positive_steps(capsys, steps):
+    assert main(["checkpoint", "--steps", steps]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"phos checkpoint: steps must be at least 1, got {steps}\n"
+
+
 def test_checkpoint_has_one_continuous_selector():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["checkpoint", "--continuous"])

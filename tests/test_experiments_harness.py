@@ -6,6 +6,7 @@ import pytest
 
 from repro import obs
 from repro.experiments import harness
+from repro.tasks import worker
 from repro.experiments.harness import (
     ExperimentResult,
     build_world,
@@ -80,9 +81,9 @@ def test_unobserved_world_retires_previous_worlds_observer(how, monkeypatch):
     ("span ... ends before it starts")."""
     try:
         if how == "flag":
-            monkeypatch.setattr(harness, "OBSERVE", True)
+            monkeypatch.setattr(worker, "OBSERVE", True)
             first = build_world("resnet152-infer")
-            monkeypatch.setattr(harness, "OBSERVE", False)
+            monkeypatch.setattr(worker, "OBSERVE", False)
         else:
             first = build_world("resnet152-infer", observe=True)
         assert obs.active() is first.observer
@@ -100,7 +101,7 @@ def test_unobserved_world_retires_previous_worlds_observer(how, monkeypatch):
         assert second.engine.run_process(driver(second.engine)).finalized
     finally:
         obs.uninstall()
-        harness.collected_observers.clear()
+        worker.collected_observers.clear()
 
 
 def test_build_world_leaves_a_callers_own_observer_installed():
@@ -114,6 +115,30 @@ def test_build_world_leaves_a_callers_own_observer_installed():
         assert obs.active() is mine
     finally:
         obs.uninstall()
+
+
+@pytest.mark.parametrize("module,kwargs,worlds", [
+    ("fig11_stall", dict(checkpoint_apps=("resnet152-train",),
+                         restore_apps=("resnet152-infer",)), 6),
+    ("fig13_migration", dict(apps=("resnet152-train",)), 3),
+    ("fig14_serverless", dict(apps=("resnet152-infer",)), 3),
+], ids=["fig11", "fig13", "fig14"])
+def test_obs_switch_observes_every_task_world(module, kwargs, worlds,
+                                              monkeypatch):
+    """``phos bench --obs`` reaches the worlds the stall probes and the
+    migration build: one observer per world, each with the run's spans."""
+    import importlib
+
+    monkeypatch.setattr(worker, "OBSERVE", True)
+    worker.collected_observers.clear()
+    try:
+        importlib.import_module(f"repro.experiments.{module}").run(**kwargs)
+        observers = [o for _, o in worker.collected_observers]
+        assert len(observers) == worlds
+        assert all(o.spans.roots for o in observers)
+    finally:
+        obs.uninstall()
+        worker.collected_observers.clear()
 
 
 class _CountersOnly:

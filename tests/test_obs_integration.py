@@ -16,10 +16,11 @@ import pytest
 
 from repro import obs
 from repro.core.cli import main
+from repro.core.engine import EXPERIMENT_CHUNK
 from repro.core.protocols import ProtocolConfig
 from repro.obs import export
-from repro.experiments.harness import build_world, setup_app
-from repro.tasks.fault_tolerance import EXPERIMENT_CHUNK
+from repro.experiments.harness import build_world
+from repro.tasks.worker import checkpoint_stall
 
 APP = "resnet152-train"  # single GPU: every stall is on one issue chain
 STEPS = 3
@@ -35,26 +36,11 @@ def _no_observer_leak():
 def cow_run():
     """One observed CoW checkpoint run; (world, base, stall)."""
     world = build_world(APP, observe=True)
-    eng, phos = world.engine, world.phos
-    setup_app(world, warm=2)
-
-    def driver(eng):
-        t0 = eng.now
-        yield from world.workload.run(STEPS)
-        base = (eng.now - t0) / STEPS
-        handle = phos.checkpoint(
-            world.process, mode="cow",
-            config=ProtocolConfig(chunk_bytes=EXPERIMENT_CHUNK))
-        t1 = eng.now
-        yield from world.workload.run(STEPS)
-        stall = (eng.now - t1) - STEPS * base
-        yield handle
-        return base, max(0.0, stall)
-
-    base, stall = eng.run_process(driver(eng))
-    eng.run()
+    m = checkpoint_stall(world, "cow",
+                         ProtocolConfig(chunk_bytes=EXPERIMENT_CHUNK),
+                         steps=STEPS)
     obs.uninstall()
-    return world, base, stall
+    return world, m.iter_time, m.checkpoint_stall
 
 
 def test_stall_components_sum_to_measured_stall(cow_run):

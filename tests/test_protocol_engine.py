@@ -554,14 +554,22 @@ BREAKDOWNS = {
 }
 
 
+#: The task-driven figures at one app per direction.
+REDUCED = {
+    "fig11_reduced": ("repro.experiments.fig11_stall",
+                      dict(checkpoint_apps=("resnet152-train",),
+                           restore_apps=("resnet152-infer",))),
+    "fig14_reduced": ("repro.experiments.fig14_serverless",
+                      dict(apps=("resnet152-infer",))),
+}
+
+
 def _figure(fig: str) -> str:
     import importlib
 
-    if fig == "fig11_reduced":
-        from repro.experiments.fig11_stall import run
-
-        result = run(checkpoint_apps=("resnet152-train",),
-                     restore_apps=("resnet152-infer",))
+    if fig in REDUCED:
+        module, kwargs = REDUCED[fig]
+        result = importlib.import_module(module).run(**kwargs)
     else:
         result = importlib.import_module(BREAKDOWNS[fig]).run()
     return result.format().rstrip("\n")
@@ -569,6 +577,10 @@ def _figure(fig: str) -> str:
 
 def test_fig11_reduced_matches_golden():
     assert _figure("fig11_reduced") == _golden("fig11_reduced")
+
+
+def test_fig14_reduced_matches_golden():
+    assert _figure("fig14_reduced") == _golden("fig14_reduced")
 
 
 def _one_home():
@@ -581,16 +593,25 @@ def _one_home():
                          ids=["engine", "domain"])
 @pytest.mark.parametrize("fig,module", list(BREAKDOWNS.items()))
 def test_breakdown_figures_match_golden(fig, module, new_engine, monkeypatch):
-    """Same bytes on a plain engine and with every ``build_world`` engine
-    a single home, the affinity rule armed (fig11 builds its engines in
-    ``tasks/`` and has no domain case)."""
-    from repro.experiments import harness
+    """Same bytes on a plain engine and with every ``new_world`` engine
+    a single home, the affinity rule armed."""
+    from repro.tasks import worker
 
-    monkeypatch.setattr(harness, "Engine", new_engine)
+    monkeypatch.setattr(worker, "Engine", new_engine)
     assert _figure(fig) == _golden(fig)
 
 
-@pytest.mark.parametrize("fig", ["fig11_reduced", *BREAKDOWNS])
+@pytest.mark.parametrize("fig", list(REDUCED))
+def test_task_figures_match_golden_on_one_home(fig, monkeypatch):
+    """The probes' worlds come from ``new_world`` too, so the task
+    figures take the single-home case as well."""
+    from repro.tasks import worker
+
+    monkeypatch.setattr(worker, "Engine", _one_home)
+    assert _figure(fig) == _golden(fig)
+
+
+@pytest.mark.parametrize("fig", [*REDUCED, *BREAKDOWNS])
 def test_figures_match_golden_interpreted(fig, monkeypatch):
     """Same bytes with every kernel launch interpreted: the plan tier
     declines each one, on a plain engine."""

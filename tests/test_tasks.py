@@ -4,22 +4,26 @@ import math
 
 import pytest
 
-from repro.tasks.fault_tolerance import (
-    measure_checkpoint_overhead,
-    measure_restore_time,
-    wasted_fraction,
-)
+from repro.core.engine import EXPERIMENT_CHUNK
+from repro.core.protocols import ProtocolConfig
+from repro.tasks.fault_tolerance import wasted_fraction
 from repro.tasks.live_migration import migrate
 from repro.tasks.serverless import cold_start
+from repro.tasks.worker import checkpoint_stall, new_world, restore_stall
 
 
 # --- fault tolerance -----------------------------------------------------------
 
 
+def _overhead(system, app):
+    return checkpoint_stall(new_world(app, system), "cow",
+                            ProtocolConfig(chunk_bytes=EXPERIMENT_CHUNK))
+
+
 @pytest.fixture(scope="module")
 def resnet_overheads():
     return {
-        system: measure_checkpoint_overhead(system, "resnet152-train")
+        system: _overhead(system, "resnet152-train")
         for system in ("phos", "singularity", "cuda-checkpoint")
     }
 
@@ -47,15 +51,32 @@ def test_singularity_stall_matches_copy_time(resnet_overheads):
 
 
 def test_cuda_checkpoint_unsupported_for_multi_gpu():
-    m = measure_checkpoint_overhead("cuda-checkpoint", "llama2-13b-train")
+    world = new_world("llama2-13b-train", "cuda-checkpoint")
+    m = checkpoint_stall(world)
     assert not m.supported
+    assert m.spans is None and world.engine.now == 0  # nothing simulated
+
+
+@pytest.mark.parametrize("steps", [0, -1])
+def test_probes_reject_non_positive_steps_before_simulating(steps):
+    # Regression: steps=0 ran the whole simulation, then divided the
+    # baseline by zero; a negative count measured nonsense.
+    from repro.errors import InvalidValueError
+
+    world = new_world("resnet152-train")
+    with pytest.raises(InvalidValueError, match="steps must be at least 1"):
+        checkpoint_stall(world, steps=steps)
+    with pytest.raises(InvalidValueError, match="steps must be at least 1"):
+        restore_stall(world, steps=steps)
+    assert world.engine.now == 0 and world.workload.steps_done == 0
 
 
 def test_wasted_fraction_phos_less_than_singularity(resnet_overheads):
     waste = {}
     for system in ("phos", "singularity"):
         m = resnet_overheads[system]
-        restore = measure_restore_time(system, "resnet152-train")
+        restore = restore_stall(new_world("resnet152-train"),
+                                system).end_to_end
         waste[system], f_star = wasted_fraction(m, restore)
         assert f_star > 0
     assert waste["phos"] < waste["singularity"]
@@ -154,8 +175,6 @@ def test_cold_start_rejects_non_positive_scalars():
         cold_start("phos", "resnet152-infer", n_requests=0)
     with pytest.raises(InvalidValueError):
         cold_start("phos", "resnet152-infer", n_requests=-3)
-    with pytest.raises(InvalidValueError):
-        cold_start("phos", "resnet152-infer", chunk_bytes=0)
 
 
 def test_cold_start_unsupported_is_flagged_not_poisonous():
