@@ -31,6 +31,11 @@ class BufferTable:
         #: so the bisect lookup is memoized and flushed whenever the
         #: table itself changes.
         self._resolve_memo: dict[int, Optional[Buffer]] = {}
+        #: One slot per kernel ``Program`` (keyed by ``id``) for
+        #: :func:`~repro.core.speculation.speculate_call`: ``(program,
+        #: args, sets)`` of its last launch against this table.  Flushed
+        #: with the resolve memo, for the same reason.
+        self.spec_memo: dict[int, tuple] = {}
 
     def register(self, buf: Buffer) -> None:
         if buf.addr in self._by_addr:
@@ -39,6 +44,7 @@ class BufferTable:
         bisect.insort(self._addrs, buf.addr)
         self._total_bytes += buf.size
         self._resolve_memo.clear()
+        self.spec_memo.clear()
 
     def unregister(self, buf: Buffer) -> None:
         if self._by_addr.get(buf.addr) is not buf:
@@ -47,6 +53,7 @@ class BufferTable:
         self._addrs.remove(buf.addr)
         self._total_bytes -= buf.size
         self._resolve_memo.clear()
+        self.spec_memo.clear()
 
     def resolve(self, addr: int) -> Optional[Buffer]:
         """The registered buffer whose range contains ``addr``, if any."""

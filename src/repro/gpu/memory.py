@@ -173,6 +173,11 @@ class DeviceMemory:
         self._free: list[tuple[int, int]] = [(base, capacity)]  # (addr, size)
         self._buffers: dict[int, Buffer] = {}  # keyed by addr
         self._addrs: list[int] = []  # sorted buffer base addresses
+        #: One slot per compiled plan (:mod:`repro.perf.plans`): the
+        #: argument tuple of its last launch here and that launch's bind
+        #: proof.  The proof is a function of the buffer layout, so
+        #: every alloc and free flushes it.
+        self.bind_memo: dict = {}
 
     # -- allocation --------------------------------------------------------------
     def alloc(self, size: int, tag: str = "", data_size: Optional[int] = None) -> Buffer:
@@ -192,6 +197,7 @@ class DeviceMemory:
                 self._buffers[addr] = buf
                 bisect.insort(self._addrs, addr)
                 self.used += aligned
+                self.bind_memo.clear()
                 return buf
         raise OutOfMemoryError(
             f"cannot allocate {size} bytes: {self.capacity - self.used} free "
@@ -222,6 +228,7 @@ class DeviceMemory:
                 self._buffers[addr] = buf
                 bisect.insort(self._addrs, addr)
                 self.used += size
+                self.bind_memo.clear()
                 return buf
         raise OutOfMemoryError(
             f"range [{addr:#x}, {addr + size:#x}) is not free"
@@ -233,6 +240,7 @@ class DeviceMemory:
             raise InvalidValueError(f"double free or foreign buffer: {buf!r}")
         del self._buffers[buf.addr]
         self._addrs.remove(buf.addr)
+        self.bind_memo.clear()
         buf.freed = True
         self.used -= buf.size
         bisect.insort(self._free, (buf.addr, buf.size))

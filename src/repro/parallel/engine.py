@@ -25,8 +25,9 @@ worker is a fresh interpreter that imports the runner by qualified
 name.  The per-process warm :class:`~repro.gpu.isa.Program` cache
 (see :mod:`repro.apps.base`) lets consecutive cells on one worker
 reuse compiled kernel plans — a wall-clock optimization that is
-result-invariant because plans re-prove their preconditions against
-the actual memory at every bind.
+result-invariant because plans prove their preconditions against the
+actual memory (a proof is reused only on that memory, until its
+layout changes).
 
 The pool path
 -------------

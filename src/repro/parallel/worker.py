@@ -10,8 +10,9 @@ pools.  Consecutive cells on the same worker rebuild identical kernel
 binaries; the warm :class:`~repro.gpu.isa.Program` cache in
 :mod:`repro.apps.base` shares them, so the compiled-plan cache stays
 warm across cells.  This is purely a wall-clock effect — plans
-re-prove their bind-time preconditions against the actual device
-memory on every launch, so results stay bit-identical.
+prove their bind-time preconditions against the actual device memory
+(a proof is reused only on that memory, until its layout changes), so
+results stay bit-identical.
 """
 
 from __future__ import annotations

@@ -41,8 +41,8 @@ delta, giving the site group the closed form ``addr(j, tid) = base +
 dj·j + ct·tid`` — exactly a coalesced strided range.  Store values are
 merged across iterations by shape-matching their expression DAGs.
 
-Per launch, ``bind`` re-evaluates the affine forms against the actual
-arguments and proves, before touching any byte:
+``_bind`` evaluates the affine forms against the actual arguments and
+proves, before touching any byte:
 
 * every access lands word-aligned inside a single buffer's materialized
   prefix (otherwise the interpreter's fault semantics must apply — fall
@@ -57,9 +57,16 @@ arguments and proves, before touching any byte:
   launch that would produce violations is never served by a plan — it
   falls back, and the interpreter reports the identical violation list.
 
-Only then does the plan execute: evaluate store values (gathering load
-groups at most once), scatter, and set dirty bits.  Like the
-interpreter, a plan records no per-access log.
+The proof is a pure function of the plan, the argument tuple and the
+buffer layout, so its record (each group's buffer and word indices,
+the conflict verdicts, the CHK hulls) — or its failure — is kept in one
+slot per plan on the :class:`~repro.gpu.memory.DeviceMemory`, keyed by
+the argument tuple; ``alloc``, ``alloc_at`` and ``free`` flush it.  A
+plan itself never references a buffer.  What depends on the launch is
+redone every time: the step budget and used-argument range checks, the
+CHK hulls against *that launch's* ``ValidationState.covers``, value
+evaluation (gathering load groups at most once), scatter, and dirty
+bits.  Like the interpreter, a plan records no per-access log.
 
 Equivalence guarantees (enforced, not assumed):
 
@@ -395,15 +402,13 @@ def _trace(program: Program, args, n_threads: int, max_steps: int) -> _Trace:
 
 class _Group:
     __slots__ = ("kind", "c0", "coeffs", "ct", "dj", "k", "first_pos",
-                 "value", "jcol", "trow",
-                 # per-bind scratch:
-                 "mat", "buf", "idx", "lo", "hi", "val")
+                 "value", "jcol", "trow", "i")
 
     def __init__(self, kind: str) -> None:
         self.kind = kind
         self.value = None
-        self.mat = self.buf = self.idx = self.val = None
-        self.lo = self.hi = 0
+        #: Position among the plan's load groups (value nodes name it).
+        self.i = -1
 
 
 class _Plan:
@@ -423,7 +428,7 @@ def _merge_exprs(nodes: list, k: int):
                 raise _Abort("load-iteration-skew")
         if grp.k != k:
             raise _Abort("load-group-size")
-        return ("grp", grp)
+        return ("grp", grp.i)
     if t0 is _Aff:
         shape = nodes[0].shape_key()
         if any(x.shape_key() != shape for x in nodes[1:]):
@@ -452,7 +457,7 @@ def _single_expr(node):
     """Lower a single (k == 1) value expr to runtime form."""
     t = type(node)
     if t is _Load:
-        return ("row", node.site.group, node.site.j)
+        return ("row", node.site.group.i, node.site.j)
     if t is _Aff:
         return ("aff", node.c0, node.coeffs, node.ct, 0)
     if t is _CVec:
@@ -464,24 +469,26 @@ def _single_expr(node):
 
 def _compile(trace: _Trace, n_threads: int) -> _Plan:
     groups: list[_Group] = []
-    by_key: dict[tuple, _Group] = {}
+    group_sites: list[list[_Site]] = []
+    by_key: dict[tuple, int] = {}
     for s in trace.sites:
         key = (s.pc, s.kind)
-        g = by_key.get(key)
-        if g is None:
+        gi = by_key.get(key)
+        if gi is None:
+            gi = by_key[key] = len(groups)
             g = _Group(s.kind)
             g.first_pos = s.pos
-            g.mat = []  # temporarily holds sites
-            by_key[key] = g
             groups.append(g)
-        s.group = g
-        s.j = len(g.mat)
-        g.mat.append(s)
+            group_sites.append([])
+        s.group = groups[gi]
+        s.j = len(group_sites[gi])
+        group_sites[gi].append(s)
+    load_groups = [g for g in groups if g.kind == "r"]
+    for i, g in enumerate(load_groups):
+        g.i = i
 
     tidv = np.arange(n_threads, dtype=np.uint64)
-    for g in groups:
-        sites = g.mat
-        g.mat = None
+    for g, sites in zip(groups, group_sites):
         k = len(sites)
         base = sites[0].aff
         shape = base.shape_key()
@@ -511,7 +518,7 @@ def _compile(trace: _Trace, n_threads: int) -> _Plan:
     plan.steps_per_thread = trace.steps_per_thread
     plan.used_args = trace.used_args
     plan.tidv = tidv
-    plan.load_groups = [g for g in groups if g.kind == "r"]
+    plan.load_groups = load_groups
     plan.store_groups = [g for g in groups if g.kind == "w"]
     plan.chk_groups = [g for g in groups if g.kind in ("cr", "cw")]
     return plan
@@ -528,46 +535,97 @@ def _group_mat(g: _Group, args) -> np.ndarray:
     return np.uint64(base & _MASK64) + g.jcol + g.trow  # (k, n_threads)
 
 
-def _bind_group(g: _Group, args, memory: DeviceMemory) -> bool:
-    """Resolve a memory group's buffer/indices; False → fall back."""
+def _bind_group(g: _Group, args, memory: DeviceMemory):
+    """A memory group's ``(buf, mat, idx, lo, hi)``; None → fall back."""
     mat = _group_mat(g, args)
-    g.mat = mat
-    g.lo = lo = int(mat.min())
-    g.hi = hi = int(mat.max())
+    lo = int(mat.min())
+    hi = int(mat.max())
     buf = memory.resolve(lo)
     if buf is None or buf.words is None:
-        return False
+        return None
     if hi + WORD > buf.addr + len(buf.data):
-        return False
+        return None
     # Word alignment of every lane, checked on the closed form (8 divides
     # 2**64, so the masked form preserves residues).  A misaligned access
     # is legal in the interpreter — it just can't use the word view.
     if (lo - buf.addr) % WORD or (g.k > 1 and g.dj % WORD) \
             or (len(g.trow) > 1 and g.ct % WORD):
-        return False
-    g.buf = buf
-    g.idx = (mat - np.uint64(buf.addr)) >> _U3
-    g.val = None
-    return True
+        return None
+    return buf, mat, (mat - np.uint64(buf.addr)) >> _U3, lo, hi
 
 
-def _eval(node):
+def _bind(plan: _Plan, args, memory: DeviceMemory):
+    """Prove a launch's memory preconditions; the record or None.
+
+    A pure function of ``(plan, args, memory's buffer layout)``: the
+    record is ``(loads, stores, chks)`` — a ``(buf, idx)`` pair per load
+    and store group, and a ``(kind, lo, hi)`` hull per CHK group — and
+    exists only when every access is in-bounds and word-aligned and
+    lockstep execution provably equals sequential execution.
+    """
+    loads, load_rec = [], []
+    for g in plan.load_groups:
+        bound = _bind_group(g, args, memory)
+        if bound is None:
+            return None
+        loads.append(bound)
+        load_rec.append((bound[0], bound[2]))
+    stores, store_rec = [], []
+    for g in plan.store_groups:
+        bound = _bind_group(g, args, memory)
+        if bound is None:
+            return None
+        stores.append(bound)
+        store_rec.append((bound[0], bound[2]))
+
+    # -- conflict analysis: lockstep must equal sequential execution -------
+    n = plan.n_threads
+    for i, (sg, (buf, mat, _, lo, hi)) in enumerate(
+            zip(plan.store_groups, stores)):
+        # Duplicate store addresses (any two lanes writing the same word)
+        # make the final byte state order-dependent: fall back.
+        if (sg.k > 1 and sg.dj == 0) or (n > 1 and sg.ct == 0):
+            return None
+        if sg.k > 1 and n > 1:
+            flat = mat.ravel()
+            if np.unique(flat).size != flat.size:
+                return None
+        for obuf, _, _, olo, ohi in stores[i + 1:]:
+            if obuf is buf and olo <= hi and lo <= ohi:
+                return None
+    for lg, (lbuf, lmat, _, llo, lhi) in zip(plan.load_groups, loads):
+        for sg, (sbuf, smat, _, slo, shi) in zip(plan.store_groups, stores):
+            if sbuf is not lbuf or shi < llo or lhi < slo:
+                continue
+            # Overlapping hulls are only safe for the lane-identical
+            # read-then-write (in-place) pattern.
+            if not (lg.first_pos < sg.first_pos
+                    and lmat.shape == smat.shape
+                    and np.array_equal(lmat, smat)):
+                return None
+
+    chks = []
+    for cg in plan.chk_groups:
+        mat = _group_mat(cg, args)
+        kind = AccessKind.WRITE if cg.kind == "cw" else AccessKind.READ
+        chks.append((kind, int(mat.min()), int(mat.max())))
+    return load_rec, store_rec, chks
+
+
+def _eval(node, loads, vals):
     tag = node[0]
-    if tag == "grp":
-        g = node[1]
-        if g.val is None:
-            g.val = g.buf.words[g.idx]
-        return g.val
-    if tag == "row":
-        g = node[1]
-        if g.val is None:
-            g.val = g.buf.words[g.idx]
-        return g.val[node[2]]
+    if tag == "grp" or tag == "row":
+        i = node[1]
+        v = vals[i]
+        if v is None:
+            buf, idx = loads[i]
+            v = vals[i] = buf.words[idx]
+        return v if tag == "grp" else v[node[2]]
     if tag == "cvec":
         return node[1]
     if tag == "bin":
-        a = _eval(node[2])
-        b = _eval(node[3])
+        a = _eval(node[2], loads, vals)
+        b = _eval(node[3], loads, vals)
         op = node[1]
         if op == "add":
             return a + b
@@ -596,12 +654,12 @@ def _eval_aff(node, args, plan: _Plan, k: int):
     return out
 
 
-def _eval_value(node, args, plan: _Plan, k: int):
+def _eval_value(node, args, plan: _Plan, k: int, loads, vals):
     if node[0] == "aff":
         return _eval_aff(node, args, plan, k)
     if node[0] == "bin":
-        a = _eval_value(node[2], args, plan, k)
-        b = _eval_value(node[3], args, plan, k)
+        a = _eval_value(node[2], args, plan, k, loads, vals)
+        b = _eval_value(node[3], args, plan, k, loads, vals)
         op = node[1]
         if op == "add":
             return a + b
@@ -610,27 +668,12 @@ def _eval_value(node, args, plan: _Plan, k: int):
         if op == "mul":
             return a * b
         return a % b
-    return _eval(node)
+    return _eval(node, loads, vals)
 
 
 def _run_plan(plan: _Plan, program: Program, args, n_threads: int,
               memory: DeviceMemory, validation, max_steps: int):
     """Bind the plan to a launch; returns a KernelRun or None (fall back)."""
-    try:
-        return _bind_and_run(plan, program, args, n_threads, memory,
-                             validation, max_steps)
-    finally:
-        # Drop per-launch scratch so a cached plan never pins buffers.
-        for g in plan.load_groups:
-            g.mat = g.buf = g.idx = g.val = None
-        for g in plan.store_groups:
-            g.mat = g.buf = g.idx = g.val = None
-
-
-def _bind_and_run(plan: _Plan, program: Program, args, n_threads: int,
-                  memory: DeviceMemory, validation, max_steps: int):
-    from repro.gpu import interpreter as interp
-
     if plan.steps_per_thread > max_steps:
         return None
     for i in plan.used_args:
@@ -638,55 +681,38 @@ def _bind_and_run(plan: _Plan, program: Program, args, n_threads: int,
         if v < 0 or v > _MASK64:
             return None
 
-    loads = plan.load_groups
-    stores = plan.store_groups
-    for g in loads:
-        if not _bind_group(g, args, memory):
-            return None
-    for g in stores:
-        if not _bind_group(g, args, memory):
-            return None
+    # A repeated launch reuses its plan's last proof on this memory.
+    key = tuple(args)
+    slot = memory.bind_memo.get(plan)
+    if slot is not None and slot[0] == key:
+        record = slot[1]
+    else:
+        record = _bind(plan, args, memory)
+        memory.bind_memo[plan] = (key, record)
+    if record is None:
+        return None
+    return _execute(plan, program, args, n_threads, record, validation)
 
-    # -- conflict analysis: lockstep must equal sequential execution -------
-    for i, sg in enumerate(stores):
-        # Duplicate store addresses (any two lanes writing the same word)
-        # make the final byte state order-dependent: fall back.
-        n = n_threads
-        if (sg.k > 1 and sg.dj == 0) or (n > 1 and sg.ct == 0):
-            return None
-        if sg.k > 1 and n > 1:
-            flat = sg.mat.ravel()
-            if np.unique(flat).size != flat.size:
-                return None
-        for other in stores[i + 1:]:
-            if other.buf is sg.buf and other.lo <= sg.hi and sg.lo <= other.hi:
-                return None
-    for lg in loads:
-        for sg in stores:
-            if sg.buf is not lg.buf or sg.hi < lg.lo or lg.hi < sg.lo:
-                continue
-            # Overlapping hulls are only safe for the lane-identical
-            # read-then-write (in-place) pattern.
-            if not (lg.first_pos < sg.first_pos
-                    and lg.mat.shape == sg.mat.shape
-                    and np.array_equal(lg.mat, sg.mat)):
-                return None
 
+def _execute(plan: _Plan, program: Program, args, n_threads: int, record,
+             validation):
+    """Run a launch whose bind proof holds; None if the CHKs may fire."""
+    from repro.gpu import interpreter as interp
+
+    loads, stores, chks = record
     # -- validation: prove the CHK stream produces zero violations ---------
     if validation is not None:
-        for cg in plan.chk_groups:
-            mat = _group_mat(cg, args)
-            lo = int(mat.min())
-            hi = int(mat.max())
-            kind = AccessKind.WRITE if cg.kind == "cw" else AccessKind.READ
+        for kind, lo, hi in chks:
             if not validation.covers(kind, lo, hi):
                 return None
 
     # -- execute: evaluate all store values, then scatter ------------------
-    vals = [_eval_value(g.value, args, plan, g.k) for g in stores]
-    for g, v in zip(stores, vals):
-        g.buf.words[g.idx] = v
-        g.buf.hw_dirty = True
+    vals = [None] * len(loads)
+    out = [_eval_value(g.value, args, plan, g.k, loads, vals)
+           for g in plan.store_groups]
+    for (buf, idx), v in zip(stores, out):
+        buf.words[idx] = v
+        buf.hw_dirty = True
 
     return interp.KernelRun(program=program, n_threads=n_threads,
                             steps=plan.steps_per_thread * n_threads)

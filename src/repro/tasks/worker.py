@@ -155,8 +155,12 @@ def new_world(app: str, system: str = "phos", *, use_pool: bool = False,
     """One machine under ``system`` with ``app`` launched on it.
 
     The world's observer (see :func:`new_engine`) is ``world.observer``.
+    A world whose system cannot checkpoint the app is never observed:
+    every probe on it returns unsupported without simulating.
     """
     spec = get_spec(app)
+    if not get_system(system).supports(spec.n_gpus):
+        observe = False
     engine = new_engine(app, observe)
     world = Worker(engine, Machine(engine, n_gpus=spec.n_gpus), system,
                    use_pool=use_pool)

@@ -8,6 +8,7 @@ from repro.core.tracker import BufferTable
 from repro.errors import CheckpointError
 from repro.gpu.interpreter import AccessKind
 from repro.gpu.memory import DeviceMemory
+from repro.gpu.ranges import RangeSet
 from repro.gpu.program import (
     build_copy,
     build_fill,
@@ -96,7 +97,7 @@ def test_memcpy_uses_declared_sets(mem, table):
     dst = alloc(mem, table)
     call = ApiCall(ApiCategory.MEMCPY_H2D, "cudaMemcpyH2D", 0, writes=[dst], nbytes=512)
     sets = speculate_call(call, table)
-    assert sets.writes == [dst]
+    assert sets.writes == (dst,)
     assert not sets.opaque
 
 
@@ -104,7 +105,7 @@ def test_lib_compute_uses_declared_sets(mem, table):
     a, b, c = (alloc(mem, table) for _ in range(3))
     call = ApiCall(ApiCategory.LIB_COMPUTE, "cublasSgemm", 0, reads=[a, b], writes=[c])
     sets = speculate_call(call, table)
-    assert sets.reads == [a, b] and sets.writes == [c]
+    assert sets.reads == (a, b) and sets.writes == (c,)
 
 
 # --- opaque kernels ----------------------------------------------------------
@@ -139,7 +140,41 @@ def test_pointer_into_buffer_interior_resolves(mem, table):
 def test_unresolvable_pointer_ignored(mem, table):
     prog = build_fill()
     sets = speculate_call(opaque(prog, [0xDEAD0000, 4, 0]), table)
-    assert sets.writes == []
+    assert sets.writes == ()
+
+
+def test_repeated_launch_shares_its_speculated_sets(mem, table):
+    x, y, z = (alloc(mem, table) for _ in range(3))
+    prog = build_saxpy()
+    args = [2, x.addr, y.addr, z.addr, 4]
+    first = speculate_call(opaque(prog, args), table)
+    assert speculate_call(opaque(prog, list(args)), table) is first
+    assert first.write_ranges() is first.write_ranges()
+    # Another program object, or other arguments, is another launch.
+    assert speculate_call(opaque(build_saxpy(), args), table) is not first
+    assert speculate_call(opaque(prog, [3] + args[1:]), table) is not first
+
+
+def test_register_flushes_the_speculation_memo(mem, table):
+    """A scalar chunk of a conservative launch that pointed at nothing
+    points into a buffer once that buffer is registered."""
+    out = alloc(mem, table)
+    later = mem.alloc(512)
+    call = opaque(build_struct_kernel(), [out.addr, 4, later.addr + 8])
+    assert [b.id for b in speculate_call(call, table).writes] == [out.id]
+    table.register(later)
+    sets = speculate_call(call, table)
+    assert [b.id for b in sets.writes] == [out.id, later.id]
+    assert sets.write_ranges() == RangeSet([(out.addr, out.end),
+                                            (later.addr, later.end)])
+
+
+def test_unregister_flushes_the_speculation_memo(mem, table):
+    x, y, z = (alloc(mem, table) for _ in range(3))
+    call = opaque(build_saxpy(), [2, x.addr, y.addr, z.addr, 4])
+    assert [b.id for b in speculate_call(call, table).writes] == [z.id]
+    table.unregister(z)
+    assert speculate_call(call, table).writes == ()
 
 
 def test_struct_kernel_conservative(mem, table):

@@ -141,6 +141,26 @@ def test_obs_switch_observes_every_task_world(module, kwargs, worlds,
         worker.collected_observers.clear()
 
 
+def test_obs_switch_collects_no_observer_for_an_unsupported_cell(monkeypatch):
+    """cuda-checkpoint cannot checkpoint an 8-GPU app: the cell simulates
+    nothing, so ``phos bench --obs`` has no report to print for it."""
+    from repro.experiments import fig11_stall
+    from repro.parallel import Cell
+
+    monkeypatch.setattr(worker, "OBSERVE", True)
+    worker.collected_observers.clear()
+    try:
+        rows = fig11_stall.run_cell(
+            Cell("fig11", ("checkpoint", "sd-train", "cuda-checkpoint")))
+        assert rows == [dict(direction="checkpoint", app="sd-train",
+                             system="cuda-checkpoint", stall_s=None,
+                             supported=False)]
+        assert worker.collected_observers == []
+    finally:
+        obs.uninstall()
+        worker.collected_observers.clear()
+
+
 class _CountersOnly:
     """The span side of the bench counters pass's observer: one observer
     spans every world, so it has no clock to stamp spans with."""

@@ -11,7 +11,10 @@ compared field by field.
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.errors import InvalidAddressError
 from repro.gpu.instrument import instrument_program
 from repro.gpu.interpreter import ValidationState, run_kernel
 from repro.gpu.isa import ProgramBuilder
@@ -224,3 +227,183 @@ def test_differential_fuzz_random_programs_tracer_vs_oracle():
         assert fast == _launch_outcome(launch, run_kernel), seed
     stats = plan_cache_stats()
     assert stats["hit"] >= 300 and stats["fallback"] >= 300, stats
+
+
+# --------------------------------------------------------------------------
+# repeated launches: the bind proof is memoised per plan on the memory
+# --------------------------------------------------------------------------
+
+def _saxpy_memory(n):
+    mem = DeviceMemory(capacity=16 * MIB, default_data_size=8 * n)
+    x, y, z = (mem.alloc(8 * n, tag=tag) for tag in "xyz")
+    for i in range(n):
+        x.store_word(x.addr + 8 * i, 10 + i)
+        y.store_word(y.addr + 8 * i, 100 * i)
+    return mem, x, y, z
+
+
+def _fault_of(fn):
+    try:
+        fn()
+    except Exception as exc:  # the fault is part of the observable result
+        return type(exc), str(exc)
+    return None
+
+
+def test_free_and_alloc_at_between_identical_launches():
+    """Same arguments before and after the write target is freed, then
+    re-allocated at its address: the launch on the freed address faults
+    as interpreted, and the new buffer is written by the plan."""
+    from repro.perf.plans import plan_cache_stats
+
+    n = 8
+    prog = build_saxpy()
+    outcomes = []
+    for force in (False, True):
+        mem, x, y, z = _saxpy_memory(n)
+        args = [3, x.addr, y.addr, z.addr, n]
+
+        def launch():
+            run_kernel(prog, args, n, mem, force_interpret=force)
+
+        launch()
+        mem.free(z)
+        fault = _fault_of(launch)
+        z2 = mem.alloc_at(z.addr, z.size, tag="z2", data_size=8 * n)
+        hits = plan_cache_stats()["hit"]
+        launch()
+        outcomes.append((fault, z.snapshot(), z2.snapshot(), z2.hw_dirty,
+                         plan_cache_stats()["hit"] - hits))
+    fast, slow = outcomes
+    assert fast[:4] == slow[:4]
+    assert fast[0][0] is InvalidAddressError
+    assert fast[2] != bytes(8 * n)
+    assert (fast[4], slow[4]) == (1, 0)
+
+
+def test_each_launch_asks_its_own_validation_state():
+    """A launch with the same arguments as a covered one, but ranges that
+    no longer cover its writes, reports the interpreter's violations."""
+    n = 8
+    twin = instrument_program(build_saxpy())
+    outcomes = []
+    for force in (False, True):
+        mem, x, y, z = _saxpy_memory(n)
+        args = [3, x.addr, y.addr, z.addr, n]
+        reads = RangeSet([(x.addr, x.end), (y.addr, y.end)])
+        covered = ValidationState(read_ranges=reads,
+                                  write_ranges=RangeSet([(z.addr, z.end)]))
+        run_kernel(twin, args, n, mem, validation=covered,
+                   force_interpret=force)
+        half = ValidationState(read_ranges=reads, write_ranges=RangeSet(
+            [(z.addr, z.addr + 8 * (n // 2))]))
+        run_kernel(twin, args, n, mem, validation=half,
+                   force_interpret=force)
+        outcomes.append((covered.violations, half.violations, z.snapshot()))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0] == [] and len(outcomes[0][1]) == n // 2
+
+
+#: Kernels the sequence differential launches, each with how it takes
+#: three pointer slots, an element count and a scalar.
+SEQ_KERNELS = [
+    (build_copy(), lambda p, n, s: [p[0], p[1], n]),
+    (build_scale(factor=3), lambda p, n, s: [p[0], p[1], n]),
+    (build_saxpy(), lambda p, n, s: [s, p[0], p[1], p[2], n]),
+    (build_axpy_into(), lambda p, n, s: [s, p[0], p[1], n]),
+    (build_fill(), lambda p, n, s: [p[0], n, s]),
+    (build_inplace_add(), lambda p, n, s: [p[0], n]),
+]
+SEQ_WORDS = 8
+
+_SEQ_RANGES = st.sampled_from([None, "full", "half"])
+_SEQ_LAUNCH = st.tuples(
+    st.just("launch"), st.integers(0, len(SEQ_KERNELS) - 1),
+    st.lists(st.integers(0, 15), min_size=3, max_size=3),
+    st.integers(1, SEQ_WORDS + 2), st.integers(0, 5), _SEQ_RANGES)
+#: The last launch's arguments again, mostly under the same ranges.
+_SEQ_REPEAT = st.tuples(st.just("repeat"),
+                        st.sampled_from(["same", "same", None, "full", "half"]))
+_SEQ_OP = {
+    "alloc": st.tuples(st.just("alloc"), st.integers(1, 3)),
+    "free": st.tuples(st.just("free"), st.integers(0, 15)),
+    "alloc_at": st.tuples(st.just("alloc_at"), st.integers(0, 15)),
+    "launch": _SEQ_LAUNCH,
+    "repeat": _SEQ_REPEAT,
+}
+#: Launches and repeats are drawn more often than layout changes.
+SEQ_OPS = st.lists(st.sampled_from(
+    ["alloc", "free", "alloc_at"] + ["launch"] * 2 + ["repeat"] * 3,
+).flatmap(_SEQ_OP.get), min_size=8, max_size=40)
+
+
+def _run_sequence(ops, force):
+    """Apply ``ops`` to a fresh memory; everything observable, per op.
+
+    Pointer slots mostly pick a live buffer; the rest index every buffer
+    ever allocated, freed ones too, and one past them an unmapped
+    address, so launches fault as well.
+    """
+    mem = DeviceMemory(capacity=16 * MIB, default_data_size=8 * SEQ_WORDS)
+    bufs = []
+
+    def alloc(make):
+        buf = make(f"b{len(bufs)}")
+        for i in range(SEQ_WORDS):
+            buf.store_word(buf.addr + 8 * i, 1000 * len(bufs) + i)
+        bufs.append(buf)
+
+    for _ in range(3):
+        alloc(lambda tag: mem.alloc(8 * SEQ_WORDS, tag=tag))
+    observed = []
+    last = ranges = None
+    for op in ops:
+        result = None
+        if op[0] == "alloc":
+            alloc(lambda tag: mem.alloc(256 * op[1], tag=tag))
+        elif op[0] == "free":
+            live = [b for b in bufs if not b.freed]
+            if live:
+                mem.free(live[op[1] % len(live)])
+        elif op[0] == "alloc_at":
+            freed = [b for b in bufs if b.freed]
+            if freed:
+                old = freed[op[1] % len(freed)]
+                result = _fault_of(lambda: alloc(lambda tag: mem.alloc_at(
+                    old.addr, old.size, tag=tag, data_size=8 * SEQ_WORDS)))
+        elif op[0] == "launch" or last is not None:
+            if op[0] == "launch":
+                _, k, slots, n, scalar, ranges = op
+                live = [b.addr for b in bufs if not b.freed]
+                every = [b.addr for b in bufs] + [0xDEAD0000]
+                ptrs = [live[i % len(live)] if i < 12 and live
+                        else every[i % len(every)] for i in slots]
+                program, make_args = SEQ_KERNELS[k]
+                last = (program, make_args(ptrs, n, scalar), n)
+            elif op[1] != "same":
+                ranges = op[1]
+            program, args, n = last
+            validation = None
+            if ranges is not None:
+                program = instrument_program(program)
+                span = 8 * SEQ_WORDS if ranges == "full" else 8 * SEQ_WORDS // 2
+                rs = RangeSet([(b.addr, b.addr + span)
+                               for b in bufs if not b.freed])
+                validation = ValidationState(read_ranges=rs, write_ranges=rs)
+            result = (_fault_of(lambda: run_kernel(
+                program, args, n, mem, validation=validation,
+                force_interpret=force)),
+                None if validation is None else validation.violations)
+        observed.append((op, result, [b.snapshot() for b in bufs],
+                         [b.hw_dirty for b in bufs]))
+    return observed
+
+
+@settings(max_examples=150, deadline=None)
+@given(ops=SEQ_OPS)
+def test_differential_sequences_of_allocs_frees_and_repeated_launches(ops):
+    """Random alloc/free/alloc_at/launch/repeat sequences: served by plans
+    with their memoised bind proofs, they must be indistinguishable from
+    every launch interpreted on a twin memory — bytes, dirty bits,
+    violations, faults."""
+    assert _run_sequence(ops, False) == _run_sequence(ops, True)
