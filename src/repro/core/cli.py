@@ -32,6 +32,7 @@ from repro.apps.specs import APP_SPECS
 from repro.baselines import SYSTEMS
 from repro.core.protocols import ProtocolConfig, registry
 from repro.errors import InvalidValueError
+from repro.parallel import CellError
 from repro.tasks import worker
 from repro.tasks.worker import checkpoint_stall, new_world, restore_stall
 
@@ -59,6 +60,19 @@ def main(argv: list[str] | None = None) -> int:
     if args.command is None:
         parser.print_help()
         return 1
+    try:
+        return _run(args)
+    except (InvalidValueError, CellError) as err:
+        # A bad argument is one line on stderr, also when a parallel
+        # cell raised it.
+        cause = getattr(err, "cause", err)
+        if not isinstance(cause, InvalidValueError):
+            raise
+        print(f"phos {args.command}: {cause}", file=sys.stderr)
+        return 1
+
+
+def _run(args) -> int:
     profile = getattr(args, "profile", None)
     if profile is None:
         return args.func(args)
@@ -281,14 +295,10 @@ def cmd_checkpoint(args) -> int:
     config = (ProtocolConfig(rounds=args.rounds, interval=args.interval)
               if mode == "continuous" else None)
     world = new_world(args.app, observe=_observe(args))
-    try:
-        # The report's phase breakdown reads the run's span tree: the
-        # observer's under --obs, a metrics-free one otherwise.
-        m = checkpoint_stall(world, mode, config, steps=args.steps,
-                             chain=args.incremental)
-    except InvalidValueError as err:
-        print(f"phos checkpoint: {err}", file=sys.stderr)
-        return 1
+    # The report's phase breakdown reads the run's span tree: the
+    # observer's under --obs, a metrics-free one otherwise.
+    m = checkpoint_stall(world, mode, config, steps=args.steps,
+                         chain=args.incremental)
     print(f"app={args.app} mode={mode}")
     print(f"  iteration time     : {units.fmt_seconds(m.iter_time)}")
     print(f"  application stall  : {units.fmt_seconds(m.checkpoint_stall)}")

@@ -143,19 +143,19 @@ _TYPE_WORDS = {
 
 def program_signature(program) -> Optional[Signature]:
     """The parsed declaration of a kernel ``Program`` (None when it does
-    not parse), memoized on the program object itself.
+    not parse), kept in the program's ``signature`` field.
 
-    Parsing is a pure function of ``program.decl``; keying the memo by
-    the program rather than by its kernel name keeps two programs that
+    Parsing is a pure function of ``program.decl``; keeping it on the
+    program rather than keying it by kernel name keeps two programs that
     share a name from sharing one signature.
     """
     try:
-        return program._signature_memo
+        return program.signature
     except AttributeError:
         pass
     try:
         sig = parse_signature(program.decl)
     except SignatureError:
         sig = None
-    program._signature_memo = sig
+    program.signature = sig
     return sig

@@ -2,7 +2,8 @@
 
 Implements the Fig. 6 workflow: the first time an opaque kernel is seen
 (including JIT-compiled ones), PHOS generates its instrumented *twin*
-and caches it — instrumentation happens once per binary.  During an
+and caches it in the program's ``twins`` field — instrumentation
+happens once per binary, however many processes launch it.  During an
 active checkpoint or restore, launches of opaque kernels are redirected
 to the twin with a :class:`~repro.gpu.interpreter.ValidationState`
 carrying the speculated ranges; outside those windows the original
@@ -65,12 +66,14 @@ class TwinCache:
     def twin_for(self, program: Program, check_reads: bool = False) -> Program:
         """The instrumented twin of ``program``.
 
-        The twin is ``instrument_program``'s memo on the program object
-        itself, so it is built once per binary and two kernels that
-        share a name never share a twin.  Instrumentation is counted
-        once per kernel name and twin kind.
+        The twin lives in the program's ``twins`` field, so it is built
+        (by ``instrument_program``) once per binary and twin kind, and
+        two kernels that share a name never share a twin.
+        Instrumentation is counted once per kernel name and twin kind.
         """
-        twin = instrument_program(program, check_reads=check_reads)
+        twin = program.twins.get(check_reads)
+        if twin is None:
+            twin = instrument_program(program, check_reads=check_reads)
         key = (program.name, check_reads)
         if key not in self._counted:
             self._counted.add(key)

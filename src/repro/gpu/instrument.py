@@ -9,8 +9,10 @@ speculated buffer ranges carried by the launch's
 :class:`~repro.gpu.interpreter.ValidationState`; failures are written to
 the validation state's report buffer without disturbing the kernel.
 
-The pass is performed once per kernel binary (PHOS caches twins — see
-:mod:`repro.core.validation`), mirroring the paper's PTX-level rewriter.
+The pass runs once per kernel binary: the twin is kept in the
+program's ``twins`` field, which this module alone fills and
+:class:`~repro.core.validation.TwinCache` reads, mirroring the paper's
+PTX-level rewriter and its twin cache.
 """
 
 from __future__ import annotations
@@ -36,14 +38,7 @@ def instrument_program(program: Program, check_reads: bool = False) -> Program:
     """
     if program.instrumented:
         raise ValueError(f"kernel {program.name!r} is already instrumented")
-    # The pass is a pure function of (program, check_reads), so the twin
-    # is memoized on the program object itself: per-process TwinCaches
-    # (and repeated study runs over the same builders) share one rewrite.
-    memo = getattr(program, "_twin_memo", None)
-    if memo is None:
-        memo = {}
-        program._twin_memo = memo
-    twin = memo.get(check_reads)
+    twin = program.twins.get(check_reads)
     if twin is not None:
         return twin
     new_instrs: list[Instr] = []
@@ -57,10 +52,6 @@ def instrument_program(program: Program, check_reads: bool = False) -> Program:
         new_instrs.append(ins)
     labels = remap_labels(new_instrs, old_to_new, program.labels)
     twin = program.with_instrs(new_instrs, labels, instrumented=True)
-    memo[check_reads] = twin
+    program.twins[check_reads] = twin
     return twin
 
-
-def check_count(program: Program) -> int:
-    """Number of ``CHK`` instructions in a program (0 if uninstrumented)."""
-    return sum(1 for ins in program.instrs if ins.op is Op.CHK)

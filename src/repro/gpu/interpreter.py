@@ -15,8 +15,8 @@ launches execute each opcode.  This is the only interpreter under
 ``src/``; the enum-dispatch loop it replaced is the oracle in
 ``tests/reference_interpreter.py`` and ``tests/test_property_interpreter.py``
 holds the two equal on random programs, faults included.  The decoded
-table is cached on the program, which is therefore immutable once
-launched.
+table is built once, when the program is constructed, and a program is
+immutable once built.
 
 When a program has been instrumented (:mod:`repro.gpu.instrument`), its
 ``CHK`` instructions consult a :class:`ValidationState`: each failed

@@ -37,20 +37,27 @@ Execution never looks at :class:`Instr` objects.  :attr:`Program.decoded`
 is the program as a list of plain ``(code, rd, ra, rb, x)`` tuples —
 ``code`` one of the ``OP_*`` ints below, ``x`` the immediate, the
 resolved branch-target pc, the global symbol or a ``CHK``'s
-:class:`AccessKind` — built once on first use and read by both the
-interpreter and the plan tracer.  Its one invariant: **a ``Program`` is
-immutable once launched** (the plan cache and the twin memo hanging off
-the same object already assume it).
+:class:`AccessKind` — read by both the interpreter and the plan tracer.
+
+A ``Program`` owns what is derived from its body: one walk at
+construction validates it and builds ``decoded`` and ``uses_globals``,
+and the per-binary caches are fields declared here (out of ``repr`` and
+``==``) that their owning modules fill: ``twins``
+(:mod:`repro.gpu.instrument`), ``signature``
+(:mod:`repro.core.signatures`), ``plans`` (:mod:`repro.perf.plans`).
+One invariant: **a ``Program`` is immutable once built**.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field, replace
-from functools import cached_property
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.errors import IsaError
+
+if TYPE_CHECKING:
+    from repro.core.signatures import Signature
 
 #: Number of general-purpose registers per thread.
 NUM_REGS = 32
@@ -143,50 +150,40 @@ class Program:
     labels: dict[str, int] = field(default_factory=dict)
     globals_: dict[str, int] = field(default_factory=dict)
     instrumented: bool = False
+    #: The body as ``(code, rd, ra, rb, x)`` tuples (module docstring).
+    decoded: list[tuple] = field(init=False, repr=False, compare=False)
+    #: True when the body reads module globals (speculation hazard).
+    uses_globals: bool = field(init=False, repr=False, compare=False)
+    #: Instrumented twins by ``check_reads``.
+    twins: dict[bool, Program] = field(default_factory=dict, init=False, repr=False, compare=False)
+    #: The parsed ``decl``, None when it does not parse; unset until asked.
+    signature: Optional[Signature] = field(init=False, repr=False, compare=False)
+    #: Compiled plans by ``(n_threads, len(args))``.
+    plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self._validate()
-
-    def _validate(self) -> None:
+        """One walk: validate, resolve branch targets to pcs and wrap
+        ``SETI`` immediates to 64 bits, so no executed instruction pays."""
+        name, labels, globals_ = self.name, self.labels, self.globals_
         if not self.instrs:
-            raise IsaError(f"kernel {self.name!r} has no instructions")
+            raise IsaError(f"kernel {name!r} has no instructions")
         if self.instrs[-1].op is not Op.EXIT:
-            raise IsaError(f"kernel {self.name!r} must end with EXIT")
+            raise IsaError(f"kernel {name!r} must end with EXIT")
+        table = self.decoded = []
+        self.uses_globals = False
         for pc, ins in enumerate(self.instrs):
-            if OP_BLT <= ins.op.code <= OP_JMP and ins.label not in self.labels:
-                raise IsaError(
-                    f"kernel {self.name!r} pc={pc}: undefined label {ins.label!r}"
-                )
-            if ins.op is Op.GLOB and ins.sym not in self.globals_:
-                raise IsaError(
-                    f"kernel {self.name!r} pc={pc}: undefined global {ins.sym!r}"
-                )
-
-    @property
-    def store_count(self) -> int:
-        """Static number of global-store instructions (pre-instrumentation)."""
-        return sum(1 for ins in self.instrs if ins.op is Op.STG)
-
-    @property
-    def uses_globals(self) -> bool:
-        """True when the program reads module globals (speculation hazard)."""
-        return any(ins.op is Op.GLOB for ins in self.instrs)
-
-    @cached_property
-    def decoded(self) -> list[tuple]:
-        """The body as ``(code, rd, ra, rb, x)`` tuples (see module docstring).
-
-        Branch targets are resolved to pcs and a ``SETI`` immediate is
-        wrapped to 64 bits here, so no executed instruction pays for it.
-        """
-        labels = self.labels
-        table = []
-        for ins in self.instrs:
             code = ins.op.code
             if OP_BLT <= code <= OP_JMP:
+                if ins.label not in labels:
+                    raise IsaError(
+                        f"kernel {name!r} pc={pc}: undefined label {ins.label!r}")
                 x = labels[ins.label]
             elif code == OP_GLOB:
+                if ins.sym not in globals_:
+                    raise IsaError(
+                        f"kernel {name!r} pc={pc}: undefined global {ins.sym!r}")
                 x = ins.sym
+                self.uses_globals = True
             elif code == OP_CHK:
                 x = AccessKind.WRITE if ins.imm == CHK_WRITE else AccessKind.READ
             elif code == OP_SETI:
@@ -194,7 +191,6 @@ class Program:
             else:
                 x = ins.imm
             table.append((code, ins.rd, ins.ra, ins.rb, x))
-        return table
 
     def with_instrs(self, instrs: list[Instr], labels: dict[str, int], *, instrumented: bool) -> "Program":
         """A copy of this program with a rewritten body (used by instrumentation)."""

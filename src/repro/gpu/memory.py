@@ -191,14 +191,7 @@ class DeviceMemory:
                     del self._free[i]
                 else:
                     self._free[i] = (addr + aligned, hole - aligned)
-                data = min(size, data_size if data_size is not None else self.default_data_size)
-                data = max(_align_up(data, WORD), WORD)
-                buf = Buffer(addr, aligned, data, tag=tag)
-                self._buffers[addr] = buf
-                bisect.insort(self._addrs, addr)
-                self.used += aligned
-                self.bind_memo.clear()
-                return buf
+                return self._place(addr, aligned, size, tag, data_size)
         raise OutOfMemoryError(
             f"cannot allocate {size} bytes: {self.capacity - self.used} free "
             f"of {self.capacity}"
@@ -222,17 +215,23 @@ class DeviceMemory:
                 if addr + size < hole_addr + hole_size:
                     pieces.append((addr + size, hole_addr + hole_size - (addr + size)))
                 self._free[i : i + 1] = pieces
-                data = min(size, data_size if data_size is not None else self.default_data_size)
-                data = max(_align_up(data, WORD), WORD)
-                buf = Buffer(addr, size, data, tag=tag)
-                self._buffers[addr] = buf
-                bisect.insort(self._addrs, addr)
-                self.used += size
-                self.bind_memo.clear()
-                return buf
+                return self._place(addr, size, size, tag, data_size)
         raise OutOfMemoryError(
             f"range [{addr:#x}, {addr + size:#x}) is not free"
         )
+
+    def _place(self, addr: int, size: int, logical: int, tag: str,
+               data_size: Optional[int]) -> Buffer:
+        """Record a buffer in a range already cut from the free list: its
+        materialized prefix is ``data_size`` (default ``default_data_size``)
+        of the ``logical`` bytes in whole words, and ``bind_memo`` is flushed."""
+        data = min(logical, data_size if data_size is not None else self.default_data_size)
+        buf = Buffer(addr, size, max(-(-data // WORD), 1) * WORD, tag=tag)
+        self._buffers[addr] = buf
+        bisect.insort(self._addrs, addr)
+        self.used += size
+        self.bind_memo.clear()
+        return buf
 
     def free(self, buf: Buffer) -> None:
         """Release a buffer's range back to the free list (with coalescing)."""

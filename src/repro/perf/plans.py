@@ -13,7 +13,8 @@ proving the result is identical to sequential interpretation.
 How a plan is built
 -------------------
 
-``try_fast_run`` keys a per-``Program`` cache by ``(n_threads,
+``try_fast_run`` keys the cache a ``Program`` declares for it (its
+``plans`` field, which only this module fills) by ``(n_threads,
 len(args))`` plus a *specialization signature*: the values of the
 arguments that feed branch conditions or MOD divisors (discovered
 during tracing).  On a miss, the launch is traced symbolically over
@@ -94,7 +95,6 @@ from repro.gpu.isa import (
 from repro.gpu.memory import WORD, DeviceMemory
 
 _MASK64 = (1 << 64) - 1
-_CACHE_ATTR = "_plan_cache"
 
 #: Hard cap on traced instructions per thread: beyond this a kernel is
 #: not "a few affine loops" and tracing costs more than it saves.
@@ -740,13 +740,7 @@ def try_fast_run(program: Program, args, n_threads: int, memory,
     """Serve a launch from the plan cache; None → caller interprets."""
     if not isinstance(memory, DeviceMemory):
         return None
-    cache = getattr(program, _CACHE_ATTR, None)
-    if cache is None:
-        cache = {}
-        try:
-            setattr(program, _CACHE_ATTR, cache)
-        except Exception:
-            return None
+    cache = program.plans
     key = (n_threads, len(args))
     entry = cache.get(key)
     if entry is None:

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.cli import build_parser, main
-from repro.errors import InvalidValueError
 
 
 def test_no_command_prints_help(capsys):
@@ -89,9 +88,42 @@ def test_bench_command(capsys):
     assert "rodinia" in capsys.readouterr().out
 
 
-def test_bench_jobs_zero_is_an_error_not_a_serial_run():
-    with pytest.raises(InvalidValueError, match="--jobs=0 is not an integer"):
-        main(["bench", "--exp", "tab03", "--jobs", "0"])
+def test_bench_jobs_zero_is_an_error_not_a_serial_run(capsys):
+    assert main(["bench", "--exp", "tab03", "--jobs", "0"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "phos bench: --jobs=0 is not an integer >= 1\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["migrate", "--system", "singularity", "--clock-domains"],
+     "clock_domains migration is only modelled for system='phos'; "
+     "the baselines run inline on one engine"),
+    # The fleet's checks run inside a parallel cell, which wraps them
+    # in a CellError.
+    (["fleet", "--machines", "0"], "a fleet needs at least one machine, got 0"),
+    (["fleet", "--rate", "-1"],
+     "trace rate must be a positive finite number, got -1.0"),
+], ids=["migrate-clock-domains", "fleet-no-machines", "fleet-negative-rate"])
+def test_bad_argument_is_one_line_on_stderr(capsys, argv, message):
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"phos {argv[0]}: {message}\n"
+
+
+def test_other_errors_still_raise(monkeypatch):
+    """Only a bad argument becomes a one-line error; a fault does not."""
+    from repro.core import cli
+    from repro.errors import SimulationError
+    from repro.parallel import Cell, CellError
+
+    def boom(args):
+        raise CellError(Cell("apps", ("c",)), SimulationError("stuck"))
+
+    monkeypatch.setattr(cli, "cmd_apps", boom)
+    with pytest.raises(CellError, match="stuck"):
+        main(["apps"])
 
 
 def test_invalid_app_rejected():

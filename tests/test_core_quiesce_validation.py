@@ -116,6 +116,42 @@ def test_same_named_kernels_get_their_own_twins():
     assert cache.stats.kernels_instrumented == {by3.name}
 
 
+def test_twin_is_built_once_per_binary_across_processes(monkeypatch):
+    """Two processes' frontends share one twin per binary and twin kind;
+    a repeated twin launch never re-enters the instrumentation pass,
+    while each process still counts the kernel once."""
+    from repro import obs
+    from repro.core import validation
+    from repro.core.frontend import PhosFrontend
+
+    built = []
+    instrument = validation.instrument_program
+
+    def counting(program, check_reads=False):
+        built.append(check_reads)
+        return instrument(program, check_reads=check_reads)
+
+    monkeypatch.setattr(validation, "instrument_program", counting)
+    eng = Engine()
+    machine = Machine(eng, n_gpus=2)
+    frontends = [PhosFrontend(eng, make_process(eng, machine, f"p{i}", (i,)))
+                 for i in range(2)]
+    prog = build_fill()
+    observer = obs.install(eng)
+    try:
+        for frontend in frontends:
+            for check_reads in (False, True, False, True):
+                twin = frontend.twins.twin_for(prog, check_reads=check_reads)
+                assert twin is prog.twins[check_reads]
+    finally:
+        obs.uninstall()
+    assert built == [False, True]
+    for frontend in frontends:
+        assert frontend.twins.stats.kernels_instrumented == {prog.name}
+    counted = observer.metrics.find("validator/kernels-instrumented")
+    assert sum(c.value for c in counted) == 4   # 2 processes x 2 twin kinds
+
+
 def _opaque_launch(program):
     return ApiCall(ApiCategory.OPAQUE_KERNEL, program.name, 0, program=program)
 

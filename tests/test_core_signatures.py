@@ -97,9 +97,9 @@ def test_trailing_semicolon_ok():
 
 
 def test_cache_parses_once():
-    """The parse is memoized per program: twice the same object for one
-    program, and a declaration that does not parse is remembered as
-    None."""
+    """The parse is kept in the program's ``signature`` field: twice the
+    same object for one program, and a declaration that does not parse
+    is remembered as None."""
     from repro.gpu.isa import ProgramBuilder
 
     program = ProgramBuilder("k", "void k(int* p)").exit().build()
@@ -110,7 +110,7 @@ def test_cache_parses_once():
     assert program_signature(twin).params[0].kind is ParamKind.CONST_PTR
     garbage = ProgramBuilder("k", "not a declaration!").exit().build()
     assert program_signature(garbage) is None
-    assert garbage._signature_memo is None
+    assert garbage.signature is None
 
 
 def test_real_kernel_decl_from_program_library():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.gpu.instrument import check_count, instrument_program
+from repro.gpu.instrument import instrument_program
 from repro.gpu.interpreter import AccessKind, ValidationState, run_kernel
 from repro.gpu.isa import Op
 from repro.gpu.memory import DeviceMemory
@@ -26,6 +26,10 @@ def ranges_of(*bufs):
     return RangeSet((b.addr, b.end) for b in bufs)
 
 
+def count(program, op):
+    return sum(1 for ins in program.instrs if ins.op is op)
+
+
 def validation(write_bufs=(), read_bufs=()):
     return ValidationState(
         read_ranges=ranges_of(*read_bufs), write_ranges=ranges_of(*write_bufs)
@@ -36,7 +40,7 @@ def test_twin_has_chk_before_every_store():
     prog = build_fill()
     twin = instrument_program(prog)
     assert twin.instrumented
-    assert check_count(twin) == prog.store_count
+    assert count(twin, Op.CHK) == count(prog, Op.STG)
     for i, ins in enumerate(twin.instrs):
         if ins.op is Op.STG:
             assert twin.instrs[i - 1].op is Op.CHK
@@ -53,8 +57,7 @@ def test_original_program_unchanged():
 def test_check_reads_adds_load_checks():
     prog = build_copy()
     twin = instrument_program(prog, check_reads=True)
-    loads = sum(1 for ins in prog.instrs if ins.op is Op.LDG)
-    assert check_count(twin) == prog.store_count + loads
+    assert count(twin, Op.CHK) == count(prog, Op.STG) + count(prog, Op.LDG)
 
 
 def test_double_instrumentation_rejected():

@@ -64,8 +64,8 @@ def test_global_writer_declares_global():
 
 
 def test_store_count():
-    assert build_copy().store_count == 1
-    assert build_reduce_sum().store_count == 1
+    for prog in (build_copy(), build_reduce_sum()):
+        assert [ins.op for ins in prog.instrs].count(Op.STG) == 1
 
 
 def test_standard_builders_all_assemble():
@@ -131,3 +131,59 @@ def test_decoded_table_survives_pickling():
     table = prog.decoded
     clone = pickle.loads(pickle.dumps(prog))
     assert clone == prog and clone.decoded == table
+
+
+def test_derived_state_survives_pickling_and_stays_out_of_repr():
+    """A program with a compiled plan, a twin and a parsed signature
+    pickles to an equal program; none of those caches is in ``repr``."""
+    import pickle
+
+    from repro.core.signatures import program_signature
+    from repro.gpu.instrument import instrument_program
+    from repro.gpu.interpreter import run_kernel
+    from repro.gpu.memory import DeviceMemory
+    from repro.units import MIB
+
+    mem = DeviceMemory(capacity=4 * MIB, default_data_size=512)
+    x, y = mem.alloc(512), mem.alloc(512)
+    prog = build_copy()
+    run_kernel(prog, [x.addr, y.addr, 8], n_threads=8, memory=mem)
+    twin = instrument_program(prog)
+    program_signature(prog)
+    assert prog.plans and prog.twins == {False: twin} and prog.signature
+    clone = pickle.loads(pickle.dumps(prog))
+    assert clone == prog and clone.decoded == prog.decoded
+    assert repr(clone) == repr(prog)
+    for derived in ("decoded", "uses_globals", "twins", "signature", "plans"):
+        assert f"{derived}=" not in repr(prog)
+
+
+@pytest.mark.parametrize("instrs, labels, message", [
+    ([], {}, "kernel 'k' has no instructions"),
+    ([Instr(op=Op.JMP, label="end")], {"end": 1}, "kernel 'k' must end with EXIT"),
+    ([Instr(op=Op.SETI), Instr(op=Op.BNE, label="top"), Instr(op=Op.EXIT)], {},
+     "kernel 'k' pc=1: undefined label 'top'"),
+    ([Instr(op=Op.GLOB, sym="hidden"), Instr(op=Op.JMP, label="top"),
+      Instr(op=Op.EXIT)], {},
+     "kernel 'k' pc=0: undefined global 'hidden'"),
+], ids=["empty", "no-exit", "undefined-label", "undefined-global"])
+def test_construction_errors_keep_their_messages(instrs, labels, message):
+    with pytest.raises(IsaError) as err:
+        Program(name="k", decl="void k()", instrs=instrs, labels=labels)
+    assert str(err.value) == message
+
+
+def test_construction_walks_the_body_once():
+    """Validation, ``decoded`` and ``uses_globals`` come from one walk."""
+    class Body(list):
+        walks = 0
+
+        def __iter__(self):
+            Body.walks += 1
+            return super().__iter__()
+
+    prog = build_reduce_sum()
+    clone = Program(name=prog.name, decl=prog.decl, instrs=Body(prog.instrs),
+                    labels=prog.labels)
+    assert clone.decoded == prog.decoded and not clone.uses_globals
+    assert Body.walks == 1
