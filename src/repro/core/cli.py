@@ -60,8 +60,15 @@ def main(argv: list[str] | None = None) -> int:
     if args.command is None:
         parser.print_help()
         return 1
+    profile = getattr(args, "profile", None)
     try:
-        return _run(args)
+        if profile is None:
+            return args.func(args)
+        from repro.experiments.harness import maybe_profile
+
+        path = profile or _default_profile_path(args)
+        with maybe_profile(path):
+            rc = args.func(args)
     except (InvalidValueError, CellError) as err:
         # A bad argument is one line on stderr, also when a parallel
         # cell raised it.
@@ -70,17 +77,6 @@ def main(argv: list[str] | None = None) -> int:
             raise
         print(f"phos {args.command}: {cause}", file=sys.stderr)
         return 1
-
-
-def _run(args) -> int:
-    profile = getattr(args, "profile", None)
-    if profile is None:
-        return args.func(args)
-    from repro.experiments.harness import maybe_profile
-
-    path = profile or _default_profile_path(args)
-    with maybe_profile(path):
-        rc = args.func(args)
     print(f"(cProfile stats written to {path})")
     return rc
 
