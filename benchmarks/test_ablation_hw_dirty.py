@@ -14,7 +14,8 @@ from repro import units
 from repro.core.engine import EXPERIMENT_CHUNK
 from repro.core.protocols import ProtocolConfig, registry
 from repro.core.quiesce import resume
-from repro.experiments.harness import ExperimentResult, build_world, setup_app
+from repro.experiments.harness import ExperimentResult, setup_app
+from repro.tasks.worker import new_world
 
 APP = "sd-infer"
 STEPS_DURING = 60
@@ -29,7 +30,7 @@ def run() -> ExperimentResult:
               "on-demand restore",
     )
     # --- soft recopy (validated speculation) ---------------------------------
-    world = build_world(APP)
+    world = new_world(APP)
     eng, phos = world.engine, world.phos
     setup_app(world, warm=1)
 
@@ -48,7 +49,7 @@ def run() -> ExperimentResult:
     result.add(tracker="soft-speculation", recopied_gb=soft_bytes / units.GB,
                downtime_s=soft_down, supports_cow=True)
     # --- hardware dirty bits --------------------------------------------------
-    world = build_world(APP)
+    world = new_world(APP)
     eng, phos = world.engine, world.phos
     setup_app(world, warm=1)
 

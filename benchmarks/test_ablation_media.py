@@ -11,8 +11,9 @@ import pytest
 
 from repro.core.engine import EXPERIMENT_CHUNK
 from repro.core.protocols import ProtocolConfig
-from repro.experiments.harness import ExperimentResult, build_world, setup_app
+from repro.experiments.harness import ExperimentResult, setup_app
 from repro.storage.media import DramMedia, RemoteDramMedia, SsdMedia
+from repro.tasks.worker import new_world
 
 APP = "ppo-train"
 
@@ -26,7 +27,7 @@ def run() -> ExperimentResult:
     )
     for name, medium_cls in (("host-dram", DramMedia), ("local-ssd", SsdMedia),
                              ("remote-dram-rdma", RemoteDramMedia)):
-        world = build_world(APP)
+        world = new_world(APP)
         eng, phos = world.engine, world.phos
         medium = medium_cls(eng)
         setup_app(world, warm=1)

@@ -11,7 +11,8 @@ import pytest
 from repro import units
 from repro.core.engine import EXPERIMENT_CHUNK
 from repro.core.protocols import ProtocolConfig
-from repro.experiments.harness import ExperimentResult, build_world, setup_app
+from repro.experiments.harness import ExperimentResult, setup_app
+from repro.tasks.worker import new_world
 
 APP = "resnet152-infer"
 
@@ -23,7 +24,7 @@ def run() -> ExperimentResult:
         columns=["precopy_rounds", "downtime_s", "total_recopied_gb"],
     )
     for rounds in (0, 1, 3):
-        world = build_world(APP)
+        world = new_world(APP)
         eng, phos = world.engine, world.phos
         setup_app(world, warm=1)
 

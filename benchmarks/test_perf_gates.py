@@ -22,6 +22,7 @@ from repro.gpu.ranges import RangeSet
 from repro.perf.plans import plan_cache_stats, reset_plan_cache_stats
 from repro.sim.domains import DomainChannel, Home
 from repro.sim.engine import Engine
+from repro.tasks.worker import new_world
 from repro.units import MIB
 
 
@@ -159,7 +160,7 @@ def test_gate3_armed_idle_chaos_hooks_cost_under_2_percent_of_fig16():
 def test_gate4_delta_and_continuous_checkpoints_raise_f_star():
     """Full root, chained delta, then a live continuous stream on fig16's
     workload (llama2-13b-train), all in virtual time: exact numbers."""
-    world = harness.build_world("llama2-13b-train")
+    world = new_world("llama2-13b-train")
     harness.setup_app(world)
     eng = world.engine
 

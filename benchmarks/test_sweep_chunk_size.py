@@ -12,11 +12,11 @@ from repro import units
 from repro.core.protocols import ProtocolConfig
 from repro.experiments.harness import (
     ExperimentResult,
-    build_world,
     run_cells,
     setup_app,
 )
 from repro.parallel import Cell
+from repro.tasks.worker import new_world
 
 APP = "llama2-13b-train"
 CHUNKS = (4 * units.MIB, 64 * units.MIB, 1 * units.GIB)
@@ -24,7 +24,7 @@ CHUNKS = (4 * units.MIB, 64 * units.MIB, 1 * units.GIB)
 
 def run_cell(cell: Cell) -> list[dict]:
     chunk = cell.config["chunk_bytes"]
-    world = build_world(APP)
+    world = new_world(APP)
     eng, phos = world.engine, world.phos
     setup_app(world, warm=2)
 

@@ -14,11 +14,11 @@ from repro.core.engine import EXPERIMENT_CHUNK
 from repro.core.protocols import ProtocolConfig
 from repro.experiments.harness import (
     ExperimentResult,
-    build_world,
     run_cells,
     setup_app,
 )
 from repro.parallel import Cell
+from repro.tasks.worker import new_world
 
 APP = "llama2-13b-train"
 POOL_SIZES = (256 * units.MIB, 1 * units.GIB, 2 * units.GIB)
@@ -26,7 +26,7 @@ POOL_SIZES = (256 * units.MIB, 1 * units.GIB, 2 * units.GIB)
 
 def run_cell(cell: Cell) -> list[dict]:
     pool = cell.config["cow_pool_bytes"]
-    world = build_world(APP)
+    world = new_world(APP)
     eng, phos = world.engine, world.phos
     setup_app(world, warm=2)
 

@@ -75,37 +75,41 @@ class GpuProcess:
         self.host = HostProcess(n_pages=cpu_pages, name=name,
                                 page_size=cpu_page_size)
         self.contexts: dict[int, GpuContext] = {}
-        self._streams: dict[int, Stream] = {}
         self.runtime = CudaRuntime(self)
 
     def gpu(self, gpu_index: int):
-        if gpu_index not in self.gpu_indices:
-            raise InvalidValueError(
-                f"process {self.name!r} does not own GPU {gpu_index}"
-            )
-        return self.machine.gpu(gpu_index)
+        return self.runtime.gpu(gpu_index)
 
     def default_stream(self, gpu_index: int) -> Stream:
-        if gpu_index not in self._streams:
-            self._streams[gpu_index] = self.gpu(gpu_index).create_stream(
-                name=f"{self.name}-gpu{gpu_index}"
-            )
-        return self._streams[gpu_index]
+        return self.runtime.default_stream(gpu_index)
 
     @property
     def streams(self) -> list[Stream]:
-        return list(self._streams.values())
+        return list(self.runtime.streams.values())
 
     def __repr__(self) -> str:
         return f"<GpuProcess {self.name} gpus={self.gpu_indices}>"
 
 
 class CudaRuntime:
-    """The GPU API facade bound to one process."""
+    """The GPU API facade bound to one process.
+
+    The process owns its runtime, so the runtime keeps the parts of the
+    process it uses — name, GPUs, host half and context table — rather
+    than a reference back to the process: a dropped process is freed by
+    reference counting, with no cycle through its runtime.
+    """
 
     def __init__(self, process: GpuProcess) -> None:
-        self.process = process
         self.engine = process.engine
+        self.machine = process.machine
+        self.name = process.name
+        self.gpu_indices = process.gpu_indices
+        self.host = process.host
+        #: The process's context table (the same dict).
+        self.contexts = process.contexts
+        #: Default stream per GPU, created on first use.
+        self.streams: dict[int, Stream] = {}
         self.interceptor = None
         #: On-demand CPU restore session, if one is active.
         self.lazy_cpu_session = None
@@ -118,21 +122,42 @@ class CudaRuntime:
         #: Active stream captures (cudaStreamBeginCapture), by stream id.
         self._captures: dict[int, "CudaGraph"] = {}  # noqa: F821
 
+    def gpu(self, gpu_index: int):
+        if gpu_index not in self.gpu_indices:
+            raise InvalidValueError(
+                f"process {self.name!r} does not own GPU {gpu_index}"
+            )
+        return self.machine.gpu(gpu_index)
+
+    def default_stream(self, gpu_index: int) -> Stream:
+        stream = self.streams.get(gpu_index)
+        if stream is None:
+            stream = self.streams[gpu_index] = self.gpu(gpu_index).create_stream(
+                name=f"{self.name}-gpu{gpu_index}"
+            )
+        return stream
+
     # ------------------------------------------------------------------ gate --
     def stop_cpu(self) -> None:
         """Close the API gate (quiesce step 1: stop the CPU)."""
         if not self._stopped:
             self._stopped = True
-            self._resume_event = self.engine.event(name=f"{self.process.name}-resume")
-            self.process.host.stopped = True
+            self._resume_event = self.engine.event(name=f"{self.name}-resume")
+            self.host.stopped = True
 
     def resume_cpu(self) -> None:
         """Reopen the API gate."""
         if self._stopped:
             self._stopped = False
-            self.process.host.stopped = False
+            self.host.stopped = False
             ev, self._resume_event = self._resume_event, None
             ev.succeed()
+
+    def end_parked(self) -> None:
+        """End every process parked at the closed gate, where it waits:
+        the calls of a killed process never get through it."""
+        if self._resume_event is not None:
+            self._resume_event.end_waiters()
 
     @property
     def cpu_stopped(self) -> bool:
@@ -146,7 +171,7 @@ class CudaRuntime:
             yield self._resume_event
         # The app-visible quiesce stall: time this call spent blocked
         # at the closed API gate (§4.2 "first stops the CPU").
-        obs.record("gate-stall", t0, process=self.process.name)
+        obs.record("gate-stall", t0, process=self.name)
 
     def _frontend(self, call: ApiCall) -> LaunchPlan:
         if self.interceptor is None:
@@ -161,7 +186,7 @@ class CudaRuntime:
     def malloc(self, gpu_index: int, size: int, tag: str = ""):
         """Generator: allocate a device buffer (cudaMalloc)."""
         yield from self._gate()
-        gpu = self.process.gpu(gpu_index)
+        gpu = self.gpu(gpu_index)
         call = ApiCall(ApiCategory.MALLOC, "cudaMalloc", gpu_index, nbytes=size)
         plan = self._frontend(call)
         yield from self._call_overhead(plan)
@@ -174,7 +199,7 @@ class CudaRuntime:
     def free(self, gpu_index: int, buf: Buffer):
         """Generator: release a device buffer (cudaFree)."""
         yield from self._gate()
-        gpu = self.process.gpu(gpu_index)
+        gpu = self.gpu(gpu_index)
         call = ApiCall(ApiCategory.FREE, "cudaFree", gpu_index)
         plan = self._frontend(call)
         yield from self._call_overhead(plan)
@@ -194,20 +219,20 @@ class CudaRuntime:
         yield from self._gate()
         ctx = yield self.engine.spawn(
             create_context(self.engine, gpu_index, requirements),
-            name=f"{self.process.name}-ctx{gpu_index}",
+            name=f"{self.name}-ctx{gpu_index}",
         )
-        self.process.contexts[gpu_index] = ctx
+        self.contexts[gpu_index] = ctx
         return ctx
 
     def adopt_context(self, gpu_index: int, ctx: GpuContext) -> None:
         """Install a pre-created (pooled) context — no creation cost."""
-        self.process.contexts[gpu_index] = ctx
+        self.contexts[gpu_index] = ctx
 
     def _require_context(self, gpu_index: int) -> GpuContext:
-        ctx = self.process.contexts.get(gpu_index)
+        ctx = self.contexts.get(gpu_index)
         if ctx is None:
             raise GpuError(
-                f"process {self.process.name!r} has no context on GPU "
+                f"process {self.name!r} has no context on GPU "
                 f"{gpu_index}; create or adopt one first"
             )
         return ctx
@@ -235,7 +260,7 @@ class CudaRuntime:
         )
         plan = self._frontend(call)
         yield from self._call_overhead(plan)
-        gpu = self.process.gpu(gpu_index)
+        gpu = self.gpu(gpu_index)
         copy = AppCopy(self.engine, gpu.dma, Direction.H2D, nbytes,
                        bandwidth=gpu.spec.pcie_bw)
 
@@ -263,7 +288,7 @@ class CudaRuntime:
         )
         plan = self._frontend(call)
         yield from self._call_overhead(plan)
-        gpu = self.process.gpu(gpu_index)
+        gpu = self.gpu(gpu_index)
         copy = AppCopy(self.engine, gpu.dma, Direction.D2H, nbytes,
                        bandwidth=gpu.spec.pcie_bw)
 
@@ -292,7 +317,7 @@ class CudaRuntime:
         )
         plan = self._frontend(call)
         yield from self._call_overhead(plan)
-        gpu = self.process.gpu(gpu_index)
+        gpu = self.gpu(gpu_index)
 
         def start():
             return on_device_copy_time(src.size, gpu.spec)
@@ -330,7 +355,7 @@ class CudaRuntime:
         )
         plan = self._frontend(call)
         yield from self._call_overhead(plan)
-        gpu = self.process.gpu(gpu_index)
+        gpu = self.gpu(gpu_index)
         to_run = plan.program if plan.program is not None else program
 
         def start():
@@ -387,7 +412,7 @@ class CudaRuntime:
         )
         plan = self._frontend(call)
         yield from self._call_overhead(plan)
-        gpu = self.process.gpu(gpu_index)
+        gpu = self.gpu(gpu_index)
 
         def start():
             return kernel_duration(cost, gpu.spec)
@@ -405,13 +430,13 @@ class CudaRuntime:
     def device_synchronize(self, gpu_index: Optional[int] = None):
         """Generator: cudaDeviceSynchronize over one or all owned GPUs."""
         yield from self._gate()
-        indices = [gpu_index] if gpu_index is not None else self.process.gpu_indices
+        indices = [gpu_index] if gpu_index is not None else self.gpu_indices
         for idx in indices:
-            stream = self.process.default_stream(idx)
+            stream = self.default_stream(idx)
             yield stream.synchronize()
         # Extra streams created directly on the GPU also drain.
         for idx in indices:
-            yield from self.process.gpu(idx).synchronize()
+            yield from self.gpu(idx).synchronize()
 
     # -------------------------------------------------------------- CPU work --
     def cpu_work(self, duration: float, write_pages: Iterable[int] = (),
@@ -430,8 +455,8 @@ class CudaRuntime:
         if duration > 0:
             yield self.engine.timeout(duration)
         for index in write_pages:
-            self.process.host.memory.write_word(index, value)
-        self.process.host.advance_pc()
+            self.host.memory.write_word(index, value)
+        self.host.advance_pc()
 
     # ------------------------------------------------------------ CUDA graphs --
     def graph_begin_capture(self, gpu_index: int,
@@ -440,7 +465,7 @@ class CudaRuntime:
         from repro.api.graph import CudaGraph
 
         yield from self._gate()
-        stream = stream or self.process.default_stream(gpu_index)
+        stream = stream or self.default_stream(gpu_index)
         if stream.id in self._captures:
             raise InvalidValueError(f"stream {stream.name} is already capturing")
         self._captures[stream.id] = CudaGraph(name=name or f"capture-{stream.name}")
@@ -449,7 +474,7 @@ class CudaRuntime:
                           stream: Optional[Stream] = None):
         """Generator: cudaStreamEndCapture — returns the recorded graph."""
         yield from self._gate()
-        stream = stream or self.process.default_stream(gpu_index)
+        stream = stream or self.default_stream(gpu_index)
         graph = self._captures.pop(stream.id, None)
         if graph is None:
             raise InvalidValueError(f"stream {stream.name} is not capturing")
@@ -474,7 +499,7 @@ class CudaRuntime:
         """Record a call into an active capture instead of executing it."""
         from repro.api.graph import GraphNode
 
-        stream = stream or self.process.default_stream(gpu_index)
+        stream = stream or self.default_stream(gpu_index)
         graph = self._captures.get(stream.id)
         if graph is None:
             return False
@@ -485,7 +510,7 @@ class CudaRuntime:
     def _submit(self, gpu_index: int, stream: Optional[Stream], kind: str,
                 start, effect, call: ApiCall, plan: LaunchPlan,
                 hold=None, after=None) -> StreamOp:
-        stream = stream or self.process.default_stream(gpu_index)
+        stream = stream or self.default_stream(gpu_index)
         on_complete = plan.on_complete
         if on_complete is not None:
             on_complete = partial(on_complete, call)

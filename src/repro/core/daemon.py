@@ -252,7 +252,9 @@ class Phos:
         boundary instead of snapshotting freed memory), then the driver
         and its workers are interrupted (their recovery path releases
         DMA engines, shadows, and the frontend gate), and only then is
-        the device memory released and the frontend detached.
+        the device memory released and the frontend detached.  The
+        application's own processes parked at its closed API gate end
+        where they wait: a killed process issues no further call.
         """
         teardown = CheckpointError(
             f"process {process.name!r} killed mid-protocol"
@@ -279,6 +281,7 @@ class Phos:
                 gpu.memory.free(buf)
             bufs.clear()
         process.runtime.interceptor = None
+        process.runtime.end_parked()
         self.frontends.pop(process.id, None)
 
     # -- restore -------------------------------------------------------------------

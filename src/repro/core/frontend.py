@@ -59,14 +59,19 @@ _KERNEL_CATEGORIES = (
 
 
 class PhosFrontend:
-    """One process's interception state."""
+    """One process's interception state.
+
+    The process's runtime owns its frontend (``runtime.interceptor``),
+    so the frontend keeps the machine it plans against, not the
+    process.
+    """
 
     def __init__(self, engine: Engine, process: GpuProcess, mode: str = "lfc",
                  always_instrument: bool = False) -> None:
         if mode not in ("lfc", "ipc"):
             raise CheckpointError(f"unknown frontend mode {mode!r}")
         self.engine = engine
-        self.process = process
+        self.machine = process.machine
         self.mode = mode
         self.tables: dict[int, BufferTable] = {
             i: BufferTable(i) for i in process.gpu_indices
@@ -218,7 +223,7 @@ class PhosFrontend:
                                gpu=gpu_index)
         if cow is None:
             return
-        gpu = self.process.machine.gpu(gpu_index)
+        gpu = self.machine.gpu(gpu_index)
         t0 = engine.now
         for buf in sets.writes:
             while True:

@@ -10,14 +10,14 @@ from __future__ import annotations
 
 from repro import obs
 from repro.cluster import Machine
-from repro.experiments.harness import ExperimentResult, build_world, setup_app
-from repro.tasks.worker import Worker
+from repro.experiments.harness import ExperimentResult, setup_app
+from repro.tasks.worker import Worker, new_world
 
 APP = "llama2-13b-infer"
 
 
 def run() -> ExperimentResult:
-    world = build_world(APP, system="singularity")
+    world = new_world(APP, system="singularity")
     eng = world.engine
     setup_app(world)
     result = ExperimentResult(

@@ -12,17 +12,18 @@ one of the two reasons the overhead stays small.
 
 from __future__ import annotations
 
-from repro.experiments.harness import ExperimentResult, build_world, run_steps, setup_app
+from repro.experiments.harness import ExperimentResult, run_steps, setup_app
+from repro.tasks.worker import new_world
 
 APPS = ("resnet152-train", "ppo-train", "resnet152-infer", "llama2-13b-infer")
 
 
 def measure_overhead(app: str, steps: int = 3) -> tuple[float, float, float]:
     """(baseline step, instrumented step, instrumented kernel ratio)."""
-    plain = build_world(app, always_instrument=False)
+    plain = new_world(app, always_instrument=False)
     setup_app(plain)
     base = run_steps(plain, steps) / steps
-    inst = build_world(app, always_instrument=True)
+    inst = new_world(app, always_instrument=True)
     setup_app(inst)
     timed = run_steps(inst, steps) / steps
     frontend = inst.phos.frontend_of(inst.process)

@@ -14,13 +14,12 @@ from __future__ import annotations
 
 from repro.experiments.harness import (
     ExperimentResult,
-    build_world,
     experiment_config,
     run_cells,
 )
 from repro.obs.export import app_stall_components
 from repro.parallel import Cell
-from repro.tasks.worker import checkpoint_stall
+from repro.tasks.worker import checkpoint_stall, new_world
 
 APP = "llama2-13b-train"
 
@@ -38,7 +37,7 @@ def cells() -> list[Cell]:
 
 def run_cell(cell: Cell) -> list[dict]:
     variant, system, prioritized = cell.key
-    world = build_world(APP, system)
+    world = new_world(APP, system)
     m = checkpoint_stall(world, "cow",
                          experiment_config(prioritized=prioritized))
     attributed = None

@@ -14,18 +14,18 @@ from repro import obs, units
 from repro.core.engine import EXPERIMENT_CHUNK
 from repro.experiments.harness import (
     ExperimentResult,
-    build_world,
     experiment_config,
     run_cells,
     setup_app,
 )
 from repro.parallel import Cell
+from repro.tasks.worker import new_world
 
 APP = "llama3-70b-infer"
 
 
 def _measure_recopy(coordinated: bool, steps_during: int = 80):
-    world = build_world(APP)
+    world = new_world(APP)
     eng = world.engine
     setup_app(world, warm=2)
 
@@ -50,7 +50,7 @@ def _measure_recopy(coordinated: bool, steps_during: int = 80):
 
 
 def _measure_singularity():
-    world = build_world(APP, system="singularity")
+    world = new_world(APP, system="singularity")
     eng = world.engine
     setup_app(world, warm=1)
 

@@ -9,9 +9,9 @@ layers run, later layers' buffers stream in the background.
 from __future__ import annotations
 
 from repro.baselines import get_system
-from repro.experiments.harness import ExperimentResult, build_world, run_cells
+from repro.experiments.harness import ExperimentResult, run_cells
 from repro.parallel import Cell
-from repro.tasks.worker import restore_stall
+from repro.tasks.worker import new_world, restore_stall
 
 APP = "llama2-13b-infer"
 TOKENS = 8
@@ -30,7 +30,7 @@ def cells() -> list[Cell]:
 def run_cell(cell: Cell) -> list[dict]:
     (variant,) = cell.key
     system = VARIANTS[variant]
-    r = restore_stall(build_world(APP), system, TOKENS)
+    r = restore_stall(new_world(APP), system, TOKENS)
     ctx_s = r.spans.total("context-setup" if get_system(system).concurrent
                           else "context-create")
     return [dict(variant=variant, context_s=ctx_s,

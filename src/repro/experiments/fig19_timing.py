@@ -12,16 +12,16 @@ from __future__ import annotations
 from repro import units
 from repro.experiments.harness import (
     ExperimentResult,
-    build_world,
     experiment_config,
     setup_app,
 )
+from repro.tasks.worker import new_world
 
 APP = "llama2-13b-train"
 
 
 def _measure(timing: str, steps: int = 2):
-    world = build_world(APP)
+    world = new_world(APP)
     eng, phos = world.engine, world.phos
     setup_app(world, warm=2)
     workload = world.workload

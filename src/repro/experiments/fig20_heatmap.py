@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from collections import defaultdict
 
-from repro.experiments.harness import ExperimentResult, build_world, setup_app
+from repro.experiments.harness import ExperimentResult, setup_app
+from repro.tasks.worker import new_world
 
 APP = "llama2-13b-train"
 BINS = 10
@@ -25,7 +26,7 @@ def _group_of(buf) -> str:
 
 
 def run() -> ExperimentResult:
-    world = build_world(APP)
+    world = new_world(APP)
     eng = world.engine
     frontend = world.phos.frontend_of(world.process)
     setup_app(world, warm=2)

@@ -1,9 +1,8 @@
-"""Common experiment plumbing: results, formatting, and world builders."""
+"""Common experiment plumbing: results, formatting, and run helpers."""
 
 from __future__ import annotations
 
 import cProfile
-import gc
 import io
 import pstats
 from contextlib import contextmanager
@@ -123,16 +122,9 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def build_world(*args, **kwargs) -> Worker:
-    """:func:`~repro.tasks.worker.new_world` after a full collection.
-
-    A world is a reference cycle (process <-> runtime <-> frontend), so
-    one the caller dropped waits for a full pass of the cyclic
-    collector.  Run it here: an experiment holds one world at a time,
-    however the collector's thresholds fall.
-    """
-    gc.collect()
-    return new_world(*args, **kwargs)
+#: The former world builder's name, kept only for ``bench/workloads.py``;
+#: every other caller calls :func:`~repro.tasks.worker.new_world`.
+build_world = new_world
 
 
 def run_steps(world: Worker, n: int, start: Optional[int] = None) -> float:

@@ -8,8 +8,9 @@ the workload models actually allocate, as a fidelity check.
 from __future__ import annotations
 
 from repro import units
-from repro.experiments.harness import ExperimentResult, build_world, run_steps, setup_app
+from repro.experiments.harness import ExperimentResult, run_steps, setup_app
 from repro.apps.specs import APP_SPECS
+from repro.tasks.worker import new_world
 
 
 def run(apps=None) -> ExperimentResult:
@@ -22,7 +23,7 @@ def run(apps=None) -> ExperimentResult:
     )
     for name in (apps or APP_SPECS):
         spec = APP_SPECS[name]
-        world = build_world(name)
+        world = new_world(name)
         setup_app(world, warm=1)
         step = run_steps(world, 1)
         gpu0 = world.process.gpu_indices[0]

@@ -714,6 +714,11 @@ def run_fleet(trace: Trace, config: FleetConfig,
     gw_engine.call_at(gw_engine.now, gateway.arrive, 0)
 
     core.run()
+    # The control plane is over: hang up every channel.  Gateway and
+    # agents each subscribe to what the other sends, which would leave
+    # the whole fleet a cycle for the collector.
+    for channel in inboxes + outboxes:
+        channel.unsubscribe()
     unsettled = [r.index for r in report.records if r.outcome == "pending"]
     if unsettled or gateway.outstanding or gateway.queue:
         raise SimulationError(

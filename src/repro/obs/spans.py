@@ -33,7 +33,7 @@ from repro.errors import SimulationError
 class SpanNode:
     """One labelled interval in the phase tree."""
 
-    __slots__ = ("name", "start", "end", "attrs", "children", "parent")
+    __slots__ = ("name", "start", "end", "attrs", "children", "_path")
 
     def __init__(self, name: str, start: float,
                  parent: Optional["SpanNode"] = None,
@@ -43,7 +43,9 @@ class SpanNode:
         self.end: Optional[float] = None
         self.attrs = dict(attrs) if attrs else {}
         self.children: list[SpanNode] = []
-        self.parent = parent
+        # A parent owns its children; a child keeps only the path it
+        # was opened under, so a tree is freed without the collector.
+        self._path = name if parent is None else f"{parent._path}/{name}"
 
     @property
     def open(self) -> bool:
@@ -57,12 +59,7 @@ class SpanNode:
 
     def path(self) -> str:
         """Slash-joined names from the root down to this span."""
-        parts = []
-        node: Optional[SpanNode] = self
-        while node is not None:
-            parts.append(node.name)
-            node = node.parent
-        return "/".join(reversed(parts))
+        return self._path
 
     def to_dict(self) -> dict:
         return {

@@ -23,10 +23,10 @@ its events (a granted request of one of its resources included).  The
 one sanctioned crossing is a value on a :class:`DomainChannel`: ``send``
 on the source side, ``recv`` or ``subscribe`` on the destination side.
 
-Only homes pay for the rule.  A home dispatches each of its records
-through :meth:`Home._run`, which marks it executing; a plain ``Engine``
-has no check at all.  Homes are not counted as engines: the core counts
-every record once.
+Only homes pay for the rule.  Each record a home schedules is a call of
+:func:`_dispatch` with the home in its payload, which marks the home
+executing; a plain ``Engine`` has no check at all.  Homes are not
+counted as engines: the core counts every record once.
 """
 
 from __future__ import annotations
@@ -83,8 +83,6 @@ class Home(Engine):
         self._buckets = core._buckets
         self._theap = core._theap
         self._active_process = None
-        #: Bound once: every record this home schedules is a call of it.
-        self._runner = self._run
 
     @property
     def now(self) -> float:
@@ -126,7 +124,7 @@ class Home(Engine):
             raise SimulationError(
                 f"cannot schedule in the past ({when} < {core._now})")
         core._n_scheduled += 1
-        record = (K_CALL1, self._runner, (kind, target, payload))
+        record = (K_CALL1, _dispatch, (self, kind, target, payload))
         bucket = self._buckets.get(when)
         if bucket is None:
             self._buckets[when] = [record]
@@ -142,30 +140,36 @@ class Home(Engine):
         now = self.core._now
         for cb in cbs:
             kind = K_RESUME if isinstance(cb, Event) else K_CALL1
-            push(now, K_CALL1, self._runner, (kind, cb, event))
-
-    def _run(self, record: tuple) -> None:
-        """Dispatch one of this home's records with the home executing."""
-        kind, target, payload = record
-        outer = _running.home
-        _running.home = self
-        try:
-            if kind == K_CALL1:
-                target(payload)
-            elif kind == K_RESUME:
-                target._resume(payload)
-            elif kind == K_FIRE:
-                target._fire(True, payload)
-            else:  # K_STEP
-                target._step(None, payload)
-        finally:
-            _running.home = outer
+            push(now, K_CALL1, _dispatch, (self, kind, cb, event))
 
     def run(self, until: Optional[Event | float] = None) -> Any:
         return self.core.run(until)
 
     def __repr__(self) -> str:
         return f"<Home {self.name} t={self._now:g}>"
+
+
+def _dispatch(record: tuple) -> None:
+    """Run one home's record with that home executing.
+
+    A module function, not a method bound once on the home: that bound
+    method would be a reference from the home to itself, and a dropped
+    world would then wait for the cycle collector.
+    """
+    home, kind, target, payload = record
+    outer = _running.home
+    _running.home = home
+    try:
+        if kind == K_CALL1:
+            target(payload)
+        elif kind == K_RESUME:
+            target._resume(payload)
+        elif kind == K_FIRE:
+            target._fire(True, payload)
+        else:  # K_STEP
+            target._step(None, payload)
+    finally:
+        _running.home = outer
 
 
 class DomainChannel:
@@ -225,8 +229,8 @@ class DomainChannel:
             ex = _running.home
             if ex is not src and ex is not None:
                 src._refuse(ex, f"send on channel {self.name!r} from")
-            src.core._push(arrival, K_CALL1, dst._runner,
-                           (K_CALL1, self._deliver, value))
+            src.core._push(arrival, K_CALL1, _dispatch,
+                           (dst, K_CALL1, self._deliver, value))
         self.messages_sent += 1
 
     def _deliver(self, value: Any) -> None:
@@ -262,6 +266,19 @@ class DomainChannel:
                 f"channel {self.name!r} is already received with recv(); "
                 "subscribe before any traffic")
         self._handler = handler
+
+    def unsubscribe(self) -> None:
+        """Hang up the subscriber: later values queue for :meth:`recv`.
+
+        A subscription is the channel holding its receiver, so a pair of
+        subscribed channels between two parties that each send on the
+        other is a reference cycle; whoever owns both ends hangs them up
+        once the exchange is over.
+        """
+        if self._pending:
+            raise SimulationError(
+                f"channel {self.name!r} still has values for its subscriber")
+        self._handler = None
 
     def _wake(self, _arg: Any) -> None:
         pending = self._pending

@@ -101,6 +101,21 @@ class Process(Event):
         exc = exc if exc is not None else Interrupt()
         self.engine._push(self.engine._now, K_STEP, self, exc)
 
+    def end(self) -> None:
+        """End the process where it waits, without running another step.
+
+        The process stops waiting, its generator is closed (its
+        ``finally`` blocks run) and it never fires: its own waiters are
+        dropped, not woken, and no exception is stored.  This is how the
+        application processes of a torn-down machine go, which nothing
+        will resume (:meth:`repro.core.daemon.Phos.kill`).
+        """
+        if self._fired:
+            return
+        self._waiting_on = None
+        self._callbacks = None
+        self._body.close()
+
     # -- internal stepping ---------------------------------------------------
     def _resume(self, event: Event) -> None:
         if self._fired:

@@ -149,6 +149,15 @@ class Event:
         else:
             cbs.append(process)
 
+    def end_waiters(self) -> None:
+        """End every process waiting on this event, where it waits (see
+        :meth:`~repro.sim.engine.Process.end`), and drop the other
+        callbacks: the event may still fire, to nobody."""
+        cbs, self._callbacks = self._callbacks, None
+        for cb in cbs or ():
+            if isinstance(cb, Event):  # a waiting Process
+                cb.end()
+
     def __repr__(self) -> str:
         state = "fired" if self._fired else "pending"
         return f"<Event {self.name or id(self):} {state}>"
@@ -200,6 +209,13 @@ class _Composite(Event):
                     "hand results across through a DomainChannel"
                 )
             ev.add_callback(self._child_fired)
+
+    def _fire(self, ok: bool, value: Any) -> None:
+        Event._fire(self, ok, value)
+        # Settled: drop the children.  One that has not fired keeps this
+        # composite in its callbacks, so holding it here would be a
+        # cycle that only the collector frees.
+        self.events = ()
 
     def _child_fired(self, ev: Event) -> None:
         raise NotImplementedError

@@ -34,7 +34,12 @@ from repro.sim.events import Event
 
 
 class Request(Event):
-    """A pending acquisition.  Fires with the request itself as value."""
+    """A pending acquisition.  Fires with the request itself as value.
+
+    The value is a reference from the request to itself, so
+    :meth:`Resource.release` clears it: a released request is freed by
+    reference counting, not left for the cycle collector.
+    """
 
     __slots__ = ("resource", "priority", "released", "requested_at")
 
@@ -155,6 +160,7 @@ class Resource:
         # A waiting request is withdrawn by marking it: its heap entry
         # stays and ``_grant`` skips it.
         req.released = True
+        req._value = None
         if self._heap:
             self._grant()
         self._note()

@@ -12,6 +12,11 @@ full copy over 100 Gbps RDMA plus the context-creation barrier.
 
 Downtime = (first step completed on target) - (source stopped for the
 final time).
+
+Once the target has resumed, the source is torn down, as a CRIU dump
+ends its process by default: :meth:`~repro.core.daemon.Phos.kill` frees
+its GPU memory and ends the application threads parked at its closed
+API gate, and the driver ends its own ``migrating-app`` process.
 """
 
 from __future__ import annotations
@@ -125,15 +130,19 @@ def migrate(system: str, spec_name: str,
             "recopy", ProtocolConfig(keep_stopped=True, bandwidth_scale=scale,
                                      chunk_bytes=EXPERIMENT_CHUNK),
             medium=rdma)
+        app = None
         if row.concurrent:
             # The application keeps running through the pre-copy; it
             # blocks at the API gate when the final quiesce hits.
-            eng.spawn(workload.run(steps_during), name="migrating-app")
+            app = eng.spawn(workload.run(steps_during), name="migrating-app")
         image, session = yield handle
         if session is not None:
             stop_time = session.final_quiesce_start
         # Downtime ends when the process can execute again.
         resumed = yield from resume_on_target(image)
+        source.phos.kill(source.process)
+        if app is not None:
+            app.end()
         obs.record("task/migrate-downtime", stop_time, end=resumed,
                    system=system, app=spec_name)
         obs.record("task/migrate-total", t_start, end=resumed,

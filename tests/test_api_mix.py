@@ -9,7 +9,8 @@ minority.  These tests verify our workload models reproduce that mix.
 import pytest
 
 from repro.api.calls import ApiCategory, LaunchPlan
-from repro.experiments.harness import build_world, run_steps, setup_app
+from repro.experiments.harness import run_steps, setup_app
+from repro.tasks.worker import new_world
 
 
 class CountingInterceptor:
@@ -28,7 +29,7 @@ class CountingInterceptor:
 
 
 def category_mix(app):
-    world = build_world(app)
+    world = new_world(app)
     setup_app(world, warm=1)
     counter = CountingInterceptor()
     world.process.runtime.interceptor = counter
@@ -48,7 +49,7 @@ def test_declared_semantics_majority(app):
 
 
 def test_training_mix_has_all_kernel_categories():
-    world = build_world("llama2-13b-train")
+    world = new_world("llama2-13b-train")
     setup_app(world, warm=1)
     counter = CountingInterceptor()
     world.process.runtime.interceptor = counter

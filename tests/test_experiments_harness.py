@@ -9,11 +9,11 @@ from repro.experiments import harness
 from repro.tasks import worker
 from repro.experiments.harness import (
     ExperimentResult,
-    build_world,
     format_table,
     run_steps,
     setup_app,
 )
+from repro.tasks.worker import new_world
 
 GOLDENS = Path(__file__).parent / "goldens"
 
@@ -48,14 +48,15 @@ def test_format_table_includes_notes():
 
 
 def test_build_world_attaches_frontend():
-    world = build_world("resnet152-infer")
-    frontend = world.phos.frontend_of(world.process)
-    assert frontend.process is world.process
-    assert world.process.runtime.interceptor is frontend
+    world = new_world("resnet152-infer")
+    # The daemon attached the frontend it tracks; the frontend keeps no
+    # reference back to the process.
+    assert world.phos.frontend_of(world.process) \
+        is world.process.runtime.interceptor
 
 
 def test_setup_and_run_steps_advance_clock():
-    world = build_world("resnet152-infer")
+    world = new_world("resnet152-infer")
     setup_app(world, warm=1)
     elapsed = run_steps(world, 2)
     assert elapsed > 0
@@ -63,13 +64,13 @@ def test_setup_and_run_steps_advance_clock():
 
 
 def test_build_world_always_instrument_flag():
-    world = build_world("resnet152-infer", always_instrument=True)
+    world = new_world("resnet152-infer", always_instrument=True)
     frontend = world.phos.frontend_of(world.process)
     assert frontend.always_instrument
 
 
 def test_build_world_with_pool_boots_daemon():
-    world = build_world("resnet152-infer", use_pool=True)
+    world = new_world("resnet152-infer", use_pool=True)
     assert world.phos.pool is not None
     assert world.phos.pool.prefilled
 
@@ -82,12 +83,12 @@ def test_unobserved_world_retires_previous_worlds_observer(how, monkeypatch):
     try:
         if how == "flag":
             monkeypatch.setattr(worker, "OBSERVE", True)
-            first = build_world("resnet152-infer")
+            first = new_world("resnet152-infer")
             monkeypatch.setattr(worker, "OBSERVE", False)
         else:
-            first = build_world("resnet152-infer", observe=True)
+            first = new_world("resnet152-infer", observe=True)
         assert obs.active() is first.observer
-        second = build_world("resnet152-infer")
+        second = new_world("resnet152-infer")
         assert second.observer is None
         assert obs.active() is None
         # The first engine's clock still reads 0: any span the second
@@ -111,7 +112,7 @@ def test_build_world_leaves_a_callers_own_observer_installed():
 
     mine = obs.install(Engine())
     try:
-        build_world("resnet152-infer")
+        new_world("resnet152-infer")
         assert obs.active() is mine
     finally:
         obs.uninstall()

@@ -19,8 +19,7 @@ from repro.core.cli import main
 from repro.core.engine import EXPERIMENT_CHUNK
 from repro.core.protocols import ProtocolConfig
 from repro.obs import export
-from repro.experiments.harness import build_world
-from repro.tasks.worker import checkpoint_stall
+from repro.tasks.worker import checkpoint_stall, new_world
 
 APP = "resnet152-train"  # single GPU: every stall is on one issue chain
 STEPS = 3
@@ -35,7 +34,7 @@ def _no_observer_leak():
 @pytest.fixture(scope="module")
 def cow_run():
     """One observed CoW checkpoint run; (world, base, stall)."""
-    world = build_world(APP, observe=True)
+    world = new_world(APP, observe=True)
     m = checkpoint_stall(world, "cow",
                          ProtocolConfig(chunk_bytes=EXPERIMENT_CHUNK),
                          steps=STEPS)

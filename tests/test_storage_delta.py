@@ -562,8 +562,9 @@ def test_fig16_workload_chain_restore_bit_identical():
     delta chain equals restoring an equivalent full image, byte for
     byte.  CI runs this with the fast path on and off."""
     from repro.experiments import harness
+    from repro.tasks.worker import new_world
 
-    world = harness.build_world("llama2-13b-train")
+    world = new_world("llama2-13b-train")
     harness.setup_app(world)
     eng, phos, process = world.engine, world.phos, world.process
 

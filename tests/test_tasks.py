@@ -1,5 +1,6 @@
 """Integration tests for the downstream task drivers (§7)."""
 
+import inspect
 import math
 
 import pytest
@@ -126,6 +127,40 @@ def test_migration_clock_domains_matches_single(resnet_migrations):
     assert sharded.supported
     assert sharded.downtime == pytest.approx(single.downtime, abs=1e-3)
     assert sharded.total_time == pytest.approx(single.total_time, abs=1e-3)
+
+
+@pytest.mark.parametrize("system,clock_domains", [
+    ("phos", False), ("phos", True), ("singularity", False)])
+def test_migration_tears_the_source_down(monkeypatch, system, clock_domains):
+    """Once the target has resumed, nothing of the source is left: its
+    GPU memory is free and none of the world's processes is still
+    suspended, waiting to run another step."""
+    from repro.sim.engine import Process
+    from repro.tasks import live_migration
+
+    workers, processes = [], []
+
+    class RecordingWorker(live_migration.Worker):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            workers.append(self)
+
+    init = Process.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        processes.append(self)
+
+    monkeypatch.setattr(live_migration, "Worker", RecordingWorker)
+    monkeypatch.setattr(Process, "__init__", recording_init)
+    assert migrate(system, "resnet152-train", clock_domains).supported
+    source = workers[0]
+    for gpu_index, bufs in source.process.runtime.allocations.items():
+        assert not bufs
+        assert not list(source.machine.gpu(gpu_index).memory.buffers())
+    suspended = [p.name for p in processes if not p.triggered
+                 and inspect.getgeneratorstate(p._body) != "GEN_CLOSED"]
+    assert not suspended
 
 
 def test_migration_clock_domains_baselines_rejected():
