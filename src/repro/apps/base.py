@@ -44,9 +44,9 @@ _OPAQUE_BUILDERS = [build_scale, build_inplace_add, build_axpy_into,
                     build_copy, build_fill]
 
 #: Warm per-process ``Program`` cache: identical kernel binaries are
-#: built once per process, so the compiled plans each ``Program`` keeps
-#: survive across worlds (and across experiment cells on a
-#: pool worker).  Result-invariant: plans re-prove their preconditions
+#: built once per process, so the bodies they hold alive (and the plans
+#: compiled on them, :class:`~repro.gpu.isa.Body`) survive across worlds
+#: (and across experiment cells on a pool worker).  Result-invariant: plans re-prove their preconditions
 #: against the actual memory per launch.
 _program_cache: dict = {}
 

@@ -21,6 +21,7 @@ parameters, ``struct`` tags, template-free C types).
 from __future__ import annotations
 
 import enum
+import functools
 import re
 from dataclasses import dataclass
 from typing import Optional
@@ -78,12 +79,17 @@ def parse_signature(decl: str) -> Signature:
     match = _DECL_RE.match(decl)
     if match is None:
         raise SignatureError(f"cannot parse kernel declaration: {decl!r}")
-    name = match.group("name")
-    raw_params = match.group("params").strip()
+    return Signature(kernel_name=match.group("name"),
+                     params=_parse_params(match.group("params").strip()))
+
+
+@functools.lru_cache(maxsize=1024)
+def _parse_params(raw_params: str) -> tuple[ParamInfo, ...]:
+    """The parameter list, parsed once per distinct text: kernels that
+    differ only in their name share it."""
     if raw_params in ("", "void"):
-        return Signature(kernel_name=name, params=())
-    params = tuple(_classify(p.strip()) for p in _split_params(raw_params))
-    return Signature(kernel_name=name, params=params)
+        return ()
+    return tuple(_classify(p.strip()) for p in _split_params(raw_params))
 
 
 def _split_params(raw: str) -> list[str]:

@@ -9,8 +9,12 @@ speculated buffer ranges carried by the launch's
 :class:`~repro.gpu.interpreter.ValidationState`; failures are written to
 the validation state's report buffer without disturbing the kernel.
 
-The pass runs once per kernel binary: the twin is kept in the
-program's ``twins`` field, which this module alone fills and
+The pass runs once per kernel body: the rewrite is kept in the
+shared body's ``twins`` (:class:`~repro.gpu.isa.Body`), so a second
+program with the same instructions gets a new twin ``Program`` — its
+own name and declaration — around the same twin body, without another
+rewrite or decode.  Each program keeps its twins in its own ``twins``
+field, which this module alone fills and
 :class:`~repro.core.validation.TwinCache` reads, mirroring the paper's
 PTX-level rewriter and its twin cache.
 """
@@ -41,6 +45,26 @@ def instrument_program(program: Program, check_reads: bool = False) -> Program:
     twin = program.twins.get(check_reads)
     if twin is not None:
         return twin
+    # Label names (and fields the decoder ignores) are not part of a body,
+    # so the shared rewrite serves only a program with equal instructions.
+    shared = program.body.twins.get(check_reads)
+    if shared is not None and shared[0] == program.instrs \
+            and shared[1] == program.labels:
+        _, _, new_instrs, labels, twin_body = shared
+    else:
+        new_instrs, labels = _rewrite(program, check_reads)
+        twin_body = None
+    twin = program.with_instrs(new_instrs, labels, instrumented=True,
+                               body=twin_body)
+    if shared is None:
+        program.body.twins[check_reads] = (
+            program.instrs, program.labels, new_instrs, labels, twin.body)
+    program.twins[check_reads] = twin
+    return twin
+
+
+def _rewrite(program: Program, check_reads: bool) -> tuple[list[Instr], dict[str, int]]:
+    """The twin's instructions and labels: a ``CHK`` before each guarded access."""
     new_instrs: list[Instr] = []
     old_to_new: dict[int, int] = {}
     for idx, ins in enumerate(program.instrs):
@@ -50,8 +74,4 @@ def instrument_program(program: Program, check_reads: bool = False) -> Program:
         elif ins.op is Op.LDG and check_reads:
             new_instrs.append(Instr(op=Op.CHK, ra=ins.ra, imm=CHK_READ))
         new_instrs.append(ins)
-    labels = remap_labels(new_instrs, old_to_new, program.labels)
-    twin = program.with_instrs(new_instrs, labels, instrumented=True)
-    program.twins[check_reads] = twin
-    return twin
-
+    return new_instrs, remap_labels(new_instrs, old_to_new, program.labels)

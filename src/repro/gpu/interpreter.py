@@ -21,9 +21,10 @@ immutable once built.
 When a program has been instrumented (:mod:`repro.gpu.instrument`), its
 ``CHK`` instructions consult a :class:`ValidationState`: each failed
 check appends a :class:`Violation` to the validation state's report
-buffer, exactly mirroring the paper's validator that "reports the
-incident to PHOS by writing the address to a pre-allocated PHOS-managed
-CPU buffer" (§4.1).  Execution continues after a violation — stopping
+buffer (the loop tests the ranges inline, with the verdict of
+:meth:`ValidationState.check`), exactly mirroring the paper's validator
+that "reports the incident to PHOS by writing the address to a
+pre-allocated PHOS-managed CPU buffer" (§4.1).  Execution continues after a violation — stopping
 is PHOS's decision, not the kernel's.
 
 Nothing records the accesses a launch makes.  The one runtime observer
@@ -40,6 +41,7 @@ whenever equivalence cannot be proven.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -55,6 +57,7 @@ from repro.gpu.ranges import RangeSet
 MAX_STEPS = 100_000
 
 _MASK64 = (1 << 64) - 1
+_READ = AccessKind.READ
 
 
 @dataclass(frozen=True)
@@ -80,7 +83,9 @@ class ValidationState:
 
         Reads are validated against the union of read and write ranges:
         a buffer the kernel is known to write may legitimately be read
-        back (partial updates), and it is already protected.
+        back (partial updates), and it is already protected.  The
+        interpreter's ``CHK`` reaches this verdict inline; the reference
+        loop in ``tests/`` calls this method.
         """
         if kind is AccessKind.WRITE:
             ok = addr in self.write_ranges
@@ -181,7 +186,12 @@ def _run_thread(
     nargs = len(args)
     load_word = memory.load_word
     store_word = memory.store_word
-    check = validation.check if validation is not None else None
+    if validation is not None:
+        # ValidationState.check, inline: addr is in a RangeSet iff an odd
+        # number of its edges are <= addr.
+        writable = validation.write_ranges.edges()
+        readable = validation.read_ranges.edges()
+        violations = validation.violations
     # Opcodes are tested in the order the Table 3 study's fallback
     # launches execute them (ARG 23 %, ADD 14 %, CHK 13 %, MULI 11 %, ...).
     while True:
@@ -202,8 +212,11 @@ def _run_thread(
         elif code == OP_ADD:
             regs[rd] = (regs[ra] + regs[rb]) & _MASK64
         elif code == OP_CHK:
-            if check is not None:
-                check(name, regs[ra], x, tid)
+            if validation is not None:
+                addr = regs[ra]
+                if not (bisect_right(writable, addr) & 1 or (
+                        x is _READ and bisect_right(readable, addr) & 1)):
+                    violations.append(Violation(name, addr, x, tid))
         elif code == OP_MULI:
             regs[rd] = (regs[ra] * x) & _MASK64
         elif code == OP_LDG:

@@ -39,19 +39,28 @@ is the program as a list of plain ``(code, rd, ra, rb, x)`` tuples —
 resolved branch-target pc, the global symbol or a ``CHK``'s
 :class:`AccessKind` — read by both the interpreter and the plan tracer.
 
-A ``Program`` owns what is derived from its body: one walk at
-construction validates it and builds ``decoded`` and ``uses_globals``,
-and the per-binary caches are fields declared here (out of ``repr`` and
-``==``) that their owning modules fill: ``twins``
-(:mod:`repro.gpu.instrument`), ``signature``
-(:mod:`repro.core.signatures`), ``plans`` (:mod:`repro.perf.plans`).
-One invariant: **a ``Program`` is immutable once built**.
+What is derived from a kernel body is compiled once per *content*, not
+once per ``Program``.  One walk at construction validates the body and
+builds its decoded table; the table plus ``globals_`` is the key of a
+:class:`Body`, interned in a weak-valued table, so every program with
+that content shares one ``Body``: ``decoded``, ``uses_globals``, the
+compiled ``plans`` (filled by :mod:`repro.perf.plans`) and the
+instrumented twin bodies by ``check_reads`` (filled by
+:mod:`repro.gpu.instrument`).  The table holds no body alive: a body
+lives exactly as long as some program (or the body it is the twin of)
+refers to it.  What names a kernel stays on the ``Program``: ``name``,
+``decl``, its ``signature`` (:mod:`repro.core.signatures`) and its twin
+``Program`` objects (``twins``), so each launch, ``Violation`` and
+instrumentation count still names its own kernel.  These caches are
+fields out of ``repr`` and ``==``.  One invariant: **a ``Program`` and
+its ``Body`` are immutable once built**.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+import weakref
+from dataclasses import InitVar, dataclass, field, replace
 from typing import TYPE_CHECKING, Optional
 
 from repro.errors import IsaError
@@ -134,6 +143,39 @@ class Instr:
                 raise IsaError(f"register r{reg} out of range in {self.op}")
 
 
+class Body:
+    """What a kernel body compiles to, shared by every program with its content.
+
+    Built by :func:`_intern_body` only.  ``decoded`` is the body as
+    ``(code, rd, ra, rb, x)`` tuples (module docstring); ``plans`` are
+    the compiled plans by ``(n_threads, len(args))``; ``twins`` maps
+    ``check_reads`` to ``(instrs, labels, twin instrs, twin labels, twin
+    body)``, the rewrite of the first program instrumented with this body.
+    """
+
+    __slots__ = ("decoded", "uses_globals", "plans", "twins", "__weakref__")
+
+    def __init__(self, decoded: list[tuple], uses_globals: bool) -> None:
+        self.decoded = decoded
+        #: True when the body reads module globals (speculation hazard).
+        self.uses_globals = uses_globals
+        self.plans: dict = {}
+        self.twins: dict[bool, tuple] = {}
+
+
+#: Every live body, by its decoded table and module globals.
+_bodies: "weakref.WeakValueDictionary[tuple, Body]" = weakref.WeakValueDictionary()
+
+
+def _intern_body(decoded: list[tuple], uses_globals: bool, globals_: dict[str, int]) -> Body:
+    """The one live :class:`Body` for this content, made on first sight."""
+    key = (tuple(decoded), tuple(sorted(globals_.items())))
+    body = _bodies.get(key)
+    if body is None:
+        body = _bodies[key] = Body(decoded, uses_globals)
+    return body
+
+
 @dataclass
 class Program:
     """An assembled kernel program.
@@ -142,6 +184,9 @@ class Program:
     extracts with its clang-equivalent parser for speculation.
     ``globals_`` maps module-global symbol names to device addresses;
     kernels read them with ``GLOB`` (invisible to argument speculation).
+    ``body`` is the shared :class:`Body` of this content.  Only
+    instrumentation passes ``shared_body``, a body it knows matches
+    ``instrs``; ``dataclasses.replace`` never carries it over.
     """
 
     name: str
@@ -150,27 +195,27 @@ class Program:
     labels: dict[str, int] = field(default_factory=dict)
     globals_: dict[str, int] = field(default_factory=dict)
     instrumented: bool = False
-    #: The body as ``(code, rd, ra, rb, x)`` tuples (module docstring).
-    decoded: list[tuple] = field(init=False, repr=False, compare=False)
-    #: True when the body reads module globals (speculation hazard).
-    uses_globals: bool = field(init=False, repr=False, compare=False)
+    shared_body: InitVar[Optional[Body]] = None
+    body: Body = field(init=False, repr=False, compare=False)
     #: Instrumented twins by ``check_reads``.
     twins: dict[bool, Program] = field(default_factory=dict, init=False, repr=False, compare=False)
     #: The parsed ``decl``, None when it does not parse; unset until asked.
     signature: Optional[Signature] = field(init=False, repr=False, compare=False)
-    #: Compiled plans by ``(n_threads, len(args))``.
-    plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, shared_body: Optional[Body]) -> None:
         """One walk: validate, resolve branch targets to pcs and wrap
-        ``SETI`` immediates to 64 bits, so no executed instruction pays."""
+        ``SETI`` immediates to 64 bits, so no executed instruction pays;
+        then share the body of any live program with the same content."""
+        if shared_body is not None:
+            self.body = shared_body
+            return
         name, labels, globals_ = self.name, self.labels, self.globals_
         if not self.instrs:
             raise IsaError(f"kernel {name!r} has no instructions")
         if self.instrs[-1].op is not Op.EXIT:
             raise IsaError(f"kernel {name!r} must end with EXIT")
-        table = self.decoded = []
-        self.uses_globals = False
+        table = []
+        uses_globals = False
         for pc, ins in enumerate(self.instrs):
             code = ins.op.code
             if OP_BLT <= code <= OP_JMP:
@@ -183,7 +228,7 @@ class Program:
                     raise IsaError(
                         f"kernel {name!r} pc={pc}: undefined global {ins.sym!r}")
                 x = ins.sym
-                self.uses_globals = True
+                uses_globals = True
             elif code == OP_CHK:
                 x = AccessKind.WRITE if ins.imm == CHK_WRITE else AccessKind.READ
             elif code == OP_SETI:
@@ -191,8 +236,20 @@ class Program:
             else:
                 x = ins.imm
             table.append((code, ins.rd, ins.ra, ins.rb, x))
+        self.body = _intern_body(table, uses_globals, globals_)
 
-    def with_instrs(self, instrs: list[Instr], labels: dict[str, int], *, instrumented: bool) -> "Program":
+    @property
+    def decoded(self) -> list[tuple]:
+        """The body as ``(code, rd, ra, rb, x)`` tuples (module docstring)."""
+        return self.body.decoded
+
+    @property
+    def uses_globals(self) -> bool:
+        """True when the body reads module globals (speculation hazard)."""
+        return self.body.uses_globals
+
+    def with_instrs(self, instrs: list[Instr], labels: dict[str, int], *,
+                    instrumented: bool, body: Optional[Body] = None) -> "Program":
         """A copy of this program with a rewritten body (used by instrumentation)."""
         return Program(
             name=self.name,
@@ -201,7 +258,13 @@ class Program:
             labels=labels,
             globals_=dict(self.globals_),
             instrumented=instrumented,
+            shared_body=body,
         )
+
+    def __reduce__(self):
+        """Pickle the source only; loading re-walks it and re-interns the body."""
+        return Program, (self.name, self.decl, self.instrs, self.labels,
+                         self.globals_, self.instrumented)
 
     def __len__(self) -> int:
         return len(self.instrs)
@@ -328,6 +391,7 @@ def remap_labels(instrs: list[Instr], old_to_new: dict[int, int], labels: dict[s
 
 __all__ = [
     "AccessKind",
+    "Body",
     "CHK_READ",
     "CHK_WRITE",
     "Instr",

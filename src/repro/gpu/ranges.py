@@ -9,7 +9,7 @@ engine reports read/write sets.
 from __future__ import annotations
 
 import bisect
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Optional
 
 from repro.errors import InvalidValueError
 
@@ -23,6 +23,7 @@ class RangeSet:
 
     def __init__(self, ranges: Iterable[tuple[int, int]] = ()) -> None:
         self._ranges: list[tuple[int, int]] = []
+        self._edges: Optional[list[int]] = None
         for start, end in ranges:
             self.add(start, end)
 
@@ -42,6 +43,18 @@ class RangeSet:
             start = min(start, self._ranges[j][0])
             j += 1
         self._ranges[i:j] = [(start, end)]
+        self._edges = None
+
+    def edges(self) -> list[int]:
+        """The bounds flattened, ``[start0, end0, start1, end1, ...]``.
+
+        Strictly increasing, because touching ranges merge, so ``addr``
+        is in the set iff ``bisect_right(edges, addr)`` is odd: one C call
+        per membership test, which the interpreter's ``CHK`` makes inline.
+        """
+        if self._edges is None:
+            self._edges = [bound for rng in self._ranges for bound in rng]
+        return self._edges
 
     def __contains__(self, addr: int) -> bool:
         i = bisect.bisect_right(self._ranges, (addr, float("inf"))) - 1

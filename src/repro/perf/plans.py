@@ -13,14 +13,15 @@ proving the result is identical to sequential interpretation.
 How a plan is built
 -------------------
 
-``try_fast_run`` keys the cache a ``Program`` declares for it (its
-``plans`` field, which only this module fills) by ``(n_threads,
-len(args))`` plus a *specialization signature*: the values of the
-arguments that feed branch conditions or MOD divisors (discovered
-during tracing).  On a miss, the launch is traced symbolically over
-:attr:`Program.decoded` — the same pre-decoded table the interpreter
-runs, so there is one decode and the two tiers cannot disagree about an
-operand — vectorized over threads:
+``try_fast_run`` keys the cache a program's shared
+:class:`~repro.gpu.isa.Body` declares for it (its ``plans`` field,
+which only this module fills — so every program with one body compiles
+once) by ``(n_threads, len(args))`` plus a *specialization signature*:
+the values of the arguments that feed branch conditions or MOD divisors
+(discovered during tracing).  On a miss, the launch is traced
+symbolically over :attr:`Program.decoded` — the same pre-decoded table
+the interpreter runs, so there is one decode and the two tiers cannot
+disagree about an operand — vectorized over threads:
 
 * every register holds a concrete value (int, or a uint64 vector over
   tids), an affine form ``c0 + Σ ci·arg_i + ct·tid`` when one exists,
@@ -34,7 +35,11 @@ operand — vectorized over threads:
   or divisors, out-of-range arguments, step-budget overruns — aborts
   the trace and the launch falls back to the interpreter, counted in
   ``perf/plan_cache/fallback`` under the labels of docs/performance.md's
-  "Fallback taxonomy".
+  "Fallback taxonomy".  An abort on an argument *value* (out of range,
+  a zero divisor, the step budget, a divergent branch whose condition
+  reads an argument) is remembered for that argument tuple only; any
+  other abort for the whole key (or, once a plan exists, for its
+  signature values).
 
 The traced access sites are then grouped by pc.  A pc that executed
 ``k`` times (an affine loop) must show a constant per-iteration address
@@ -104,11 +109,16 @@ _U3 = np.uint64(3)
 
 
 class _Abort(Exception):
-    """Raised during trace/compile when equivalence cannot be proven."""
+    """Raised during trace/compile when equivalence cannot be proven.
 
-    def __init__(self, reason: str) -> None:
+    ``by_value`` marks an abort caused by an argument's value rather than
+    by the body: another argument tuple may trace fine.
+    """
+
+    def __init__(self, reason: str, by_value: bool = False) -> None:
         super().__init__(reason)
         self.reason = reason
+        self.by_value = by_value
 
 
 # --------------------------------------------------------------------------
@@ -257,7 +267,7 @@ def _trace(program: Program, args, n_threads: int, max_steps: int) -> _Trace:
     steps = 0
     while True:
         if steps >= cap:
-            raise _Abort("step-budget")
+            raise _Abort("step-budget", by_value=True)
         code, rd, ra, rb, x = table[pc]
         steps += 1
         if code == OP_ARG:
@@ -265,7 +275,7 @@ def _trace(program: Program, args, n_threads: int, max_steps: int) -> _Trace:
                 raise _Abort("arg-index")
             val = int(args[x])
             if val < 0 or val > _MASK64:
-                raise _Abort("arg-out-of-range")
+                raise _Abort("arg-out-of-range", by_value=True)
             used_args.add(x)
             regs[rd] = _V(conc=val, aff=_Aff(0, ((x, 1),)),
                           deps=frozenset((x,)))
@@ -337,7 +347,8 @@ def _trace(program: Program, args, n_threads: int, max_steps: int) -> _Trace:
                 if taken.all():
                     taken = True
                 elif taken.any():
-                    raise _Abort("divergent-branch")
+                    raise _Abort("divergent-branch",
+                                 by_value=bool(a.deps or b.deps))
                 else:
                     taken = False
             if taken:
@@ -377,7 +388,7 @@ def _trace(program: Program, args, n_threads: int, max_steps: int) -> _Trace:
             sig.update(b.deps)
             cb = b.conc
             if (cb == 0) if type(cb) is int else bool((cb == 0).any()):
-                raise _Abort("zero-divisor")
+                raise _Abort("zero-divisor", by_value=True)
             if a.expr is not None:
                 regs[rd] = _V(expr=_Bin("mod", a.expr, _leaf(b, sig)))
             else:
@@ -392,7 +403,7 @@ def _trace(program: Program, args, n_threads: int, max_steps: int) -> _Trace:
             raise _Abort(f"op-{code}")
         pc += 1
     if steps > max_steps:
-        raise _Abort("step-budget")
+        raise _Abort("step-budget", by_value=True)
     return _Trace(sites, steps, frozenset(sig), frozenset(used_args))
 
 
@@ -740,18 +751,25 @@ def try_fast_run(program: Program, args, n_threads: int, memory,
     """Serve a launch from the plan cache; None → caller interprets."""
     if not isinstance(memory, DeviceMemory):
         return None
-    cache = program.plans
+    body = program.body
+    cache = body.plans
     key = (n_threads, len(args))
     entry = cache.get(key)
     if entry is None:
-        # "dead" and the values of "plans" remember *why* no plan exists,
-        # as the (reason, abort) labels every later launch is counted under.
-        entry = {"dead": ("static", "glob") if program.uses_globals else None,
-                 "sig": None, "plans": {}}
+        # "dead", the values of "plans" and of "bad" (by max_steps and
+        # argument tuple) remember *why* no plan exists, as the (reason,
+        # abort) labels every later launch is counted under.
+        entry = {"dead": ("static", "glob") if body.uses_globals else None,
+                 "sig": None, "plans": {}, "bad": {}}
         cache[key] = entry
     if entry["dead"]:
         _note_fallback(*entry["dead"])
         return None
+    if entry["bad"]:
+        why = entry["bad"].get((max_steps, *args))
+        if why is not None:
+            _note_fallback(*why)
+            return None
 
     sig = entry["sig"]
     plan = None
@@ -771,15 +789,19 @@ def try_fast_run(program: Program, args, n_threads: int, memory,
         _stats["miss"] += 1
         obs.counter("perf/plan_cache/miss").inc()
         why = None
+        by_value = False
         try:
             trace = _trace(program, args, n_threads, max_steps)
             plan = _compile(trace, n_threads)
         except _Abort as exc:
             why = ("trace-abort", exc.reason)
+            by_value = exc.by_value
         except Exception as exc:
             why = ("trace-error", type(exc).__name__)
         if why is not None:
-            if sig is None:
+            if by_value:
+                entry["bad"][(max_steps, *args)] = why
+            elif sig is None:
                 entry["dead"] = why
             else:
                 entry["plans"][sig_key] = why

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.api.calls import ApiCategory, LaunchPlan
-from repro.api.runtime import API_CALL_OVERHEAD, GpuProcess, mix_into
+from repro.api.runtime import API_CALL_OVERHEAD, GpuProcess, mix_into, mix_many
 from repro.errors import GpuError, InvalidValueError
 from repro.gpu.context import GpuContext
 from repro.gpu.cost_model import KernelCost
@@ -312,6 +312,39 @@ def test_lib_compute_mixes_reads_into_writes(eng, process):
     mix_into(c, [a, b], salt=0)
     assert c.snapshot() == c.snapshot()
     assert before != bytes(c.data_size)
+
+
+def test_mix_many_matches_a_python_int_fold():
+    """mix_many against the fold written out on Python ints: random salts,
+    reads and writes of uneven word counts (a short read only mixes into
+    the prefix it covers)."""
+    import random
+
+    from repro.gpu.memory import DeviceMemory
+    from repro.units import MIB
+
+    mask = 2**64 - 1
+    rng = random.Random(7)
+    for _ in range(40):
+        mem = DeviceMemory(capacity=4 * MIB)
+        reads = [mem.alloc(8 * w, data_size=8 * w)
+                 for w in (rng.randint(1, 80) for _ in range(rng.randint(0, 5)))]
+        writes = [mem.alloc(8 * w, data_size=8 * w)
+                  for w in (rng.randint(1, 80) for _ in range(rng.randint(1, 4)))]
+        for buf in reads:
+            for i in range(buf.data_size // 8):
+                buf.store_word(buf.addr + 8 * i, rng.randrange(2**64))
+        salt = rng.choice([0, rng.randrange(2**64), -rng.randrange(2**63)])
+        mix_many(writes, reads, salt=salt)
+        for buf in writes:
+            for i in range(buf.data_size // 8):
+                acc = (0x9E3779B97F4A7C15 ^ salt) & mask
+                for rb in reads:
+                    if i < rb.data_size // 8:
+                        acc = (acc * 6364136223846793005 & mask) ^ \
+                            rb.load_word(rb.addr + 8 * i)
+                assert buf.load_word(buf.addr + 8 * i) == acc
+            assert buf.hw_dirty
 
 
 def test_api_overhead_charged(eng, process):

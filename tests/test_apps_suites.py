@@ -6,6 +6,7 @@ from repro import obs
 from repro.apps import suites as suites_mod
 from repro.apps.suites import build_suites, run_speculation_study
 from repro.core.tracker import BufferTable
+from repro.gpu.instrument import instrument_program
 from repro.gpu.memory import DeviceMemory
 from repro.perf.plans import plan_cache_stats, reset_plan_cache_stats
 from repro.sim import Engine
@@ -74,6 +75,11 @@ def test_study_launch_traffic_by_tier():
     launches) and the bench's ``spec_validate`` workload is 4 x this
     study, so a plan-compiler change that moves launches between tiers
     should show up here as a diff, not as an unexplained bench shift.
+
+    Programs with one body share its compiled plans, and live bodies
+    outlast this test's programs only while another test holds them, so
+    a miss is bounded by the study's distinct (body, key) pairs rather
+    than pinned: the count must not depend on which tests ran first.
     """
     observer = obs.install(Engine())
     try:
@@ -82,7 +88,7 @@ def test_study_launch_traffic_by_tier():
         stats = plan_cache_stats()
     finally:
         obs.uninstall()
-    assert stats == {"hit": 3265, "miss": 803, "fallback": 1776}
+    assert (stats["hit"], stats["fallback"]) == (3265, 1776)
     # Every launch ends as one or the other; a miss is counted on top.
     assert stats["hit"] + stats["fallback"] == 5041
 
@@ -94,7 +100,13 @@ def test_study_launch_traffic_by_tier():
         ("trace-abort", "divergent-branch"): 858,   # partial_fill / reduce_sum
     }
     # ... which is exactly the launches of those kernel shapes.
-    suites, _ = build_suites(DeviceMemory(capacity=1 * GIB), BufferTable(0))
+    suites, bufs = build_suites(DeviceMemory(capacity=1 * GIB), BufferTable(0))
+    # 804 kernels, ten plan keys: eleven shapes share ten bodies (fill and
+    # struct_kernel assemble alike), and the legacy kernel never traces.
+    keys = {(instrument_program(k.program, check_reads=True).body,
+             len(k.make_args(k.program, bufs)))
+            for s in suites for k in s.kernels if not k.program.uses_globals}
+    assert stats["miss"] <= len(keys) == 10
     by_shape = dict.fromkeys(("gather", "scatter", "partial_fill",
                               "reduce_sum", "legacy"), 0)
     for suite in suites:

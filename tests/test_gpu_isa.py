@@ -135,7 +135,8 @@ def test_decoded_table_survives_pickling():
 
 def test_derived_state_survives_pickling_and_stays_out_of_repr():
     """A program with a compiled plan, a twin and a parsed signature
-    pickles to an equal program; none of those caches is in ``repr``."""
+    pickles to an equal program that shares its body (plans included);
+    none of those caches is in ``repr``."""
     import pickle
 
     from repro.core.signatures import program_signature
@@ -150,11 +151,13 @@ def test_derived_state_survives_pickling_and_stays_out_of_repr():
     run_kernel(prog, [x.addr, y.addr, 8], n_threads=8, memory=mem)
     twin = instrument_program(prog)
     program_signature(prog)
-    assert prog.plans and prog.twins == {False: twin} and prog.signature
+    assert prog.body.plans and prog.twins == {False: twin} and prog.signature
     clone = pickle.loads(pickle.dumps(prog))
     assert clone == prog and clone.decoded == prog.decoded
+    assert clone.body is prog.body
     assert repr(clone) == repr(prog)
-    for derived in ("decoded", "uses_globals", "twins", "signature", "plans"):
+    for derived in ("decoded", "uses_globals", "twins", "signature", "plans",
+                    "body"):
         assert f"{derived}=" not in repr(prog)
 
 

@@ -281,6 +281,50 @@ def test_free_and_alloc_at_between_identical_launches():
     assert (fast[4], slow[4]) == (1, 0)
 
 
+def test_value_dependent_abort_is_remembered_for_its_arguments_only():
+    """A launch whose argument value stops the trace (n = -1 is out of
+    range) falls back alone; the later valid launches are plan hits, and
+    a repeat of the bad launch does not trace again."""
+    from repro.perf.plans import plan_cache_stats, reset_plan_cache_stats
+
+    n = 8
+    prog = build_copy()
+    mem, x, y, _ = _saxpy_memory(n)
+    reset_plan_cache_stats()
+    run_kernel(prog, [x.addr, y.addr, -1], n, mem)
+    for _ in range(3):
+        run_kernel(prog, [x.addr, y.addr, n], n, mem)
+    stats = plan_cache_stats()
+    assert (stats["hit"], stats["fallback"]) == (3, 1)
+    misses = stats["miss"]
+    run_kernel(prog, [x.addr, y.addr, -1], n, mem)
+    assert plan_cache_stats() == {"hit": 3, "miss": misses, "fallback": 2}
+    assert y.snapshot() == x.snapshot()
+
+
+def test_divergence_on_an_argument_is_remembered_per_arguments():
+    """partial_fill diverges on 8 threads when n = 4 (2*tid < n) but not
+    when n = 16, so the uniform launch still gets a plan; reduce_sum
+    diverges on the thread id alone, so its key is given up once."""
+    from repro.perf.plans import plan_cache_stats, reset_plan_cache_stats
+
+    n = 8
+    mem, x, y, z = _saxpy_memory(n)
+    reset_plan_cache_stats()
+    partial = build_partial_fill()
+    run_kernel(partial, [y.addr, 4, 7], n, mem)
+    run_kernel(partial, [y.addr, 16, 7], n, mem)
+    assert plan_cache_stats()["hit"] == 1
+    reduce = build_reduce_sum()
+    before = plan_cache_stats()
+    run_kernel(reduce, [x.addr, z.addr, 2], n, mem)
+    run_kernel(reduce, [x.addr, z.addr, 3], n, mem)
+    after = plan_cache_stats()
+    assert after["fallback"] - before["fallback"] == 2
+    assert after["miss"] - before["miss"] <= 1
+    assert after["hit"] == before["hit"]
+
+
 def test_each_launch_asks_its_own_validation_state():
     """A launch with the same arguments as a covered one, but ranges that
     no longer cover its writes, reports the interpreter's violations."""
