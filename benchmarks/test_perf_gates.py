@@ -1,8 +1,8 @@
-"""Performance gates: the five ratio checks nothing else makes.
+"""Performance gates: the six ratio checks nothing else makes.
 
 Wall-clock numbers live in ``bench/`` (``python3 bench/run.py``).  What
 stays here a runner of any speed can decide: a ratio of two timings
-taken in this process (gates 1-3 and 5) or of virtual times, which are exact
+taken in this process (gates 1-3, 5 and 6) or of virtual times, which are exact
 (gate 4).  The arms of a timing ratio alternate run by run, on the CPU
 clock, and the ratio divides their *minima*: a collector pass costs one
 run, not one arm, and a preempted run is not billed for its wait.  Wall
@@ -12,12 +12,13 @@ time over two consecutive blocks read 0.30-1.79 for gate 2 on one commit.
 import time
 
 from repro import chaos
+from repro.apps.suites import N_THREADS, N_WORDS
 from repro.core.frequency import optimal_frequency
 from repro.experiments import fig16_cow_breakdown, harness
 from repro.gpu.instrument import instrument_program
 from repro.gpu.interpreter import ValidationState, run_kernel
 from repro.gpu.memory import DeviceMemory
-from repro.gpu.program import build_saxpy
+from repro.gpu.program import build_gather, build_reduce_sum, build_saxpy
 from repro.gpu.ranges import RangeSet
 from repro.perf.plans import plan_cache_stats, reset_plan_cache_stats
 from repro.sim.domains import DomainChannel, Home
@@ -88,6 +89,48 @@ def test_gate5_plans_beat_interpretation_at_the_table3_shape():
           f"{twin:.2f}x instrumented twin")
     assert plain >= 2.5
     assert twin >= 2.5
+
+
+def twin_speedup(build, buffers, launches=50):
+    """Forced interpretation over plans for the read-checking twin of a
+    Table 3 shape, launched as the study launches it: 8 threads on
+    ``N_WORDS`` words, the same arguments every time, buffer-granular
+    speculated ranges.  ``buffers`` names the pointer arguments in
+    order; the kernel writes the last one."""
+    mem = DeviceMemory(capacity=64 * MIB, default_data_size=512)
+    bufs = {name: mem.alloc(4096, tag=name) for name in ("x", "idx", "y")}
+    for i in range(N_WORDS):
+        bufs["x"].store_word(bufs["x"].addr + 8 * i, i + 1)
+        bufs["idx"].store_word(bufs["idx"].addr + 8 * i, (i * 5 + 2) % N_WORDS)
+    *sources, target = (bufs[name] for name in buffers)
+    args = [b.addr for b in (*sources, target)] + [N_WORDS]
+    reads = RangeSet([(b.addr, b.end) for b in sources])
+    writes = RangeSet([(target.addr, target.end)])
+    twin = instrument_program(build(), check_reads=True)
+
+    def launch(force):
+        run_kernel(twin, args, N_THREADS, mem,
+                   validation=ValidationState(read_ranges=reads,
+                                              write_ranges=writes),
+                   force_interpret=force)
+
+    reset_plan_cache_stats()
+    interp, fast = min_cpu_s(repeated(launches, launch, True),
+                             repeated(launches, launch, False))
+    assert plan_cache_stats()["hit"] > 0
+    return interp / fast
+
+
+def test_gate6_plans_serve_gathering_and_divergent_table3_kernels():
+    """A gather (an index loaded from memory) and a reduction (only
+    thread 0 loops) at the §8.5 study's launch shape: served by plans,
+    proven per launch for the gather, not by the interpreter."""
+    gather = twin_speedup(build_gather, ("x", "idx", "y"))
+    reduce = twin_speedup(build_reduce_sum, ("x", "y"))
+    print(f"\nplans at the Table 3 shape: {gather:.2f}x gather twin, "
+          f"{reduce:.2f}x reduce_sum twin")
+    assert gather >= 2.0
+    assert reduce >= 2.0
 
 
 def token_ring(multi):

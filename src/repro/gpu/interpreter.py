@@ -34,9 +34,9 @@ access run the twin against empty ranges and read the violations.
 
 Unless a launch passes ``force_interpret=True``, :func:`run_kernel`
 first offers it to the :mod:`repro.perf` compiled-plan cache, which
-executes affine kernels as vectorized bulk operations with byte-, step-
-and violation-identical results, falling back to this interpreter
-whenever equivalence cannot be proven.
+executes affine, divergent and gathering kernels as vectorized bulk
+operations with byte-, step- and violation-identical results, falling
+back to this interpreter whenever equivalence cannot be proven.
 """
 
 from __future__ import annotations

@@ -154,8 +154,9 @@ class DeviceMemory:
 
     The allocator is first-fit over a single virtual address range
     starting at ``base``.  Freed ranges are coalesced.  ``resolve`` maps
-    a device address back to its buffer, which is how the interpreter
-    and the speculation engine turn raw pointers into buffers.
+    a device address back to its buffer, which is how compiled plans
+    turn raw pointers into buffers; ``load_word``/``store_word``, the
+    interpreter's accesses, make the same lookup inline.
     """
 
     def __init__(
@@ -262,7 +263,7 @@ class DeviceMemory:
         if i < 0:
             return None
         buf = self._buffers[self._addrs[i]]
-        return buf if buf.contains(addr) else None
+        return buf if addr < buf.addr + buf.size else None
 
     def buffers(self) -> Iterator[Buffer]:
         """All live buffers in address order."""
@@ -277,19 +278,43 @@ class DeviceMemory:
         return len(self._buffers)
 
     # -- functional access by raw address -------------------------------------------
+    # One bisect and one bounds check (the word inside both the logical
+    # size and the materialized prefix), then the word view.  An access
+    # the word view cannot serve (misaligned, past the prefix or the
+    # buffer, a big-endian host) goes to the buffer's own method, which
+    # faults or takes the byte path.
     def load_word(self, addr: int) -> int:
         """Load through the allocator: faults on unmapped addresses."""
-        buf = self.resolve(addr)
-        if buf is None:
-            raise InvalidAddressError(f"load from unmapped device address {addr:#x}")
-        return buf.load_word(addr)
+        addrs = self._addrs
+        i = bisect.bisect_right(addrs, addr) - 1
+        if i >= 0:
+            buf = self._buffers[addrs[i]]
+            off = addr - buf.addr
+            end = off + WORD
+            if not off & 7 and end <= buf.size and end <= len(buf.data) \
+                    and buf.words is not None:
+                return int(buf.words[off >> 3])
+            if off < buf.size:
+                return buf.load_word(addr)
+        raise InvalidAddressError(f"load from unmapped device address {addr:#x}")
 
     def store_word(self, addr: int, value: int) -> None:
         """Store through the allocator: faults on unmapped addresses."""
-        buf = self.resolve(addr)
-        if buf is None:
-            raise InvalidAddressError(f"store to unmapped device address {addr:#x}")
-        buf.store_word(addr, value)
+        addrs = self._addrs
+        i = bisect.bisect_right(addrs, addr) - 1
+        if i >= 0:
+            buf = self._buffers[addrs[i]]
+            off = addr - buf.addr
+            end = off + WORD
+            if not off & 7 and end <= buf.size and end <= len(buf.data) \
+                    and buf.words is not None:
+                buf.words[off >> 3] = value & _MASK64
+                buf.hw_dirty = True
+                return
+            if off < buf.size:
+                buf.store_word(addr, value)
+                return
+        raise InvalidAddressError(f"store to unmapped device address {addr:#x}")
 
 
 def _align_up(value: int, align: int) -> int:

@@ -3,12 +3,14 @@
 The scalar interpreter (:mod:`repro.gpu.interpreter`) runs threads
 sequentially, one instruction at a time, and pays Python-level dispatch
 for every LDG/STG.  Most kernel traffic in this repository (the opaque
-workload suite: copy/scale/fill/axpy and friends) is *affine*: control
-flow is uniform across threads, and every memory address is an affine
-function of the kernel arguments, the thread id, and the loop iteration.
-Such launches can be executed as a handful of numpy gathers/computes/
-scatters over the :class:`~repro.gpu.memory.Buffer` word views — after
-proving the result is identical to sequential interpretation.
+workload suite: copy/scale/fill/axpy and friends, the Table 3 study's
+gathers, scatters, reductions and partial writes) follows a few paths
+per launch, and every memory address is either an affine function of
+the kernel arguments, the thread id and the loop iteration, or one
+computed from words the kernel loaded (a gather or scatter).  Such
+launches can be executed as a handful of numpy gathers/computes/scatters
+over the :class:`~repro.gpu.memory.Buffer` word views — after proving
+the result is identical to sequential interpretation.
 
 How a plan is built
 -------------------
@@ -21,55 +23,68 @@ the values of the arguments that feed branch conditions or MOD divisors
 (discovered during tracing).  On a miss, the launch is traced
 symbolically over :attr:`Program.decoded` — the same pre-decoded table
 the interpreter runs, so there is one decode and the two tiers cannot
-disagree about an operand — vectorized over threads:
+disagree about an operand — vectorized over the threads of a *lane
+class*:
 
 * every register holds a concrete value (int, or a uint64 vector over
-  tids), an affine form ``c0 + Σ ci·arg_i + ct·tid`` when one exists,
-  and a taint flag — values derived from LDG are *tainted* and carry an
-  expression DAG instead of a concrete value;
-* branches must be untainted and **uniform** across threads (their arg
-  dependencies go into the signature, so replays with equal signature
-  values provably follow the traced path);
-* LDG/STG/CHK addresses must be untainted and affine;
-* anything else — GLOB, tainted/divergent branches, tainted addresses
-  or divisors, out-of-range arguments, step-budget overruns — aborts
-  the trace and the launch falls back to the interpreter, counted in
-  ``perf/plan_cache/fallback`` under the labels of docs/performance.md's
-  "Fallback taxonomy".  An abort on an argument *value* (out of range,
-  a zero divisor, the step budget, a divergent branch whose condition
-  reads an argument) is remembered for that argument tuple only; any
-  other abort for the whole key (or, once a plan exists, for its
-  signature values).
+  the class's tids), an affine form ``c0 + Σ ci·arg_i + ct·tid`` when
+  one exists, and a taint flag — values derived from LDG are *tainted*
+  and carry an expression DAG instead of a concrete value;
+* branches must be untainted; their arg dependencies go into the
+  signature, so replays with equal signature values provably follow
+  the traced paths.  A branch that goes different ways for the lanes of
+  a class splits it in two, and each part is traced again from the
+  entry: every class is one path to ``EXIT``, every thread is in one
+  class, and there are at most ``n_threads`` of them.
+  ``_TRACE_STEP_CAP`` bounds the steps traced over all classes;
+* an LDG/STG/CHK address must be affine or tainted (a *gather* — a
+  scatter for a store — whose addresses are evaluated at launch);
+* anything else — GLOB, tainted branches or divisors, untainted
+  non-affine addresses, out-of-range arguments, step-budget overruns —
+  aborts the trace and the launch falls back to the interpreter,
+  counted in ``perf/plan_cache/fallback`` under the labels of
+  docs/performance.md's "Fallback taxonomy".  An abort on an argument
+  *value* (out of range, a zero divisor, the step budget) is remembered
+  for that argument tuple only; any other abort for the whole key (or,
+  once a plan exists, for its signature values).
 
-The traced access sites are then grouped by pc.  A pc that executed
-``k`` times (an affine loop) must show a constant per-iteration address
-delta, giving the site group the closed form ``addr(j, tid) = base +
-dj·j + ct·tid`` — exactly a coalesced strided range.  Store values are
-merged across iterations by shape-matching their expression DAGs.
+The traced access sites are then grouped by ``(class, pc, kind)``.  An
+affine pc that executed ``k`` times (an affine loop) must show a
+constant per-iteration address delta, giving the site group the closed
+form ``addr(j, tid) = base + dj·j + ct·tid`` over the class's tids —
+exactly a strided range.  A gather group keeps its address expression,
+merged across iterations like a value.  Store values are merged across
+iterations by shape-matching their expression DAGs.
 
-``_bind`` evaluates the affine forms against the actual arguments and
-proves, before touching any byte:
+``_bind`` evaluates the affine forms against the actual arguments and,
+with ``_bind_gathers`` for the gather groups on each launch's concrete
+addresses (in trace order, so an index is read before the address it
+feeds), proves before touching any byte:
 
 * every access lands word-aligned inside a single buffer's materialized
   prefix (otherwise the interpreter's fault semantics must apply — fall
   back);
 * all store addresses are pairwise distinct and no load overlaps a
   store except *lane-identically before it* (the in-place
-  read-modify-write pattern) — this makes vectorized all-loads-then-
-  all-stores equal to sequential per-thread execution;
+  read-modify-write pattern, within one class) — this makes vectorized
+  all-loads-then-all-stores equal to sequential per-thread execution;
 * for instrumented twins: each CHK group's address hull is contained in
   the speculated range set (:meth:`ValidationState.covers`), which
   proves the per-access checks would produce **zero** violations.  A
   launch that would produce violations is never served by a plan — it
   falls back, and the interpreter reports the identical violation list.
 
-The proof is a pure function of the plan, the argument tuple and the
-buffer layout, so its record (each group's buffer and word indices,
-the conflict verdicts, the CHK hulls) — or its failure — is kept in one
-slot per plan on the :class:`~repro.gpu.memory.DeviceMemory`, keyed by
-the argument tuple; ``alloc``, ``alloc_at`` and ``free`` flush it.  A
-plan itself never references a buffer.  What depends on the launch is
-redone every time: the step budget and used-argument range checks, the
+The affine proof is a pure function of the plan, the argument tuple and
+the buffer layout, so its record (each affine group's buffer and word
+indices, the conflict verdicts between affine groups, the CHK hulls,
+the argument-only terms of each gather's address) — or its failure —
+is kept in one slot per plan on the
+:class:`~repro.gpu.memory.DeviceMemory`, keyed by the argument tuple;
+``alloc``, ``alloc_at`` and ``free`` flush it.  A plan itself never
+references a buffer.  A gather's proof depends on loaded words, which
+any launch may rewrite, so it is redone on every launch and never
+memoised; a plan without gathers does no gather work.  What else
+depends on the launch is redone every time too: the step budget, the
 CHK hulls against *that launch's* ``ValidationState.covers``, value
 evaluation (gathering load groups at most once), scatter, and dirty
 bits.  Like the interpreter, a plan records no per-access log.
@@ -78,8 +93,9 @@ Equivalence guarantees (enforced, not assumed):
 
 * bytes and dirty bits: store sets are conflict-free, so lockstep
   equals sequential;
-* steps: every thread runs the traced path, so a launch counts
-  ``steps_per_thread * n_threads``;
+* steps: every thread runs its class's traced path, so a launch counts
+  ``Σ class steps × lanes in the class``, and a class longer than
+  ``max_steps`` falls back (the interpreter faults on it);
 * violations: plans only run when provably violation-free;
 * faults: plans mutate nothing until every precondition is proven, so a
   fallback launch replays the interpreter's exact fault behaviour.
@@ -89,6 +105,9 @@ Equivalence guarantees (enforced, not assumed):
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import or_
+
 import numpy as np
 
 from repro import obs
@@ -97,12 +116,14 @@ from repro.gpu.isa import (
     OP_EXIT, OP_GLOB, OP_JMP, OP_LDG, OP_MOD, OP_MOV, OP_MUL, OP_MULI, OP_NTID,
     OP_SETI, OP_STG, OP_SUB, OP_TID, AccessKind, Program,
 )
+from repro.gpu.interpreter import KernelRun
 from repro.gpu.memory import WORD, DeviceMemory
 
 _MASK64 = (1 << 64) - 1
 
-#: Hard cap on traced instructions per thread: beyond this a kernel is
-#: not "a few affine loops" and tracing costs more than it saves.
+#: Hard cap on traced instructions, over every lane class of a trace:
+#: beyond this a kernel is not "a few affine loops" and tracing costs
+#: more than it saves.
 _TRACE_STEP_CAP = 4096
 
 _U3 = np.uint64(3)
@@ -196,14 +217,15 @@ class _CVec:
 
 
 class _Site:
-    __slots__ = ("pos", "pc", "kind", "aff", "value", "group", "j")
+    __slots__ = ("pos", "pc", "kind", "aff", "addr", "value", "group", "j")
 
-    def __init__(self, pos: int, pc: int, kind: str, aff: _Aff,
+    def __init__(self, pos: int, pc: int, kind: str, aff, addr,
                  value=None) -> None:
         self.pos = pos
         self.pc = pc
         self.kind = kind  # "r" | "w" | "cr" | "cw"
-        self.aff = aff
+        self.aff = aff  # _Aff, or None for a gather/scatter site
+        self.addr = addr  # the tainted address expr when aff is None
         self.value = value  # store sites: _Aff | _CVec | expr node
         self.group = None
         self.j = 0
@@ -226,11 +248,13 @@ _ZERO = _V(conc=0, aff=_Aff(0), deps=_NO_DEPS)
 
 
 class _Trace:
-    __slots__ = ("sites", "steps_per_thread", "sig", "used_args")
+    """A traced launch: ``classes`` holds one ``(tids, sites, steps)`` per
+    lane class, every thread in exactly one of them."""
 
-    def __init__(self, sites, steps_per_thread, sig, used_args):
-        self.sites = sites
-        self.steps_per_thread = steps_per_thread
+    __slots__ = ("classes", "sig", "used_args")
+
+    def __init__(self, classes, sig, used_args):
+        self.classes = classes
         self.sig = sig
         self.used_args = used_args
 
@@ -249,19 +273,56 @@ def _leaf(v: _V, sig: set):
     return _CVec(v.conc)
 
 
+def _access(sites: list, pc: int, kind: str, a: _V, value=None) -> _Site:
+    """Record an access at address ``a``: affine, or a gather/scatter."""
+    if a.aff is None and a.expr is None:
+        raise _Abort("addr-not-affine")
+    site = _Site(len(sites), pc, kind, a.aff, a.expr, value)
+    sites.append(site)
+    return site
+
+
 _BIN_NAME = {OP_ADD: "add", OP_SUB: "sub", OP_MUL: "mul"}
 
 
 def _trace(program: Program, args, n_threads: int, max_steps: int) -> _Trace:
-    """Symbolically execute ``program`` lockstep over all threads."""
-    table = program.decoded
-    nargs = len(args)
-    tidv = np.arange(n_threads, dtype=np.uint64)
+    """Symbolically execute ``program`` lockstep, one lane class at a time.
+
+    All threads start in one class.  A branch that goes different ways
+    for the lanes of a class splits it into the lanes that take it and
+    the lanes that do not, and each part is traced again from the entry,
+    so every class is one path from entry to ``EXIT`` followed by all
+    its lanes.  A split never leaves a class empty, so there are at
+    most ``n_threads`` classes.  ``_TRACE_STEP_CAP`` bounds the steps
+    traced over all attempts together; each path must fit ``max_steps``.
+    """
     sig: set[int] = set()
     used_args: set[int] = set()
+    budget = _TRACE_STEP_CAP
+    classes = []
+    todo = [np.arange(n_threads, dtype=np.uint64)]
+    while todo:
+        tids = todo.pop()
+        sites, steps, split = _trace_class(
+            program, args, tids, n_threads, min(max_steps, budget), sig,
+            used_args)
+        budget -= steps
+        if split is None:
+            classes.append((tids, sites, steps))
+        else:
+            todo += split
+    return _Trace(classes, frozenset(sig), frozenset(used_args))
+
+
+def _trace_class(program: Program, args, tidv: np.ndarray, n_threads: int,
+                 cap: int, sig: set, used_args: set):
+    """Trace the lanes ``tidv`` from the entry: ``(sites, steps, split)``,
+    where ``split`` is None at ``EXIT`` or the two lane subsets of the
+    first branch that diverges among them."""
+    table = program.decoded
+    nargs = len(args)
     sites: list[_Site] = []
     regs: list[_V] = [_ZERO] * NUM_REGS
-    cap = min(max_steps, _TRACE_STEP_CAP)
 
     pc = 0
     steps = 0
@@ -305,11 +366,8 @@ def _trace(program: Program, args, n_threads: int, max_steps: int) -> _Trace:
                             aff = _aff_scale(a.aff, b.aff.c0)
                 regs[rd] = _V(conc=conc, aff=aff, deps=a.deps | b.deps)
         elif code == OP_CHK:
-            a = regs[ra]
-            if a.aff is None:
-                raise _Abort("addr-not-affine")
-            kind = "cw" if x is AccessKind.WRITE else "cr"
-            sites.append(_Site(len(sites), pc, kind, a.aff))
+            _access(sites, pc, "cw" if x is AccessKind.WRITE else "cr",
+                    regs[ra])
         elif code == OP_MULI:
             a = regs[ra]
             if a.expr is not None:
@@ -321,12 +379,7 @@ def _trace(program: Program, args, n_threads: int, max_steps: int) -> _Trace:
                 aff = _aff_scale(a.aff, x) if a.aff is not None else None
                 regs[rd] = _V(conc=conc, aff=aff, deps=a.deps)
         elif code == OP_LDG:
-            a = regs[ra]
-            if a.aff is None:
-                raise _Abort("addr-not-affine")
-            site = _Site(len(sites), pc, "r", a.aff)
-            sites.append(site)
-            regs[rd] = _V(expr=_Load(site))
+            regs[rd] = _V(expr=_Load(_access(sites, pc, "r", regs[ra])))
         elif OP_BLT <= code <= OP_BNE:
             a, b = regs[ra], regs[rb]
             if a.expr is not None or b.expr is not None:
@@ -343,12 +396,11 @@ def _trace(program: Program, args, n_threads: int, max_steps: int) -> _Trace:
             else:
                 taken = ca != cb
             if type(ca) is not int or type(cb) is not int:
-                # A per-tid vector: the branch must go one way for all.
+                # A per-tid vector: one way for all lanes, or a split.
                 if taken.all():
                     taken = True
                 elif taken.any():
-                    raise _Abort("divergent-branch",
-                                 by_value=bool(a.deps or b.deps))
+                    return sites, steps, (tidv[taken], tidv[~taken])
                 else:
                     taken = False
             if taken:
@@ -357,12 +409,9 @@ def _trace(program: Program, args, n_threads: int, max_steps: int) -> _Trace:
         elif code == OP_TID:
             regs[rd] = _V(conc=tidv, aff=_Aff(ct=1), deps=_NO_DEPS)
         elif code == OP_EXIT:
-            break
+            return sites, steps, None
         elif code == OP_STG:
-            a, b = regs[ra], regs[rb]
-            if a.aff is None:
-                raise _Abort("addr-not-affine")
-            sites.append(_Site(len(sites), pc, "w", a.aff, _leaf(b, sig)))
+            _access(sites, pc, "w", regs[ra], _leaf(regs[rb], sig))
         elif code == OP_SETI:
             regs[rd] = _V(conc=x, aff=_Aff(x), deps=_NO_DEPS)
         elif code == OP_ADDI:
@@ -402,33 +451,49 @@ def _trace(program: Program, args, n_threads: int, max_steps: int) -> _Trace:
         else:
             raise _Abort(f"op-{code}")
         pc += 1
-    if steps > max_steps:
-        raise _Abort("step-budget", by_value=True)
-    return _Trace(sites, steps, frozenset(sig), frozenset(used_args))
 
 
 # --------------------------------------------------------------------------
-# compile: group sites by pc into strided closed forms, merge store values
+# compile: group sites by (class, pc, kind) into strided closed forms or
+# gathers, merge store values
 # --------------------------------------------------------------------------
 
 class _Group:
-    __slots__ = ("kind", "c0", "coeffs", "ct", "dj", "k", "first_pos",
-                 "value", "jcol", "trow", "i")
+    __slots__ = ("kind", "cls", "tids", "pos", "k", "addr", "access", "c0",
+                 "coeffs", "ct", "dj", "jcol", "trow", "dup", "check_unique",
+                 "value", "i")
 
-    def __init__(self, kind: str) -> None:
+    def __init__(self, kind: str, cls: int, tids: np.ndarray) -> None:
         self.kind = kind
+        #: The lane class and its thread ids (the group's columns).
+        self.cls = cls
+        self.tids = tids
+        #: The runtime address node of a gather/scatter group, else None.
+        self.addr = None
+        #: What a CHK group checks; None for loads and stores.
+        self.access = AccessKind.WRITE if kind == "cw" \
+            else AccessKind.READ if kind == "cr" else None
         self.value = None
-        #: Position among the plan's load groups (value nodes name it).
+        #: Position in the plan's list of groups of this kind (value and
+        #: address nodes name load groups by it).
         self.i = -1
 
 
 class _Plan:
-    __slots__ = ("name", "n_threads", "steps_per_thread", "used_args",
-                 "load_groups", "store_groups", "chk_groups", "tidv")
+    __slots__ = ("steps", "longest", "used_args", "load_groups",
+                 "store_groups", "chk_groups", "gathers", "pairs")
+
+
+def _aff_node(c0: int, coeffs: tuple, ct: int, cj: int):
+    """The runtime node of ``c0 + Σ ci·arg_i + ct·tid + cj·j``; a
+    constant is folded to its value."""
+    if not coeffs and ct == 0 and cj == 0:
+        return ("cvec", np.uint64(c0 & _MASK64))
+    return ("aff", c0, coeffs, ct, cj)
 
 
 def _merge_exprs(nodes: list, k: int):
-    """Merge the k per-iteration value exprs of a store group."""
+    """Merge the k per-iteration exprs of a group (values or addresses)."""
     t0 = type(nodes[0])
     if any(type(x) is not t0 for x in nodes[1:]):
         raise _Abort("value-shape")
@@ -448,7 +513,7 @@ def _merge_exprs(nodes: list, k: int):
         cj = c0s[1] - c0s[0] if k > 1 else 0
         if any(c0s[j + 1] - c0s[j] != cj for j in range(k - 1)):
             raise _Abort("value-not-affine-in-j")
-        return ("aff", c0s[0], nodes[0].coeffs, nodes[0].ct, cj)
+        return _aff_node(c0s[0], nodes[0].coeffs, nodes[0].ct, cj)
     if t0 is _CVec:
         first = nodes[0].value
         if any(not np.array_equal(x.value, first) for x in nodes[1:]):
@@ -465,74 +530,170 @@ def _merge_exprs(nodes: list, k: int):
 
 
 def _single_expr(node):
-    """Lower a single (k == 1) value expr to runtime form."""
+    """Lower a single (k == 1) expr to runtime form."""
     t = type(node)
     if t is _Load:
         return ("row", node.site.group.i, node.site.j)
     if t is _Aff:
-        return ("aff", node.c0, node.coeffs, node.ct, 0)
+        return _aff_node(node.c0, node.coeffs, node.ct, 0)
     if t is _CVec:
         return ("cvec", node.value)
     if t is _Bin:
+        folded = _row_sum(node)
+        if folded is not None:
+            return folded
         return ("bin", node.op, _single_expr(node.a), _single_expr(node.b))
     raise _Abort("value-shape")
 
 
-def _compile(trace: _Trace, n_threads: int) -> _Plan:
-    groups: list[_Group] = []
-    group_sites: list[list[_Site]] = []
-    by_key: dict[tuple, int] = {}
-    for s in trace.sites:
-        key = (s.pc, s.kind)
-        gi = by_key.get(key)
-        if gi is None:
-            gi = by_key[key] = len(groups)
-            g = _Group(s.kind)
-            g.first_pos = s.pos
-            groups.append(g)
-            group_sites.append([])
-        s.group = groups[gi]
-        s.j = len(group_sites[gi])
-        group_sites[gi].append(s)
-    load_groups = [g for g in groups if g.kind == "r"]
-    for i, g in enumerate(load_groups):
-        g.i = i
+def _row_sum(node: _Bin):
+    """``((e + L_0) + L_1) + ... + L_{k-1}`` over every iteration of one
+    load group, the shape of an unrolled accumulation loop, as
+    ``e + sum(group)``: one reduction instead of k adds (exact, since
+    addition modulo 2**64 is associative)."""
+    sites = []
+    while type(node) is _Bin and node.op == "add" \
+            and type(node.b) is _Load:
+        sites.append(node.b.site)
+        node = node.a
+    sites.reverse()
+    if len(sites) < 2:
+        return None
+    grp = sites[0].group
+    if grp.k != len(sites) or any(
+            s.group is not grp or s.j != j for j, s in enumerate(sites)):
+        return None
+    return ("bin", "add", _single_expr(node), ("sum", grp.i))
 
-    tidv = np.arange(n_threads, dtype=np.uint64)
-    for g, sites in zip(groups, group_sites):
-        k = len(sites)
-        base = sites[0].aff
-        shape = base.shape_key()
-        for s in sites[1:]:
-            if s.aff.shape_key() != shape:
+
+def _lower(exprs: list, lowered: dict):
+    """The runtime node of a group's k per-iteration exprs.
+
+    Groups whose traced exprs are the same objects (a twin's ``CHK`` and
+    the access it guards read one register) get one node, so a launch
+    evaluates a gather's addresses once for both.
+    """
+    key = tuple(map(id, exprs))
+    node = lowered.get(key)
+    if node is None:
+        node = lowered[key] = _single_expr(exprs[0]) if len(exprs) == 1 \
+            else _merge_exprs(exprs, len(exprs))
+    return node
+
+
+def _signed(v: int) -> int:
+    """``v`` as the signed 64-bit value it is modulo 2**64."""
+    return ((v + (1 << 63)) & _MASK64) - (1 << 63)
+
+
+def _close_affine(g: _Group, sites: list) -> None:
+    """Give an affine group its closed form ``base + dj·j + ct·tid``."""
+    k = g.k
+    base = sites[0].aff
+    shape = base.shape_key()
+    for s in sites[1:]:
+        if s.aff.shape_key() != shape:
+            raise _Abort("addr-shape")
+    c0s = [s.aff.c0 for s in sites]
+    dj = c0s[1] - c0s[0] if k > 1 else 0
+    if any(c0s[j + 1] - c0s[j] != dj for j in range(k - 1)):
+        raise _Abort("addr-not-affine-in-j")
+    g.c0 = base.c0
+    g.coeffs = base.coeffs
+    g.ct = base.ct
+    g.dj = dj
+    g.jcol = (np.arange(k, dtype=np.uint64)
+              * np.uint64(dj & _MASK64)).reshape(-1, 1)
+    g.trow = np.uint64(base.ct & _MASK64) * g.tids
+    # Two stores of the group hit one word when a stride is 0 modulo
+    # 2**64 (over more than one lane or iteration).  Otherwise only a
+    # product of strides, or a stride times a lane gap wide enough to
+    # wrap, can collide: those are checked on the bound addresses.
+    lanes = len(g.tids)
+    ct, dj = _signed(base.ct), _signed(dj)
+    g.dup = (k > 1 and dj == 0) or (lanes > 1 and ct == 0)
+    g.check_unique = (k > 1 and lanes > 1) \
+        or abs(ct) * int(g.tids[-1] - g.tids[0]) >> 64 \
+        or abs(dj) * (k - 1) >> 64
+
+
+def _compile(trace: _Trace) -> _Plan:
+    by_kind: dict[str, list] = {"r": [], "w": [], "cr": [], "cw": []}
+    lowered: dict = {}
+    steps = longest = 0
+    for cls, (tids, sites, path) in enumerate(trace.classes):
+        steps += path * len(tids)
+        longest = max(longest, path)
+        groups: list[_Group] = []
+        members: list[list[_Site]] = []
+        by_key: dict[tuple, int] = {}
+        for s in sites:
+            key = (s.pc, s.kind)
+            gi = by_key.get(key)
+            if gi is None:
+                gi = by_key[key] = len(groups)
+                groups.append(_Group(s.kind, cls, tids))
+                members.append([])
+            s.group = groups[gi]
+            s.j = len(members[gi])
+            members[gi].append(s)
+        # Load indices first: address and value nodes name them.
+        for g in groups:
+            same = by_kind[g.kind]
+            g.i = len(same)
+            same.append(g)
+        for g, group_sites in zip(groups, members):
+            g.k = len(group_sites)
+            g.pos = tuple(s.pos for s in group_sites)
+        for g, group_sites in zip(groups, members):
+            gather = [s.aff is None for s in group_sites]
+            if all(gather):
+                g.addr = _lower([s.addr for s in group_sites], lowered)
+            elif any(gather):
                 raise _Abort("addr-shape")
-        c0s = [s.aff.c0 for s in sites]
-        dj = c0s[1] - c0s[0] if k > 1 else 0
-        if any(c0s[j + 1] - c0s[j] != dj for j in range(k - 1)):
-            raise _Abort("addr-not-affine-in-j")
-        g.c0 = base.c0
-        g.coeffs = base.coeffs
-        g.ct = base.ct
-        g.dj = dj
-        g.k = k
-        g.jcol = (np.arange(k, dtype=np.uint64)
-                  * np.uint64(dj & _MASK64)).reshape(-1, 1)
-        g.trow = np.uint64(base.ct & _MASK64) * tidv
-        if g.kind == "w":
-            if k == 1:
-                g.value = _single_expr(sites[0].value)
             else:
-                g.value = _merge_exprs([s.value for s in sites], k)
+                _close_affine(g, group_sites)
+            if g.kind == "w":
+                g.value = _lower([s.value for s in group_sites], lowered)
 
     plan = _Plan()
-    plan.n_threads = n_threads
-    plan.steps_per_thread = trace.steps_per_thread
+    plan.steps = steps
+    plan.longest = longest
     plan.used_args = trace.used_args
-    plan.tidv = tidv
-    plan.load_groups = load_groups
-    plan.store_groups = [g for g in groups if g.kind == "w"]
-    plan.chk_groups = [g for g in groups if g.kind in ("cr", "cw")]
+    plan.load_groups = by_kind["r"]
+    plan.store_groups = by_kind["w"]
+    plan.chk_groups = by_kind["cr"] + by_kind["cw"]
+    for i, g in enumerate(plan.chk_groups):
+        g.i = i
+    # A gather's address reads only loads that precede it in its class.
+    plan.gathers = sorted(
+        (g for g in plan.load_groups + plan.store_groups + plan.chk_groups
+         if g.addr is not None),
+        key=lambda g: (g.cls, g.pos[0]))
+    plan.pairs = _pairs(plan, False), _pairs(plan, True)
     return plan
+
+
+def _pairs(plan: _Plan, gathered: bool) -> tuple:
+    """What a conflict proof checks, by group index: the stores whose
+    words must be distinct, the store/store pairs whose hulls must not
+    overlap, and the load/store pairs that may overlap only in place.
+    With ``gathered`` false, between affine groups (proven once per
+    argument tuple); with it true, those involving a gather or scatter
+    (proven on each launch, whose gather already proved a scatter's
+    words distinct)."""
+    def picked(*groups):
+        return any(g.addr is not None for g in groups) == gathered
+
+    stores, loads = plan.store_groups, plan.load_groups
+    distinct = [i for i, g in enumerate(stores) if g.addr is None] \
+        if not gathered else []
+    store_pairs = [(i, j) for i in range(len(stores))
+                   for j in range(i + 1, len(stores))
+                   if picked(stores[i], stores[j])]
+    load_pairs = [(i, j) for i in range(len(loads))
+                  for j in range(len(stores)) if picked(loads[i], stores[j])]
+    return distinct, store_pairs, load_pairs
 
 
 # --------------------------------------------------------------------------
@@ -543,18 +704,18 @@ def _group_mat(g: _Group, args) -> np.ndarray:
     base = g.c0
     for i, c in g.coeffs:
         base += c * int(args[i])
-    return np.uint64(base & _MASK64) + g.jcol + g.trow  # (k, n_threads)
+    return np.uint64(base & _MASK64) + g.jcol + g.trow  # (k, lanes)
 
 
 def _bind_group(g: _Group, args, memory: DeviceMemory):
-    """A memory group's ``(buf, mat, idx, lo, hi)``; None → fall back."""
+    """An affine group's ``(buf, idx, mat, lo, hi)``; None → fall back."""
     mat = _group_mat(g, args)
     lo = int(mat.min())
     hi = int(mat.max())
     buf = memory.resolve(lo)
-    if buf is None or buf.words is None:
-        return None
-    if hi + WORD > buf.addr + len(buf.data):
+    # In bounds: inside the materialized prefix and the logical size.
+    if buf is None or buf.words is None \
+            or hi + WORD > buf.addr + min(buf.size, len(buf.data)):
         return None
     # Word alignment of every lane, checked on the closed form (8 divides
     # 2**64, so the masked form preserves residues).  A misaligned access
@@ -562,171 +723,234 @@ def _bind_group(g: _Group, args, memory: DeviceMemory):
     if (lo - buf.addr) % WORD or (g.k > 1 and g.dj % WORD) \
             or (len(g.trow) > 1 and g.ct % WORD):
         return None
-    return buf, mat, (mat - np.uint64(buf.addr)) >> _U3, lo, hi
+    # Word indices as intp: numpy indexes with that dtype without a
+    # cast, several times faster than with uint64 at a few lanes.
+    idx = ((mat - np.uint64(buf.addr)) >> _U3).astype(np.intp)
+    return buf, idx, mat, lo, hi
+
+
+def _conflict_free(plan: _Plan, loads, stores, pairs) -> bool:
+    """True when all-loads-then-all-stores provably equals sequential
+    per-thread execution over ``pairs`` (see ``_pairs``): store addresses
+    are pairwise distinct, and a load overlaps a store only
+    lane-identically and before it."""
+    distinct, store_pairs, load_pairs = pairs
+    for i in distinct:
+        # Duplicate store addresses (any two lanes writing the same word)
+        # make the final byte state order-dependent.
+        g, mat = plan.store_groups[i], stores[i][2]
+        if g.dup or g.check_unique and mat.size > 1 \
+                and np.unique(mat).size != mat.size:
+            return False
+    for i, j in store_pairs:
+        a, b = stores[i], stores[j]
+        if a[0] is b[0] and b[3] <= a[4] and a[3] <= b[4]:
+            return False
+    for i, j in load_pairs:
+        (lbuf, _, lmat, llo, lhi), (sbuf, _, smat, slo, shi) = \
+            loads[i], stores[j]
+        if sbuf is not lbuf or shi < llo or lhi < slo:
+            continue
+        # Overlapping hulls are only safe for the read-then-write (in
+        # place) pattern: the same lanes, each iteration's load ahead of
+        # its store, at equal addresses.
+        lg, sg = plan.load_groups[i], plan.store_groups[j]
+        if not (lg.cls == sg.cls and lg.k == sg.k
+                and all(map(int.__lt__, lg.pos, sg.pos))
+                and np.array_equal(lmat, smat)):
+            return False
+    return True
 
 
 def _bind(plan: _Plan, args, memory: DeviceMemory):
-    """Prove a launch's memory preconditions; the record or None.
+    """Prove a launch's affine memory preconditions; the record or None.
 
     A pure function of ``(plan, args, memory's buffer layout)``: the
-    record is ``(loads, stores, chks)`` — a ``(buf, idx)`` pair per load
-    and store group, and a ``(kind, lo, hi)`` hull per CHK group — and
-    exists only when every access is in-bounds and word-aligned and
-    lockstep execution provably equals sequential execution.
+    record is ``(loads, stores, chks, addrs)`` — a ``(buf, idx)`` entry
+    per load and store group, a ``(kind, lo, hi)`` hull per affine CHK
+    group, and each gather's address node with its argument-only terms
+    evaluated — and exists only when every affine access is in-bounds
+    and word-aligned and lockstep execution provably equals sequential
+    execution as far as the affine groups go.  A plan with gathers keeps
+    ``(buf, idx, mat, lo, hi)`` entries, for its launches' conflict
+    proofs, and None for each gather or scatter, which every launch
+    binds itself.
     """
-    loads, load_rec = [], []
-    for g in plan.load_groups:
-        bound = _bind_group(g, args, memory)
-        if bound is None:
-            return None
-        loads.append(bound)
-        load_rec.append((bound[0], bound[2]))
-    stores, store_rec = [], []
-    for g in plan.store_groups:
-        bound = _bind_group(g, args, memory)
-        if bound is None:
-            return None
-        stores.append(bound)
-        store_rec.append((bound[0], bound[2]))
-
-    # -- conflict analysis: lockstep must equal sequential execution -------
-    n = plan.n_threads
-    for i, (sg, (buf, mat, _, lo, hi)) in enumerate(
-            zip(plan.store_groups, stores)):
-        # Duplicate store addresses (any two lanes writing the same word)
-        # make the final byte state order-dependent: fall back.
-        if (sg.k > 1 and sg.dj == 0) or (n > 1 and sg.ct == 0):
-            return None
-        if sg.k > 1 and n > 1:
-            flat = mat.ravel()
-            if np.unique(flat).size != flat.size:
-                return None
-        for obuf, _, _, olo, ohi in stores[i + 1:]:
-            if obuf is buf and olo <= hi and lo <= ohi:
-                return None
-    for lg, (lbuf, lmat, _, llo, lhi) in zip(plan.load_groups, loads):
-        for sg, (sbuf, smat, _, slo, shi) in zip(plan.store_groups, stores):
-            if sbuf is not lbuf or shi < llo or lhi < slo:
-                continue
-            # Overlapping hulls are only safe for the lane-identical
-            # read-then-write (in-place) pattern.
-            if not (lg.first_pos < sg.first_pos
-                    and lmat.shape == smat.shape
-                    and np.array_equal(lmat, smat)):
-                return None
-
+    loads, stores = [], []
+    for groups, out in ((plan.load_groups, loads),
+                        (plan.store_groups, stores)):
+        for g in groups:
+            bound = None
+            if g.addr is None:
+                bound = _bind_group(g, args, memory)
+                if bound is None:
+                    return None
+            out.append(bound)
+    if not _conflict_free(plan, loads, stores, plan.pairs[0]):
+        return None
     chks = []
     for cg in plan.chk_groups:
-        mat = _group_mat(cg, args)
-        kind = AccessKind.WRITE if cg.kind == "cw" else AccessKind.READ
-        chks.append((kind, int(mat.min()), int(mat.max())))
-    return load_rec, store_rec, chks
+        if cg.addr is None:
+            mat = _group_mat(cg, args)
+            chks.append((cg.access, int(mat.min()), int(mat.max())))
+    if not plan.gathers:
+        # What the launch reads back: each group's buffer and word indices.
+        return ([bound[:2] for bound in loads],
+                [bound[:2] for bound in stores], chks, ())
+    folded: dict[int, tuple] = {}
+    addrs = []
+    for g in plan.gathers:
+        node = folded.get(id(g.addr))
+        if node is None:
+            node = folded[id(g.addr)] = _fold(g.addr, args)
+        addrs.append(node)
+    return loads, stores, chks, addrs
 
 
-def _eval(node, loads, vals):
+def _fold(node, args):
+    """``node`` with its argument-only affine terms evaluated for ``args``."""
     tag = node[0]
-    if tag == "grp" or tag == "row":
-        i = node[1]
-        v = vals[i]
-        if v is None:
-            buf, idx = loads[i]
-            v = vals[i] = buf.words[idx]
-        return v if tag == "grp" else v[node[2]]
+    if tag == "bin":
+        return ("bin", node[1], _fold(node[2], args), _fold(node[3], args))
+    if tag == "aff" and node[3] == 0 and node[4] == 0:
+        return ("cvec", _eval(node, args, None, 1, None, None))
+    return node
+
+
+def _bind_gathers(plan: _Plan, args, memory: DeviceMemory, record, vals,
+                  validation):
+    """Bind the gather and scatter groups on this launch's index bytes.
+
+    Never memoised: the addresses depend on loaded words, which a launch
+    in between may have rewritten.  Groups go in trace order, so every
+    load an address reads is bound (and read) before it; the reads all
+    precede every store, as they do in the executed plan.  Returns the
+    completed ``(loads, stores)`` or None (fall back).
+    """
+    loads, stores, _, addrs = record
+    loads, stores = list(loads), list(stores)
+    node = None
+    for g, addr in zip(plan.gathers, addrs):
+        if g.access is not None and validation is None:
+            continue
+        if addr is not node:  # a twin's CHK shares its access's node
+            node = addr
+            # Few lanes: Python's min/max over the ints beat numpy's
+            # reductions, and the interpreter pays per lane anyway.
+            raw = _eval(node, args, g.tids, g.k, loads, vals)
+            flat = raw.ravel().tolist()
+            lo = min(flat)
+            hi = max(flat)
+        if g.access is not None:
+            if not validation.covers(g.access, lo, hi):
+                return None
+        elif g.kind == "w" and len(set(flat)) != len(flat):
+            return None  # two lanes scatter to one word
+        else:
+            buf = memory.resolve(lo)
+            if buf is None or buf.words is None \
+                    or hi + WORD > buf.addr + min(buf.size, len(buf.data)) \
+                    or (reduce(or_, flat) | buf.addr) & 7:
+                return None  # out of bounds, or not word-aligned
+            mat = raw.reshape(g.k, -1)
+            idx = ((mat - np.uint64(buf.addr)) >> _U3).astype(np.intp)
+            (loads if g.kind == "r" else stores)[g.i] = buf, idx, mat, lo, hi
+    if not _conflict_free(plan, loads, stores, plan.pairs[1]):
+        return None
+    return loads, stores
+
+
+def _eval(node, args, tids: np.ndarray, k: int, loads, vals):
+    """A runtime node's value on this launch: a uint64 scalar, a row over
+    the group's lanes, or a ``(k, lanes)`` matrix.  A load group's words
+    are gathered on first use, into ``vals``."""
+    tag = node[0]
+    if tag == "bin":
+        a = _eval(node[2], args, tids, k, loads, vals)
+        b = _eval(node[3], args, tids, k, loads, vals)
+        op = node[1]
+        if op == "add":
+            return a + b
+        if op == "sub":
+            return a - b
+        if op == "mul":
+            return a * b
+        return a % b
     if tag == "cvec":
         return node[1]
-    if tag == "bin":
-        a = _eval(node[2], loads, vals)
-        b = _eval(node[3], loads, vals)
-        op = node[1]
-        if op == "add":
-            return a + b
-        if op == "sub":
-            return a - b
-        if op == "mul":
-            return a * b
-        return a % b
-    raise AssertionError(f"unknown value node {tag}")
-
-
-def _eval_aff(node, args, plan: _Plan, k: int):
-    _, c0, coeffs, ct, cj = node
-    base = c0
-    for i, c in coeffs:
-        base += c * int(args[i])
-    base = np.uint64(base & _MASK64)
-    if ct == 0 and cj == 0:
-        return base
-    out = base
-    if cj != 0:
-        out = out + (np.arange(k, dtype=np.uint64)
-                     * np.uint64(cj & _MASK64)).reshape(-1, 1)
-    if ct != 0:
-        out = out + np.uint64(ct & _MASK64) * plan.tidv
-    return out
-
-
-def _eval_value(node, args, plan: _Plan, k: int, loads, vals):
-    if node[0] == "aff":
-        return _eval_aff(node, args, plan, k)
-    if node[0] == "bin":
-        a = _eval_value(node[2], args, plan, k, loads, vals)
-        b = _eval_value(node[3], args, plan, k, loads, vals)
-        op = node[1]
-        if op == "add":
-            return a + b
-        if op == "sub":
-            return a - b
-        if op == "mul":
-            return a * b
-        return a % b
-    return _eval(node, loads, vals)
+    if tag == "aff":
+        _, c0, coeffs, ct, cj = node
+        base = c0
+        for i, c in coeffs:
+            base += c * int(args[i])
+        out = np.uint64(base & _MASK64)
+        if cj != 0:
+            out = out + (np.arange(k, dtype=np.uint64)
+                         * np.uint64(cj & _MASK64)).reshape(-1, 1)
+        if ct != 0:
+            out = out + np.uint64(ct & _MASK64) * tids
+        return out
+    # "grp", "row" or "sum": the words of load group i
+    i = node[1]
+    v = vals[i]
+    if v is None:
+        entry = loads[i]
+        v = vals[i] = entry[0].words[entry[1]]
+    if tag == "grp":
+        return v
+    return v[node[2]] if tag == "row" else v.sum(axis=0)
 
 
 def _run_plan(plan: _Plan, program: Program, args, n_threads: int,
               memory: DeviceMemory, validation, max_steps: int):
     """Bind the plan to a launch; returns a KernelRun or None (fall back)."""
-    if plan.steps_per_thread > max_steps:
+    if plan.longest > max_steps:
         return None
-    for i in plan.used_args:
-        v = int(args[i])
-        if v < 0 or v > _MASK64:
-            return None
-
-    # A repeated launch reuses its plan's last proof on this memory.
+    # A repeated launch reuses its plan's last proof on this memory (its
+    # arguments passed the range check when the proof was made).
     key = tuple(args)
     slot = memory.bind_memo.get(plan)
     if slot is not None and slot[0] == key:
         record = slot[1]
     else:
+        for i in plan.used_args:
+            v = int(args[i])
+            if v < 0 or v > _MASK64:
+                return None
         record = _bind(plan, args, memory)
         memory.bind_memo[plan] = (key, record)
     if record is None:
         return None
-    return _execute(plan, program, args, n_threads, record, validation)
+    return _execute(plan, program, args, n_threads, record, memory,
+                    validation)
 
 
 def _execute(plan: _Plan, program: Program, args, n_threads: int, record,
-             validation):
-    """Run a launch whose bind proof holds; None if the CHKs may fire."""
-    from repro.gpu import interpreter as interp
-
-    loads, stores, chks = record
+             memory: DeviceMemory, validation):
+    """Run a launch whose affine proof holds; None if a gather's proof
+    fails or the CHKs may fire."""
+    loads, stores, chks, _ = record
     # -- validation: prove the CHK stream produces zero violations ---------
     if validation is not None:
         for kind, lo, hi in chks:
             if not validation.covers(kind, lo, hi):
                 return None
+    vals = [None] * len(loads)
+    if plan.gathers:
+        bound = _bind_gathers(plan, args, memory, record, vals, validation)
+        if bound is None:
+            return None
+        loads, stores = bound
 
     # -- execute: evaluate all store values, then scatter ------------------
-    vals = [None] * len(loads)
-    out = [_eval_value(g.value, args, plan, g.k, loads, vals)
+    out = [_eval(g.value, args, g.tids, g.k, loads, vals)
            for g in plan.store_groups]
-    for (buf, idx), v in zip(stores, out):
-        buf.words[idx] = v
+    for entry, v in zip(stores, out):
+        buf = entry[0]
+        buf.words[entry[1]] = v
         buf.hw_dirty = True
 
-    return interp.KernelRun(program=program, n_threads=n_threads,
-                            steps=plan.steps_per_thread * n_threads)
+    return KernelRun(program=program, n_threads=n_threads, steps=plan.steps)
 
 
 # --------------------------------------------------------------------------
@@ -776,7 +1000,7 @@ def try_fast_run(program: Program, args, n_threads: int, memory,
     sig_key = None
     if sig is not None:
         try:
-            sig_key = tuple(int(args[i]) for i in sig)
+            sig_key = tuple([int(args[i]) for i in sig])
         except (IndexError, TypeError, ValueError):
             _note_fallback("sig-args")
             return None
@@ -792,7 +1016,7 @@ def try_fast_run(program: Program, args, n_threads: int, memory,
         by_value = False
         try:
             trace = _trace(program, args, n_threads, max_steps)
-            plan = _compile(trace, n_threads)
+            plan = _compile(trace)
         except _Abort as exc:
             why = ("trace-abort", exc.reason)
             by_value = exc.by_value

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import InvalidAddressError
+from repro.errors import InvalidAddressError, KernelFault
 from repro.gpu.instrument import instrument_program
 from repro.gpu.interpreter import ValidationState, run_kernel
 from repro.gpu.isa import ProgramBuilder
@@ -65,6 +65,28 @@ APP_SHAPES = [(kind, n)
 #: keeps the plan from scattering them in the wrong order.
 OVERLAP_SHAPES = [("overlap", n) for n in (2, 3, 8, 16)]
 
+#: Gathers and scatters the per-launch proof must refuse or accept: an
+#: index past every buffer (fault) or past its own (a neighbour's word),
+#: two lanes scattering to one word, the index buffer as the store target
+#: (served: each lane reads its index before it overwrites it) or as the
+#: scatter target, and sources in the hole of the "partial" ranges.
+GATHER_SHAPES = [(kind, n)
+                 for kind in ("gather_oob", "gather_far", "scatter_dup",
+                              "gather_alias", "scatter_alias",
+                              "gather_hole", "reduce_hole")
+                 for n in (3, 8, 16)]
+
+#: Kinds every in-bounds draw of which a plan must serve.
+PLANNED = {"reduce", "gather", "partial", "gather_alias"}
+#: Kinds no draw of which a plan may serve.
+REFUSED = {"gather_oob", "gather_far", "scatter_dup", "scatter_alias"}
+
+
+def _set_idx(b, words):
+    """Overwrite leading words of the index buffer ``b[1]``."""
+    for i, w in enumerate(words):
+        b[1].store_word(b[1].addr + 8 * i, w)
+
 
 def build_overlapping_stores(name: str = "overlap_store"):
     """A counted loop: thread ``tid`` stores ``y[tid + j] = 1000*tid + j``
@@ -84,10 +106,11 @@ def build_overlapping_stores(name: str = "overlap_store"):
 
 
 def _scenario(rng, kind=None, n=None):
-    """One random launch: (program, args builder, n_threads).
+    """One random launch: (kind, n, program, args builder, n_threads).
 
     ``kind`` and ``n`` pin the builder and the size; a pinned size
-    launches one thread per element, as the apps do.
+    launches one thread per element, as the apps do.  The args builder
+    receives the world's buffers and may first rewrite index words.
     """
     if n is None:
         n = rng.choice([1, 2, 3, 7, 8, 16, N_WORDS])
@@ -98,47 +121,74 @@ def _scenario(rng, kind=None, n=None):
         "copy", "scale", "saxpy", "fill", "inplace", "reduce",
         "gather", "scatter", "partial", "struct", "axpy",
     ])
+    return (kind, n) + _kernel(rng, kind, n) + (n_threads,)
+
+
+def _kernel(rng, kind, n):
     if kind == "copy":
-        return build_copy(), (lambda b: [b[0].addr, b[2].addr, n]), n_threads
+        return build_copy(), (lambda b: [b[0].addr, b[2].addr, n])
     if kind == "scale":
         return (build_scale(factor=rng.randrange(1, 9)),
-                (lambda b: [b[0].addr, b[2].addr, n]), n_threads)
+                (lambda b: [b[0].addr, b[2].addr, n]))
     if kind == "saxpy":
         a = rng.randrange(0, 5)
         return (build_saxpy(),
-                (lambda b: [a, b[0].addr, b[2].addr, b[3].addr, n]),
-                n_threads)
+                (lambda b: [a, b[0].addr, b[2].addr, b[3].addr, n]))
     if kind == "axpy":
         a = rng.randrange(0, 5)
-        return (build_axpy_into(),
-                (lambda b: [a, b[0].addr, b[2].addr, n]), n_threads)
+        return build_axpy_into(), (lambda b: [a, b[0].addr, b[2].addr, n])
     if kind == "fill":
         v = rng.randrange(0, 999)
-        return build_fill(), (lambda b: [b[2].addr, n, v]), n_threads
+        return build_fill(), (lambda b: [b[2].addr, n, v])
     if kind == "inplace":
-        return build_inplace_add(), (lambda b: [b[2].addr, n]), n_threads
+        return build_inplace_add(), (lambda b: [b[2].addr, n])
     if kind == "reduce":
-        return (build_reduce_sum(),
-                (lambda b: [b[0].addr, b[3].addr, n]), n_threads)
+        return build_reduce_sum(), (lambda b: [b[0].addr, b[3].addr, n])
+    if kind == "reduce_hole":
+        return build_reduce_sum(), (lambda b: [b[3].addr, b[2].addr, n])
     if kind == "gather":
         return (build_gather(),
-                (lambda b: [b[0].addr, b[1].addr, b[2].addr, n]), n_threads)
+                (lambda b: [b[0].addr, b[1].addr, b[2].addr, n]))
+    if kind == "gather_hole":
+        return (build_gather(),
+                (lambda b: [b[3].addr, b[1].addr, b[2].addr, n]))
+    if kind == "gather_alias":
+        return (build_gather(),
+                (lambda b: [b[0].addr, b[1].addr, b[1].addr, n]))
+    if kind in ("gather_oob", "gather_far"):
+        lane = rng.randrange(0, n)
+        bad = 2**40 if kind == "gather_oob" else N_WORDS + rng.randrange(0, 8)
+
+        def make_args(b):
+            b[1].store_word(b[1].addr + 8 * lane, bad)
+            return [b[0].addr, b[1].addr, b[2].addr, n]
+        return build_gather(), make_args
     if kind == "scatter":
         return (build_scatter(),
-                (lambda b: [b[0].addr, b[1].addr, b[2].addr, n]), n_threads)
+                (lambda b: [b[0].addr, b[1].addr, b[2].addr, n]))
+    if kind == "scatter_dup":
+        # Distinct indices, then two lanes on one word.
+        words = rng.sample(range(N_WORDS), n)
+        words[rng.randrange(1, n)] = words[0]
+        return build_scatter(), (lambda b: _set_idx(b, words) or [
+            b[0].addr, b[1].addr, b[2].addr, n])
+    if kind == "scatter_alias":
+        # Lane 0 overwrites lane 1's index before lane 1 reads it.
+        words = [1] + rng.sample(range(n, N_WORDS), n - 1)
+        return build_scatter(), (lambda b: _set_idx(b, words) or [
+            b[0].addr, b[1].addr, b[1].addr, n])
     if kind == "overlap":
         k = rng.randrange(2, 5)
-        return (build_overlapping_stores(),
-                (lambda b: [b[2].addr, n, k]), n_threads)
+        return build_overlapping_stores(), (lambda b: [b[2].addr, n, k])
     v = rng.randrange(0, 99)
     if kind == "partial":
-        return (build_partial_fill(),
-                (lambda b: [b[2].addr, n, v]), n_threads)
-    return (build_struct_kernel(),
-            (lambda b: [b[3].addr, n, v]), n_threads)
+        return build_partial_fill(), (lambda b: [b[2].addr, n, v])
+    return build_struct_kernel(), (lambda b: [b[3].addr, n, v])
 
 
 def _run_one(program, make_args, n_threads, seed, force, validation_ranges):
+    from repro.perf.plans import plan_cache_stats
+
     rng = random.Random(seed)
     mem, bufs = _fresh_world(rng)
     args = make_args(bufs)
@@ -153,23 +203,27 @@ def _run_one(program, make_args, n_threads, seed, force, validation_ranges):
         else:  # "partial": a hole over part of the write target
             rs = RangeSet([(lo, hi - 8 * (N_WORDS // 2))])
         validation = ValidationState(read_ranges=rs, write_ranges=rs)
-    if force == "reference":
-        run = run_kernel_reference(prog, args, n_threads, mem,
-                                   validation=validation)
-    else:
-        run = run_kernel(prog, args, n_threads, mem,
-                         validation=validation, force_interpret=force)
-    words = [
+    hits = plan_cache_stats()["hit"]
+    out = {"fault": None}
+    try:
+        if force == "reference":
+            run = run_kernel_reference(prog, args, n_threads, mem,
+                                       validation=validation)
+        else:
+            run = run_kernel(prog, args, n_threads, mem,
+                             validation=validation, force_interpret=force)
+        out["steps"] = run.steps
+    except Exception as exc:  # the fault is part of the observable result
+        out["fault"] = (type(exc), str(exc))
+    out["words"] = [
         tuple(b.load_word(b.addr + 8 * i) for i in range(N_WORDS))
         for b in bufs
     ]
-    return {
-        "words": words,
-        "steps": run.steps,
-        "violations": [] if validation is None else [
-            (v.kernel, v.addr, v.kind, v.tid) for v in validation.violations
-        ],
-    }
+    out["dirty"] = [b.hw_dirty for b in bufs]
+    out["violations"] = [] if validation is None else [
+        (v.kernel, v.addr, v.kind, v.tid) for v in validation.violations
+    ]
+    return out, plan_cache_stats()["hit"] - hits
 
 
 @pytest.mark.parametrize("validation_ranges", [None, "full", "partial"])
@@ -178,18 +232,37 @@ def test_differential_fuzz_interpreter_vs_plan(validation_ranges):
 
     Both tiers read ``Program.decoded``, so the enum-dispatch oracle in
     ``tests/reference_interpreter.py`` (which does not) is the third side.
+    The equality is not vacuous for divergent and gathering kernels: a
+    plan serves every in-bounds reduce, gather and partial_fill draw and
+    every scatter whose lanes write distinct words, and none of the
+    draws that fault, read a neighbouring buffer, scatter twice to one
+    word, scatter over their own indices, or would report violations.
     """
-    for seed, pin in enumerate([()] * 60 + APP_SHAPES + OVERLAP_SHAPES):
+    served = {}
+    for seed, pin in enumerate([()] * 60 + APP_SHAPES + OVERLAP_SHAPES
+                               + GATHER_SHAPES):
         rng = random.Random(10_000 + seed)
-        program, make_args, n_threads = _scenario(rng, *pin)
-        slow, fast, oracle = (
+        kind, n, program, make_args, n_threads = _scenario(rng, *pin)
+        (slow, _), (fast, hit), (oracle, _) = (
             _run_one(program, make_args, n_threads, seed,
                      force=force, validation_ranges=validation_ranges)
             for force in (True, False, "reference"))
-        assert fast == slow == oracle, (
-            f"fast path diverged on seed={seed} kernel={program.name} "
-            f"validation={validation_ranges}"
-        )
+        where = (f"seed={seed} kernel={program.name} kind={kind} n={n} "
+                 f"threads={n_threads} validation={validation_ranges}")
+        assert fast == slow == oracle, f"fast path diverged on {where}"
+        clean = slow["fault"] is None and not slow["violations"]
+        if kind in PLANNED and clean:
+            assert hit == 1, f"not served by a plan: {where}"
+        if kind in REFUSED or not clean:
+            assert hit == 0, f"served by a plan: {where}"
+        if kind == "scatter":
+            _, bufs = _fresh_world(random.Random(seed))
+            idx = [bufs[1].load_word(bufs[1].addr + 8 * i) for i in range(n)]
+            assert hit == (len(set(idx)) == n), f"scatter proof: {where}"
+        served[kind] = served.get(kind, 0) + hit
+    # Every planned kind, and scatter, was served at least once.
+    assert all(served[kind] for kind in PLANNED | {"scatter"}), served
+    assert not any(served[kind] for kind in REFUSED), served
 
 
 def _launch_outcome(launch, runner, **kw):
@@ -303,26 +376,104 @@ def test_value_dependent_abort_is_remembered_for_its_arguments_only():
 
 
 def test_divergence_on_an_argument_is_remembered_per_arguments():
-    """partial_fill diverges on 8 threads when n = 4 (2*tid < n) but not
-    when n = 16, so the uniform launch still gets a plan; reduce_sum
-    diverges on the thread id alone, so its key is given up once."""
+    """partial_fill splits its 8 threads when n = 4 (2*tid < n) but not
+    when n = 16: the split reads n, so n joins the signature and each
+    value gets its own plan, traced once.  reduce_sum splits on the
+    thread id alone (only thread 0 loops), so one plan serves it for
+    each loop bound.  Every launch is a hit and equals the interpreter."""
     from repro.perf.plans import plan_cache_stats, reset_plan_cache_stats
 
     n = 8
-    mem, x, y, z = _saxpy_memory(n)
-    reset_plan_cache_stats()
-    partial = build_partial_fill()
-    run_kernel(partial, [y.addr, 4, 7], n, mem)
-    run_kernel(partial, [y.addr, 16, 7], n, mem)
-    assert plan_cache_stats()["hit"] == 1
-    reduce = build_reduce_sum()
-    before = plan_cache_stats()
-    run_kernel(reduce, [x.addr, z.addr, 2], n, mem)
-    run_kernel(reduce, [x.addr, z.addr, 3], n, mem)
-    after = plan_cache_stats()
-    assert after["fallback"] - before["fallback"] == 2
-    assert after["miss"] - before["miss"] <= 1
-    assert after["hit"] == before["hit"]
+    launches = [(build_partial_fill(), lambda x, y, z: [y.addr, 4, 7]),
+                (build_partial_fill(), lambda x, y, z: [y.addr, 16, 7]),
+                (build_partial_fill(), lambda x, y, z: [y.addr, 4, 9]),
+                (build_reduce_sum(), lambda x, y, z: [x.addr, z.addr, 2]),
+                (build_reduce_sum(), lambda x, y, z: [x.addr, z.addr, 3])]
+    outcomes = []
+    for force in (False, True):
+        mem, x, y, z = _saxpy_memory(n)
+        reset_plan_cache_stats()
+        steps = [run_kernel(prog, make(x, y, z), n, mem,
+                            force_interpret=force).steps
+                 for prog, make in launches]
+        outcomes.append((steps, y.snapshot(), z.snapshot(),
+                         plan_cache_stats()))
+    fast, slow = outcomes
+    assert fast[:3] == slow[:3]
+    # partial_fill n=4: 2 lanes store (10 steps each), 6 exit (7 each).
+    assert fast[0][0] == 2 * 10 + 6 * 7
+    assert fast[3]["hit"] == 5 and fast[3]["fallback"] == 0
+    # n = 4 twice (one plan), n = 16, and reduce_sum's n = 2 and n = 3.
+    assert fast[3]["miss"] == 4
+
+
+def test_gather_proof_is_redone_after_an_index_write():
+    """The same gather launch while its index buffer changes under it (a
+    plain store: no alloc or free flushes the bind memo).  Each launch
+    proves its gather on the indices it reads: with two lanes on one
+    index the gather runs as a plan (a scatter on them falls back); with
+    one index past every buffer it faults as interpreted, not from the
+    last launch's proof; with the index restored it is a plan again."""
+    from repro.perf.plans import plan_cache_stats
+
+    n = 8
+    outcomes = []
+    for force in (False, True):
+        mem, x, y, z = _saxpy_memory(n)
+        idx = mem.alloc(8 * n, tag="idx", data_size=8 * n)
+        for i in range(n):
+            idx.store_word(idx.addr + 8 * i, (3 * i + 1) % n)
+        # One program each, so its plan (and any memo of it) lives on.
+        gather = (build_gather(), [x.addr, idx.addr, y.addr, n])
+        scatter = (build_scatter(), [x.addr, idx.addr, z.addr, n])
+        hits = plan_cache_stats()["hit"]
+        seen = []
+        for before in ((5, 1), (5, 1 << 40), (5, 1)):
+            idx.store_word(idx.addr + 8 * before[0], before[1])
+            for prog, args in (gather, scatter):
+                seen.append(_fault_of(lambda: run_kernel(
+                    prog, args, n, mem, force_interpret=force)))
+        outcomes.append((seen, y.snapshot(), z.snapshot(), y.hw_dirty,
+                         plan_cache_stats()["hit"] - hits))
+    fast, slow = outcomes
+    assert fast[:4] == slow[:4]
+    assert fast[0][2][0] is fast[0][3][0] is InvalidAddressError
+    # The gather's first and last launches; the scatter never.
+    assert (fast[4], slow[4]) == (2, 0)
+
+
+def test_a_word_past_an_unaligned_logical_end_faults_as_interpreted():
+    """``alloc_at`` with a size that is not a whole number of words
+    materializes a prefix one partial word longer than the buffer: a
+    fill of the 13th word lies inside the prefix but past the logical
+    end, where the interpreter faults, so a plan must not serve it."""
+    outcomes = []
+    for force in (False, True):
+        mem = DeviceMemory(capacity=16 * MIB, default_data_size=512)
+        buf = mem.alloc_at(mem.base, 100, tag="odd")
+        assert len(buf.data) == 104
+        fault = _fault_of(lambda: run_kernel(
+            build_fill(), [buf.addr, 13, 7], 13, mem, force_interpret=force))
+        outcomes.append((fault, buf.snapshot()))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0][0] is InvalidAddressError
+
+
+def test_a_lane_class_past_max_steps_faults_as_interpreted():
+    """reduce_sum's thread 0 loops n times while threads 1-7 exit early:
+    a step budget between the two path lengths must fault (thread 0
+    exceeds it), so the launch is not served although 7 of 8 lanes fit."""
+    n = 8
+    outcomes = []
+    for force in (False, True):
+        mem, x, y, z = _saxpy_memory(n)
+        outcomes.append([(_fault_of(lambda: run_kernel(
+            build_reduce_sum(), [x.addr, z.addr, n], n, mem,
+            max_steps=max_steps, force_interpret=force)), z.snapshot())
+            for max_steps in (20, 100)])
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0][0][0] is KernelFault
+    assert outcomes[0][1][0] is None
 
 
 def test_each_launch_asks_its_own_validation_state():
