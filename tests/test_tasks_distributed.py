@@ -1,10 +1,15 @@
 """Integration tests: distributed jobs and consistent cross-machine C/R."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.apps.specs import get_spec
 from repro.cluster import Cluster
+from repro.core.quiesce import quiesce
 from repro.errors import CheckpointError, InvalidValueError
 from repro.sim import Engine
+from repro.tasks import distributed
 from repro.tasks.distributed import DistributedJob
 
 
@@ -168,3 +173,104 @@ def test_aborted_replica_fails_the_cut_and_revokes_its_sibling():
     for replica, image in zip(job.replicas, good):
         assert replica.phos.medium.images.committed_images() == [image]
         assert replica.phos.medium.images.staged_images() == []
+
+
+# -- cuts taken while the job runs --------------------------------------------------
+
+STEP = get_spec("resnet152-train").step_time
+
+
+def cut_during_steps(offset, n_machines=2, steps=1):
+    """Start ``checkpoint_all`` ``offset`` seconds into ``steps`` steps.
+
+    Returns the cut's images (None when it aborted) and every replica's
+    GPU state at the end of the cut's global quiesce, the instant the
+    cut stands for.
+    """
+    eng, job = make_job(n_machines)
+    at_quiesce = []
+
+    def snapshot_after(engine, processes):
+        yield from quiesce(engine, processes)
+        at_quiesce.append(job.replica_states())
+
+    def cut(eng):
+        yield eng.timeout(offset)
+        return (yield from job.checkpoint_all())
+
+    def driver(eng):
+        yield from job.setup()
+        handle = eng.spawn(cut(eng))
+        yield from job.run_steps(steps)
+        try:
+            return (yield handle)
+        except CheckpointError:
+            return None
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(distributed, "quiesce", snapshot_after)
+        images = eng.run_process(driver(eng))
+        eng.run()
+    return images, at_quiesce[0]
+
+
+def wrong_buffers(images, states):
+    """(replica, tag) of every image record unequal to the live state."""
+    return [
+        (i, rec.tag)
+        for i, (image, state) in enumerate(zip(images, states))
+        for records in image.gpu_buffers.values()
+        for rec in records.values()
+        if rec.data != state[rec.tag]
+    ]
+
+
+def test_mid_step_cuts_commit_the_state_at_the_global_quiesce():
+    """A cut may land anywhere in a step, including while the gradient
+    average lands during the CoW copy: every image must hold the GPU
+    state at the end of the global quiesce, on every replica."""
+    wrong = {}
+    for k in range(24):  # 12.5 ms apart over one 0.30 s step
+        offset = k * 0.0125
+        images, states = cut_during_steps(offset)
+        assert images is not None, offset
+        bad = wrong_buffers(images, states)
+        if bad:
+            wrong[offset] = bad
+    assert wrong == {}
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(n_machines=st.integers(2, 3),
+       offset=st.floats(0.0, 2 * STEP, allow_nan=False))
+def test_every_committed_cut_equals_the_job_at_its_quiesce(n_machines,
+                                                            offset):
+    images, states = cut_during_steps(offset, n_machines, steps=2)
+    if images is not None:
+        assert wrong_buffers(images, states) == []
+
+
+def test_recover_then_more_steps_equals_the_never_checkpointed_job():
+    """A between-steps cut, a step lost to a failure, ``recover`` and
+    two more steps: byte for byte the job that never stopped."""
+
+    def final_states(fail):
+        eng, job = make_job()
+
+        def driver(eng):
+            yield from job.setup()
+            yield from job.run_steps(1)
+            if fail:
+                yield from job.checkpoint_all()
+                yield from job.run_steps(1)  # progress lost to the failure
+                for session in (yield from job.recover()):
+                    yield session.done
+            yield from job.run_steps(2)
+
+        eng.run_process(driver(eng))
+        eng.run()
+        return job.replica_states()
+
+    recovered, uninterrupted = final_states(True), final_states(False)
+    assert recovered[0].keys() == uninterrupted[0].keys()
+    assert recovered == uninterrupted
