@@ -1,12 +1,19 @@
 """NCCL-equivalent collectives: type-2 communication kernels.
 
-A collective is issued once by the process and materializes one stream
-operation per participating GPU.  The per-rank operations rendezvous at
-a barrier (a real NCCL collective cannot start until every rank has
-joined): each rank's stream op waits on it ``after`` starting, then
-the transfer runs at ring-collective cost over NVLink, and the
-functional effect is applied exactly once, by the first rank to
-complete.
+A communicator's ranks are ``(runtime, gpu_index)`` pairs, which may
+belong to different processes on different machines; a bare GPU index
+names a GPU of the runtime that issues the collective.  A collective is
+issued only at an instant when every rank's API gate is open, and then
+materializes one stream operation per rank through that rank's own
+runtime (frontend, call overhead, stream).  So a global quiesce either
+stops every rank before the collective or drains it on every rank: no
+rank waits on a peer the barrier has already stopped.
+
+The per-rank operations rendezvous at a barrier (a real NCCL collective
+cannot start until every rank has joined): each rank's stream op waits
+on it ``after`` starting, then the transfer runs at ring-collective
+cost, and the functional effect is applied exactly once, by the first
+rank to complete.
 
 Each rank's operation carries its own :class:`~repro.api.calls.ApiCall`
 (the in-place all-reduce reads and writes that rank's buffer): the
@@ -16,106 +23,115 @@ NCCL specification, so PHOS never instruments them (§4.1, type 2).
 
 from __future__ import annotations
 
-import itertools
-
-import numpy as np
-
 from repro import units
 from repro.api.calls import ApiCall, ApiCategory
+from repro.cluster import Cluster
 from repro.errors import InvalidValueError
-from repro.gpu.memory import Buffer
 from repro.sim.engine import Engine
-
-_comm_ids = itertools.count(1)
 
 
 class NcclCommunicator:
-    """A communicator over a set of GPUs connected by NVLink."""
+    """A ring over GPUs: NVLink between two ranks on one machine, the
+    ``cluster``'s RDMA link between ranks on different machines."""
 
-    def __init__(self, engine: Engine, gpu_indices: list[int],
-                 nvlink_bw: float = units.NVLINK_BW) -> None:
-        if len(gpu_indices) < 1:
+    def __init__(self, engine: Engine, ranks: list,
+                 nvlink_bw: float = units.NVLINK_BW,
+                 cluster: Cluster | None = None) -> None:
+        if len(ranks) < 1:
             raise InvalidValueError("communicator needs at least one GPU")
+        if len({isinstance(rank, tuple) for rank in ranks}) > 1:
+            raise InvalidValueError(
+                "communicator ranks are all GPU indices or all "
+                "(runtime, gpu_index) pairs")
         self.engine = engine
-        self.id = next(_comm_ids)
-        self.gpu_indices = list(gpu_indices)
-        self.nvlink_bw = nvlink_bw
+        self.ranks = list(ranks)
+        #: ``(bandwidth, latency)`` of each ring hop, rank i to rank i+1.
+        self.hops = [
+            _hop(a, b, nvlink_bw, cluster)
+            for a, b in zip(self.ranks, self.ranks[1:] + self.ranks[:1])
+        ]
 
     @property
     def size(self) -> int:
-        return len(self.gpu_indices)
+        return len(self.ranks)
 
     def allreduce_time(self, nbytes: int) -> float:
-        """Ring all-reduce: 2(n-1)/n of the data crosses each link."""
+        """Ring all-reduce: 2(n-1) steps, each moving 1/n of the data
+        over every hop at once, so a step costs its slowest hop."""
         n = self.size
         if n == 1:
             return 0.0
-        return (2 * (n - 1) / n) * nbytes / self.nvlink_bw
+        return max((2 * (n - 1) / n) * nbytes / bandwidth
+                   + 2 * (n - 1) * latency
+                   for bandwidth, latency in self.hops)
 
 
-def nccl_allreduce(runtime, comm: NcclCommunicator,
-                   buffers: dict[int, Buffer], sync: bool = False):
-    """Generator: all-reduce ``buffers`` (one per GPU index) in place."""
-    _check_ranks(comm, buffers)
-    nbytes = next(iter(buffers.values())).size
-    duration = comm.allreduce_time(nbytes)
-
-    def apply() -> None:
-        views = [buffers[i].data.view(np.uint64) for i in comm.gpu_indices]
-        with np.errstate(over="ignore"):
-            total = views[0].copy()
-            for v in views[1:]:
-                total += v
-        for v in views:
-            v[:] = total
-        for i in comm.gpu_indices:
-            buffers[i].touch()
-
-    ops = yield from _issue(runtime, comm, "ncclAllReduce", buffers,
-                            duration, apply)
-    if sync:
-        for op in ops:
-            yield op.done
-    return ops
+def _hop(a, b, nvlink_bw: float,
+         cluster: Cluster | None) -> tuple[float, float]:
+    machines = [rank[0].machine if isinstance(rank, tuple) else None
+                for rank in (a, b)]
+    if machines[0] is machines[1]:
+        return nvlink_bw, 0.0
+    if cluster is None:
+        raise InvalidValueError("ranks on two machines need their cluster")
+    link = cluster.link(*machines)
+    return link.bandwidth, link.latency
 
 
-def _check_ranks(comm: NcclCommunicator, buffers: dict[int, Buffer]) -> None:
-    if set(buffers) != set(comm.gpu_indices):
+def nccl_allreduce(runtime, comm: NcclCommunicator, buffers: dict,
+                   sync: bool = False):
+    """Generator: all-reduce ``buffers`` (one per rank) in place.
+
+    ``runtime`` issues the collective; bare GPU-index ranks are its GPUs.
+    """
+    if buffers.keys() != set(comm.ranks):
         raise InvalidValueError(
-            f"collective buffers {sorted(buffers)} do not match communicator "
-            f"GPUs {sorted(comm.gpu_indices)}"
-        )
-
-
-def _issue(runtime, comm: NcclCommunicator, name: str,
-           buffers: dict[int, Buffer], duration: float, apply):
-    """Create the per-rank stream ops with a shared start barrier."""
-    engine = runtime.engine
-    yield from runtime._gate()
-    everyone = engine.event(name=f"{name}-start")
-    arrivals = {"count": 0}
-    applied = {"done": False}
-    n = comm.size
+            "collective buffers do not match the communicator's ranks")
+    duration = comm.allreduce_time(next(iter(buffers.values())).size)
+    ranks = [rank if isinstance(rank, tuple) else (runtime, rank)
+             for rank in comm.ranks]
+    bufs = [buffers[rank] for rank in comm.ranks]
+    # Issue only at an instant when every gate is open: a part submitted
+    # before waiting at a peer's closed gate would hold its stream at the
+    # barrier, and a quiesce draining that stream would never finish.
+    closed = [rt for rt, _gpu in ranks if rt.cpu_stopped]
+    while closed:
+        yield from closed[0]._gate()
+        closed = [rt for rt, _gpu in ranks if rt.cpu_stopped]
+    everyone = runtime.engine.event(name="ncclAllReduce-start")
+    arrivals = 0
+    applied = False
 
     def arrive() -> float:
-        arrivals["count"] += 1
-        if arrivals["count"] == n:
+        nonlocal arrivals
+        arrivals += 1
+        if arrivals == len(bufs):
             everyone.succeed()
         return duration
 
-    def effect() -> None:
-        if not applied["done"]:
-            applied["done"] = True
-            apply()
+    def apply() -> None:
+        nonlocal applied
+        if applied:
+            return
+        applied = True
+        views = [buf.words for buf in bufs]
+        total = views[0].copy()  # uint64 arrays wrap silently
+        for v in views[1:]:
+            total += v
+        for v, buf in zip(views, bufs):
+            v[:] = total
+            buf.touch()
 
     ops = []
-    for gpu_index in comm.gpu_indices:
-        runtime._require_context(gpu_index)
-        buf = buffers[gpu_index]
-        call = ApiCall(ApiCategory.COMM, name, gpu_index,
+    for (rt, gpu_index), buf in zip(ranks, bufs):
+        rt._require_context(gpu_index)
+        call = ApiCall(ApiCategory.COMM, "ncclAllReduce", gpu_index,
                        reads=[buf], writes=[buf], nbytes=buf.size)
-        plan = runtime._frontend(call)
-        yield from runtime._call_overhead(plan)
-        ops.append(runtime._submit(gpu_index, None, name, arrive, effect,
-                                   call, plan, after=everyone))
+        plan = rt._frontend(call)
+        yield from rt._call_overhead(plan)
+        ops.append(rt._submit(gpu_index, None, "ncclAllReduce", arrive,
+                              apply, call, plan, after=everyone))
+    if sync:
+        for op in ops:
+            yield op.done
     return ops

@@ -524,8 +524,7 @@ def _apply_payload(buf: Buffer, payload) -> None:
         raw = bytes(payload)[: buf.data_size]
         buf.data[: len(raw)] = np.frombuffer(raw, dtype=np.uint8)
     else:
-        words = buf.data.view(np.uint64)
-        words[:] = np.uint64(int(payload) & (2**64 - 1))
+        buf.words[:] = np.uint64(int(payload) & (2**64 - 1))
     buf.touch()
 
 
@@ -533,11 +532,6 @@ _MIX_INIT = 0x9E3779B97F4A7C15
 #: A 0-d array, not an ``np.uint64`` scalar: ``np.multiply`` then stays on
 #: the array path, which on 64-word buffers costs about a third less.
 _MIX_MULT = np.array(6364136223846793005, dtype=np.uint64)
-
-
-def _buf_words(buf: Buffer) -> np.ndarray:
-    words = buf.words
-    return words if words is not None else buf.data.view(np.uint64)
 
 
 def _mix_fold(n_words: int, read_bufs: list[Buffer], salt: int) -> np.ndarray:
@@ -551,7 +545,7 @@ def _mix_fold(n_words: int, read_bufs: list[Buffer], salt: int) -> np.ndarray:
     acc = np.empty(n_words, dtype=np.uint64)
     acc.fill((_MIX_INIT ^ salt) & (2**64 - 1))
     for rb in read_bufs:
-        src = _buf_words(rb)
+        src = rb.words
         n = len(src)
         if n >= n_words:
             np.multiply(acc, _MIX_MULT, out=acc)
@@ -571,7 +565,7 @@ def mix_into(write_buf: Buffer, read_bufs: list[Buffer], salt: int = 0) -> None:
     a word-wise mix (multiply-xor) of the inputs plus a salt, so any
     corruption of an input visibly corrupts the output.
     """
-    out = _buf_words(write_buf)
+    out = write_buf.words
     out[:] = _mix_fold(len(out), read_bufs, salt)
     write_buf.touch()
 
@@ -587,7 +581,7 @@ def mix_many(write_bufs: list[Buffer], read_bufs: list[Buffer],
     """
     if not write_bufs:
         return
-    outs = [_buf_words(w) for w in write_bufs]
+    outs = [w.words for w in write_bufs]
     acc = _mix_fold(max(len(o) for o in outs), read_bufs, salt)
     for w, out in zip(write_bufs, outs):
         out[:] = acc[: len(out)]

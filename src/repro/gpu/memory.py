@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import bisect
 import itertools
-import sys
 from typing import Iterator, Optional
 
 import numpy as np
@@ -37,33 +36,27 @@ WORD = 8
 
 _MASK64 = (1 << 64) - 1
 
-#: A uint64 view of the byte array matches ``load_word``'s little-endian
-#: decoding only on little-endian hosts; elsewhere the word-level fast
-#: paths are disabled and every access takes the byte-slicing path.
-_LITTLE_ENDIAN = sys.byteorder == "little"
-
 _buffer_ids = itertools.count(1)
 
 
 class Buffer:
     """A contiguous device-memory allocation.
 
-    Not constructed directly — use :meth:`DeviceMemory.alloc`.
+    Not constructed directly — use :meth:`DeviceMemory.alloc`, which
+    sizes the materialized prefix in whole words.
     """
+
+    __slots__ = ("id", "addr", "size", "data", "words", "tag", "freed",
+                 "hw_dirty")
 
     def __init__(self, addr: int, size: int, data_size: int, tag: str = "") -> None:
         self.id = next(_buffer_ids)
         self.addr = addr
         self.size = size
         self.data = np.zeros(data_size, dtype=np.uint8)
-        #: Word-granular view of ``data`` for bulk/vectorized access.
-        #: ``None`` when the prefix is not word-aligned or the host is
-        #: big-endian; users must fall back to the byte path then.
-        self.words: Optional[np.ndarray] = (
-            self.data.view(np.uint64)
-            if _LITTLE_ENDIAN and data_size % WORD == 0
-            else None
-        )
+        #: Little-endian word view of ``data`` for bulk/vectorized access
+        #: (the native ``uint64`` on a little-endian host).
+        self.words = self.data.view("<u8")
         self.tag = tag
         self.freed = False
         #: Simulated hardware dirty bit (§9 / GPU snapshot [37]): set by
@@ -104,25 +97,21 @@ class Buffer:
 
     def load_word(self, addr: int) -> int:
         """Read the 8-byte little-endian word at device address ``addr``."""
-        words = self.words
-        if words is not None:
-            off = addr - self.addr
-            if 0 <= off and not off & 7 and off + WORD <= len(self.data) \
-                    and addr + WORD <= self.end:
-                return int(words[off >> 3])
+        off = addr - self.addr
+        if 0 <= off and not off & 7 and off + WORD <= len(self.data) \
+                and addr + WORD <= self.end:
+            return int(self.words[off >> 3])
         off = self._offset(addr, WORD)
         return int.from_bytes(self.data[off : off + WORD].tobytes(), "little")
 
     def store_word(self, addr: int, value: int) -> None:
         """Write an 8-byte little-endian word at device address ``addr``."""
-        words = self.words
-        if words is not None:
-            off = addr - self.addr
-            if 0 <= off and not off & 7 and off + WORD <= len(self.data) \
-                    and addr + WORD <= self.end:
-                words[off >> 3] = value & _MASK64
-                self.hw_dirty = True
-                return
+        off = addr - self.addr
+        if 0 <= off and not off & 7 and off + WORD <= len(self.data) \
+                and addr + WORD <= self.end:
+            self.words[off >> 3] = value & _MASK64
+            self.hw_dirty = True
+            return
         off = self._offset(addr, WORD)
         raw = (value & (2**64 - 1)).to_bytes(WORD, "little")
         self.data[off : off + WORD] = np.frombuffer(raw, dtype=np.uint8)
@@ -281,8 +270,8 @@ class DeviceMemory:
     # One bisect and one bounds check (the word inside both the logical
     # size and the materialized prefix), then the word view.  An access
     # the word view cannot serve (misaligned, past the prefix or the
-    # buffer, a big-endian host) goes to the buffer's own method, which
-    # faults or takes the byte path.
+    # buffer) goes to the buffer's own method, which faults or takes the
+    # byte path.
     def load_word(self, addr: int) -> int:
         """Load through the allocator: faults on unmapped addresses."""
         addrs = self._addrs
@@ -291,8 +280,7 @@ class DeviceMemory:
             buf = self._buffers[addrs[i]]
             off = addr - buf.addr
             end = off + WORD
-            if not off & 7 and end <= buf.size and end <= len(buf.data) \
-                    and buf.words is not None:
+            if not off & 7 and end <= buf.size and end <= len(buf.data):
                 return int(buf.words[off >> 3])
             if off < buf.size:
                 return buf.load_word(addr)
@@ -306,8 +294,7 @@ class DeviceMemory:
             buf = self._buffers[addrs[i]]
             off = addr - buf.addr
             end = off + WORD
-            if not off & 7 and end <= buf.size and end <= len(buf.data) \
-                    and buf.words is not None:
+            if not off & 7 and end <= buf.size and end <= len(buf.data):
                 buf.words[off >> 3] = value & _MASK64
                 buf.hw_dirty = True
                 return

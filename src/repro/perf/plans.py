@@ -714,7 +714,7 @@ def _bind_group(g: _Group, args, memory: DeviceMemory):
     hi = int(mat.max())
     buf = memory.resolve(lo)
     # In bounds: inside the materialized prefix and the logical size.
-    if buf is None or buf.words is None \
+    if buf is None \
             or hi + WORD > buf.addr + min(buf.size, len(buf.data)):
         return None
     # Word alignment of every lane, checked on the closed form (8 divides
@@ -848,7 +848,7 @@ def _bind_gathers(plan: _Plan, args, memory: DeviceMemory, record, vals,
             return None  # two lanes scatter to one word
         else:
             buf = memory.resolve(lo)
-            if buf is None or buf.words is None \
+            if buf is None \
                     or hi + WORD > buf.addr + min(buf.size, len(buf.data)) \
                     or (reduce(or_, flat) | buf.addr) & 7:
                 return None  # out of bounds, or not word-aligned

@@ -9,8 +9,10 @@ notes that "coordinating between threads with RDMA to reach a global
 quiesce is extremely efficient".
 
 :class:`DistributedJob` runs one data-parallel replica per machine
-(each replica may itself span several GPUs), averages gradients over
-the inter-machine RDMA links every step, and offers:
+(each replica may itself span several GPUs), averages gradients every
+step with :func:`~repro.api.nccl.nccl_allreduce` over the replicas (a
+ring over the inter-machine RDMA links, issued through each replica's
+runtime, so a cut taken mid-step guards it like any call), and offers:
 
 * :meth:`checkpoint_all` — a globally-consistent CoW checkpoint of all
   replicas (one cross-machine quiesce barrier, then per-process CoW);
@@ -20,9 +22,8 @@ the inter-machine RDMA links every step, and offers:
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro import units
+from repro.api.nccl import NcclCommunicator, nccl_allreduce
 from repro.apps.specs import AppSpec, get_spec
 from repro.cluster import Cluster
 from repro.core.daemon import collect_cut
@@ -47,6 +48,7 @@ class DistributedJob:
             raise InvalidValueError("distributed jobs are training jobs")
         self.replicas: list[Worker] = []   # one per machine
         self.images: list = []     # latest consistent cut
+        self.cut_steps = 0         # steps done at that cut
         self.steps_done = 0
 
     # -- lifecycle ---------------------------------------------------------------
@@ -64,7 +66,14 @@ class DistributedJob:
 
     # -- training ----------------------------------------------------------------
     def run_steps(self, n: int):
-        """Generator: n data-parallel steps with cross-machine averaging."""
+        """Generator: n data-parallel steps, each ending with an
+        all-reduce of the first gradient buffer of every replica's first
+        GPU (an elementwise sum, so replicas agree)."""
+        ranks = [(replica.process.runtime, replica.process.gpu_indices[0])
+                 for replica in self.replicas]
+        comm = NcclCommunicator(self.engine, ranks, cluster=self.cluster)
+        grads = {rank: replica.workload.groups[rank[1]]["grads"].buffers[0]
+                 for rank, replica in zip(ranks, self.replicas)}
         for _ in range(n):
             step_procs = [
                 self.engine.spawn(
@@ -74,43 +83,8 @@ class DistributedJob:
                 for replica in self.replicas
             ]
             yield self.engine.all_of(step_procs)
-            yield from self._allreduce_across_machines()
+            yield from nccl_allreduce(ranks[0][0], comm, grads, sync=True)
             self.steps_done += 1
-
-    def _allreduce_across_machines(self):
-        """Average the first gradient buffer of GPU 0 across machines.
-
-        Timing: a ring over the inter-machine RDMA links; functional:
-        an elementwise sum applied to every replica (so replicas agree,
-        which the recovery test verifies).
-        """
-        if len(self.replicas) < 2:
-            return
-        grads = []
-        for replica in self.replicas:
-            gpu0 = replica.process.gpu_indices[0]
-            grads.append(replica.workload.groups[gpu0]["grads"].buffers[0])
-        nbytes = grads[0].size
-        machines = [replica.machine for replica in self.replicas]
-        n = len(machines)
-        # Ring: each link moves 2(n-1)/n of the data.
-        flows = []
-        for i, src in enumerate(machines):
-            dst = machines[(i + 1) % n]
-            link = self.cluster.link(src, dst)
-            flows.append(self.engine.spawn(
-                link.flow(src, dst, 2 * (n - 1) / n * nbytes),
-                name=f"ring-{src.name}",
-            ))
-        yield self.engine.all_of(flows)
-        views = [g.data.view(np.uint64) for g in grads]
-        with np.errstate(over="ignore"):
-            total = views[0].copy()
-            for v in views[1:]:
-                total += v
-        for g, v in zip(grads, views):
-            v[:] = total
-            g.touch()
 
     # -- consistent checkpoint -----------------------------------------------------
     def checkpoint_all(self, name: str = "",
@@ -129,18 +103,21 @@ class DistributedJob:
             CROSS_MACHINE_BARRIER_RTT * len(self.replicas)
         )
         yield from quiesce(self.engine, self.processes)
+        steps = self.steps_done
         results = yield from collect_cut([
             (replica.process, replica.phos.medium, replica.checkpoint(
                 "cow", config, name=f"{name or 'dist'}-{replica.machine.name}"))
             for replica in self.replicas
         ])
         self.images = [image for image, _session in results]
+        self.cut_steps = steps
         return self.images
 
     # -- failure recovery ----------------------------------------------------------
     def recover(self):
         """Generator: stop everything, restore every replica from the
-        latest consistent cut, and rebind the workloads (§7)."""
+        latest consistent cut, and rebind the workloads (§7).  The job
+        goes on from the cut's step count: progress past it is lost."""
         if not self.images:
             raise CheckpointError("no consistent checkpoint to recover from")
         # "PHOS stops all GPU processes" — the survivors quiesce, the
@@ -152,6 +129,7 @@ class DistributedJob:
                               name="dist-restore")
             for replica, image in zip(self.replicas, self.images)
         ]
+        self.steps_done = self.cut_steps
         return (yield self.engine.all_of(restores))
 
     # -- introspection -------------------------------------------------------------

@@ -4,8 +4,10 @@ import pytest
 
 from repro.api.calls import ApiCategory, LaunchPlan
 from repro.api.nccl import NcclCommunicator, nccl_allreduce
+from repro.api.runtime import GpuProcess
+from repro.cluster import Cluster, Machine
 from repro.errors import InvalidValueError
-from repro.units import GIB, MIB
+from repro.units import GIB, MIB, NVLINK_BW, RDMA_100GBPS
 
 
 def make_comm(eng, indices=(0, 1)):
@@ -125,3 +127,26 @@ def test_cublas_sgemm_declared_sets(eng, process):
     assert [w.id for w in gemm.writes] == [c.id]
     assert len(gemm.reads) == 2
     assert c.snapshot() != bytes(c.data_size)
+
+
+def test_ring_across_machines_costs_its_slowest_hop(eng):
+    """Ranks are (runtime, gpu) pairs of any processes: a hop within a
+    machine is NVLink, a hop between machines is the cluster's RDMA
+    link, its bandwidth plus its latency per ring step."""
+    cluster = Cluster(eng, [Machine(eng, name=f"node{i}", n_gpus=2)
+                            for i in range(2)], link_latency=3e-6)
+    a, b = (GpuProcess(eng, m, name=m.name, gpu_indices=[0, 1])
+            for m in cluster.machines)
+    local = NcclCommunicator(eng, [(a.runtime, 0), (a.runtime, 1)])
+    assert local.allreduce_time(400) == NcclCommunicator(
+        eng, [0, 1]).allreduce_time(400) == (2 * 1 / 2) * 400 / NVLINK_BW
+    ranks = [(a.runtime, 0), (a.runtime, 1), (b.runtime, 0)]
+    ring = NcclCommunicator(eng, ranks, cluster=cluster)
+    assert ring.hops == [(NVLINK_BW, 0.0), (RDMA_100GBPS, 3e-6),
+                         (RDMA_100GBPS, 3e-6)]
+    assert ring.allreduce_time(3 * MIB) == pytest.approx(
+        4 * (MIB / RDMA_100GBPS + 3e-6))
+    with pytest.raises(InvalidValueError):
+        NcclCommunicator(eng, ranks)  # no cluster to join the machines
+    with pytest.raises(InvalidValueError):
+        NcclCommunicator(eng, [0, (b.runtime, 0)], cluster=cluster)

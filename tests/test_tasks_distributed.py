@@ -1,9 +1,13 @@
 """Integration tests: distributed jobs and consistent cross-machine C/R."""
 
+import contextlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api.nccl import NcclCommunicator, nccl_allreduce
+from repro.api.runtime import CudaRuntime
 from repro.apps.specs import get_spec
 from repro.cluster import Cluster
 from repro.core.quiesce import quiesce
@@ -188,11 +192,6 @@ def cut_during_steps(offset, n_machines=2, steps=1):
     cut stands for.
     """
     eng, job = make_job(n_machines)
-    at_quiesce = []
-
-    def snapshot_after(engine, processes):
-        yield from quiesce(engine, processes)
-        at_quiesce.append(job.replica_states())
 
     def cut(eng):
         yield eng.timeout(offset)
@@ -207,11 +206,25 @@ def cut_during_steps(offset, n_machines=2, steps=1):
         except CheckpointError:
             return None
 
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(distributed, "quiesce", snapshot_after)
+    with watching_quiesce(job) as quiesced:
         images = eng.run_process(driver(eng))
         eng.run()
-    return images, at_quiesce[0]
+    return images, quiesced[0][1]
+
+
+@contextlib.contextmanager
+def watching_quiesce(job):
+    """Record ``(time, replica states)`` at the end of every global
+    quiesce of ``job``."""
+    seen = []
+
+    def snapshot_after(engine, processes):
+        yield from quiesce(engine, processes)
+        seen.append((engine.now, job.replica_states()))
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(distributed, "quiesce", snapshot_after)
+        yield seen
 
 
 def wrong_buffers(images, states):
@@ -274,3 +287,110 @@ def test_recover_then_more_steps_equals_the_never_checkpointed_job():
     recovered, uninterrupted = final_states(True), final_states(False)
     assert recovered[0].keys() == uninterrupted[0].keys()
     assert recovered == uninterrupted
+
+
+# -- a global quiesce racing the collective -----------------------------------------
+
+def replica_collective(job):
+    """A communicator over the replicas' first GPUs, and the first
+    gradient buffer of each."""
+    ranks = [(p.runtime, p.gpu_indices[0]) for p in job.processes]
+    grads = {rank: replica.workload.groups[rank[1]]["grads"].buffers[0]
+             for rank, replica in zip(ranks, job.replicas)}
+    return NcclCommunicator(job.engine, ranks, cluster=job.cluster), grads
+
+
+def image_data(image, tag):
+    return next(rec.data for records in image.gpu_buffers.values()
+                for rec in records.values() if rec.tag == tag)
+
+
+@pytest.fixture
+def submissions(monkeypatch):
+    """``(time, process, CPU stopped)`` of every all-reduce submission."""
+    seen = []
+    submit = CudaRuntime._submit
+
+    def spy(rt, gpu_index, stream, kind, *args, **kwargs):
+        if kind == "ncclAllReduce":
+            seen.append((rt.engine.now, rt.name, rt.cpu_stopped))
+        return submit(rt, gpu_index, stream, kind, *args, **kwargs)
+
+    monkeypatch.setattr(CudaRuntime, "_submit", spy)
+    return seen
+
+
+def test_a_cut_while_the_issuer_waits_at_a_closed_gate_precedes_the_collective(
+        submissions):
+    """Replica 1 alone is stopped, so the collective waits at its gate
+    and submits nothing; a global cut lands meanwhile.  The cut holds
+    neither rank's part, and the collective runs once the cut resumes
+    the job, never submitting on a stopped CPU."""
+    eng, job = make_job()
+
+    def driver(eng):
+        yield from job.setup()
+        yield from job.run_steps(1)
+        comm, grads = replica_collective(job)
+        before = [buf.snapshot() for buf in grads.values()]
+        submissions.clear()  # the step's own all-reduce
+        job.processes[1].runtime.stop_cpu()
+        collective = eng.spawn(nccl_allreduce(
+            job.processes[0].runtime, comm, grads, sync=True))
+        yield eng.timeout(1e-3)
+        assert submissions == []
+        images = yield from job.checkpoint_all()
+        yield collective
+        return images, before, grads
+
+    images, before, grads = eng.run_process(driver(eng))
+    eng.run()
+    assert [image_data(image, "g0:grads:0") for image in images] == before
+    assert [(name, stopped) for _t, name, stopped in submissions] == [
+        (p.name, False) for p in job.processes]
+    after = {buf.snapshot() for buf in grads.values()}
+    assert len(after) == 1 and after.isdisjoint(before)
+
+
+def test_a_cut_landing_between_two_rank_submissions_drains_the_collective(
+        submissions, monkeypatch):
+    """The global quiesce stops both CPUs after rank 0 has submitted and
+    before rank 1 has.  Rank 1's part was issued while every gate was
+    open, so it goes out inside the quiesce window, as any call caught
+    in its call overhead does, and the quiesce drains the collective on
+    both ranks: the cut holds the sum on both, nothing deadlocks, and
+    nothing is submitted between the quiesce and the resume."""
+    eng, job = make_job()
+    monkeypatch.setattr(distributed, "CROSS_MACHINE_BARRIER_RTT", 0.0)
+    spy = CudaRuntime._submit
+    cut = []
+
+    def submit_then_cut(rt, gpu_index, stream, kind, *args, **kwargs):
+        op = spy(rt, gpu_index, stream, kind, *args, **kwargs)
+        if kind == "ncclAllReduce" and cut == [None]:
+            cut[0] = eng.spawn(job.checkpoint_all())
+        return op
+
+    monkeypatch.setattr(CudaRuntime, "_submit", submit_then_cut)
+
+    def driver(eng):
+        yield from job.setup()
+        yield from job.run_steps(1)
+        comm, grads = replica_collective(job)
+        submissions.clear()  # the step's own all-reduce
+        cut.append(None)  # cut at the next rank submission
+        yield from nccl_allreduce(job.processes[0].runtime, comm, grads,
+                                  sync=True)
+        return (yield cut[0]), grads
+
+    with watching_quiesce(job) as quiesced:
+        images, grads = eng.run_process(driver(eng))
+        eng.run()
+    (t_quiesced, states), = quiesced
+    (t0, _, stopped0), (t1, _, stopped1) = submissions
+    assert not stopped0 and stopped1  # the quiesce landed in between
+    assert t0 <= t1 < t_quiesced
+    summed = grads[next(iter(grads))].snapshot()
+    assert [image_data(image, "g0:grads:0") for image in images] == \
+        [summed, summed]
+    assert wrong_buffers(images, states) == []
