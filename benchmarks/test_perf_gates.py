@@ -1,8 +1,8 @@
-"""Performance gates: the six ratio checks nothing else makes.
+"""Performance gates: the seven ratio checks nothing else makes.
 
 Wall-clock numbers live in ``bench/`` (``python3 bench/run.py``).  What
 stays here a runner of any speed can decide: a ratio of two timings
-taken in this process (gates 1-3, 5 and 6) or of virtual times, which are exact
+taken in this process (gates 1-3 and 5-7) or of virtual times, which are exact
 (gate 4).  The arms of a timing ratio alternate run by run, on the CPU
 clock, and the ratio divides their *minima*: a collector pass costs one
 run, not one arm, and a preempted run is not billed for its wait.  Wall
@@ -74,6 +74,40 @@ def saxpy_speedups(n, launches):
     return interp / fast, interp_twin / fast_twin
 
 
+def saxpy_rebind_speedups(n, launches, triples=4):
+    """Forced interpretation over plans for saxpy and its instrumented
+    twin at ``n`` threads, with the arguments rotating over ``triples``
+    buffer triples, as an app rotates block buffers: the one-slot bind
+    memo never hits, so every planned launch binds afresh."""
+    mem = DeviceMemory(capacity=64 * MIB, default_data_size=8 * n)
+    prog = build_saxpy()
+    twin = instrument_program(prog)
+    launches_by_triple = []
+    for _ in range(triples):
+        x, y, z = (mem.alloc(8 * n) for _ in range(3))
+        launches_by_triple.append((
+            [3, x.addr, y.addr, z.addr, n],
+            RangeSet([(x.addr, x.addr + 8 * n), (y.addr, y.addr + 8 * n)]),
+            RangeSet([(z.addr, z.addr + 8 * n)])))
+
+    def arm(program, force):
+        def calls():
+            for i in range(launches):
+                args, reads, writes = launches_by_triple[i % triples]
+                state = (ValidationState(read_ranges=reads,
+                                         write_ranges=writes)
+                         if program is twin else None)
+                run_kernel(program, args, n, mem, validation=state,
+                           force_interpret=force)
+        return calls
+
+    reset_plan_cache_stats()
+    interp, fast, interp_twin, fast_twin = min_cpu_s(
+        arm(prog, True), arm(prog, False), arm(twin, True), arm(twin, False))
+    assert plan_cache_stats()["hit"] > 0
+    return interp / fast, interp_twin / fast_twin
+
+
 def test_gate1_plans_beat_forced_interpretation():
     plain, twin = saxpy_speedups(64, 5)
     print(f"\nplans: {plain:.1f}x plain, {twin:.1f}x instrumented twin")
@@ -89,6 +123,23 @@ def test_gate5_plans_beat_interpretation_at_the_table3_shape():
           f"{twin:.2f}x instrumented twin")
     assert plain >= 2.5
     assert twin >= 2.5
+
+
+#: Gate 7's floor.  With the matrix bind it read 0.95-1.29x plain and
+#: 0.93-1.16x twin; with the closed form 1.63-2.34x and 1.74-2.37x, most
+#: often 2.0-2.3x and 1.85-2.1x (2-CPU container, Python 3.11.7).
+GATE7 = 1.5
+
+
+def test_gate7_plans_beat_interpretation_when_every_launch_rebinds():
+    """The apps' launch: 8 threads on rotating buffers, so no launch
+    repeats its predecessor's arguments and a plan's per-launch cost is
+    a fresh bind."""
+    plain, twin = saxpy_rebind_speedups(8, 48)
+    print(f"\nplans rebinding at 8 threads: {plain:.2f}x plain, "
+          f"{twin:.2f}x instrumented twin")
+    assert plain >= GATE7
+    assert twin >= GATE7
 
 
 def twin_speedup(build, buffers, launches=50):

@@ -44,13 +44,17 @@ class ApiCategory(enum.Enum):
     @property
     def has_declared_semantics(self) -> bool:
         """True for types 1-3: read/write sets come from specifications."""
-        return self in (
-            ApiCategory.MEMCPY_H2D,
-            ApiCategory.MEMCPY_D2H,
-            ApiCategory.MEMCPY_D2D,
-            ApiCategory.COMM,
-            ApiCategory.LIB_COMPUTE,
-        )
+        return self in DECLARED
+
+
+#: Types 1-3: the categories whose read/write sets come from specifications.
+DECLARED = (
+    ApiCategory.MEMCPY_H2D,
+    ApiCategory.MEMCPY_D2H,
+    ApiCategory.MEMCPY_D2D,
+    ApiCategory.COMM,
+    ApiCategory.LIB_COMPUTE,
+)
 
 
 @dataclass
@@ -68,7 +72,7 @@ class ApiCall:
     program: Optional[Program] = None
     args: list[int] = field(default_factory=list)
     n_threads: int = 0
-    cost: KernelCost = field(default_factory=KernelCost)
+    cost: KernelCost = KernelCost()  # frozen, so one default is shared
     #: Memory moves: logical transfer size.
     nbytes: int = 0
     id: int = field(default_factory=lambda: next(_call_ids))

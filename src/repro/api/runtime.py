@@ -30,6 +30,7 @@ import numpy as np
 
 from repro import obs, units
 from repro.api.calls import PASSTHROUGH_PLAN, ApiCall, ApiCategory, LaunchPlan
+from repro.api.graph import CudaGraph, GraphNode
 from repro.cluster import Machine
 from repro.cpu.process import HostProcess
 from repro.errors import GpuError, InvalidValueError
@@ -120,7 +121,7 @@ class CudaRuntime:
             i: [] for i in process.gpu_indices
         }
         #: Active stream captures (cudaStreamBeginCapture), by stream id.
-        self._captures: dict[int, "CudaGraph"] = {}  # noqa: F821
+        self._captures: dict[int, CudaGraph] = {}
 
     def gpu(self, gpu_index: int):
         if gpu_index not in self.gpu_indices:
@@ -250,8 +251,10 @@ class CudaRuntime:
         """
         yield from self._gate()
         self._require_context(gpu_index)
-        if self._capture_node(gpu_index, stream, "memcpy_h2d",
-                              {"buf": buf, "payload": payload, "nbytes": nbytes}):
+        stream = stream or self.default_stream(gpu_index)
+        if self._captures and self._capture_node(
+                stream, "memcpy_h2d",
+                {"buf": buf, "payload": payload, "nbytes": nbytes}):
             return None
         nbytes = buf.size if nbytes is None else nbytes
         call = ApiCall(
@@ -308,8 +311,9 @@ class CudaRuntime:
         """Generator: on-device copy (cudaMemcpyD2D)."""
         yield from self._gate()
         self._require_context(gpu_index)
-        if self._capture_node(gpu_index, stream, "memcpy_d2d",
-                              {"src": src, "dst": dst}):
+        stream = stream or self.default_stream(gpu_index)
+        if self._captures and self._capture_node(
+                stream, "memcpy_d2d", {"src": src, "dst": dst}):
             return None
         call = ApiCall(
             ApiCategory.MEMCPY_D2D, "cudaMemcpyD2D", gpu_index,
@@ -345,9 +349,11 @@ class CudaRuntime:
         yield from self._gate()
         ctx = self._require_context(gpu_index)
         cost = cost or KernelCost()
-        if self._capture_node(gpu_index, stream, "launch_kernel",
-                              {"program": program, "args": list(args),
-                               "n_threads": n_threads, "cost": cost}):
+        stream = stream or self.default_stream(gpu_index)
+        if self._captures and self._capture_node(
+                stream, "launch_kernel",
+                {"program": program, "args": list(args),
+                 "n_threads": n_threads, "cost": cost}):
             return None
         call = ApiCall(
             ApiCategory.OPAQUE_KERNEL, program.name, gpu_index,
@@ -401,10 +407,11 @@ class CudaRuntime:
         yield from self._gate()
         self._require_context(gpu_index)
         cost = cost or KernelCost()
-        if self._capture_node(gpu_index, stream, "lib_compute",
-                              {"name": name, "reads": list(reads),
-                               "writes": list(writes), "cost": cost,
-                               "salt": salt}):
+        stream = stream or self.default_stream(gpu_index)
+        if self._captures and self._capture_node(
+                stream, "lib_compute",
+                {"name": name, "reads": list(reads), "writes": list(writes),
+                 "cost": cost, "salt": salt}):
             return None
         call = ApiCall(
             ApiCategory.LIB_COMPUTE, name, gpu_index,
@@ -462,8 +469,6 @@ class CudaRuntime:
     def graph_begin_capture(self, gpu_index: int,
                             stream: Optional[Stream] = None, name: str = ""):
         """Generator: cudaStreamBeginCapture — record, don't execute."""
-        from repro.api.graph import CudaGraph
-
         yield from self._gate()
         stream = stream or self.default_stream(gpu_index)
         if stream.id in self._captures:
@@ -494,12 +499,13 @@ class CudaRuntime:
             yield last_op.done
         return last_op
 
-    def _capture_node(self, gpu_index: int, stream: Optional[Stream],
-                      method: str, kwargs: dict) -> bool:
-        """Record a call into an active capture instead of executing it."""
-        from repro.api.graph import GraphNode
+    def _capture_node(self, stream: Stream, method: str,
+                      kwargs: dict) -> bool:
+        """Record a call into an active capture instead of executing it.
 
-        stream = stream or self.default_stream(gpu_index)
+        Asked only while some stream captures (``self._captures``), so
+        an uncaptured call builds no node arguments.
+        """
         graph = self._captures.get(stream.id)
         if graph is None:
             return False

@@ -32,7 +32,9 @@ from functools import partial
 from typing import Optional
 
 from repro import obs, units
-from repro.api.calls import ApiCall, ApiCategory, LaunchPlan
+from repro.api.calls import (
+    DECLARED, PASSTHROUGH_PLAN, ApiCall, ApiCategory, LaunchPlan,
+)
 from repro.api.runtime import GpuProcess
 from repro.core.session import BufState, CheckpointSession, RestoreSession, RestoreState
 from repro.core.speculation import SpeculatedSets, speculate_call
@@ -49,13 +51,27 @@ from repro.storage.hashcache import BufferHashCache
 #: processes (IPC mode, required for the context pool — §3).
 IPC_OVERHEAD = 5 * units.USEC
 
+#: What a bookkeeping call (malloc, free, sync) is planned as in IPC
+#: mode; in LFC mode it is ``PASSTHROUGH_PLAN``.  Shared, so immutable.
+_IPC_PLAN = LaunchPlan(frontend_overhead=IPC_OVERHEAD)
+
 _NAN = float("nan")  # "no earlier write" in a write-history pair
 
-_KERNEL_CATEGORIES = (
-    ApiCategory.OPAQUE_KERNEL,
-    ApiCategory.LIB_COMPUTE,
-    ApiCategory.COMM,
-)
+#: How ``plan`` treats a category: bookkeeping calls get no sets, memory
+#: moves get their declared ones, kernels are also counted by the twin
+#: cache, and opaque kernels alone are speculated and instrumented.
+_BOOKKEEPING, _MOVE, _KERNEL, _OPAQUE = range(4)
+
+#: Per category, looked up once per call: its ``frontend/calls`` label
+#: and its treatment.
+_CATEGORIES = {
+    category: (category.name.lower(),
+               _OPAQUE if category is ApiCategory.OPAQUE_KERNEL
+               else _KERNEL if category in (ApiCategory.LIB_COMPUTE,
+                                            ApiCategory.COMM)
+               else _MOVE if category in DECLARED else _BOOKKEEPING)
+    for category in ApiCategory
+}
 
 
 class PhosFrontend:
@@ -163,42 +179,44 @@ class PhosFrontend:
         return False
 
     def plan(self, call: ApiCall) -> LaunchPlan:
-        obs.counter("frontend/calls", mode=self.mode,
-                    category=call.category.name.lower()).inc()
-        plan = LaunchPlan(
-            frontend_overhead=IPC_OVERHEAD if self.mode == "ipc" else 0.0
-        )
-        if call.category in (ApiCategory.MALLOC, ApiCategory.FREE, ApiCategory.SYNC):
-            return plan
-        table = self.tables[call.gpu_index]
+        label, treatment = _CATEGORIES[call.category]
+        obs.counter("frontend/calls", mode=self.mode, category=label).inc()
+        overhead = IPC_OVERHEAD if self.mode == "ipc" else 0.0
+        if treatment == _BOOKKEEPING:
+            return _IPC_PLAN if overhead else PASSTHROUGH_PLAN
+        gpu_index = call.gpu_index
+        table = self.tables[gpu_index]
         sets = speculate_call(call, table)
         # The sessions are fixed here: one that begins or ends before
         # the call completes is never consulted for it.
         ckpt = self.ckpt_session
-        if ckpt is not None and (ckpt.aborted or not ckpt.covers_gpu(call.gpu_index)):
+        if ckpt is not None and (ckpt.aborted or not ckpt.covers_gpu(gpu_index)):
             ckpt = None
         restore = self.restore_session
         if restore is not None and (restore.aborted
-                                    or not restore.covers_gpu(call.gpu_index)):
+                                    or not restore.covers_gpu(gpu_index)):
             restore = None
-        instrument = call.is_opaque and (
+        instrument = treatment == _OPAQUE and (
             ckpt is not None or restore is not None or self.always_instrument
         )
-        if call.category in _KERNEL_CATEGORIES:
+        if treatment != _MOVE:
             self.twins.observe_launch(call, instrumented=instrument)
+        program = validation = pre_exec = on_complete = None
         if instrument:
-            plan.program = self.twins.twin_for(call.program,
-                                               check_reads=restore is not None)
-            plan.validation = ValidationState(read_ranges=sets.read_ranges(),
-                                              write_ranges=sets.write_ranges())
+            program = self.twins.twin_for(call.program,
+                                          check_reads=restore is not None)
+            validation = ValidationState(read_ranges=sets.read_ranges(),
+                                         write_ranges=sets.write_ranges())
         cow = ckpt if ckpt is not None and ckpt.mode == "cow" and sets.writes else None
         if restore is not None or cow is not None:
-            plan.pre_exec = partial(self._guard, call, sets, restore, cow)
+            pre_exec = partial(self._guard, call, sets, restore, cow)
         log = self.log_accesses
         if sets.writes or log or restore is not None or ckpt is not None or instrument:
-            plan.on_complete = partial(self._complete, table, sets,
-                                       plan.validation, restore, ckpt, log)
-        return plan
+            on_complete = partial(self._complete, table, sets, validation,
+                                  restore, ckpt, log)
+        return LaunchPlan(program=program, validation=validation,
+                          pre_exec=pre_exec, on_complete=on_complete,
+                          frontend_overhead=overhead)
 
     # -- the in-stream guard: §6's restore wait, then §4.2's CoW ---------------------
     def _guard(self, call: ApiCall, sets: SpeculatedSets,

@@ -23,7 +23,7 @@ from __future__ import annotations
 import enum
 import functools
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.errors import SignatureError
@@ -53,11 +53,23 @@ class Signature:
 
     kernel_name: str
     params: tuple[ParamInfo, ...]
+    #: What argument speculation reads: ``(index, mutable)`` for each
+    #: pointer parameter, in declaration order, or None when an opaque
+    #: struct makes speculation conservative.  Derived from ``params``.
+    pointers: Optional[tuple[tuple[int, bool], ...]] = field(
+        init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        kinds = [p.kind for p in self.params]
+        pointers = None if ParamKind.STRUCT in kinds else tuple(
+            (i, kind is ParamKind.MUT_PTR) for i, kind in enumerate(kinds)
+            if kind is not ParamKind.SCALAR)
+        object.__setattr__(self, "pointers", pointers)
 
     @property
     def has_struct(self) -> bool:
         """True when any parameter is an opaque struct (conservative mode)."""
-        return any(p.kind is ParamKind.STRUCT for p in self.params)
+        return self.pointers is None
 
     def __len__(self) -> int:
         return len(self.params)

@@ -19,11 +19,15 @@ Speculation is *buffer-granular* and deliberately over-approximate
 in the arguments (module-global pointers) — exactly what the runtime
 validator exists to catch.
 
-An opaque kernel's sets are a function of its program, its arguments
-and the buffer table, and the same launch repeats every iteration: the
-table keeps the last launch's sets per program (flushed whenever a
-buffer is registered or unregistered) and a repeated launch gets them
-back.  Sets are therefore shared, so they are immutable.
+The parameter walk is done once per kernel: its parsed
+:class:`~repro.core.signatures.Signature` carries ``pointers``, the
+``(index, mutable)`` of each pointer parameter (None for a struct), so
+a launch resolves just those arguments.  An opaque kernel's sets are a
+function of its program, its arguments and the buffer table, and the
+same launch repeats every iteration: the table keeps the last launch's
+sets per program (flushed whenever a buffer is registered or
+unregistered) and a repeated launch gets them back.  Sets are therefore
+shared, so they are immutable.
 """
 
 from __future__ import annotations
@@ -31,8 +35,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.api.calls import ApiCall, ApiCategory
-from repro.core.signatures import ParamKind, program_signature
+from repro.api.calls import DECLARED, ApiCall, ApiCategory
+from repro.core.signatures import program_signature
 from repro.core.tracker import BufferTable
 from repro.gpu.memory import Buffer
 from repro.gpu.ranges import RangeSet
@@ -74,16 +78,18 @@ class SpeculatedSets:
 
 def speculate_call(call: ApiCall, table: BufferTable) -> SpeculatedSets:
     """Speculate the read/write sets of one intercepted call."""
-    if call.category.has_declared_semantics:
+    category = call.category
+    if category is ApiCategory.OPAQUE_KERNEL:
+        return _speculate_opaque(call, table)
+    if category in DECLARED:
         return SpeculatedSets(
             writes=tuple(call.writes), reads=tuple(call.reads), opaque=False
         )
-    if call.category is not ApiCategory.OPAQUE_KERNEL:
-        return SpeculatedSets()
-    return _speculate_opaque(call, table)
+    return SpeculatedSets()
 
 
 def _speculate_opaque(call: ApiCall, table: BufferTable) -> SpeculatedSets:
+    """An opaque kernel's sets, read off its signature's pointer table."""
     program = call.program
     assert program is not None
     args = tuple(call.args)
@@ -91,37 +97,28 @@ def _speculate_opaque(call: ApiCall, table: BufferTable) -> SpeculatedSets:
     if slot is not None and slot[0] is program and slot[1] == args:
         return slot[2]
     sig = program_signature(program)
-    if sig is None or sig.has_struct or len(sig) != len(args):
-        sets = _conservative(call, table)
+    pointers = sig.pointers if sig is not None and len(sig) == len(args) \
+        else None
+    resolve = table.resolve
+    if pointers is None:
+        # Struct/unknown signature: every 8-byte chunk is a tentative
+        # pointer, read and written.
+        bufs: list[Buffer] = []
+        for arg in args:
+            buf = resolve(int(arg))
+            if buf is not None and buf not in bufs:
+                bufs.append(buf)
+        sets = SpeculatedSets(tuple(bufs), tuple(bufs), opaque=True,
+                              conservative=True)
     else:
         writes: list[Buffer] = []
         reads: list[Buffer] = []
-        for param, arg in zip(sig.params, args):
-            if param.kind is ParamKind.SCALAR:
-                continue
-            buf = table.resolve(int(arg))
-            if buf is None:
-                continue
-            if param.kind is ParamKind.MUT_PTR:
-                _add(writes, buf)
-            elif param.kind is ParamKind.CONST_PTR:
-                _add(reads, buf)
+        for i, mutable in pointers:
+            buf = resolve(int(args[i]))
+            if buf is not None:
+                bufs = writes if mutable else reads
+                if buf not in bufs:
+                    bufs.append(buf)
         sets = SpeculatedSets(tuple(writes), tuple(reads), opaque=True)
     table.spec_memo[id(program)] = (program, args, sets)
     return sets
-
-
-def _conservative(call: ApiCall, table: BufferTable) -> SpeculatedSets:
-    """Struct/unknown signature: every 8-byte chunk is a tentative pointer."""
-    bufs: list[Buffer] = []
-    for arg in call.args:
-        buf = table.resolve(int(arg))
-        if buf is not None:
-            _add(bufs, buf)
-    return SpeculatedSets(tuple(bufs), tuple(bufs), opaque=True,
-                          conservative=True)
-
-
-def _add(bufs: list[Buffer], buf: Buffer) -> None:
-    if all(b.id != buf.id for b in bufs):
-        bufs.append(buf)

@@ -56,8 +56,10 @@ exactly a strided range.  A gather group keeps its address expression,
 merged across iterations like a value.  Store values are merged across
 iterations by shape-matching their expression DAGs.
 
-``_bind`` evaluates the affine forms against the actual arguments and,
-with ``_bind_gathers`` for the gather groups on each launch's concrete
+``_bind`` evaluates the affine forms against the actual arguments in
+closed form — Python integers over the offsets ``_close_affine``
+settled at compile time, no address matrix (``_hull``) — and, with
+``_bind_gathers`` for the gather groups on each launch's concrete
 addresses (in trace order, so an index is read before the address it
 feeds), proves before touching any byte:
 
@@ -69,7 +71,8 @@ feeds), proves before touching any byte:
   read-modify-write pattern, within one class) — this makes vectorized
   all-loads-then-all-stores equal to sequential per-thread execution;
 * for instrumented twins: each CHK group's address hull is contained in
-  the speculated range set (:meth:`ValidationState.covers`), which
+  the speculated range set (:meth:`ValidationState.covers`, asked once
+  for the merged hull of the affine CHK groups off one pointer), which
   proves the per-access checks would produce **zero** violations.  A
   launch that would produce violations is never served by a plan — it
   falls back, and the interpreter reports the identical violation list.
@@ -460,8 +463,8 @@ def _trace_class(program: Program, args, tidv: np.ndarray, n_threads: int,
 
 class _Group:
     __slots__ = ("kind", "cls", "tids", "pos", "k", "addr", "access", "c0",
-                 "coeffs", "ct", "dj", "jcol", "trow", "dup", "check_unique",
-                 "value", "i")
+                 "coeffs", "ct", "dj", "sct", "sdj", "omin", "omax", "wide",
+                 "aligned", "distinct", "first", "woff", "value", "i")
 
     def __init__(self, kind: str, cls: int, tids: np.ndarray) -> None:
         self.kind = kind
@@ -481,7 +484,7 @@ class _Group:
 
 class _Plan:
     __slots__ = ("steps", "longest", "used_args", "load_groups",
-                 "store_groups", "chk_groups", "gathers", "pairs")
+                 "store_groups", "chk_groups", "chk_sets", "gathers", "pairs")
 
 
 def _aff_node(c0: int, coeffs: tuple, ct: int, cj: int):
@@ -586,8 +589,22 @@ def _signed(v: int) -> int:
     return ((v + (1 << 63)) & _MASK64) - (1 << 63)
 
 
+#: An affine group whose offsets span this much or more binds on its
+#: address matrix.  A narrower one whose range straddles a multiple of
+#: 2**64 wraps to a hull at least 2**63 wide, which no buffer's prefix
+#: holds, so it falls back on the closed form alone (``_hull``).
+_WIDE = 1 << 62
+
+
 def _close_affine(g: _Group, sites: list) -> None:
-    """Give an affine group its closed form ``base + dj·j + ct·tid``."""
+    """Give an affine group its closed form ``base + dj·j + ct·tid``.
+
+    The base ``c0 + Σ ci·arg_i`` is all a launch supplies, so what the
+    strides decide is settled here: the extreme offsets ``omin``/``omax``
+    over the ``(j, tid)`` grid (the form is linear, so they sit at its
+    corners), the word alignment of the strides, whether two accesses
+    share an address, and each access's word offset above the lowest.
+    """
     k = g.k
     base = sites[0].aff
     shape = base.shape_key()
@@ -602,19 +619,27 @@ def _close_affine(g: _Group, sites: list) -> None:
     g.coeffs = base.coeffs
     g.ct = base.ct
     g.dj = dj
-    g.jcol = (np.arange(k, dtype=np.uint64)
-              * np.uint64(dj & _MASK64)).reshape(-1, 1)
-    g.trow = np.uint64(base.ct & _MASK64) * g.tids
-    # Two stores of the group hit one word when a stride is 0 modulo
-    # 2**64 (over more than one lane or iteration).  Otherwise only a
-    # product of strides, or a stride times a lane gap wide enough to
-    # wrap, can collide: those are checked on the bound addresses.
     lanes = len(g.tids)
-    ct, dj = _signed(base.ct), _signed(dj)
-    g.dup = (k > 1 and dj == 0) or (lanes > 1 and ct == 0)
-    g.check_unique = (k > 1 and lanes > 1) \
-        or abs(ct) * int(g.tids[-1] - g.tids[0]) >> 64 \
-        or abs(dj) * (k - 1) >> 64
+    # Signed strides: the same residues modulo 2**64, and the offsets of
+    # a stride that wraps (a negative one) stay small.
+    g.sdj = sdj = _signed(dj)
+    g.sct = sct = _signed(base.ct)
+    tids = g.tids.tolist()
+    g.omin = min(0, sdj * (k - 1)) + min(sct * tids[0], sct * tids[-1])
+    g.omax = max(0, sdj * (k - 1)) + max(sct * tids[0], sct * tids[-1])
+    g.wide = g.omax - g.omin >= _WIDE
+    # Word alignment of every lane once the lowest address is aligned
+    # (8 divides 2**64, so any stride representative has its residue).
+    g.aligned = not (k > 1 and dj % WORD or lanes > 1 and base.ct % WORD)
+    if g.wide:
+        return
+    offs = [[sdj * j + sct * t - g.omin for t in tids] for j in range(k)]
+    # A range that does not straddle a multiple of 2**64 is unwrapped,
+    # so two accesses share a word exactly when they share an offset.
+    g.distinct = len({o for row in offs for o in row}) == k * lanes
+    # The first access's (j = 0, lowest tid) offset above the hull's lo.
+    g.first = sct * tids[0] - g.omin
+    g.woff = np.array(offs, dtype=np.intp) >> 3 if g.aligned else None
 
 
 def _compile(trace: _Trace) -> _Plan:
@@ -665,6 +690,7 @@ def _compile(trace: _Trace) -> _Plan:
     plan.chk_groups = by_kind["cr"] + by_kind["cw"]
     for i, g in enumerate(plan.chk_groups):
         g.i = i
+    plan.chk_sets = _chk_sets(plan.chk_groups)
     # A gather's address reads only loads that precede it in its class.
     plan.gathers = sorted(
         (g for g in plan.load_groups + plan.store_groups + plan.chk_groups
@@ -672,6 +698,20 @@ def _compile(trace: _Trace) -> _Plan:
         key=lambda g: (g.cls, g.pos[0]))
     plan.pairs = _pairs(plan, False), _pairs(plan, True)
     return plan
+
+
+def _chk_sets(chk_groups: list) -> tuple:
+    """The affine CHK groups by the arguments they are addressed off.
+
+    One set is one pointer, so one buffer: a twin's read and write of
+    it, or a loop's and another class's pass over it.  A launch proves
+    each set covered with one check (``_merge_hulls``).
+    """
+    sets: dict[tuple, list] = {}
+    for g in chk_groups:
+        if g.addr is None:
+            sets.setdefault(g.coeffs, []).append(g)
+    return tuple(sets.values())
 
 
 def _pairs(plan: _Plan, gathered: bool) -> tuple:
@@ -700,36 +740,127 @@ def _pairs(plan: _Plan, gathered: bool) -> tuple:
 # bind + execute
 # --------------------------------------------------------------------------
 
-def _group_mat(g: _Group, args) -> np.ndarray:
+def _base(g: _Group, args) -> int:
+    """The group's ``c0 + Σ ci·arg_i`` for ``args``, unmasked."""
     base = g.c0
     for i, c in g.coeffs:
         base += c * int(args[i])
-    return np.uint64(base & _MASK64) + g.jcol + g.trow  # (k, lanes)
+    return base
+
+
+def _hull(g: _Group, args):
+    """A narrow affine group's address hull ``(lo, hi)`` on this launch,
+    in closed form; None when the range straddles a multiple of 2**64.
+
+    Every address is ``base + o`` modulo 2**64 for an offset ``o`` in
+    ``[omin, omax]``; when ``base + omin`` and ``base + omax`` fall in
+    one multiple of 2**64, subtracting it gives every address exactly.
+    """
+    lo = (_base(g, args) & _MASK64) + g.omin
+    hi = lo - g.omin + g.omax
+    wrap = lo >> 64
+    if hi >> 64 != wrap:
+        return None
+    wrap <<= 64
+    return lo - wrap, hi - wrap
+
+
+def _group_mat(g: _Group, args) -> np.ndarray:
+    """A wide group's ``(k, lanes)`` address matrix, wrapped to 64 bits."""
+    jcol = (np.arange(g.k, dtype=np.uint64)
+            * np.uint64(g.dj & _MASK64)).reshape(-1, 1)
+    return np.uint64(_base(g, args) & _MASK64) + jcol \
+        + np.uint64(g.ct & _MASK64) * g.tids
 
 
 def _bind_group(g: _Group, args, memory: DeviceMemory):
-    """An affine group's ``(buf, idx, mat, lo, hi)``; None → fall back."""
-    mat = _group_mat(g, args)
-    lo = int(mat.min())
-    hi = int(mat.max())
+    """An affine group's ``(buf, idx, lo, hi, mat)``; None → fall back.
+
+    ``mat`` is the address matrix of a wide group and None for the rest,
+    whose hull and word indices come from the closed form.
+    """
+    if g.wide:
+        mat = _group_mat(g, args)
+        lo, hi = int(mat.min()), int(mat.max())
+    else:
+        hull = _hull(g, args)
+        if hull is None:
+            return None  # wraps to a hull wider than any buffer
+        lo, hi = hull
+        mat = None
     buf = memory.resolve(lo)
     # In bounds: inside the materialized prefix and the logical size.
+    # Word aligned: the lowest address and the strides.  A misaligned
+    # access is legal in the interpreter — it just can't use the word view.
     if buf is None \
-            or hi + WORD > buf.addr + min(buf.size, len(buf.data)):
+            or hi + WORD > buf.addr + min(buf.size, len(buf.data)) \
+            or (lo - buf.addr) % WORD or not g.aligned:
         return None
-    # Word alignment of every lane, checked on the closed form (8 divides
-    # 2**64, so the masked form preserves residues).  A misaligned access
-    # is legal in the interpreter — it just can't use the word view.
-    if (lo - buf.addr) % WORD or (g.k > 1 and g.dj % WORD) \
-            or (len(g.trow) > 1 and g.ct % WORD):
-        return None
-    # Word indices as intp: numpy indexes with that dtype without a
-    # cast, several times faster than with uint64 at a few lanes.
-    idx = ((mat - np.uint64(buf.addr)) >> _U3).astype(np.intp)
-    return buf, idx, mat, lo, hi
+    if mat is None:
+        # Word indices as intp: numpy indexes with that dtype without a
+        # cast, several times faster than with uint64 at a few lanes.
+        idx = g.woff + ((lo - buf.addr) >> 3)
+    else:
+        idx = ((mat - np.uint64(buf.addr)) >> _U3).astype(np.intp)
+    return buf, idx, lo, hi, mat
 
 
-def _conflict_free(plan: _Plan, loads, stores, pairs) -> bool:
+def _chk_hull(g: _Group, args) -> tuple:
+    """An affine CHK group's ``(kind, lo, hi)`` over its wrapped addresses."""
+    hull = None if g.wide else _hull(g, args)
+    if hull is None:
+        mat = _group_mat(g, args)
+        hull = int(mat.min()), int(mat.max())
+    return (g.access, *hull)
+
+
+def _merge_hulls(hulls: list) -> tuple:
+    """One ``(kind, lo, hi, parts)`` check for the CHK hulls of a set of
+    ``_chk_sets``: the hull of their hulls, as a ``WRITE`` if any of them
+    is one, and the hulls themselves in ``parts`` (empty for a lone hull).
+
+    A covered merged hull covers each part (a read passes where writes
+    are speculated, see ``ValidationState.check``); an uncovered one
+    says nothing, so ``_covered`` then asks each part.
+    """
+    if len(hulls) == 1:
+        return (*hulls[0], ())
+    kind = AccessKind.WRITE if any(h[0] is AccessKind.WRITE for h in hulls) \
+        else AccessKind.READ
+    return (kind, min(h[1] for h in hulls), max(h[2] for h in hulls),
+            tuple(hulls))
+
+
+def _covered(validation, checks) -> bool:
+    """True when every hull of ``_merge_hulls`` is inside the speculated
+    ranges, so the per-access CHKs would report zero violations."""
+    covers = validation.covers
+    for kind, lo, hi, parts in checks:
+        if not covers(kind, lo, hi) and not (
+                parts and all(covers(*p) for p in parts)):
+            return False
+    return True
+
+
+def _in_place(lg: _Group, load, sg: _Group, store, args) -> bool:
+    """True when a load group and a store group of one class, with ``k``
+    iterations each, access equal addresses lane by lane and iteration
+    by iteration."""
+    lmat, smat = load[4], store[4]
+    if lmat is None and smat is None:
+        # Two unwrapped closed forms: equal strides where they vary and
+        # an equal first address.
+        return (lg.k == 1 or lg.sdj == sg.sdj) \
+            and (len(lg.tids) == 1 or lg.sct == sg.sct) \
+            and load[2] + lg.first == store[2] + sg.first
+    if lmat is None:
+        lmat = _group_mat(lg, args)
+    if smat is None:
+        smat = _group_mat(sg, args)
+    return np.array_equal(lmat, smat)
+
+
+def _conflict_free(plan: _Plan, loads, stores, pairs, args) -> bool:
     """True when all-loads-then-all-stores provably equals sequential
     per-thread execution over ``pairs`` (see ``_pairs``): store addresses
     are pairwise distinct, and a load overlaps a store only
@@ -738,18 +869,18 @@ def _conflict_free(plan: _Plan, loads, stores, pairs) -> bool:
     for i in distinct:
         # Duplicate store addresses (any two lanes writing the same word)
         # make the final byte state order-dependent.
-        g, mat = plan.store_groups[i], stores[i][2]
-        if g.dup or g.check_unique and mat.size > 1 \
-                and np.unique(mat).size != mat.size:
+        mat = stores[i][4]
+        if not (plan.store_groups[i].distinct if mat is None
+                else np.unique(mat).size == mat.size):
             return False
     for i, j in store_pairs:
         a, b = stores[i], stores[j]
-        if a[0] is b[0] and b[3] <= a[4] and a[3] <= b[4]:
+        if a[0] is b[0] and b[2] <= a[3] and a[2] <= b[3]:
             return False
     for i, j in load_pairs:
-        (lbuf, _, lmat, llo, lhi), (sbuf, _, smat, slo, shi) = \
-            loads[i], stores[j]
-        if sbuf is not lbuf or shi < llo or lhi < slo:
+        load, store = loads[i], stores[j]
+        if store[0] is not load[0] or store[3] < load[2] \
+                or load[3] < store[2]:
             continue
         # Overlapping hulls are only safe for the read-then-write (in
         # place) pattern: the same lanes, each iteration's load ahead of
@@ -757,7 +888,7 @@ def _conflict_free(plan: _Plan, loads, stores, pairs) -> bool:
         lg, sg = plan.load_groups[i], plan.store_groups[j]
         if not (lg.cls == sg.cls and lg.k == sg.k
                 and all(map(int.__lt__, lg.pos, sg.pos))
-                and np.array_equal(lmat, smat)):
+                and _in_place(lg, load, sg, store, args)):
             return False
     return True
 
@@ -767,14 +898,14 @@ def _bind(plan: _Plan, args, memory: DeviceMemory):
 
     A pure function of ``(plan, args, memory's buffer layout)``: the
     record is ``(loads, stores, chks, addrs)`` — a ``(buf, idx)`` entry
-    per load and store group, a ``(kind, lo, hi)`` hull per affine CHK
-    group, and each gather's address node with its argument-only terms
-    evaluated — and exists only when every affine access is in-bounds
-    and word-aligned and lockstep execution provably equals sequential
-    execution as far as the affine groups go.  A plan with gathers keeps
-    ``(buf, idx, mat, lo, hi)`` entries, for its launches' conflict
-    proofs, and None for each gather or scatter, which every launch
-    binds itself.
+    per load and store group, one ``_merge_hulls`` check per set of
+    affine CHK groups, and each gather's address node with its
+    argument-only terms evaluated — and exists only when every affine
+    access is in-bounds and word-aligned and lockstep execution provably
+    equals sequential execution as far as the affine groups go.  A plan
+    with gathers keeps ``(buf, idx, lo, hi, mat)`` entries, for its
+    launches' conflict proofs, and None for each gather or scatter,
+    which every launch binds itself.
     """
     loads, stores = [], []
     for groups, out in ((plan.load_groups, loads),
@@ -786,13 +917,10 @@ def _bind(plan: _Plan, args, memory: DeviceMemory):
                 if bound is None:
                     return None
             out.append(bound)
-    if not _conflict_free(plan, loads, stores, plan.pairs[0]):
+    if not _conflict_free(plan, loads, stores, plan.pairs[0], args):
         return None
-    chks = []
-    for cg in plan.chk_groups:
-        if cg.addr is None:
-            mat = _group_mat(cg, args)
-            chks.append((cg.access, int(mat.min()), int(mat.max())))
+    chks = [_merge_hulls([_chk_hull(cg, args) for cg in groups])
+            for groups in plan.chk_sets]
     if not plan.gathers:
         # What the launch reads back: each group's buffer and word indices.
         return ([bound[:2] for bound in loads],
@@ -854,8 +982,8 @@ def _bind_gathers(plan: _Plan, args, memory: DeviceMemory, record, vals,
                 return None  # out of bounds, or not word-aligned
             mat = raw.reshape(g.k, -1)
             idx = ((mat - np.uint64(buf.addr)) >> _U3).astype(np.intp)
-            (loads if g.kind == "r" else stores)[g.i] = buf, idx, mat, lo, hi
-    if not _conflict_free(plan, loads, stores, plan.pairs[1]):
+            (loads if g.kind == "r" else stores)[g.i] = buf, idx, lo, hi, mat
+    if not _conflict_free(plan, loads, stores, plan.pairs[1], args):
         return None
     return loads, stores
 
@@ -931,10 +1059,8 @@ def _execute(plan: _Plan, program: Program, args, n_threads: int, record,
     fails or the CHKs may fire."""
     loads, stores, chks, _ = record
     # -- validation: prove the CHK stream produces zero violations ---------
-    if validation is not None:
-        for kind, lo, hi in chks:
-            if not validation.covers(kind, lo, hi):
-                return None
+    if validation is not None and not _covered(validation, chks):
+        return None
     vals = [None] * len(loads)
     if plan.gathers:
         bound = _bind_gathers(plan, args, memory, record, vals, validation)
