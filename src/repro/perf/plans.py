@@ -52,20 +52,24 @@ The traced access sites are then grouped by ``(class, pc, kind)``.  An
 affine pc that executed ``k`` times (an affine loop) must show a
 constant per-iteration address delta, giving the site group the closed
 form ``addr(j, tid) = base + dj·j + ct·tid`` over the class's tids —
-exactly a strided range.  A gather group keeps its address expression,
-merged across iterations like a value.  Store values are merged across
-iterations by shape-matching their expression DAGs.
+exactly a strided range.  A group whose offsets span 2**62 or more
+(``_WIDE``) aborts the compile (``addr-wide``): no buffer holds its
+hull.  A gather group keeps its address expression, merged across
+iterations like a value.  Store values are merged across iterations by
+shape-matching their expression DAGs.
 
 ``_bind`` evaluates the affine forms against the actual arguments in
 closed form — Python integers over the offsets ``_close_affine``
-settled at compile time, no address matrix (``_hull``) — and, with
-``_bind_gathers`` for the gather groups on each launch's concrete
+settled at compile time, no address matrix (``_hull``); a range that
+straddles a multiple of 2**64, CHK groups included, falls back — and,
+with ``_bind_gathers`` for the gather groups on each launch's concrete
 addresses (in trace order, so an index is read before the address it
 feeds), proves before touching any byte:
 
 * every access lands word-aligned inside a single buffer's materialized
-  prefix (otherwise the interpreter's fault semantics must apply — fall
-  back);
+  prefix (one bounds check, ``_resolve``, for affine and gathered
+  groups alike; otherwise the interpreter's fault semantics must apply
+  — fall back);
 * all store addresses are pairwise distinct and no load overlaps a
   store except *lane-identically before it* (the in-place
   read-modify-write pattern, within one class) — this makes vectorized
@@ -463,7 +467,7 @@ def _trace_class(program: Program, args, tidv: np.ndarray, n_threads: int,
 
 class _Group:
     __slots__ = ("kind", "cls", "tids", "pos", "k", "addr", "access", "c0",
-                 "coeffs", "ct", "dj", "sct", "sdj", "omin", "omax", "wide",
+                 "coeffs", "ct", "dj", "sct", "sdj", "omin", "omax",
                  "aligned", "distinct", "first", "woff", "value", "i")
 
     def __init__(self, kind: str, cls: int, tids: np.ndarray) -> None:
@@ -589,10 +593,11 @@ def _signed(v: int) -> int:
     return ((v + (1 << 63)) & _MASK64) - (1 << 63)
 
 
-#: An affine group whose offsets span this much or more binds on its
-#: address matrix.  A narrower one whose range straddles a multiple of
-#: 2**64 wraps to a hull at least 2**63 wide, which no buffer's prefix
-#: holds, so it falls back on the closed form alone (``_hull``).
+#: An affine group whose offsets span this much or more aborts the
+#: compile: its hull spans 2**62 bytes or wraps, which no buffer's
+#: prefix holds, and its word offsets would overflow ``intp``.  A
+#: narrower one whose range straddles a multiple of 2**64 wraps to a
+#: hull at least 2**63 wide, so it falls back at bind (``_hull``).
 _WIDE = 1 << 62
 
 
@@ -604,6 +609,7 @@ def _close_affine(g: _Group, sites: list) -> None:
     over the ``(j, tid)`` grid (the form is linear, so they sit at its
     corners), the word alignment of the strides, whether two accesses
     share an address, and each access's word offset above the lowest.
+    A group whose offsets span ``_WIDE`` or more aborts (``addr-wide``).
     """
     k = g.k
     base = sites[0].aff
@@ -627,12 +633,11 @@ def _close_affine(g: _Group, sites: list) -> None:
     tids = g.tids.tolist()
     g.omin = min(0, sdj * (k - 1)) + min(sct * tids[0], sct * tids[-1])
     g.omax = max(0, sdj * (k - 1)) + max(sct * tids[0], sct * tids[-1])
-    g.wide = g.omax - g.omin >= _WIDE
+    if g.omax - g.omin >= _WIDE:
+        raise _Abort("addr-wide")
     # Word alignment of every lane once the lowest address is aligned
     # (8 divides 2**64, so any stride representative has its residue).
     g.aligned = not (k > 1 and dj % WORD or lanes > 1 and base.ct % WORD)
-    if g.wide:
-        return
     offs = [[sdj * j + sct * t - g.omin for t in tids] for j in range(k)]
     # A range that does not straddle a multiple of 2**64 is unwrapped,
     # so two accesses share a word exactly when they share an offset.
@@ -749,8 +754,8 @@ def _base(g: _Group, args) -> int:
 
 
 def _hull(g: _Group, args):
-    """A narrow affine group's address hull ``(lo, hi)`` on this launch,
-    in closed form; None when the range straddles a multiple of 2**64.
+    """An affine group's address hull ``(lo, hi)`` on this launch, in
+    closed form; None when the range straddles a multiple of 2**64.
 
     Every address is ``base + o`` modulo 2**64 for an offset ``o`` in
     ``[omin, omax]``; when ``base + omin`` and ``base + omax`` fall in
@@ -765,53 +770,38 @@ def _hull(g: _Group, args):
     return lo - wrap, hi - wrap
 
 
-def _group_mat(g: _Group, args) -> np.ndarray:
-    """A wide group's ``(k, lanes)`` address matrix, wrapped to 64 bits."""
-    jcol = (np.arange(g.k, dtype=np.uint64)
-            * np.uint64(g.dj & _MASK64)).reshape(-1, 1)
-    return np.uint64(_base(g, args) & _MASK64) + jcol \
-        + np.uint64(g.ct & _MASK64) * g.tids
+def _resolve(memory: DeviceMemory, lo: int, hi: int):
+    """The buffer whose materialized prefix and logical size hold every
+    word from ``lo`` to ``hi``, or None: the one bounds check of a bind,
+    affine or gathered.  Alignment is the caller's."""
+    buf = memory.resolve(lo)
+    if buf is None or hi + WORD > buf.addr + min(buf.size, len(buf.data)):
+        return None
+    return buf
 
 
 def _bind_group(g: _Group, args, memory: DeviceMemory):
-    """An affine group's ``(buf, idx, lo, hi, mat)``; None → fall back.
+    """An affine group's ``(buf, idx, lo, hi)``; None → fall back.
 
-    ``mat`` is the address matrix of a wide group and None for the rest,
-    whose hull and word indices come from the closed form.
+    Word aligned: the lowest address and the strides.  A misaligned
+    access is legal in the interpreter — it just can't use the word view.
     """
-    if g.wide:
-        mat = _group_mat(g, args)
-        lo, hi = int(mat.min()), int(mat.max())
-    else:
-        hull = _hull(g, args)
-        if hull is None:
-            return None  # wraps to a hull wider than any buffer
-        lo, hi = hull
-        mat = None
-    buf = memory.resolve(lo)
-    # In bounds: inside the materialized prefix and the logical size.
-    # Word aligned: the lowest address and the strides.  A misaligned
-    # access is legal in the interpreter — it just can't use the word view.
-    if buf is None \
-            or hi + WORD > buf.addr + min(buf.size, len(buf.data)) \
-            or (lo - buf.addr) % WORD or not g.aligned:
+    hull = _hull(g, args)  # None: a straddle, wider than any buffer
+    if hull is None or not g.aligned:
         return None
-    if mat is None:
-        # Word indices as intp: numpy indexes with that dtype without a
-        # cast, several times faster than with uint64 at a few lanes.
-        idx = g.woff + ((lo - buf.addr) >> 3)
-    else:
-        idx = ((mat - np.uint64(buf.addr)) >> _U3).astype(np.intp)
-    return buf, idx, lo, hi, mat
+    lo, hi = hull
+    buf = _resolve(memory, lo, hi)
+    if buf is None or (lo - buf.addr) % WORD:
+        return None
+    # Word indices as intp: numpy indexes with that dtype without a
+    # cast, several times faster than with uint64 at a few lanes.
+    return buf, g.woff + ((lo - buf.addr) >> 3), lo, hi
 
 
-def _chk_hull(g: _Group, args) -> tuple:
-    """An affine CHK group's ``(kind, lo, hi)`` over its wrapped addresses."""
-    hull = None if g.wide else _hull(g, args)
-    if hull is None:
-        mat = _group_mat(g, args)
-        hull = int(mat.min()), int(mat.max())
-    return (g.access, *hull)
+def _chk_hull(g: _Group, args):
+    """An affine CHK group's ``(kind, lo, hi)``; None when it straddles."""
+    hull = _hull(g, args)
+    return None if hull is None else (g.access, *hull)
 
 
 def _merge_hulls(hulls: list) -> tuple:
@@ -842,25 +832,21 @@ def _covered(validation, checks) -> bool:
     return True
 
 
-def _in_place(lg: _Group, load, sg: _Group, store, args) -> bool:
+def _in_place(lg: _Group, load, sg: _Group, store) -> bool:
     """True when a load group and a store group of one class, with ``k``
-    iterations each, access equal addresses lane by lane and iteration
-    by iteration."""
-    lmat, smat = load[4], store[4]
-    if lmat is None and smat is None:
+    iterations each and entries in one buffer, access equal addresses
+    lane by lane and iteration by iteration."""
+    if lg.addr is None and sg.addr is None:
         # Two unwrapped closed forms: equal strides where they vary and
         # an equal first address.
         return (lg.k == 1 or lg.sdj == sg.sdj) \
             and (len(lg.tids) == 1 or lg.sct == sg.sct) \
             and load[2] + lg.first == store[2] + sg.first
-    if lmat is None:
-        lmat = _group_mat(lg, args)
-    if smat is None:
-        smat = _group_mat(sg, args)
-    return np.array_equal(lmat, smat)
+    # A gather or scatter: in one buffer, equal words are equal addresses.
+    return np.array_equal(load[1], store[1])
 
 
-def _conflict_free(plan: _Plan, loads, stores, pairs, args) -> bool:
+def _conflict_free(plan: _Plan, loads, stores, pairs) -> bool:
     """True when all-loads-then-all-stores provably equals sequential
     per-thread execution over ``pairs`` (see ``_pairs``): store addresses
     are pairwise distinct, and a load overlaps a store only
@@ -869,9 +855,7 @@ def _conflict_free(plan: _Plan, loads, stores, pairs, args) -> bool:
     for i in distinct:
         # Duplicate store addresses (any two lanes writing the same word)
         # make the final byte state order-dependent.
-        mat = stores[i][4]
-        if not (plan.store_groups[i].distinct if mat is None
-                else np.unique(mat).size == mat.size):
+        if not plan.store_groups[i].distinct:
             return False
     for i, j in store_pairs:
         a, b = stores[i], stores[j]
@@ -888,7 +872,7 @@ def _conflict_free(plan: _Plan, loads, stores, pairs, args) -> bool:
         lg, sg = plan.load_groups[i], plan.store_groups[j]
         if not (lg.cls == sg.cls and lg.k == sg.k
                 and all(map(int.__lt__, lg.pos, sg.pos))
-                and _in_place(lg, load, sg, store, args)):
+                and _in_place(lg, load, sg, store)):
             return False
     return True
 
@@ -902,10 +886,11 @@ def _bind(plan: _Plan, args, memory: DeviceMemory):
     affine CHK groups, and each gather's address node with its
     argument-only terms evaluated — and exists only when every affine
     access is in-bounds and word-aligned and lockstep execution provably
-    equals sequential execution as far as the affine groups go.  A plan
-    with gathers keeps ``(buf, idx, lo, hi, mat)`` entries, for its
-    launches' conflict proofs, and None for each gather or scatter,
-    which every launch binds itself.
+    equals sequential execution as far as the affine groups go, and no
+    affine CHK hull straddles a multiple of 2**64.  A plan with gathers
+    keeps ``(buf, idx, lo, hi)`` entries, for its launches' conflict
+    proofs, and None for each gather or scatter, which every launch
+    binds itself.
     """
     loads, stores = [], []
     for groups, out in ((plan.load_groups, loads),
@@ -917,10 +902,14 @@ def _bind(plan: _Plan, args, memory: DeviceMemory):
                 if bound is None:
                     return None
             out.append(bound)
-    if not _conflict_free(plan, loads, stores, plan.pairs[0], args):
+    if not _conflict_free(plan, loads, stores, plan.pairs[0]):
         return None
-    chks = [_merge_hulls([_chk_hull(cg, args) for cg in groups])
-            for groups in plan.chk_sets]
+    chks = []
+    for groups in plan.chk_sets:
+        hulls = [_chk_hull(cg, args) for cg in groups]
+        if None in hulls:
+            return None  # a straddle, as for a load or a store
+        chks.append(_merge_hulls(hulls))
     if not plan.gathers:
         # What the launch reads back: each group's buffer and word indices.
         return ([bound[:2] for bound in loads],
@@ -975,15 +964,13 @@ def _bind_gathers(plan: _Plan, args, memory: DeviceMemory, record, vals,
         elif g.kind == "w" and len(set(flat)) != len(flat):
             return None  # two lanes scatter to one word
         else:
-            buf = memory.resolve(lo)
-            if buf is None \
-                    or hi + WORD > buf.addr + min(buf.size, len(buf.data)) \
-                    or (reduce(or_, flat) | buf.addr) & 7:
+            buf = _resolve(memory, lo, hi)
+            if buf is None or (reduce(or_, flat) | buf.addr) & 7:
                 return None  # out of bounds, or not word-aligned
-            mat = raw.reshape(g.k, -1)
-            idx = ((mat - np.uint64(buf.addr)) >> _U3).astype(np.intp)
-            (loads if g.kind == "r" else stores)[g.i] = buf, idx, lo, hi, mat
-    if not _conflict_free(plan, loads, stores, plan.pairs[1], args):
+            idx = ((raw.reshape(g.k, -1) - np.uint64(buf.addr))
+                   >> _U3).astype(np.intp)
+            (loads if g.kind == "r" else stores)[g.i] = buf, idx, lo, hi
+    if not _conflict_free(plan, loads, stores, plan.pairs[1]):
         return None
     return loads, stores
 

@@ -24,9 +24,10 @@ def _next_image_id() -> str:
     Qualified by the creating OS process id: images born in different
     ``repro.parallel`` pool workers (each of which restarts the module
     counter at 1) stay distinct when their results are merged into one
-    catalog/world.
+    catalog/world.  The pid is eight hex digits wide (Linux pids stay
+    below 2**22), so an image's serialized size does not depend on it.
     """
-    return f"{os.getpid():x}.{next(_image_seq)}"
+    return f"{os.getpid():08x}.{next(_image_seq)}"
 
 
 @dataclass

@@ -476,6 +476,103 @@ def test_a_lane_class_past_max_steps_faults_as_interpreted():
     assert outcomes[0][1][0] is None
 
 
+TOP = 1 << 64
+
+
+def _top_memory():
+    """Buffers at address 0 and at the top of the 64-bit space, where a
+    range that wraps past 2**64 lands in both."""
+    mem = DeviceMemory(capacity=TOP, base=0, default_data_size=64)
+    low = mem.alloc(64, tag="low")
+    top = mem.alloc_at(TOP - 64, 64, tag="top")
+    for buf in (low, top):
+        for i in range(8):
+            buf.store_word(buf.addr + 8 * i, 100 + i)
+        buf.hw_dirty = False
+    return mem, low, top
+
+
+def build_aliased(alias: str):
+    """Odd lanes exit; each even lane reaches ``x + 2**63·tid``, which
+    is ``x`` for every one of them.  ``"store"`` writes ``v`` there;
+    ``"load"`` reads it into ``y[tid]``."""
+    name = f"aliased_{alias}"
+    b = ProgramBuilder(name, f"__global__ void {name}(long* x, long* y, long v)")
+    b.arg(0, 0).arg(1, 1).arg(2, 2).tid(3)
+    b.seti(4, 2).mod(4, 3, 4).seti(5, 0).bne(4, 5, "end")
+    b.muli(6, 3, 1 << 63).add(6, 0, 6)
+    if alias == "store":
+        b.stg(6, 2)
+    else:
+        b.muli(7, 3, 8).add(7, 1, 7).ldg(8, 6).stg(7, 8)
+    b.label("end").exit()
+    return b.build()
+
+
+def _fallbacks_of(program, args, n_threads, ranges):
+    """The launch's outcome on plans and on the reference loop (fresh
+    memory each), and the fallback labels the plan tier counted."""
+    from repro import obs
+    from repro.sim import Engine
+
+    outcomes = []
+    for runner in (run_kernel, run_kernel_reference):
+        mem, low, top = _top_memory()
+        validation = None if ranges is None else ValidationState(
+            read_ranges=RangeSet(ranges), write_ranges=RangeSet(ranges))
+        out = {"fault": None}
+        observer = obs.install(Engine())
+        try:
+            out["steps"] = runner(program, args(low, top), n_threads, mem,
+                                  validation=validation).steps
+        except Exception as exc:  # the fault is part of the observable result
+            out["fault"] = (type(exc), str(exc))
+        finally:
+            obs.uninstall()
+        out["bytes"] = (low.snapshot(), top.snapshot())
+        out["dirty"] = (low.hw_dirty, top.hw_dirty)
+        out["violations"] = None if validation is None else [
+            (v.kernel, v.addr, v.kind, v.tid) for v in validation.violations]
+        outcomes.append(out)
+        if runner is run_kernel:
+            labels = {(c.labels["reason"], c.labels["abort"]): c.value
+                      for c in observer.metrics.find(
+                          "perf/plan_cache/fallback")}
+    assert outcomes[0] == outcomes[1]
+    return outcomes[0], labels
+
+
+@pytest.mark.parametrize("alias", ["store", "load"])
+def test_lanes_aliased_by_a_wrapping_stride_abort_as_wide(alias):
+    """A ``2**63`` tid stride puts every even lane on one word in bounds.
+    Its offsets span at least 2**64, so the group is *wide*: the plan
+    tier refuses it at compile (``addr-wide``), although the aliased
+    loads could be gathered, and the interpreter runs it."""
+    out, labels = _fallbacks_of(
+        build_aliased(alias), lambda low, top: [low.addr, low.addr + 8, 7],
+        8, None)
+    assert labels == {("trace-abort", "addr-wide"): 1}
+    assert out["fault"] is None and out["dirty"] == (True, False)
+
+
+@pytest.mark.parametrize("twin", [False, True])
+def test_a_range_that_straddles_two_to_the_64_falls_back_at_bind(twin):
+    """A fill from 16 bytes below 2**64: two lanes land at the top of
+    the space and two wrap to address 0.  The closed-form hull straddles
+    a multiple of 2**64, so the launch falls back at bind (its twin's
+    CHK hull straddles too) and equals the interpreter."""
+    program = build_fill()
+    ranges = None
+    if twin:
+        program = instrument_program(program)
+        ranges = [(0, 64), (TOP - 64, TOP)]
+    out, labels = _fallbacks_of(
+        program, lambda low, top: [TOP - 16, 4, 9], 4, ranges)
+    assert labels == {("bind", ""): 1}
+    assert out["fault"] is None and out["dirty"] == (True, True)
+    assert out["violations"] == (None if ranges is None else [])
+
+
 def test_each_launch_asks_its_own_validation_state():
     """A launch with the same arguments as a covered one, but ranges that
     no longer cover its writes, reports the interpreter's violations."""

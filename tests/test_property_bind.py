@@ -11,6 +11,13 @@ the wrapped ``(k, lanes)`` address matrix in numpy, take its min and
 max, resolve, check bounds and alignment, ``np.unique`` the stores and
 ``np.array_equal`` an overlapping load/store pair.
 
+There is no matrix path behind the closed form.  A *wide* group, whose
+offsets span 2**62 or more (judged here on the explicit offset grid),
+must abort the compile with ``addr-wide``; every other group must
+match the oracle.  An affine CHK hull that straddles a multiple of
+2**64 (its wrapped oracle hull is then at least 2**63 wide) must make
+the whole affine proof fail, as a straddling load or store does.
+
 Random groups cover zero, negative and unaligned strides, strides that
 wrap (``2**63``, ``2**64 - 8``), bases near 0 and near 2**64 (ranges
 that straddle a multiple of 2**64 among them), lane classes with gaps,
@@ -30,6 +37,7 @@ import random
 from types import SimpleNamespace
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -44,6 +52,7 @@ from repro.units import MIB
 
 MASK = (1 << 64) - 1
 TOP = 1 << 64
+WIDE = 1 << 62
 
 STRIDES = [0, 8, -8, 16, 24, -24, 4, -4, 12, 3, 64, 2**63, 2**63 + 8,
            2**64 - 8, 2**64 + 8, 2**62, -(2**62), 2**61 + 8]
@@ -143,14 +152,35 @@ def _target(rng, bufs):
     return rng.getrandbits(64)
 
 
+def offset_span(tids, k, ct, dj):
+    """How far apart the offsets ``dj·j + ct·tid`` of the grid lie, with
+    each stride read as the signed 64-bit value it is."""
+    offs = [_signed(dj) * j + _signed(ct) * t for j in range(k) for t in tids]
+    return max(offs) - min(offs)
+
+
 def make_group(kind, tids, k, c0, coeffs, ct, dj, cls=0, pos=()):
+    """The closed group, or None for a wide one, whose compile must
+    abort with ``addr-wide`` (for the body, not for an argument value)."""
     g = plans._Group(kind, cls, np.array(tids, dtype=np.uint64))
     g.k = k
     g.pos = pos
     sites = [SimpleNamespace(aff=plans._Aff(c0 + j * dj, coeffs, ct))
              for j in range(k)]
-    plans._close_affine(g, sites)
-    return g
+    if offset_span(tids, k, ct, dj) < WIDE:
+        plans._close_affine(g, sites)
+        return g
+    with pytest.raises(plans._Abort) as abort:
+        plans._close_affine(g, sites)
+    assert abort.value.reason == "addr-wide" and not abort.value.by_value
+    return None
+
+
+def straddles(mat):
+    """Whether a narrow group's range straddles a multiple of 2**64: it
+    spans under 2**62 unwrapped, so its wrapped hull is that narrow or
+    at least 2**64 - 2**62 wide."""
+    return int(mat.max()) - int(mat.min()) >= 1 << 63
 
 
 def random_shape(rng):
@@ -203,38 +233,48 @@ def variant(rng, g, kind, pos):
 
 def random_plan(rng, args, bufs):
     """One class of affine groups: loads, stores (some in place over a
-    load), and CHKs."""
+    load), and CHKs; and how many drawn groups were wide (checked to
+    abort by ``make_group`` and left out of the plan)."""
     plan = plans._Plan()
     plan.load_groups, plan.store_groups, plan.chk_groups = [], [], []
     shape = random_shape(rng)
-    n = 0
+    wide = n = 0
     for _ in range(rng.randint(0, 2)):
         g = random_group(rng, "r", args, bufs, shape)
+        if g is None:
+            wide += 1
+            continue
         g.pos = tuple(range(n, n + g.k))
         n += g.k
         plan.load_groups.append(g)
     for _ in range(rng.randint(0, 2)):
         if plan.load_groups and rng.random() < 0.6:
-            g = variant(rng, rng.choice(plan.load_groups), "w",
-                        tuple(range(n, n + shape[1])))
+            g = variant(rng, rng.choice(plan.load_groups), "w", ())
         else:
             g = random_group(rng, "w", args, bufs, shape)
-            g.pos = tuple(range(n, n + g.k))
+        if g is None:
+            wide += 1
+            continue
+        g.pos = tuple(range(n, n + g.k))
         n += g.k
         plan.store_groups.append(g)
     for kind in rng.sample(["cr", "cw"], rng.randint(0, 2)):
         if plan.chk_groups and rng.random() < 0.5:
             # The twin's pair: a read and a write off one pointer.
-            plan.chk_groups.append(variant(rng, plan.chk_groups[0], kind, ()))
+            g = variant(rng, plan.chk_groups[0], kind, ())
         else:
-            plan.chk_groups.append(random_group(rng, kind, args, bufs))
+            g = random_group(rng, kind, args, bufs)
+        if g is None:
+            wide += 1
+            continue
+        plan.chk_groups.append(g)
     for groups in (plan.load_groups, plan.store_groups, plan.chk_groups):
         for i, g in enumerate(groups):
             g.i = i
     plan.chk_sets = plans._chk_sets(plan.chk_groups)
     plan.gathers = []
     plan.pairs = plans._pairs(plan, False), plans._pairs(plan, True)
-    return plan
+    return plan, wide
 
 
 # --------------------------------------------------------------------------
@@ -244,7 +284,9 @@ def random_plan(rng, args, bufs):
 def check_plan(rng, tally=None):
     mem, bufs = fresh_memory()
     args = [rng.getrandbits(64) for _ in range(rng.randint(1, 3))]
-    plan = random_plan(rng, args, bufs)
+    plan, wide = random_plan(rng, args, bufs)
+    if tally is not None:
+        tally["wide"] += wide
 
     loads, stores = [], []
     oloads, ostores = [], []
@@ -256,12 +298,11 @@ def check_plan(rng, tally=None):
             oracle = oracle_bind(g, args, mem)
             assert (entry is None) == (oracle is None), (g.ct, g.dj, g.tids)
             if tally is not None:
-                tally["wide" if g.wide else "closed"] += 1
                 tally["bound" if entry else "fallback"] += 1
             if entry is None:
                 bound = False
                 continue
-            buf, idx, lo, hi, _ = entry
+            buf, idx, lo, hi = entry
             obuf, oidx, _, olo, ohi = oracle
             assert buf is obuf and (lo, hi) == (olo, ohi)
             assert idx.dtype == oidx.dtype and idx.shape == oidx.shape
@@ -269,14 +310,20 @@ def check_plan(rng, tally=None):
             got.append(entry)
             want.append(oracle)
 
+    straddle = False
     for cg in plan.chk_groups:
         mat = oracle_mat(cg, args)
-        assert plans._chk_hull(cg, args) == \
-            (cg.access, int(mat.min()), int(mat.max()))
+        if straddles(mat):
+            assert plans._chk_hull(cg, args) is None
+            straddle = True
+        else:
+            assert plans._chk_hull(cg, args) == \
+                (cg.access, int(mat.min()), int(mat.max()))
+    if tally is not None:
+        tally["chk-straddle"] += straddle
 
     if bound:
-        verdict = plans._conflict_free(plan, loads, stores, plan.pairs[0],
-                                       args)
+        verdict = plans._conflict_free(plan, loads, stores, plan.pairs[0])
         assert verdict == oracle_conflict_free(plan, oloads, ostores)
         if tally is not None:
             tally["conflict-free" if verdict else "conflict"] += 1
@@ -285,10 +332,12 @@ def check_plan(rng, tally=None):
                 for l, ol in zip(loads, oloads)
                 for s, os_ in zip(stores, ostores))
 
-    # The whole affine proof: a record exactly when every group binds
-    # and the conflict proof holds, with the same buffers and indices.
+    # The whole affine proof: a record exactly when every group binds,
+    # the conflict proof holds and no CHK hull straddles, with the same
+    # buffers and indices.
     record = plans._bind(plan, args, mem)
-    if not bound or not oracle_conflict_free(plan, oloads, ostores):
+    if not bound or straddle \
+            or not oracle_conflict_free(plan, oloads, ostores):
         assert record is None
         return
     assert record is not None
@@ -312,29 +361,29 @@ def test_closed_form_bind_matches_the_matrix_oracle(rng):
     check_plan(rng)
 
 
-def test_closed_form_bind_matches_the_matrix_oracle_on_a_seed_sweep():
-    for seed in range(1500):
-        check_plan(random.Random(seed))
-
-
 def test_generator_reaches_every_outcome():
-    """The sweep exercises what the closed form must get right."""
-    tally = {key: 0 for key in ("wide", "closed", "bound", "fallback",
+    """A 1 500-seed sweep of the differential check, which exercises
+    what the closed form must get right."""
+    tally = {key: 0 for key in ("wide", "bound", "fallback", "chk-straddle",
                                 "conflict-free", "conflict", "in-place")}
     for seed in range(1500):
         check_plan(random.Random(seed), tally)
     assert all(tally.values()), tally
-    # Straddles, gapped lanes with unaligned strides, duplicate stores:
-    # each decided by the closed form, not the matrix path.
+    # Wide strides, straddles, gapped lanes with unaligned strides,
+    # duplicate stores: each decided by the closed form.
     mem, bufs = fresh_memory()
+    for ct in (2**62, 2**63, -(2**62)):
+        assert make_group("r", [0, 1], 1, bufs[0].addr, (), ct, 0) is None
+    assert make_group("r", [0], 3, bufs[0].addr, (), 8, 2**61) is None
+    assert make_group("r", [0, 1], 1, 0, (), 2**62 - 8, 0) is not None
     straddle = make_group("r", [0, 1], 1, TOP - 8, (), 16, 0)
-    assert not straddle.wide and plans._hull(straddle, []) is None
+    assert plans._hull(straddle, []) is None
     gapped = make_group("r", [0, 2], 1, bufs[0].addr, (), 4, 0)
-    assert not gapped.wide and not gapped.aligned
+    assert not gapped.aligned
     assert plans._bind_group(gapped, [], mem) is None
     assert oracle_bind(gapped, [], mem) is None
     dup = make_group("w", [0, 1, 2], 2, bufs[0].addr, (), 8, 8)
-    assert not dup.wide and not dup.distinct
+    assert not dup.distinct
 
 
 def test_a_twins_read_and_write_of_one_pointer_are_one_covers_check(

@@ -7,12 +7,15 @@ come from a bare process-global counter that collides across
 ``repro.parallel`` pool workers.
 """
 
+import itertools
 import os
 
 import pytest
 
 from repro.errors import CheckpointError
+from repro.storage import image as image_module
 from repro.storage.image import CheckpointImage, ImageCatalog
+from repro.storage.serial import save_image
 
 
 def _image(name="img"):
@@ -92,5 +95,20 @@ def test_discard_stays_idempotent():
 def test_image_ids_are_pid_qualified_and_unique():
     a, b = CheckpointImage(), CheckpointImage()
     assert a.id != b.id
-    prefix = f"{os.getpid():x}."
+    prefix = f"{os.getpid():08x}."
     assert a.id.startswith(prefix) and b.id.startswith(prefix)
+
+
+def test_an_image_file_is_as_long_whatever_the_pid(monkeypatch, tmp_path):
+    """The pid in an image id is fixed-width, so a one-digit pid and a
+    six-digit one serialize the same image to files of equal length."""
+    sizes = []
+    for pid in (0x7, 0x3FFFFF):
+        monkeypatch.setattr(os, "getpid", lambda: pid)
+        monkeypatch.setattr(image_module, "_image_seq", itertools.count(1))
+        img = _image()
+        assert img.id == f"{pid:08x}.1"
+        path = tmp_path / f"{pid:x}.phos"
+        save_image(img, path)
+        sizes.append(path.stat().st_size)
+    assert sizes[0] == sizes[1]
