@@ -33,6 +33,7 @@ file.
 
 from __future__ import annotations
 
+import functools
 import random
 from types import SimpleNamespace
 
@@ -361,13 +362,24 @@ def test_closed_form_bind_matches_the_matrix_oracle(rng):
     check_plan(rng)
 
 
-def test_generator_reaches_every_outcome():
-    """A 1 500-seed sweep of the differential check, which exercises
-    what the closed form must get right."""
+@functools.cache
+def seed_sweep():
+    """The differential check on 1 500 fixed seeds, run once per session
+    whichever test asks first, and the tally of outcomes it reached."""
     tally = {key: 0 for key in ("wide", "bound", "fallback", "chk-straddle",
                                 "conflict-free", "conflict", "in-place")}
     for seed in range(1500):
         check_plan(random.Random(seed), tally)
+    return tally
+
+
+def test_closed_form_bind_matches_the_matrix_oracle_on_a_seed_sweep():
+    seed_sweep()
+
+
+def test_generator_reaches_every_outcome():
+    """The sweep exercises what the closed form must get right."""
+    tally = seed_sweep()
     assert all(tally.values()), tally
     # Wide strides, straddles, gapped lanes with unaligned strides,
     # duplicate stores: each decided by the closed form.
